@@ -1,8 +1,8 @@
 //! # redcane-axmul
 //!
-//! A behavioral library of **8-bit unsigned approximate multipliers** (and
-//! approximate adders), standing in for the EvoApprox8B library used by the
-//! ReD-CaNe paper (Mrazek et al., DATE 2017).
+//! A behavioral library of **8-bit unsigned approximate multipliers**,
+//! standing in for the EvoApprox8B library used by the ReD-CaNe paper
+//! (Mrazek et al., DATE 2017).
 //!
 //! The paper treats each approximate component as a black box characterized
 //! by three things: its **power**, its **area**, and the **distribution of
@@ -12,9 +12,9 @@
 //! - [`Multiplier8`]: the behavioral contract `(u8, u8) -> u16`;
 //! - concrete approximation families in [`mult`]: truncation, broken-array,
 //!   Kulkarni 2×2 underdesigned blocks, Mitchell logarithmic, DRUM,
-//!   partial-product perforation, and approximate column compressors;
-//! - [`adder`]: exact and lower-part-OR (LOA) 16-bit adders (the paper's
-//!   `5LT` stand-in);
+//!   partial-product perforation, and approximate column compressors —
+//!   closed-form bodies, checked against the bit-level
+//!   [`mult::reference`] models;
 //! - [`library::MultiplierLibrary`]: 35 named components. The 15 named
 //!   after the paper's Table IV (`mul8u_1JFF`, `mul8u_NGR`, `mul8u_DM1`, …)
 //!   carry that table's power/area numbers as calibration metadata and are
@@ -22,8 +22,10 @@
 //!   the table; the rest are parametric family members filling out the
 //!   power/error Pareto front;
 //! - [`lut`]: any model tabulated into a 64 KiB [`MulLut`] truth table,
-//!   and [`LutCache`] — one shared table per distinct component of a
-//!   heterogeneous datapath assignment;
+//!   filled by one statically dispatched
+//!   [`Multiplier8::tabulate_into`] call, and [`LutCache`] — one shared
+//!   table per distinct component of a heterogeneous datapath
+//!   assignment;
 //! - [`error_stats`]: error profiling (mean/std/histogram), MAC-chain
 //!   accumulation (1, 9, 81 multiply-accumulates, as in Fig. 6), Gaussian
 //!   fits, and the paper's `NM`/`NA` noise parameters (Sec. III-B);
@@ -50,18 +52,16 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod adder;
 pub mod error_stats;
 pub mod library;
 pub mod lut;
 pub mod mult;
 pub mod power;
 
-pub use adder::{Adder16, ExactAdder, LowerOrAdder};
 pub use error_stats::{ErrorProfile, InputDistribution, NoiseParams};
 pub use library::{ComponentEntry, MultiplierLibrary};
 pub use lut::{LutCache, MulLut, UnknownComponent};
-pub use mult::{ExactMultiplier, LutMultiplier, Multiplier8};
+pub use mult::{ExactMultiplier, Multiplier8};
 
 /// The largest accurate 8×8 product (`255 * 255`); the natural scale for
 /// multiplier error magnitudes.

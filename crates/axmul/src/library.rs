@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use crate::adder::{Adder16, ExactAdder, LowerOrAdder};
 use crate::error_stats::{profile_multiplier, InputDistribution, NoiseParams};
 use crate::mult::{
     BrokenArrayMultiplier, CompressorMultiplier, DrumMultiplier, ExactMultiplier,
@@ -67,11 +66,6 @@ impl ComponentEntry {
     /// The behavioral model.
     pub fn model(&self) -> &dyn Multiplier8 {
         self.model.as_ref()
-    }
-
-    /// A shareable handle to the behavioral model.
-    pub fn model_arc(&self) -> Arc<dyn Multiplier8> {
-        Arc::clone(&self.model)
     }
 
     /// Power/area figures.
@@ -328,34 +322,6 @@ impl Default for MultiplierLibrary {
     }
 }
 
-/// The paper's `5LT`-like approximate accumulator adder (LOA with 5
-/// approximate low bits).
-pub fn adder_5lt_like() -> LowerOrAdder {
-    LowerOrAdder::new(5)
-}
-
-/// The exact accumulator adder.
-pub fn adder_exact() -> ExactAdder {
-    ExactAdder
-}
-
-/// Energy of one approximate addition relative to an exact one, for the
-/// `5LT`-like adder. A 16-bit LOA with 5 OR'd bits removes ~5/16 of the
-/// carry chain; we round to the classic ~35 % saving reported for LOA-class
-/// adders.
-pub fn adder_5lt_energy_ratio() -> f64 {
-    0.65
-}
-
-/// Dispatch helper so callers can obtain either adder behind the trait.
-pub fn adder_by_name(name: &str) -> Option<Box<dyn Adder16>> {
-    match name {
-        "add16u_EXA" => Some(Box::new(ExactAdder)),
-        "add16u_5LT" => Some(Box::new(adder_5lt_like())),
-        _ => None,
-    }
-}
-
 // --- Structural cost models for families the drop-counting proxy cannot
 // --- express directly. Fractions are documented engineering estimates; the
 // --- methodology only needs relative ordering.
@@ -513,14 +479,6 @@ mod tests {
         // Exact entry has zero noise.
         let exact_row = rows.iter().find(|(e, _)| e.name() == "mul8u_1JFF").unwrap();
         assert_eq!(exact_row.1.nm, 0.0);
-    }
-
-    #[test]
-    fn adders_are_available_by_name() {
-        assert!(adder_by_name("add16u_EXA").is_some());
-        assert!(adder_by_name("add16u_5LT").is_some());
-        assert!(adder_by_name("nope").is_none());
-        assert!(adder_5lt_energy_ratio() < 1.0);
     }
 
     #[test]

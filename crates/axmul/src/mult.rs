@@ -5,9 +5,15 @@
 //! exactness of the emulation varies per family (documented on each type),
 //! but every model produces a *real, measurable* arithmetic-error
 //! distribution — which is all the ReD-CaNe methodology consumes.
+//!
+//! The `multiply` bodies are closed forms over whole partial-product
+//! rows (a shifted operand, masked to the columns the array keeps), so
+//! tabulating a model is a short branch-free loop. The bit-by-bit walks
+//! over the 8×8 array survive as [`reference`](mod@reference), the
+//! correctness oracle the closed forms are tested against on all
+//! 65 536 input pairs.
 
 use std::fmt;
-use std::sync::Arc;
 
 /// Behavioral contract for an 8×8 unsigned multiplier with a 16-bit output.
 ///
@@ -19,10 +25,21 @@ pub trait Multiplier8: Send + Sync + fmt::Debug {
 
     /// A one-line human-readable description of the microarchitecture.
     fn description(&self) -> String;
-}
 
-/// Convenience alias for shared, heap-allocated multiplier models.
-pub type SharedMultiplier = Arc<dyn Multiplier8>;
+    /// Writes the whole truth table: `table[(a << 8) | b] = multiply(a, b)`.
+    ///
+    /// A provided method is compiled once per implementor, so inside
+    /// this loop `multiply` is a static, inlinable call and the 256-entry
+    /// row for each `a` can vectorize — one virtual call per table
+    /// instead of one per entry.
+    fn tabulate_into(&self, table: &mut [u16; 65536]) {
+        for (a, row) in table.chunks_exact_mut(256).enumerate() {
+            for (b, out) in row.iter_mut().enumerate() {
+                *out = self.multiply(a as u8, b as u8);
+            }
+        }
+    }
+}
 
 // --------------------------------------------------------------- exact
 
@@ -47,7 +64,8 @@ impl Multiplier8 for ExactMultiplier {
 /// removed from the array).
 ///
 /// The result always under-estimates, by at most
-/// `sum_{c < cut} min(c+1, 8, 16-c) * 2^c`.
+/// `sum_{c < cut} min(c+1, 15-c) * 2^c` (column `c` of the array holds
+/// `min(c+1, 15-c)` partial-product bits; `255 × 255` sets them all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TruncatedMultiplier {
     /// Number of least-significant product columns removed (`0..=15`).
@@ -68,22 +86,15 @@ impl TruncatedMultiplier {
 
 impl Multiplier8 for TruncatedMultiplier {
     fn multiply(&self, a: u8, b: u8) -> u16 {
-        let mut acc: u32 = 0;
+        // Row `i` is `b << i`, kept only in columns `>= cut`.
+        let kept = !((1u32 << self.cut) - 1);
+        let (a, b) = (a as u32, b as u32);
+        let mut acc = 0;
         for i in 0..8 {
-            if (a >> i) & 1 == 0 {
-                continue;
-            }
-            for j in 0..8 {
-                if (b >> j) & 1 == 0 {
-                    continue;
-                }
-                let col = i + j;
-                if col >= self.cut as usize {
-                    acc += 1u32 << col;
-                }
-            }
+            acc += ((a >> i) & 1) * ((b << i) & kept);
         }
-        acc.min(u16::MAX as u32) as u16
+        // Never above the exact product, so never above 255 × 255.
+        acc as u16
     }
 
     fn description(&self) -> String {
@@ -126,25 +137,18 @@ impl BrokenArrayMultiplier {
 
 impl Multiplier8 for BrokenArrayMultiplier {
     fn multiply(&self, a: u8, b: u8) -> u16 {
-        let vb = self.vertical_break as usize;
-        let hb = self.horizontal_break as usize;
-        let mut acc: u32 = 0;
+        let vb = self.vertical_break as u32;
+        let hb = self.horizontal_break as u32;
+        let (a, b) = (a as u32, b as u32);
+        let mut acc = 0;
         for j in 0..8 {
-            if (b >> j) & 1 == 0 {
-                continue;
-            }
-            for i in 0..8 {
-                if (a >> i) & 1 == 0 {
-                    continue;
-                }
-                let col = i + j;
-                let dropped = col < vb || (j < hb && col < vb + hb);
-                if !dropped {
-                    acc += 1u32 << col;
-                }
-            }
+            // Row `j` is `a << j`; the lowest `hb` rows lose `hb` more
+            // columns than the vertical break alone removes.
+            let cut = if j < hb { vb + hb } else { vb };
+            acc += ((b >> j) & 1) * ((a << j) & !((1u32 << cut) - 1));
         }
-        acc.min(u16::MAX as u32) as u16
+        // Never above the exact product, so never above 255 × 255.
+        acc as u16
     }
 
     fn description(&self) -> String {
@@ -183,32 +187,18 @@ impl KulkarniMultiplier {
         assert!(approx_levels <= 4);
         KulkarniMultiplier { approx_levels }
     }
-
-    #[inline]
-    fn mul2x2(approx: bool, a: u8, b: u8) -> u8 {
-        debug_assert!(a < 4 && b < 4);
-        if approx && a == 3 && b == 3 {
-            7
-        } else {
-            a * b
-        }
-    }
 }
 
 impl Multiplier8 for KulkarniMultiplier {
     fn multiply(&self, a: u8, b: u8) -> u16 {
-        let mut acc: u32 = 0;
-        for ci in 0..4 {
-            let ac = (a >> (2 * ci)) & 0b11;
-            for cj in 0..4 {
-                let bc = (b >> (2 * cj)) & 0b11;
-                // A block is approximate when both chunk positions fall in
-                // the low `approx_levels` chunks.
-                let approx = ci < self.approx_levels as usize && cj < self.approx_levels as usize;
-                acc += (Self::mul2x2(approx, ac, bc) as u32) << (2 * (ci + cj));
-            }
-        }
-        acc.min(u16::MAX as u32) as u16
+        // Bit `2c` of `threes(v)` is set when chunk `c < approx_levels`
+        // of `v` is `0b11`, so `threes(v) = sum of 4^c` over those chunks.
+        let approx_chunks = (1u32 << (2 * self.approx_levels)) - 1;
+        let threes = |v: u32| v & (v >> 1) & 0x55 & approx_chunks;
+        let (a, b) = (a as u32, b as u32);
+        // Each approximate `3 × 3` block at chunks (ci, cj) yields 7, not
+        // 9: it loses `2 << 2(ci + cj)`, and those losses factor.
+        (a * b - 2 * threes(a) * threes(b)) as u16
     }
 
     fn description(&self) -> String {
@@ -369,16 +359,9 @@ impl PerforatedMultiplier {
 
 impl Multiplier8 for PerforatedMultiplier {
     fn multiply(&self, a: u8, b: u8) -> u16 {
-        let mut acc: u32 = 0;
-        for j in 0..8u8 {
-            if j >= self.start && j < self.start + self.count {
-                continue;
-            }
-            if (b >> j) & 1 == 1 {
-                acc += (a as u32) << j;
-            }
-        }
-        acc.min(u16::MAX as u32) as u16
+        // Row `j` exists only when bit `j` of `b` survives the mask.
+        let rows = ((1u16 << self.count) - 1) << self.start;
+        a as u16 * (b as u16 & !rows)
     }
 
     fn description(&self) -> String {
@@ -418,8 +401,126 @@ impl CompressorMultiplier {
 
 impl Multiplier8 for CompressorMultiplier {
     fn multiply(&self, a: u8, b: u8) -> u16 {
+        let low = (1u32 << self.approx_cols) - 1;
+        let (a, b) = (a as u32, b as u32);
+        let (mut exact, mut any) = (0, 0);
+        for i in 0..8 {
+            let row = ((a >> i) & 1) * (b << i);
+            exact += row & !low;
+            any |= row;
+        }
+        // The OR of a column is at most its bit count, so the sum never
+        // exceeds the exact product.
+        (exact + (any & low)) as u16
+    }
+
+    fn description(&self) -> String {
+        format!(
+            "approximate-compressor multiplier, {} OR-reduced low columns",
+            self.approx_cols
+        )
+    }
+}
+
+// ------------------------------------------------------------ reference
+
+/// The bit-level models: every partial-product bit of the 8×8 array
+/// visited one at a time, exactly as each array is drawn. Kept as the
+/// correctness oracle the closed-form `multiply` bodies are tested
+/// against on all 65 536 input pairs for every accepted parameter.
+pub mod reference {
+    use super::{
+        BrokenArrayMultiplier, CompressorMultiplier, KulkarniMultiplier, PerforatedMultiplier,
+        TruncatedMultiplier,
+    };
+
+    /// [`TruncatedMultiplier`]: sums the bits of columns `>= cut`.
+    pub fn truncated(m: &TruncatedMultiplier, a: u8, b: u8) -> u16 {
         let mut acc: u32 = 0;
-        let ac = self.approx_cols as usize;
+        for i in 0..8 {
+            if (a >> i) & 1 == 0 {
+                continue;
+            }
+            for j in 0..8 {
+                if (b >> j) & 1 == 0 {
+                    continue;
+                }
+                let col = i + j;
+                if col >= m.cut as usize {
+                    acc += 1u32 << col;
+                }
+            }
+        }
+        acc.min(u16::MAX as u32) as u16
+    }
+
+    /// [`BrokenArrayMultiplier`]: skips the bits below either break.
+    pub fn broken_array(m: &BrokenArrayMultiplier, a: u8, b: u8) -> u16 {
+        let vb = m.vertical_break as usize;
+        let hb = m.horizontal_break as usize;
+        let mut acc: u32 = 0;
+        for j in 0..8 {
+            if (b >> j) & 1 == 0 {
+                continue;
+            }
+            for i in 0..8 {
+                if (a >> i) & 1 == 0 {
+                    continue;
+                }
+                let col = i + j;
+                let dropped = col < vb || (j < hb && col < vb + hb);
+                if !dropped {
+                    acc += 1u32 << col;
+                }
+            }
+        }
+        acc.min(u16::MAX as u32) as u16
+    }
+
+    fn mul2x2(approx: bool, a: u8, b: u8) -> u8 {
+        debug_assert!(a < 4 && b < 4);
+        if approx && a == 3 && b == 3 {
+            7
+        } else {
+            a * b
+        }
+    }
+
+    /// [`KulkarniMultiplier`]: sums the sixteen shifted 2×2 blocks.
+    pub fn kulkarni(m: &KulkarniMultiplier, a: u8, b: u8) -> u16 {
+        let mut acc: u32 = 0;
+        for ci in 0..4 {
+            let ac = (a >> (2 * ci)) & 0b11;
+            for cj in 0..4 {
+                let bc = (b >> (2 * cj)) & 0b11;
+                // A block is approximate when both chunk positions fall in
+                // the low `approx_levels` chunks.
+                let approx = ci < m.approx_levels as usize && cj < m.approx_levels as usize;
+                acc += (mul2x2(approx, ac, bc) as u32) << (2 * (ci + cj));
+            }
+        }
+        acc.min(u16::MAX as u32) as u16
+    }
+
+    /// [`PerforatedMultiplier`]: adds the rows outside the perforation.
+    pub fn perforated(m: &PerforatedMultiplier, a: u8, b: u8) -> u16 {
+        let mut acc: u32 = 0;
+        for j in 0..8u8 {
+            if j >= m.start && j < m.start + m.count {
+                continue;
+            }
+            if (b >> j) & 1 == 1 {
+                acc += (a as u32) << j;
+            }
+        }
+        acc.min(u16::MAX as u32) as u16
+    }
+
+    /// [`CompressorMultiplier`]: exact high columns plus one OR per low
+    /// column.
+    pub fn compressor(m: &CompressorMultiplier, a: u8, b: u8) -> u16 {
+        let mut acc: u32 = 0;
+        let ac = m.approx_cols as usize;
         // Exact part.
         for i in 0..8 {
             if (a >> i) & 1 == 0 {
@@ -453,60 +554,6 @@ impl Multiplier8 for CompressorMultiplier {
             }
         }
         acc.min(u16::MAX as u32) as u16
-    }
-
-    fn description(&self) -> String {
-        format!(
-            "approximate-compressor multiplier, {} OR-reduced low columns",
-            self.approx_cols
-        )
-    }
-}
-
-// ------------------------------------------------------------------ LUT
-
-/// A 64 KiB lookup table caching any [`Multiplier8`]'s full truth table,
-/// for fast bulk simulation (e.g. running a whole layer through the real
-/// approximate component instead of the Gaussian noise model).
-#[derive(Clone)]
-pub struct LutMultiplier {
-    table: Box<[u16; 65536]>,
-    desc: String,
-}
-
-impl LutMultiplier {
-    /// Tabulates `inner` exhaustively over all 65 536 input pairs.
-    pub fn tabulate(inner: &dyn Multiplier8) -> Self {
-        let mut table = vec![0u16; 65536].into_boxed_slice();
-        for a in 0..=255u16 {
-            for b in 0..=255u16 {
-                table[(a as usize) << 8 | b as usize] = inner.multiply(a as u8, b as u8);
-            }
-        }
-        // lint: allow(panic) — the table length is pinned to 65536 entries by the preceding check
-        let table: Box<[u16; 65536]> = table.try_into().expect("sized 65536");
-        LutMultiplier {
-            table,
-            desc: format!("LUT of [{}]", inner.description()),
-        }
-    }
-}
-
-impl fmt::Debug for LutMultiplier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LutMultiplier")
-            .field("desc", &self.desc)
-            .finish()
-    }
-}
-
-impl Multiplier8 for LutMultiplier {
-    fn multiply(&self, a: u8, b: u8) -> u16 {
-        self.table[(a as usize) << 8 | b as usize]
-    }
-
-    fn description(&self) -> String {
-        self.desc.clone()
     }
 }
 
@@ -561,9 +608,16 @@ mod tests {
 
     #[test]
     fn truncated_error_bound() {
-        // Dropping columns < cut can lose at most sum over dropped
-        // partial-product bits; for cut=3 that is 1*1 + 2*2 + 3*4 = 17.
-        assert!(exhaustive_max_abs_err(&TruncatedMultiplier::new(3)) <= 17);
+        // The worst case loses every bit of every dropped column:
+        // column c holds min(c+1, 15-c) partial-product bits.
+        for cut in 0..=15u8 {
+            let bound: i32 = (0..cut as i32).map(|c| (c + 1).min(15 - c) << c).sum();
+            assert_eq!(
+                exhaustive_max_abs_err(&TruncatedMultiplier::new(cut)),
+                bound,
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]
@@ -722,19 +776,37 @@ mod tests {
         assert!(e12 > 0);
     }
 
-    #[test]
-    fn lut_matches_inner_exhaustively() {
-        let inner = MitchellLogMultiplier::new();
-        let lut = LutMultiplier::tabulate(&inner);
-        for a in (0..=255u16).step_by(7) {
-            for b in 0..=255u16 {
-                assert_eq!(
-                    lut.multiply(a as u8, b as u8),
-                    inner.multiply(a as u8, b as u8)
-                );
+    /// `closed` equals `oracle` on all 65 536 input pairs.
+    fn assert_matches_reference(closed: &dyn Multiplier8, oracle: impl Fn(u8, u8) -> u16) {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!(closed.multiply(a, b), oracle(a, b), "{closed:?}: {a} x {b}");
             }
         }
-        assert!(lut.description().contains("Mitchell"));
+    }
+
+    #[test]
+    fn closed_forms_match_the_bit_level_reference_for_every_parameter() {
+        for cut in 0..=15 {
+            let m = TruncatedMultiplier::new(cut);
+            assert_matches_reference(&m, |a, b| reference::truncated(&m, a, b));
+            let m = CompressorMultiplier::new(cut);
+            assert_matches_reference(&m, |a, b| reference::compressor(&m, a, b));
+            for hb in 0..=8 {
+                let m = BrokenArrayMultiplier::new(cut, hb);
+                assert_matches_reference(&m, |a, b| reference::broken_array(&m, a, b));
+            }
+        }
+        for start in 0..=8 {
+            for count in 0..=8 - start {
+                let m = PerforatedMultiplier::new(start, count);
+                assert_matches_reference(&m, |a, b| reference::perforated(&m, a, b));
+            }
+        }
+        for levels in 0..=4 {
+            let m = KulkarniMultiplier::new(levels);
+            assert_matches_reference(&m, |a, b| reference::kulkarni(&m, a, b));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use redcane_axmul::mult::{
     BrokenArrayMultiplier, CompressorMultiplier, DrumMultiplier, KulkarniMultiplier,
     MitchellLogMultiplier, Multiplier8, PerforatedMultiplier, TruncatedMultiplier,
 };
-use redcane_axmul::{Adder16, ExactMultiplier, LowerOrAdder};
+use redcane_axmul::ExactMultiplier;
 
 proptest! {
     #[test]
@@ -51,16 +51,6 @@ proptest! {
         let less = TruncatedMultiplier::new(cut).multiply(a, b);
         let more = TruncatedMultiplier::new(cut + 1).multiply(a, b);
         prop_assert!(more <= less);
-    }
-
-    #[test]
-    fn loa_error_bounded_by_2k(a: u16, b: u16, k in 0u8..12) {
-        let exact = a.saturating_add(b);
-        if exact < u16::MAX {
-            let approx = LowerOrAdder::new(k).add(a, b);
-            let err = (approx as i32 - exact as i32).abs();
-            prop_assert!(err < (1i32 << k.max(1)), "k={k} err={err}");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::time::Instant;
 use redcane::datapath::DatapathAssignment;
 use redcane::report::json::Value;
 use redcane_artifacts::{fingerprint, ArtifactKey, ArtifactPayload, ArtifactStore};
-use redcane_axmul::LutCache;
+use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::routing::{
     dynamic_routing, dynamic_routing_backward, reference as routing_reference,
 };
@@ -292,6 +292,20 @@ fn qdp_deepcaps_probes(reps: usize) -> Vec<PerfProbe> {
     ]
 }
 
+/// Library tabulation probe: all 35 components of the standard library
+/// tabulated into one [`LutCache`] — the set-up every `qdp`, `faults`
+/// and `serve` process pays before its first inference.
+fn tabulate_library_probe(reps: usize) -> PerfProbe {
+    let library = MultiplierLibrary::evo_approx_like();
+    PerfProbe {
+        name: "tabulate_library_35".to_string(),
+        ns_per_op: time_ns(reps, || {
+            std::hint::black_box(LutCache::tabulate_all(&library));
+        }),
+        naive_ns_per_op: None,
+    }
+}
+
 fn epoch_probe() -> PerfProbe {
     // One epoch over a small seeded set; no naive twin (the naive
     // kernels only exist at the kernel level).
@@ -405,6 +419,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
     ];
     probes.extend(routing_probes(reps));
     probes.extend(qdp_deepcaps_probes(reps));
+    probes.push(tabulate_library_probe(reps));
     probes.push(epoch_probe());
     probes.push(artifact_load_probe(
         "artifact_load_capsnet",
@@ -500,6 +515,7 @@ mod tests {
             "qdp_lower_deepcaps_small",
             "qdp_fwd_deepcaps_small",
             "qdp_fwd_batch_deepcaps_small",
+            "tabulate_library_35",
             "artifact_load_capsnet",
             "artifact_load_deepcaps_small",
         ] {
