@@ -810,6 +810,22 @@ mod tests {
     }
 
     #[test]
+    fn lut_matches_inner_exhaustively() {
+        let inner = MitchellLogMultiplier::new();
+        let mut table = Box::new([0u16; 65536]);
+        inner.tabulate_into(&mut table);
+        for a in (0..=255u16).step_by(7) {
+            for b in 0..=255u16 {
+                assert_eq!(
+                    table[(a as usize) << 8 | b as usize],
+                    inner.multiply(a as u8, b as u8)
+                );
+            }
+        }
+        assert!(inner.description().contains("Mitchell"));
+    }
+
+    #[test]
     fn descriptions_are_informative() {
         assert!(TruncatedMultiplier::new(3).description().contains('3'));
         assert!(DrumMultiplier::new(4).description().contains('4'));

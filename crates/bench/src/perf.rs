@@ -80,6 +80,32 @@ fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// Min-of-N wall time of two closures timed in alternation, so a burst
+/// of machine load lands on both sides of a ratio rather than on
+/// whichever happened to run during it. The order flips every rep to
+/// cancel any warm-cache advantage of going second.
+fn time_pair_ns<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (f64, f64) {
+    f();
+    g();
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    let time = |h: &mut dyn FnMut()| {
+        let t = Instant::now();
+        h();
+        t.elapsed().as_nanos() as f64
+    };
+    for rep in 0..reps {
+        let (nf, ng) = if rep % 2 == 0 {
+            let nf = time(&mut f);
+            (nf, time(&mut g))
+        } else {
+            let ng = time(&mut g);
+            (time(&mut f), ng)
+        };
+        best = (best.0.min(nf), best.1.min(ng));
+    }
+    best
+}
+
 fn gemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProbe {
     let mut rng = TensorRng::from_seed(77);
     let a: Vec<f32> = (0..m * k).map(|_| rng.next_uniform(-1.0, 1.0)).collect();
@@ -146,17 +172,21 @@ fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -
         .map(|_| rng.next_uniform(0.0, 256.0) as u8)
         .collect();
     let lut = MulLut::exact();
-    let mut c = vec![0u32; m * n];
-    let hooked = time_ns(reps, || {
-        c.fill(0);
-        qkernels::qgemm_nn(&a, &b, &mut c, m, k, n, &lut);
-        std::hint::black_box(&c);
-    });
-    let raw = time_ns(reps, || {
-        c.fill(0);
-        qkernels::qgemm_nn_raw(&a, &b, &mut c, m, k, n, &lut);
-        std::hint::black_box(&c);
-    });
+    let mut c_hooked = vec![0u32; m * n];
+    let mut c_raw = vec![0u32; m * n];
+    let (hooked, raw) = time_pair_ns(
+        reps,
+        || {
+            c_hooked.fill(0);
+            qkernels::qgemm_nn(&a, &b, &mut c_hooked, m, k, n, &lut);
+            std::hint::black_box(&c_hooked);
+        },
+        || {
+            c_raw.fill(0);
+            qkernels::qgemm_nn_raw(&a, &b, &mut c_raw, m, k, n, &lut);
+            std::hint::black_box(&c_raw);
+        },
+    );
     PerfProbe {
         name: name.to_string(),
         ns_per_op: hooked,
@@ -414,7 +444,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         qgemm_probe("qgemm_256x2304x16_deepcaps_cell4", 256, 2304, 16, reps),
         // Trace-hook overhead on the disabled fast path; extra reps
         // keep the min-of-N estimate tight enough for the 5% tripwire.
-        qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(50)),
+        qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(400)),
         conv_probe(reps),
     ];
     probes.extend(routing_probes(reps));
