@@ -562,11 +562,14 @@ pub(crate) fn decode_artifact(
                 ),
             });
         }
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < len + 8 {
+        // The length is untrusted: bound it by the bytes left after the
+        // checksum instead of forming `len + 8`, which can overflow.
+        let len = buf.get_u64_le();
+        let room = buf.remaining().checked_sub(8);
+        if room.is_none_or(|room| len > room as u64) {
             return Err(ArtifactError::Truncated { section });
         }
-        let mut body = vec![0u8; len];
+        let mut body = vec![0u8; len as usize];
         buf.copy_to_slice(&mut body);
         if buf.get_u64_le() != fnv1a(&body) {
             return Err(ArtifactError::ChecksumMismatch { section });
@@ -730,6 +733,22 @@ mod tests {
         let file = encode_artifact(&key, b"weights", &bare);
         let (_, p) = decode_artifact(&key, &file).unwrap();
         assert!(p.fault_table.is_empty());
+    }
+
+    /// A hostile section length must be reported as truncation, not
+    /// overflow the `length + checksum` bound or reach a huge
+    /// allocation.
+    #[test]
+    fn maximal_section_length_is_truncation() {
+        let key = sample_key();
+        let mut file = encode_artifact(&key, b"weights", &sample_payload());
+        let tag = file.windows(4).position(|w| w == b"WGHT").unwrap();
+        file[tag + 4..tag + 12].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = decode_artifact(&key, &file).unwrap_err();
+        assert!(
+            matches!(err, ArtifactError::Truncated { section: "WGHT" }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -55,22 +55,14 @@ impl AccFault {
 }
 
 /// A MAC site's borrowed execution view: the multiply table its
-/// products come from plus an optional accumulator fault. The fault-free
-/// path uses [`MacView::clean`], which the quantized layers treat
-/// exactly like a bare [`MulLut`].
+/// products come from plus an optional accumulator fault. A fault-free
+/// site has `acc: None`, and its products come from `lut` alone.
 #[derive(Clone, Copy)]
 pub struct MacView<'a> {
     /// The table serving the site's multiplies (base or faulted view).
     pub lut: &'a MulLut,
     /// The site's accumulator fault, if any.
     pub acc: Option<&'a AccFault>,
-}
-
-impl<'a> MacView<'a> {
-    /// A fault-free view over `lut`.
-    pub fn clean(lut: &'a MulLut) -> Self {
-        MacView { lut, acc: None }
-    }
 }
 
 /// Realizes a LUT-expressible [`SiteFault`] as a faulted view of the

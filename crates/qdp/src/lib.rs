@@ -16,16 +16,17 @@
 //!    points; [`QuantRanges`] maps every observed `(layer, op kind)`
 //!    site to its fixed requantization range ([`calibrate_ranges`]).
 //! 2. **Lower** — every float layer lowers itself to its quantized
-//!    counterpart through [`LowerToQuant`] (`Dense`→`QDense`,
-//!    `Conv2d`→`QConv2d`, `ConvCaps2d`→`QConvCaps2d`,
-//!    `ConvCaps3d`→`QConvCaps3d`, `ClassCaps`→`QClassCaps`);
+//!    counterpart through [`LowerToQuant`] (`Conv2d`→`QConv2d`,
+//!    `ConvCaps2d`→`QConvCaps2d`, `ConvCaps3d`→`QConvCaps3d`,
+//!    `ClassCaps`→`QClassCaps`), each with one batched execution entry
+//!    point taking a [`MacView`] per MAC site;
 //!    [`QModel::lower`] assembles them into a dataflow program for the
 //!    whole network whose steps remember their **site** keys. Weights
-//!    and activations become 8-bit codes ([`QTensor`], Eq. 1 of the
-//!    paper) and the MACs integer kernels ([`kernels::qgemm_nn`])
-//!    whose every multiply is a [`MulLut`] lookup — a 64 KiB table of
-//!    any [`Multiplier8`](redcane_axmul::Multiplier8)'s full truth
-//!    table.
+//!    and activations become 8-bit codes
+//!    ([`qtensor::quantize_codes`], Eq. 1 of the paper) and the MACs
+//!    integer kernels ([`kernels::qgemm_nn`]) whose every multiply is a
+//!    [`MulLut`] lookup — a 64 KiB table of any
+//!    [`Multiplier8`](redcane_axmul::Multiplier8)'s full truth table.
 //! 3. **Run** — [`QModel`] executes end-to-end inference (per sample,
 //!    or batch-fused into wide GEMMs via [`QModel::forward_batch`])
 //!    under a [`DatapathAssignment`]: a *heterogeneous* map from site
@@ -56,12 +57,9 @@ pub use backend::{FaultMeasured, QuantMeasured};
 pub use calib::CalibrationObserver;
 pub use faults::{faulted_site_lut, AccFault, MacView};
 pub use lower::{calibrate_ranges, LowerError, LowerToQuant, QuantRanges};
-pub use qlayers::{
-    quantized_routing, quantized_routing_view, QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d,
-    QDense, QVotes,
-};
+pub use qlayers::{quantized_routing, QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d, QVotes};
 pub use qmodel::{evaluate_quantized, PreparedModel, QModel, QStep};
-pub use qtensor::{fault_codes, QTensor};
+pub use qtensor::fault_codes;
 // The LUT machinery lives beside the multiplier models in
 // `redcane-axmul`; re-exported here because the quantized kernels are
 // its main consumer.

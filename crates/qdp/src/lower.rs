@@ -9,8 +9,8 @@
 //! the injection tap points produces one, so lowering a new
 //! architecture needs **no** new calibration code.
 //!
-//! [`LowerToQuant`] is the per-layer half: `Dense`, `Conv2d`,
-//! `ConvCaps2d`, `ConvCaps3d` and `ClassCaps` each lower themselves to
+//! [`LowerToQuant`] is the per-layer half: `Conv2d`, `ConvCaps2d`,
+//! `ConvCaps3d` and `ClassCaps` each lower themselves to
 //! their `Q*` counterpart, pulling the ranges they need from the map
 //! and failing with a clear [`LowerError::MissingRange`] when a site
 //! was never calibrated.
@@ -21,11 +21,11 @@ use redcane_capsnet::inject::OpKind;
 use redcane_capsnet::layers::{ClassCaps, ConvCaps2d, ConvCaps3d};
 use redcane_capsnet::CapsModel;
 use redcane_fxp::{FxpError, QuantParams};
-use redcane_nn::layers::{Conv2d, Dense};
+use redcane_nn::layers::Conv2d;
 use redcane_tensor::Tensor;
 
 use crate::calib::CalibrationObserver;
-use crate::qlayers::{QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d, QDense};
+use crate::qlayers::{QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d};
 
 /// Why lowering a model (or a layer) onto the quantized datapath
 /// failed.
@@ -265,19 +265,6 @@ fn quant_err(layer: &str) -> impl FnOnce(FxpError) -> LowerError + '_ {
     }
 }
 
-impl LowerToQuant for Dense {
-    type Quantized = QDense;
-
-    fn lower_to_quant(
-        &self,
-        layer: &str,
-        ranges: &QuantRanges,
-    ) -> Result<Self::Quantized, LowerError> {
-        let in_params = ranges.require(layer, OpKind::MacInput)?;
-        QDense::from_dense(self, in_params).map_err(quant_err(layer))
-    }
-}
-
 impl LowerToQuant for Conv2d {
     type Quantized = QConv2d;
 
@@ -384,20 +371,22 @@ mod tests {
     }
 
     #[test]
-    fn dense_lowering_fails_without_calibration() {
+    fn conv_lowering_fails_without_calibration() {
         let mut rng = TensorRng::from_seed(600);
-        let dense = Dense::new(4, 2, &mut rng);
-        let err = dense.lower_to_quant("FC", &QuantRanges::new()).unwrap_err();
-        assert!(matches!(err, LowerError::MissingRange { ref layer, .. } if layer == "FC"));
+        let conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let err = conv
+            .lower_to_quant("Conv1", &QuantRanges::new())
+            .unwrap_err();
+        assert!(matches!(err, LowerError::MissingRange { ref layer, .. } if layer == "Conv1"));
     }
 
     #[test]
-    fn dense_lowering_succeeds_with_its_site() {
+    fn conv_lowering_succeeds_with_its_site() {
         let mut rng = TensorRng::from_seed(601);
-        let dense = Dense::new(4, 2, &mut rng);
+        let conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let mut r = QuantRanges::new();
-        r.insert("FC", OpKind::MacInput, false, p(-1.0, 1.0));
-        assert!(dense.lower_to_quant("FC", &r).is_ok());
+        r.insert("Conv1", OpKind::MacInput, false, p(-1.0, 1.0));
+        assert!(conv.lower_to_quant("Conv1", &r).is_ok());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Quantized layer forward paths: `Dense`, `Conv2d`, 2-D/3-D capsule
+//! Quantized layer forward paths: `Conv2d`, 2-D/3-D capsule
 //! convolutions, capsule votes and the routing MACs.
 //!
 //! Every multiply in these paths goes through a [`MulLut`] — i.e.
@@ -10,14 +10,17 @@
 //! so the datapath is input-independent like the hardware it models.
 //!
 //! Each `Q*` type is the lowering target of its float counterpart via
-//! [`LowerToQuant`](crate::LowerToQuant); the [`QModel`](crate::QModel)
-//! program composes them into end-to-end quantized inference for any
-//! architecture.
+//! [`LowerToQuant`](crate::LowerToQuant) and has one execution entry
+//! point, `forward_batch`, taking one [`MacView`] per MAC site; the
+//! [`QModel`](crate::QModel) program composes them into end-to-end
+//! quantized inference for any architecture.
+//!
+//! [`MulLut`]: redcane_axmul::MulLut
 
 use redcane_capsnet::routing::softmax_over_j;
 use redcane_capsnet::squash::{squash_caps, squash_slices};
 use redcane_fxp::{FxpError, QuantParams};
-use redcane_nn::layers::{Conv2d, Dense};
+use redcane_nn::layers::Conv2d;
 use redcane_tensor::ops::conv::im2col_slice;
 use redcane_tensor::ops::Conv2dSpec;
 use redcane_tensor::Tensor;
@@ -25,89 +28,10 @@ use redcane_tensor::Tensor;
 use redcane_capsnet::layers::{ClassCaps, ConvCaps2d, ConvCaps3d};
 
 use redcane::faults::FaultModel;
-use redcane_axmul::MulLut;
 
 use crate::faults::MacView;
 use crate::kernels::{affine_dequant, col_sums, qgemm_nn, row_sums};
 use crate::qtensor::{fault_codes, quantize_codes};
-
-// ------------------------------------------------------------- QDense
-
-/// A [`Dense`] layer running its MAC through the quantized datapath.
-#[derive(Debug, Clone)]
-pub struct QDense {
-    qweight: Vec<u8>,
-    wparams: QuantParams,
-    wrowsums: Vec<u32>,
-    bias: Vec<f32>,
-    in_dim: usize,
-    out_dim: usize,
-    in_params: QuantParams,
-}
-
-impl QDense {
-    /// Quantizes a trained dense layer's weights (per-tensor range) and
-    /// fixes the input quantization to `in_params`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the weights contain non-finite values.
-    pub fn from_dense(layer: &Dense, in_params: QuantParams) -> Result<Self, FxpError> {
-        let wparams = QuantParams::calibrate(layer.weight(), 8)?;
-        let qweight = quantize_codes(layer.weight().data(), wparams);
-        let wrowsums = row_sums(&qweight, layer.out_dim(), layer.in_dim());
-        Ok(QDense {
-            qweight,
-            wparams,
-            wrowsums,
-            bias: layer.bias().data().to_vec(),
-            in_dim: layer.in_dim(),
-            out_dim: layer.out_dim(),
-            in_params,
-        })
-    }
-
-    /// The quantized weight codes (empirical operand pools).
-    pub fn weight_codes(&self) -> &[u8] {
-        &self.qweight
-    }
-
-    /// `y = W·x + b` with the multiplies served by `lut`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not flatten to `in_dim` elements.
-    pub fn forward(&self, x: &Tensor, lut: &MulLut) -> Tensor {
-        assert_eq!(x.len(), self.in_dim, "QDense input size");
-        let qx = quantize_codes(x.data(), self.in_params);
-        let mut acc = vec![0u32; self.out_dim];
-        qgemm_nn(
-            &self.qweight,
-            &qx,
-            &mut acc,
-            self.out_dim,
-            self.in_dim,
-            1,
-            lut,
-        );
-        let cs = col_sums(&qx, self.in_dim, 1);
-        let mut out = vec![0.0f32; self.out_dim];
-        affine_dequant(
-            &acc,
-            &self.wrowsums,
-            &cs,
-            self.in_dim,
-            self.wparams,
-            self.in_params,
-            &mut out,
-        );
-        for (o, &b) in out.iter_mut().zip(&self.bias) {
-            *o += b;
-        }
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        Tensor::from_vec(out, &[self.out_dim]).expect("dense output")
-    }
-}
 
 // ------------------------------------------------------------ QConv2d
 
@@ -168,103 +92,26 @@ impl QConv2d {
         next
     }
 
-    /// Forward over a raw `[C_in, H, W]` slice through the quantized
-    /// GEMM, mirroring `Conv2d::forward_chw`: im2col (the existing
-    /// float machinery — padding zeros land on the affine zero point),
-    /// quantize the columns, accumulate `lut` products, dequantize with
-    /// the zero-point correction and add the bias.
+    /// Forward over a batch of raw `[C_in, H, W]` slices: im2col each
+    /// sample (the float machinery — padding zeros land on the affine
+    /// zero point), fuse every sample's columns into **one** wide
+    /// quantized GEMM (`[C_out, K²] × [K², B·H'·W']`) whose multiplies
+    /// come from `view.lut`, dequantize with the zero-point correction,
+    /// add the bias and split the output back into per-sample tensors.
+    /// Quantization is elementwise and each output column's integer
+    /// reduction is independent, so a batch of `B` equals `B`
+    /// one-sample batches bit for bit.
     ///
-    /// # Panics
-    ///
-    /// Panics unless `data.len() == c_in * h * w` with valid geometry.
-    pub fn forward_chw(&self, data: &[f32], h: usize, w: usize, lut: &MulLut) -> Tensor {
-        self.forward_chw_view(data, h, w, MacView::clean(lut))
-    }
-
-    /// [`QConv2d::forward_chw`] under a full site view: the table plus
-    /// an optional accumulator fault, applied to each output element at
-    /// its `c_out`-major position after the reduction completes.
-    ///
-    /// # Panics
-    ///
-    /// As [`QConv2d::forward_chw`].
-    pub fn forward_chw_view(&self, data: &[f32], h: usize, w: usize, view: MacView<'_>) -> Tensor {
-        assert_eq!(data.len(), self.c_in * h * w, "QConv2d input size");
-        // lint: allow(panic) — geometry was validated when the layer was constructed
-        let h_out = self.spec.output_size(h).expect("valid geometry");
-        // lint: allow(panic) — geometry was validated when the layer was constructed
-        let w_out = self.spec.output_size(w).expect("valid geometry");
-        let k2 = self.c_in * self.spec.kernel * self.spec.kernel;
-        let n = h_out * w_out;
-        let mut cols = vec![0.0f32; k2 * n];
-        // lint: allow(panic) — input dims were validated against the spec just above
-        im2col_slice(data, self.c_in, h, w, self.spec, &mut cols).expect("valid conv input");
-        let qcols = quantize_codes(&cols, self.in_params);
-        let mut acc = vec![0u32; self.c_out * n];
-        qgemm_nn(&self.qweight, &qcols, &mut acc, self.c_out, k2, n, view.lut);
-        if let Some(f) = view.acc {
-            // Per-sample layout is [C_out, N]: the linear index IS the
-            // sample-local element index the batched path uses.
-            for (idx, slot) in acc.iter_mut().enumerate() {
-                *slot = f.apply(*slot, idx as u64);
-            }
-        }
-        let cs = col_sums(&qcols, k2, n);
-        let mut out = vec![0.0f32; self.c_out * n];
-        affine_dequant(
-            &acc,
-            &self.wrowsums,
-            &cs,
-            k2,
-            self.wparams,
-            self.in_params,
-            &mut out,
-        );
-        for (co, orow) in out.chunks_exact_mut(n).enumerate() {
-            let b = self.bias[co];
-            if b != 0.0 {
-                for v in orow {
-                    *v += b;
-                }
-            }
-        }
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        Tensor::from_vec(out, &[self.c_out, h_out, w_out]).expect("conv output shape")
-    }
-
-    /// Batched twin of [`QConv2d::forward_chw`]: fuses every sample's
-    /// im2col columns into **one** wide quantized GEMM (`[C_out, K²] ×
-    /// [K², B·H'·W']`), then splits the dequantized output back into
-    /// per-sample tensors. Bit-identical to calling `forward_chw` per
-    /// sample — quantization is elementwise and each output column's
-    /// integer reduction is independent — while amortizing the kernel's
-    /// tile setup and keeping the LUT hot across the whole batch.
+    /// The accumulator fault (`view.acc`) indexes each output element
+    /// by its **sample-local** position (`c_out`-major), not its
+    /// position in the fused batch buffer, so every sample sees the
+    /// same faulty accumulator lanes whatever the batch shape.
     ///
     /// # Panics
     ///
     /// Panics unless every input has `c_in * h * w` elements with valid
     /// geometry.
-    pub fn forward_batch_chw(
-        &self,
-        inputs: &[&[f32]],
-        h: usize,
-        w: usize,
-        lut: &MulLut,
-    ) -> Vec<Tensor> {
-        self.forward_batch_chw_view(inputs, h, w, MacView::clean(lut))
-    }
-
-    /// [`QConv2d::forward_batch_chw`] under a full site view. The
-    /// accumulator fault indexes each output element by its
-    /// **sample-local** position (`c_out`-major), not its position in
-    /// the fused batch buffer, so every sample sees the same faulty
-    /// accumulator lanes and the batched path stays bit-identical to
-    /// the per-sample one.
-    ///
-    /// # Panics
-    ///
-    /// As [`QConv2d::forward_batch_chw`].
-    pub fn forward_batch_chw_view(
+    pub fn forward_batch(
         &self,
         inputs: &[&[f32]],
         h: usize,
@@ -344,17 +191,6 @@ impl QConv2d {
             })
             .collect()
     }
-
-    /// Forward over a `[C_in, H, W]` tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a rank or channel mismatch.
-    pub fn forward(&self, x: &Tensor, lut: &MulLut) -> Tensor {
-        assert_eq!(x.ndim(), 3, "QConv2d expects [C,H,W]");
-        assert_eq!(x.shape()[0], self.c_in, "QConv2d input channels");
-        self.forward_chw(x.data(), x.shape()[1], x.shape()[2], lut)
-    }
 }
 
 // ------------------------------------------------------------- QVotes
@@ -415,66 +251,18 @@ impl QVotes {
         next
     }
 
-    /// Computes the vote tensor `[I, J, D_out]` for units `u` (`[I,
-    /// D_in]`) with the multiplies served by `lut`.
+    /// Computes the vote tensors `[I, J, D_out]` for a batch of units
+    /// (`[I, D_in]` each), the multiplies served by `view.lut`: for each
+    /// input capsule `i`, every sample's GEMV fuses into one `(J·D_out ×
+    /// D_in) × (D_in × B)` quantized GEMM. Each output column reduces
+    /// independently, so a batch of `B` equals `B` one-sample batches
+    /// bit for bit. The accumulator fault indexes each output element
+    /// by its sample-local `(i, row)` position.
     ///
     /// # Panics
     ///
     /// Panics on an input shape mismatch.
-    pub fn forward(&self, u: &Tensor, lut: &MulLut) -> Tensor {
-        assert_eq!(u.shape(), [self.i_caps, self.d_in], "QVotes input");
-        let qu = quantize_codes(u.data(), self.in_params);
-        let rows = self.j_caps * self.d_out;
-        let wstride = rows * self.d_in;
-        let mut out = vec![0.0f32; self.i_caps * rows];
-        let mut acc = vec![0u32; rows];
-        for i in 0..self.i_caps {
-            let qu_i = &qu[i * self.d_in..(i + 1) * self.d_in];
-            acc.fill(0);
-            qgemm_nn(
-                &self.qweight[i * wstride..(i + 1) * wstride],
-                qu_i,
-                &mut acc,
-                rows,
-                self.d_in,
-                1,
-                lut,
-            );
-            let cs = col_sums(qu_i, self.d_in, 1);
-            affine_dequant(
-                &acc,
-                &self.wrowsums[i * rows..(i + 1) * rows],
-                &cs,
-                self.d_in,
-                self.wparams,
-                self.in_params,
-                &mut out[i * rows..(i + 1) * rows],
-            );
-        }
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        Tensor::from_vec(out, &[self.i_caps, self.j_caps, self.d_out]).expect("votes shape")
-    }
-
-    /// Batched twin of [`QVotes::forward`]: for each input capsule `i`,
-    /// fuses every sample's GEMV into one `(J·D_out × D_in) × (D_in ×
-    /// B)` quantized GEMM. Bit-identical to the per-sample path (each
-    /// output column reduces independently).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an input shape mismatch.
-    pub fn forward_batch(&self, us: &[&Tensor], lut: &MulLut) -> Vec<Tensor> {
-        self.forward_batch_view(us, MacView::clean(lut))
-    }
-
-    /// [`QVotes::forward_batch`] under a full site view; the
-    /// accumulator fault indexes each output element by its
-    /// sample-local `(i, row)` position.
-    ///
-    /// # Panics
-    ///
-    /// As [`QVotes::forward_batch`].
-    pub fn forward_batch_view(&self, us: &[&Tensor], view: MacView<'_>) -> Vec<Tensor> {
+    pub fn forward_batch(&self, us: &[&Tensor], view: MacView<'_>) -> Vec<Tensor> {
         if us.is_empty() {
             return Vec::new();
         }
@@ -546,9 +334,9 @@ impl QVotes {
 
 /// Dynamic routing-by-agreement with its two MAC sites — the weighted
 /// sum `s_j = Σᵢ k_ij·û_{j|i}` and the agreement (logits-update) dot
-/// `û·v` — running on quantized codes through `lut`. The softmax and
-/// squash (the accelerator's special-function units) stay in float and
-/// compute exactly what the float routing computes.
+/// `û·v` — running on quantized codes. The softmax and squash (the
+/// accelerator's special-function units) stay in float and compute
+/// exactly what the float routing computes.
 ///
 /// `votes` is `[I, J, D]` (fully-connected capsules) or `[I, J, D, P]`
 /// (convolutional capsules routing at every spatial position, as in
@@ -558,45 +346,19 @@ impl QVotes {
 /// votes, the coupling coefficients and the squashed capsules.
 ///
 /// The two MAC sites are independent multiplier sites of a
-/// heterogeneous datapath: `sum_lut` serves the weighted sum (the
-/// in-routing MAC-output site) and `agree_lut` the agreement dot (the
-/// logits-update site). Pass the same table twice for a homogeneous
-/// routing block.
+/// heterogeneous datapath, each with its own view (table plus optional
+/// accumulator fault): `sum` serves the weighted sum (the in-routing
+/// MAC-output site) and `agree` the agreement dot (the logits-update
+/// site). The weighted-sum accumulator is indexed by its `(j, d, p)`
+/// slot and the agreement accumulator by its `(i, j, p)` slot —
+/// physical accumulator locations, reused across routing iterations,
+/// so a stuck lane corrupts every iteration the way real hardware
+/// would.
 ///
 /// # Panics
 ///
 /// Panics unless `votes` is rank 3 or 4 and `iterations >= 1`.
 pub fn quantized_routing(
-    votes: &Tensor,
-    iterations: usize,
-    vote_params: QuantParams,
-    coupling_params: QuantParams,
-    act_params: QuantParams,
-    sum_lut: &MulLut,
-    agree_lut: &MulLut,
-) -> Tensor {
-    quantized_routing_view(
-        votes,
-        iterations,
-        vote_params,
-        coupling_params,
-        act_params,
-        MacView::clean(sum_lut),
-        MacView::clean(agree_lut),
-    )
-}
-
-/// [`quantized_routing`] under full site views: each of the two MAC
-/// sites carries its table plus an optional accumulator fault. The
-/// weighted-sum accumulator is indexed by its `(j, d, p)` slot and the
-/// agreement accumulator by its `(i, j, p)` slot — physical
-/// accumulator locations, reused across routing iterations, so a stuck
-/// lane corrupts every iteration the way real hardware would.
-///
-/// # Panics
-///
-/// As [`quantized_routing`].
-pub fn quantized_routing_view(
     votes: &Tensor,
     iterations: usize,
     vote_params: QuantParams,
@@ -789,45 +551,17 @@ impl QConvCaps2d {
         self.conv.fault_weight_codes(model, seed, base_index)
     }
 
-    /// Forward over a capsule tensor whose leading axes fold to
-    /// `C_in·D_in` channels (`[C, D, H, W]`, or `[C·D, H, W]`);
-    /// returns `[C_out, D_out, H', W']` capsules — squashed when the
-    /// float layer squashes, pre-activation otherwise.
+    /// Forward over a batch of capsule tensors whose leading axes fold
+    /// to `C_in·D_in` channels (`[C, D, H, W]`, or `[C·D, H, W]`):
+    /// one fused wide GEMM across the whole batch (see
+    /// [`QConv2d::forward_batch`]), then a per-sample squash. Returns
+    /// `[C_out, D_out, H', W']` capsules — squashed when the float
+    /// layer squashes, pre-activation otherwise.
     ///
     /// # Panics
     ///
     /// Panics on a geometry mismatch.
-    pub fn forward(&self, x: &Tensor, lut: &MulLut) -> Tensor {
-        let nd = x.ndim();
-        assert!(nd >= 3, "QConvCaps2d expects at least [C, H, W]");
-        let (h, w) = (x.shape()[nd - 2], x.shape()[nd - 1]);
-        assert_eq!(
-            x.len(),
-            self.c_in * self.d_in * h * w,
-            "QConvCaps2d input capsules"
-        );
-        let y = self.conv.forward_chw(x.data(), h, w, lut);
-        self.finish(y)
-    }
-
-    /// Batched twin of [`QConvCaps2d::forward`]: one fused wide GEMM
-    /// across the whole batch (see [`QConv2d::forward_batch_chw`]),
-    /// per-sample squash.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch.
-    pub fn forward_batch(&self, xs: &[&Tensor], lut: &MulLut) -> Vec<Tensor> {
-        self.forward_batch_view(xs, MacView::clean(lut))
-    }
-
-    /// [`QConvCaps2d::forward_batch`] under a full site view (table plus
-    /// optional accumulator fault).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch.
-    pub fn forward_batch_view(&self, xs: &[&Tensor], view: MacView<'_>) -> Vec<Tensor> {
+    pub fn forward_batch(&self, xs: &[&Tensor], view: MacView<'_>) -> Vec<Tensor> {
         if xs.is_empty() {
             return Vec::new();
         }
@@ -846,14 +580,13 @@ impl QConvCaps2d {
             })
             .collect();
         self.conv
-            .forward_batch_chw_view(&inputs, h, w, view)
+            .forward_batch(&inputs, h, w, view)
             .into_iter()
             .map(|y| self.finish(y))
             .collect()
     }
 
-    /// Capsule unfold + optional squash shared by the single and
-    /// batched paths.
+    /// Capsule unfold + optional squash of one sample's convolution.
     fn finish(&self, y: Tensor) -> Tensor {
         let (h_out, w_out) = (y.shape()[1], y.shape()[2]);
         let p = h_out * w_out;
@@ -944,59 +677,18 @@ impl QConvCaps3d {
         index
     }
 
-    /// Forward over `[C_in, D_in, H, W]` capsules; returns the routed
-    /// `[C_out, D_out, H', W']` capsules. `conv_lut` serves the vote
-    /// convolutions, `sum_lut` the routing weighted sum and `agree_lut`
+    /// Forward over a batch of `[C_in, D_in, H, W]` capsules; returns
+    /// the routed `[C_out, D_out, H', W']` capsules. `conv` serves the
+    /// vote convolutions, `sum` the routing weighted sum and `agree`
     /// the agreement dot — three independently assignable multiplier
-    /// sites.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch.
-    pub fn forward(
-        &self,
-        x: &Tensor,
-        conv_lut: &MulLut,
-        sum_lut: &MulLut,
-        agree_lut: &MulLut,
-    ) -> Tensor {
-        self.forward_batch(&[x], conv_lut, sum_lut, agree_lut)
-            .pop()
-            // lint: allow(panic) — batch API contract: the executor returns one output per input sample
-            .expect("one sample in, one out")
-    }
-
-    /// Batched twin of [`QConvCaps3d::forward`]: each per-type vote
-    /// convolution fuses across the whole batch (one wide GEMM per
-    /// type); the routing — whose coupling coefficients are
-    /// input-dependent — stays per sample.
+    /// sites. Each per-type vote convolution fuses across the whole
+    /// batch (one wide GEMM per type); the routing — whose coupling
+    /// coefficients are input-dependent — runs per sample.
     ///
     /// # Panics
     ///
     /// Panics on a geometry mismatch.
     pub fn forward_batch(
-        &self,
-        xs: &[&Tensor],
-        conv_lut: &MulLut,
-        sum_lut: &MulLut,
-        agree_lut: &MulLut,
-    ) -> Vec<Tensor> {
-        self.forward_batch_view(
-            xs,
-            MacView::clean(conv_lut),
-            MacView::clean(sum_lut),
-            MacView::clean(agree_lut),
-        )
-    }
-
-    /// [`QConvCaps3d::forward_batch`] under full site views for the
-    /// three MAC sites (vote convolutions, routing weighted sum,
-    /// agreement dot).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a geometry mismatch.
-    pub fn forward_batch_view(
         &self,
         xs: &[&Tensor],
         conv: MacView<'_>,
@@ -1023,11 +715,7 @@ impl QConvCaps3d {
                 .iter()
                 .map(|x| &x.data()[i * type_len..(i + 1) * type_len])
                 .collect();
-            for (bi, vi) in c
-                .forward_batch_chw_view(&inputs, h, w, conv)
-                .into_iter()
-                .enumerate()
-            {
+            for (bi, vi) in c.forward_batch(&inputs, h, w, conv).into_iter().enumerate() {
                 out_hw = (vi.shape()[1], vi.shape()[2]);
                 if flats[bi].is_empty() {
                     flats[bi].reserve_exact(self.c_in * vi.len());
@@ -1043,7 +731,7 @@ impl QConvCaps3d {
                 let votes = Tensor::from_vec(flat, &[self.c_in, self.c_out, self.d_out, p])
                     // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
                     .expect("vote assembly");
-                let v = quantized_routing_view(
+                let v = quantized_routing(
                     &votes,
                     self.iterations,
                     self.vote_params,
@@ -1108,28 +796,12 @@ impl QClassCaps {
         self.votes.fault_weight_codes(model, seed, base_index)
     }
 
-    /// Forward over units `[I, D_in]`; returns the routed class
-    /// capsules `[J, D_out]`. `vote_lut` serves the vote transform,
-    /// `sum_lut` the routing weighted sum and `agree_lut` the agreement
-    /// dot — three independently assignable multiplier sites.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an input shape mismatch.
-    pub fn forward(
-        &self,
-        u: &Tensor,
-        vote_lut: &MulLut,
-        sum_lut: &MulLut,
-        agree_lut: &MulLut,
-    ) -> Tensor {
-        let votes = self.votes.forward(u, vote_lut);
-        self.route(&votes, MacView::clean(sum_lut), MacView::clean(agree_lut))
-    }
-
-    /// Batched twin of [`QClassCaps::forward`]: the vote transform
-    /// fuses across the batch ([`QVotes::forward_batch`]); routing
-    /// stays per sample.
+    /// Forward over a batch of units `[I, D_in]`; returns the routed
+    /// class capsules `[J, D_out]`. `vote` serves the vote transform
+    /// (fused across the batch, see [`QVotes::forward_batch`]), `sum`
+    /// the routing weighted sum and `agree` the agreement dot — three
+    /// independently assignable multiplier sites. Routing runs per
+    /// sample.
     ///
     /// # Panics
     ///
@@ -1137,57 +809,36 @@ impl QClassCaps {
     pub fn forward_batch(
         &self,
         us: &[&Tensor],
-        vote_lut: &MulLut,
-        sum_lut: &MulLut,
-        agree_lut: &MulLut,
-    ) -> Vec<Tensor> {
-        self.forward_batch_view(
-            us,
-            MacView::clean(vote_lut),
-            MacView::clean(sum_lut),
-            MacView::clean(agree_lut),
-        )
-    }
-
-    /// [`QClassCaps::forward_batch`] under full site views for the
-    /// three MAC sites (vote transform, routing weighted sum, agreement
-    /// dot).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an input shape mismatch.
-    pub fn forward_batch_view(
-        &self,
-        us: &[&Tensor],
         vote: MacView<'_>,
         sum: MacView<'_>,
         agree: MacView<'_>,
     ) -> Vec<Tensor> {
         self.votes
-            .forward_batch_view(us, vote)
+            .forward_batch(us, vote)
             .iter()
-            .map(|votes| self.route(votes, sum, agree))
+            .map(|votes| {
+                quantized_routing(
+                    votes,
+                    self.iterations,
+                    self.vote_params,
+                    self.coupling_params,
+                    self.act_params,
+                    sum,
+                    agree,
+                )
+            })
             .collect()
-    }
-
-    fn route(&self, votes: &Tensor, sum: MacView<'_>, agree: MacView<'_>) -> Tensor {
-        quantized_routing_view(
-            votes,
-            self.iterations,
-            self.vote_params,
-            self.coupling_params,
-            self.act_params,
-            sum,
-            agree,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::AccFault;
+    use redcane_axmul::mult::TruncatedMultiplier;
+    use redcane_axmul::MulLut;
     use redcane_capsnet::routing::dynamic_routing;
-    use redcane_capsnet::NoInjection;
+    use redcane_capsnet::{NoInjection, OpKind};
     use redcane_nn::Layer;
     use redcane_tensor::TensorRng;
 
@@ -1195,21 +846,15 @@ mod tests {
         QuantParams::from_range(min, max, 8).unwrap()
     }
 
-    #[test]
-    fn qdense_with_exact_lut_tracks_float_dense() {
-        let mut rng = TensorRng::from_seed(500);
-        let mut dense = Dense::new(20, 6, &mut rng);
-        let x = rng.uniform(&[20], -1.0, 1.0);
-        let want = dense.forward(&x);
-        let q = QDense::from_dense(&dense, p(-1.0, 1.0)).unwrap();
-        let got = q.forward(&x, &MulLut::exact());
-        let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        for (a, b) in want.data().iter().zip(got.data()) {
-            assert!(
-                (a - b).abs() < 0.05 * (1.0 + scale),
-                "float {a} vs quantized {b}"
-            );
-        }
+    fn clean(lut: &MulLut) -> MacView<'_> {
+        MacView { lut, acc: None }
+    }
+
+    /// Runs `f` on one sample as a one-sample batch.
+    fn one<T>(x: T, f: impl FnOnce(&[T]) -> Vec<Tensor>) -> Tensor {
+        let mut out = f(&[x]);
+        assert_eq!(out.len(), 1, "one sample in, one out");
+        out.pop().unwrap()
     }
 
     #[test]
@@ -1219,7 +864,8 @@ mod tests {
         let x = rng.uniform(&[2, 6, 6], -1.0, 1.0);
         let want = conv.forward(&x);
         let q = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
-        let got = q.forward(&x, &MulLut::exact());
+        let exact = MulLut::exact();
+        let got = one(x.data(), |xs| q.forward_batch(xs, 6, 6, clean(&exact)));
         assert_eq!(got.shape(), want.shape());
         let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let mut total = 0.0f32;
@@ -1238,7 +884,8 @@ mod tests {
         let layer = ClassCaps::new(0, "CC", 6, 4, 3, 5, 3, &mut rng);
         let u = rng.uniform(&[6, 3], -1.0, 1.0);
         let q = QVotes::from_class_caps(&layer, p(-1.0, 1.0)).unwrap();
-        let got = q.forward(&u, &MulLut::exact());
+        let exact = MulLut::exact();
+        let got = one(&u, |us| q.forward_batch(us, clean(&exact)));
         assert_eq!(got.shape(), &[6, 4, 5]);
         // Float oracle: û_{j|i} = W_ij · u_i by direct loops.
         let w = layer.weight().data();
@@ -1271,8 +918,8 @@ mod tests {
             QuantParams::calibrate(&votes3, 8).unwrap(),
             p(0.0, 1.0),
             p(-1.0, 1.0),
-            &exact,
-            &exact,
+            clean(&exact),
+            clean(&exact),
         );
         assert_eq!(got.shape(), &[j_caps, d]);
         for (a, b) in want.data().iter().zip(got.data()) {
@@ -1295,8 +942,8 @@ mod tests {
             QuantParams::calibrate(&votes, 8).unwrap(),
             p(0.0, 1.0),
             p(-1.0, 1.0),
-            &exact,
-            &exact,
+            clean(&exact),
+            clean(&exact),
         );
         assert_eq!(got.shape(), &[j_caps, d, p_dim]);
         for (a, b) in cache.v.data().iter().zip(got.data()) {
@@ -1307,12 +954,13 @@ mod tests {
     #[test]
     fn qconv_caps2d_with_exact_lut_tracks_float_layer() {
         let mut rng = TensorRng::from_seed(508);
+        let exact = MulLut::exact();
         for apply_squash in [true, false] {
             let mut layer = ConvCaps2d::new(0, "C2", 2, 4, 3, 4, 3, 2, 1, apply_squash, &mut rng);
             let x = rng.uniform(&[2, 4, 8, 8], -1.0, 1.0);
             let want = layer.forward(&x, &mut NoInjection);
             let q = QConvCaps2d::from_conv_caps(&layer, p(-1.0, 1.0)).unwrap();
-            let got = q.forward(&x, &MulLut::exact());
+            let got = one(&x, |xs| q.forward_batch(xs, clean(&exact)));
             assert_eq!(got.shape(), want.shape());
             let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
             for (a, b) in want.data().iter().zip(got.data()) {
@@ -1324,33 +972,53 @@ mod tests {
         }
     }
 
+    /// Calibrates layer `name`'s `(MacInput, MacOutput, routing
+    /// Softmax, routing Activation)` ranges — the parameters the routing
+    /// capsule layers lower with — from the float pass `forward` runs.
+    fn routing_ranges(
+        name: &str,
+        forward: impl FnOnce(&mut crate::CalibrationObserver),
+    ) -> [QuantParams; 4] {
+        let mut obs = crate::CalibrationObserver::new();
+        forward(&mut obs);
+        let ranges = obs.ranges(8).unwrap();
+        [
+            ranges.get(name, OpKind::MacInput).unwrap(),
+            ranges.get(name, OpKind::MacOutput).unwrap(),
+            ranges.get_routing(name, OpKind::Softmax).unwrap(),
+            ranges.get_routing(name, OpKind::Activation).unwrap(),
+        ]
+    }
+
+    fn caps3d_fixture(seed: u64) -> (ConvCaps3d, QConvCaps3d, Tensor) {
+        let mut rng = TensorRng::from_seed(seed);
+        let layer = ConvCaps3d::new(0, "C3", 3, 4, 2, 4, 3, 1, 1, 3, &mut rng);
+        let x = rng.uniform(&[3, 4, 4, 4], -1.0, 1.0);
+        let [i, v, c, a] = routing_ranges("C3", |obs| {
+            let _ = layer.clone().forward(&x, obs);
+        });
+        let q = QConvCaps3d::from_conv_caps(&layer, i, v, c, a).unwrap();
+        (layer, q, x)
+    }
+
+    fn class_caps_fixture(seed: u64) -> (ClassCaps, QClassCaps, Tensor) {
+        let mut rng = TensorRng::from_seed(seed);
+        let layer = ClassCaps::new(0, "CC", 12, 10, 4, 8, 3, &mut rng);
+        let u = rng.uniform(&[12, 4], -1.0, 1.0);
+        let [i, v, c, a] = routing_ranges("CC", |obs| {
+            let _ = layer.clone().forward(&u, obs);
+        });
+        let q = QClassCaps::from_class_caps(&layer, i, v, c, a).unwrap();
+        (layer, q, u)
+    }
+
     #[test]
     fn qconv_caps3d_with_exact_lut_tracks_float_layer() {
-        let mut rng = TensorRng::from_seed(509);
-        let mut layer = ConvCaps3d::new(0, "C3", 3, 4, 2, 4, 3, 1, 1, 3, &mut rng);
-        let x = rng.uniform(&[3, 4, 4, 4], -1.0, 1.0);
+        let (mut layer, q, x) = caps3d_fixture(509);
         let want = layer.forward(&x, &mut NoInjection);
-        // Calibrate the routing ranges from the float layer's own taps.
-        let mut obs = crate::CalibrationObserver::new();
-        let mut probe = layer.clone();
-        let _ = probe.forward(&x, &mut obs);
-        let ranges = obs.ranges(8).unwrap();
-        let q = QConvCaps3d::from_conv_caps(
-            &layer,
-            ranges.get("C3", redcane_capsnet::OpKind::MacInput).unwrap(),
-            ranges
-                .get("C3", redcane_capsnet::OpKind::MacOutput)
-                .unwrap(),
-            ranges
-                .get_routing("C3", redcane_capsnet::OpKind::Softmax)
-                .unwrap(),
-            ranges
-                .get_routing("C3", redcane_capsnet::OpKind::Activation)
-                .unwrap(),
-        )
-        .unwrap();
         let exact = MulLut::exact();
-        let got = q.forward(&x, &exact, &exact, &exact);
+        let e = clean(&exact);
+        let got = one(&x, |xs| q.forward_batch(xs, e, e, e));
         assert_eq!(got.shape(), want.shape());
         for (a, b) in want.data().iter().zip(got.data()) {
             assert!((a - b).abs() < 0.12, "float {a} vs quantized {b}");
@@ -1359,65 +1027,105 @@ mod tests {
 
     #[test]
     fn qclass_caps_with_exact_lut_tracks_float_layer() {
-        let mut rng = TensorRng::from_seed(510);
-        let mut layer = ClassCaps::new(0, "CC", 12, 10, 4, 8, 3, &mut rng);
-        let u = rng.uniform(&[12, 4], -1.0, 1.0);
+        let (mut layer, q, u) = class_caps_fixture(510);
         let want = layer.forward(&u, &mut NoInjection);
-        let mut obs = crate::CalibrationObserver::new();
-        let mut probe = layer.clone();
-        let _ = probe.forward(&u, &mut obs);
-        let ranges = obs.ranges(8).unwrap();
-        let q = QClassCaps::from_class_caps(
-            &layer,
-            ranges.get("CC", redcane_capsnet::OpKind::MacInput).unwrap(),
-            ranges
-                .get("CC", redcane_capsnet::OpKind::MacOutput)
-                .unwrap(),
-            ranges
-                .get_routing("CC", redcane_capsnet::OpKind::Softmax)
-                .unwrap(),
-            ranges
-                .get_routing("CC", redcane_capsnet::OpKind::Activation)
-                .unwrap(),
-        )
-        .unwrap();
         let exact = MulLut::exact();
-        let got = q.forward(&u, &exact, &exact, &exact);
+        let e = clean(&exact);
+        let got = one(&u, |us| q.forward_batch(us, e, e, e));
         assert_eq!(got.shape(), want.shape());
         for (a, b) in want.data().iter().zip(got.data()) {
             assert!((a - b).abs() < 0.1, "float {a} vs quantized {b}");
         }
     }
 
-    /// The fused wide-GEMM batch paths must be bit-identical to their
-    /// per-sample twins: quantization is elementwise and every output
-    /// column's integer reduction is independent of the others.
+    /// A batch of `N` through the single entry point equals `N`
+    /// one-sample batches bit for bit — with clean exact and
+    /// approximate tables, and under active accumulator faults (a
+    /// stuck lane, and index-dependent bit flips that would expose any
+    /// fault indexed by fused-buffer rather than sample-local
+    /// position). Covers the fused conv and vote GEMMs and both
+    /// routing sites; a faulted view must also change the output, so
+    /// the fault is known to be live.
     #[test]
-    fn conv_batch_is_bit_identical_to_per_sample() {
+    fn batch_is_bit_identical_to_one_sample_batches_under_acc_faults() {
+        let exact = MulLut::exact();
+        let approx = MulLut::tabulate(&TruncatedMultiplier::new(5));
+        let stuck = AccFault::new(
+            FaultModel::StuckAt {
+                lanes: 0b1010_0000,
+                value: true,
+            },
+            11,
+        );
+        let flips = AccFault::new(FaultModel::BitFlip { ber: 0.02 }, 12);
+        // Each faulted view names the clean view over the same table.
+        let views = [
+            (clean(&exact), None),
+            (clean(&approx), None),
+            (
+                MacView {
+                    acc: Some(&stuck),
+                    ..clean(&approx)
+                },
+                Some(1),
+            ),
+            (
+                MacView {
+                    acc: Some(&flips),
+                    ..clean(&exact)
+                },
+                Some(0),
+            ),
+        ];
+        fn check<T: Copy>(xs: &[T], f: impl Fn(&[T]) -> Vec<Tensor>) -> Vec<Tensor> {
+            let batched = f(xs);
+            assert_eq!(batched.len(), xs.len());
+            for (x, got) in xs.iter().zip(&batched) {
+                assert_eq!(&one(*x, &f), got);
+            }
+            assert!(f(&[]).is_empty());
+            batched
+        }
+
         let mut rng = TensorRng::from_seed(520);
         let conv = Conv2d::new(3, 5, 3, 1, 1, &mut rng);
-        let q = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
-        let lut = MulLut::exact();
-        let xs: Vec<Tensor> = (0..5).map(|_| rng.uniform(&[3, 6, 6], -1.0, 1.0)).collect();
-        let inputs: Vec<&[f32]> = xs.iter().map(|x| x.data()).collect();
-        let batched = q.forward_batch_chw(&inputs, 6, 6, &lut);
-        for (x, got) in xs.iter().zip(&batched) {
-            assert_eq!(&q.forward(x, &lut), got);
-        }
-        assert!(q.forward_batch_chw(&[], 6, 6, &lut).is_empty());
-    }
+        let qconv = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
+        let images: Vec<Tensor> = (0..5).map(|_| rng.uniform(&[3, 6, 6], -1.0, 1.0)).collect();
+        let images: Vec<&[f32]> = images.iter().map(|x| x.data()).collect();
 
-    #[test]
-    fn votes_batch_is_bit_identical_to_per_sample() {
-        let mut rng = TensorRng::from_seed(521);
         let layer = ClassCaps::new(0, "CC", 6, 4, 3, 5, 3, &mut rng);
-        let q = QVotes::from_class_caps(&layer, p(-1.0, 1.0)).unwrap();
-        let lut = MulLut::tabulate(&redcane_axmul::mult::TruncatedMultiplier::new(5));
-        let us: Vec<Tensor> = (0..4).map(|_| rng.uniform(&[6, 3], -1.0, 1.0)).collect();
-        let refs: Vec<&Tensor> = us.iter().collect();
-        let batched = q.forward_batch(&refs, &lut);
-        for (u, got) in us.iter().zip(&batched) {
-            assert_eq!(&q.forward(u, &lut), got);
+        let qvotes = QVotes::from_class_caps(&layer, p(-1.0, 1.0)).unwrap();
+        let units: Vec<Tensor> = (0..4).map(|_| rng.uniform(&[6, 3], -1.0, 1.0)).collect();
+        let units: Vec<&Tensor> = units.iter().collect();
+
+        let (_, qclass, _) = class_caps_fixture(522);
+        let class_units: Vec<Tensor> = (0..4).map(|_| rng.uniform(&[12, 4], -1.0, 1.0)).collect();
+        let class_units: Vec<&Tensor> = class_units.iter().collect();
+
+        let (_, q3d, _) = caps3d_fixture(523);
+        let caps: Vec<Tensor> = (0..3)
+            .map(|_| rng.uniform(&[3, 4, 4, 4], -1.0, 1.0))
+            .collect();
+        let caps: Vec<&Tensor> = caps.iter().collect();
+
+        let e = clean(&exact);
+        let mut results: Vec<[Vec<Tensor>; 6]> = Vec::new();
+        for (view, clean_twin) in views {
+            let outs = [
+                check(&images, |xs| qconv.forward_batch(xs, 6, 6, view)),
+                check(&units, |xs| qvotes.forward_batch(xs, view)),
+                // Each routing site faulted on its own, the rest clean.
+                check(&class_units, |xs| qclass.forward_batch(xs, e, view, e)),
+                check(&class_units, |xs| qclass.forward_batch(xs, e, e, view)),
+                check(&caps, |xs| q3d.forward_batch(xs, e, view, e)),
+                check(&caps, |xs| q3d.forward_batch(xs, e, e, view)),
+            ];
+            if let Some(twin) = clean_twin {
+                for (k, (got, base)) in outs.iter().zip(&results[twin]).enumerate() {
+                    assert_ne!(got, base, "case {k}: the accumulator fault is live");
+                }
+            }
+            results.push(outs);
         }
     }
 }

@@ -693,7 +693,7 @@ impl QModel {
                 ) => {
                     let inputs: Vec<&[f32]> = vals[*src].iter().map(|v| v.data()).collect();
                     let (h, w) = (vals[*src][0].shape()[1], vals[*src][0].shape()[2]);
-                    conv.forward_batch_chw_view(&inputs, h, w, m.view())
+                    conv.forward_batch(&inputs, h, w, m.view())
                         .into_iter()
                         .map(|mut y| {
                             if *relu {
@@ -707,15 +707,15 @@ impl QModel {
                 }
                 (QStep::CapsConv { layer, src, .. }, StepExec::Mac(m)) => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch_view(&inputs, m.view())
+                    layer.forward_batch(&inputs, m.view())
                 }
                 (QStep::Caps3d { layer, src, .. }, StepExec::Routing { mac, sum, agree }) => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch_view(&inputs, mac.view(), sum.view(), agree.view())
+                    layer.forward_batch(&inputs, mac.view(), sum.view(), agree.view())
                 }
                 (QStep::ClassCaps { layer, src, .. }, StepExec::Routing { mac, sum, agree }) => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch_view(&inputs, mac.view(), sum.view(), agree.view())
+                    layer.forward_batch(&inputs, mac.view(), sum.view(), agree.view())
                 }
                 (QStep::AddSquash { a, b }, _) => (0..bsz)
                     .map(|bi| {

@@ -1,96 +1,14 @@
-//! `QTensor`: tensors as 8-bit codes plus their affine reconstruction
-//! parameters — the value representation of the quantized datapath.
+//! 8-bit codes, the value representation of the quantized datapath:
+//! float data quantized under an affine [`QuantParams`] mapping (Eq. 1
+//! of the paper), as stored in the accelerator's on-chip buffers, and
+//! deterministic faults on stored codes.
 
 use redcane_fxp::QuantParams;
-use redcane_tensor::Tensor;
-
-/// A tensor quantized to 8-bit codes under an affine [`QuantParams`]
-/// mapping (Eq. 1 of the paper), as stored in the accelerator's
-/// on-chip buffers.
-///
-/// Out-of-range values saturate at the range edges, exactly as the
-/// fixed-point hardware would. The parameters are fixed at calibration
-/// time (from the real input distribution), **not** per-sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QTensor {
-    codes: Vec<u8>,
-    shape: Vec<usize>,
-    params: QuantParams,
-}
-
-impl QTensor {
-    /// Quantizes a float tensor under `params`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `params` is 8-bit (this crate models an 8-bit
-    /// datapath; wider words need `redcane_fxp::Quantizer`).
-    pub fn quantize(tensor: &Tensor, params: QuantParams) -> Self {
-        QTensor {
-            codes: quantize_codes(tensor.data(), params),
-            shape: tensor.shape().to_vec(),
-            params,
-        }
-    }
-
-    /// Quantizes a raw slice with an explicit shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is not 8-bit or the shape doesn't match the
-    /// slice length.
-    pub fn quantize_slice(data: &[f32], shape: &[usize], params: QuantParams) -> Self {
-        assert_eq!(
-            data.len(),
-            shape.iter().product::<usize>(),
-            "shape must match data length"
-        );
-        QTensor {
-            codes: quantize_codes(data, params),
-            shape: shape.to_vec(),
-            params,
-        }
-    }
-
-    /// The flat row-major codes.
-    pub fn codes(&self) -> &[u8] {
-        &self.codes
-    }
-
-    /// The tensor shape.
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
-    /// The affine mapping the codes were produced under.
-    pub fn params(&self) -> QuantParams {
-        self.params
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// `true` when the tensor has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// Reconstructs the float tensor (with quantization error).
-    pub fn dequantize(&self) -> Tensor {
-        let data: Vec<f32> = self
-            .codes
-            .iter()
-            .map(|&c| self.params.dequantize(c as u16))
-            .collect();
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        Tensor::from_vec(data, &self.shape).expect("codes sized to shape")
-    }
-}
 
 /// Quantizes a float slice to 8-bit codes under `params`, saturating
-/// at the range edges.
+/// at the range edges exactly as the fixed-point hardware would. The
+/// parameters are fixed at calibration time (from the real input
+/// distribution), **not** per sample.
 ///
 /// # Panics
 ///
@@ -128,34 +46,25 @@ mod tests {
     #[test]
     fn round_trip_within_half_lsb() {
         let params = p(-1.0, 1.0);
-        let t = Tensor::from_slice(&[-1.0, -0.3, 0.0, 0.7, 1.0]);
-        let q = QTensor::quantize(&t, params);
-        assert_eq!(q.shape(), &[5]);
-        assert_eq!(q.len(), 5);
-        let back = q.dequantize();
-        for (a, b) in t.data().iter().zip(back.data()) {
+        let data = [-1.0, -0.3, 0.0, 0.7, 1.0];
+        let codes = quantize_codes(&data, params);
+        assert_eq!(codes.len(), 5);
+        for (&a, &c) in data.iter().zip(&codes) {
+            let b = params.dequantize(u16::from(c));
             assert!((a - b).abs() <= params.lsb() / 2.0 + 1e-6, "{a} vs {b}");
         }
     }
 
     #[test]
     fn saturates_out_of_range() {
-        let q = QTensor::quantize(&Tensor::from_slice(&[-9.0, 9.0]), p(0.0, 1.0));
-        assert_eq!(q.codes(), &[0, 255]);
-    }
-
-    #[test]
-    fn slice_form_keeps_shape() {
-        let q = QTensor::quantize_slice(&[0.0; 6], &[2, 3], p(-1.0, 1.0));
-        assert_eq!(q.shape(), &[2, 3]);
-        assert_eq!(q.dequantize().shape(), &[2, 3]);
+        assert_eq!(quantize_codes(&[-9.0, 9.0], p(0.0, 1.0)), [0, 255]);
     }
 
     #[test]
     #[should_panic(expected = "8-bit")]
     fn rejects_wide_params() {
         let wide = QuantParams::from_range(0.0, 1.0, 12).unwrap();
-        let _ = QTensor::quantize(&Tensor::zeros(&[2]), wide);
+        let _ = quantize_codes(&[0.0; 2], wide);
     }
 
     #[test]

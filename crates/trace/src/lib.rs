@@ -199,9 +199,11 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static REGION: AtomicUsize = AtomicUsize::new(Region::Run as usize);
 static TOTALS: [AtomicU64; 2 * NUM_COUNTERS] = [const { AtomicU64::new(0) }; 2 * NUM_COUNTERS];
 
-/// A thread's local counter buffer; flushed into [`TOTALS`] when the
-/// thread exits (scoped workers exit before their scope returns) or
-/// when the thread itself takes a [`snapshot`].
+/// A thread's local counter buffer; flushed into [`TOTALS`] by an
+/// explicit [`flush`], when the thread itself takes a [`snapshot`], or
+/// by its destructor at thread teardown. The destructor is a backstop
+/// only: it can run after a `std::thread::scope` has already returned,
+/// so workers whose counts a snapshot must see call [`flush`] last.
 struct LocalBuf {
     counts: [Cell<u64>; 2 * NUM_COUNTERS],
 }
@@ -583,7 +585,10 @@ mod tests {
         let _guard = isolated();
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|| add(Counter::ParItems, 5));
+                scope.spawn(|| {
+                    add(Counter::ParItems, 5);
+                    flush();
+                });
             }
         });
         add(Counter::ParItems, 1);
