@@ -80,19 +80,25 @@ fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
-/// Min-of-N wall time of two closures timed in alternation, so a burst
-/// of machine load lands on both sides of a ratio rather than on
-/// whichever happened to run during it. The order flips every rep to
-/// cancel any warm-cache advantage of going second.
+/// Times two closures in alternation and returns `(f_ns, g_ns)`:
+/// `f_ns` is the median ns per call of `f`, and `g_ns` is `f_ns`
+/// scaled by the median over reps of the per-rep ratio `g / f`. Each
+/// rep times `f` and `g` back to back, so a burst of machine load or a
+/// clock-speed change lands on both halves of a pair and cancels in
+/// its ratio; the median then discards the reps a burst split. The
+/// order flips every rep to cancel any warm-cache advantage of going
+/// second. (A min-of-N per side is not paired: each side's minimum can
+/// come from a different fast moment, and their ratio swings ±10%.)
 fn time_pair_ns<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (f64, f64) {
     f();
     g();
-    let mut best = (f64::INFINITY, f64::INFINITY);
     let time = |h: &mut dyn FnMut()| {
         let t = Instant::now();
         h();
         t.elapsed().as_nanos() as f64
     };
+    let mut fs = Vec::with_capacity(reps);
+    let mut ratios = Vec::with_capacity(reps);
     for rep in 0..reps {
         let (nf, ng) = if rep % 2 == 0 {
             let nf = time(&mut f);
@@ -101,9 +107,15 @@ fn time_pair_ns<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (f64
             let ng = time(&mut g);
             (time(&mut f), ng)
         };
-        best = (best.0.min(nf), best.1.min(ng));
+        fs.push(nf);
+        ratios.push(ng / nf.max(1.0));
     }
-    best
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v.get(v.len() / 2).copied().unwrap_or(0.0)
+    };
+    let f_ns = median(&mut fs);
+    (f_ns, f_ns * median(&mut ratios))
 }
 
 fn gemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProbe {
@@ -162,6 +174,8 @@ fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfPro
 /// entry against its uninstrumented body `qgemm_nn_raw`, with tracing
 /// in its default disabled state — so the "naive" twin here is the
 /// pre-hook kernel and `speedup_vs_naive` is `raw / hooked` (~1.0).
+/// Both times come from [`time_pair_ns`]: `ns_per_op` is the median
+/// hooked time and their ratio is the median paired ratio.
 /// The tripwire bar: disabled hooks must cost < 5% on a real shape.
 fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProbe {
     let mut rng = TensorRng::from_seed(85);
@@ -443,7 +457,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         qgemm_probe("qgemm_24x49x100_stem", 24, 49, 100, reps),
         qgemm_probe("qgemm_256x2304x16_deepcaps_cell4", 256, 2304, 16, reps),
         // Trace-hook overhead on the disabled fast path; extra reps
-        // keep the min-of-N estimate tight enough for the 5% tripwire.
+        // keep the paired-median estimate tight for the 5% tripwire.
         qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(400)),
         conv_probe(reps),
     ];

@@ -1038,16 +1038,14 @@ mod tests {
         }
     }
 
-    /// A batch of `N` through the single entry point equals `N`
-    /// one-sample batches bit for bit — with clean exact and
-    /// approximate tables, and under active accumulator faults (a
-    /// stuck lane, and index-dependent bit flips that would expose any
-    /// fault indexed by fused-buffer rather than sample-local
-    /// position). Covers the fused conv and vote GEMMs and both
-    /// routing sites; a faulted view must also change the output, so
-    /// the fault is known to be live.
-    #[test]
-    fn batch_is_bit_identical_to_one_sample_batches_under_acc_faults() {
+    /// Checks that a batch of `N` through the single entry point `f`
+    /// equals `N` one-sample batches bit for bit — with clean exact and
+    /// approximate tables, and under active accumulator faults (a stuck
+    /// lane, and index-dependent bit flips that would expose any fault
+    /// indexed by fused-buffer rather than sample-local position). A
+    /// faulted view must also change the output, so the fault is known
+    /// to be live.
+    fn assert_batch_invariant<T: Copy>(xs: &[T], f: impl Fn(&[T], MacView<'_>) -> Vec<Tensor>) {
         let exact = MulLut::exact();
         let approx = MulLut::tabulate(&TruncatedMultiplier::new(5));
         let stuck = AccFault::new(
@@ -1077,55 +1075,66 @@ mod tests {
                 Some(0),
             ),
         ];
-        fn check<T: Copy>(xs: &[T], f: impl Fn(&[T]) -> Vec<Tensor>) -> Vec<Tensor> {
-            let batched = f(xs);
+        let mut results: Vec<Vec<Tensor>> = Vec::new();
+        for (k, (view, clean_twin)) in views.into_iter().enumerate() {
+            let batched = f(xs, view);
             assert_eq!(batched.len(), xs.len());
             for (x, got) in xs.iter().zip(&batched) {
-                assert_eq!(&one(*x, &f), got);
+                assert_eq!(&one(*x, |x1| f(x1, view)), got, "view {k}");
             }
-            assert!(f(&[]).is_empty());
-            batched
+            assert!(f(&[], view).is_empty());
+            if let Some(twin) = clean_twin {
+                assert_ne!(
+                    batched, results[twin],
+                    "view {k}: the accumulator fault is live"
+                );
+            }
+            results.push(batched);
         }
+    }
 
+    /// The fused conv GEMM: a batch equals its samples run one by one.
+    #[test]
+    fn conv_batch_is_bit_identical_to_per_sample() {
         let mut rng = TensorRng::from_seed(520);
         let conv = Conv2d::new(3, 5, 3, 1, 1, &mut rng);
-        let qconv = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
-        let images: Vec<Tensor> = (0..5).map(|_| rng.uniform(&[3, 6, 6], -1.0, 1.0)).collect();
-        let images: Vec<&[f32]> = images.iter().map(|x| x.data()).collect();
+        let q = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
+        let xs: Vec<Tensor> = (0..5).map(|_| rng.uniform(&[3, 6, 6], -1.0, 1.0)).collect();
+        let inputs: Vec<&[f32]> = xs.iter().map(|x| x.data()).collect();
+        assert_batch_invariant(&inputs, |xs, view| q.forward_batch(xs, 6, 6, view));
+    }
 
+    /// The fused vote GEMM: a batch equals its samples run one by one.
+    #[test]
+    fn votes_batch_is_bit_identical_to_per_sample() {
+        let mut rng = TensorRng::from_seed(521);
         let layer = ClassCaps::new(0, "CC", 6, 4, 3, 5, 3, &mut rng);
-        let qvotes = QVotes::from_class_caps(&layer, p(-1.0, 1.0)).unwrap();
-        let units: Vec<Tensor> = (0..4).map(|_| rng.uniform(&[6, 3], -1.0, 1.0)).collect();
-        let units: Vec<&Tensor> = units.iter().collect();
+        let q = QVotes::from_class_caps(&layer, p(-1.0, 1.0)).unwrap();
+        let us: Vec<Tensor> = (0..4).map(|_| rng.uniform(&[6, 3], -1.0, 1.0)).collect();
+        let refs: Vec<&Tensor> = us.iter().collect();
+        assert_batch_invariant(&refs, |xs, view| q.forward_batch(xs, view));
+    }
+
+    /// Both routing sites of the ClassCaps and Caps3D layers, each
+    /// faulted on its own with the rest clean.
+    #[test]
+    fn batch_is_bit_identical_to_one_sample_batches_under_acc_faults() {
+        let mut rng = TensorRng::from_seed(524);
+        let exact = MulLut::exact();
+        let e = clean(&exact);
 
         let (_, qclass, _) = class_caps_fixture(522);
-        let class_units: Vec<Tensor> = (0..4).map(|_| rng.uniform(&[12, 4], -1.0, 1.0)).collect();
-        let class_units: Vec<&Tensor> = class_units.iter().collect();
+        let units: Vec<Tensor> = (0..4).map(|_| rng.uniform(&[12, 4], -1.0, 1.0)).collect();
+        let units: Vec<&Tensor> = units.iter().collect();
+        assert_batch_invariant(&units, |xs, view| qclass.forward_batch(xs, e, view, e));
+        assert_batch_invariant(&units, |xs, view| qclass.forward_batch(xs, e, e, view));
 
         let (_, q3d, _) = caps3d_fixture(523);
         let caps: Vec<Tensor> = (0..3)
             .map(|_| rng.uniform(&[3, 4, 4, 4], -1.0, 1.0))
             .collect();
         let caps: Vec<&Tensor> = caps.iter().collect();
-
-        let e = clean(&exact);
-        let mut results: Vec<[Vec<Tensor>; 6]> = Vec::new();
-        for (view, clean_twin) in views {
-            let outs = [
-                check(&images, |xs| qconv.forward_batch(xs, 6, 6, view)),
-                check(&units, |xs| qvotes.forward_batch(xs, view)),
-                // Each routing site faulted on its own, the rest clean.
-                check(&class_units, |xs| qclass.forward_batch(xs, e, view, e)),
-                check(&class_units, |xs| qclass.forward_batch(xs, e, e, view)),
-                check(&caps, |xs| q3d.forward_batch(xs, e, view, e)),
-                check(&caps, |xs| q3d.forward_batch(xs, e, e, view)),
-            ];
-            if let Some(twin) = clean_twin {
-                for (k, (got, base)) in outs.iter().zip(&results[twin]).enumerate() {
-                    assert_ne!(got, base, "case {k}: the accumulator fault is live");
-                }
-            }
-            results.push(outs);
-        }
+        assert_batch_invariant(&caps, |xs, view| q3d.forward_batch(xs, e, view, e));
+        assert_batch_invariant(&caps, |xs, view| q3d.forward_batch(xs, e, e, view));
     }
 }
