@@ -25,112 +25,33 @@
 
 use std::process::ExitCode;
 
-use redcane::report::json::Value;
-use redcane_artifacts::ArtifactStore;
-use redcane_bench::cli::{next_parsed, next_value};
+use redcane_bench::cli::{parse_session, write_lines};
 use redcane_bench::faults::{faults_to_json_lines, run_faults, FaultsConfig};
-use redcane_bench::profile::ProfileArgs;
-use redcane_bench::qdp::QdpArch;
-use redcane_datasets::Benchmark;
+use redcane_bench::profile::provenance_meta;
+
+const USAGE: &str = "faults: per-site bit-flip / stuck-at / dead-output resilience \
+analysis across the quantized datapath
+flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
+--arch capsnet|deepcaps|both, --fail-soft, --max-sites N, \
+--out PATH, --threads N, --artifacts DIR, --no-cache, \
+--profile PATH, --profile-counters PATH, \
+--profile-folded PATH";
 
 fn main() -> ExitCode {
-    let mut cfg = FaultsConfig::smoke();
-    let mut out_path: Option<String> = None;
-    let mut artifacts_flag: Option<String> = None;
-    let mut no_cache = false;
-    let mut profile = ProfileArgs::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let parsed: Result<(), String> = match flag.as_str() {
-            "--quick" => {
-                // Keep any --seed/--benchmark/--arch/--fail-soft/
-                // --max-sites given before the flag; --quick only
-                // rescales the run.
-                cfg = FaultsConfig {
-                    benchmark: cfg.benchmark,
-                    seed: cfg.seed,
-                    archs: cfg.archs,
-                    fail_soft: cfg.fail_soft,
-                    max_sites: cfg.max_sites.or(FaultsConfig::quick().max_sites),
-                    ..FaultsConfig::quick()
-                };
-                Ok(())
-            }
-            "--fail-soft" => {
-                cfg.fail_soft = true;
-                Ok(())
-            }
-            "--benchmark" => next_value(&mut args, "--benchmark").and_then(|v| match v.as_str() {
-                "mnist" => {
-                    cfg.benchmark = Benchmark::MnistLike;
-                    Ok(())
-                }
-                "fashion" => {
-                    cfg.benchmark = Benchmark::FashionLike;
-                    Ok(())
-                }
-                "svhn" => {
-                    cfg.benchmark = Benchmark::SvhnLike;
-                    Ok(())
-                }
-                "cifar" => {
-                    cfg.benchmark = Benchmark::Cifar10Like;
-                    Ok(())
-                }
-                other => Err(format!("unknown benchmark '{other}'")),
-            }),
-            "--arch" => next_value(&mut args, "--arch").and_then(|v| match v.as_str() {
-                "capsnet" => {
-                    cfg.archs = vec![QdpArch::CapsNet];
-                    Ok(())
-                }
-                "deepcaps" => {
-                    cfg.archs = vec![QdpArch::DeepCaps];
-                    Ok(())
-                }
-                "both" => {
-                    cfg.archs = vec![QdpArch::CapsNet, QdpArch::DeepCaps];
-                    Ok(())
-                }
-                other => Err(format!("unknown arch '{other}'")),
-            }),
-            "--seed" => next_parsed(&mut args, "--seed").map(|v| cfg.seed = v),
-            "--max-sites" => {
-                next_parsed(&mut args, "--max-sites").map(|v: usize| cfg.max_sites = Some(v))
-            }
-            "--out" => next_value(&mut args, "--out").map(|v| out_path = Some(v)),
-            "--artifacts" => next_value(&mut args, "--artifacts").map(|v| artifacts_flag = Some(v)),
-            "--no-cache" => {
-                no_cache = true;
-                Ok(())
-            }
-            "--threads" => next_parsed(&mut args, "--threads")
-                .map(|v: usize| redcane_tensor::par::set_threads(v)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "faults: per-site bit-flip / stuck-at / dead-output resilience \
-                     analysis across the quantized datapath\n\
-                     flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
-                     --arch capsnet|deepcaps|both, --fail-soft, --max-sites N, \
-                     --out PATH, --threads N, --artifacts DIR, --no-cache, \
-                     --profile PATH, --profile-counters PATH, \
-                     --profile-folded PATH"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => profile
-                .match_flag(other, &mut args)
-                .unwrap_or_else(|| Err(format!("unknown flag '{other}'"))),
-        };
-        if let Err(msg) = parsed {
-            eprintln!("faults: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
+    run().unwrap_or_else(|msg| {
+        eprintln!("faults: {msg}");
+        ExitCode::FAILURE
+    })
+}
 
-    cfg.artifacts = ArtifactStore::resolve_dir(artifacts_flag.as_deref(), no_cache);
-    profile.enable_if_requested();
-    let outcome = run_faults(&cfg);
+fn run() -> Result<ExitCode, String> {
+    let argv = std::env::args().skip(1).collect();
+    let Some(args) = parse_session(argv, FaultsConfig::smoke(), |_, _| None)? else {
+        eprintln!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    };
+    args.profile.enable_if_requested();
+    let outcome = run_faults(&args.config);
     let lines: Vec<String> = faults_to_json_lines(&outcome)
         .iter()
         .map(|v| v.dump())
@@ -149,31 +70,10 @@ fn main() -> ExitCode {
         );
     }
     eprintln!("[faults] total {:.2}s", outcome.total_s);
-    if let Some(path) = out_path {
-        let body = lines.join("\n") + "\n";
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("faults: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &args.out {
+        write_lines(path, &lines)?;
     }
-    let meta = vec![(
-        "provenance".to_string(),
-        Value::Obj(
-            outcome
-                .archs
-                .iter()
-                .map(|a| {
-                    (
-                        a.arch.label().to_string(),
-                        Value::from(a.provenance.label()),
-                    )
-                })
-                .collect(),
-        ),
-    )];
-    if let Err(msg) = profile.write("faults", meta, true) {
-        eprintln!("faults: {msg}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    let meta = provenance_meta(outcome.archs.iter().map(|a| (a.arch, a.provenance)));
+    args.profile.write("faults", meta, true)?;
+    Ok(ExitCode::SUCCESS)
 }

@@ -25,10 +25,9 @@ use std::process::ExitCode;
 
 use redcane::report::json::Value;
 use redcane_artifacts::ArtifactStore;
-use redcane_bench::cli::{next_parsed, next_value, require_nonzero};
+use redcane_bench::cli::{next_benchmark, next_parsed, next_value, require_nonzero};
 use redcane_bench::profile::ProfileArgs;
 use redcane_bench::{outcome_to_json, outcome_to_json_stable, run_pipeline, PipelineConfig};
-use redcane_datasets::Benchmark;
 
 fn parse_args(mut cfg: PipelineConfig) -> Result<(PipelineConfig, bool, ProfileArgs), String> {
     let mut artifacts_flag: Option<String> = None;
@@ -38,15 +37,7 @@ fn parse_args(mut cfg: PipelineConfig) -> Result<(PipelineConfig, bool, ProfileA
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--benchmark" => {
-                cfg.benchmark = match next_value(&mut args, "--benchmark")?.as_str() {
-                    "mnist" => Benchmark::MnistLike,
-                    "fashion" => Benchmark::FashionLike,
-                    "svhn" => Benchmark::SvhnLike,
-                    "cifar" => Benchmark::Cifar10Like,
-                    other => return Err(format!("unknown benchmark '{other}'")),
-                };
-            }
+            "--benchmark" => cfg.benchmark = next_benchmark(&mut args)?,
             "--seed" => cfg.seed = next_parsed(&mut args, "--seed")?,
             "--train" => cfg.train = next_parsed(&mut args, "--train")?,
             "--test" => cfg.test = next_parsed(&mut args, "--test")?,

@@ -29,138 +29,45 @@
 use std::process::ExitCode;
 
 use redcane::report::json::Value;
-use redcane_artifacts::ArtifactStore;
-use redcane_bench::cli::{next_parsed, next_value, require_nonzero};
-use redcane_bench::profile::ProfileArgs;
-use redcane_bench::qdp::QdpArch;
+use redcane_bench::cli::{next_parsed, next_value, parse_session, write_lines};
+use redcane_bench::profile::provenance_meta;
 use redcane_bench::serve::{
     run_serve, serve_to_json_lines, serve_to_json_lines_stable, ServeBenchConfig,
 };
-use redcane_datasets::Benchmark;
+
+const USAGE: &str = "serve: open-loop dynamic-batching serving benchmark over the \
+quantized datapath
+flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
+--arch capsnet|deepcaps|both, --requests N, --clients N, \
+--workers N, --max-batch N, --max-wait-us N, --rate RPS, \
+--step6, --no-step6, --out PATH, --stable-out PATH, \
+--budget-s S, --threads N, --artifacts DIR, --no-cache, \
+--profile PATH, --profile-counters PATH, --profile-folded PATH";
 
 fn main() -> ExitCode {
-    let mut cfg = ServeBenchConfig::smoke();
-    let mut out_path: Option<String> = None;
-    let mut stable_out_path: Option<String> = None;
-    let mut budget_s: Option<f64> = None;
-    let mut artifacts_flag: Option<String> = None;
-    let mut no_cache = false;
-    let mut profile = ProfileArgs::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let parsed: Result<(), String> = match flag.as_str() {
-            "--quick" => {
-                // Keep any --seed/--benchmark/--arch given before the
-                // flag; --quick only rescales the run.
-                cfg = ServeBenchConfig {
-                    benchmark: cfg.benchmark,
-                    seed: cfg.seed,
-                    archs: cfg.archs,
-                    ..ServeBenchConfig::quick()
-                };
-                Ok(())
-            }
-            "--benchmark" => next_value(&mut args, "--benchmark").and_then(|v| match v.as_str() {
-                "mnist" => {
-                    cfg.benchmark = Benchmark::MnistLike;
-                    Ok(())
-                }
-                "fashion" => {
-                    cfg.benchmark = Benchmark::FashionLike;
-                    Ok(())
-                }
-                "svhn" => {
-                    cfg.benchmark = Benchmark::SvhnLike;
-                    Ok(())
-                }
-                "cifar" => {
-                    cfg.benchmark = Benchmark::Cifar10Like;
-                    Ok(())
-                }
-                other => Err(format!("unknown benchmark '{other}'")),
-            }),
-            "--arch" => next_value(&mut args, "--arch").and_then(|v| match v.as_str() {
-                "capsnet" => {
-                    cfg.archs = vec![QdpArch::CapsNet];
-                    Ok(())
-                }
-                "deepcaps" => {
-                    cfg.archs = vec![QdpArch::DeepCaps];
-                    Ok(())
-                }
-                "both" => {
-                    cfg.archs = vec![QdpArch::CapsNet, QdpArch::DeepCaps];
-                    Ok(())
-                }
-                other => Err(format!("unknown arch '{other}'")),
-            }),
-            "--seed" => next_parsed(&mut args, "--seed").map(|v| cfg.seed = v),
-            "--requests" => next_parsed(&mut args, "--requests")
-                .and_then(|v| require_nonzero(v, "--requests"))
-                .map(|v| cfg.requests = v),
-            "--clients" => next_parsed(&mut args, "--clients")
-                .and_then(|v| require_nonzero(v, "--clients"))
-                .map(|v| cfg.clients = v),
-            "--workers" => next_parsed(&mut args, "--workers")
-                .and_then(|v| require_nonzero(v, "--workers"))
-                .map(|v| cfg.workers = Some(v)),
-            "--max-batch" => next_parsed(&mut args, "--max-batch")
-                .and_then(|v| require_nonzero(v, "--max-batch"))
-                .map(|v| cfg.max_batch = v),
-            "--max-wait-us" => {
-                next_parsed(&mut args, "--max-wait-us").map(|v: u64| cfg.max_wait_us = Some(v))
-            }
-            "--rate" => next_parsed(&mut args, "--rate").map(|v: f64| cfg.arrival_rate_rps = v),
-            "--step6" => {
-                cfg.step6 = true;
-                Ok(())
-            }
-            "--no-step6" => {
-                cfg.step6 = false;
-                Ok(())
-            }
-            "--out" => next_value(&mut args, "--out").map(|v| out_path = Some(v)),
-            "--stable-out" => {
-                next_value(&mut args, "--stable-out").map(|v| stable_out_path = Some(v))
-            }
-            "--budget-s" => next_parsed(&mut args, "--budget-s").map(|v: f64| budget_s = Some(v)),
-            "--artifacts" => next_value(&mut args, "--artifacts").map(|v| artifacts_flag = Some(v)),
-            "--no-cache" => {
-                no_cache = true;
-                Ok(())
-            }
-            "--threads" => next_parsed(&mut args, "--threads")
-                .map(|v: usize| redcane_tensor::par::set_threads(v)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "serve: open-loop dynamic-batching serving benchmark over the \
-                     quantized datapath\n\
-                     flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
-                     --arch capsnet|deepcaps|both, --requests N, --clients N, \
-                     --workers N, --max-batch N, --max-wait-us N, --rate RPS, \
-                     --step6, --no-step6, --out PATH, --stable-out PATH, \
-                     --budget-s S, --threads N, --artifacts DIR, --no-cache, \
-                     --profile PATH, --profile-counters PATH, --profile-folded PATH"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => profile
-                .match_flag(other, &mut args)
-                .unwrap_or_else(|| Err(format!("unknown flag '{other}'"))),
-        };
-        if let Err(msg) = parsed {
-            eprintln!("serve: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
+    run().unwrap_or_else(|msg| {
+        eprintln!("serve: {msg}");
+        ExitCode::FAILURE
+    })
+}
 
-    cfg.artifacts = ArtifactStore::resolve_dir(artifacts_flag.as_deref(), no_cache);
-    profile.enable_if_requested();
-    let outcome = run_serve(&cfg);
-    let lines: Vec<String> = serve_to_json_lines(&outcome)
-        .iter()
-        .map(|v| v.dump())
-        .collect();
+fn run() -> Result<ExitCode, String> {
+    let mut stable_out: Option<String> = None;
+    let mut budget_s: Option<f64> = None;
+    let argv = std::env::args().skip(1).collect();
+    let parsed = parse_session(argv, ServeBenchConfig::smoke(), |flag, args| match flag {
+        "--stable-out" => Some(next_value(args, flag).map(|v| stable_out = Some(v))),
+        "--budget-s" => Some(next_parsed(args, flag).map(|v: f64| budget_s = Some(v))),
+        _ => None,
+    })?;
+    let Some(args) = parsed else {
+        eprintln!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    };
+    args.profile.enable_if_requested();
+    let outcome = run_serve(&args.config);
+    let dump = |lines: Vec<Value>| -> Vec<String> { lines.iter().map(Value::dump).collect() };
+    let lines = dump(serve_to_json_lines(&outcome));
     for line in &lines {
         println!("{line}");
     }
@@ -178,54 +85,21 @@ fn main() -> ExitCode {
         "[serve] total {:.2}s ({:.2}s serving)",
         outcome.total_s, outcome.serve_s
     );
-    if let Some(path) = out_path {
-        let body = lines.join("\n") + "\n";
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &args.out {
+        write_lines(path, &lines)?;
     }
-    if let Some(path) = stable_out_path {
-        let body = serve_to_json_lines_stable(&outcome)
-            .iter()
-            .map(|v| v.dump())
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("serve: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &stable_out {
+        write_lines(path, &dump(serve_to_json_lines_stable(&outcome)))?;
     }
-    let meta = vec![(
-        "provenance".to_string(),
-        Value::Obj(
-            outcome
-                .archs
-                .iter()
-                .map(|a| {
-                    (
-                        a.arch.label().to_string(),
-                        Value::from(a.provenance.label()),
-                    )
-                })
-                .collect(),
-        ),
-    )];
-    if let Err(msg) = profile.write("serve", meta, true) {
-        eprintln!("serve: {msg}");
-        return ExitCode::FAILURE;
-    }
+    let meta = provenance_meta(outcome.archs.iter().map(|a| (a.arch, a.provenance)));
+    args.profile.write("serve", meta, true)?;
     // The regression tripwire: serving time only, so cold (train) and
     // warm (restore) CI runs trip identically.
-    if let Some(budget) = budget_s {
-        if outcome.serve_s > budget {
-            eprintln!(
-                "serve: serving sessions took {:.2}s, over the --budget-s {budget:.2}s tripwire",
-                outcome.serve_s
-            );
-            return ExitCode::FAILURE;
-        }
+    match budget_s {
+        Some(budget) if outcome.serve_s > budget => Err(format!(
+            "serving sessions took {:.2}s, over the --budget-s {budget:.2}s tripwire",
+            outcome.serve_s
+        )),
+        _ => Ok(ExitCode::SUCCESS),
     }
-    ExitCode::SUCCESS
 }

@@ -20,13 +20,15 @@
 //! - **a dead multiplier array** — with `fail_soft`, the site
 //!   downgrades to the exact multiplier and the row reports the
 //!   downgrade; without it, the row records the refusal
-//!   ([`BackendError::DeadSite`]) instead of an accuracy.
+//!   ([`BackendError::DeadSite`](redcane::BackendError::DeadSite))
+//!   instead of an accuracy.
 //!
 //! Each fault model is additionally *characterized* — mean and RMS
 //! product error over the run's empirical operand pools, normalized by
 //! the full-scale product — mirroring the `(NA, NM)` characterization
-//! of approximate components; the table is cached in the same
-//! trained-artifact entry the `qdp` bench uses ([`TrainKnobs`]).
+//! of approximate components; the table is cached in the trained
+//! artifact the shared [`crate::session`] stores for all three
+//! session benches.
 //!
 //! Beyond the single-site trials, each architecture runs one
 //! **correlated multi-site plan**: a single [`FaultPlan`] carrying a
@@ -42,20 +44,18 @@
 //! the output is byte-identical at every `REDCANE_THREADS` setting.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use redcane::datapath::{AccuracyBackend, DatapathAssignment, SiteKey};
 use redcane::faults::{mix64, FaultModel, FaultPlan, FaultTarget, SiteFault};
 use redcane::report::json::Value;
-use redcane_artifacts::{load_or_train, ArtifactStore, FaultChar, Provenance};
-use redcane_axmul::{LutCache, MultiplierLibrary};
-use redcane_capsnet::{CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig, OpKind};
-use redcane_datasets::{generate, Benchmark, DatasetPair, GenerateConfig};
-use redcane_qdp::{FaultMeasured, QModel, QuantMeasured, QuantRanges};
-use redcane_tensor::{par, TensorRng};
+use redcane_artifacts::{FaultChar, Provenance};
+use redcane_capsnet::{CapsModel, OpKind};
+use redcane_qdp::FaultMeasured;
+use redcane_tensor::par;
 
-use crate::qdp::{QdpArch, TrainKnobs, WEIGHT_POOL_CODES};
+use crate::cli::{next_parsed, Args, SessionConfig};
+use crate::session::{Arch, BenchSpec, PerArch, Session, Trained, WEIGHT_POOL_CODES};
 
 /// The exact multiplier every non-faulted site runs: fault trials
 /// measure the fault's own effect, not an approximate component's.
@@ -64,33 +64,13 @@ const EXACT_COMPONENT: &str = "mul8u_1JFF";
 /// Full-scale 8×8-bit product, the characterization normalizer.
 const FULL_SCALE: f64 = 65025.0;
 
-/// Configuration of a `faults` resilience sweep; fully determined by
-/// its fields, so equal configs give equal outcomes.
+/// Configuration of a `faults` resilience sweep: the shared
+/// [`BenchSpec`] plus the fault grid; fully determined by its fields, so
+/// equal configs give equal outcomes.
 #[derive(Debug, Clone)]
 pub struct FaultsConfig {
-    /// Which benchmark family to synthesize.
-    pub benchmark: Benchmark,
-    /// Master seed (dataset, init, training, fault realizations).
-    pub seed: u64,
-    /// Architectures to sweep, in output order.
-    pub archs: Vec<QdpArch>,
-    /// Training samples to generate.
-    pub train: usize,
-    /// Test samples to generate.
-    pub test: usize,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Clean training inputs swept through the float network to
-    /// calibrate the quantization ranges.
-    pub calib_samples: usize,
-    /// Test-subset size every trial evaluates on.
-    pub eval_samples: usize,
-    /// Samples per fault-model characterization.
-    pub characterization_samples: usize,
+    /// The trained model and eval subset.
+    pub spec: BenchSpec,
     /// Weight-code stuck-at-1 bit indices (the critical-bit grid);
     /// only sites backed by weight memory get these trials.
     pub stuck_bits: Vec<u32>,
@@ -108,9 +88,6 @@ pub struct FaultsConfig {
     /// Downgrade dead sites to the exact multiplier (and report the
     /// downgrade) instead of refusing to evaluate.
     pub fail_soft: bool,
-    /// Trained-artifact store directory (shared with the `qdp` bench);
-    /// `None` disables the store.
-    pub artifacts: Option<PathBuf>,
 }
 
 impl FaultsConfig {
@@ -118,17 +95,7 @@ impl FaultsConfig {
     /// architectures under the whole fault grid.
     pub fn smoke() -> Self {
         FaultsConfig {
-            benchmark: Benchmark::MnistLike,
-            seed: 1,
-            archs: vec![QdpArch::CapsNet, QdpArch::DeepCaps],
-            train: 600,
-            test: 150,
-            epochs: 6,
-            batch_size: 16,
-            lr: 2e-3,
-            calib_samples: 64,
-            eval_samples: 40,
-            characterization_samples: 4000,
+            spec: BenchSpec::smoke(),
             stuck_bits: (0..8).collect(),
             bers: vec![1e-3, 1e-2, 5e-2],
             acc_bits: vec![8, 16, 24, 30],
@@ -136,21 +103,14 @@ impl FaultsConfig {
             dead: true,
             max_sites: None,
             fail_soft: false,
-            artifacts: None,
         }
     }
 
-    /// CI-sized: scaled-down training matching `QdpConfig::quick()` —
-    /// so CI's qdp-trained artifacts warm this bench — a thinned fault
-    /// grid, and the first few sites per architecture.
+    /// CI-sized: the quick spec, a thinned fault grid, and the first
+    /// few sites per architecture.
     pub fn quick() -> Self {
         FaultsConfig {
-            train: 200,
-            test: 60,
-            epochs: 3,
-            calib_samples: 32,
-            eval_samples: 30,
-            characterization_samples: 2000,
+            spec: BenchSpec::quick(),
             stuck_bits: vec![0, 3, 7],
             bers: vec![1e-2],
             acc_bits: vec![24],
@@ -161,9 +121,31 @@ impl FaultsConfig {
     }
 }
 
-impl Default for FaultsConfig {
-    fn default() -> Self {
-        FaultsConfig::smoke()
+impl SessionConfig for FaultsConfig {
+    fn spec_mut(&mut self) -> &mut BenchSpec {
+        &mut self.spec
+    }
+
+    /// Keeps `--fail-soft` and `--max-sites`.
+    fn quick_keeping(self) -> Self {
+        let quick = FaultsConfig::quick();
+        FaultsConfig {
+            spec: self.spec.quick_keeping(),
+            fail_soft: self.fail_soft,
+            max_sites: self.max_sites.or(quick.max_sites),
+            ..quick
+        }
+    }
+
+    fn match_flag(&mut self, flag: &str, args: &mut Args) -> Option<Result<(), String>> {
+        match flag {
+            "--fail-soft" => {
+                self.fail_soft = true;
+                Some(Ok(()))
+            }
+            "--max-sites" => Some(next_parsed(args, flag).map(|v: usize| self.max_sites = Some(v))),
+            _ => None,
+        }
     }
 }
 
@@ -278,8 +260,9 @@ pub fn characterize_fault(
     }
 }
 
-/// Characterizes the whole canonical fault set — the table
-/// [`TrainKnobs::produce`] stores next to the `(NA, NM)` noise table.
+/// Characterizes the whole canonical fault set — the table the shared
+/// session's trained artifact stores next to the `(NA, NM)` noise
+/// table.
 pub(crate) fn characterize_canonical(
     activations: &[u8],
     weights: &[u8],
@@ -354,7 +337,7 @@ pub struct SiteCriticality {
 #[derive(Debug, Clone)]
 pub struct FaultsArchOutcome {
     /// The architecture swept.
-    pub arch: QdpArch,
+    pub arch: Arch,
     /// Model display name.
     pub model_name: String,
     /// Fault-free accuracy of the exact quantized datapath on the eval
@@ -379,74 +362,29 @@ pub struct FaultsArchOutcome {
 pub struct FaultsOutcome {
     /// The configuration that produced it.
     pub config: FaultsConfig,
-    /// One sweep per configured architecture, in `config.archs` order.
+    /// One sweep per configured architecture, in `config.spec.archs`
+    /// order.
     pub archs: Vec<FaultsArchOutcome>,
     /// Total wall-clock seconds.
     pub total_s: f64,
 }
 
-/// Runs dataset generation → training (or restore) → the per-site
-/// fault-injection sweep for every configured architecture,
-/// deterministically from `cfg.seed` (and independent of the
-/// worker-thread count).
+/// Runs the shared session (dataset generation → training or restore
+/// → lowering) and then the per-site fault-injection sweep for every
+/// configured architecture, deterministically from the seed (and
+/// independent of the worker-thread count).
 ///
 /// # Panics
 ///
 /// Panics on empty train/test/eval/arch settings or an empty fault
 /// grid.
 pub fn run_faults(cfg: &FaultsConfig) -> FaultsOutcome {
-    assert!(cfg.train > 0, "faults needs training samples");
-    assert!(
-        cfg.test > 0 && cfg.eval_samples > 0,
-        "faults needs test samples"
-    );
     assert!(
         !trial_faults(cfg, true).is_empty(),
         "faults needs a non-empty fault grid"
     );
-    assert!(
-        !cfg.archs.is_empty(),
-        "faults needs at least one architecture"
-    );
     let t0 = Instant::now();
-
-    let pair = generate(
-        cfg.benchmark,
-        &GenerateConfig {
-            train: cfg.train,
-            test: cfg.test,
-            seed: cfg.seed,
-        },
-    );
-    let library = MultiplierLibrary::evo_approx_like();
-    let luts = LutCache::tabulate_all(&library);
-    let (channels, height, _) = cfg.benchmark.geometry();
-    let store = cfg.artifacts.as_ref().map(ArtifactStore::new);
-
-    let archs = cfg
-        .archs
-        .iter()
-        .map(|&arch| {
-            // Same per-arch init seed as the qdp bench: the shared
-            // artifact key must describe the same trained model.
-            let mut rng = TensorRng::from_seed(
-                cfg.seed
-                    .wrapping_mul(0x9e37_79b9)
-                    .wrapping_add(7 + arch.seed_tag()),
-            );
-            match arch {
-                QdpArch::CapsNet => {
-                    let model = CapsNet::new(&CapsNetConfig::small(channels, height), &mut rng);
-                    sweep_arch(cfg, arch, model, &pair, &library, &luts, store.as_ref())
-                }
-                QdpArch::DeepCaps => {
-                    let model = DeepCaps::new(&DeepCapsConfig::small(channels, height), &mut rng);
-                    sweep_arch(cfg, arch, model, &pair, &library, &luts, store.as_ref())
-                }
-            }
-        })
-        .collect();
-
+    let archs = Session::open(&cfg.spec, "faults").run(cfg);
     FaultsOutcome {
         config: cfg.clone(),
         archs,
@@ -454,224 +392,202 @@ pub fn run_faults(cfg: &FaultsConfig) -> FaultsOutcome {
     }
 }
 
-/// Trains (or restores), lowers once, and runs one architecture's
-/// fault sweep.
-fn sweep_arch<M: CapsModel + Clone + Send + Sync + 'static>(
-    cfg: &FaultsConfig,
-    arch: QdpArch,
-    mut model: M,
-    pair: &DatasetPair,
-    library: &MultiplierLibrary,
-    luts: &LutCache,
-    store: Option<&ArtifactStore>,
-) -> FaultsArchOutcome {
-    let knobs = TrainKnobs {
-        benchmark: cfg.benchmark,
-        seed: cfg.seed,
-        train: cfg.train,
-        test: cfg.test,
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        lr: cfg.lr,
-        calib_samples: cfg.calib_samples,
-        characterization_samples: cfg.characterization_samples,
-        library,
-    };
-    let key = knobs.key(arch);
-    let (payload, provenance) = load_or_train(store, &key, &mut model, |m| knobs.produce(m, pair));
+/// One architecture's fault sweep.
+impl PerArch for FaultsConfig {
+    type Out = FaultsArchOutcome;
 
-    let eval = pair.test.take(cfg.eval_samples);
-    let ranges = QuantRanges::from_entries(&payload.ranges);
-    let qmodel = QModel::lower(&model, &ranges).expect("every site calibrated");
-    let all_sites = qmodel.multiply_sites();
-    let (sites, skipped_sites) = match cfg.max_sites {
-        Some(n) if all_sites.len() > n => (all_sites[..n].to_vec(), all_sites.len() - n),
-        _ => (all_sites, 0),
-    };
-    let weights_pool = qmodel.weight_code_sample(WEIGHT_POOL_CODES);
-    let measured = QuantMeasured::new(qmodel, luts.clone());
-    let assignment = DatapathAssignment::uniform(EXACT_COMPONENT);
-    let baseline_accuracy = measured
-        .evaluate(&model, &eval, &assignment)
-        .expect("uniform exact assignment covers every site");
-    eprintln!(
-        "[faults] {} {} — exact-datapath baseline {:.3} on {} samples, {} site(s){}",
-        provenance.label(),
-        model.name(),
-        baseline_accuracy,
-        eval.len(),
-        sites.len(),
-        if skipped_sites > 0 {
-            format!(" ({skipped_sites} skipped by --max-sites)")
-        } else {
-            String::new()
+    fn run<M: CapsModel + Clone + Send + Sync + 'static>(
+        &self,
+        t: Trained<'_, M>,
+    ) -> FaultsArchOutcome {
+        let (seed, char_samples) = (self.spec.seed, self.spec.characterization_samples);
+        let (arch, model, eval, measured) = (t.arch, &t.model, &t.eval, &t.measured);
+        let all_sites = measured.qmodel().multiply_sites();
+        let (sites, skipped_sites) = match self.max_sites {
+            Some(n) if all_sites.len() > n => (all_sites[..n].to_vec(), all_sites.len() - n),
+            _ => (all_sites, 0),
+        };
+        let weights_pool = measured.qmodel().weight_code_sample(WEIGHT_POOL_CODES);
+        let baseline_accuracy = measured
+            .evaluate(model, eval, &DatapathAssignment::uniform(EXACT_COMPONENT))
+            .expect("uniform exact assignment covers every site");
+        eprintln!(
+            "[faults] {} {} — exact-datapath baseline {:.3} on {} samples, {} site(s){}",
+            t.provenance.label(),
+            model.name(),
+            baseline_accuracy,
+            eval.len(),
+            sites.len(),
+            if skipped_sites > 0 {
+                format!(" ({skipped_sites} skipped by --max-sites)")
+            } else {
+                String::new()
+            }
+        );
+
+        // Weight-code faults only make sense where a stored code backs the
+        // MAC: the non-routing MacOutput sites.
+        let trial_lists: Vec<Vec<SiteFault>> = sites
+            .iter()
+            .map(|(_, kind, in_routing)| {
+                trial_faults(self, *kind == OpKind::MacOutput && !in_routing)
+            })
+            .collect();
+
+        // Characterize each distinct fault spec once, preferring the
+        // cached table (stored at the same characterization sample count).
+        let mut chars: BTreeMap<String, FaultChar> = BTreeMap::new();
+        for fault in trial_lists.iter().flatten() {
+            chars.entry(fault.spec()).or_insert_with_key(|spec| {
+                (t.payload.fault_table.iter())
+                    .find(|c| c.spec == *spec && c.samples == char_samples as u64)
+                    .cloned()
+                    .unwrap_or_else(|| {
+                        characterize_fault(
+                            fault,
+                            &t.payload.activation_codes,
+                            &weights_pool,
+                            char_samples,
+                            seed ^ 0xfa17,
+                        )
+                    })
+            });
         }
-    );
 
-    // Weight-code faults only make sense where a stored code backs the
-    // MAC: the non-routing MacOutput sites.
-    let trial_lists: Vec<Vec<SiteFault>> = sites
-        .iter()
-        .map(|(_, kind, in_routing)| trial_faults(cfg, *kind == OpKind::MacOutput && !in_routing))
-        .collect();
-
-    // Characterize each distinct fault spec once, preferring the
-    // cached table (stored at the same characterization sample count).
-    let mut chars: BTreeMap<String, FaultChar> = BTreeMap::new();
-    for fault in trial_lists.iter().flatten() {
-        let spec = fault.spec();
-        if let std::collections::btree_map::Entry::Vacant(slot) = chars.entry(spec) {
-            let cached = payload
-                .fault_table
-                .iter()
-                .find(|c| c.spec == *slot.key() && c.samples == cfg.characterization_samples as u64)
-                .cloned();
-            slot.insert(cached.unwrap_or_else(|| {
-                characterize_fault(
-                    fault,
-                    &payload.activation_codes,
-                    &weights_pool,
-                    cfg.characterization_samples,
-                    cfg.seed ^ 0xfa17,
-                )
-            }));
-        }
-    }
-
-    // Flatten (site, trial) and fan out. Every per-trial quantity
-    // derives only from (seed, arch identity, site index, trial
-    // index) — never from the worker that computed it.
-    let flat: Vec<(usize, usize)> = trial_lists
-        .iter()
-        .enumerate()
-        .flat_map(|(si, list)| (0..list.len()).map(move |ti| (si, ti)))
-        .collect();
-    let trials: Vec<FaultTrial> = par::map_with(
-        flat.len(),
-        || (),
-        |(), k| {
-            let (si, ti) = flat[k];
-            let (layer, kind, in_routing) = &sites[si];
-            let fault = &trial_lists[si][ti];
-            let plan_seed = mix64(
-                cfg.seed ^ 0xfa17_5eed,
-                (arch.seed_tag() << 32) | si as u64,
-                ti as u64,
-            );
-            let plan = FaultPlan::identity(plan_seed).with(
-                layer.clone(),
-                *kind,
-                *in_routing,
-                fault.clone(),
-            );
-            let backend = FaultMeasured::over(&measured, plan, cfg.fail_soft);
-            let (accuracy, downgraded, error) = match backend.evaluate(&model, &eval, &assignment) {
-                Ok(acc) => {
-                    let downgraded = backend
-                        .downgraded_sites(&assignment)
-                        .expect("evaluation already resolved this assignment");
-                    (Some(acc), downgraded, None)
+        // Flatten (site, trial) and fan out. Every per-trial quantity
+        // derives only from (seed, arch identity, site index, trial
+        // index) — never from the worker that computed it.
+        let flat: Vec<(usize, usize)> = trial_lists
+            .iter()
+            .enumerate()
+            .flat_map(|(si, list)| (0..list.len()).map(move |ti| (si, ti)))
+            .collect();
+        let trials: Vec<FaultTrial> = par::map_with(
+            flat.len(),
+            || (),
+            |(), k| {
+                let (si, ti) = flat[k];
+                let (layer, kind, in_routing) = &sites[si];
+                let fault = &trial_lists[si][ti];
+                let plan_seed = mix64(
+                    seed ^ 0xfa17_5eed,
+                    (arch.seed_tag() << 32) | si as u64,
+                    ti as u64,
+                );
+                let plan = FaultPlan::identity(plan_seed).with(
+                    layer.clone(),
+                    *kind,
+                    *in_routing,
+                    fault.clone(),
+                );
+                let (accuracy, downgraded, error) = score(&t, plan, self.fail_soft);
+                FaultTrial {
+                    site: sites[si].clone(),
+                    fault: fault.clone(),
+                    plan_seed,
+                    characterization: chars[&fault.spec()].clone(),
+                    accuracy,
+                    downgraded,
+                    error,
                 }
-                Err(e) => (None, Vec::new(), Some(e.to_string())),
-            };
-            FaultTrial {
-                site: sites[si].clone(),
-                fault: fault.clone(),
+            },
+        );
+
+        // The correlated scenario: one fault per swept site, all in ONE
+        // plan, chosen deterministically from each site's own trial list.
+        // Dead-output faults only join the plan under fail-soft — in
+        // strict mode a single dead site would turn the whole combined
+        // row into a refusal.
+        let combined = {
+            let plan_seed = mix64(seed ^ 0xfa17_5eed, arch.seed_tag(), 0xc0b1);
+            let mut plan = FaultPlan::identity(plan_seed);
+            let mut faults = Vec::with_capacity(sites.len());
+            for (si, list) in trial_lists.iter().enumerate() {
+                let candidates: Vec<&SiteFault> = list
+                    .iter()
+                    .filter(|f| self.fail_soft || f.model != FaultModel::DeadOutput)
+                    .collect();
+                if candidates.is_empty() {
+                    continue;
+                }
+                let pick = mix64(seed ^ 0xc0b1_4ed5, (arch.seed_tag() << 32) | si as u64, 0)
+                    % candidates.len() as u64;
+                let fault = candidates[pick as usize].clone();
+                let (layer, kind, in_routing) = &sites[si];
+                plan = plan.with(layer.clone(), *kind, *in_routing, fault.clone());
+                faults.push((sites[si].clone(), fault));
+            }
+            let (accuracy, downgraded, error) = score(&t, plan, self.fail_soft);
+            CombinedPlanTrial {
+                faults,
                 plan_seed,
-                characterization: chars[&fault.spec()].clone(),
                 accuracy,
                 downgraded,
                 error,
             }
-        },
-    );
-
-    // The correlated scenario: one fault per swept site, all in ONE
-    // plan, chosen deterministically from each site's own trial list.
-    // Dead-output faults only join the plan under fail-soft — in
-    // strict mode a single dead site would turn the whole combined
-    // row into a refusal.
-    let combined = {
-        let plan_seed = mix64(cfg.seed ^ 0xfa17_5eed, arch.seed_tag(), 0xc0b1);
-        let mut plan = FaultPlan::identity(plan_seed);
-        let mut faults = Vec::with_capacity(sites.len());
-        for (si, list) in trial_lists.iter().enumerate() {
-            let candidates: Vec<&SiteFault> = list
-                .iter()
-                .filter(|f| cfg.fail_soft || f.model != FaultModel::DeadOutput)
-                .collect();
-            if candidates.is_empty() {
-                continue;
-            }
-            let pick = mix64(
-                cfg.seed ^ 0xc0b1_4ed5,
-                (arch.seed_tag() << 32) | si as u64,
-                0,
-            ) % candidates.len() as u64;
-            let fault = candidates[pick as usize].clone();
-            let (layer, kind, in_routing) = &sites[si];
-            plan = plan.with(layer.clone(), *kind, *in_routing, fault.clone());
-            faults.push((sites[si].clone(), fault));
-        }
-        let backend = FaultMeasured::over(&measured, plan, cfg.fail_soft);
-        let (accuracy, downgraded, error) = match backend.evaluate(&model, &eval, &assignment) {
-            Ok(acc) => {
-                let downgraded = backend
-                    .downgraded_sites(&assignment)
-                    .expect("evaluation already resolved this assignment");
-                (Some(acc), downgraded, None)
-            }
-            Err(e) => (None, Vec::new(), Some(e.to_string())),
         };
-        CombinedPlanTrial {
-            faults,
-            plan_seed,
-            accuracy,
-            downgraded,
-            error,
-        }
-    };
-    eprintln!(
-        "[faults] {} combined plan over {} site(s): {}",
-        arch.label(),
-        combined.faults.len(),
-        match (combined.accuracy, &combined.error) {
-            (Some(acc), _) => format!(
-                "accuracy {:.3} (drop {:+.1} pp)",
-                acc,
-                (baseline_accuracy - acc) * 100.0
-            ),
-            (None, Some(e)) => format!("refused: {e}"),
-            (None, None) => "no faults injected".to_string(),
-        }
-    );
-
-    let sites = summarize_sites(&sites, &trial_lists, &trials, baseline_accuracy);
-    for s in &sites {
         eprintln!(
-            "[faults] {} {:<12} {:>12}{}  max drop {:+.1} pp  mean {:+.1} pp{}",
+            "[faults] {} combined plan over {} site(s): {}",
             arch.label(),
-            s.site.0,
-            op_slug(s.site.1),
-            if s.site.2 { "@routing" } else { "" },
-            s.max_drop_pp,
-            s.mean_drop_pp,
-            match s.critical_bit {
-                Some(bit) => format!("  critical weight bit {bit}"),
-                None => String::new(),
+            combined.faults.len(),
+            match (combined.accuracy, &combined.error) {
+                (Some(acc), _) => format!(
+                    "accuracy {:.3} (drop {:+.1} pp)",
+                    acc,
+                    (baseline_accuracy - acc) * 100.0
+                ),
+                (None, Some(e)) => format!("refused: {e}"),
+                (None, None) => "no faults injected".to_string(),
             }
         );
-    }
 
-    FaultsArchOutcome {
-        arch,
-        model_name: model.name(),
-        baseline_accuracy,
-        trials,
-        sites,
-        combined,
-        skipped_sites,
-        provenance,
+        let sites = summarize_sites(&sites, &trial_lists, &trials, baseline_accuracy);
+        for s in &sites {
+            eprintln!(
+                "[faults] {} {:<12} {:>12}{}  max drop {:+.1} pp  mean {:+.1} pp{}",
+                arch.label(),
+                s.site.0,
+                op_slug(s.site.1),
+                if s.site.2 { "@routing" } else { "" },
+                s.max_drop_pp,
+                s.mean_drop_pp,
+                match s.critical_bit {
+                    Some(bit) => format!("  critical weight bit {bit}"),
+                    None => String::new(),
+                }
+            );
+        }
+
+        FaultsArchOutcome {
+            arch,
+            model_name: model.name(),
+            baseline_accuracy,
+            trials,
+            sites,
+            combined,
+            skipped_sites,
+            provenance: t.provenance,
+        }
+    }
+}
+
+/// Scores one fault plan on the exact datapath: its accuracy and the
+/// sites fail-soft downgraded, or the backend's refusal.
+fn score<M: CapsModel + Clone + Send + Sync>(
+    t: &Trained<'_, M>,
+    plan: FaultPlan,
+    fail_soft: bool,
+) -> (Option<f64>, Vec<SiteKey>, Option<String>) {
+    let assignment = DatapathAssignment::uniform(EXACT_COMPONENT);
+    let backend = FaultMeasured::over(&t.measured, plan, fail_soft);
+    match backend.evaluate(&t.model, &t.eval, &assignment) {
+        Ok(acc) => {
+            let downgraded = backend
+                .downgraded_sites(&assignment)
+                .expect("evaluation already resolved this assignment");
+            (Some(acc), downgraded, None)
+        }
+        Err(e) => (None, Vec::new(), Some(e.to_string())),
     }
 }
 
@@ -731,13 +647,27 @@ fn op_slug(kind: OpKind) -> &'static str {
     }
 }
 
-/// A site key as a self-contained JSON object.
-fn site_to_json(site: &SiteKey) -> Value {
-    Value::Obj(vec![
+/// A site key's JSON fields.
+fn site_fields(site: &SiteKey) -> [(String, Value); 3] {
+    [
         ("layer".into(), Value::from(site.0.clone())),
         ("op".into(), Value::from(op_slug(site.1))),
         ("in_routing".into(), Value::Bool(site.2)),
-    ])
+    ]
+}
+
+/// A fault's JSON fields.
+fn fault_fields(fault: &SiteFault) -> [(String, Value); 3] {
+    [
+        ("target".into(), Value::from(fault.target.label())),
+        ("fault".into(), Value::from(fault.model.label())),
+        ("spec".into(), Value::from(fault.spec())),
+    ]
+}
+
+/// `value` as JSON, `null` when absent.
+fn or_null<T: Into<Value>>(value: Option<T>) -> Value {
+    value.map_or(Value::Null, Into::into)
 }
 
 /// The fields every `faults` JSON line leads with.
@@ -748,13 +678,13 @@ fn row_head(cfg: &FaultsConfig, arch: &FaultsArchOutcome, row: &str) -> Vec<(Str
         // multi-site plan) after the per-site rows.
         ("schema_version".into(), Value::from(2usize)),
         ("row".into(), Value::from(row)),
-        ("benchmark".into(), Value::from(cfg.benchmark.name())),
+        ("benchmark".into(), Value::from(cfg.spec.benchmark.name())),
         // String: u64 seeds above 2^53 would round through a JSON number.
-        ("seed".into(), Value::from(cfg.seed.to_string())),
+        ("seed".into(), Value::from(cfg.spec.seed.to_string())),
         ("arch".into(), Value::from(arch.arch.label())),
         ("model".into(), Value::from(arch.model_name.clone())),
         ("fail_soft".into(), Value::Bool(cfg.fail_soft)),
-        ("eval_samples".into(), Value::from(cfg.eval_samples)),
+        ("eval_samples".into(), Value::from(cfg.spec.eval_samples)),
         (
             "baseline_accuracy".into(),
             Value::from(arch.baseline_accuracy),
@@ -762,16 +692,35 @@ fn row_head(cfg: &FaultsConfig, arch: &FaultsArchOutcome, row: &str) -> Vec<(Str
     ]
 }
 
+/// The fields a scored plan's JSON line ends with: accuracy, drop
+/// against the baseline, fail-soft downgrades and the refusal.
+fn score_fields(
+    arch: &FaultsArchOutcome,
+    accuracy: Option<f64>,
+    downgraded: &[SiteKey],
+    error: &Option<String>,
+) -> [(String, Value); 4] {
+    let downgraded = downgraded
+        .iter()
+        .map(|site| Value::Obj(site_fields(site).to_vec()))
+        .collect();
+    [
+        ("accuracy".into(), or_null(accuracy)),
+        (
+            "drop_pp".into(),
+            or_null(accuracy.map(|a| (arch.baseline_accuracy - a) * 100.0)),
+        ),
+        ("downgraded".into(), Value::Arr(downgraded)),
+        ("error".into(), or_null(error.clone())),
+    ]
+}
+
 /// Serializes one trial as a self-contained JSON line.
 pub fn fault_trial_to_json(cfg: &FaultsConfig, arch: &FaultsArchOutcome, t: &FaultTrial) -> Value {
     let mut fields = row_head(cfg, arch, "trial");
+    fields.extend(site_fields(&t.site));
+    fields.extend(fault_fields(&t.fault));
     fields.extend([
-        ("layer".into(), Value::from(t.site.0.clone())),
-        ("op".into(), Value::from(op_slug(t.site.1))),
-        ("in_routing".into(), Value::Bool(t.site.2)),
-        ("target".into(), Value::from(t.fault.target.label())),
-        ("fault".into(), Value::from(t.fault.model.label())),
-        ("spec".into(), Value::from(t.fault.spec())),
         ("plan_seed".into(), Value::from(t.plan_seed.to_string())),
         (
             "char_samples".into(),
@@ -785,32 +734,8 @@ pub fn fault_trial_to_json(cfg: &FaultsConfig, arch: &FaultsArchOutcome, t: &Fau
             "char_rms_err".into(),
             Value::from(t.characterization.rms_err),
         ),
-        (
-            "accuracy".into(),
-            match t.accuracy {
-                Some(a) => Value::from(a),
-                None => Value::Null,
-            },
-        ),
-        (
-            "drop_pp".into(),
-            match t.accuracy {
-                Some(a) => Value::from((arch.baseline_accuracy - a) * 100.0),
-                None => Value::Null,
-            },
-        ),
-        (
-            "downgraded".into(),
-            Value::Arr(t.downgraded.iter().map(site_to_json).collect()),
-        ),
-        (
-            "error".into(),
-            match &t.error {
-                Some(e) => Value::from(e.clone()),
-                None => Value::Null,
-            },
-        ),
     ]);
+    fields.extend(score_fields(arch, t.accuracy, &t.downgraded, &t.error));
     Value::Obj(fields)
 }
 
@@ -821,24 +746,16 @@ pub fn site_criticality_to_json(
     s: &SiteCriticality,
 ) -> Value {
     let mut fields = row_head(cfg, arch, "site_criticality");
+    fields.extend(site_fields(&s.site));
     fields.extend([
-        ("layer".into(), Value::from(s.site.0.clone())),
-        ("op".into(), Value::from(op_slug(s.site.1))),
-        ("in_routing".into(), Value::Bool(s.site.2)),
         ("trials".into(), Value::from(s.trials)),
         (
             "critical_bit".into(),
-            match s.critical_bit {
-                Some(b) => Value::from(b as usize),
-                None => Value::Null,
-            },
+            or_null(s.critical_bit.map(|b| b as usize)),
         ),
         (
             "critical_bit_drop_pp".into(),
-            match s.critical_bit_drop_pp {
-                Some(d) => Value::from(d),
-                None => Value::Null,
-            },
+            or_null(s.critical_bit_drop_pp),
         ),
         ("max_drop_pp".into(), Value::from(s.max_drop_pp)),
         ("mean_drop_pp".into(), Value::from(s.mean_drop_pp)),
@@ -857,14 +774,9 @@ pub fn combined_plan_to_json(
         .faults
         .iter()
         .map(|(site, fault)| {
-            Value::Obj(vec![
-                ("layer".into(), Value::from(site.0.clone())),
-                ("op".into(), Value::from(op_slug(site.1))),
-                ("in_routing".into(), Value::Bool(site.2)),
-                ("target".into(), Value::from(fault.target.label())),
-                ("fault".into(), Value::from(fault.model.label())),
-                ("spec".into(), Value::from(fault.spec())),
-            ])
+            let mut entry = site_fields(site).to_vec();
+            entry.extend(fault_fields(fault));
+            Value::Obj(entry)
         })
         .collect();
     let mut fields = row_head(cfg, arch, "combined_plan");
@@ -872,32 +784,8 @@ pub fn combined_plan_to_json(
         ("faulted_sites".into(), Value::from(t.faults.len())),
         ("faults".into(), Value::Arr(faults)),
         ("plan_seed".into(), Value::from(t.plan_seed.to_string())),
-        (
-            "accuracy".into(),
-            match t.accuracy {
-                Some(a) => Value::from(a),
-                None => Value::Null,
-            },
-        ),
-        (
-            "drop_pp".into(),
-            match t.accuracy {
-                Some(a) => Value::from((arch.baseline_accuracy - a) * 100.0),
-                None => Value::Null,
-            },
-        ),
-        (
-            "downgraded".into(),
-            Value::Arr(t.downgraded.iter().map(site_to_json).collect()),
-        ),
-        (
-            "error".into(),
-            match &t.error {
-                Some(e) => Value::from(e.clone()),
-                None => Value::Null,
-            },
-        ),
     ]);
+    fields.extend(score_fields(arch, t.accuracy, &t.downgraded, &t.error));
     Value::Obj(fields)
 }
 
@@ -924,20 +812,15 @@ pub fn faults_to_json_lines(outcome: &FaultsOutcome) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session;
     use redcane::report::json;
 
     /// Serializes tests that mutate the process-wide thread override.
     static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn tiny(archs: Vec<QdpArch>) -> FaultsConfig {
+    fn tiny(archs: Vec<Arch>) -> FaultsConfig {
         FaultsConfig {
-            archs,
-            train: 60,
-            test: 24,
-            epochs: 1,
-            calib_samples: 8,
-            eval_samples: 12,
-            characterization_samples: 500,
+            spec: session::tiny(archs),
             stuck_bits: vec![3, 7],
             bers: vec![5e-2],
             acc_bits: vec![30],
@@ -945,7 +828,6 @@ mod tests {
             dead: true,
             max_sites: Some(2),
             fail_soft: true,
-            ..FaultsConfig::smoke()
         }
     }
 
@@ -1012,7 +894,7 @@ mod tests {
 
     #[test]
     fn faults_emits_trial_and_site_rows_with_failsoft_downgrades() {
-        let outcome = run_faults(&tiny(vec![QdpArch::CapsNet]));
+        let outcome = run_faults(&tiny(vec![Arch::CapsNet]));
         let arch = &outcome.archs[0];
         assert_eq!(arch.sites.len(), 2, "max_sites caps the sweep");
         assert!(arch.skipped_sites > 0, "CapsNet has more than two sites");
@@ -1086,7 +968,7 @@ mod tests {
     fn strict_mode_reports_dead_sites_as_errors() {
         let cfg = FaultsConfig {
             fail_soft: false,
-            ..tiny(vec![QdpArch::CapsNet])
+            ..tiny(vec![Arch::CapsNet])
         };
         let outcome = run_faults(&cfg);
         let arch = &outcome.archs[0];
@@ -1129,8 +1011,8 @@ mod tests {
     /// both-arch run at the same seed.
     #[test]
     fn single_arch_run_reproduces_the_both_arch_rows() {
-        let both = run_faults(&tiny(vec![QdpArch::CapsNet, QdpArch::DeepCaps]));
-        let solo = run_faults(&tiny(vec![QdpArch::DeepCaps]));
+        let both = run_faults(&tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
+        let solo = run_faults(&tiny(vec![Arch::DeepCaps]));
         assert_eq!(
             solo.archs[0].baseline_accuracy,
             both.archs[1].baseline_accuracy
@@ -1148,10 +1030,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("redcane-bench-faults-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = FaultsConfig {
-            artifacts: Some(dir.clone()),
-            ..tiny(vec![QdpArch::CapsNet])
-        };
+        let mut cfg = tiny(vec![Arch::CapsNet]);
+        cfg.spec.artifacts = Some(dir.clone());
         let dump = |cfg: &FaultsConfig| {
             let outcome = run_faults(cfg);
             let lines: Vec<String> = faults_to_json_lines(&outcome)
@@ -1164,10 +1044,8 @@ mod tests {
         assert_eq!(cold_prov, Provenance::Trained);
         let (warm_prov, warm) = dump(&cfg);
         assert_eq!(warm_prov, Provenance::Restored);
-        let (uncached_prov, uncached) = dump(&FaultsConfig {
-            artifacts: None,
-            ..cfg.clone()
-        });
+        cfg.spec.artifacts = None;
+        let (uncached_prov, uncached) = dump(&cfg);
         assert_eq!(uncached_prov, Provenance::Trained);
         assert_eq!(cold, warm, "restore changed the output");
         assert_eq!(cold, uncached, "the store changed the output");
@@ -1179,7 +1057,7 @@ mod tests {
     #[test]
     fn json_is_byte_identical_across_thread_counts() {
         let _guard = THREADS_LOCK.lock().unwrap();
-        let cfg = tiny(vec![QdpArch::CapsNet]);
+        let cfg = tiny(vec![Arch::CapsNet]);
         let dump = |threads: usize| {
             par::set_threads(threads);
             let lines: Vec<String> = faults_to_json_lines(&run_faults(&cfg))

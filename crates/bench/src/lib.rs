@@ -25,6 +25,7 @@ pub mod perf;
 pub mod profile;
 pub mod qdp;
 pub mod serve;
+pub mod session;
 
 use redcane::prelude::*;
 use redcane::report::json::Value;

@@ -30,9 +30,11 @@
 use std::path::PathBuf;
 
 use redcane::report::json::Value;
+use redcane_artifacts::Provenance;
 use redcane_trace as trace;
 
 use crate::cli::next_value;
+use crate::session::Arch;
 
 /// Profile schema version.
 pub const PROFILE_SCHEMA_VERSION: usize = 1;
@@ -132,6 +134,18 @@ impl ProfileArgs {
         }
         Ok(())
     }
+}
+
+/// The session benches' `meta`: each architecture's artifact-store
+/// provenance (`trained` or `restored`), keyed by its label.
+pub fn provenance_meta(
+    archs: impl IntoIterator<Item = (Arch, Provenance)>,
+) -> Vec<(String, Value)> {
+    let per_arch = archs
+        .into_iter()
+        .map(|(arch, provenance)| (arch.label().to_string(), Value::from(provenance.label())))
+        .collect();
+    vec![("provenance".to_string(), Value::Obj(per_arch))]
 }
 
 /// The byte-comparable subset of a profile document: everything except

@@ -2,13 +2,15 @@
 //! per approximate multiplier **and for the heterogeneous Step-6
 //! design**, for both of the paper's architectures.
 //!
-//! For every component of the axmul library and every selected
-//! architecture (CapsNet and DeepCaps) this scores the same uniform
+//! Every architecture comes from the shared [`crate::session`]:
+//! trained (or restored), calibrated and lowered once. For every
+//! selected library component this scores the same uniform
 //! [`DatapathAssignment`] on the two [`AccuracyBackend`]s:
 //!
-//! 1. **Measured** ([`QuantMeasured`]) — end-to-end inference through
-//!    `redcane-qdp`'s 8-bit datapath with the component's behavioral
-//!    model serving every MAC multiply (ground truth);
+//! 1. **Measured** ([`QuantMeasured`](redcane_qdp::QuantMeasured)) —
+//!    end-to-end inference through `redcane-qdp`'s 8-bit datapath with
+//!    the component's behavioral model serving every MAC multiply
+//!    (ground truth);
 //! 2. **Predicted** ([`NoisePredicted`]) — the float network with the
 //!    paper's Gaussian noise model (Eq. 3) at the MAC-output group,
 //!    parameterized by the component's `(NA, NM)` characterized over
@@ -18,114 +20,48 @@
 //! With `heterogeneous` enabled (the default), each architecture
 //! additionally runs the full ReD-CaNe methodology and re-scores the
 //! winning per-layer design on the measured backend
-//! ([`RedCaNe::run_with_measured`]), emitting one extra JSON line whose
+//! (`Trained::step6_design`), emitting one extra JSON line whose
 //! `predicted_drop_pp` / `measured_drop_pp` close the paper's
 //! validation loop for the *heterogeneous* output — not just
 //! single-component sweeps.
 //!
 //! One JSON line per `(architecture, component-or-design)`; schema v3.
 //! The per-component evaluations fan out over `redcane_tensor::par`
-//! workers sharing one lowered [`QModel`] and one [`LutCache`] (64 KiB
-//! per distinct multiplier); every quantity derives only from the seed,
+//! workers sharing one lowered program and one LUT cache (64 KiB per
+//! distinct multiplier); every quantity derives only from the seed,
 //! the architecture tag and the component index, so the JSON output is
 //! byte-identical at every `REDCANE_THREADS` setting.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use redcane::datapath::{AccuracyBackend, DatapathAssignment, NoisePredicted};
 use redcane::report::group_slug;
 use redcane::report::json::Value;
-use redcane::{ApproxDesign, MethodologyConfig, RedCaNe, SelectionConfig, SweepConfig};
-use redcane_artifacts::{
-    fingerprint, load_or_train, ArtifactKey, ArtifactPayload, ArtifactStore, ComponentNoise,
-    Provenance,
-};
-use redcane_axmul::library::{ComponentEntry, MultiplierLibrary};
-use redcane_axmul::{InputDistribution, LutCache, NoiseParams};
-use redcane_capsnet::{
-    evaluate_clean, train, CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig, TrainConfig,
-};
-use redcane_datasets::{generate, Benchmark, Dataset, DatasetPair, GenerateConfig};
-use redcane_qdp::{CalibrationObserver, QModel, QuantMeasured, QuantRanges};
-use redcane_tensor::{par, TensorRng};
+use redcane::ApproxDesign;
+use redcane_artifacts::Provenance;
+use redcane_axmul::library::ComponentEntry;
+use redcane_axmul::NoiseParams;
+use redcane_capsnet::{evaluate_clean, CapsModel};
+use redcane_tensor::par;
 use redcane_trace as trace;
 
-/// Values retained per MAC-input site for the empirical operand pools.
-const CALIB_SAMPLES_PER_SITE: usize = 512;
-/// Cap on the quantized-weight operand pool.
-pub(crate) const WEIGHT_POOL_CODES: usize = 4096;
+use crate::cli::{next_value, Args, SessionConfig};
+use crate::session::{Arch, BenchSpec, PerArch, Session, Trained};
 
-/// Which architecture a `qdp` sweep runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QdpArch {
-    /// The original CapsNet (Sabour et al.), small config.
-    CapsNet,
-    /// The 17-layer DeepCaps (Rajasegaran et al.), small config.
-    DeepCaps,
-}
-
-impl QdpArch {
-    /// Stable lower-case label used in the JSON schema and CLI flags.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QdpArch::CapsNet => "capsnet",
-            QdpArch::DeepCaps => "deepcaps",
-        }
-    }
-
-    /// Stable seed offset tied to the architecture's *identity* (not
-    /// its position in `QdpConfig::archs`), so `--arch deepcaps`
-    /// reproduces exactly the deepcaps rows of an `--arch both` run at
-    /// the same seed.
-    pub(crate) fn seed_tag(&self) -> u64 {
-        match self {
-            QdpArch::CapsNet => 0,
-            QdpArch::DeepCaps => 1,
-        }
-    }
-}
-
-/// Configuration of a `qdp` comparison run; fully determined by its
-/// fields, so equal configs give equal outcomes.
+/// Configuration of a `qdp` comparison run: the shared [`BenchSpec`]
+/// plus the component subset and the heterogeneous re-score; fully
+/// determined by its fields, so equal configs give equal outcomes.
 #[derive(Debug, Clone)]
 pub struct QdpConfig {
-    /// Which benchmark family to synthesize.
-    pub benchmark: Benchmark,
-    /// Master seed (dataset, init, training, characterization, noise).
-    pub seed: u64,
-    /// Architectures to sweep, in output order.
-    pub archs: Vec<QdpArch>,
-    /// Training samples to generate.
-    pub train: usize,
-    /// Test samples to generate.
-    pub test: usize,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Clean training inputs swept through the float network to
-    /// calibrate the quantization ranges.
-    pub calib_samples: usize,
-    /// Test-subset size both the measured and predicted evaluations
-    /// run on.
-    pub eval_samples: usize,
+    /// The trained model and eval subset.
+    pub spec: BenchSpec,
     /// Restrict the sweep to these component names (`None` = the whole
     /// 35-entry library).
     pub components: Option<Vec<String>>,
-    /// Samples per component `(NA, NM)` characterization.
-    pub characterization_samples: usize,
     /// Also run the six-step methodology per architecture and re-score
     /// its heterogeneous Step-6 design on the measured backend (one
     /// extra JSON line per architecture).
     pub heterogeneous: bool,
-    /// Trained-artifact store directory: restore trained weights,
-    /// calibrated ranges, the characterized `(NA, NM)` table and the
-    /// calibration operand pool when a valid entry exists; train and
-    /// persist otherwise. `None` disables the store.
-    pub artifacts: Option<PathBuf>,
 }
 
 impl QdpConfig {
@@ -133,20 +69,9 @@ impl QdpConfig {
     /// architectures, models trained well above chance.
     pub fn smoke() -> Self {
         QdpConfig {
-            benchmark: Benchmark::MnistLike,
-            seed: 1,
-            archs: vec![QdpArch::CapsNet, QdpArch::DeepCaps],
-            train: 600,
-            test: 150,
-            epochs: 6,
-            batch_size: 16,
-            lr: 2e-3,
-            calib_samples: 64,
-            eval_samples: 40,
+            spec: BenchSpec::smoke(),
             components: None,
-            characterization_samples: 4000,
             heterogeneous: true,
-            artifacts: None,
         }
     }
 
@@ -154,21 +79,42 @@ impl QdpConfig {
     /// both architectures, scaled-down training.
     pub fn quick() -> Self {
         QdpConfig {
-            train: 200,
-            test: 60,
-            epochs: 3,
-            calib_samples: 32,
-            eval_samples: 30,
+            spec: BenchSpec::quick(),
             components: Some(vec!["mul8u_1JFF".to_string(), "mul8u_NGR".to_string()]),
-            characterization_samples: 2000,
             ..QdpConfig::smoke()
         }
     }
 }
 
-impl Default for QdpConfig {
-    fn default() -> Self {
-        QdpConfig::smoke()
+impl SessionConfig for QdpConfig {
+    fn spec_mut(&mut self) -> &mut BenchSpec {
+        &mut self.spec
+    }
+
+    /// Keeps `--components` and `--[no-]heterogeneous`.
+    fn quick_keeping(self) -> Self {
+        QdpConfig {
+            spec: self.spec.quick_keeping(),
+            components: self.components.or(QdpConfig::quick().components),
+            heterogeneous: self.heterogeneous,
+        }
+    }
+
+    fn match_flag(&mut self, flag: &str, args: &mut Args) -> Option<Result<(), String>> {
+        match flag {
+            "--components" => Some(next_value(args, flag).map(|v| {
+                self.components = Some(v.split(',').map(|s| s.trim().to_string()).collect());
+            })),
+            "--heterogeneous" => {
+                self.heterogeneous = true;
+                Some(Ok(()))
+            }
+            "--no-heterogeneous" => {
+                self.heterogeneous = false;
+                Some(Ok(()))
+            }
+            _ => None,
+        }
     }
 }
 
@@ -194,7 +140,7 @@ pub struct QdpRow {
 #[derive(Debug, Clone)]
 pub struct QdpArchOutcome {
     /// The architecture swept.
-    pub arch: QdpArch,
+    pub arch: Arch,
     /// Model display name.
     pub model_name: String,
     /// Float (accurate, full-precision) accuracy on the eval subset —
@@ -229,17 +175,18 @@ impl QdpArchOutcome {
 pub struct QdpOutcome {
     /// The configuration that produced it.
     pub config: QdpConfig,
-    /// One sweep per configured architecture, in `config.archs` order.
+    /// One sweep per configured architecture, in `config.spec.archs`
+    /// order.
     pub archs: Vec<QdpArchOutcome>,
     /// Total wall-clock seconds.
     pub total_s: f64,
 }
 
-/// Runs dataset generation → training → calibration → the
-/// per-component measured/predicted sweep (and the heterogeneous
-/// design re-score) for every configured architecture,
-/// deterministically from `cfg.seed` (and independent of the
-/// worker-thread count).
+/// Runs the shared session (dataset generation → training or restore
+/// → calibration → lowering) and then the per-component
+/// measured/predicted sweep (and the heterogeneous design re-score) for
+/// every configured architecture, deterministically from the seed (and
+/// independent of the worker-thread count).
 ///
 /// # Panics
 ///
@@ -247,82 +194,24 @@ pub struct QdpOutcome {
 /// not in the library, or if calibration fails (it cannot on finite
 /// trained weights).
 pub fn run_qdp(cfg: &QdpConfig) -> QdpOutcome {
-    assert!(cfg.train > 0, "qdp needs training samples");
-    assert!(
-        cfg.test > 0 && cfg.eval_samples > 0,
-        "qdp needs test samples"
-    );
-    assert!(cfg.calib_samples > 0, "qdp needs calibration samples");
-    assert!(!cfg.archs.is_empty(), "qdp needs at least one architecture");
     let t0 = Instant::now();
-
-    let pair = generate(
-        cfg.benchmark,
-        &GenerateConfig {
-            train: cfg.train,
-            test: cfg.test,
-            seed: cfg.seed,
-        },
-    );
-    let library = MultiplierLibrary::evo_approx_like();
-    // One 64 KiB table per library component, tabulated once and shared
-    // by every architecture's backend (the cache is model-independent;
-    // cloning only copies Arc handles).
-    let luts = LutCache::tabulate_all(&library);
+    let session = Session::open(&cfg.spec, "qdp");
     let entries: Vec<&ComponentEntry> = match &cfg.components {
         Some(names) => names
             .iter()
             .map(|n| {
-                library
+                session
+                    .library
                     .find(n)
                     .unwrap_or_else(|| panic!("unknown component '{n}'"))
             })
             .collect(),
-        None => library.iter().collect(),
+        None => session.library.iter().collect(),
     };
-
-    let (channels, height, _) = cfg.benchmark.geometry();
-    let store = cfg.artifacts.as_ref().map(ArtifactStore::new);
-    let archs = cfg
-        .archs
-        .iter()
-        .map(|&arch| {
-            let mut rng = TensorRng::from_seed(
-                cfg.seed
-                    .wrapping_mul(0x9e37_79b9)
-                    .wrapping_add(7 + arch.seed_tag()),
-            );
-            match arch {
-                QdpArch::CapsNet => {
-                    let model = CapsNet::new(&CapsNetConfig::small(channels, height), &mut rng);
-                    sweep_arch(
-                        cfg,
-                        arch,
-                        model,
-                        &pair,
-                        &library,
-                        &luts,
-                        &entries,
-                        store.as_ref(),
-                    )
-                }
-                QdpArch::DeepCaps => {
-                    let model = DeepCaps::new(&DeepCapsConfig::small(channels, height), &mut rng);
-                    sweep_arch(
-                        cfg,
-                        arch,
-                        model,
-                        &pair,
-                        &library,
-                        &luts,
-                        &entries,
-                        store.as_ref(),
-                    )
-                }
-            }
-        })
-        .collect();
-
+    let archs = session.run(&Sweep {
+        cfg,
+        entries: &entries,
+    });
     QdpOutcome {
         config: cfg.clone(),
         archs,
@@ -330,297 +219,105 @@ pub fn run_qdp(cfg: &QdpConfig) -> QdpOutcome {
     }
 }
 
-/// The training/calibration knobs the `qdp` and `faults` benches
-/// share. Both derive the same artifact key from them, so one trained
-/// artifact — weights, calibrated ranges, the calibration operand
-/// pool, the `(NA, NM)` noise table and the fault-characterization
-/// table — serves either bench, whichever trains first.
-pub(crate) struct TrainKnobs<'a> {
-    pub benchmark: Benchmark,
-    pub seed: u64,
-    pub train: usize,
-    pub test: usize,
-    pub epochs: usize,
-    pub batch_size: usize,
-    pub lr: f32,
-    pub calib_samples: usize,
-    pub characterization_samples: usize,
-    pub library: &'a MultiplierLibrary,
+/// One architecture's sweep over the selected components.
+struct Sweep<'a> {
+    cfg: &'a QdpConfig,
+    entries: &'a [&'a ComponentEntry],
 }
 
-impl<'a> TrainKnobs<'a> {
-    fn from_qdp(cfg: &QdpConfig, library: &'a MultiplierLibrary) -> Self {
-        TrainKnobs {
-            benchmark: cfg.benchmark,
-            seed: cfg.seed,
-            train: cfg.train,
-            test: cfg.test,
-            epochs: cfg.epochs,
-            batch_size: cfg.batch_size,
-            lr: cfg.lr,
-            calib_samples: cfg.calib_samples,
-            characterization_samples: cfg.characterization_samples,
-            library,
-        }
-    }
+impl PerArch for Sweep<'_> {
+    type Out = QdpArchOutcome;
 
-    /// The shared artifact key. The fingerprint pins every knob the
-    /// trained content depends on; the component subsets, fault grids
-    /// and evaluation knobs deliberately don't invalidate it.
-    pub(crate) fn key(&self, arch: QdpArch) -> ArtifactKey {
-        ArtifactKey::new(
-            arch.label(),
-            self.benchmark.name(),
-            self.seed,
-            self.epochs,
-            fingerprint(&format!(
-                "qdp-v1;train={};test={};batch={};lr={:08x};calib={}",
-                self.train,
-                self.test,
-                self.batch_size,
-                self.lr.to_bits(),
-                self.calib_samples
-            )),
-        )
-    }
-
-    /// The producer `load_or_train` falls back to on a store miss:
-    /// train, calibrate, then characterize the WHOLE multiplier library
-    /// (so later runs with any `--components` subset restore their
-    /// `(NA, NM)` rows from the same table) and the canonical
-    /// fault-model set over this run's empirical operand pools.
-    pub(crate) fn produce<M: CapsModel + Clone + Send + Sync>(
+    fn run<M: CapsModel + Clone + Send + Sync + 'static>(
         &self,
-        m: &mut M,
-        pair: &DatasetPair,
-    ) -> ArtifactPayload {
-        let report = train(
-            m,
-            &pair.train,
-            &TrainConfig {
-                epochs: self.epochs,
-                batch_size: self.batch_size,
-                lr: self.lr,
-                seed: self.seed ^ 0x71a1,
-                verbose: false,
-            },
+        t: Trained<'_, M>,
+    ) -> QdpArchOutcome {
+        let spec = &self.cfg.spec;
+        let float_accuracy = evaluate_clean(&t.model, &t.eval);
+        eprintln!(
+            "[qdp] {} {} — float baseline {:.3} on {} samples",
+            t.provenance.label(),
+            t.model.name(),
+            float_accuracy,
+            t.eval.len()
         );
-        // Calibrate through the generic pipeline, retaining MAC-input
-        // samples for the empirical operand pools.
-        let mut obs = CalibrationObserver::with_samples(CALIB_SAMPLES_PER_SITE);
-        for sample in pair.train.samples.iter().take(self.calib_samples) {
-            let _ = m.forward(&sample.image, &mut obs);
-        }
-        let ranges = obs
-            .ranges(8)
-            .expect("calibration succeeds on trained activations");
-        let activations = obs.sampled_input_codes(&ranges);
-        let qmodel = QModel::lower(m, &ranges).expect("every site calibrated");
-        let dist = operand_distribution(activations.clone(), &qmodel);
-        let noise_table = self
-            .library
+
+        // Per-component noise parameters come from the stored table; a
+        // row missing there (e.g. the table was characterized with a
+        // different sample count) is characterized live — same numbers,
+        // just not cached.
+        let nanm: Vec<NoiseParams> = self
+            .entries
             .iter()
             .map(|entry| {
-                let np =
-                    entry.characterize(&dist, self.characterization_samples, self.seed ^ 0xc0de);
-                ComponentNoise {
-                    component: entry.name().to_string(),
-                    samples: self.characterization_samples as u64,
-                    na: np.na,
-                    nm: np.nm,
-                }
+                t.payload
+                    .noise_table
+                    .iter()
+                    .find(|c| {
+                        c.component == entry.name()
+                            && c.samples == spec.characterization_samples as u64
+                    })
+                    .map(|c| NoiseParams { na: c.na, nm: c.nm })
+                    .unwrap_or_else(|| {
+                        let dist = t.operand_distribution();
+                        entry.characterize(&dist, spec.characterization_samples, spec.seed ^ 0xc0de)
+                    })
             })
             .collect();
-        let weights = qmodel.weight_code_sample(WEIGHT_POOL_CODES);
-        let fault_table = crate::faults::characterize_canonical(
-            &activations,
-            &weights,
-            self.characterization_samples,
-            self.seed ^ 0xfa17,
-        );
-        ArtifactPayload {
-            epoch_losses: report.epoch_losses,
-            train_accuracy: report.train_accuracy,
-            ranges: ranges.to_entries(),
-            noise_table,
-            activation_codes: activations,
-            fault_table,
+
+        let rows = {
+            let _s = trace::span("score");
+            sweep_components(&t, self.entries, &nanm)
+        };
+        for row in &rows {
+            eprintln!(
+                "[qdp] {} {:<14} nm {:.5}  measured {:.3}  predicted {:.3}",
+                t.arch.label(),
+                row.component,
+                row.nm,
+                row.measured_accuracy,
+                row.predicted_accuracy
+            );
         }
-    }
-}
 
-/// Trains (or restores), lowers **once**, and sweeps one architecture.
-/// Generic over the concrete model so training and the noise-injected
-/// evaluation reuse the shared capsnet machinery.
-#[allow(clippy::too_many_arguments)]
-fn sweep_arch<M: CapsModel + Clone + Send + Sync + 'static>(
-    cfg: &QdpConfig,
-    arch: QdpArch,
-    mut model: M,
-    pair: &DatasetPair,
-    library: &MultiplierLibrary,
-    luts: &LutCache,
-    entries: &[&ComponentEntry],
-    store: Option<&ArtifactStore>,
-) -> QdpArchOutcome {
-    let _arch_span = trace::span(arch.label());
-    // Everything seed-determined and expensive goes through the
-    // artifact store: trained weights, calibrated ranges, the
-    // calibration operand pool and the full library's characterized
-    // `(NA, NM)` table. The fingerprint pins the training/calibration
-    // knobs; the component subset and evaluation knobs deliberately
-    // don't invalidate it.
-    let knobs = TrainKnobs::from_qdp(cfg, library);
-    let key = knobs.key(arch);
-    let (payload, provenance) = {
-        let _s = trace::span("train");
-        load_or_train(store, &key, &mut model, |m| knobs.produce(m, pair))
-    };
+        // The heterogeneous loop: the methodology's winning per-layer
+        // design, scored on BOTH backends through the same trait.
+        let design = self.cfg.heterogeneous.then(|| {
+            let design = t.step6_design();
+            eprintln!(
+                "[qdp] {} heterogeneous   predicted drop {:+.2} pp  measured drop {:+.2} pp  \
+                 (mean power saving {:.1}%)",
+                t.arch.label(),
+                design.predicted_drop_pp(),
+                design.measured_drop_pp().expect("measured backend ran"),
+                design.mean_power_saving * 100.0,
+            );
+            design
+        });
 
-    let eval = pair.test.take(cfg.eval_samples);
-    let float_accuracy = evaluate_clean(&model, &eval);
-    eprintln!(
-        "[qdp] {} {} — float baseline {:.3} on {} samples",
-        provenance.label(),
-        model.name(),
-        float_accuracy,
-        eval.len()
-    );
-
-    // Lower the (trained or restored) network once; rebuild the
-    // paper's "Real ΔX" operand distribution from the stored activation
-    // pool plus the (deterministic) quantized weight codes.
-    let lower_span = trace::span("lower");
-    let ranges = QuantRanges::from_entries(&payload.ranges);
-    let qmodel = QModel::lower(&model, &ranges).expect("every site calibrated");
-    drop(lower_span);
-    let dist = operand_distribution(payload.activation_codes.clone(), &qmodel);
-
-    // Per-component noise parameters come from the stored table; a row
-    // missing there (e.g. the table was characterized with a different
-    // sample count) is characterized live — same numbers, just not
-    // cached.
-    let nanm: Vec<NoiseParams> = entries
-        .iter()
-        .map(|entry| {
-            payload
-                .noise_table
-                .iter()
-                .find(|c| {
-                    c.component == entry.name() && c.samples == cfg.characterization_samples as u64
-                })
-                .map(|c| NoiseParams { na: c.na, nm: c.nm })
-                .unwrap_or_else(|| {
-                    entry.characterize(&dist, cfg.characterization_samples, cfg.seed ^ 0xc0de)
-                })
-        })
-        .collect();
-
-    // One lowered program + the shared component tables: every uniform
-    // row, the design re-score, and every worker thread use the same
-    // cache.
-    let measured = QuantMeasured::new(qmodel, luts.clone());
-
-    let rows = {
-        let _s = trace::span("score");
-        sweep_components(
-            cfg,
-            arch.seed_tag(),
-            &model,
-            &measured,
-            &eval,
-            entries,
-            &nanm,
-        )
-    };
-    for row in &rows {
-        eprintln!(
-            "[qdp] {} {:<14} nm {:.5}  measured {:.3}  predicted {:.3}",
-            arch.label(),
-            row.component,
-            row.nm,
-            row.measured_accuracy,
-            row.predicted_accuracy
-        );
-    }
-
-    // The heterogeneous loop: run the six-step methodology on the eval
-    // subset and score its winning per-layer design on BOTH backends
-    // through the same trait.
-    let design = cfg.heterogeneous.then(|| {
-        let _s = trace::span("methodology");
-        let methodology = RedCaNe::with_library(
-            MethodologyConfig {
-                sweep: SweepConfig {
-                    nm_values: vec![0.5, 0.05, 0.005],
-                    na: 0.0,
-                    seed: cfg.seed ^ 0x6e01 ^ (arch.seed_tag() << 16),
-                    max_test_samples: None,
-                    threads: par::num_threads(),
-                },
-                selection: SelectionConfig {
-                    characterization_samples: cfg.characterization_samples,
-                    seed: cfg.seed ^ 0xc0de,
-                    ..Default::default()
-                },
-                input_distribution: Some(dist.clone()),
-            },
-            library.clone(),
-        );
-        let design = methodology
-            .run_with_measured(&model, &eval, &measured)
-            .design;
-        eprintln!(
-            "[qdp] {} heterogeneous   predicted drop {:+.2} pp  measured drop {:+.2} pp  \
-             (mean power saving {:.1}%)",
-            arch.label(),
-            design.predicted_drop_pp(),
-            design.measured_drop_pp().expect("measured backend ran"),
-            design.mean_power_saving * 100.0,
-        );
-        design
-    });
-
-    QdpArchOutcome {
-        arch,
-        model_name: model.name(),
-        float_accuracy,
-        rows,
-        design,
-        provenance,
-    }
-}
-
-/// The empirical operand distribution for component characterization:
-/// quantized activation codes retained during calibration against the
-/// lowered program's quantized weight codes; uniform when either pool
-/// is empty.
-pub(crate) fn operand_distribution(activations: Vec<u8>, qmodel: &QModel) -> InputDistribution {
-    let weights = qmodel.weight_code_sample(WEIGHT_POOL_CODES);
-    if activations.is_empty() || weights.is_empty() {
-        InputDistribution::Uniform
-    } else {
-        InputDistribution::Empirical {
-            activations,
-            weights,
+        QdpArchOutcome {
+            arch: t.arch,
+            model_name: t.model.name(),
+            float_accuracy,
+            rows,
+            design,
+            provenance: t.provenance,
         }
     }
 }
 
 /// The per-component measured/predicted evaluations, fanned out over
 /// [`par::map_with`] workers. Every per-component quantity derives
-/// only from `cfg.seed`, the architecture tag and the component
+/// only from the seed, the architecture tag and the component
 /// index — never from the worker that computed it — so the rows are
 /// byte-identical at every thread count.
 fn sweep_components<M: CapsModel + Clone + Send + Sync>(
-    cfg: &QdpConfig,
-    arch_tag: u64,
-    model: &M,
-    measured: &QuantMeasured,
-    eval: &Dataset,
+    t: &Trained<'_, M>,
     entries: &[&ComponentEntry],
     nanm: &[NoiseParams],
 ) -> Vec<QdpRow> {
+    let (model, eval) = (&t.model, &t.eval);
+    let (seed, arch_tag) = (t.session.spec.seed, t.arch.seed_tag());
     par::map_with(
         entries.len(),
         || (),
@@ -629,14 +326,15 @@ fn sweep_components<M: CapsModel + Clone + Send + Sync>(
             let assignment = DatapathAssignment::uniform(entry.name());
             // Measured: the component inside every MAC of the shared
             // lowered datapath (ground truth).
-            let measured_accuracy = measured
+            let measured_accuracy = t
+                .measured
                 .evaluate(model, eval, &assignment)
                 .expect("uniform assignment covers every site");
             // Predicted: the same assignment on the noise backend, with
             // this component's characterized (NA, NM) from the shared
             // (possibly artifact-restored) table.
             let np = nanm[idx];
-            let predictor = NoisePredicted::new(cfg.seed ^ 0x5eed ^ idx as u64 ^ (arch_tag << 32))
+            let predictor = NoisePredicted::new(seed ^ 0x5eed ^ idx as u64 ^ (arch_tag << 32))
                 .with_component(entry.name(), np.nm, np.na);
             let predicted_accuracy = predictor
                 .evaluate(model, eval, &assignment)
@@ -653,42 +351,51 @@ fn sweep_components<M: CapsModel + Clone + Send + Sync>(
     )
 }
 
-/// Serializes one component's comparison as a self-contained JSON line.
-pub fn qdp_row_to_json(cfg: &QdpConfig, arch: &QdpArchOutcome, row: &QdpRow) -> Value {
-    Value::Obj(vec![
+/// One `qdp` JSON line: the shared head, the row's `component` and own
+/// fields, then the float baseline and the measured and predicted
+/// `(accuracy, drop_pp)`.
+fn qdp_line(
+    cfg: &QdpConfig,
+    arch: &QdpArchOutcome,
+    component: &str,
+    own: Vec<(String, Value)>,
+    [measured, predicted]: [(f64, f64); 2],
+) -> Value {
+    let mut fields = vec![
         ("bench".into(), Value::from("qdp")),
         // v3: heterogeneous design rows (component = "heterogeneous")
         // alongside the per-component rows; both drops go through the
         // AccuracyBackend trait.
         ("schema_version".into(), Value::from(3usize)),
-        ("benchmark".into(), Value::from(cfg.benchmark.name())),
+        ("benchmark".into(), Value::from(cfg.spec.benchmark.name())),
         // String: u64 seeds above 2^53 would round through a JSON number.
-        ("seed".into(), Value::from(cfg.seed.to_string())),
+        ("seed".into(), Value::from(cfg.spec.seed.to_string())),
         ("arch".into(), Value::from(arch.arch.label())),
         ("model".into(), Value::from(arch.model_name.clone())),
-        ("eval_samples".into(), Value::from(cfg.eval_samples)),
-        ("component".into(), Value::from(row.component.clone())),
+        ("eval_samples".into(), Value::from(cfg.spec.eval_samples)),
+        ("component".into(), Value::from(component)),
+    ];
+    fields.extend(own);
+    fields.extend([
+        ("float_accuracy".into(), Value::from(arch.float_accuracy)),
+        ("measured_accuracy".into(), Value::from(measured.0)),
+        ("measured_drop_pp".into(), Value::from(measured.1)),
+        ("predicted_accuracy".into(), Value::from(predicted.0)),
+        ("predicted_drop_pp".into(), Value::from(predicted.1)),
+    ]);
+    Value::Obj(fields)
+}
+
+/// Serializes one component's comparison as a self-contained JSON line.
+pub fn qdp_row_to_json(cfg: &QdpConfig, arch: &QdpArchOutcome, row: &QdpRow) -> Value {
+    let own = vec![
         ("power_uw".into(), Value::from(row.power_uw)),
         ("nm".into(), Value::from(row.nm)),
         ("na".into(), Value::from(row.na)),
-        ("float_accuracy".into(), Value::from(arch.float_accuracy)),
-        (
-            "measured_accuracy".into(),
-            Value::from(row.measured_accuracy),
-        ),
-        (
-            "measured_drop_pp".into(),
-            Value::from(arch.measured_drop_pp(row)),
-        ),
-        (
-            "predicted_accuracy".into(),
-            Value::from(row.predicted_accuracy),
-        ),
-        (
-            "predicted_drop_pp".into(),
-            Value::from(arch.predicted_drop_pp(row)),
-        ),
-    ])
+    ];
+    let measured = (row.measured_accuracy, arch.measured_drop_pp(row));
+    let predicted = (row.predicted_accuracy, arch.predicted_drop_pp(row));
+    qdp_line(cfg, arch, &row.component, own, [measured, predicted])
 }
 
 /// Serializes one architecture's heterogeneous-design re-score as a
@@ -705,38 +412,19 @@ pub fn qdp_design_to_json(cfg: &QdpConfig, arch: &QdpArchOutcome, design: &Appro
             ])
         })
         .collect();
-    Value::Obj(vec![
-        ("bench".into(), Value::from("qdp")),
-        ("schema_version".into(), Value::from(3usize)),
-        ("benchmark".into(), Value::from(cfg.benchmark.name())),
-        ("seed".into(), Value::from(cfg.seed.to_string())),
-        ("arch".into(), Value::from(arch.arch.label())),
-        ("model".into(), Value::from(arch.model_name.clone())),
-        ("eval_samples".into(), Value::from(cfg.eval_samples)),
-        ("component".into(), Value::from("heterogeneous")),
+    let own = vec![
         ("design_components".into(), Value::Arr(components)),
         (
             "mean_power_saving".into(),
             Value::from(design.mean_power_saving),
         ),
-        ("float_accuracy".into(), Value::from(arch.float_accuracy)),
-        (
-            "measured_accuracy".into(),
-            Value::from(design.measured_accuracy.expect("design was re-scored")),
-        ),
-        (
-            "measured_drop_pp".into(),
-            Value::from(design.measured_drop_pp().expect("design was re-scored")),
-        ),
-        (
-            "predicted_accuracy".into(),
-            Value::from(design.predicted_accuracy),
-        ),
-        (
-            "predicted_drop_pp".into(),
-            Value::from(design.predicted_drop_pp()),
-        ),
-    ])
+    ];
+    let measured = (
+        design.measured_accuracy.expect("design was re-scored"),
+        design.measured_drop_pp().expect("design was re-scored"),
+    );
+    let predicted = (design.predicted_accuracy, design.predicted_drop_pp());
+    qdp_line(cfg, arch, "heterogeneous", own, [measured, predicted])
 }
 
 /// All rows of an outcome as JSON lines: architectures in config
@@ -762,29 +450,23 @@ pub fn qdp_to_json_lines(outcome: &QdpOutcome) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session;
     use redcane::report::json;
 
     /// Serializes tests that mutate the process-wide thread override.
     static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn tiny(archs: Vec<QdpArch>) -> QdpConfig {
+    fn tiny(archs: Vec<Arch>) -> QdpConfig {
         QdpConfig {
-            archs,
-            train: 60,
-            test: 24,
-            epochs: 1,
-            calib_samples: 8,
-            eval_samples: 12,
-            characterization_samples: 500,
+            spec: session::tiny(archs),
             components: Some(vec!["mul8u_1JFF".to_string(), "mul8u_QKX".to_string()]),
             heterogeneous: false,
-            ..QdpConfig::smoke()
         }
     }
 
     #[test]
     fn qdp_emits_one_self_contained_line_per_arch_and_component() {
-        let outcome = run_qdp(&tiny(vec![QdpArch::CapsNet, QdpArch::DeepCaps]));
+        let outcome = run_qdp(&tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
         assert_eq!(outcome.archs.len(), 2);
         let lines = qdp_to_json_lines(&outcome);
         assert_eq!(lines.len(), 4, "2 archs × 2 components");
@@ -825,7 +507,7 @@ mod tests {
 
     #[test]
     fn exact_component_predicts_zero_drop_and_small_measured_drop() {
-        let outcome = run_qdp(&tiny(vec![QdpArch::CapsNet]));
+        let outcome = run_qdp(&tiny(vec![Arch::CapsNet]));
         let arch = &outcome.archs[0];
         let exact = &arch.rows[0];
         assert_eq!(exact.component, "mul8u_1JFF");
@@ -845,7 +527,7 @@ mod tests {
     fn heterogeneous_design_row_reports_both_drops() {
         let cfg = QdpConfig {
             heterogeneous: true,
-            ..tiny(vec![QdpArch::CapsNet])
+            ..tiny(vec![Arch::CapsNet])
         };
         let outcome = run_qdp(&cfg);
         let arch = &outcome.archs[0];
@@ -887,8 +569,8 @@ mod tests {
     /// both-arch run at the same seed (debuggability of CI artifacts).
     #[test]
     fn single_arch_run_reproduces_the_both_arch_rows() {
-        let both = run_qdp(&tiny(vec![QdpArch::CapsNet, QdpArch::DeepCaps]));
-        let solo = run_qdp(&tiny(vec![QdpArch::DeepCaps]));
+        let both = run_qdp(&tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
+        let solo = run_qdp(&tiny(vec![Arch::DeepCaps]));
         assert_eq!(solo.archs[0].float_accuracy, both.archs[1].float_accuracy);
         assert_eq!(solo.archs[0].rows, both.archs[1].rows);
     }
@@ -901,11 +583,11 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("redcane-bench-qdp-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = QdpConfig {
+        let mut cfg = QdpConfig {
             heterogeneous: true,
-            artifacts: Some(dir.clone()),
-            ..tiny(vec![QdpArch::CapsNet])
+            ..tiny(vec![Arch::CapsNet])
         };
+        cfg.spec.artifacts = Some(dir.clone());
         let dump = |cfg: &QdpConfig| {
             let outcome = run_qdp(cfg);
             let lines: Vec<String> = qdp_to_json_lines(&outcome)
@@ -918,10 +600,8 @@ mod tests {
         assert_eq!(cold_prov, Provenance::Trained);
         let (warm_prov, warm) = dump(&cfg);
         assert_eq!(warm_prov, Provenance::Restored);
-        let (uncached_prov, uncached) = dump(&QdpConfig {
-            artifacts: None,
-            ..cfg.clone()
-        });
+        cfg.spec.artifacts = None;
+        let (uncached_prov, uncached) = dump(&cfg);
         assert_eq!(uncached_prov, Provenance::Trained);
         assert_eq!(cold, warm, "restore changed the output");
         assert_eq!(cold, uncached, "the store changed the output");
@@ -936,7 +616,7 @@ mod tests {
         let _guard = THREADS_LOCK.lock().unwrap();
         let cfg = QdpConfig {
             heterogeneous: true,
-            ..tiny(vec![QdpArch::CapsNet])
+            ..tiny(vec![Arch::CapsNet])
         };
         let dump = |threads: usize| {
             par::set_threads(threads);

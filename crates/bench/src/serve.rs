@@ -2,17 +2,17 @@
 //! `redcane-serve`'s dynamic batcher, for both of the paper's
 //! architectures under several datapath assignments.
 //!
-//! Each architecture is trained (or restored — the trained-artifact
-//! key is shared with the `qdp`/`faults` benches, so CI's cached qdp
-//! artifacts warm this bench without retraining), lowered once, and
-//! served under up to three assignments:
+//! Each architecture comes from the shared [`crate::session`] — trained,
+//! or restored from the artifact the `qdp`/`faults` benches store under
+//! the same key — lowered once, and served under up to three
+//! assignments:
 //!
 //! - **exact** — the exact multiplier at every site (baseline);
 //! - **cheapest** — the lowest-power library component other than the
 //!   exact one, uniformly;
 //! - **step6** — the ReD-CaNe methodology's winning heterogeneous
-//!   per-layer design, re-derived exactly as the `qdp` bench does
-//!   (same seeds, same distribution), then served.
+//!   per-layer design, from the same `Trained::step6_design` the `qdp`
+//!   bench re-scores, then served.
 //!
 //! A seeded open-loop client load drives the engine: the request
 //! stream (per-request model, eval-pool sample and arrival offset) is
@@ -30,7 +30,6 @@
 //! particular run. [`serve_to_json_lines_stable`] strips the volatile
 //! fields ([`VOLATILE_ROW_KEYS`]) so CI can `cmp` the rest.
 
-use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -38,50 +37,27 @@ use std::time::{Duration, Instant};
 use redcane::datapath::DatapathAssignment;
 use redcane::faults::mix64;
 use redcane::report::json::Value;
-use redcane::{MethodologyConfig, RedCaNe, SelectionConfig, SweepConfig};
-use redcane_artifacts::{load_or_train, ArtifactStore, Provenance};
-use redcane_axmul::{LutCache, MultiplierLibrary};
-use redcane_capsnet::{CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig};
-use redcane_datasets::{generate, Benchmark, Dataset, DatasetPair, GenerateConfig};
-use redcane_qdp::{QModel, QuantMeasured, QuantRanges};
+use redcane_artifacts::Provenance;
+use redcane_capsnet::CapsModel;
 use redcane_serve::{Engine, Response, ServeConfig};
-use redcane_tensor::{par, TensorRng};
+use redcane_tensor::par;
 use redcane_trace as trace;
 
-use crate::qdp::{operand_distribution, QdpArch, TrainKnobs};
+use crate::cli::{next_parsed, require_nonzero, Args, SessionConfig};
+use crate::session::{Arch, BenchSpec, PerArch, Session, Trained};
 
 /// The exact multiplier: the baseline assignment, and what "cheapest"
 /// is defined against.
 const EXACT_COMPONENT: &str = "mul8u_1JFF";
 
-/// Configuration of a `serve` bench run; the request stream and every
-/// stable output field are fully determined by these fields.
+/// Configuration of a `serve` bench run: the shared [`BenchSpec`] plus
+/// the load and batcher shape; the request stream and every stable
+/// output field are fully determined by these fields.
 #[derive(Debug, Clone)]
 pub struct ServeBenchConfig {
-    /// Which benchmark family to synthesize.
-    pub benchmark: Benchmark,
-    /// Master seed (dataset, init, training, request stream).
-    pub seed: u64,
-    /// Architectures to serve, in output order.
-    pub archs: Vec<QdpArch>,
-    /// Training samples to generate.
-    pub train: usize,
-    /// Test samples to generate.
-    pub test: usize,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Clean training inputs swept through the float network to
-    /// calibrate the quantization ranges.
-    pub calib_samples: usize,
-    /// Samples per component characterization (step6 selection).
-    pub characterization_samples: usize,
-    /// Size of the eval pool requests draw their inputs (and ground
-    /// truth labels) from.
-    pub eval_samples: usize,
+    /// The trained model and the eval pool requests draw their inputs
+    /// (and ground-truth labels) from.
+    pub spec: BenchSpec,
     /// Requests per architecture's serving session.
     pub requests: usize,
     /// Concurrent client threads feeding the queue.
@@ -101,28 +77,14 @@ pub struct ServeBenchConfig {
     /// Also serve the Step-6 heterogeneous design (runs the full
     /// methodology per architecture — the expensive assignment).
     pub step6: bool,
-    /// Trained-artifact store directory (shared with the `qdp` and
-    /// `faults` benches); `None` disables the store.
-    pub artifacts: Option<PathBuf>,
 }
 
 impl ServeBenchConfig {
     /// The full seeded run: both architectures under all three
-    /// assignments, models trained well above chance. Training knobs
-    /// match `QdpConfig::smoke()`, so the artifact key is shared.
+    /// assignments, models trained well above chance.
     pub fn smoke() -> Self {
         ServeBenchConfig {
-            benchmark: Benchmark::MnistLike,
-            seed: 1,
-            archs: vec![QdpArch::CapsNet, QdpArch::DeepCaps],
-            train: 600,
-            test: 150,
-            epochs: 6,
-            batch_size: 16,
-            lr: 2e-3,
-            calib_samples: 64,
-            characterization_samples: 4000,
-            eval_samples: 40,
+            spec: BenchSpec::smoke(),
             requests: 96,
             clients: 4,
             workers: None,
@@ -130,22 +92,15 @@ impl ServeBenchConfig {
             max_wait_us: None,
             arrival_rate_rps: 2000.0,
             step6: true,
-            artifacts: None,
         }
     }
 
-    /// CI-sized: scaled-down training matching `QdpConfig::quick()` —
-    /// so CI's qdp-trained artifacts warm this bench — exact and
-    /// cheapest assignments only (the methodology run is the one
-    /// expensive, already-qdp-covered stage).
+    /// CI-sized: the quick spec, exact and cheapest assignments only
+    /// (the methodology run is the one expensive, already-qdp-covered
+    /// stage).
     pub fn quick() -> Self {
         ServeBenchConfig {
-            train: 200,
-            test: 60,
-            epochs: 3,
-            calib_samples: 32,
-            characterization_samples: 2000,
-            eval_samples: 30,
+            spec: BenchSpec::quick(),
             requests: 48,
             clients: 2,
             max_batch: 4,
@@ -155,9 +110,39 @@ impl ServeBenchConfig {
     }
 }
 
-impl Default for ServeBenchConfig {
-    fn default() -> Self {
-        ServeBenchConfig::smoke()
+impl SessionConfig for ServeBenchConfig {
+    fn spec_mut(&mut self) -> &mut BenchSpec {
+        &mut self.spec
+    }
+
+    /// Keeps none of the load or batcher flags: `--quick` resets them.
+    fn quick_keeping(self) -> Self {
+        ServeBenchConfig {
+            spec: self.spec.quick_keeping(),
+            ..ServeBenchConfig::quick()
+        }
+    }
+
+    fn match_flag(&mut self, flag: &str, args: &mut Args) -> Option<Result<(), String>> {
+        let count =
+            |args: &mut Args| next_parsed(args, flag).and_then(|v: usize| require_nonzero(v, flag));
+        Some(match flag {
+            "--requests" => count(args).map(|v| self.requests = v),
+            "--clients" => count(args).map(|v| self.clients = v),
+            "--workers" => count(args).map(|v| self.workers = Some(v)),
+            "--max-batch" => count(args).map(|v| self.max_batch = v),
+            "--max-wait-us" => next_parsed(args, flag).map(|v: u64| self.max_wait_us = Some(v)),
+            "--rate" => next_parsed(args, flag).map(|v: f64| self.arrival_rate_rps = v),
+            "--step6" => {
+                self.step6 = true;
+                Ok(())
+            }
+            "--no-step6" => {
+                self.step6 = false;
+                Ok(())
+            }
+            _ => return None,
+        })
     }
 }
 
@@ -236,7 +221,7 @@ impl AssignmentServed {
 #[derive(Debug, Clone)]
 pub struct ServeArchOutcome {
     /// The architecture served.
-    pub arch: QdpArch,
+    pub arch: Arch,
     /// Model display name.
     pub model_name: String,
     /// Per-assignment results, in assignment order.
@@ -260,8 +245,8 @@ pub struct ServeArchOutcome {
 pub struct ServeOutcome {
     /// The configuration that produced it.
     pub config: ServeBenchConfig,
-    /// One session per configured architecture, in `config.archs`
-    /// order.
+    /// One session per configured architecture, in
+    /// `config.spec.archs` order.
     pub archs: Vec<ServeArchOutcome>,
     /// Serving seconds summed over sessions — the `--budget-s`
     /// tripwire metric (training/restore time excluded, so cold and
@@ -286,19 +271,20 @@ struct RequestSpec {
 /// never of timing, so the stable fields survive any scheduling.
 fn request_stream(
     cfg: &ServeBenchConfig,
-    arch: QdpArch,
+    arch: Arch,
     models: usize,
     pool: usize,
 ) -> Vec<RequestSpec> {
+    let seed = cfg.spec.seed;
     let mean_gap_us = (1e6 / cfg.arrival_rate_rps.max(1e-3)) as u64;
     let mut arrival_us = 0u64;
     (0..cfg.requests as u64)
         .map(|r| {
             let tag = arch.seed_tag();
-            arrival_us += mix64(cfg.seed ^ 0x5e12_4a11, tag, r) % (2 * mean_gap_us + 1);
+            arrival_us += mix64(seed ^ 0x5e12_4a11, tag, r) % (2 * mean_gap_us + 1);
             RequestSpec {
-                model: (mix64(cfg.seed ^ 0x5e12_0001, tag, r) % models as u64) as usize,
-                sample: (mix64(cfg.seed ^ 0x5e12_0002, tag, r) % pool as u64) as usize,
+                model: (mix64(seed ^ 0x5e12_0001, tag, r) % models as u64) as usize,
+                sample: (mix64(seed ^ 0x5e12_0002, tag, r) % pool as u64) as usize,
                 arrival_us,
             }
         })
@@ -319,68 +305,22 @@ fn fnv_fold(hash: u64, request: u64, prediction: u64) -> u64 {
     h
 }
 
-/// Runs dataset generation → training (or restore) → engine
-/// construction → one open-loop serving session per architecture.
-/// Every stable field derives only from the seed and the architecture
-/// identity — never from worker count, client interleaving or batcher
-/// timing.
+/// Runs the shared session (dataset generation → training or restore
+/// → lowering), then engine construction and one open-loop serving
+/// session per architecture. Every stable field derives only from the
+/// seed and the architecture identity — never from worker count, client
+/// interleaving or batcher timing.
 ///
 /// # Panics
 ///
 /// Panics on empty train/test/eval/request/client/arch settings or a
 /// zero `max_batch`.
 pub fn run_serve(cfg: &ServeBenchConfig) -> ServeOutcome {
-    assert!(cfg.train > 0, "serve needs training samples");
-    assert!(
-        cfg.test > 0 && cfg.eval_samples > 0,
-        "serve needs an eval pool"
-    );
     assert!(cfg.requests > 0, "serve needs requests");
     assert!(cfg.clients > 0, "serve needs client threads");
     assert!(cfg.max_batch > 0, "serve needs a batch ceiling");
-    assert!(
-        !cfg.archs.is_empty(),
-        "serve needs at least one architecture"
-    );
     let t0 = Instant::now();
-
-    let pair = generate(
-        cfg.benchmark,
-        &GenerateConfig {
-            train: cfg.train,
-            test: cfg.test,
-            seed: cfg.seed,
-        },
-    );
-    let library = MultiplierLibrary::evo_approx_like();
-    let luts = LutCache::tabulate_all(&library);
-    let (channels, height, _) = cfg.benchmark.geometry();
-    let store = cfg.artifacts.as_ref().map(ArtifactStore::new);
-
-    let archs: Vec<ServeArchOutcome> = cfg
-        .archs
-        .iter()
-        .map(|&arch| {
-            // Same per-arch init seed as the qdp/faults benches: the
-            // shared artifact key must describe the same trained model.
-            let mut rng = TensorRng::from_seed(
-                cfg.seed
-                    .wrapping_mul(0x9e37_79b9)
-                    .wrapping_add(7 + arch.seed_tag()),
-            );
-            match arch {
-                QdpArch::CapsNet => {
-                    let model = CapsNet::new(&CapsNetConfig::small(channels, height), &mut rng);
-                    serve_arch(cfg, arch, model, &pair, &library, &luts, store.as_ref())
-                }
-                QdpArch::DeepCaps => {
-                    let model = DeepCaps::new(&DeepCapsConfig::small(channels, height), &mut rng);
-                    serve_arch(cfg, arch, model, &pair, &library, &luts, store.as_ref())
-                }
-            }
-        })
-        .collect();
-
+    let archs: Vec<ServeArchOutcome> = Session::open(&cfg.spec, "serve").run(cfg);
     ServeOutcome {
         config: cfg.clone(),
         serve_s: archs.iter().map(|a| a.serve_s).sum(),
@@ -391,26 +331,16 @@ pub fn run_serve(cfg: &ServeBenchConfig) -> ServeOutcome {
 
 /// The assignments one architecture serves: `(label, component,
 /// assignment)` — exact, cheapest, and (optionally) the Step-6 design.
-#[allow(clippy::too_many_arguments)]
-fn build_assignments<M: CapsModel + Clone + Send + Sync + 'static>(
+fn build_assignments<M: CapsModel + Clone + Send + Sync>(
     cfg: &ServeBenchConfig,
-    arch: QdpArch,
-    model: &M,
-    eval: &Dataset,
-    qmodel: &QModel,
-    activation_codes: Vec<u8>,
-    library: &MultiplierLibrary,
-    luts: &LutCache,
+    t: &Trained<'_, M>,
 ) -> Vec<(String, String, DatapathAssignment)> {
-    let cheapest = library
+    let cheapest = t
+        .session
+        .library
         .iter()
         .filter(|e| e.name() != EXACT_COMPONENT)
-        .min_by(|a, b| {
-            a.cost()
-                .power_uw
-                .partial_cmp(&b.cost().power_uw)
-                .expect("finite power")
-        })
+        .min_by(|a, b| a.cost().power_uw.total_cmp(&b.cost().power_uw))
         .expect("library has more than one component")
         .name()
         .to_string();
@@ -427,31 +357,8 @@ fn build_assignments<M: CapsModel + Clone + Send + Sync + 'static>(
         ),
     ];
     if cfg.step6 {
-        // Re-derive the qdp bench's Step-6 design: same seeds, same
-        // empirical operand distribution, same measured re-score — the
-        // serving engine then runs what the methodology selected.
-        let _s = trace::span("methodology");
-        let dist = operand_distribution(activation_codes, qmodel);
-        let measured = QuantMeasured::new(qmodel.clone(), luts.clone());
-        let methodology = RedCaNe::with_library(
-            MethodologyConfig {
-                sweep: SweepConfig {
-                    nm_values: vec![0.5, 0.05, 0.005],
-                    na: 0.0,
-                    seed: cfg.seed ^ 0x6e01 ^ (arch.seed_tag() << 16),
-                    max_test_samples: None,
-                    threads: par::num_threads(),
-                },
-                selection: SelectionConfig {
-                    characterization_samples: cfg.characterization_samples,
-                    seed: cfg.seed ^ 0xc0de,
-                    ..Default::default()
-                },
-                input_distribution: Some(dist),
-            },
-            library.clone(),
-        );
-        let design = methodology.run_with_measured(model, eval, &measured).design;
+        // The serving engine runs what the methodology selected.
+        let design = t.step6_design();
         out.push((
             "step6".to_string(),
             "heterogeneous".to_string(),
@@ -461,193 +368,168 @@ fn build_assignments<M: CapsModel + Clone + Send + Sync + 'static>(
     out
 }
 
-/// Trains (or restores), lowers once, builds the engine, and runs one
-/// architecture's open-loop serving session.
-fn serve_arch<M: CapsModel + Clone + Send + Sync + 'static>(
-    cfg: &ServeBenchConfig,
-    arch: QdpArch,
-    mut model: M,
-    pair: &DatasetPair,
-    library: &MultiplierLibrary,
-    luts: &LutCache,
-    store: Option<&ArtifactStore>,
-) -> ServeArchOutcome {
-    let _arch_span = trace::span(arch.label());
-    let knobs = TrainKnobs {
-        benchmark: cfg.benchmark,
-        seed: cfg.seed,
-        train: cfg.train,
-        test: cfg.test,
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        lr: cfg.lr,
-        calib_samples: cfg.calib_samples,
-        characterization_samples: cfg.characterization_samples,
-        library,
-    };
-    let key = knobs.key(arch);
-    let (payload, provenance) = {
-        let _s = trace::span("train");
-        load_or_train(store, &key, &mut model, |m| knobs.produce(m, pair))
-    };
+/// One architecture's open-loop serving session: builds the engine
+/// over the assignments, then drives it with the seeded stream.
+impl PerArch for ServeBenchConfig {
+    type Out = ServeArchOutcome;
 
-    let eval = pair.test.take(cfg.eval_samples);
-    let ranges = QuantRanges::from_entries(&payload.ranges);
-    let qmodel = QModel::lower(&model, &ranges).expect("every site calibrated");
-    let assignments = build_assignments(
-        cfg,
-        arch,
-        &model,
-        &eval,
-        &qmodel,
-        payload.activation_codes.clone(),
-        library,
-        luts,
-    );
-    let specs = assignments
-        .iter()
-        .map(|(label, _, assignment)| (label.clone(), qmodel.clone(), assignment.clone()))
-        .collect();
-    let engine = Engine::new(specs, luts).expect("library components resolve");
-    let workers = cfg.workers.unwrap_or_else(par::num_threads).max(1);
-    eprintln!(
-        "[serve] {} {} — serving {} assignment(s) × {} request(s), {} client(s), {} worker(s)",
-        provenance.label(),
-        model.name(),
-        engine.models(),
-        cfg.requests,
-        cfg.clients,
-        workers
-    );
-
-    let stream = request_stream(cfg, arch, engine.models(), eval.len());
-    let serve_config = ServeConfig {
-        workers,
-        max_batch: cfg.max_batch,
-        max_wait: cfg.max_wait_us.map(Duration::from_micros),
-    };
-    // Per-request reply channels, collected with their stream index so
-    // the drain below reassociates responses with what was asked —
-    // independently of the (timing-dependent) enqueue order.
-    let replies: Mutex<Vec<(usize, Receiver<Response>)>> = Mutex::new(Vec::new());
-    let depths: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let t_serve = Instant::now();
-    let ((), stats) = engine.serve(&serve_config, |submitter| {
-        let _session_span = trace::span("serve_session");
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for client in 0..cfg.clients {
-                let (replies, depths, stream, eval) = (&replies, &depths, &stream, &eval);
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    let mut seen_depths = Vec::new();
-                    for (r, spec) in stream
-                        .iter()
-                        .enumerate()
-                        .filter(|(r, _)| r % cfg.clients == client)
-                    {
-                        // Open loop: submit at the request's arrival
-                        // time no matter how the queue is doing.
-                        let due = Duration::from_micros(spec.arrival_us);
-                        if let Some(wait) = due.checked_sub(start.elapsed()) {
-                            if !wait.is_zero() {
-                                std::thread::sleep(wait);
-                            }
-                        }
-                        let (tx, rx) = channel();
-                        let (_seq, depth) = submitter.submit_with(
-                            spec.model,
-                            eval.samples[spec.sample].image.clone(),
-                            tx,
-                        );
-                        mine.push((r, rx));
-                        seen_depths.push(depth);
-                    }
-                    replies.lock().expect("replies poisoned").extend(mine);
-                    depths.lock().expect("depths poisoned").extend(seen_depths);
-                    // Clients count ServeRequests; push the buffered
-                    // counts out before the scope unblocks.
-                    trace::flush();
-                });
-            }
-        });
-    });
-    // Workers have joined: every response is buffered in its channel.
-    let mut responses: Vec<(usize, Response)> = replies
-        .into_inner()
-        .expect("replies poisoned")
-        .into_iter()
-        .map(|(r, rx)| (r, rx.recv().expect("response for every request")))
-        .collect();
-    let serve_s = t_serve.elapsed().as_secs_f64();
-    responses.sort_by_key(|(r, _)| *r);
-
-    let mut per_model: Vec<(usize, usize, u64, Vec<Duration>)> =
-        vec![(0, 0, 0xcbf2_9ce4_8422_2325u64, Vec::new()); engine.models()];
-    for (r, response) in &responses {
-        let spec = &stream[*r];
-        assert_eq!(response.model, spec.model, "response routed to wrong model");
-        let slot = &mut per_model[spec.model];
-        slot.0 += 1;
-        if response.prediction == eval.samples[spec.sample].label {
-            slot.1 += 1;
-        }
-        slot.2 = fnv_fold(slot.2, *r as u64, response.prediction as u64);
-        slot.3.push(response.latency);
-    }
-
-    let served: Vec<AssignmentServed> = assignments
-        .iter()
-        .enumerate()
-        .map(|(m, (label, component, _))| {
-            let (requests, correct, checksum, latencies) = &per_model[m];
-            let model_stats = &stats.per_model[m];
-            AssignmentServed {
-                label: label.clone(),
-                component: component.clone(),
-                requests: *requests,
-                correct: *correct,
-                prediction_checksum: *checksum,
-                latency: LatencySummary::over(latencies),
-                throughput_rps: *requests as f64 / serve_s.max(1e-9),
-                batches: model_stats.batches,
-                mean_batch: if model_stats.batches == 0 {
-                    0.0
-                } else {
-                    model_stats.items as f64 / model_stats.batches as f64
-                },
-                max_batch_observed: model_stats.max_batch,
-            }
-        })
-        .collect();
-    for row in &served {
+    fn run<M: CapsModel + Clone + Send + Sync + 'static>(
+        &self,
+        t: Trained<'_, M>,
+    ) -> ServeArchOutcome {
+        let (arch, eval) = (t.arch, &t.eval);
+        let assignments = build_assignments(self, &t);
+        let specs = assignments
+            .iter()
+            .map(|(label, _, assignment)| {
+                (
+                    label.clone(),
+                    t.measured.qmodel().clone(),
+                    assignment.clone(),
+                )
+            })
+            .collect();
+        let engine = Engine::new(specs, t.measured.luts()).expect("library components resolve");
+        let workers = self.workers.unwrap_or_else(par::num_threads).max(1);
         eprintln!(
-            "[serve] {} {:<8} {} req  acc {:.3}  p50 {:.3} ms  p99 {:.3} ms  {:.0} rps  mean batch {:.2}",
-            arch.label(),
-            row.label,
-            row.requests,
-            row.accuracy(),
-            row.latency.p50_ms,
-            row.latency.p99_ms,
-            row.throughput_rps,
-            row.mean_batch
+            "[serve] {} {} — serving {} assignment(s) × {} request(s), {} client(s), {} worker(s)",
+            t.provenance.label(),
+            t.model.name(),
+            engine.models(),
+            self.requests,
+            self.clients,
+            workers
         );
-    }
 
-    let depths = depths.into_inner().expect("depths poisoned");
-    ServeArchOutcome {
-        arch,
-        model_name: model.name(),
-        assignments: served,
-        workers,
-        queue_depth_mean: if depths.is_empty() {
-            0.0
-        } else {
-            depths.iter().sum::<usize>() as f64 / depths.len() as f64
-        },
-        queue_depth_max: depths.iter().copied().max().unwrap_or(0),
-        serve_s,
-        provenance,
+        let stream = request_stream(self, arch, engine.models(), eval.len());
+        let serve_config = ServeConfig {
+            workers,
+            max_batch: self.max_batch,
+            max_wait: self.max_wait_us.map(Duration::from_micros),
+        };
+        // Per-request reply channels, collected with their stream index so
+        // the drain below reassociates responses with what was asked —
+        // independently of the (timing-dependent) enqueue order.
+        let replies: Mutex<Vec<(usize, Receiver<Response>)>> = Mutex::new(Vec::new());
+        let depths: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        let t_serve = Instant::now();
+        let ((), stats) = engine.serve(&serve_config, |submitter| {
+            let _session_span = trace::span("serve_session");
+            let start = Instant::now();
+            std::thread::scope(|scope| {
+                for client in 0..self.clients {
+                    let (replies, depths, stream) = (&replies, &depths, &stream);
+                    scope.spawn(move || {
+                        let mut mine = Vec::new();
+                        let mut seen_depths = Vec::new();
+                        for (r, spec) in stream
+                            .iter()
+                            .enumerate()
+                            .filter(|(r, _)| r % self.clients == client)
+                        {
+                            // Open loop: submit at the request's arrival
+                            // time no matter how the queue is doing.
+                            let due = Duration::from_micros(spec.arrival_us);
+                            if let Some(wait) = due.checked_sub(start.elapsed()) {
+                                if !wait.is_zero() {
+                                    std::thread::sleep(wait);
+                                }
+                            }
+                            let (tx, rx) = channel();
+                            let (_seq, depth) = submitter.submit_with(
+                                spec.model,
+                                eval.samples[spec.sample].image.clone(),
+                                tx,
+                            );
+                            mine.push((r, rx));
+                            seen_depths.push(depth);
+                        }
+                        replies.lock().expect("replies poisoned").extend(mine);
+                        depths.lock().expect("depths poisoned").extend(seen_depths);
+                        // Clients count ServeRequests; push the buffered
+                        // counts out before the scope unblocks.
+                        trace::flush();
+                    });
+                }
+            });
+        });
+        // Workers have joined: every response is buffered in its channel.
+        let mut responses: Vec<(usize, Response)> = replies
+            .into_inner()
+            .expect("replies poisoned")
+            .into_iter()
+            .map(|(r, rx)| (r, rx.recv().expect("response for every request")))
+            .collect();
+        let serve_s = t_serve.elapsed().as_secs_f64();
+        responses.sort_by_key(|(r, _)| *r);
+
+        let mut per_model: Vec<(usize, usize, u64, Vec<Duration>)> =
+            vec![(0, 0, 0xcbf2_9ce4_8422_2325u64, Vec::new()); engine.models()];
+        for (r, response) in &responses {
+            let spec = &stream[*r];
+            assert_eq!(response.model, spec.model, "response routed to wrong model");
+            let slot = &mut per_model[spec.model];
+            slot.0 += 1;
+            if response.prediction == eval.samples[spec.sample].label {
+                slot.1 += 1;
+            }
+            slot.2 = fnv_fold(slot.2, *r as u64, response.prediction as u64);
+            slot.3.push(response.latency);
+        }
+
+        let served: Vec<AssignmentServed> = assignments
+            .iter()
+            .enumerate()
+            .map(|(m, (label, component, _))| {
+                let (requests, correct, checksum, latencies) = &per_model[m];
+                let model_stats = &stats.per_model[m];
+                AssignmentServed {
+                    label: label.clone(),
+                    component: component.clone(),
+                    requests: *requests,
+                    correct: *correct,
+                    prediction_checksum: *checksum,
+                    latency: LatencySummary::over(latencies),
+                    throughput_rps: *requests as f64 / serve_s.max(1e-9),
+                    batches: model_stats.batches,
+                    mean_batch: if model_stats.batches == 0 {
+                        0.0
+                    } else {
+                        model_stats.items as f64 / model_stats.batches as f64
+                    },
+                    max_batch_observed: model_stats.max_batch,
+                }
+            })
+            .collect();
+        for row in &served {
+            eprintln!(
+                "[serve] {} {:<8} {} req  acc {:.3}  p50 {:.3} ms  p99 {:.3} ms  {:.0} rps  mean batch {:.2}",
+                arch.label(),
+                row.label,
+                row.requests,
+                row.accuracy(),
+                row.latency.p50_ms,
+                row.latency.p99_ms,
+                row.throughput_rps,
+                row.mean_batch
+            );
+        }
+
+        let depths = depths.into_inner().expect("depths poisoned");
+        ServeArchOutcome {
+            arch,
+            model_name: t.model.name(),
+            assignments: served,
+            workers,
+            queue_depth_mean: if depths.is_empty() {
+                0.0
+            } else {
+                depths.iter().sum::<usize>() as f64 / depths.len() as f64
+            },
+            queue_depth_max: depths.iter().copied().max().unwrap_or(0),
+            serve_s,
+            provenance: t.provenance,
+        }
     }
 }
 
@@ -681,9 +563,9 @@ pub fn serve_row_to_json(
         ("bench".into(), Value::from("serve")),
         ("schema_version".into(), Value::from(1usize)),
         ("row".into(), Value::from("assignment")),
-        ("benchmark".into(), Value::from(cfg.benchmark.name())),
+        ("benchmark".into(), Value::from(cfg.spec.benchmark.name())),
         // String: u64 seeds above 2^53 would round through a JSON number.
-        ("seed".into(), Value::from(cfg.seed.to_string())),
+        ("seed".into(), Value::from(cfg.spec.seed.to_string())),
         ("arch".into(), Value::from(arch.arch.label())),
         ("model".into(), Value::from(arch.model_name.clone())),
         ("assignment".into(), Value::from(row.label.clone())),
@@ -747,34 +629,29 @@ pub fn serve_to_json_lines_stable(outcome: &ServeOutcome) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session;
     use redcane::report::json;
 
     /// Serializes tests that mutate the process-wide thread override.
     static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn tiny(archs: Vec<QdpArch>) -> ServeBenchConfig {
+    fn tiny(archs: Vec<Arch>) -> ServeBenchConfig {
         ServeBenchConfig {
-            archs,
-            train: 60,
-            test: 24,
-            epochs: 1,
-            calib_samples: 8,
-            characterization_samples: 500,
-            eval_samples: 12,
+            spec: session::tiny(archs),
             requests: 14,
             clients: 2,
             workers: Some(2),
             max_batch: 3,
+            max_wait_us: None,
             // Effectively back-to-back arrivals: gaps of 0–2 µs.
             arrival_rate_rps: 1e6,
             step6: false,
-            ..ServeBenchConfig::smoke()
         }
     }
 
     #[test]
     fn serve_emits_one_row_per_arch_and_assignment() {
-        let outcome = run_serve(&tiny(vec![QdpArch::CapsNet, QdpArch::DeepCaps]));
+        let outcome = run_serve(&tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
         assert_eq!(outcome.archs.len(), 2);
         let lines = serve_to_json_lines(&outcome);
         assert_eq!(lines.len(), 4, "2 archs × (exact, cheapest)");
@@ -822,7 +699,7 @@ mod tests {
     fn step6_adds_the_heterogeneous_design_row() {
         let cfg = ServeBenchConfig {
             step6: true,
-            ..tiny(vec![QdpArch::CapsNet])
+            ..tiny(vec![Arch::CapsNet])
         };
         let outcome = run_serve(&cfg);
         let rows = &outcome.archs[0].assignments;
@@ -841,7 +718,7 @@ mod tests {
         let _guard = THREADS_LOCK.lock().unwrap();
         let cfg = ServeBenchConfig {
             workers: None,
-            ..tiny(vec![QdpArch::CapsNet])
+            ..tiny(vec![Arch::CapsNet])
         };
         let dump = |threads: usize| {
             par::set_threads(threads);
@@ -871,10 +748,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("redcane-bench-serve-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = ServeBenchConfig {
-            artifacts: Some(dir.clone()),
-            ..tiny(vec![QdpArch::CapsNet])
-        };
+        let mut cfg = tiny(vec![Arch::CapsNet]);
+        cfg.spec.artifacts = Some(dir.clone());
         let dump = |cfg: &ServeBenchConfig| {
             let outcome = run_serve(cfg);
             let lines: Vec<String> = serve_to_json_lines_stable(&outcome)
@@ -887,10 +762,8 @@ mod tests {
         assert_eq!(cold_prov, Provenance::Trained);
         let (warm_prov, warm) = dump(&cfg);
         assert_eq!(warm_prov, Provenance::Restored);
-        let (uncached_prov, uncached) = dump(&ServeBenchConfig {
-            artifacts: None,
-            ..cfg.clone()
-        });
+        cfg.spec.artifacts = None;
+        let (uncached_prov, uncached) = dump(&cfg);
         assert_eq!(uncached_prov, Provenance::Trained);
         assert_eq!(cold, warm, "restore changed the stable output");
         assert_eq!(cold, uncached, "the store changed the stable output");

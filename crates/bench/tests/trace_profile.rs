@@ -11,7 +11,8 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use redcane_bench::profile::{profile_to_json, stable_counters};
-use redcane_bench::qdp::{run_qdp, QdpArch, QdpConfig};
+use redcane_bench::qdp::{run_qdp, QdpConfig};
+use redcane_bench::session::{Arch, BenchSpec};
 use redcane_tensor::par;
 use redcane_trace as trace;
 
@@ -22,22 +23,24 @@ use redcane_trace as trace;
 /// the process-global thread override and trace planes.
 static DUMPS: Mutex<BTreeMap<(usize, usize), String>> = Mutex::new(BTreeMap::new());
 
-const ARCHS: [QdpArch; 2] = [QdpArch::CapsNet, QdpArch::DeepCaps];
+const ARCHS: [Arch; 2] = [Arch::CapsNet, Arch::DeepCaps];
 
 /// A deliberately small sweep — one component, one epoch — so the six
 /// distinct `(arch, threads)` runs stay cheap.
-fn tiny(arch: QdpArch) -> QdpConfig {
+fn tiny(arch: Arch) -> QdpConfig {
     QdpConfig {
-        archs: vec![arch],
-        train: 40,
-        test: 16,
-        epochs: 1,
-        calib_samples: 6,
-        eval_samples: 8,
-        characterization_samples: 200,
+        spec: BenchSpec {
+            archs: vec![arch],
+            train: 40,
+            test: 16,
+            epochs: 1,
+            calib_samples: 6,
+            eval_samples: 8,
+            characterization_samples: 200,
+            ..BenchSpec::smoke()
+        },
         components: Some(vec!["mul8u_1JFF".to_string()]),
         heterogeneous: false,
-        ..QdpConfig::smoke()
     }
 }
 

@@ -83,16 +83,6 @@ impl ClassCaps {
         &self.weight.value
     }
 
-    /// Replaces the weight (model loading).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn set_weight(&mut self, weight: Tensor) {
-        assert_eq!(weight.shape(), self.weight.value.shape());
-        self.weight.value = weight;
-    }
-
     /// Forward pass: `u` is `[I, D_in]`; returns class capsules
     /// `[J, D_out]`.
     ///

@@ -111,11 +111,6 @@ impl ConvCaps2d {
         &self.conv
     }
 
-    /// Mutable access to the wrapped convolution.
-    pub fn conv_mut(&mut self) -> &mut Conv2d {
-        &mut self.conv
-    }
-
     /// Forward pass with injection taps.
     ///
     /// # Panics

@@ -44,6 +44,7 @@
 //!     .run(&model, &pair.test);
 //! println!("{}", report.summary());
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod datapath;

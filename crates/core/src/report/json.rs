@@ -214,6 +214,7 @@ impl std::error::Error for ParseError {}
 /// (modulo surrounding whitespace).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -227,6 +228,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -372,12 +374,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
+                    // Consume one UTF-8 scalar. `pos` only ever advances
+                    // by whole ASCII bytes or a decoded char's
+                    // `len_utf8`, so it sits on a char boundary and the
+                    // checked slice is O(1).
                     // lint: allow(panic) — non-empty by the preceding check
-                    let c = s.chars().next().expect("non-empty");
+                    let c = self.src[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -78,11 +78,6 @@ impl RedCaNeReport {
         )
     }
 
-    /// `(group, critical NM, resilient?)` per group, in marking order.
-    pub fn group_status(&self) -> &[(Group, f64, bool)] {
-        &self.group_marking.entries
-    }
-
     /// The groups marked resilient in Step 3.
     pub fn resilient_groups(&self) -> Vec<Group> {
         self.group_marking

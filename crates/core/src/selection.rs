@@ -16,7 +16,6 @@
 use redcane_axmul::error_stats::InputDistribution;
 use redcane_axmul::library::MultiplierLibrary;
 use redcane_axmul::NoiseParams;
-use redcane_capsnet::inject::OpKind;
 use redcane_capsnet::{evaluate, CapsModel};
 use redcane_datasets::Dataset;
 use serde::{Deserialize, Serialize};
@@ -338,15 +337,11 @@ pub fn inventory_layers(inventory: &crate::groups::GroupInventory) -> Vec<(Group
         .collect()
 }
 
-/// The op kinds the paper approximates with multiplier errors.
-pub fn approximable_kinds() -> [OpKind; 4] {
-    OpKind::injectable()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::{Curve, SweepPoint};
+    use redcane_capsnet::inject::OpKind;
 
     fn fake_sweep() -> GroupSweep {
         let mk_curve = |group: Group, drops: [f64; 3]| Curve {

@@ -205,6 +205,15 @@ files = ["crates/core/src/report/json.rs"]
     }
 
     #[test]
+    fn parses_an_empty_unsafe_budget() {
+        let cfg = match Config::parse("[unsafe]\nfiles = []\n") {
+            Ok(c) => c,
+            Err(e) => unreachable!("parse failed: {e}"),
+        };
+        assert!(cfg.unsafe_files.is_empty());
+    }
+
+    #[test]
     fn rejects_unknown_keys_and_bad_arrays() {
         assert!(Config::parse("[determinism]\nbogus = []").is_err());
         assert!(Config::parse("[determinism]\nmodules = [unquoted]").is_err());

@@ -1,10 +1,9 @@
-//! Matrix products: 2-D matmul, transposed variants, and batched matmul.
+//! The 2-D matrix product.
 //!
-//! All variants lower onto the blocked, register-tiled micro-kernels in
+//! It lowers onto the blocked, register-tiled micro-kernels in
 //! [`crate::ops::gemm`], which are bit-identical to the naive loops they
-//! replaced (see that module's reproducibility notes) while vectorizing
-//! the im2col convolutions and capsule vote transforms that dominate
-//! training time.
+//! replaced (see that module's reproducibility notes). Layers that need
+//! transposed or batched products call those kernels directly.
 
 use crate::error::TensorError;
 use crate::ops::gemm;
@@ -42,119 +41,6 @@ impl Tensor {
         let mut out = vec![0.0f32; m * n];
         matmul_into(self.data(), rhs.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Matrix product with the left operand transposed:
-    /// `selfᵀ (k×m)ᵀ · rhs (k×n) -> (m×n)` where `self` is stored as `k×m`.
-    ///
-    /// Used by backprop (`dW = Xᵀ·dY` patterns) without materializing the
-    /// transpose.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`].
-    pub fn matmul_tn(&self, rhs: &Tensor) -> Result<Tensor> {
-        let (k, m) = mat_dims(self, "matmul_tn")?;
-        let (k2, n) = mat_dims(rhs, "matmul_tn")?;
-        if k != k2 {
-            return Err(TensorError::MatmulMismatch {
-                left: self.shape().to_vec(),
-                right: rhs.shape().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        gemm::gemm_tn(self.data(), rhs.data(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Matrix product with the right operand transposed:
-    /// `self (m×k) · rhsᵀ (n×k)ᵀ -> (m×n)`.
-    ///
-    /// Used by backprop (`dX = dY·Wᵀ` patterns) without materializing the
-    /// transpose.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::matmul`].
-    pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor> {
-        let (m, k) = mat_dims(self, "matmul_nt")?;
-        let (n, k2) = mat_dims(rhs, "matmul_nt")?;
-        if k != k2 {
-            return Err(TensorError::MatmulMismatch {
-                left: self.shape().to_vec(),
-                right: rhs.shape().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        gemm::gemm_nt(self.data(), rhs.data(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Batched matrix product: `self [B, m, k] · rhs [B, k, n] -> [B, m, n]`
-    /// (one independent product per leading index).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless both operands are rank 3
-    /// and [`TensorError::MatmulMismatch`] unless the batch and inner dims
-    /// agree.
-    pub fn matmul_batched(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.ndim() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                got: self.ndim(),
-                op: "matmul_batched",
-            });
-        }
-        if rhs.ndim() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                got: rhs.ndim(),
-                op: "matmul_batched",
-            });
-        }
-        let (batch, m, k) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        if rhs.shape()[0] != batch || rhs.shape()[1] != k {
-            return Err(TensorError::MatmulMismatch {
-                left: self.shape().to_vec(),
-                right: rhs.shape().to_vec(),
-            });
-        }
-        let n = rhs.shape()[2];
-        let mut out = vec![0.0f32; batch * m * n];
-        gemm::gemm_nn_batched(self.data(), rhs.data(), &mut out, batch, m, k, n);
-        Tensor::from_vec(out, &[batch, m, n])
-    }
-
-    /// Matrix–vector product: `self (m×k) · v (k) -> (m)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `self` is rank 2, `v` is rank 1 and the
-    /// lengths agree.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor> {
-        let (m, k) = mat_dims(self, "matvec")?;
-        if v.ndim() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                got: v.ndim(),
-                op: "matvec",
-            });
-        }
-        if v.len() != k {
-            return Err(TensorError::MatmulMismatch {
-                left: self.shape().to_vec(),
-                right: v.shape().to_vec(),
-            });
-        }
-        let a = self.data();
-        let x = v.data();
-        let mut out = vec![0.0f32; m];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &a[i * k..(i + 1) * k];
-            *o = row.iter().zip(x).map(|(&r, &xv)| r * xv).sum();
-        }
-        Tensor::from_vec(out, &[m])
     }
 }
 
@@ -225,77 +111,5 @@ mod tests {
         assert!(a.matmul(&b).is_err());
         let v = Tensor::zeros(&[3]);
         assert!(v.matmul(&a).is_err());
-    }
-
-    #[test]
-    fn matmul_tn_equals_explicit_transpose() {
-        let mut rng = TensorRng::from_seed(3);
-        let a = rng.uniform(&[6, 4], -1.0, 1.0); // stored k x m with k=6, m=4
-        let b = rng.uniform(&[6, 5], -1.0, 1.0);
-        let at = a.transpose2d().unwrap();
-        assert_close(&a.matmul_tn(&b).unwrap(), &at.matmul(&b).unwrap(), 1e-5);
-    }
-
-    #[test]
-    fn matmul_nt_equals_explicit_transpose() {
-        let mut rng = TensorRng::from_seed(4);
-        let a = rng.uniform(&[3, 6], -1.0, 1.0);
-        let b = rng.uniform(&[5, 6], -1.0, 1.0); // stored n x k
-        let bt = b.transpose2d().unwrap();
-        assert_close(&a.matmul_nt(&b).unwrap(), &a.matmul(&bt).unwrap(), 1e-5);
-    }
-
-    #[test]
-    fn matmul_batched_matches_per_slice() {
-        let mut rng = TensorRng::from_seed(6);
-        let a = rng.uniform(&[4, 3, 5], -1.0, 1.0);
-        let b = rng.uniform(&[4, 5, 2], -1.0, 1.0);
-        let c = a.matmul_batched(&b).unwrap();
-        assert_eq!(c.shape(), &[4, 3, 2]);
-        for t in 0..4 {
-            let at = a
-                .slice_axis(0, t, t + 1)
-                .unwrap()
-                .into_reshaped(&[3, 5])
-                .unwrap();
-            let bt = b
-                .slice_axis(0, t, t + 1)
-                .unwrap()
-                .into_reshaped(&[5, 2])
-                .unwrap();
-            let ct = c
-                .slice_axis(0, t, t + 1)
-                .unwrap()
-                .into_reshaped(&[3, 2])
-                .unwrap();
-            assert_eq!(ct, at.matmul(&bt).unwrap(), "batch {t}");
-        }
-    }
-
-    #[test]
-    fn matmul_batched_rejects_mismatch() {
-        let a = Tensor::zeros(&[2, 3, 4]);
-        assert!(a.matmul_batched(&Tensor::zeros(&[2, 5, 2])).is_err());
-        assert!(a.matmul_batched(&Tensor::zeros(&[3, 4, 2])).is_err());
-        assert!(a.matmul_batched(&Tensor::zeros(&[4, 2])).is_err());
-        let flat = Tensor::zeros(&[3, 4]);
-        assert!(flat.matmul_batched(&Tensor::zeros(&[2, 4, 2])).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = TensorRng::from_seed(5);
-        let a = rng.uniform(&[4, 7], -1.0, 1.0);
-        let v = rng.uniform(&[7], -1.0, 1.0);
-        let as_mat = v.reshape(&[7, 1]).unwrap();
-        let expect = a.matmul(&as_mat).unwrap().into_reshaped(&[4]).unwrap();
-        assert_close(&a.matvec(&v).unwrap(), &expect, 1e-5);
-    }
-
-    #[test]
-    fn matvec_rejects_mismatch() {
-        let a = Tensor::zeros(&[4, 7]);
-        assert!(a.matvec(&Tensor::zeros(&[6])).is_err());
-        assert!(a.matvec(&Tensor::zeros(&[7, 1])).is_err());
     }
 }

@@ -94,20 +94,6 @@ impl TensorRng {
         Tensor::from_fn(shape, |_| self.next_normal(mean, std))
     }
 
-    /// Fills an existing tensor with uniform variates in `[lo, hi)`.
-    pub fn fill_uniform(&mut self, tensor: &mut Tensor, lo: f32, hi: f32) {
-        for v in tensor.data_mut() {
-            *v = self.next_uniform(lo, hi);
-        }
-    }
-
-    /// Fills an existing tensor with normal variates.
-    pub fn fill_normal(&mut self, tensor: &mut Tensor, mean: f32, std: f32) {
-        for v in tensor.data_mut() {
-            *v = self.next_normal(mean, std);
-        }
-    }
-
     /// Adds independent `N(mean, std)` noise to every element in place.
     ///
     /// This is the primitive used by the ReD-CaNe noise-injection model

@@ -233,13 +233,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Combines two same-shaped tensors elementwise with `f`.
     ///
     /// # Errors
