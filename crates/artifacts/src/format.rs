@@ -150,7 +150,7 @@ pub struct ArtifactPayload {
     /// Training-set accuracy after the final epoch.
     pub train_accuracy: f64,
     /// Calibrated quantization ranges (empty when the consumer does not
-    /// calibrate, e.g. `probe`).
+    /// calibrate).
     pub ranges: Vec<RangeEntry>,
     /// Characterized `(NA, NM)` per library component (empty when the
     /// consumer does not characterize).

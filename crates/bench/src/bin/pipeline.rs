@@ -12,9 +12,10 @@
 //!          [--profile-folded PATH]
 //! ```
 //!
-//! Trained weights and calibrated ranges go through the
+//! The model comes from the shared bench session, through the
 //! trained-artifact store (default `.redcane-artifacts`, or
-//! `REDCANE_ARTIFACTS`): warm runs restore instead of training.
+//! `REDCANE_ARTIFACTS`): warm runs restore instead of training, also
+//! from an entry `qdp`, `faults` or `serve` wrote at the same spec.
 //! `--no-cache` forces a cold run; `--no-timings` drops the wall-clock
 //! `timings_s` field so cold and warm outputs can be byte-compared —
 //! and, with `--profile`, the profile's `timings` section with it.
@@ -23,13 +24,13 @@
 
 use std::process::ExitCode;
 
-use redcane::report::json::Value;
 use redcane_artifacts::ArtifactStore;
 use redcane_bench::cli::{next_benchmark, next_parsed, next_value, require_nonzero};
-use redcane_bench::profile::ProfileArgs;
-use redcane_bench::{outcome_to_json, outcome_to_json_stable, run_pipeline, PipelineConfig};
+use redcane_bench::pipeline::{outcome_to_json, outcome_to_json_stable, run_pipeline, spec};
+use redcane_bench::profile::{provenance_meta, ProfileArgs};
+use redcane_bench::session::BenchSpec;
 
-fn parse_args(mut cfg: PipelineConfig) -> Result<(PipelineConfig, bool, ProfileArgs), String> {
+fn parse_args(mut cfg: BenchSpec) -> Result<(BenchSpec, bool, ProfileArgs), String> {
     let mut artifacts_flag: Option<String> = None;
     let mut no_cache = false;
     let mut no_timings = false;
@@ -42,12 +43,7 @@ fn parse_args(mut cfg: PipelineConfig) -> Result<(PipelineConfig, bool, ProfileA
             "--train" => cfg.train = next_parsed(&mut args, "--train")?,
             "--test" => cfg.test = next_parsed(&mut args, "--test")?,
             "--epochs" => cfg.epochs = next_parsed(&mut args, "--epochs")?,
-            "--threads" => {
-                cfg.threads = next_parsed(&mut args, "--threads")?;
-                // Also applies to the kernel/trainer backend, not just
-                // the sweep workers.
-                redcane_tensor::par::set_threads(cfg.threads);
-            }
+            "--threads" => redcane_tensor::par::set_threads(next_parsed(&mut args, "--threads")?),
             "--artifacts" => artifacts_flag = Some(next_value(&mut args, "--artifacts")?),
             "--no-cache" => no_cache = true,
             "--no-timings" => no_timings = true,
@@ -77,7 +73,7 @@ fn parse_args(mut cfg: PipelineConfig) -> Result<(PipelineConfig, bool, ProfileA
 }
 
 fn main() -> ExitCode {
-    let (cfg, no_timings, profile) = match parse_args(PipelineConfig::smoke()) {
+    let (cfg, no_timings, profile) = match parse_args(spec()) {
         Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("pipeline: {msg}");
@@ -108,10 +104,7 @@ fn main() -> ExitCode {
         outcome_to_json(&outcome)
     };
     println!("{}", json.dump());
-    let meta = vec![(
-        "provenance".to_string(),
-        Value::from(outcome.provenance.label()),
-    )];
+    let meta = provenance_meta([(outcome.arch, outcome.provenance)]);
     if let Err(msg) = profile.write("pipeline", meta, !no_timings) {
         eprintln!("pipeline: {msg}");
         return ExitCode::FAILURE;

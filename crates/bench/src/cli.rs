@@ -3,9 +3,9 @@
 //!
 //! The value helpers ([`next_value`], [`next_parsed`], [`next_benchmark`],
 //! [`require_nonzero`]) serve every binary. [`parse_session`] is the
-//! whole command line of the three session benches (`qdp`, `faults`,
-//! `serve`): the flags they share are matched once here, and each bench
-//! adds its own through [`SessionConfig`].
+//! whole command line of `qdp`, `faults` and `serve`: the flags they
+//! share are matched once here, and each bench adds its own through
+//! [`SessionConfig`]. (`pipeline` keeps its own, older command line.)
 
 use std::fmt::Display;
 use std::str::FromStr;

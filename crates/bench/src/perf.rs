@@ -25,7 +25,7 @@ use redcane_tensor::ops::gemm;
 use redcane_tensor::ops::Conv2dSpec;
 use redcane_tensor::{Tensor, TensorRng};
 
-use crate::{run_pipeline, PipelineConfig};
+use crate::pipeline::{run_pipeline, spec};
 
 /// One timed probe: the optimized path, and optionally its naive twin.
 #[derive(Debug, Clone)]
@@ -477,14 +477,14 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         DeepCaps::new(&DeepCapsConfig::small(1, 16), &mut TensorRng::from_seed(84)),
         reps,
     ));
-    let mut cfg = PipelineConfig::smoke();
+    let mut cfg = spec();
     cfg.artifacts = artifacts;
     if quick {
         cfg.train = 60;
         cfg.test = 20;
         cfg.epochs = 1;
         cfg.characterization_samples = 500;
-        cfg.max_test_samples = Some(10);
+        cfg.eval_samples = 10;
     }
     let outcome = run_pipeline(&cfg);
     PerfReport {

@@ -1,7 +1,8 @@
-//! The bench session the `qdp`, `faults` and `serve` benches share: one
-//! spec, one train-or-restore-and-lower path.
+//! The bench session every bench that runs a trained model shares
+//! (`pipeline`, `qdp`, `faults` and `serve`): one spec, one
+//! train-or-restore-and-lower path.
 //!
-//! All three benches run on the same trained, calibrated CapsNet /
+//! All four benches run on the same trained, calibrated CapsNet /
 //! DeepCaps pair. [`BenchSpec`] holds every knob that decides which
 //! model that is (dataset, seed, training, calibration,
 //! characterization, eval subset, artifact store), and `Session`
@@ -13,12 +14,14 @@
 //!    under the shared artifact key, the eval subset and the lowered
 //!    program behind a [`QuantMeasured`] backend.
 //!
-//! The artifact key, the init seed and the Step-6 methodology config
-//! (`Trained::step6_design`) are derived here and nowhere else, so an
-//! artifact any of the three benches trains restores under the other
-//! two, and `serve` serves exactly the design `qdp` re-scores.
+//! The artifact key, the init seed and the methodology config
+//! (`Session::methodology`, with the Step-6 settings in
+//! `Trained::step6_design`) are derived here and nowhere else, so an
+//! artifact any bench trains restores under the others whenever their
+//! specs match, and `serve` serves exactly the design `qdp` re-scores.
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 use redcane::{ApproxDesign, MethodologyConfig, RedCaNe, SelectionConfig, SweepConfig};
 use redcane_artifacts::{
@@ -37,6 +40,8 @@ use redcane_trace as trace;
 const CALIB_SAMPLES_PER_SITE: usize = 512;
 /// Cap on the quantized-weight operand pool.
 pub(crate) const WEIGHT_POOL_CODES: usize = 4096;
+/// The noise magnitudes every methodology run sweeps.
+pub const NM_GRID: [f64; 3] = [0.5, 0.05, 0.005];
 
 /// Which of the paper's architectures a bench runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,6 +222,10 @@ pub(crate) struct Trained<'s, M> {
     pub payload: ArtifactPayload,
     /// Trained this run or restored from the store.
     pub provenance: Provenance,
+    /// Wall-clock seconds spent training or restoring.
+    pub train_s: f64,
+    /// Wall-clock seconds spent lowering onto the 8-bit datapath.
+    pub lower_s: f64,
 }
 
 impl Session {
@@ -287,6 +296,7 @@ impl Session {
         arch: Arch,
         mut model: M,
     ) -> Trained<'_, M> {
+        let clock = Instant::now();
         let (payload, provenance) = {
             let _s = trace::span("train");
             let key = self.spec.key(arch);
@@ -294,11 +304,14 @@ impl Session {
                 self.produce(m)
             })
         };
+        let train_s = clock.elapsed().as_secs_f64();
+        let clock = Instant::now();
         let qmodel = {
             let _s = trace::span("lower");
             let ranges = QuantRanges::from_entries(&payload.ranges);
             QModel::lower(&model, &ranges).expect("every site calibrated")
         };
+        let lower_s = clock.elapsed().as_secs_f64();
         Trained {
             session: self,
             arch,
@@ -307,7 +320,39 @@ impl Session {
             measured: QuantMeasured::new(qmodel, self.luts.clone()),
             payload,
             provenance,
+            train_s,
+            lower_s,
         }
+    }
+
+    /// The six-step methodology over the session's library, sweeping
+    /// [`NM_GRID`] with `sweep_seed` (on at most `max_test_samples` of
+    /// the data it is run on) and characterizing components over
+    /// `input_distribution` (uniform when `None`).
+    pub(crate) fn methodology(
+        &self,
+        sweep_seed: u64,
+        max_test_samples: Option<usize>,
+        input_distribution: Option<InputDistribution>,
+    ) -> RedCaNe {
+        RedCaNe::with_library(
+            MethodologyConfig {
+                sweep: SweepConfig {
+                    nm_values: NM_GRID.to_vec(),
+                    na: 0.0,
+                    seed: sweep_seed,
+                    max_test_samples,
+                    threads: par::num_threads(),
+                },
+                selection: SelectionConfig {
+                    characterization_samples: self.spec.characterization_samples,
+                    seed: self.spec.seed ^ 0xc0de,
+                    ..Default::default()
+                },
+                input_distribution,
+            },
+            self.library.clone(),
+        )
     }
 
     /// What the store falls back to on a miss:
@@ -389,26 +434,9 @@ impl<M: CapsModel + Clone + Send + Sync> Trained<'_, M> {
     /// here, with the same seeds.
     pub(crate) fn step6_design(&self) -> ApproxDesign {
         let _s = trace::span("methodology");
-        let spec = &self.session.spec;
-        let methodology = RedCaNe::with_library(
-            MethodologyConfig {
-                sweep: SweepConfig {
-                    nm_values: vec![0.5, 0.05, 0.005],
-                    na: 0.0,
-                    seed: spec.seed ^ 0x6e01 ^ (self.arch.seed_tag() << 16),
-                    max_test_samples: None,
-                    threads: par::num_threads(),
-                },
-                selection: SelectionConfig {
-                    characterization_samples: spec.characterization_samples,
-                    seed: spec.seed ^ 0xc0de,
-                    ..Default::default()
-                },
-                input_distribution: Some(self.operand_distribution()),
-            },
-            self.session.library.clone(),
-        );
-        methodology
+        let seed = self.session.spec.seed ^ 0x6e01 ^ (self.arch.seed_tag() << 16);
+        self.session
+            .methodology(seed, None, Some(self.operand_distribution()))
             .run_with_measured(&self.model, &self.eval, &self.measured)
             .design
     }
@@ -451,6 +479,7 @@ pub(crate) fn tiny(archs: Vec<Arch>) -> BenchSpec {
 mod tests {
     use super::*;
     use crate::faults::{faults_to_json_lines, run_faults, FaultsConfig};
+    use crate::pipeline::{outcome_to_json_stable, run_pipeline};
     use crate::qdp::{run_qdp, QdpConfig};
     use crate::serve::{run_serve, serve_to_json_lines_stable, ServeBenchConfig};
     use redcane::report::json::Value;
@@ -459,9 +488,10 @@ mod tests {
         lines.iter().map(Value::dump).collect::<Vec<_>>().join("\n")
     }
 
-    /// One store, one spec: whichever bench trains first, the other two
-    /// restore the same artifact — and restoring changes no byte of
-    /// their output against a storeless run.
+    /// One store, one spec: whichever bench trains first, the others
+    /// (`faults`, `serve` and `pipeline`) restore the same artifact —
+    /// and restoring changes no byte of their output against a
+    /// storeless run.
     #[test]
     fn one_trained_artifact_serves_all_three_benches() {
         let dir = std::env::temp_dir().join(format!(
@@ -514,6 +544,13 @@ mod tests {
         assert_eq!(
             dump(&serve_to_json_lines_stable(&warm)),
             dump(&serve_to_json_lines_stable(&cold))
+        );
+
+        let (warm, cold) = (run_pipeline(&stored), run_pipeline(&storeless));
+        assert_eq!(warm.provenance, Provenance::Restored);
+        assert_eq!(
+            outcome_to_json_stable(&warm).dump(),
+            outcome_to_json_stable(&cold).dump()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

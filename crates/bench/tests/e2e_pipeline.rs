@@ -4,24 +4,19 @@
 
 use redcane::report::json;
 use redcane::Group;
-use redcane_bench::{outcome_to_json, outcome_to_json_stable, run_pipeline, PipelineConfig};
-use redcane_datasets::Benchmark;
+use redcane_bench::pipeline::{outcome_to_json, outcome_to_json_stable, run_pipeline, spec};
+use redcane_bench::session::{BenchSpec, NM_GRID};
 
-fn tiny_config() -> PipelineConfig {
-    PipelineConfig {
-        benchmark: Benchmark::MnistLike,
+fn tiny_config() -> BenchSpec {
+    BenchSpec {
         train: 120,
         test: 40,
         seed: 77,
         epochs: 3,
-        batch_size: 16,
-        lr: 2e-3,
-        nm_values: vec![0.5, 0.05, 0.005],
-        max_test_samples: Some(25),
-        threads: 4,
+        eval_samples: 25,
         characterization_samples: 2000,
         calib_samples: 16,
-        artifacts: None,
+        ..spec()
     }
 }
 
@@ -49,7 +44,7 @@ fn pipeline_runs_end_to_end_and_is_deterministic() {
     // Step 2 swept every group over the requested grid.
     assert_eq!(outcome.report.group_sweep.curves.len(), 4);
     for curve in &outcome.report.group_sweep.curves {
-        assert_eq!(curve.points.len(), cfg.nm_values.len());
+        assert_eq!(curve.points.len(), NM_GRID.len());
     }
 
     // Steps 4/5 covered exactly the non-resilient groups.
@@ -62,10 +57,8 @@ fn pipeline_runs_end_to_end_and_is_deterministic() {
     assert!(!outcome.report.design.assignments.is_empty());
     assert!(outcome.report.design.baseline_accuracy > 0.0);
 
-    // Same seed, same everything (including across thread counts).
-    let mut replay_cfg = cfg.clone();
-    replay_cfg.threads = 1;
-    let replay = run_pipeline(&replay_cfg);
+    // Same seed, same everything.
+    let replay = run_pipeline(&cfg);
     assert_eq!(outcome.report, replay.report);
     assert_eq!(outcome.test_accuracy, replay.test_accuracy);
 }
@@ -77,13 +70,12 @@ fn pipeline_runs_end_to_end_and_is_deterministic() {
 /// multi-threaded test harness.
 #[test]
 fn pipeline_json_is_bitwise_identical_across_worker_counts() {
-    let cfg = PipelineConfig {
+    let cfg = BenchSpec {
         train: 60,
         test: 20,
         epochs: 1,
         characterization_samples: 500,
-        max_test_samples: Some(10),
-        nm_values: vec![0.5, 0.005],
+        eval_samples: 10,
         ..tiny_config()
     };
     redcane_tensor::par::set_threads(1);
@@ -114,7 +106,7 @@ fn pipeline_json_line_round_trips_and_carries_the_paper_quantities() {
     );
     for g in groups {
         let drops = g.get("drop_pp").unwrap().as_arr().unwrap();
-        assert_eq!(drops.len(), 3);
+        assert_eq!(drops.len(), NM_GRID.len());
         assert!(drops.iter().all(|d| d.as_f64().is_some()));
     }
 

@@ -50,7 +50,6 @@ pub mod analysis;
 pub mod datapath;
 pub mod faults;
 pub mod groups;
-pub mod input_stats;
 pub mod methodology;
 pub mod noise;
 pub mod report;

@@ -2,14 +2,14 @@
 //! serialization of a full methodology run.
 //!
 //! [`RedCaNeReport`] collects everything Steps 1–6 produce; this module
-//! renders it as a one-paragraph summary ([`RedCaNeReport::summary`]) or
-//! a single JSON document ([`RedCaNeReport::to_json`]) suitable for
-//! benchmark tracking, and round-trips the Step-3 group marking through
-//! JSON ([`marking_to_json`] / [`marking_from_json`]).
+//! renders it as a one-paragraph summary ([`RedCaNeReport::summary`])
+//! and round-trips the Step-3 group marking through JSON
+//! ([`marking_to_json`] / [`marking_from_json`]). The benchmark's JSON
+//! record of a whole run is the `pipeline` bench's schema.
 
 pub mod json;
 
-use crate::analysis::{Curve, GroupSweep, LayerSweep, SweepPoint};
+use crate::analysis::{GroupSweep, LayerSweep};
 use crate::groups::{Group, GroupInventory};
 use crate::selection::{ApproxDesign, GroupMarking, LayerMarking};
 use serde::{Deserialize, Serialize};
@@ -92,143 +92,6 @@ impl RedCaNeReport {
     pub fn non_resilient_groups(&self) -> Vec<Group> {
         self.group_marking.non_resilient()
     }
-
-    /// The full report as a JSON value.
-    pub fn to_json_value(&self) -> Value {
-        let groups: Vec<Value> = self
-            .group_marking
-            .entries
-            .iter()
-            .map(|(group, critical_nm, resilient)| {
-                Value::Obj(vec![
-                    ("group".into(), Value::from(group_slug(*group))),
-                    ("number".into(), Value::from(group.number())),
-                    ("critical_nm".into(), Value::from(*critical_nm)),
-                    ("resilient".into(), Value::from(*resilient)),
-                    (
-                        "curve".into(),
-                        curve_points_json(&self.group_sweep.curve(*group).points),
-                    ),
-                ])
-            })
-            .collect();
-        let layer_sweeps: Vec<Value> = self
-            .layer_sweeps
-            .iter()
-            .map(|ls| {
-                Value::Obj(vec![
-                    ("group".into(), Value::from(group_slug(ls.group))),
-                    (
-                        "curves".into(),
-                        Value::Arr(
-                            ls.curves
-                                .iter()
-                                .map(|c: &Curve<String>| {
-                                    Value::Obj(vec![
-                                        ("layer".into(), Value::from(c.target.clone())),
-                                        ("points".into(), curve_points_json(&c.points)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let assignments: Vec<Value> = self
-            .design
-            .assignments
-            .iter()
-            .map(|a| {
-                Value::Obj(vec![
-                    ("layer".into(), Value::from(a.layer.clone())),
-                    ("group".into(), Value::from(group_slug(a.group))),
-                    ("tolerable_nm".into(), Value::from(a.tolerable_nm)),
-                    ("component".into(), Value::from(a.component.clone())),
-                    ("noise_na".into(), Value::from(a.component_noise.0)),
-                    ("noise_nm".into(), Value::from(a.component_noise.1)),
-                    ("power_uw".into(), Value::from(a.power_uw)),
-                    ("area_um2".into(), Value::from(a.area_um2)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            (
-                "model".into(),
-                Value::from(self.inventory.model_name.clone()),
-            ),
-            (
-                "dataset".into(),
-                Value::from(self.group_sweep.dataset_name.clone()),
-            ),
-            (
-                "baseline_accuracy".into(),
-                Value::from(self.group_sweep.baseline_accuracy),
-            ),
-            (
-                "total_sites".into(),
-                Value::from(self.inventory.total_sites()),
-            ),
-            ("groups".into(), Value::Arr(groups)),
-            ("layer_sweeps".into(), Value::Arr(layer_sweeps)),
-            (
-                "design".into(),
-                Value::Obj(vec![
-                    ("assignments".into(), Value::Arr(assignments)),
-                    (
-                        "mean_power_saving".into(),
-                        Value::from(self.design.mean_power_saving),
-                    ),
-                    (
-                        "baseline_accuracy".into(),
-                        Value::from(self.design.baseline_accuracy),
-                    ),
-                    (
-                        "predicted_accuracy".into(),
-                        Value::from(self.design.predicted_accuracy),
-                    ),
-                    (
-                        "predicted_drop_pp".into(),
-                        Value::from(self.design.predicted_drop_pp()),
-                    ),
-                    (
-                        "measured_accuracy".into(),
-                        match self.design.measured_accuracy {
-                            Some(acc) => Value::from(acc),
-                            None => Value::Null,
-                        },
-                    ),
-                    (
-                        "measured_drop_pp".into(),
-                        match self.design.measured_drop_pp() {
-                            Some(drop) => Value::from(drop),
-                            None => Value::Null,
-                        },
-                    ),
-                ]),
-            ),
-        ])
-    }
-
-    /// The full report as one line of JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().dump()
-    }
-}
-
-fn curve_points_json(points: &[SweepPoint]) -> Value {
-    Value::Arr(
-        points
-            .iter()
-            .map(|p| {
-                Value::Obj(vec![
-                    ("nm".into(), Value::from(p.nm)),
-                    ("accuracy".into(), Value::from(p.accuracy)),
-                    ("drop_pp".into(), Value::from(p.drop_pp)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// Stable machine-readable name of a group.
@@ -309,7 +172,7 @@ pub fn marking_from_json(value: &Value) -> Result<GroupMarking, MarkingDecodeErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::Curve;
+    use crate::analysis::{Curve, SweepPoint};
     use crate::selection::Assignment;
 
     fn sample_report() -> RedCaNeReport {
@@ -416,36 +279,6 @@ mod tests {
         assert_eq!(resilient, vec![Group::Softmax, Group::LogitsUpdate]);
         assert_eq!(non_resilient, vec![Group::MacOutputs, Group::Activations]);
         assert_eq!(resilient.len() + non_resilient.len(), 4);
-    }
-
-    #[test]
-    fn json_report_is_parseable_and_complete() {
-        let report = sample_report();
-        let parsed = json::parse(&report.to_json()).unwrap();
-        assert_eq!(parsed.get("model").unwrap().as_str(), Some("CapsNet-small"));
-        assert_eq!(parsed.get("baseline_accuracy").unwrap().as_f64(), Some(0.9));
-        let groups = parsed.get("groups").unwrap().as_arr().unwrap();
-        assert_eq!(groups.len(), 4);
-        assert_eq!(
-            groups[0].get("group").unwrap().as_str(),
-            Some("mac_outputs")
-        );
-        assert_eq!(groups[0].get("resilient").unwrap().as_bool(), Some(false));
-        let curve = groups[0].get("curve").unwrap().as_arr().unwrap();
-        assert_eq!(curve.len(), 2);
-        assert_eq!(curve[0].get("drop_pp").unwrap().as_f64(), Some(55.0));
-        let design = parsed.get("design").unwrap();
-        assert_eq!(
-            design.get("assignments").unwrap().as_arr().unwrap()[0]
-                .get("component")
-                .unwrap()
-                .as_str(),
-            Some("mul8u_NGR")
-        );
-        let drop = design.get("predicted_drop_pp").unwrap().as_f64().unwrap();
-        assert!((drop - 1.5).abs() < 1e-9);
-        let measured = design.get("measured_drop_pp").unwrap().as_f64().unwrap();
-        assert!((measured - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Concrete layers: convolution, dense, and activations.
+//! Concrete layers: convolution and activations.
 
 mod activation;
 mod conv;
-mod dense;
 
 pub use activation::Relu;
 pub use conv::Conv2d;
-pub use dense::Dense;

@@ -20,14 +20,15 @@
 //! # Example
 //!
 //! ```
-//! use redcane_nn::{layers::Dense, Layer};
-//! use redcane_tensor::{Tensor, TensorRng};
+//! use redcane_nn::{layers::Conv2d, Layer};
+//! use redcane_tensor::TensorRng;
 //!
 //! let mut rng = TensorRng::from_seed(0);
-//! let mut dense = Dense::new(4, 2, &mut rng);
-//! let x = rng.uniform(&[4], -1.0, 1.0);
-//! let y = dense.forward(&x);
-//! assert_eq!(y.shape(), &[2]);
+//! // 1 -> 4 channels, 3x3 kernel, stride 1, no padding.
+//! let mut conv = Conv2d::new(1, 4, 3, 1, 0, &mut rng);
+//! let x = rng.uniform(&[1, 8, 8], -1.0, 1.0);
+//! let y = conv.forward(&x);
+//! assert_eq!(y.shape(), &[4, 6, 6]);
 //! ```
 #![forbid(unsafe_code)]
 

@@ -4,9 +4,10 @@
 //! assigned components' behavioral models on the 8-bit integer
 //! kernels — instead of forecasting it from noise statistics.
 //!
-//! Construction does the expensive, assignment-independent work once:
-//! calibrate, lower the model into a [`QModel`] program, and tabulate
-//! the component LUTs. `evaluate` then just resolves an assignment
+//! The expensive, assignment-independent work happens once, before
+//! construction: calibrate, lower the model into a [`QModel`] program,
+//! and tabulate the component LUTs ([`QuantMeasured::new`] wraps the
+//! two). `evaluate` then just resolves an assignment
 //! against the cached tables and runs batched quantized inference, so
 //! sweeping many assignments (uniform per-component rows, the Step-6
 //! heterogeneous design) over one trained model shares all of the
@@ -14,12 +15,11 @@
 
 use redcane::datapath::{AccuracyBackend, BackendError, DatapathAssignment, SiteKey};
 use redcane::faults::FaultPlan;
-use redcane_axmul::{LutCache, MultiplierLibrary};
+use redcane_axmul::LutCache;
 use redcane_capsnet::CapsModel;
 use redcane_datasets::Dataset;
 use redcane_tensor::Tensor;
 
-use crate::lower::{calibrate_ranges, LowerError, QuantRanges};
 use crate::qmodel::{evaluate_quantized, evaluate_resolved, QModel};
 
 /// Ground-truth accuracy backend: lower once, then run any
@@ -34,39 +34,6 @@ impl QuantMeasured {
     /// Wraps an already-lowered program and a LUT cache.
     pub fn new(qmodel: QModel, luts: LutCache) -> Self {
         QuantMeasured { qmodel, luts }
-    }
-
-    /// Lowers `model` with pre-computed calibration ranges and
-    /// tabulates every component of `library` (one 64 KiB table each),
-    /// so any assignment over that library resolves.
-    ///
-    /// # Errors
-    ///
-    /// As [`QModel::lower`].
-    pub fn from_ranges(
-        model: &dyn CapsModel,
-        ranges: &QuantRanges,
-        library: &MultiplierLibrary,
-    ) -> Result<Self, LowerError> {
-        Ok(QuantMeasured {
-            qmodel: QModel::lower(model, ranges)?,
-            luts: LutCache::tabulate_all(library),
-        })
-    }
-
-    /// Calibrates on `images`, lowers, and tabulates `library` in one
-    /// step.
-    ///
-    /// # Errors
-    ///
-    /// As [`QModel::calibrated`].
-    pub fn calibrated<'a>(
-        model: &mut dyn CapsModel,
-        images: impl IntoIterator<Item = &'a Tensor>,
-        library: &MultiplierLibrary,
-    ) -> Result<Self, LowerError> {
-        let ranges = calibrate_ranges(model, images)?;
-        Self::from_ranges(&*model, &ranges, library)
     }
 
     /// The lowered quantized program.
@@ -229,9 +196,20 @@ impl AccuracyBackend for FaultMeasured {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redcane_axmul::MultiplierLibrary;
     use redcane_capsnet::{evaluate_clean, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig};
     use redcane_datasets::{generate, Benchmark, GenerateConfig};
     use redcane_tensor::TensorRng;
+
+    /// Calibrates on `images`, lowers, and tabulates `library`.
+    fn calibrated<'a>(
+        model: &mut dyn CapsModel,
+        images: impl IntoIterator<Item = &'a Tensor>,
+        library: &MultiplierLibrary,
+    ) -> QuantMeasured {
+        let qmodel = QModel::calibrated(model, images).unwrap();
+        QuantMeasured::new(qmodel, LutCache::tabulate_all(library))
+    }
 
     #[test]
     fn measured_backend_scores_uniform_and_rejects_wrong_model() {
@@ -246,12 +224,11 @@ mod tests {
         let mut rng = TensorRng::from_seed(910);
         let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
         let library = MultiplierLibrary::evo_approx_like();
-        let backend = QuantMeasured::calibrated(
+        let backend = calibrated(
             &mut model,
             pair.train.samples.iter().map(|s| &s.image),
             &library,
-        )
-        .unwrap();
+        );
         assert_eq!(backend.name(), "quant-measured");
         assert_eq!(backend.luts().len(), library.len());
 
@@ -287,12 +264,11 @@ mod tests {
         let mut rng = TensorRng::from_seed(912);
         let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
         let library = MultiplierLibrary::evo_approx_like();
-        let backend = QuantMeasured::calibrated(
+        let backend = calibrated(
             &mut model,
             pair.train.samples.iter().map(|s| &s.image),
             &library,
-        )
-        .unwrap();
+        );
         let assignment = DatapathAssignment::uniform("mul8u_1JFF");
         let clean = backend.evaluate(&model, &pair.test, &assignment).unwrap();
 
@@ -346,12 +322,11 @@ mod tests {
         let mut rng = TensorRng::from_seed(913);
         let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
         let library = MultiplierLibrary::evo_approx_like();
-        let backend = QuantMeasured::calibrated(
+        let backend = calibrated(
             &mut model,
             pair.train.samples.iter().map(|s| &s.image),
             &library,
-        )
-        .unwrap();
+        );
         let assignment = DatapathAssignment::uniform("mul8u_1JFF");
         let clean = backend.evaluate(&model, &pair.test, &assignment).unwrap();
         // A severe stuck-high lane on Conv1's multiplier outputs.

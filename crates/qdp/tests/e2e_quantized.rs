@@ -7,10 +7,10 @@
 
 use redcane::datapath::AccuracyBackend;
 use redcane_artifacts::{fingerprint, ArtifactKey, ArtifactPayload, ArtifactStore};
-use redcane_axmul::MultiplierLibrary;
+use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::{evaluate_clean, train, CapsModel, CapsNet, CapsNetConfig, TrainConfig};
 use redcane_datasets::{generate, Benchmark, GenerateConfig};
-use redcane_qdp::{calibrate_ranges, DatapathAssignment, QuantMeasured, QuantRanges};
+use redcane_qdp::{calibrate_ranges, DatapathAssignment, QModel, QuantMeasured, QuantRanges};
 use redcane_tensor::TensorRng;
 
 #[test]
@@ -73,10 +73,10 @@ fn quantized_exact_inference_matches_float_within_tolerance() {
     // input distribution; lower through the generic pipeline and score
     // the same test set through the measured backend with the exact
     // multiplier at every site.
-    let library = MultiplierLibrary::evo_approx_like();
+    let luts = LutCache::tabulate_all(&MultiplierLibrary::evo_approx_like());
     let ranges = QuantRanges::from_entries(&payload.ranges);
-    let backend = QuantMeasured::from_ranges(&model, &ranges, &library)
-        .expect("lowering succeeds on stored ranges");
+    let qmodel = QModel::lower(&model, &ranges).expect("lowering succeeds on stored ranges");
+    let backend = QuantMeasured::new(qmodel, luts.clone());
     let exact = DatapathAssignment::uniform("mul8u_1JFF");
     let quant_acc = backend.evaluate(&model, &eval, &exact).unwrap();
 
@@ -97,11 +97,11 @@ fn quantized_exact_inference_matches_float_within_tolerance() {
 
     // Seeded determinism: recalibrating live must reproduce the stored
     // ranges' backend exactly — whether this run trained or restored.
-    let backend2 = QuantMeasured::calibrated(
+    let live = QModel::calibrated(
         &mut model,
         pair.train.samples.iter().take(32).map(|s| &s.image),
-        &library,
     )
     .expect("calibration is deterministic");
+    let backend2 = QuantMeasured::new(live, luts);
     assert_eq!(quant_acc, backend2.evaluate(&model, &eval, &exact).unwrap());
 }
