@@ -1,9 +1,9 @@
 //! Hot-path kernel benchmark and perf-regression tripwire.
 //!
 //! Times the blocked GEMM, conv and routing kernels against their naive
-//! reference twins, one training epoch, and one full seeded pipeline
-//! run, then writes the results to `BENCH_perf.json` (and echoes the
-//! JSON line to stdout). Usage:
+//! reference twins, an artifact-store restore against one training
+//! epoch, and one full seeded pipeline run, then writes the results to
+//! `BENCH_perf.json` (and echoes the JSON line to stdout). Usage:
 //!
 //! ```text
 //! perf [--quick] [--out PATH] [--budget-s SECONDS] [--threads N]

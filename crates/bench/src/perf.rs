@@ -2,9 +2,10 @@
 //!
 //! Each probe times one hot-path kernel against its naive reference
 //! twin (the correctness oracle the blocked kernels are tested against)
-//! and reports ns/op plus the speedup. The end-to-end probes time one
-//! training epoch and the full seeded pipeline, which is the number the
-//! CI regression tripwire watches.
+//! and reports ns/op plus the speedup. The end-to-end probes time an
+//! artifact-store restore against one training epoch (its naive twin)
+//! and the full seeded pipeline, which is the number the CI regression
+//! tripwire watches.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -350,35 +351,6 @@ fn tabulate_library_probe(reps: usize) -> PerfProbe {
     }
 }
 
-fn epoch_probe() -> PerfProbe {
-    // One epoch over a small seeded set; no naive twin (the naive
-    // kernels only exist at the kernel level).
-    let pair = generate(
-        Benchmark::MnistLike,
-        &GenerateConfig {
-            train: 120,
-            test: 1,
-            seed: 5,
-        },
-    );
-    let mut rng = TensorRng::from_seed(80);
-    let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
-    let cfg = TrainConfig {
-        epochs: 1,
-        batch_size: 16,
-        lr: 2e-3,
-        seed: 3,
-        verbose: false,
-    };
-    let t = Instant::now();
-    let _ = train(&mut model, &pair.train, &cfg);
-    PerfProbe {
-        name: "train_epoch_120x1_capsnet_small".to_string(),
-        ns_per_op: t.elapsed().as_nanos() as f64,
-        naive_ns_per_op: None,
-    }
-}
-
 /// Trained-artifact store probe: what restoring a trained model costs
 /// versus training it (the naive twin), on a scratch store under the
 /// temp dir. The load-vs-retrain win the CI tripwire watches: restore
@@ -464,7 +436,6 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
     probes.extend(routing_probes(reps));
     probes.extend(qdp_deepcaps_probes(reps));
     probes.push(tabulate_library_probe(reps));
-    probes.push(epoch_probe());
     probes.push(artifact_load_probe(
         "artifact_load_capsnet",
         "capsnet",

@@ -33,17 +33,6 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// The four kinds that form the paper's injection groups (everything
-    /// except the observation-only [`OpKind::MacInput`]).
-    pub fn injectable() -> [OpKind; 4] {
-        [
-            OpKind::MacOutput,
-            OpKind::Activation,
-            OpKind::Softmax,
-            OpKind::LogitsUpdate,
-        ]
-    }
-
     /// Short label used in reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -135,37 +124,19 @@ impl Injector for NoInjection {
     fn inject(&mut self, _site: &OpSite, _tensor: &mut Tensor) {}
 }
 
-/// Records every visited site (and optionally sampled values) without
-/// perturbing anything. Drives Step 1 of the methodology (group
-/// extraction) and the input-distribution studies (Fig. 11, Table IV).
+/// Records every visited site, [`OpKind::MacInput`] taps included,
+/// without perturbing anything. Drives Step 1 of the methodology (group
+/// extraction).
 #[derive(Debug, Clone, Default)]
 pub struct RecordingInjector {
     /// Sites in visit order (one entry per call).
     pub visits: Vec<OpSite>,
-    /// Whether to retain value samples.
-    pub keep_values: bool,
-    /// Up to `max_values_per_site` values kept per distinct site.
-    pub max_values_per_site: usize,
-    /// Sampled values, parallel to the distinct sites in `visits`.
-    /// Ordered so `values_where` concatenates in site order, never
-    /// hasher order (lint rule R1: these reach stable outputs).
-    pub values: std::collections::BTreeMap<OpSite, Vec<f32>>,
 }
 
 impl RecordingInjector {
-    /// Records only site metadata.
+    /// An empty recorder.
     pub fn sites_only() -> Self {
         RecordingInjector::default()
-    }
-
-    /// Records site metadata plus up to `max_values_per_site` sampled
-    /// values per site.
-    pub fn with_values(max_values_per_site: usize) -> Self {
-        RecordingInjector {
-            keep_values: true,
-            max_values_per_site,
-            ..Default::default()
-        }
     }
 
     /// Distinct sites in first-visit order.
@@ -179,17 +150,6 @@ impl RecordingInjector {
         }
         out
     }
-
-    /// All recorded values for sites matching a predicate.
-    pub fn values_where(&self, mut pred: impl FnMut(&OpSite) -> bool) -> Vec<f32> {
-        let mut out = Vec::new();
-        for (site, vals) in &self.values {
-            if pred(site) {
-                out.extend_from_slice(vals);
-            }
-        }
-        out
-    }
 }
 
 impl Injector for RecordingInjector {
@@ -197,17 +157,8 @@ impl Injector for RecordingInjector {
         true
     }
 
-    fn inject(&mut self, site: &OpSite, tensor: &mut Tensor) {
+    fn inject(&mut self, site: &OpSite, _tensor: &mut Tensor) {
         self.visits.push(site.clone());
-        if self.keep_values {
-            let bucket = self.values.entry(site.clone()).or_default();
-            let room = self.max_values_per_site.saturating_sub(bucket.len());
-            if room > 0 {
-                // Stride so long tensors contribute spread-out samples.
-                let stride = (tensor.len() / room.max(1)).max(1);
-                bucket.extend(tensor.data().iter().step_by(stride).take(room));
-            }
-        }
     }
 }
 
@@ -218,8 +169,6 @@ mod tests {
     #[test]
     fn op_kind_labels() {
         assert_eq!(OpKind::MacOutput.to_string(), "MAC outputs");
-        assert_eq!(OpKind::injectable().len(), 4);
-        assert!(!OpKind::injectable().contains(&OpKind::MacInput));
     }
 
     #[test]
@@ -252,17 +201,5 @@ mod tests {
         assert_eq!(distinct.len(), 2);
         assert_eq!(distinct[0], a);
         assert_eq!(distinct[1], b);
-    }
-
-    #[test]
-    fn recorder_caps_values_per_site() {
-        let mut rec = RecordingInjector::with_values(5);
-        let site = OpSite::new(0, "conv", OpKind::MacInput);
-        let mut t = Tensor::from_fn(&[100], |i| i as f32);
-        rec.inject(&site, &mut t);
-        rec.inject(&site, &mut t);
-        assert_eq!(rec.values[&site].len(), 5);
-        let vals = rec.values_where(|s| s.kind == OpKind::MacInput);
-        assert_eq!(vals.len(), 5);
     }
 }

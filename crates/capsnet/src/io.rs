@@ -6,8 +6,7 @@
 //! tensor as `ndim, dims…, f32-LE data`, in the model's canonical
 //! parameter order.
 
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use redcane_tensor::Tensor;
@@ -36,6 +35,7 @@ pub fn weights_to_bytes(model: &mut dyn CapsModel) -> Bytes {
 }
 
 /// Restores parameters serialized by [`weights_to_bytes`] into `model`.
+/// On error the model is left untouched.
 ///
 /// # Errors
 ///
@@ -60,7 +60,10 @@ pub fn weights_from_bytes(model: &mut dyn CapsModel, data: &[u8]) -> io::Result<
             params.len()
         )));
     }
-    for p in params {
+    // Decode and check every tensor before assigning any, so a buffer
+    // rejected part-way leaves the model exactly as it was.
+    let mut staged = Vec::with_capacity(count);
+    for p in &params {
         if buf.remaining() < 4 {
             return Err(fail("weight buffer truncated"));
         }
@@ -86,36 +89,15 @@ pub fn weights_from_bytes(model: &mut dyn CapsModel, data: &[u8]) -> io::Result<
         for _ in 0..n {
             data.push(buf.get_f32_le());
         }
-        p.value = Tensor::from_vec(data, &shape)
-            .map_err(|e| fail(&format!("weight tensor rejected by shape check: {e}")))?;
+        staged.push(
+            Tensor::from_vec(data, &shape)
+                .map_err(|e| fail(&format!("weight tensor rejected by shape check: {e}")))?,
+        );
+    }
+    for (p, value) in params.into_iter().zip(staged) {
+        p.value = value;
     }
     Ok(())
-}
-
-/// Saves model weights to a file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_weights(model: &mut dyn CapsModel, path: &Path) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let bytes = weights_to_bytes(model);
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&bytes)
-}
-
-/// Loads model weights from a file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors and format mismatches.
-pub fn load_weights(model: &mut dyn CapsModel, path: &Path) -> io::Result<()> {
-    let mut f = std::fs::File::open(path)?;
-    let mut data = Vec::new();
-    f.read_to_end(&mut data)?;
-    weights_from_bytes(model, &data)
 }
 
 #[cfg(test)]
@@ -148,28 +130,18 @@ mod tests {
         assert!(weights_from_bytes(&mut model, b"nope").is_err());
         let mut bytes = weights_to_bytes(&mut model).to_vec();
         bytes.truncate(bytes.len() / 2);
-        assert!(weights_from_bytes(&mut model, &bytes).is_err());
+        // A rejected load leaves every parameter as it was, including the
+        // tensors decoded before the truncation is detected.
+        let mut other_seed = CapsNet::new(&cfg, &mut TensorRng::from_seed(182));
+        let before = weights_to_bytes(&mut other_seed);
+        assert!(weights_from_bytes(&mut other_seed, &bytes).is_err());
+        assert!(
+            weights_to_bytes(&mut other_seed) == before,
+            "a rejected load changed the model"
+        );
         // Different architecture.
         let mut other = CapsNet::new(&CapsNetConfig::small(3, 16), &mut rng);
         let good = weights_to_bytes(&mut model);
         assert!(weights_from_bytes(&mut other, &good).is_err());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let cfg = CapsNetConfig::small(1, 16);
-        let mut rng = TensorRng::from_seed(182);
-        let mut model = CapsNet::new(&cfg, &mut rng);
-        let dir = std::env::temp_dir().join("redcane-io-test");
-        let path = dir.join("weights.rcw");
-        save_weights(&mut model, &path).unwrap();
-        let mut loaded = CapsNet::new(&cfg, &mut TensorRng::from_seed(333));
-        load_weights(&mut loaded, &path).unwrap();
-        let x = rng.uniform(&[1, 16, 16], 0.0, 1.0);
-        assert_eq!(
-            model.forward(&x, &mut NoInjection),
-            loaded.forward(&x, &mut NoInjection)
-        );
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -17,7 +17,7 @@
 //! samples would change which noise hits which sample.
 
 use redcane_datasets::Dataset;
-use redcane_nn::{margin_loss, Adam, MarginLossConfig, Optimizer};
+use redcane_nn::{margin_loss, Adam, MarginLossConfig};
 use redcane_tensor::{par, Tensor, TensorRng};
 use redcane_trace as trace;
 

@@ -15,7 +15,7 @@ use redcane_datasets::Dataset;
 use serde::{Deserialize, Serialize};
 
 use crate::groups::Group;
-use crate::noise::{GaussianNoiseInjector, NoiseModel, NoiseTarget};
+use crate::noise::{NoiseModel, NoiseTarget, PerSiteNoiseInjector};
 
 /// Parameters of a resilience sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -143,7 +143,7 @@ fn noisy_accuracy<M: CapsModel>(
     model_params: NoiseModel,
     seed: u64,
 ) -> f64 {
-    let mut injector = GaussianNoiseInjector::new(model_params, target, seed);
+    let mut injector = PerSiteNoiseInjector::new(vec![(target, model_params)], seed);
     evaluate(model, data, &mut injector)
 }
 
@@ -298,6 +298,8 @@ pub fn layer_sweep<M: CapsModel + Clone + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datapath::{AccuracyBackend, DatapathAssignment, NoisePredicted};
+    use redcane_capsnet::inject::OpKind;
     use redcane_capsnet::{train, CapsNet, CapsNetConfig, TrainConfig};
     use redcane_datasets::{generate, Benchmark, GenerateConfig};
     use redcane_tensor::TensorRng;
@@ -375,6 +377,26 @@ mod tests {
         cfg.threads = 4;
         let parallel = group_sweep(&model, &test, &cfg);
         assert_eq!(serial, parallel);
+
+        // Step 2 and the noise-predicted backend run one injector: the
+        // MAC-output group's sweep point must equal the backend's score
+        // of a uniform component with the same (NM, NA) and seed.
+        let group = Group::all()
+            .into_iter()
+            .find(|g| g.op_kind() == OpKind::MacOutput)
+            .expect("a MAC-output group");
+        let point = &serial.curve(group).points[1];
+        let nm = point.nm;
+        let tag = format!("group:{}", group.number());
+        let predicted = NoisePredicted::new(task_seed(cfg.seed, &tag, nm))
+            .with_component("c", nm, cfg.na)
+            .evaluate(
+                &model,
+                &subset(&test, &cfg),
+                &DatapathAssignment::uniform("c"),
+            )
+            .unwrap();
+        assert_eq!(point.accuracy, predicted);
     }
 
     #[test]

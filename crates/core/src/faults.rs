@@ -17,7 +17,7 @@
 //! - [`FaultTarget`] — *where* it strikes within a site's MAC: the
 //!   stored weight codes, the streamed activation-operand register, the
 //!   multiplier array itself, or the output accumulator.
-//! - [`FaultPlan`] — a serializable map from site keys to
+//! - [`FaultPlan`] — a map from site keys to
 //!   [`SiteFault`]s plus a seed; the executable description one run of
 //!   the fault-measured backend applies.
 //!
@@ -33,7 +33,6 @@ use std::collections::BTreeMap;
 use redcane_capsnet::inject::OpKind;
 
 use crate::datapath::SiteKey;
-use crate::report::json::Value;
 
 /// A stateless SplitMix64-style mixer: hashes `(seed, a, b)` to one
 /// decorrelated 64-bit word. All fault realizations derive from this,
@@ -157,7 +156,7 @@ pub enum FaultTarget {
 }
 
 impl FaultTarget {
-    /// Stable slug for serialization and report rows.
+    /// Stable slug for report rows.
     pub fn label(&self) -> &'static str {
         match self {
             FaultTarget::WeightCodes => "weight_codes",
@@ -165,16 +164,6 @@ impl FaultTarget {
             FaultTarget::Multiplier => "multiplier",
             FaultTarget::Accumulator => "accumulator",
         }
-    }
-
-    fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "weight_codes" => FaultTarget::WeightCodes,
-            "activation_codes" => FaultTarget::ActivationCodes,
-            "multiplier" => FaultTarget::Multiplier,
-            "accumulator" => FaultTarget::Accumulator,
-            _ => return None,
-        })
     }
 }
 
@@ -204,29 +193,7 @@ impl SiteFault {
     }
 }
 
-/// Stable serialization slug per [`OpKind`].
-fn kind_slug(kind: OpKind) -> &'static str {
-    match kind {
-        OpKind::MacOutput => "mac_output",
-        OpKind::Activation => "activation",
-        OpKind::Softmax => "softmax",
-        OpKind::LogitsUpdate => "logits_update",
-        OpKind::MacInput => "mac_input",
-    }
-}
-
-fn kind_from_slug(s: &str) -> Option<OpKind> {
-    Some(match s {
-        "mac_output" => OpKind::MacOutput,
-        "activation" => OpKind::Activation,
-        "softmax" => OpKind::Softmax,
-        "logits_update" => OpKind::LogitsUpdate,
-        "mac_input" => OpKind::MacInput,
-        _ => return None,
-    })
-}
-
-/// A deterministic, serializable fault-injection plan: a seed plus one
+/// A deterministic fault-injection plan: a seed plus one
 /// optional [`SiteFault`] per datapath site, keyed exactly like a
 /// [`DatapathAssignment`](crate::datapath::DatapathAssignment).
 ///
@@ -318,105 +285,6 @@ impl FaultPlan {
             OpKind::MacInput => 4,
         };
         mix64(self.seed, h, (kind_code << 1) | u64::from(in_routing))
-    }
-
-    /// Serializes the plan to a JSON value (seeds as strings — u64
-    /// exceeds the f64-exact integer range).
-    pub fn to_json(&self) -> Value {
-        let sites = self
-            .sites
-            .iter()
-            .map(|((layer, kind, in_routing), fault)| {
-                let model = match fault.model {
-                    FaultModel::BitFlip { ber } => Value::Obj(vec![
-                        ("kind".into(), Value::Str("bit_flip".into())),
-                        ("ber".into(), Value::Num(ber)),
-                    ]),
-                    FaultModel::StuckAt { lanes, value } => Value::Obj(vec![
-                        ("kind".into(), Value::Str("stuck_at".into())),
-                        ("lanes".into(), Value::Num(f64::from(lanes))),
-                        ("value".into(), Value::Bool(value)),
-                    ]),
-                    FaultModel::DeadOutput => {
-                        Value::Obj(vec![("kind".into(), Value::Str("dead_output".into()))])
-                    }
-                };
-                Value::Obj(vec![
-                    ("layer".into(), Value::Str(layer.clone())),
-                    ("kind".into(), Value::Str(kind_slug(*kind).into())),
-                    ("in_routing".into(), Value::Bool(*in_routing)),
-                    ("target".into(), Value::Str(fault.target.label().into())),
-                    ("model".into(), model),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("seed".into(), Value::Str(self.seed.to_string())),
-            ("sites".into(), Value::Arr(sites)),
-        ])
-    }
-
-    /// Parses a plan back from [`FaultPlan::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the first malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let seed = v
-            .get("seed")
-            .and_then(Value::as_str)
-            .ok_or("fault plan: missing 'seed'")?
-            .parse::<u64>()
-            .map_err(|e| format!("fault plan: bad seed: {e}"))?;
-        let mut plan = FaultPlan::identity(seed);
-        let sites = v
-            .get("sites")
-            .and_then(Value::as_arr)
-            .ok_or("fault plan: missing 'sites'")?;
-        for site in sites {
-            let layer = site
-                .get("layer")
-                .and_then(Value::as_str)
-                .ok_or("fault site: missing 'layer'")?;
-            let kind = site
-                .get("kind")
-                .and_then(Value::as_str)
-                .and_then(kind_from_slug)
-                .ok_or("fault site: bad 'kind'")?;
-            let in_routing = site
-                .get("in_routing")
-                .and_then(Value::as_bool)
-                .ok_or("fault site: missing 'in_routing'")?;
-            let target = site
-                .get("target")
-                .and_then(Value::as_str)
-                .and_then(FaultTarget::from_label)
-                .ok_or("fault site: bad 'target'")?;
-            let model = site.get("model").ok_or("fault site: missing 'model'")?;
-            let model = match model.get("kind").and_then(Value::as_str) {
-                Some("bit_flip") => FaultModel::BitFlip {
-                    ber: model
-                        .get("ber")
-                        .and_then(Value::as_f64)
-                        .ok_or("bit_flip fault: missing 'ber'")?,
-                },
-                Some("stuck_at") => FaultModel::StuckAt {
-                    lanes: model
-                        .get("lanes")
-                        .and_then(Value::as_f64)
-                        .ok_or("stuck_at fault: missing 'lanes'")?
-                        as u32,
-                    value: model
-                        .get("value")
-                        .and_then(Value::as_bool)
-                        .ok_or("stuck_at fault: missing 'value'")?,
-                },
-                Some("dead_output") => FaultModel::DeadOutput,
-                _ => return Err("fault site: unknown model kind".to_string()),
-            };
-            plan.inject(layer, kind, in_routing, SiteFault::new(target, model));
-        }
-        Ok(plan)
     }
 }
 
@@ -535,63 +403,6 @@ mod tests {
             a,
             FaultPlan::identity(2).site_seed("Conv1", OpKind::MacOutput, false)
         );
-    }
-
-    #[test]
-    fn plan_json_round_trips_exactly() {
-        let plan = FaultPlan::identity(u64::MAX - 3)
-            .with(
-                "Conv1",
-                OpKind::MacOutput,
-                false,
-                SiteFault::new(FaultTarget::Multiplier, FaultModel::BitFlip { ber: 0.01 }),
-            )
-            .with(
-                "ClassCaps",
-                OpKind::LogitsUpdate,
-                true,
-                SiteFault::new(
-                    FaultTarget::WeightCodes,
-                    FaultModel::StuckAt {
-                        lanes: 0x81,
-                        value: false,
-                    },
-                ),
-            )
-            .with(
-                "ClassCaps",
-                OpKind::MacOutput,
-                true,
-                SiteFault::new(FaultTarget::Accumulator, FaultModel::DeadOutput),
-            );
-        let json = plan.to_json();
-        let text = json.dump();
-        let parsed = crate::report::json::parse(&text).unwrap();
-        let back = FaultPlan::from_json(&parsed).unwrap();
-        assert_eq!(back, plan);
-        // Serialization itself is deterministic.
-        assert_eq!(text, back.to_json().dump());
-    }
-
-    #[test]
-    fn plan_json_rejects_malformed_input() {
-        let missing_seed = Value::Obj(vec![("sites".into(), Value::Arr(vec![]))]);
-        assert!(FaultPlan::from_json(&missing_seed)
-            .unwrap_err()
-            .contains("seed"));
-        let bad_site = Value::Obj(vec![
-            ("seed".into(), Value::Str("1".into())),
-            (
-                "sites".into(),
-                Value::Arr(vec![Value::Obj(vec![(
-                    "layer".into(),
-                    Value::Str("X".into()),
-                )])]),
-            ),
-        ]);
-        assert!(FaultPlan::from_json(&bad_site)
-            .unwrap_err()
-            .contains("kind"));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use datapath::{AccuracyBackend, BackendError, DatapathAssignment, NoisePredi
 pub use faults::{FaultModel, FaultPlan, FaultTarget, SiteFault};
 pub use groups::{extract_groups, Group, GroupInventory};
 pub use methodology::{MethodologyConfig, RedCaNe, RedCaNeReport};
-pub use noise::{GaussianNoiseInjector, NoiseModel, NoiseTarget, PerSiteNoiseInjector};
+pub use noise::{NoiseModel, NoiseTarget, PerSiteNoiseInjector};
 pub use selection::{ApproxDesign, Assignment, SelectionConfig};
 
 /// Convenient glob import of the main entry points.
@@ -69,6 +69,6 @@ pub mod prelude {
     pub use crate::datapath::{AccuracyBackend, DatapathAssignment, NoisePredicted};
     pub use crate::groups::{extract_groups, Group};
     pub use crate::methodology::{MethodologyConfig, RedCaNe, RedCaNeReport};
-    pub use crate::noise::{GaussianNoiseInjector, NoiseModel, NoiseTarget};
+    pub use crate::noise::{NoiseModel, NoiseTarget};
     pub use crate::selection::{ApproxDesign, SelectionConfig};
 }

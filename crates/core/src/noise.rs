@@ -8,10 +8,10 @@
 //! X' = X + ΔX                                    (Eq. 4)
 //! ```
 //!
-//! [`GaussianNoiseInjector`] applies one `(NM, NA)` pair to every site
-//! matched by a [`NoiseTarget`] filter; [`PerSiteNoiseInjector`] applies a
-//! different pair per site (Step-6 validation, where each operation got
-//! its own approximate component).
+//! [`PerSiteNoiseInjector`] applies `(NM, NA)` pairs to the sites matched
+//! by [`NoiseTarget`] filters: one pair for a group- or layer-wise sweep
+//! (Steps 2–5), or a different pair per site for Step-6 validation, where
+//! each operation got its own approximate component.
 //!
 //! This is one of two error-model families sharing the `(layer, op
 //! kind, in-routing)` site keys: Gaussian noise here models smooth
@@ -94,14 +94,6 @@ impl NoiseTarget {
         }
     }
 
-    /// Targets every injectable site (whole-network injection).
-    pub fn everything() -> Self {
-        NoiseTarget {
-            kinds: OpKind::injectable().to_vec(),
-            layer_name: None,
-        }
-    }
-
     /// Whether `site` matches this target.
     pub fn matches(&self, site: &OpSite) -> bool {
         if !self.kinds.contains(&site.kind) {
@@ -114,42 +106,11 @@ impl NoiseTarget {
     }
 }
 
-/// Injects one Gaussian noise model into every matching site.
-#[derive(Debug, Clone)]
-pub struct GaussianNoiseInjector {
-    /// The noise parameterization.
-    pub model: NoiseModel,
-    /// The site filter.
-    pub target: NoiseTarget,
-    rng: TensorRng,
-    /// Number of tensors perturbed so far (diagnostics).
-    pub injections: u64,
-}
-
-impl GaussianNoiseInjector {
-    /// Creates an injector with its own seeded noise stream.
-    pub fn new(model: NoiseModel, target: NoiseTarget, seed: u64) -> Self {
-        GaussianNoiseInjector {
-            model,
-            target,
-            rng: TensorRng::from_seed(seed),
-            injections: 0,
-        }
-    }
-}
-
-impl Injector for GaussianNoiseInjector {
-    fn inject(&mut self, site: &OpSite, tensor: &mut Tensor) {
-        if self.target.matches(site) {
-            self.model.apply(tensor, &mut self.rng);
-            self.injections += 1;
-        }
-    }
-}
-
-/// Injects a *different* noise model per `(layer, kind)` — the validation
-/// mode of Step 6, where each operation runs on its own selected
-/// approximate component.
+/// Injects Gaussian noise into every site matched by one of its
+/// `(target, model)` pairs. A single pair is a group- or layer-wise sweep
+/// cell; several pairs give each `(layer, kind)` its own model — the
+/// validation mode of Step 6, where each operation runs on its own
+/// selected approximate component.
 #[derive(Debug, Clone)]
 pub struct PerSiteNoiseInjector {
     assignments: Vec<(NoiseTarget, NoiseModel)>,
@@ -253,15 +214,15 @@ mod tests {
         let layer = NoiseTarget::layer(OpKind::MacOutput, "Conv1");
         assert!(layer.matches(&site(OpKind::MacOutput, "Conv1")));
         assert!(!layer.matches(&site(OpKind::MacOutput, "Conv2")));
-        assert!(NoiseTarget::everything().matches(&site(OpKind::Activation, "x")));
-        assert!(!NoiseTarget::everything().matches(&site(OpKind::MacInput, "x")));
     }
 
     #[test]
     fn injector_counts_and_respects_filter() {
-        let mut inj = GaussianNoiseInjector::new(
-            NoiseModel::new(0.1, 0.0),
-            NoiseTarget::group(OpKind::Activation),
+        let mut inj = PerSiteNoiseInjector::new(
+            vec![(
+                NoiseTarget::group(OpKind::Activation),
+                NoiseModel::new(0.1, 0.0),
+            )],
             7,
         );
         let mut t = Tensor::from_fn(&[100], |i| i as f32);

@@ -77,21 +77,6 @@ impl RedCaNeReport {
             measured,
         )
     }
-
-    /// The groups marked resilient in Step 3.
-    pub fn resilient_groups(&self) -> Vec<Group> {
-        self.group_marking
-            .entries
-            .iter()
-            .filter(|(_, _, r)| *r)
-            .map(|(g, _, _)| *g)
-            .collect()
-    }
-
-    /// The groups marked non-resilient in Step 3.
-    pub fn non_resilient_groups(&self) -> Vec<Group> {
-        self.group_marking.non_resilient()
-    }
 }
 
 /// Stable machine-readable name of a group.
@@ -269,16 +254,6 @@ mod tests {
         assert!(s.contains("#1: MAC outputs"), "{s}");
         assert!(s.contains("power"), "{s}");
         assert!(s.contains("drop 1.50 pp"), "{s}");
-    }
-
-    #[test]
-    fn resilient_partition_is_consistent() {
-        let report = sample_report();
-        let resilient = report.resilient_groups();
-        let non_resilient = report.non_resilient_groups();
-        assert_eq!(resilient, vec![Group::Softmax, Group::LogitsUpdate]);
-        assert_eq!(non_resilient, vec![Group::MacOutputs, Group::Activations]);
-        assert_eq!(resilient.len() + non_resilient.len(), 4);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //!
 //! - [`QuantParams`]: the affine code ↔ value mapping of Eq. 1, with
 //!   round-trip quantize/dequantize;
-//! - [`Quantizer`]: tensor-level quantization producing `u8`/`u16` code
-//!   vectors alongside the reconstruction parameters;
 //! - [`RangeTracker`]: a running min/max observer used to calibrate
 //!   quantization ranges from real layer inputs (the paper's "real input
 //!   distribution" of Table IV).
@@ -40,5 +38,5 @@ mod quant;
 mod tracker;
 
 pub use error::FxpError;
-pub use quant::{QuantParams, QuantizedTensor, Quantizer};
+pub use quant::QuantParams;
 pub use tracker::RangeTracker;

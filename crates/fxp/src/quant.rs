@@ -127,103 +127,6 @@ impl QuantParams {
     }
 }
 
-/// A tensor quantized to `b`-bit codes together with its reconstruction
-/// parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedTensor {
-    /// Flat row-major codes.
-    pub codes: Vec<u16>,
-    /// Original tensor shape.
-    pub shape: Vec<usize>,
-    /// The affine mapping used.
-    pub params: QuantParams,
-}
-
-impl QuantizedTensor {
-    /// Reconstructs the floating-point tensor (with quantization error).
-    pub fn dequantize(&self) -> Tensor {
-        let data: Vec<f32> = self
-            .codes
-            .iter()
-            .map(|&c| self.params.dequantize(c))
-            .collect();
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        Tensor::from_vec(data, &self.shape).expect("codes sized to shape")
-    }
-}
-
-/// Tensor-level quantization front-end.
-///
-/// # Example
-///
-/// ```
-/// use redcane_fxp::Quantizer;
-/// use redcane_tensor::Tensor;
-///
-/// # fn main() -> Result<(), redcane_fxp::FxpError> {
-/// let t = Tensor::from_slice(&[-1.0, 0.0, 1.0]);
-/// let q = Quantizer::new(8).quantize_calibrated(&t)?;
-/// let back = q.dequantize();
-/// for (a, b) in t.data().iter().zip(back.data()) {
-///     assert!((a - b).abs() < 0.005);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Quantizer {
-    bits: u8,
-}
-
-impl Quantizer {
-    /// Creates a quantizer for `bits`-wide codes.
-    pub fn new(bits: u8) -> Self {
-        Quantizer { bits }
-    }
-
-    /// The configured word length.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Quantizes a tensor using its own min/max as the range (per-tensor
-    /// calibration, as the paper does per-array).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unsupported word length or non-finite data.
-    pub fn quantize_calibrated(&self, tensor: &Tensor) -> Result<QuantizedTensor, FxpError> {
-        let params = QuantParams::calibrate(tensor, self.bits)?;
-        Ok(self.quantize_with(tensor, params))
-    }
-
-    /// Quantizes a tensor with externally supplied parameters (e.g. from a
-    /// [`RangeTracker`](crate::RangeTracker) calibration pass).
-    pub fn quantize_with(&self, tensor: &Tensor, params: QuantParams) -> QuantizedTensor {
-        QuantizedTensor {
-            codes: tensor.data().iter().map(|&v| params.quantize(v)).collect(),
-            shape: tensor.shape().to_vec(),
-            params,
-        }
-    }
-
-    /// Simulates the fixed-point datapath: quantize + dequantize in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unsupported word length or non-finite data.
-    pub fn round_trip(&self, tensor: &Tensor) -> Result<Tensor, FxpError> {
-        Ok(self.quantize_calibrated(tensor)?.dequantize())
-    }
-}
-
-impl Default for Quantizer {
-    /// 8-bit, matching the paper's accelerator word length.
-    fn default() -> Self {
-        Quantizer::new(8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,28 +205,5 @@ mod tests {
             let rel = ((q.round_trip(v) - v) / v).abs();
             assert!(rel < 1e-2, "round trip at {v}: rel {rel}");
         }
-    }
-
-    #[test]
-    fn quantizer_tensor_round_trip() {
-        let t = Tensor::from_slice(&[0.0, 0.25, 0.5, 0.75, 1.0]);
-        let q = Quantizer::new(8);
-        let rt = q.round_trip(&t).unwrap();
-        for (a, b) in t.data().iter().zip(rt.data()) {
-            assert!((a - b).abs() < 0.01);
-        }
-    }
-
-    #[test]
-    fn quantized_tensor_keeps_shape() {
-        let t = Tensor::zeros(&[2, 3, 4]);
-        let q = Quantizer::default().quantize_calibrated(&t).unwrap();
-        assert_eq!(q.shape, vec![2, 3, 4]);
-        assert_eq!(q.dequantize().shape(), &[2, 3, 4]);
-    }
-
-    #[test]
-    fn default_quantizer_is_8_bit() {
-        assert_eq!(Quantizer::default().bits(), 8);
     }
 }

@@ -89,16 +89,6 @@ impl RangeTracker {
         }
     }
 
-    /// Merges another tracker's observations into this one.
-    pub fn merge(&mut self, other: &RangeTracker) {
-        if other.is_empty() {
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-    }
-
     /// Produces quantization parameters covering the observed range.
     ///
     /// A degenerate range (every observation was the same value) is
@@ -161,21 +151,6 @@ mod tests {
         assert!(t.is_empty());
         t.observe_value(1.0);
         assert_eq!(t.count(), 1);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = RangeTracker::new();
-        a.observe_value(0.0);
-        let mut b = RangeTracker::new();
-        b.observe_value(10.0);
-        a.merge(&b);
-        assert_eq!(a.min(), 0.0);
-        assert_eq!(a.max(), 10.0);
-        assert_eq!(a.count(), 2);
-        // Merging an empty tracker changes nothing.
-        a.merge(&RangeTracker::new());
-        assert_eq!(a.count(), 2);
     }
 
     #[test]

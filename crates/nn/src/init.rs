@@ -2,19 +2,6 @@
 
 use redcane_tensor::{Tensor, TensorRng};
 
-/// Xavier/Glorot uniform initialization: `U(-a, a)` with
-/// `a = sqrt(6 / (fan_in + fan_out))`. Suited to linear/sigmoid-ish
-/// activations (and works well for the squash nonlinearity).
-pub fn xavier_uniform(
-    shape: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut TensorRng,
-) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    rng.uniform(shape, -a, a)
-}
-
 /// He/Kaiming normal initialization: `N(0, sqrt(2 / fan_in))`, suited to
 /// ReLU activations.
 pub fn he_normal(shape: &[usize], fan_in: usize, rng: &mut TensorRng) -> Tensor {
@@ -30,16 +17,6 @@ pub fn conv_fans(c_out: usize, c_in: usize, kernel: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn xavier_bounds() {
-        let mut rng = TensorRng::from_seed(1);
-        let t = xavier_uniform(&[100, 100], 100, 100, &mut rng);
-        let a = (6.0f32 / 200.0).sqrt();
-        assert!(t.data().iter().all(|&v| v.abs() <= a));
-        // Not degenerate
-        assert!(t.std() > a / 4.0);
-    }
 
     #[test]
     fn he_scale_tracks_fan_in() {

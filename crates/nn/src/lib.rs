@@ -1,10 +1,10 @@
 //! # redcane-nn
 //!
 //! A compact CPU training substrate: layers with hand-written
-//! forward/backward passes, optimizers, initializers and losses. It exists
-//! because the ReD-CaNe methodology needs *trained* Capsule Networks to
-//! analyze, and this reproduction trains them from scratch in Rust instead
-//! of TensorFlow.
+//! forward/backward passes, the Adam optimizer, He initialization and the
+//! CapsNet margin loss. It exists because the ReD-CaNe methodology needs
+//! *trained* Capsule Networks to analyze, and this reproduction trains
+//! them from scratch in Rust instead of TensorFlow.
 //!
 //! Design choices:
 //!
@@ -40,6 +40,6 @@ pub mod optim;
 pub mod param;
 
 pub use layer::Layer;
-pub use loss::{cross_entropy_loss, margin_loss, MarginLossConfig};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use loss::{margin_loss, MarginLossConfig};
+pub use optim::Adam;
 pub use param::Param;

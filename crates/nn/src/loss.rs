@@ -1,4 +1,4 @@
-//! Loss functions: the CapsNet margin loss and softmax cross-entropy.
+//! The CapsNet margin loss.
 
 use redcane_tensor::Tensor;
 
@@ -57,28 +57,6 @@ pub fn margin_loss(lengths: &Tensor, target: usize, cfg: MarginLossConfig) -> (f
     (loss, Tensor::from_vec(grad, &[k]).expect("sized"))
 }
 
-/// Softmax cross-entropy over raw logits.
-///
-/// Returns `(loss, d_loss/d_logits)` for a single sample with true class
-/// `target`.
-///
-/// # Panics
-///
-/// Panics if `target` is out of range or `logits` is not rank 1.
-pub fn cross_entropy_loss(logits: &Tensor, target: usize) -> (f32, Tensor) {
-    assert_eq!(logits.ndim(), 1, "cross entropy expects a logit vector");
-    let k = logits.len();
-    assert!(target < k, "target {target} out of range for {k} classes");
-    // lint: allow(panic) — rank was checked by the caller/construction path
-    let probs = logits.softmax_axis(0).expect("rank-1 softmax");
-    let p_t = probs.data()[target].max(1e-12);
-    let loss = -p_t.ln();
-    let mut grad = probs.into_vec();
-    grad[target] -= 1.0;
-    // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-    (loss, Tensor::from_vec(grad, &[k]).expect("sized"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,36 +108,5 @@ mod tests {
     fn margin_loss_rejects_bad_target() {
         let lengths = Tensor::from_slice(&[0.5, 0.5]);
         let _ = margin_loss(&lengths, 2, MarginLossConfig::default());
-    }
-
-    #[test]
-    fn cross_entropy_confident_correct_is_small() {
-        let logits = Tensor::from_slice(&[10.0, -10.0]);
-        let (loss, _) = cross_entropy_loss(&logits, 0);
-        assert!(loss < 1e-3);
-        let (loss_wrong, _) = cross_entropy_loss(&logits, 1);
-        assert!(loss_wrong > 5.0);
-    }
-
-    #[test]
-    fn cross_entropy_gradient_matches_finite_difference() {
-        let logits = Tensor::from_slice(&[0.2, -0.5, 1.0]);
-        let (_, grad) = cross_entropy_loss(&logits, 2);
-        let eps = 1e-3f32;
-        for i in 0..3 {
-            let mut lp = logits.clone();
-            lp.data_mut()[i] += eps;
-            let mut lm = logits.clone();
-            lm.data_mut()[i] -= eps;
-            let num = (cross_entropy_loss(&lp, 2).0 - cross_entropy_loss(&lm, 2).0) / (2.0 * eps);
-            assert!((num - grad.data()[i]).abs() < 1e-3, "i={i}");
-        }
-    }
-
-    #[test]
-    fn cross_entropy_gradient_sums_to_zero() {
-        let logits = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        let (_, grad) = cross_entropy_loss(&logits, 0);
-        assert!(grad.sum().abs() < 1e-6);
     }
 }

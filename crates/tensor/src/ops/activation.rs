@@ -10,11 +10,6 @@ impl Tensor {
         self.map(|v| v.max(0.0))
     }
 
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        self.map(|v| 1.0 / (1.0 + (-v).exp()))
-    }
-
     /// Capsule **squash** nonlinearity along `axis` (Sabour et al., Eq. 1):
     ///
     /// ```text
@@ -118,15 +113,6 @@ mod tests {
     fn relu_clamps_negatives() {
         let t = Tensor::from_slice(&[-2.0, 0.0, 3.0]);
         assert_eq!(t.relu().data(), &[0.0, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn sigmoid_range_and_symmetry() {
-        let t = Tensor::from_slice(&[-10.0, 0.0, 10.0]);
-        let s = t.sigmoid();
-        assert!(s.data()[0] < 0.001);
-        assert!((s.data()[1] - 0.5).abs() < 1e-6);
-        assert!(s.data()[2] > 0.999);
     }
 
     #[test]

@@ -75,25 +75,6 @@ impl Conv2dSpec {
     }
 }
 
-/// `floor((input + 2*padding - kernel) / stride) + 1`, validated.
-///
-/// Free-function convenience over [`Conv2dSpec::new`] +
-/// [`Conv2dSpec::output_size`] — the spec constructor is the single
-/// validation path, so this can never disagree with construction.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidConvGeometry`] when the kernel exceeds the
-/// padded input, or the kernel or stride is zero.
-pub fn conv_output_size(
-    input: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-) -> Result<usize> {
-    Conv2dSpec::new(kernel, stride, padding)?.output_size(input)
-}
-
 /// Raw-slice im2col over a `[C, H, W]` buffer (see
 /// [`Tensor::im2col_into`]); lets layer code unroll without first
 /// wrapping (and copying) its data into a tensor. Writes every slot of
@@ -457,16 +438,18 @@ mod tests {
 
     #[test]
     fn output_size_formula() {
-        assert_eq!(conv_output_size(28, 9, 1, 0).unwrap(), 20);
-        assert_eq!(conv_output_size(20, 9, 2, 0).unwrap(), 6);
-        assert_eq!(conv_output_size(32, 3, 1, 1).unwrap(), 32);
-        assert_eq!(conv_output_size(32, 3, 2, 1).unwrap(), 16);
+        let out = |input, kernel, stride, padding| {
+            Conv2dSpec::new(kernel, stride, padding)?.output_size(input)
+        };
+        assert_eq!(out(28, 9, 1, 0).unwrap(), 20);
+        assert_eq!(out(20, 9, 2, 0).unwrap(), 6);
+        assert_eq!(out(32, 3, 1, 1).unwrap(), 32);
+        assert_eq!(out(32, 3, 2, 1).unwrap(), 16);
     }
 
     #[test]
     fn output_size_rejects_impossible() {
-        assert!(conv_output_size(2, 5, 1, 0).is_err());
-        assert!(conv_output_size(8, 3, 0, 0).is_err());
+        assert!(Conv2dSpec::new(5, 1, 0).unwrap().output_size(2).is_err());
         assert!(Conv2dSpec::new(3, 0, 1).is_err());
         assert!(Conv2dSpec::new(0, 1, 1).is_err());
         // Literal construction (or serde) can bypass `new`; output_size

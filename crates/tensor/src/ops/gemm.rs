@@ -439,33 +439,9 @@ fn micro_kernel_narrow(
     }
 }
 
-/// Batched `C[t] += A[t]·B[t]` over `t ∈ 0..batch` with row-major
-/// `batch×m×k`, `batch×k×n`, `batch×m×n` layouts.
-pub fn gemm_nn_batched(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), batch * m * k);
-    debug_assert_eq!(b.len(), batch * k * n);
-    debug_assert_eq!(c.len(), batch * m * n);
-    for t in 0..batch {
-        gemm_nn(
-            &a[t * m * k..(t + 1) * m * k],
-            &b[t * k * n..(t + 1) * k * n],
-            &mut c[t * m * n..(t + 1) * m * n],
-            m,
-            k,
-            n,
-        );
-    }
-}
-
-/// Overwrite-mode twin of [`gemm_nn_batched`] (see [`gemm_nn_over`]).
+/// Batched `C[t] = A[t]·B[t]` over `t ∈ 0..batch` with row-major
+/// `batch×m×k`, `batch×k×n`, `batch×m×n` layouts, overwriting `c` (see
+/// [`gemm_nn_over`]).
 pub fn gemm_nn_batched_over(
     a: &[f32],
     b: &[f32],
@@ -630,8 +606,9 @@ mod tests {
         let (batch, m, k, n) = (5, 3, 6, 4);
         let a = random(&mut rng, batch * m * k);
         let b = random(&mut rng, batch * k * n);
-        let mut c = vec![0.0f32; batch * m * n];
-        gemm_nn_batched(&a, &b, &mut c, batch, m, k, n);
+        // Start from garbage: the batched kernel must overwrite, not add.
+        let mut c = random(&mut rng, batch * m * n);
+        gemm_nn_batched_over(&a, &b, &mut c, batch, m, k, n);
         for t in 0..batch {
             let mut ct = vec![0.0f32; m * n];
             reference::gemm_nn(

@@ -7,8 +7,8 @@
 //! - [`gemm`] — the blocked micro-kernels every matrix product lowers to
 //! - [`matmul`] — 2-D and batched matrix products
 //! - [`conv`] — im2col and 2-D convolution (the MAC workhorse of CapsNets)
-//! - [`reduce`] — axis reductions (sum/mean/max) and axis softmax
-//! - [`activation`] — ReLU, sigmoid, and the capsule `squash` nonlinearity
+//! - [`reduce`] — axis sum and axis softmax
+//! - [`activation`] — ReLU and the capsule `squash` nonlinearity
 //! - [`manip`] — pad, slice, concat, transpose/permute
 
 pub mod activation;
@@ -18,4 +18,4 @@ pub mod manip;
 pub mod matmul;
 pub mod reduce;
 
-pub use conv::{conv_output_size, Conv2dSpec};
+pub use conv::Conv2dSpec;

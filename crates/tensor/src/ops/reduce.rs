@@ -1,4 +1,4 @@
-//! Axis reductions and the axis softmax used by dynamic routing.
+//! The axis sum and the axis softmax used by dynamic routing.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
@@ -23,30 +23,6 @@ impl Tensor {
     /// # }
     /// ```
     pub fn sum_axis(&self, axis: usize) -> Result<Tensor> {
-        self.reduce_axis(axis, 0.0, |acc, v| acc + v)
-    }
-
-    /// Means along `axis`, removing it from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= ndim`.
-    pub fn mean_axis(&self, axis: usize) -> Result<Tensor> {
-        let n = self.shape().get(axis).copied().unwrap_or(0).max(1) as f32;
-        Ok(self.sum_axis(axis)?.scale(1.0 / n))
-    }
-
-    /// Maximum along `axis`, removing it from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= ndim`.
-    pub fn max_axis(&self, axis: usize) -> Result<Tensor> {
-        self.reduce_axis(axis, f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Generic fold along `axis` with the given identity and combiner.
-    fn reduce_axis(&self, axis: usize, init: f32, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
         let nd = self.ndim();
         if axis >= nd {
             return Err(TensorError::AxisOutOfRange { axis, ndim: nd });
@@ -57,13 +33,13 @@ impl Tensor {
         let mut new_shape = self.shape().to_vec();
         new_shape.remove(axis);
         let src = self.data();
-        let mut out = vec![init; outer * inner];
+        let mut out = vec![0.0f32; outer * inner];
         for o in 0..outer {
             for a in 0..size {
                 let base = (o * size + a) * inner;
                 let orow = &mut out[o * inner..(o + 1) * inner];
                 for (slot, &v) in orow.iter_mut().zip(&src[base..base + inner]) {
-                    *slot = f(*slot, v);
+                    *slot += v;
                 }
             }
         }
@@ -134,41 +110,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, self.shape())
     }
-
-    /// Per-lane argmax along `axis`: returns a tensor with `axis` removed
-    /// whose values are the winning indices (as `f32`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= ndim`.
-    pub fn argmax_axis(&self, axis: usize) -> Result<Tensor> {
-        let nd = self.ndim();
-        if axis >= nd {
-            return Err(TensorError::AxisOutOfRange { axis, ndim: nd });
-        }
-        let size = self.shape()[axis];
-        let outer: usize = self.shape()[..axis].iter().product();
-        let inner: usize = self.shape()[axis + 1..].iter().product();
-        let mut new_shape = self.shape().to_vec();
-        new_shape.remove(axis);
-        let src = self.data();
-        let mut out = vec![0.0f32; outer * inner];
-        for o in 0..outer {
-            for i in 0..inner {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
-                for a in 0..size {
-                    let v = src[(o * size + a) * inner + i];
-                    if v > best {
-                        best = v;
-                        best_idx = a;
-                    }
-                }
-                out[o * inner + i] = best_idx as f32;
-            }
-        }
-        Tensor::from_vec(out, &new_shape)
-    }
 }
 
 #[cfg(test)]
@@ -193,25 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_axis_values() {
-        let t = Tensor::from_fn(&[2, 2], |i| i as f32); // [[0,1],[2,3]]
-        assert_eq!(t.mean_axis(0).unwrap().data(), &[1.0, 2.0]);
-        assert_eq!(t.mean_axis(1).unwrap().data(), &[0.5, 2.5]);
-    }
-
-    #[test]
-    fn max_axis_values() {
-        let t = Tensor::from_vec(vec![3.0, -1.0, 0.0, 7.0], &[2, 2]).unwrap();
-        assert_eq!(t.max_axis(0).unwrap().data(), &[3.0, 7.0]);
-        assert_eq!(t.max_axis(1).unwrap().data(), &[3.0, 7.0]);
-    }
-
-    #[test]
     fn axis_out_of_range_rejected() {
         let t = Tensor::zeros(&[2, 2]);
         assert!(t.sum_axis(2).is_err());
         assert!(t.softmax_axis(5).is_err());
-        assert!(t.argmax_axis(2).is_err());
     }
 
     #[test]
@@ -243,12 +169,5 @@ mod tests {
         for &v in s.data() {
             assert!((v - 0.25).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn argmax_axis_picks_winner() {
-        let t = Tensor::from_vec(vec![0.1, 0.9, 0.5, 0.2, 0.3, 0.4], &[2, 3]).unwrap();
-        assert_eq!(t.argmax_axis(1).unwrap().data(), &[1.0, 2.0]);
-        assert_eq!(t.argmax_axis(0).unwrap().data(), &[1.0, 0.0, 0.0]);
     }
 }

@@ -113,12 +113,6 @@ impl TensorRng {
         }
         idx
     }
-
-    /// Derives an independent child generator; useful for handing each
-    /// worker thread its own deterministic stream.
-    pub fn fork(&mut self) -> TensorRng {
-        TensorRng::from_seed(self.inner.gen::<u64>())
-    }
 }
 
 #[cfg(test)]
@@ -174,14 +168,6 @@ mod tests {
         let mut sorted = p.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = TensorRng::from_seed(42);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.uniform(&[8], 0.0, 1.0), c2.uniform(&[8], 0.0, 1.0));
     }
 
     #[test]
