@@ -23,9 +23,10 @@
 //!   power/error Pareto front;
 //! - [`lut`]: any model tabulated into a 64 KiB [`MulLut`] truth table,
 //!   filled by one statically dispatched
-//!   [`Multiplier8::tabulate_into`] call, and [`LutCache`] — one shared
-//!   table per distinct component of a heterogeneous datapath
-//!   assignment;
+//!   [`Multiplier8::tabulate_into`] call and carrying the model's
+//!   checked [`FactorTerm`] factorization when it has a short one, and
+//!   [`LutCache`] — one shared table per distinct component of a
+//!   heterogeneous datapath assignment;
 //! - [`error_stats`]: error profiling (mean/std/histogram), MAC-chain
 //!   accumulation (1, 9, 81 multiply-accumulates, as in Fig. 6), Gaussian
 //!   fits, and the paper's `NM`/`NA` noise parameters (Sec. III-B);
@@ -61,7 +62,7 @@ pub mod power;
 pub use error_stats::{ErrorProfile, InputDistribution, NoiseParams};
 pub use library::{ComponentEntry, MultiplierLibrary};
 pub use lut::{LutCache, MulLut, UnknownComponent};
-pub use mult::{ExactMultiplier, Multiplier8};
+pub use mult::{ExactMultiplier, FactorTerm, Multiplier8};
 
 /// The largest accurate 8×8 product (`255 * 255`); the natural scale for
 /// multiplier error magnitudes.

@@ -8,6 +8,16 @@
 //! sweeping a whole component library through end-to-end inference
 //! practical.
 //!
+//! A table can also carry the model's exact integer factorization
+//! `T(a, b) = Σ_r c_r · f_r(a) · g_r(b)` (see [`Multiplier8::factors`]):
+//! with it, a GEMM kernel can skip the gather and run one plain integer
+//! GEMM per term over the mapped operand codes. [`MulLut::tabulate`] keeps a
+//! factorization only after checking it against every table entry, so
+//! both paths produce the same bits by construction. Fourteen of the
+//! 35 library components factor this way (the exact multiplier, DRUM,
+//! perforation, Kulkarni and one-column truncation); the rest, and
+//! every [faulted view](MulLut::faulted_view), stay on the gather.
+//!
 //! [`MulLut`] is a concrete struct kernels index directly (no virtual
 //! call on the hot path). [`LutCache`] holds **one** table per distinct
 //! component of a heterogeneous datapath assignment, shared across
@@ -26,17 +36,28 @@ use std::sync::Arc;
 use redcane_trace as trace;
 
 use crate::library::MultiplierLibrary;
-use crate::mult::{ExactMultiplier, Multiplier8};
+use crate::mult::{ExactMultiplier, FactorTerm, Multiplier8};
+
+/// Most [`FactorTerm`]s a table keeps; longer factorizations stay on
+/// the gather. Each term costs one integer GEMM over the whole layer.
+/// Two terms still beat the gather on deep reductions, while a
+/// prototype that also took four-term tables gained nothing over two,
+/// and one that took up to eight lost a fifth of `qdp` sweep throughput
+/// (2-core x86-64 VM).
+pub const MAX_FACTOR_TERMS: usize = 2;
 
 /// A precomputed table of all 256×256 products of one multiplier model.
 #[derive(Clone)]
 pub struct MulLut {
     table: Box<[u16; 65536]>,
+    factors: Vec<FactorTerm>,
     description: String,
 }
 
 impl MulLut {
-    /// Tabulates `model` exhaustively over all 65 536 input pairs.
+    /// Tabulates `model` exhaustively over all 65 536 input pairs, and
+    /// keeps its [factorization](Multiplier8::factors) when it has at
+    /// most [`MAX_FACTOR_TERMS`] terms and reproduces every entry.
     pub fn tabulate(model: &dyn Multiplier8) -> Self {
         let mut table: Box<[u16; 65536]> = vec![0u16; 65536]
             .into_boxed_slice()
@@ -44,8 +65,13 @@ impl MulLut {
             // lint: allow(panic) — the table length is pinned to 65536 entries by the preceding vec!
             .expect("sized 65536");
         model.tabulate_into(&mut table);
+        let mut factors = model.factors();
+        if factors.len() > MAX_FACTOR_TERMS || !factors_reproduce(&factors, &table) {
+            factors.clear();
+        }
         MulLut {
             table,
+            factors,
             description: model.description(),
         }
     }
@@ -76,6 +102,12 @@ impl MulLut {
             .expect("sized 256")
     }
 
+    /// The checked factorization kernels may run instead of the
+    /// gather; empty when the table has none.
+    pub fn factors(&self) -> &[FactorTerm] {
+        &self.factors
+    }
+
     /// The tabulated model's one-line description.
     pub fn description(&self) -> &str {
         &self.description
@@ -92,7 +124,8 @@ impl MulLut {
     ///
     /// The fault semantics themselves (bit flips, stuck lanes, …) live
     /// upstream — this crate only composes the remaps into a table the
-    /// kernels can run at full speed.
+    /// kernels can run at full speed. The view carries no
+    /// factorization, so faulted sites always run on the gather.
     pub fn faulted_view(
         &self,
         description_suffix: &str,
@@ -112,6 +145,7 @@ impl MulLut {
         MulLut {
             // lint: allow(panic) — the table length is pinned to 65536 entries by the preceding check
             table: table.try_into().expect("sized 65536"),
+            factors: Vec::new(),
             description: format!("{} [{}]", self.description, description_suffix),
         }
     }
@@ -133,8 +167,28 @@ impl std::fmt::Debug for MulLut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MulLut")
             .field("description", &self.description)
+            .field("factor_terms", &self.factors.len())
             .finish()
     }
+}
+
+/// `true` when `Σ_r coeff_r · f_r(a) · g_r(b)`, in wrapping `u32`
+/// arithmetic, equals `table[(a << 8) | b]` for every input pair. Built
+/// one 256-entry row per left operand, so the inner loops vectorize.
+fn factors_reproduce(factors: &[FactorTerm], table: &[u16; 65536]) -> bool {
+    table.chunks_exact(256).enumerate().all(|(a, want)| {
+        let mut row = [0u32; 256];
+        for term in factors {
+            let fa = term.coeff().wrapping_mul(term.f()[a] as u32);
+            for (o, &gb) in row.iter_mut().zip(term.g()) {
+                *o = o.wrapping_add(fa.wrapping_mul(gb as u32));
+            }
+        }
+        // A fold, not `all`: no early exit, so the compare vectorizes.
+        row.iter()
+            .zip(want)
+            .fold(true, |same, (&got, &w)| same & (got == w as u32))
+    })
 }
 
 /// A component name naming no entry of the library a [`LutCache`] was
@@ -279,6 +333,89 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The library components whose tables run as integer GEMMs. Pinned
+    /// by name so a model refactor cannot silently send one back to the
+    /// gather (or claim a factorization for one that has none).
+    #[test]
+    fn exactly_the_rank_le_2_library_entries_keep_factors() {
+        let lib = MultiplierLibrary::evo_approx_like();
+        let factored: Vec<&str> = lib
+            .iter()
+            .filter(|e| !MulLut::tabulate(e.model()).factors().is_empty())
+            .map(|e| e.name())
+            .collect();
+        assert_eq!(
+            factored,
+            [
+                "mul8u_1JFF",
+                "mul8u_DM1",
+                "mul8u_12N4",
+                "mul8u_JV3",
+                "mul8u_QKX",
+                "mul8u_trc1",
+                "mul8u_kul1",
+                "mul8u_kul2",
+                "mul8u_kul4",
+                "mul8u_drum4",
+                "mul8u_drum5",
+                "mul8u_drum6",
+                "mul8u_perf0_1",
+                "mul8u_perf2_2",
+            ]
+        );
+        // Every model that claims a factorization has it accepted.
+        for e in lib.iter() {
+            assert_eq!(
+                e.model().factors().is_empty(),
+                MulLut::tabulate(e.model()).factors().is_empty(),
+                "{}",
+                e.name()
+            );
+        }
+    }
+
+    /// A model whose claimed factorization is wrong, or longer than
+    /// [`MAX_FACTOR_TERMS`], tabulates with none.
+    #[test]
+    fn tabulate_drops_wrong_or_overlong_factorizations() {
+        #[derive(Debug)]
+        struct Claims(Vec<FactorTerm>, crate::mult::CompressorMultiplier);
+        impl Multiplier8 for Claims {
+            fn multiply(&self, a: u8, b: u8) -> u16 {
+                self.1.multiply(a, b)
+            }
+            fn description(&self) -> String {
+                "claims".into()
+            }
+            fn factors(&self) -> Vec<FactorTerm> {
+                self.0.clone()
+            }
+        }
+        let ab = || FactorTerm::new(1, |a| a, |b| b);
+        let neg_ab = FactorTerm::new(1u32.wrapping_neg(), |a| a, |b| b);
+        let exact = crate::mult::CompressorMultiplier::new(0);
+        let lying = crate::mult::CompressorMultiplier::new(8);
+        assert_eq!(
+            MulLut::tabulate(&Claims(vec![ab()], exact)).factors().len(),
+            1
+        );
+        assert!(MulLut::tabulate(&Claims(vec![ab()], lying))
+            .factors()
+            .is_empty());
+        // `ab + ab − ab` is exact but needs three GEMMs.
+        let three = Claims(vec![ab(), ab(), neg_ab], exact);
+        assert!(MulLut::tabulate(&three).factors().is_empty());
+    }
+
+    #[test]
+    fn faulted_views_drop_the_factorization() {
+        let base = MulLut::exact();
+        assert_eq!(base.factors().len(), 1);
+        let view = base.faulted_view("identity", |a| a, |b| b, |_, v| v);
+        assert!(view.same_table(&base));
+        assert!(view.factors().is_empty());
     }
 
     #[test]

@@ -12,8 +12,64 @@
 //! over the 8×8 array survive as [`reference`](mod@reference), the
 //! correctness oracle the closed forms are tested against on all
 //! 65 536 input pairs.
+//!
+//! Families whose truth table factors exactly into at most two
+//! products of per-operand maps (exact, DRUM, perforation, Kulkarni and
+//! the one-column truncation) also expose that factorization through
+//! [`Multiplier8::factors`], so integer kernels can run them as plain
+//! integer GEMMs instead of table gathers.
 
 use std::fmt;
+
+/// One term `coeff · f(a) · g(b)` of an exact integer factorization
+/// `T(a, b) = Σ_r coeff_r · f_r(a) · g_r(b)` of a multiplier's truth
+/// table, evaluated in wrapping `u32` arithmetic.
+///
+/// The operand maps return 8-bit codes, so each `f(a) · g(b)` fits a
+/// `u16` and a `k`-deep sum of them fits the same `u32` accumulator as
+/// a sum of table entries. A negative coefficient is stored as its
+/// two's complement (`2u32.wrapping_neg()` for −2): the true sum of the
+/// terms is a table entry, so the wrap-around cancels exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FactorTerm {
+    coeff: u32,
+    f: [u8; 256],
+    g: [u8; 256],
+    f_is_identity: bool,
+}
+
+impl FactorTerm {
+    /// Tabulates the term `coeff · f(a) · g(b)` over all 8-bit codes.
+    pub fn new(coeff: u32, f: impl Fn(u8) -> u8, g: impl Fn(u8) -> u8) -> Self {
+        let f: [u8; 256] = std::array::from_fn(|v| f(v as u8));
+        FactorTerm {
+            coeff,
+            f_is_identity: f.iter().enumerate().all(|(v, &fv)| fv as usize == v),
+            f,
+            g: std::array::from_fn(|v| g(v as u8)),
+        }
+    }
+
+    /// The term's coefficient, two's complement when negative.
+    pub fn coeff(&self) -> u32 {
+        self.coeff
+    }
+
+    /// The left-operand map: `f()[a]` is `f(a)`.
+    pub fn f(&self) -> &[u8; 256] {
+        &self.f
+    }
+
+    /// The right-operand map: `g()[b]` is `g(b)`.
+    pub fn g(&self) -> &[u8; 256] {
+        &self.g
+    }
+
+    /// `true` when `f` is the identity, so left codes need no mapping.
+    pub fn f_is_identity(&self) -> bool {
+        self.f_is_identity
+    }
+}
 
 /// Behavioral contract for an 8×8 unsigned multiplier with a 16-bit output.
 ///
@@ -39,6 +95,16 @@ pub trait Multiplier8: Send + Sync + fmt::Debug {
             }
         }
     }
+
+    /// An exact factorization of the truth table into
+    /// [`FactorTerm`]s, or none (the default) when the family has no
+    /// short one. A claim is never trusted: [`MulLut::tabulate`]
+    /// checks it against all 65 536 entries before a kernel may use it.
+    ///
+    /// [`MulLut::tabulate`]: crate::lut::MulLut::tabulate
+    fn factors(&self) -> Vec<FactorTerm> {
+        Vec::new()
+    }
 }
 
 // --------------------------------------------------------------- exact
@@ -54,6 +120,10 @@ impl Multiplier8 for ExactMultiplier {
 
     fn description(&self) -> String {
         "exact 8x8 array multiplier".to_string()
+    }
+
+    fn factors(&self) -> Vec<FactorTerm> {
+        vec![FactorTerm::new(1, |a| a, |b| b)]
     }
 }
 
@@ -99,6 +169,19 @@ impl Multiplier8 for TruncatedMultiplier {
 
     fn description(&self) -> String {
         format!("truncated multiplier, {} LSB columns removed", self.cut)
+    }
+
+    fn factors(&self) -> Vec<FactorTerm> {
+        // Column 0 holds the single bit `a₀·b₀`; wider cuts drop
+        // several rows' bits and need more terms.
+        match self.cut {
+            0 => vec![FactorTerm::new(1, |a| a, |b| b)],
+            1 => vec![
+                FactorTerm::new(1, |a| a, |b| b),
+                FactorTerm::new(1u32.wrapping_neg(), |a| a & 1, |b| b & 1),
+            ],
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -187,18 +270,29 @@ impl KulkarniMultiplier {
         assert!(approx_levels <= 4);
         KulkarniMultiplier { approx_levels }
     }
+
+    /// Bit `2c` of `threes(v)` is set when chunk `c < approx_levels` of
+    /// `v` is `0b11`, so `threes(v) = sum of 4^c` over those chunks.
+    #[inline]
+    fn threes(&self, v: u8) -> u8 {
+        let approx_chunks = ((1u32 << (2 * self.approx_levels)) - 1) as u8;
+        v & (v >> 1) & 0x55 & approx_chunks
+    }
 }
 
 impl Multiplier8 for KulkarniMultiplier {
     fn multiply(&self, a: u8, b: u8) -> u16 {
-        // Bit `2c` of `threes(v)` is set when chunk `c < approx_levels`
-        // of `v` is `0b11`, so `threes(v) = sum of 4^c` over those chunks.
-        let approx_chunks = (1u32 << (2 * self.approx_levels)) - 1;
-        let threes = |v: u32| v & (v >> 1) & 0x55 & approx_chunks;
-        let (a, b) = (a as u32, b as u32);
         // Each approximate `3 × 3` block at chunks (ci, cj) yields 7, not
         // 9: it loses `2 << 2(ci + cj)`, and those losses factor.
-        (a * b - 2 * threes(a) * threes(b)) as u16
+        let (ta, tb) = (self.threes(a) as u32, self.threes(b) as u32);
+        (a as u32 * b as u32 - 2 * ta * tb) as u16
+    }
+
+    fn factors(&self) -> Vec<FactorTerm> {
+        vec![
+            FactorTerm::new(1, |a| a, |b| b),
+            FactorTerm::new(2u32.wrapping_neg(), |a| self.threes(a), |b| self.threes(b)),
+        ]
     }
 
     fn description(&self) -> String {
@@ -330,6 +424,13 @@ impl Multiplier8 for DrumMultiplier {
     fn description(&self) -> String {
         format!("DRUM({}) dynamic-range unbiased multiplier", self.k)
     }
+
+    fn factors(&self) -> Vec<FactorTerm> {
+        // A reduced operand never exceeds the original, so it stays an
+        // 8-bit code and the product never reaches the clamp.
+        let reduce = |v: u8| self.reduce(v) as u8;
+        vec![FactorTerm::new(1, reduce, reduce)]
+    }
 }
 
 // ----------------------------------------------------------- perforated
@@ -355,13 +456,23 @@ impl PerforatedMultiplier {
         assert!(start as usize + count as usize <= 8);
         PerforatedMultiplier { start, count }
     }
+
+    /// The mask of `b`'s bits whose partial-product rows are generated.
+    #[inline]
+    fn kept_rows(&self) -> u8 {
+        !((((1u16 << self.count) - 1) << self.start) as u8)
+    }
 }
 
 impl Multiplier8 for PerforatedMultiplier {
     fn multiply(&self, a: u8, b: u8) -> u16 {
         // Row `j` exists only when bit `j` of `b` survives the mask.
-        let rows = ((1u16 << self.count) - 1) << self.start;
-        a as u16 * (b as u16 & !rows)
+        a as u16 * (b & self.kept_rows()) as u16
+    }
+
+    fn factors(&self) -> Vec<FactorTerm> {
+        let kept = self.kept_rows();
+        vec![FactorTerm::new(1, |a| a, |b| b & kept)]
     }
 
     fn description(&self) -> String {

@@ -141,10 +141,10 @@ fn gemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProb
     }
 }
 
-/// Quantized-GEMM probe: the blocked integer kernel (exact-multiplier
-/// LUT) against its naive reference twin, same shapes as the float
-/// probes so the int-vs-float cost is directly comparable.
-fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProbe {
+/// Quantized-GEMM probe: `qgemm_nn` on `lut` against its naive
+/// reference twin, same shapes as the float probes so the int-vs-float
+/// cost is directly comparable.
+fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, lut: &MulLut, reps: usize) -> PerfProbe {
     let mut rng = TensorRng::from_seed(81);
     let a: Vec<u8> = (0..m * k)
         .map(|_| rng.next_uniform(0.0, 256.0) as u8)
@@ -152,16 +152,15 @@ fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfPro
     let b: Vec<u8> = (0..k * n)
         .map(|_| rng.next_uniform(0.0, 256.0) as u8)
         .collect();
-    let lut = MulLut::exact();
     let mut c = vec![0u32; m * n];
     let fast = time_ns(reps, || {
         c.fill(0);
-        qkernels::qgemm_nn(&a, &b, &mut c, m, k, n, &lut);
+        qkernels::qgemm_nn(&a, &b, &mut c, m, k, n, lut);
         std::hint::black_box(&c);
     });
     let naive = time_ns(reps, || {
         c.fill(0);
-        qkernels::reference::qgemm_nn(&a, &b, &mut c, m, k, n, &lut);
+        qkernels::reference::qgemm_nn(&a, &b, &mut c, m, k, n, lut);
         std::hint::black_box(&c);
     });
     PerfProbe {
@@ -415,6 +414,11 @@ fn artifact_load_probe<M: CapsModel + Clone + Send + Sync>(
 /// perf job on a warm store measures the restore path.
 pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
     let reps = if quick { 5 } else { 40 };
+    // The exact table runs on the factored integer path; its identity
+    // faulted view has the same products but no factorization, so it
+    // keeps the gather kernel on the report.
+    let exact = MulLut::exact();
+    let gather = exact.faulted_view("gather", |a| a, |b| b, |_, v| v);
     let mut probes = vec![
         // The two GEMM shapes the small CapsNet actually runs, plus a
         // square shape for context.
@@ -426,8 +430,23 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         gemm_probe("matmul_256x2304x16_deepcaps_cell4", 256, 2304, 16, reps),
         // Integer twins of the stem and DeepCaps shapes: what one
         // approximate-datapath sweep step costs per layer.
-        qgemm_probe("qgemm_24x49x100_stem", 24, 49, 100, reps),
-        qgemm_probe("qgemm_256x2304x16_deepcaps_cell4", 256, 2304, 16, reps),
+        qgemm_probe("qgemm_24x49x100_stem", 24, 49, 100, &exact, reps),
+        qgemm_probe(
+            "qgemm_256x2304x16_deepcaps_cell4",
+            256,
+            2304,
+            16,
+            &exact,
+            reps,
+        ),
+        qgemm_probe(
+            "qgemm_256x2304x16_deepcaps_cell4_gather",
+            256,
+            2304,
+            16,
+            &gather,
+            reps,
+        ),
         // Trace-hook overhead on the disabled fast path; extra reps
         // keep the paired-median estimate tight for the 5% tripwire.
         qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(400)),
@@ -525,6 +544,7 @@ mod tests {
         for name in [
             "qgemm_24x49x100_stem",
             "qgemm_256x2304x16_deepcaps_cell4",
+            "qgemm_256x2304x16_deepcaps_cell4_gather",
             "qgemm_hooks_off_24x49x100",
             "matmul_256x2304x16_deepcaps_cell4",
             "qdp_lower_deepcaps_small",

@@ -210,13 +210,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a hostile document of a million
+/// `[` overflows the stack; report payloads nest a few levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document, requiring it to span the whole input
 /// (modulo surrounding whitespace).
+///
+/// # Errors
+///
+/// [`ParseError`] on malformed input, and on arrays or objects nested
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -231,6 +242,8 @@ struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -275,12 +288,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Runs one container parser one nesting level deeper, refusing to
+    /// go past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -466,6 +494,18 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "{\"a\" 1}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+        // The cap itself is accepted; one level more is not.
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -1,24 +1,34 @@
-//! Blocked integer GEMM kernels over a pluggable 8-bit multiply.
+//! Integer GEMM kernels over a pluggable 8-bit multiply.
 //!
-//! [`qgemm_nn`] picks between two loop orders by reduction depth.
-//! Deep reductions (`k ≥ TALL_K`) compute the output in `MR×NR`
-//! **register tiles**: `u32` accumulators for the whole tile live in a
-//! local array across the entire `k` loop, so `C` is read and written
-//! exactly once per tile instead of once per `k` step — the memory
-//! traffic that capped the tall-`k` DeepCaps shapes at ~1.1× over
-//! naive. Short reductions **stream** each `B` row across all `MR`
-//! output rows at full width, amortizing loop overhead over `n`. Both
-//! paths hoist the left operand's 256-entry LUT row, leaving the
-//! 64 KiB [`MulLut`] the only irregular access, and both reduce in
-//! ascending-`k` order so the dispatch never changes an output bit.
-//! The accumulator is `u32` (8×8 products are ≤ 65 025, so `k` can
-//! reach ~66 000 before overflow — far beyond any layer in the
-//! workspace; debug builds assert the bound).
+//! [`qgemm_nn`] has two ways to apply a multiplier's [`MulLut`].
+//!
+//! - **Factored.** When the table carries an exact factorization
+//!   `T(a, b) = Σ_r c_r·f_r(a)·g_r(b)` (see [`MulLut::factors`]; the
+//!   exact multiplier, DRUM, perforation, Kulkarni and one-column
+//!   truncation have one), each term is one plain integer GEMM over the
+//!   mapped codes: `B` is mapped and transposed once, and every output
+//!   is a contiguous dot product whose `u8 × u8` products vectorize with
+//!   no table access. Deep enough reductions take this path (at least
+//!   `FACTORED_MIN_K` per term); below that the gather is cheaper.
+//! - **Gather.** Every product is a 64 KiB table lookup, in one of two
+//!   loop orders by reduction depth. Deep reductions (`k ≥ TALL_K`)
+//!   compute the output in `MR×NR` **register tiles**: `u32`
+//!   accumulators for the whole tile live in a local array across the
+//!   entire `k` loop, so `C` is read and written exactly once per tile
+//!   instead of once per `k` step. Short reductions **stream** each `B`
+//!   row across all `MR` output rows at full width, amortizing loop
+//!   overhead over `n`. Both hoist the left operand's 256-entry LUT
+//!   row, leaving the table the only irregular access.
+//!
+//! Every path sums integers, which is exact modulo 2³², so the dispatch
+//! never changes an output bit. The accumulator is `u32` (8×8 products
+//! are ≤ 65 025, so `k` can reach ~66 000 before overflow — far beyond
+//! any layer in the workspace; debug builds assert the bound).
 //!
 //! The naive triple loop survives as [`reference`], the correctness
-//! oracle both paths are property-tested against (bit-identical
-//! output — trivially order-independent for integer adds, but the test
-//! keeps the tiling honest across the `TALL_K` split).
+//! oracle every path is tested against for every library component
+//! (bit-identical output, across the `TALL_K` and `FACTORED_MIN_K`
+//! splits).
 //!
 //! [`affine_dequant`] folds an integer accumulator matrix back to
 //! float: with `value(q) = min + lsb·q` on both operands,
@@ -33,7 +43,7 @@
 
 use redcane_fxp::QuantParams;
 
-use redcane_axmul::MulLut;
+use redcane_axmul::{FactorTerm, MulLut};
 use redcane_trace as trace;
 
 /// Rows per register tile, matching the float GEMM.
@@ -45,6 +55,20 @@ pub const NR: usize = 8;
 /// it the row-streaming kernel's per-`k`-step reload of the `C` rows
 /// costs more than the tile's narrower `B` segments.
 const TALL_K: usize = 192;
+
+/// Reduction depth, per factor term, from which a factored table runs
+/// as integer dot products instead of the gather. Measured per call on
+/// the workspace's layer shapes against the gather on the same table
+/// (2-core x86-64 VM): one term is 1.5–4× faster from `k = 8` up, bar
+/// the `k = 9`, `n = 256` DeepCaps stem (0.9×); two terms are 0.9–2×
+/// from `k = 16` up but drop to 0.4× below it.
+const FACTORED_MIN_K: usize = 8;
+
+/// `true` when [`qgemm_nn`] runs `lut` through its factorization.
+fn takes_factored_path(lut: &MulLut, k: usize) -> bool {
+    let terms = lut.factors().len();
+    terms > 0 && k >= FACTORED_MIN_K * terms
+}
 
 /// Largest `k` the `u32` accumulator provably cannot overflow at.
 pub const MAX_ACC_K: usize = (u32::MAX / (255 * 255)) as usize;
@@ -60,10 +84,11 @@ pub fn qgemm_nn(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize,
         trace::add(trace::Counter::QgemmCalls, 1);
         trace::add(trace::Counter::QgemmMacs, (m * k * n) as u64);
         // Analytic twin of each path's `lut.row()` call count: the
-        // tall-k tile path hoists one row per (tile, k-step, tile-row),
-        // the streaming path one per (output-row, k-step). Kept in
-        // lock-step with the dispatch below by the trace count tests.
-        let fetches = if m > 0 && n > 0 && k > 0 {
+        // factored path fetches none, the tall-k tile path one row per
+        // (tile, k-step, tile-row), the streaming path one per
+        // (output-row, k-step). Kept in lock-step with the dispatch in
+        // `qgemm_nn_raw` by the trace count tests.
+        let fetches = if m > 0 && n > 0 && k > 0 && !takes_factored_path(lut, k) {
             if k >= TALL_K {
                 (n.div_ceil(NR) * m * k) as u64
             } else {
@@ -92,10 +117,13 @@ pub fn qgemm_nn_raw(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: us
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // Both paths reduce each output element in ascending-k order with
-    // u32 adds, so the choice never changes a single output bit — only
-    // which memory traffic is paid.
-    if k >= TALL_K {
+    // A factored table runs as plain integer GEMMs; otherwise both
+    // gather paths reduce each output element in ascending-k order with
+    // u32 adds. Integer sums are exact modulo 2³², so no choice changes
+    // a single output bit — only which work and memory traffic is paid.
+    if takes_factored_path(lut, k) {
+        qgemm_factored(a, b, c, k, n, lut.factors());
+    } else if k >= TALL_K {
         qgemm_tall_k(a, b, c, m, k, n, lut);
     } else {
         qgemm_stream(a, b, c, m, k, n, lut);
@@ -134,6 +162,48 @@ fn qgemm_tall_k(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize,
             }
         }
     }
+}
+
+/// Integer path for a factored table `T(a, b) = Σ_r c_r·f_r(a)·g_r(b)`:
+/// per term, map `A` through `f_r` (the identity costs nothing) and `B`
+/// through `g_r` into its transpose, so each output is one contiguous
+/// `k`-long [`dot`] of codes, added into `C` times `c_r` in wrapping
+/// `u32` arithmetic. The true total is a sum of table entries, so it is
+/// exact modulo 2³² — the same bits the gather produces.
+#[inline(never)]
+fn qgemm_factored(a: &[u8], b: &[u8], c: &mut [u32], k: usize, n: usize, terms: &[FactorTerm]) {
+    let mut fa_buf = Vec::new();
+    let mut gbt = vec![0u8; n * k];
+    for term in terms {
+        let fa = if term.f_is_identity() {
+            a
+        } else {
+            fa_buf.clear();
+            fa_buf.extend(a.iter().map(|&v| term.f()[v as usize]));
+            &fa_buf[..]
+        };
+        let g = term.g();
+        for (p, brow) in b.chunks_exact(n).enumerate() {
+            for (j, &v) in brow.iter().enumerate() {
+                gbt[j * k + p] = g[v as usize];
+            }
+        }
+        for (arow, crow) in fa.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            for (o, bcol) in crow.iter_mut().zip(gbt.chunks_exact(k)) {
+                *o = o.wrapping_add(term.coeff().wrapping_mul(dot(arow, bcol)));
+            }
+        }
+    }
+}
+
+/// `Σ x·y` over two code rows. Each `u8 × u8` product fits a `u16`, so
+/// the loop vectorizes with no table gather. Kept out of line: inlined
+/// into a caller's loop nest, the vectorizer can give up on it.
+#[inline(never)]
+fn dot(x: &[u8], y: &[u8]) -> u32 {
+    x.iter()
+        .zip(y)
+        .fold(0u32, |s, (&x, &y)| s.wrapping_add(x as u32 * y as u32))
 }
 
 /// Row-streaming path for short reductions: each `B` row is streamed
@@ -232,8 +302,8 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redcane_axmul::mult::TruncatedMultiplier;
-    use redcane_axmul::Multiplier8;
+    use redcane_axmul::mult::{KulkarniMultiplier, TruncatedMultiplier};
+    use redcane_axmul::{Multiplier8, MultiplierLibrary};
 
     fn codes(seed: u64, len: usize) -> Vec<u8> {
         // Small deterministic LCG; avoids pulling rand into unit tests.
@@ -248,23 +318,70 @@ mod tests {
             .collect()
     }
 
+    /// Every library component, on every path, against the naive
+    /// oracle: the dispatched kernel, the gather forced by an identity
+    /// faulted view (which drops the factorization), and — for the
+    /// factored tables — the integer path called directly, so shapes
+    /// below `FACTORED_MIN_K` are covered too. Shapes straddle both
+    /// `FACTORED_MIN_K` splits and `TALL_K`.
     #[test]
     fn blocked_matches_reference_across_shapes_and_multipliers() {
-        let luts = [
-            MulLut::exact(),
-            MulLut::tabulate(&TruncatedMultiplier::new(4)),
+        let shapes = [
+            (1, 1, 1),
+            (4, 4, 4),
+            (5, 7, 3),
+            (3, 8, 9),
+            (2, 16, 5),
+            (3, 300, 9),
+            (13, 513, 17),
         ];
-        for lut in &luts {
-            for &(m, k, n) in &[(1, 1, 1), (4, 4, 4), (5, 7, 3), (3, 300, 9), (13, 513, 17)] {
+        let mut factored = 0;
+        for entry in MultiplierLibrary::evo_approx_like().iter() {
+            let lut = MulLut::tabulate(entry.model());
+            let gather = lut.faulted_view("identity", |a| a, |b| b, |_, v| v);
+            assert!(gather.factors().is_empty());
+            factored += usize::from(!lut.factors().is_empty());
+            for &(m, k, n) in &shapes {
                 let a = codes(m as u64 * 31 + k as u64, m * k);
                 let b = codes(n as u64 * 17 + 5, k * n);
-                let mut fast = vec![0u32; m * n];
-                let mut naive = vec![0u32; m * n];
-                qgemm_nn(&a, &b, &mut fast, m, k, n, lut);
-                reference::qgemm_nn(&a, &b, &mut naive, m, k, n, lut);
-                assert_eq!(fast, naive, "{m}x{k}x{n} [{}]", lut.description());
+                let mut naive = vec![1u32; m * n];
+                reference::qgemm_nn(&a, &b, &mut naive, m, k, n, &lut);
+                let run = |kernel: &dyn Fn(&mut [u32])| {
+                    let mut c = vec![1u32; m * n];
+                    kernel(&mut c);
+                    c
+                };
+                let what = format!("{m}x{k}x{n} [{}]", entry.name());
+                let dispatched = run(&|c| qgemm_nn(&a, &b, c, m, k, n, &lut));
+                assert_eq!(dispatched, naive, "dispatched {what}");
+                let gathered = run(&|c| qgemm_nn(&a, &b, c, m, k, n, &gather));
+                assert_eq!(gathered, naive, "gather {what}");
+                if !lut.factors().is_empty() {
+                    let integer = run(&|c| qgemm_factored(&a, &b, c, k, n, lut.factors()));
+                    assert_eq!(integer, naive, "factored {what}");
+                }
             }
         }
+        assert_eq!(factored, 14);
+    }
+
+    /// The deepest reduction the accumulator allows, every code 255, on
+    /// the fully approximate Kulkarni table: the integer path's first
+    /// term alone sums to within 2³² − 1020 and its −2 term wraps the
+    /// accumulator, yet the result must equal the gather's exact sum.
+    #[test]
+    fn kulkarni_wrapping_term_is_exact_at_max_acc_k() {
+        let lut = MulLut::tabulate(&KulkarniMultiplier::new(4));
+        assert_eq!(lut.factors().len(), 2);
+        let k = MAX_ACC_K;
+        let (a, b) = (vec![255u8; k], vec![255u8; k]);
+        let want = k as u32 * lut.mul(255, 255) as u32;
+        let mut naive = [0u32];
+        reference::qgemm_nn(&a, &b, &mut naive, 1, k, 1, &lut);
+        assert_eq!(naive, [want]);
+        let mut fast = [0u32];
+        qgemm_nn(&a, &b, &mut fast, 1, k, 1, &lut);
+        assert_eq!(fast, [want]);
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //!    whole network whose steps remember their **site** keys. Weights
 //!    and activations become 8-bit codes
 //!    ([`qtensor::quantize_codes`], Eq. 1 of the paper) and the MACs
-//!    integer kernels ([`kernels::qgemm_nn`]) whose every multiply is a
-//!    [`MulLut`] lookup — a 64 KiB table of any
-//!    [`Multiplier8`](redcane_axmul::Multiplier8)'s full truth table.
+//!    integer kernels ([`kernels::qgemm_nn`]) whose every multiply is
+//!    what a [`MulLut`] — a 64 KiB table of any
+//!    [`Multiplier8`](redcane_axmul::Multiplier8)'s full truth table —
+//!    says: a lookup, or plain integer products when the table carries
+//!    an exact factorization.
 //! 3. **Run** — [`QModel`] executes end-to-end inference (per sample,
 //!    or batch-fused into wide GEMMs via [`QModel::forward_batch`])
 //!    under a [`DatapathAssignment`]: a *heterogeneous* map from site

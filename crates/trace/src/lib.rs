@@ -80,8 +80,9 @@ pub enum Counter {
     /// Quantized multiply-accumulates: `m·k·n` per qgemm call.
     QgemmMacs,
     /// 256-entry `MulLut` rows fetched by qgemm (counted analytically
-    /// per call, matching the kernel's dispatch: the tall-`k`
-    /// register-tile path re-fetches each row once per column tile).
+    /// per call, matching the kernel's dispatch: the factored integer
+    /// path fetches none, and the gather's tall-`k` register-tile path
+    /// re-fetches each row once per column tile).
     LutRowFetches,
     /// `LutCache` lookups that found a tabulated component.
     LutCacheHits,
