@@ -17,6 +17,22 @@ use crate::squash::{caps_lengths, caps_lengths_backward, squash_caps, squash_cap
 /// probabilities) as a rank-1 tensor; `backward_from_lengths` propagates a
 /// gradient on those lengths back through the whole network, accumulating
 /// parameter gradients.
+///
+/// # Stages
+///
+/// The float forward is split into [`stages`](CapsModel::stages), and
+/// `forward` is nothing but their fold. The stage contract:
+///
+/// - each stage takes one tensor in (the image for stage 0, the previous
+///   stage's output otherwise) and gives one tensor out (the lengths for
+///   the last stage);
+/// - every injection site fires in exactly one stage, and the stages
+///   visit the sites in the order a full `forward` does;
+/// - a stage's output is a pure function of its input and the weights
+///   (plus whatever the injector does at that stage's own sites).
+///
+/// So a noise sweep may run the clean prefix once, cache the stage
+/// inputs, and start each noisy pass at the first stage it perturbs.
 pub trait CapsModel {
     /// Architecture + config display name.
     fn name(&self) -> String;
@@ -31,8 +47,31 @@ pub trait CapsModel {
     /// Number of output classes.
     fn num_classes(&self) -> usize;
 
-    /// Full inference pass; every classified operation calls `injector`.
-    fn forward(&mut self, x: &Tensor, injector: &mut dyn Injector) -> Tensor;
+    /// Number of forward stages (at least one).
+    fn stages(&self) -> usize;
+
+    /// Runs forward stage `stage` on its input `x`; every classified
+    /// operation of the stage calls `injector`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage >= self.stages()` or `x` is not the stage's
+    /// input shape.
+    fn forward_stage(&mut self, stage: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor;
+
+    /// The rest of a pass from stage `start` on: the fold of
+    /// [`forward_stage`](CapsModel::forward_stage) over stages
+    /// `start..stages()`, where `x` is stage `start`'s input.
+    fn forward_from(&mut self, start: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        let first = self.forward_stage(start, x, injector);
+        (start + 1..self.stages()).fold(first, |t, stage| self.forward_stage(stage, &t, injector))
+    }
+
+    /// Full inference pass: every stage from the image on; every
+    /// classified operation calls `injector`.
+    fn forward(&mut self, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        self.forward_from(0, x, injector)
+    }
 
     /// Backpropagates `d_lengths` (shape `[num_classes]`).
     ///
@@ -103,6 +142,19 @@ pub fn caps_to_units(t: &Tensor) -> Tensor {
     }
     // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
     Tensor::from_vec(out, &[c * h * w, d]).expect("sized")
+}
+
+/// Class-capsule lengths `[classes]` of the class-capsule outputs `v`
+/// (`[classes, dim]`).
+fn class_lengths(v: &Tensor, classes: usize, dim: usize) -> Tensor {
+    let v3 = v
+        .reshape(&[classes, dim, 1])
+        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+        .expect("caps form");
+    caps_lengths(&v3)
+        .into_reshaped(&[classes])
+        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+        .expect("drop P")
 }
 
 /// Inverse of [`caps_to_units`] for gradients.
@@ -224,42 +276,48 @@ impl CapsModel for CapsNet {
         self.cfg.class_caps
     }
 
-    fn forward(&mut self, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
-        assert_eq!(
-            x.shape(),
-            [
-                self.cfg.input_channels,
-                self.cfg.input_hw,
-                self.cfg.input_hw
-            ],
-            "CapsNet input"
-        );
-        if injector.observes_inputs() {
-            let mut copy = x.clone();
-            injector.inject(&OpSite::new(0, "Conv1", OpKind::MacInput), &mut copy);
+    fn stages(&self) -> usize {
+        3
+    }
+
+    fn forward_stage(&mut self, stage: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        match stage {
+            // Conv1 + ReLU, folded into the one-dim capsules PrimaryCaps reads.
+            0 => {
+                assert_eq!(
+                    x.shape(),
+                    [
+                        self.cfg.input_channels,
+                        self.cfg.input_hw,
+                        self.cfg.input_hw
+                    ],
+                    "CapsNet input"
+                );
+                if injector.observes_inputs() {
+                    let mut copy = x.clone();
+                    injector.inject(&OpSite::new(0, "Conv1", OpKind::MacInput), &mut copy);
+                }
+                let mut c = self.conv1.forward(x);
+                injector.inject(&OpSite::new(0, "Conv1", OpKind::MacOutput), &mut c);
+                let mut a = self.relu.forward(&c);
+                injector.inject(&OpSite::new(0, "Conv1", OpKind::Activation), &mut a);
+                let (h1, w1) = (a.shape()[1], a.shape()[2]);
+                a.into_reshaped(&[self.cfg.conv1_filters, 1, h1, w1])
+                    // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+                    .expect("stem to caps")
+            }
+            // PrimaryCaps → one unit row per capsule.
+            1 => caps_to_units(&self.primary.forward(x, injector)),
+            // ClassCaps → lengths.
+            2 => {
+                let v = self.class_caps.forward(x, injector);
+                let lengths = class_lengths(&v, self.cfg.class_caps, self.cfg.class_dim);
+                self.v_cache = Some(v);
+                lengths
+            }
+            // lint: allow(panic) — API contract: callers stay below stages()
+            _ => panic!("CapsNet has 3 stages, got stage {stage}"),
         }
-        let mut c = self.conv1.forward(x);
-        injector.inject(&OpSite::new(0, "Conv1", OpKind::MacOutput), &mut c);
-        let mut a = self.relu.forward(&c);
-        injector.inject(&OpSite::new(0, "Conv1", OpKind::Activation), &mut a);
-        let (h1, w1) = (a.shape()[1], a.shape()[2]);
-        let caps_in = a
-            .into_reshaped(&[self.cfg.conv1_filters, 1, h1, w1])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("stem to caps");
-        let prim = self.primary.forward(&caps_in, injector);
-        let u = caps_to_units(&prim);
-        let v = self.class_caps.forward(&u, injector);
-        let v3 = v
-            .reshape(&[self.cfg.class_caps, self.cfg.class_dim, 1])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("caps form");
-        let lengths = caps_lengths(&v3)
-            .into_reshaped(&[self.cfg.class_caps])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("drop P");
-        self.v_cache = Some(v);
-        lengths
     }
 
     fn backward_from_lengths(&mut self, d_lengths: &Tensor) {
@@ -625,44 +683,54 @@ impl CapsModel for DeepCaps {
         self.cfg.class_caps
     }
 
-    fn forward(&mut self, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
-        assert_eq!(
-            x.shape(),
-            [
-                self.cfg.input_channels,
-                self.cfg.input_hw,
-                self.cfg.input_hw
-            ],
-            "DeepCaps input"
-        );
-        let (h, w) = (x.shape()[1], x.shape()[2]);
-        let caps_in = x
-            .reshape(&[self.cfg.input_channels, 1, h, w])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("image to caps");
-        let mut t = self.stem.forward(&caps_in, injector);
-        for cell in &mut self.cells {
-            t = cell.forward(&t, injector);
+    fn stages(&self) -> usize {
+        self.cells.len() + 3
+    }
+
+    fn forward_stage(&mut self, stage: usize, x: &Tensor, injector: &mut dyn Injector) -> Tensor {
+        let cells = self.cells.len();
+        match stage {
+            // The conv-caps stem on the image.
+            0 => {
+                assert_eq!(
+                    x.shape(),
+                    [
+                        self.cfg.input_channels,
+                        self.cfg.input_hw,
+                        self.cfg.input_hw
+                    ],
+                    "DeepCaps input"
+                );
+                let (h, w) = (x.shape()[1], x.shape()[2]);
+                let caps_in = x
+                    .reshape(&[self.cfg.input_channels, 1, h, w])
+                    // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+                    .expect("image to caps");
+                self.stem.forward(&caps_in, injector)
+            }
+            // The residual cells.
+            s if s <= cells => self.cells[s - 1].forward(x, injector),
+            // The last cell → Caps3D and skip capsules as concatenated units.
+            s if s == cells + 1 => {
+                let a = self.last_lead.forward(x, injector);
+                let b = self.last_mid.forward(&a, injector);
+                let c3 = self.caps3d.forward(&b, injector);
+                let d = self.last_skip.forward(&a, injector);
+                let u3 = caps_to_units(&c3);
+                let us = caps_to_units(&d);
+                // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+                Tensor::concat(&[&u3, &us], 0).expect("unit concat")
+            }
+            // ClassCaps → lengths.
+            s if s == cells + 2 => {
+                let v = self.class_caps.forward(x, injector);
+                let lengths = class_lengths(&v, self.cfg.class_caps, self.cfg.class_dim);
+                self.v_cache = Some(v);
+                lengths
+            }
+            // lint: allow(panic) — API contract: callers stay below stages()
+            _ => panic!("DeepCaps has {} stages, got stage {stage}", cells + 3),
         }
-        let a = self.last_lead.forward(&t, injector);
-        let b = self.last_mid.forward(&a, injector);
-        let c3 = self.caps3d.forward(&b, injector);
-        let d = self.last_skip.forward(&a, injector);
-        let u3 = caps_to_units(&c3);
-        let us = caps_to_units(&d);
-        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        let u = Tensor::concat(&[&u3, &us], 0).expect("unit concat");
-        let v = self.class_caps.forward(&u, injector);
-        let v3 = v
-            .reshape(&[self.cfg.class_caps, self.cfg.class_dim, 1])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("caps form");
-        let lengths = caps_lengths(&v3)
-            .into_reshaped(&[self.cfg.class_caps])
-            // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-            .expect("drop P");
-        self.v_cache = Some(v);
-        lengths
     }
 
     fn backward_from_lengths(&mut self, d_lengths: &Tensor) {
@@ -849,6 +917,62 @@ mod tests {
             .iter()
             .filter(|s| s.kind == OpKind::Softmax || s.kind == OpKind::LogitsUpdate)
             .all(|s| s.layer_name == "ClassCaps"));
+    }
+
+    /// The stage contract: `forward` equals a manual fold of
+    /// `forward_stage` (and `forward_from` resumes mid-way to the same
+    /// lengths), and the stages' visits, concatenated, are a full
+    /// forward's visits — every site in exactly one stage, in order.
+    fn assert_stage_contract(model: &mut dyn CapsModel, x: &Tensor, stages: usize) {
+        assert_eq!(model.stages(), stages);
+        let mut full_rec = RecordingInjector::sites_only();
+        let full = model.forward(x, &mut full_rec);
+        let mut inputs = vec![x.clone()];
+        let mut staged_visits = Vec::new();
+        let mut per_stage = Vec::new();
+        for stage in 0..stages {
+            let mut rec = RecordingInjector::sites_only();
+            let out = model.forward_stage(stage, &inputs[stage], &mut rec);
+            assert!(!rec.visits.is_empty(), "stage {stage} visits no site");
+            per_stage.push(rec.distinct_sites());
+            staged_visits.extend(rec.visits);
+            inputs.push(out);
+        }
+        assert_eq!(staged_visits, full_rec.visits);
+        assert_eq!(inputs[stages], full);
+        for (stage, input) in inputs[..stages].iter().enumerate() {
+            assert_eq!(model.forward_from(stage, input, &mut NoInjection), full);
+        }
+        for (i, a) in per_stage.iter().enumerate() {
+            for b in &per_stage[i + 1..] {
+                assert!(a.iter().all(|site| !b.contains(site)), "site in two stages");
+            }
+        }
+    }
+
+    #[test]
+    fn capsnet_forward_is_the_fold_of_its_stages() {
+        let mut rng = TensorRng::from_seed(169);
+        let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
+        let x = rng.uniform(&[1, 16, 16], 0.0, 1.0);
+        assert_stage_contract(&mut model, &x, 3);
+    }
+
+    #[test]
+    fn deepcaps_forward_is_the_fold_of_its_stages() {
+        let mut rng = TensorRng::from_seed(170);
+        let mut model = DeepCaps::new(&DeepCapsConfig::small(3, 20), &mut rng);
+        let x = rng.uniform(&[3, 20, 20], 0.0, 1.0);
+        assert_stage_contract(&mut model, &x, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 stages")]
+    fn stage_past_the_last_panics() {
+        let mut rng = TensorRng::from_seed(171);
+        let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
+        let x = rng.uniform(&[10, 8], 0.0, 1.0);
+        let _ = model.forward_stage(3, &x, &mut NoInjection);
     }
 
     #[test]

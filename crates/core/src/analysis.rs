@@ -4,14 +4,20 @@
 //! `(NM, NA)`, injects noise into a selected set of operations, and
 //! monitors the test accuracy of the noisy CapsNet. Sweeping `NM` over a
 //! log-spaced grid yields the accuracy-drop curves of Figs. 9, 10 and 12.
+//!
+//! Every sweep runs the accurate network once over its samples and keeps
+//! each sample's input to every [stage](CapsModel::forward_stage); each
+//! `(target, NM)` cell then starts at the first stage it perturbs.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use redcane_capsnet::{evaluate, CapsModel};
+use redcane_capsnet::inject::{NoInjection, OpSite, RecordingInjector};
+use redcane_capsnet::CapsModel;
 use redcane_datasets::Dataset;
+use redcane_tensor::{par, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::groups::Group;
@@ -135,27 +141,154 @@ fn task_seed(base: u64, tag: &str, nm: f64) -> u64 {
     h.finish()
 }
 
-/// Evaluates accuracy with noise injected at `target`.
-fn noisy_accuracy<M: CapsModel>(
-    model: &mut M,
-    data: &Dataset,
-    target: NoiseTarget,
-    model_params: NoiseModel,
-    seed: u64,
-) -> f64 {
-    let mut injector = PerSiteNoiseInjector::new(vec![(target, model_params)], seed);
-    evaluate(model, data, &mut injector)
+/// One sweep target: its curve label, the tag its cell seeds derive
+/// from, and the sites it perturbs.
+type Target<T> = (T, String, NoiseTarget);
+
+/// Step 2's targets: each group's operations across all layers.
+fn group_targets() -> Vec<Target<Group>> {
+    Group::all()
+        .into_iter()
+        .map(|group| {
+            let tag = format!("group:{}", group.number());
+            (group, tag, NoiseTarget::group(group.op_kind()))
+        })
+        .collect()
 }
 
-/// Runs a set of `(tag, target, nm)` evaluation cells over worker threads,
-/// returning accuracies in task order. Deterministic in `cfg.seed`
-/// regardless of thread count.
-fn run_cells<M: CapsModel + Clone + Send + Sync>(
+/// Step 4's targets: `group`'s operations in one layer at a time.
+fn layer_targets(group: Group, layers: &[String]) -> Vec<Target<String>> {
+    layers
+        .iter()
+        .map(|layer| {
+            let tag = format!("layer:{layer}:{}", group.number());
+            let target = NoiseTarget::layer(group.op_kind(), layer.clone());
+            (layer.clone(), tag, target)
+        })
+        .collect()
+}
+
+/// The clean pass one sweep shares across all its cells: every sample's
+/// clean input to every stage, which sites each stage visits, and the
+/// accurate network's accuracy.
+struct CleanPrefix {
+    /// `inputs[i][s - 1]` is sample `i`'s clean input to stage `s ≥ 1`
+    /// (stage 0 reads the image itself).
+    inputs: Vec<Vec<Tensor>>,
+    /// The sites each stage visits, recorded from the first sample (the
+    /// site sequence does not depend on the input).
+    stage_sites: Vec<Vec<OpSite>>,
+    /// Accuracy of the accurate network on the sweep subset.
+    baseline: f64,
+}
+
+impl CleanPrefix {
+    /// Runs the accurate network over `data`, fanned out over worker
+    /// threads (each sample's pass depends only on the weights).
+    fn record<M: CapsModel + Clone + Send + Sync>(model: &M, data: &Dataset) -> Self {
+        let stages = model.stages();
+        let per_sample = par::map_with(
+            data.len(),
+            || model.clone(),
+            |local, i| {
+                let sample = &data.samples[i];
+                let mut inputs: Vec<Tensor> = Vec::with_capacity(stages);
+                let mut sites = Vec::new();
+                for stage in 0..stages {
+                    let x = inputs.last().unwrap_or(&sample.image);
+                    let out = if i == 0 {
+                        let mut rec = RecordingInjector::sites_only();
+                        let out = local.forward_stage(stage, x, &mut rec);
+                        sites.push(rec.visits);
+                        out
+                    } else {
+                        local.forward_stage(stage, x, &mut NoInjection)
+                    };
+                    inputs.push(out);
+                }
+                let hit = inputs.pop().and_then(|lengths| lengths.argmax()) == Some(sample.label);
+                (inputs, hit, sites)
+            },
+        );
+        let mut inputs = Vec::with_capacity(per_sample.len());
+        let mut stage_sites = Vec::new();
+        let mut hits = 0usize;
+        for (sample_inputs, hit, sites) in per_sample {
+            inputs.push(sample_inputs);
+            hits += usize::from(hit);
+            if stage_sites.is_empty() {
+                stage_sites = sites;
+            }
+        }
+        CleanPrefix {
+            inputs,
+            stage_sites,
+            baseline: accuracy(hits, data.len()),
+        }
+    }
+
+    /// The first stage with a site `target` matches, if any.
+    fn first_stage(&self, target: &NoiseTarget) -> Option<usize> {
+        self.stage_sites
+            .iter()
+            .position(|sites| sites.iter().any(|site| target.matches(site)))
+    }
+
+    /// Accuracy with `noise` injected at `target`, identical to a full
+    /// `evaluate` with the same injector: the passes start at the first
+    /// stage with a matching site, and the injector draws noise only at
+    /// matching sites, so skipping the clean prefix skips no draw. A
+    /// target no site matches scores the baseline.
+    fn cell_accuracy<M: CapsModel>(
+        &self,
+        model: &mut M,
+        data: &Dataset,
+        target: &NoiseTarget,
+        noise: NoiseModel,
+        seed: u64,
+    ) -> f64 {
+        let Some(start) = self.first_stage(target) else {
+            return self.baseline;
+        };
+        let mut injector = PerSiteNoiseInjector::new(vec![(target.clone(), noise)], seed);
+        let hits = data
+            .samples
+            .iter()
+            .zip(&self.inputs)
+            .filter(|(sample, inputs)| {
+                let x = match start {
+                    0 => &sample.image,
+                    s => &inputs[s - 1],
+                };
+                model.forward_from(start, x, &mut injector).argmax() == Some(sample.label)
+            })
+            .count();
+        accuracy(hits, data.len())
+    }
+}
+
+fn accuracy(hits: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
+    }
+}
+
+/// Runs every `(target, NM)` cell of `targets` over worker threads, each
+/// cell resuming from `prefix`, and returns accuracies in target-major
+/// order. Deterministic in `cfg.seed` regardless of thread count.
+fn run_cells<M: CapsModel + Clone + Send + Sync, T>(
     model: &M,
     data: &Dataset,
     cfg: &SweepConfig,
-    tasks: &[(String, NoiseTarget, f64)],
+    prefix: &CleanPrefix,
+    targets: &[Target<T>],
 ) -> Vec<f64> {
+    let tasks: Vec<(&String, &NoiseTarget, f64)> = targets
+        .iter()
+        .flat_map(|(_, tag, target)| cfg.nm_values.iter().map(move |&nm| (tag, target, nm)))
+        .collect();
     let results = Mutex::new(vec![0.0f64; tasks.len()]);
     let next = AtomicUsize::new(0);
     let workers = cfg.threads.clamp(1, tasks.len().max(1));
@@ -168,13 +301,13 @@ fn run_cells<M: CapsModel + Clone + Send + Sync>(
                     if idx >= tasks.len() {
                         break;
                     }
-                    let (tag, target, nm) = &tasks[idx];
-                    let acc = noisy_accuracy(
+                    let (tag, target, nm) = tasks[idx];
+                    let acc = prefix.cell_accuracy(
                         &mut local,
                         data,
-                        target.clone(),
-                        NoiseModel::new(*nm, cfg.na),
-                        task_seed(cfg.seed, tag, *nm),
+                        target,
+                        NoiseModel::new(nm, cfg.na),
+                        task_seed(cfg.seed, tag, nm),
                     );
                     // lint: allow(panic) — lock poisoning means another thread already panicked mid-run; propagating the abort is the only recovery
                     results.lock().expect("no poisoned lock")[idx] = acc;
@@ -184,6 +317,48 @@ fn run_cells<M: CapsModel + Clone + Send + Sync>(
     });
     // lint: allow(panic) — lock poisoning means another thread already panicked mid-run; propagating the abort is the only recovery
     results.into_inner().expect("no poisoned lock")
+}
+
+/// Groups target-major cell accuracies into one curve per target.
+fn curves<T: Clone>(
+    targets: &[Target<T>],
+    cfg: &SweepConfig,
+    baseline: f64,
+    accs: &[f64],
+) -> Vec<Curve<T>> {
+    let mut accs = accs.iter();
+    targets
+        .iter()
+        .map(|(label, _, _)| Curve {
+            target: label.clone(),
+            points: cfg
+                .nm_values
+                .iter()
+                .zip(accs.by_ref())
+                .map(|(&nm, &accuracy)| SweepPoint {
+                    nm,
+                    accuracy,
+                    drop_pp: (baseline - accuracy) * 100.0,
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// One clean pass over `data`, then every `(target, NM)` cell resumed
+/// from it: the baseline accuracy and one curve per target.
+fn sweep<M: CapsModel + Clone + Send + Sync, T: Clone>(
+    model: &M,
+    data: &Dataset,
+    cfg: &SweepConfig,
+    targets: &[Target<T>],
+) -> (f64, Vec<Curve<T>>) {
+    let prefix = CleanPrefix::record(model, data);
+    let accs = run_cells(model, data, cfg, &prefix, targets);
+    (
+        prefix.baseline,
+        curves(targets, cfg, prefix.baseline, &accs),
+    )
 }
 
 fn subset(data: &Dataset, cfg: &SweepConfig) -> Dataset {
@@ -202,43 +377,11 @@ pub fn group_sweep<M: CapsModel + Clone + Send + Sync>(
     cfg: &SweepConfig,
 ) -> GroupSweep {
     let data = subset(data, cfg);
-    let baseline = redcane_capsnet::evaluate_clean(model, &data);
-    let mut tasks = Vec::new();
-    for group in Group::all() {
-        for &nm in &cfg.nm_values {
-            tasks.push((
-                format!("group:{}", group.number()),
-                NoiseTarget::group(group.op_kind()),
-                nm,
-            ));
-        }
-    }
-    let accs = run_cells(model, &data, cfg, &tasks);
-    let mut curves = Vec::new();
-    let mut it = accs.into_iter();
-    for group in Group::all() {
-        let points = cfg
-            .nm_values
-            .iter()
-            .map(|&nm| {
-                // lint: allow(panic) — the parallel map returns exactly one result per submitted task
-                let accuracy = it.next().expect("one result per task");
-                SweepPoint {
-                    nm,
-                    accuracy,
-                    drop_pp: (baseline - accuracy) * 100.0,
-                }
-            })
-            .collect();
-        curves.push(Curve {
-            target: group,
-            points,
-        });
-    }
+    let (baseline_accuracy, curves) = sweep(model, &data, cfg, &group_targets());
     GroupSweep {
         model_name: model.name(),
         dataset_name: data.name.clone(),
-        baseline_accuracy: baseline,
+        baseline_accuracy,
         curves,
     }
 }
@@ -254,43 +397,11 @@ pub fn layer_sweep<M: CapsModel + Clone + Send + Sync>(
     cfg: &SweepConfig,
 ) -> LayerSweep {
     let data = subset(data, cfg);
-    let baseline = redcane_capsnet::evaluate_clean(model, &data);
-    let mut tasks = Vec::new();
-    for layer in layers {
-        for &nm in &cfg.nm_values {
-            tasks.push((
-                format!("layer:{layer}:{}", group.number()),
-                NoiseTarget::layer(group.op_kind(), layer.clone()),
-                nm,
-            ));
-        }
-    }
-    let accs = run_cells(model, &data, cfg, &tasks);
-    let mut curves = Vec::new();
-    let mut it = accs.into_iter();
-    for layer in layers {
-        let points = cfg
-            .nm_values
-            .iter()
-            .map(|&nm| {
-                // lint: allow(panic) — the parallel map returns exactly one result per submitted task
-                let accuracy = it.next().expect("one result per task");
-                SweepPoint {
-                    nm,
-                    accuracy,
-                    drop_pp: (baseline - accuracy) * 100.0,
-                }
-            })
-            .collect();
-        curves.push(Curve {
-            target: layer.clone(),
-            points,
-        });
-    }
+    let (baseline_accuracy, curves) = sweep(model, &data, cfg, &layer_targets(group, layers));
     LayerSweep {
         model_name: model.name(),
         group,
-        baseline_accuracy: baseline,
+        baseline_accuracy,
         curves,
     }
 }
@@ -299,8 +410,11 @@ pub fn layer_sweep<M: CapsModel + Clone + Send + Sync>(
 mod tests {
     use super::*;
     use crate::datapath::{AccuracyBackend, DatapathAssignment, NoisePredicted};
+    use crate::groups::extract_groups;
     use redcane_capsnet::inject::OpKind;
-    use redcane_capsnet::{train, CapsNet, CapsNetConfig, TrainConfig};
+    use redcane_capsnet::{
+        evaluate, train, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig, TrainConfig,
+    };
     use redcane_datasets::{generate, Benchmark, GenerateConfig};
     use redcane_tensor::TensorRng;
 
@@ -397,6 +511,167 @@ mod tests {
             )
             .unwrap();
         assert_eq!(point.accuracy, predicted);
+    }
+
+    fn quick_deepcaps_and_data() -> (DeepCaps, Dataset) {
+        let pair = generate(
+            Benchmark::MnistLike,
+            &GenerateConfig {
+                train: 100,
+                test: 24,
+                seed: 6,
+            },
+        );
+        let mut rng = TensorRng::from_seed(211);
+        let mut model = DeepCaps::new(&DeepCapsConfig::small(1, 16), &mut rng);
+        train(
+            &mut model,
+            &pair.train,
+            &TrainConfig {
+                epochs: 2,
+                batch_size: 16,
+                lr: 2e-3,
+                seed: 1,
+                verbose: false,
+            },
+        );
+        (model, pair.test)
+    }
+
+    /// The per-cell full-forward evaluation the staged sweep replaces:
+    /// one serial `evaluate` per cell through its own injector.
+    fn reference_sweep<M: CapsModel + Clone, T: Clone>(
+        model: &M,
+        data: &Dataset,
+        cfg: &SweepConfig,
+        targets: &[Target<T>],
+    ) -> (f64, Vec<Curve<T>>) {
+        let data = subset(data, cfg);
+        let baseline = evaluate(&mut model.clone(), &data, &mut NoInjection);
+        let accs: Vec<f64> = targets
+            .iter()
+            .flat_map(|(_, tag, target)| {
+                let data = &data;
+                cfg.nm_values.iter().map(move |&nm| {
+                    let mut injector = PerSiteNoiseInjector::new(
+                        vec![(target.clone(), NoiseModel::new(nm, cfg.na))],
+                        task_seed(cfg.seed, tag, nm),
+                    );
+                    evaluate(&mut model.clone(), data, &mut injector)
+                })
+            })
+            .collect();
+        (baseline, curves(targets, cfg, baseline, &accs))
+    }
+
+    /// `group_sweep` and every `layer_sweep` of the model's inventory
+    /// equal the full-forward reference bit for bit, at 1 and 4 threads.
+    fn assert_sweeps_match_reference<M: CapsModel + Clone + Send + Sync>(
+        model: &M,
+        data: &Dataset,
+    ) {
+        let inventory = extract_groups(&mut model.clone(), &data.samples[0].image);
+        let cfg = quick_cfg();
+        let want_groups = reference_sweep(model, data, &cfg, &group_targets());
+        let want_layers: Vec<_> = Group::all()
+            .into_iter()
+            .map(|group| {
+                let layers = inventory.group_layers(group);
+                let want = reference_sweep(model, data, &cfg, &layer_targets(group, &layers));
+                (group, layers, want)
+            })
+            .collect();
+        for threads in [1, 4] {
+            let cfg = SweepConfig {
+                threads,
+                ..cfg.clone()
+            };
+            let got = group_sweep(model, data, &cfg);
+            assert_eq!(
+                (got.baseline_accuracy, got.curves),
+                want_groups,
+                "{threads} threads"
+            );
+            for (group, layers, want) in &want_layers {
+                let got = layer_sweep(model, data, *group, layers, &cfg);
+                assert_eq!(
+                    &(got.baseline_accuracy, got.curves),
+                    want,
+                    "{group} layers, {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn capsnet_sweeps_match_full_forward_reference() {
+        let (model, test) = quick_model_and_data();
+        let prefix = CleanPrefix::record(&model, &subset(&test, &quick_cfg()));
+        // The routing groups resume past the clean Conv1 and PrimaryCaps stages.
+        for kind in [OpKind::Softmax, OpKind::LogitsUpdate] {
+            assert_eq!(prefix.first_stage(&NoiseTarget::group(kind)), Some(2));
+        }
+        assert_sweeps_match_reference(&model, &test);
+    }
+
+    #[test]
+    fn deepcaps_sweeps_match_full_forward_reference() {
+        let (model, test) = quick_deepcaps_and_data();
+        let prefix = CleanPrefix::record(&model, &subset(&test, &quick_cfg()));
+        let first = |target| prefix.first_stage(&target);
+        // Softmax and logits updates start in the last cell (Caps3D).
+        for kind in [OpKind::Softmax, OpKind::LogitsUpdate] {
+            assert_eq!(first(NoiseTarget::group(kind)), Some(4));
+        }
+        assert_eq!(
+            first(NoiseTarget::layer(OpKind::MacOutput, "Caps2D13")),
+            Some(4)
+        );
+        assert_eq!(
+            first(NoiseTarget::layer(OpKind::MacOutput, "ClassCaps")),
+            Some(5)
+        );
+        assert_sweeps_match_reference(&model, &test);
+    }
+
+    #[test]
+    fn unmatched_layer_scores_the_baseline() {
+        let (model, test) = quick_model_and_data();
+        let layers = vec!["NoSuchLayer".to_string()];
+        let sweep = layer_sweep(&model, &test, Group::MacOutputs, &layers, &quick_cfg());
+        assert_eq!(sweep.curves.len(), 1);
+        for p in &sweep.curves[0].points {
+            assert_eq!(p.accuracy, sweep.baseline_accuracy);
+            assert_eq!(p.drop_pp, 0.0);
+        }
+    }
+
+    #[test]
+    fn empty_dataset_scores_zero() {
+        let (model, test) = quick_model_and_data();
+        let empty = test.take(0);
+        let cfg = quick_cfg();
+        let groups = group_sweep(&model, &empty, &cfg);
+        let layers = layer_sweep(
+            &model,
+            &empty,
+            Group::Softmax,
+            &["ClassCaps".to_string()],
+            &cfg,
+        );
+        assert_eq!(groups.baseline_accuracy, 0.0);
+        assert_eq!(layers.baseline_accuracy, 0.0);
+        let points = groups
+            .curves
+            .iter()
+            .flat_map(|c| &c.points)
+            .chain(layers.curves.iter().flat_map(|c| &c.points));
+        let mut n = 0;
+        for p in points {
+            assert_eq!(p.accuracy, 0.0);
+            n += 1;
+        }
+        assert_eq!(n, 5 * cfg.nm_values.len());
     }
 
     #[test]

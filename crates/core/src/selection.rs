@@ -16,7 +16,7 @@
 use redcane_axmul::error_stats::InputDistribution;
 use redcane_axmul::library::MultiplierLibrary;
 use redcane_axmul::NoiseParams;
-use redcane_capsnet::{evaluate, CapsModel};
+use redcane_capsnet::{evaluate_clean, CapsModel};
 use redcane_datasets::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -302,12 +302,7 @@ pub fn select_components<M: CapsModel + Clone + Send + Sync, B: AccuracyBackend>
     for (name, np, _, _) in &characterized {
         predictor = predictor.with_component(name.clone(), np.nm, np.na);
     }
-    let mut validator = model.clone();
-    let baseline_accuracy = evaluate(
-        &mut validator,
-        validation,
-        &mut redcane_capsnet::NoInjection,
-    );
+    let baseline_accuracy = evaluate_clean(model, validation);
     let predicted_accuracy = predictor
         .evaluate(model, validation, &datapath)
         // lint: allow(panic) — selection only draws from the characterized table
@@ -320,7 +315,7 @@ pub fn select_components<M: CapsModel + Clone + Send + Sync, B: AccuracyBackend>
     });
 
     ApproxDesign {
-        model_name: validator.name(),
+        model_name: model.name(),
         assignments,
         mean_power_saving,
         baseline_accuracy,
