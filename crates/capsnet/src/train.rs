@@ -14,7 +14,10 @@
 //!
 //! Injector-driven (noisy) evaluation stays serial: a stateful injector
 //! draws its noise stream in visit order, so parallelizing across
-//! samples would change which noise hits which sample.
+//! samples would change which noise hits which sample. Step 6 of the
+//! methodology overlaps that serial pass with the design's measured
+//! score instead (`redcane_tensor::par::join`), so the other core is
+//! not idle while it runs.
 
 use redcane_datasets::Dataset;
 use redcane_nn::{margin_loss, Adam, MarginLossConfig};

@@ -5,9 +5,16 @@
 //! monitors the test accuracy of the noisy CapsNet. Sweeping `NM` over a
 //! log-spaced grid yields the accuracy-drop curves of Figs. 9, 10 and 12.
 //!
-//! Every sweep runs the accurate network once over its samples and keeps
-//! each sample's input to every [stage](CapsModel::forward_stage); each
-//! `(target, NM)` cell then starts at the first stage it perturbs.
+//! A methodology run records the accurate network once over its sweep
+//! samples, keeping each sample's input to every
+//! [stage](CapsModel::forward_stage); every `(target, NM)` cell of Steps
+//! 2 and 4 then starts at the first stage it perturbs. That one clean
+//! prefix serves Step 2 and all of Step 4, whose cells — across every
+//! non-resilient group — share one worker pool. The pool hands out
+//! cells longest first (earliest resume stage first), so it does not
+//! end on one long cell while the other workers idle. The public
+//! [`group_sweep`] and [`layer_sweep`] each record their own prefix
+//! and run the same code.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -36,8 +43,9 @@ pub struct SweepConfig {
     /// Evaluate at most this many test samples (speed knob); `None` uses
     /// the whole set.
     pub max_test_samples: Option<usize>,
-    /// Number of worker threads (1 = serial). Results are identical
-    /// regardless of parallelism.
+    /// Number of worker threads (1 = serial); the default follows
+    /// [`par::num_threads`]. Results are identical regardless of
+    /// parallelism.
     pub threads: usize,
 }
 
@@ -50,9 +58,7 @@ impl Default for SweepConfig {
             na: 0.0,
             seed: 99,
             max_test_samples: None,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: par::num_threads(),
         }
     }
 }
@@ -275,50 +281,6 @@ fn accuracy(hits: usize, total: usize) -> f64 {
     }
 }
 
-/// Runs every `(target, NM)` cell of `targets` over worker threads, each
-/// cell resuming from `prefix`, and returns accuracies in target-major
-/// order. Deterministic in `cfg.seed` regardless of thread count.
-fn run_cells<M: CapsModel + Clone + Send + Sync, T>(
-    model: &M,
-    data: &Dataset,
-    cfg: &SweepConfig,
-    prefix: &CleanPrefix,
-    targets: &[Target<T>],
-) -> Vec<f64> {
-    let tasks: Vec<(&String, &NoiseTarget, f64)> = targets
-        .iter()
-        .flat_map(|(_, tag, target)| cfg.nm_values.iter().map(move |&nm| (tag, target, nm)))
-        .collect();
-    let results = Mutex::new(vec![0.0f64; tasks.len()]);
-    let next = AtomicUsize::new(0);
-    let workers = cfg.threads.clamp(1, tasks.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = model.clone();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= tasks.len() {
-                        break;
-                    }
-                    let (tag, target, nm) = tasks[idx];
-                    let acc = prefix.cell_accuracy(
-                        &mut local,
-                        data,
-                        target,
-                        NoiseModel::new(nm, cfg.na),
-                        task_seed(cfg.seed, tag, nm),
-                    );
-                    // lint: allow(panic) — lock poisoning means another thread already panicked mid-run; propagating the abort is the only recovery
-                    results.lock().expect("no poisoned lock")[idx] = acc;
-                }
-            });
-        }
-    });
-    // lint: allow(panic) — lock poisoning means another thread already panicked mid-run; propagating the abort is the only recovery
-    results.into_inner().expect("no poisoned lock")
-}
-
 /// Groups target-major cell accuracies into one curve per target.
 fn curves<T: Clone>(
     targets: &[Target<T>],
@@ -345,26 +307,115 @@ fn curves<T: Clone>(
         .collect()
 }
 
-/// One clean pass over `data`, then every `(target, NM)` cell resumed
-/// from it: the baseline accuracy and one curve per target.
-fn sweep<M: CapsModel + Clone + Send + Sync, T: Clone>(
-    model: &M,
-    data: &Dataset,
-    cfg: &SweepConfig,
-    targets: &[Target<T>],
-) -> (f64, Vec<Curve<T>>) {
-    let prefix = CleanPrefix::record(model, data);
-    let accs = run_cells(model, data, cfg, &prefix, targets);
-    (
-        prefix.baseline,
-        curves(targets, cfg, prefix.baseline, &accs),
-    )
-}
-
 fn subset(data: &Dataset, cfg: &SweepConfig) -> Dataset {
     match cfg.max_test_samples {
         Some(n) if n < data.len() => data.take(n),
         _ => data.clone(),
+    }
+}
+
+/// The sweeps of one methodology run: the model, its sweep subset, the
+/// sweep parameters and the one clean prefix every cell of Steps 2 and
+/// 4 resumes from.
+pub(crate) struct Sweeps<'a, M> {
+    model: &'a M,
+    data: Dataset,
+    cfg: &'a SweepConfig,
+    prefix: CleanPrefix,
+}
+
+impl<'a, M: CapsModel + Clone + Send + Sync> Sweeps<'a, M> {
+    /// Takes the sweep subset of `data` and records its clean prefix.
+    pub(crate) fn new(model: &'a M, data: &Dataset, cfg: &'a SweepConfig) -> Self {
+        let data = subset(data, cfg);
+        let prefix = CleanPrefix::record(model, &data);
+        Sweeps {
+            model,
+            data,
+            cfg,
+            prefix,
+        }
+    }
+
+    /// **Step 2** over all four groups.
+    pub(crate) fn groups(&self) -> GroupSweep {
+        let targets = group_targets();
+        let accs = self.run_cells(&targets);
+        GroupSweep {
+            model_name: self.model.name(),
+            dataset_name: self.data.name.clone(),
+            baseline_accuracy: self.prefix.baseline,
+            curves: curves(&targets, self.cfg, self.prefix.baseline, &accs),
+        }
+    }
+
+    /// **Step 4** over each `(group, layers)` pair: one [`LayerSweep`]
+    /// per pair, with the cells of every pair in one worker pool.
+    pub(crate) fn layers(&self, groups: &[(Group, Vec<String>)]) -> Vec<LayerSweep> {
+        let targets: Vec<Target<String>> = groups
+            .iter()
+            .flat_map(|(group, layers)| layer_targets(*group, layers))
+            .collect();
+        let accs = self.run_cells(&targets);
+        let (mut targets, mut accs) = (&targets[..], &accs[..]);
+        groups
+            .iter()
+            .map(|(group, layers)| {
+                let (mine, rest) = targets.split_at(layers.len());
+                let (my_accs, rest_accs) = accs.split_at(mine.len() * self.cfg.nm_values.len());
+                (targets, accs) = (rest, rest_accs);
+                LayerSweep {
+                    model_name: self.model.name(),
+                    group: *group,
+                    baseline_accuracy: self.prefix.baseline,
+                    curves: curves(mine, self.cfg, self.prefix.baseline, my_accs),
+                }
+            })
+            .collect()
+    }
+
+    /// Runs every `(target, NM)` cell of `targets` over worker threads,
+    /// each resuming from the clean prefix, and returns accuracies in
+    /// target-major order. Cells are handed out longest first — by
+    /// resume stage, ascending, with unmatched targets (which only read
+    /// the baseline) last, ties by index — so the pool does not end on
+    /// one long cell. Deterministic in `cfg.seed` regardless of thread
+    /// count: each cell draws from its own seeded stream and writes only
+    /// its own slot.
+    fn run_cells<T>(&self, targets: &[Target<T>]) -> Vec<f64> {
+        let (cfg, prefix, data) = (self.cfg, &self.prefix, &self.data);
+        let tasks: Vec<(&String, &NoiseTarget, f64)> = targets
+            .iter()
+            .flat_map(|(_, tag, target)| cfg.nm_values.iter().map(move |&nm| (tag, target, nm)))
+            .collect();
+        let mut order: Vec<usize> = (0..tasks.len()).collect();
+        order.sort_by_key(|&idx| (prefix.first_stage(tasks[idx].1).unwrap_or(usize::MAX), idx));
+        let results = Mutex::new(vec![0.0f64; tasks.len()]);
+        let next = AtomicUsize::new(0);
+        let workers = cfg.threads.clamp(1, tasks.len().max(1));
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    par::worker(|| {
+                        let mut local = self.model.clone();
+                        while let Some(&idx) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let (tag, target, nm) = tasks[idx];
+                            let acc = prefix.cell_accuracy(
+                                &mut local,
+                                data,
+                                target,
+                                NoiseModel::new(nm, cfg.na),
+                                task_seed(cfg.seed, tag, nm),
+                            );
+                            // lint: allow(panic) — lock poisoning means another thread already panicked mid-run; propagating the abort is the only recovery
+                            results.lock().expect("no poisoned lock")[idx] = acc;
+                        }
+                    })
+                });
+            }
+        });
+        // lint: allow(panic) — lock poisoning means another thread already panicked mid-run; propagating the abort is the only recovery
+        results.into_inner().expect("no poisoned lock")
     }
 }
 
@@ -376,14 +427,7 @@ pub fn group_sweep<M: CapsModel + Clone + Send + Sync>(
     data: &Dataset,
     cfg: &SweepConfig,
 ) -> GroupSweep {
-    let data = subset(data, cfg);
-    let (baseline_accuracy, curves) = sweep(model, &data, cfg, &group_targets());
-    GroupSweep {
-        model_name: model.name(),
-        dataset_name: data.name.clone(),
-        baseline_accuracy,
-        curves,
-    }
+    Sweeps::new(model, data, cfg).groups()
 }
 
 /// **Step 4** — layer-wise resilience analysis of one (non-resilient)
@@ -396,14 +440,9 @@ pub fn layer_sweep<M: CapsModel + Clone + Send + Sync>(
     layers: &[String],
     cfg: &SweepConfig,
 ) -> LayerSweep {
-    let data = subset(data, cfg);
-    let (baseline_accuracy, curves) = sweep(model, &data, cfg, &layer_targets(group, layers));
-    LayerSweep {
-        model_name: model.name(),
-        group,
-        baseline_accuracy,
-        curves,
-    }
+    let mut sweeps = Sweeps::new(model, data, cfg).layers(&[(group, layers.to_vec())]);
+    // lint: allow(panic) — `layers` returns one sweep per requested pair
+    sweeps.pop().expect("one layer sweep per group")
 }
 
 #[cfg(test)]
@@ -598,6 +637,23 @@ mod tests {
                     &(got.baseline_accuracy, got.curves),
                     want,
                     "{group} layers, {threads} threads"
+                );
+            }
+            // One pool over every group, listed last group first so the
+            // longest-first dispatch order is not the index order.
+            let pairs: Vec<_> = want_layers
+                .iter()
+                .rev()
+                .map(|(group, layers, _)| (*group, layers.clone()))
+                .collect();
+            let pooled = Sweeps::new(model, data, &cfg).layers(&pairs);
+            assert_eq!(pooled.len(), want_layers.len());
+            for (got, (group, _, want)) in pooled.into_iter().zip(want_layers.iter().rev()) {
+                assert_eq!(got.group, *group);
+                assert_eq!(
+                    (got.baseline_accuracy, got.curves),
+                    *want,
+                    "pooled {group} layers, {threads} threads"
                 );
             }
         }

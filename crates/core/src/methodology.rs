@@ -7,7 +7,7 @@ use redcane_capsnet::CapsModel;
 use redcane_datasets::Dataset;
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::{group_sweep, layer_sweep, SweepConfig};
+use crate::analysis::{SweepConfig, Sweeps};
 use crate::datapath::{AccuracyBackend, NoisePredicted};
 use crate::groups::extract_groups;
 use crate::selection::{
@@ -101,21 +101,25 @@ impl RedCaNe {
         // Step 1: group extraction (one recorded inference).
         let mut probe = model.clone();
         let inventory = extract_groups(&mut probe, &test.samples[0].image);
+        // Steps 2 and 4 resume from one clean prefix of the sweep subset.
+        let sweeps = Sweeps::new(model, test, &self.cfg.sweep);
         // Step 2: group-wise resilience analysis.
-        let sweep = group_sweep(model, test, &self.cfg.sweep);
+        let sweep = sweeps.groups();
         // Step 3: mark resilient groups.
         let marking = mark_groups(&sweep, &self.cfg.selection);
         // Step 4: layer-wise analysis for non-resilient groups only
-        // (the paper's exploration-time optimization).
-        let mut layer_sweeps = Vec::new();
-        let mut layer_markings = Vec::new();
-        for group in marking.non_resilient() {
-            let layers = inventory.group_layers(group);
-            let ls = layer_sweep(model, test, group, &layers, &self.cfg.sweep);
-            // Step 5: mark resilient layers.
-            layer_markings.push(mark_layers(&ls, &self.cfg.selection));
-            layer_sweeps.push(ls);
-        }
+        // (the paper's exploration-time optimization), in one pool.
+        let targets: Vec<_> = marking
+            .non_resilient()
+            .into_iter()
+            .map(|group| (group, inventory.group_layers(group)))
+            .collect();
+        let layer_sweeps = sweeps.layers(&targets);
+        // Step 5: mark resilient layers.
+        let layer_markings: Vec<_> = layer_sweeps
+            .iter()
+            .map(|ls| mark_layers(ls, &self.cfg.selection))
+            .collect();
         // Step 6: component selection + validation.
         let table = ToleranceTable::build(&inventory_layers(&inventory), &marking, &layer_markings);
         let dist = self

@@ -18,6 +18,7 @@ use redcane_axmul::library::MultiplierLibrary;
 use redcane_axmul::NoiseParams;
 use redcane_capsnet::{evaluate_clean, CapsModel};
 use redcane_datasets::Dataset;
+use redcane_tensor::par;
 use serde::{Deserialize, Serialize};
 
 use crate::analysis::{GroupSweep, LayerSweep};
@@ -302,17 +303,26 @@ pub fn select_components<M: CapsModel + Clone + Send + Sync, B: AccuracyBackend>
     for (name, np, _, _) in &characterized {
         predictor = predictor.with_component(name.clone(), np.nm, np.na);
     }
-    let baseline_accuracy = evaluate_clean(model, validation);
-    let predicted_accuracy = predictor
-        .evaluate(model, validation, &datapath)
-        // lint: allow(panic) — selection only draws from the characterized table
-        .expect("every selected component is characterized");
-    let measured_accuracy = measured.map(|backend| {
-        backend
-            .evaluate(model, validation, &datapath)
-            // lint: allow(panic) — fail-fast: a backend scoring failure invalidates the whole selection sweep
-            .unwrap_or_else(|e| panic!("measured backend cannot score the design: {e}"))
-    });
+    // The noise-predicted pass is one serial injector stream; it runs
+    // on its own thread while the clean and measured scores fan out.
+    let (predicted_accuracy, (baseline_accuracy, measured_accuracy)) = par::join(
+        || {
+            predictor
+                .evaluate(model, validation, &datapath)
+                // lint: allow(panic) — selection only draws from the characterized table
+                .expect("every selected component is characterized")
+        },
+        || {
+            let baseline_accuracy = evaluate_clean(model, validation);
+            let measured_accuracy = measured.map(|backend| {
+                backend
+                    .evaluate(model, validation, &datapath)
+                    // lint: allow(panic) — fail-fast: a backend scoring failure invalidates the whole selection sweep
+                    .unwrap_or_else(|e| panic!("measured backend cannot score the design: {e}"))
+            });
+            (baseline_accuracy, measured_accuracy)
+        },
+    );
 
     ApproxDesign {
         model_name: model.name(),

@@ -30,7 +30,7 @@ use redcane_capsnet::model::caps_to_units;
 use redcane_capsnet::squash::{caps_lengths, squash_caps};
 use redcane_capsnet::{CapsModel, CapsNet, DeepCaps};
 use redcane_datasets::Dataset;
-use redcane_tensor::Tensor;
+use redcane_tensor::{par, Tensor};
 use redcane_trace as trace;
 
 use crate::faults::{faulted_site_lut, AccFault, MacView};
@@ -842,7 +842,10 @@ impl PreparedModel {
 
 /// Classification accuracy of the quantized datapath over a dataset
 /// under a heterogeneous multiplier assignment. Deterministic; samples
-/// run through the batched executor in [`EVAL_BATCH`]-wide fused GEMMs.
+/// run through the batched executor in [`EVAL_BATCH`]-wide fused GEMMs,
+/// one chunk per [`par::map_with`] item (inline when called from a
+/// parallel worker). The hit count is an integer sum, so the result
+/// does not depend on the thread count.
 ///
 /// # Errors
 ///
@@ -866,17 +869,23 @@ pub(crate) fn evaluate_resolved(model: &QModel, data: &Dataset, resolved: &[Step
     if data.is_empty() {
         return 0.0;
     }
-    let mut correct = 0usize;
-    for chunk in data.samples.chunks(EVAL_BATCH) {
-        let images: Vec<&Tensor> = chunk.iter().map(|s| &s.image).collect();
-        let lengths = model.forward_batch_resolved(&images, resolved);
-        for (sample, l) in chunk.iter().zip(&lengths) {
-            // lint: allow(panic) — capsule count is structurally nonzero, so lengths are non-empty
-            if l.argmax().expect("non-empty lengths") == sample.label {
-                correct += 1;
-            }
-        }
-    }
+    let chunks: Vec<_> = data.samples.chunks(EVAL_BATCH).collect();
+    let correct: usize = par::map_with(
+        chunks.len(),
+        || (),
+        |(), c| {
+            let images: Vec<&Tensor> = chunks[c].iter().map(|s| &s.image).collect();
+            let lengths = model.forward_batch_resolved(&images, resolved);
+            chunks[c]
+                .iter()
+                .zip(&lengths)
+                // lint: allow(panic) — capsule count is structurally nonzero, so lengths are non-empty
+                .filter(|(sample, l)| l.argmax().expect("non-empty lengths") == sample.label)
+                .count()
+        },
+    )
+    .into_iter()
+    .sum();
     correct as f64 / data.len() as f64
 }
 
@@ -884,6 +893,7 @@ pub(crate) fn evaluate_resolved(model: &QModel, data: &Dataset, resolved: &[Step
 mod tests {
     use super::*;
     use redcane_capsnet::{CapsNetConfig, DeepCapsConfig, NoInjection};
+    use redcane_datasets::Sample;
     use redcane_tensor::TensorRng;
 
     /// An exact-only cache + uniform assignment: the baseline datapath.
@@ -1031,6 +1041,66 @@ mod tests {
         ));
         // And forward surfaces the same error.
         assert!(q.forward(&image, &partial, &luts).is_err());
+    }
+
+    /// `evaluate_quantized` fans its `EVAL_BATCH` chunks out over
+    /// workers; on a ragged dataset (two full chunks plus 5) it must
+    /// equal the per-sample forward at 1 and 4 threads, on the exact
+    /// table and on an approximate gather table.
+    #[test]
+    fn evaluate_quantized_matches_per_sample_forward_at_any_thread_count() {
+        let mut rng = TensorRng::from_seed(518);
+        let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
+        let images: Vec<Tensor> = (0..2 * EVAL_BATCH + 5)
+            .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
+            .collect();
+        let q = QModel::calibrated(&mut model, images.iter().take(4)).unwrap();
+        let (_, mut luts) = exact_setup();
+        let approx = redcane_axmul::library::MultiplierLibrary::evo_approx_like()
+            .iter()
+            .map(|entry| MulLut::tabulate(entry.model()))
+            .find(|lut| lut.factors().is_empty())
+            .expect("the library has a gather-only table");
+        luts.insert("approx", approx);
+        // Labels alternate between the exact prediction and its
+        // neighbour, so the score is neither 0 nor 1.
+        let samples: Vec<Sample> = images
+            .into_iter()
+            .enumerate()
+            .map(|(i, image)| {
+                let pred = q
+                    .predict(&image, &DatapathAssignment::uniform("exact"), &luts)
+                    .unwrap();
+                let label = if i % 2 == 0 { pred } else { (pred + 1) % 10 };
+                Sample { image, label }
+            })
+            .collect();
+        let data = Dataset {
+            name: "ragged".to_string(),
+            channels: 1,
+            height: 16,
+            width: 16,
+            num_classes: 10,
+            samples,
+        };
+        for component in ["exact", "approx"] {
+            let assignment = DatapathAssignment::uniform(component);
+            let hits = data
+                .samples
+                .iter()
+                .filter(|s| {
+                    let lengths = q.forward_batch(&[&s.image], &assignment, &luts).unwrap();
+                    lengths[0].argmax() == Some(s.label)
+                })
+                .count();
+            let want = hits as f64 / data.len() as f64;
+            for threads in [1, 4] {
+                par::set_threads(threads);
+                let got = evaluate_quantized(&q, &data, &assignment, &luts);
+                par::set_threads(0);
+                assert_eq!(got, Ok(want), "{component}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -4,10 +4,24 @@
 //! batch-level parallelism call [`for_each_chunk_mut`] (disjoint output
 //! chunks) or [`map_with`] (an indexed map with worker-local state —
 //! the trainer, the evaluator and the qdp component sweep), both built
-//! on [`spans`] + `std::thread::scope`. Everything degrades to a plain
-//! serial loop when the configured worker count is 1 or the job is too
-//! small to amortize a thread spawn, so single-core machines pay
+//! on [`spans`] + `std::thread::scope`, and [`join`] runs two
+//! independent closures side by side (Step 6's noise-predicted pass
+//! next to its clean and measured scores). Everything degrades to a
+//! plain serial loop when the configured worker count is 1 or the job
+//! is too small to amortize a thread spawn, so single-core machines pay
 //! nothing.
+//!
+//! # Nesting
+//!
+//! Every thread these helpers spawn runs its body through [`worker`],
+//! which marks the thread. A [`map_with`], [`for_each_chunk_mut`] or
+//! [`join`] called on a marked thread runs serially on it: the outer
+//! call already keeps every core busy, so a second layer of threads
+//! would only oversubscribe them (an `evaluate_quantized` inside a
+//! component pool, an im2col inside a training worker). Hand-rolled
+//! pools (the noise sweep's cell pool) wrap their workers in [`worker`]
+//! to get the same rule. Work counters still count each call at entry,
+//! so the counter plane does not depend on the nesting either.
 //!
 //! # Thread-count resolution
 //!
@@ -26,6 +40,7 @@
 //! who computes it, so results are bitwise identical for every thread
 //! count (asserted end-to-end by the pipeline determinism test).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use redcane_trace as trace;
@@ -44,6 +59,30 @@ fn trace_par(items: usize) {
         trace::add(trace::Counter::ParCalls, 1);
         trace::add(trace::Counter::ParItems, items as u64);
     }
+}
+
+thread_local! {
+    /// Set while the thread runs a [`worker`] body.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a `par` worker, on which nested
+/// parallel calls run serially.
+fn nested() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
+/// Runs `f` as the body of a parallel worker thread: parallel helpers
+/// called inside it run serially on this thread, and its trace counters
+/// are flushed before it returns — the enclosing `std::thread::scope`
+/// unblocks when the closure returns, before TLS destructors would run,
+/// and a snapshot may follow immediately.
+pub fn worker<R>(f: impl FnOnce() -> R) -> R {
+    let outer = IN_WORKER.with(|w| w.replace(true));
+    let out = f();
+    IN_WORKER.with(|w| w.set(outer));
+    trace::flush();
+    out
 }
 
 /// Jobs with fewer work items than this run serially even when more
@@ -106,7 +145,7 @@ where
     let chunks = data.len().div_ceil(chunk_len);
     trace_par(chunks);
     let workers = num_threads();
-    if workers <= 1 || chunks < MIN_ITEMS_PER_THREAD * 2 {
+    if workers <= 1 || chunks < MIN_ITEMS_PER_THREAD * 2 || nested() {
         for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(ci, chunk);
         }
@@ -123,13 +162,11 @@ where
             consumed = split;
             let f = &f;
             scope.spawn(move || {
-                for (off, chunk) in head.chunks_mut(chunk_len).enumerate() {
-                    f(start + off, chunk);
-                }
-                // Explicit flush: the scope unblocks when this closure
-                // returns, before TLS destructors would run, and a
-                // snapshot may follow immediately.
-                trace::flush();
+                worker(|| {
+                    for (off, chunk) in head.chunks_mut(chunk_len).enumerate() {
+                        f(start + off, chunk);
+                    }
+                })
             });
         }
     });
@@ -143,7 +180,8 @@ where
 /// state is an optimization, never an accumulator — so callers that
 /// reduce the returned vector sequentially stay bitwise deterministic
 /// at every thread count. Falls back to a single-state serial loop when
-/// one worker (or fewer items than workers) is available.
+/// one worker is available, when `len` is at most 1, or on a [`worker`]
+/// thread.
 pub fn map_with<S, T, I, F>(len: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
@@ -152,7 +190,7 @@ where
 {
     trace_par(len);
     let workers = num_threads().min(len);
-    if workers <= 1 {
+    if workers <= 1 || nested() {
         let mut state = init();
         return (0..len).map(|i| f(&mut state, i)).collect();
     }
@@ -168,12 +206,12 @@ where
             consumed = end;
             let (init, f) = (&init, &f);
             scope.spawn(move || {
-                let mut state = init();
-                for (slot, i) in head.iter_mut().zip(start..end) {
-                    *slot = Some(f(&mut state, i));
-                }
-                // Same flush-before-scope-unblock rule as above.
-                trace::flush();
+                worker(|| {
+                    let mut state = init();
+                    for (slot, i) in head.iter_mut().zip(start..end) {
+                        *slot = Some(f(&mut state, i));
+                    }
+                })
             });
         }
     });
@@ -184,12 +222,39 @@ where
         .collect()
 }
 
+/// Runs `a` and `b` concurrently and returns both results: `a` on one
+/// scoped [`worker`] thread, `b` on the calling thread. With one worker
+/// configured, or on a worker thread, it runs `a` and then `b` inline.
+/// Counts as one parallel call over 2 items. A panic in `a` resumes on
+/// the caller once `b` has finished.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    RA: Send,
+    B: FnOnce() -> RB,
+{
+    trace_par(2);
+    if num_threads() <= 1 || nested() {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| worker(a));
+        let rb = b();
+        match handle.join() {
+            Ok(ra) => (ra, rb),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Serializes tests that mutate the process-wide override.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn spans_cover_range_without_overlap() {
@@ -252,6 +317,81 @@ mod tests {
             inits.load(Ordering::Relaxed) <= 4,
             "state per span, not per item"
         );
+    }
+
+    #[test]
+    fn nested_map_with_runs_inline_on_the_worker() {
+        let _guard = LOCK.lock().unwrap();
+        let expect: Vec<Vec<usize>> = (0..9)
+            .map(|i| (0..7).map(|j| i * 100 + j).collect())
+            .collect();
+        for threads in [1usize, 4] {
+            set_threads(threads);
+            let got = map_with(
+                9,
+                || (),
+                |(), i| {
+                    let outer = std::thread::current().id();
+                    let inner =
+                        map_with(7, || (), |(), j| (i * 100 + j, std::thread::current().id()));
+                    let mut chunks = vec![0.0f32; 8];
+                    let mut chunk_threads = Mutex::new(Vec::new());
+                    for_each_chunk_mut(&mut chunks, 1, |_, _| {
+                        chunk_threads
+                            .lock()
+                            .unwrap()
+                            .push(std::thread::current().id());
+                    });
+                    assert!(
+                        inner.iter().all(|(_, id)| *id == outer),
+                        "inner map_with spawned threads at {threads} threads"
+                    );
+                    assert!(
+                        chunk_threads
+                            .get_mut()
+                            .unwrap()
+                            .iter()
+                            .all(|id| *id == outer),
+                        "inner for_each_chunk_mut spawned threads at {threads} threads"
+                    );
+                    inner.into_iter().map(|(v, _)| v).collect::<Vec<_>>()
+                },
+            );
+            assert_eq!(got, expect, "{threads} threads");
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn join_returns_both_results_at_any_thread_count() {
+        let _guard = LOCK.lock().unwrap();
+        let caller = std::thread::current().id();
+        for threads in [1usize, 4] {
+            set_threads(threads);
+            let ((a, a_thread), (b, b_thread)) = join(
+                || {
+                    // A join nested in a worker runs both sides inline.
+                    let here = std::thread::current().id();
+                    let (x, y) = join(
+                        || std::thread::current().id(),
+                        || std::thread::current().id(),
+                    );
+                    assert_eq!((x, y), (here, here), "{threads} threads");
+                    ((0..10).sum::<usize>(), here)
+                },
+                || {
+                    (
+                        map_with(5, || (), |(), i| i * i),
+                        std::thread::current().id(),
+                    )
+                },
+            );
+            assert_eq!(a, 45);
+            assert_eq!(b, vec![0, 1, 4, 9, 16]);
+            assert_eq!(b_thread, caller, "b runs on the caller");
+            assert_eq!(a_thread == caller, threads == 1, "{threads} threads");
+        }
+        set_threads(0);
     }
 
     #[test]

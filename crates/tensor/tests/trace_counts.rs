@@ -69,6 +69,23 @@ fn par_map_with_counts_logical_items_not_worker_chunks() {
 }
 
 #[test]
+fn par_join_and_nested_calls_count_at_entry() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    for threads in [1, 3] {
+        par::set_threads(threads);
+        let snap = traced(|| {
+            // One join (2 items) whose worker side nests a 5-item
+            // map_with that runs inline on the worker thread.
+            let (a, b) = par::join(|| par::map_with(5, || (), |(), i| i).len(), || 7);
+            assert_eq!((a, b), (5, 7));
+        });
+        par::set_threads(0);
+        assert_eq!(snap.run(trace::Counter::ParCalls), 2, "{threads} threads");
+        assert_eq!(snap.run(trace::Counter::ParItems), 7, "{threads} threads");
+    }
+}
+
+#[test]
 fn par_for_each_chunk_mut_counts_chunks_including_the_ragged_tail() {
     let _guard = TRACE_LOCK.lock().unwrap();
     // 25 elements in chunks of 4 → 7 logical chunks (one ragged).
