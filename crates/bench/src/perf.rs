@@ -22,8 +22,7 @@ use redcane_capsnet::{
 };
 use redcane_datasets::{generate, Benchmark, GenerateConfig};
 use redcane_qdp::{kernels as qkernels, CalibrationObserver, MulLut, QModel};
-use redcane_tensor::ops::gemm;
-use redcane_tensor::ops::Conv2dSpec;
+use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{Tensor, TensorRng};
 
 use crate::pipeline::{run_pipeline, spec};
@@ -119,26 +118,83 @@ fn time_pair_ns<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (f64
     (f_ns, f_ns * median(&mut ratios))
 }
 
-fn gemm_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProbe {
+/// A GEMM entry point and its reference twin. Every variant's `A` holds
+/// `m·k` floats and its `B` `k·n`, whatever the logical transposes.
+type GemmFn = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+type GemmPair = (GemmFn, GemmFn);
+const NN: GemmPair = (gemm::gemm_nn, gemm::reference::gemm_nn);
+/// Overwrite mode against the accumulating reference on a zeroed `C`.
+const TN_OVER: GemmPair = (gemm::gemm_tn_over, gemm::reference::gemm_tn);
+const NT_OVER: GemmPair = (gemm::gemm_nt_over, gemm::reference::gemm_nt);
+
+fn gemm_probe(
+    name: &str,
+    (fast, naive): GemmPair,
+    m: usize,
+    k: usize,
+    n: usize,
+    reps: usize,
+) -> PerfProbe {
     let mut rng = TensorRng::from_seed(77);
     let a: Vec<f32> = (0..m * k).map(|_| rng.next_uniform(-1.0, 1.0)).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.next_uniform(-1.0, 1.0)).collect();
     let mut c = vec![0.0f32; m * n];
-    let fast = time_ns(reps, || {
-        c.fill(0.0);
-        gemm::gemm_nn(&a, &b, &mut c, m, k, n);
-        std::hint::black_box(&c);
-    });
-    let naive = time_ns(reps, || {
-        c.fill(0.0);
-        gemm::reference::gemm_nn(&a, &b, &mut c, m, k, n);
-        std::hint::black_box(&c);
-    });
+    let mut time = |kernel: GemmFn| {
+        time_ns(reps, || {
+            c.fill(0.0);
+            kernel(&a, &b, &mut c, m, k, n);
+            std::hint::black_box(&c);
+        })
+    };
+    let fast = time(fast);
+    let naive = time(naive);
     PerfProbe {
         name: name.to_string(),
         ns_per_op: fast,
         naive_ns_per_op: Some(naive),
     }
+}
+
+/// im2col and col2im of a DeepCaps downsampling cell (16 channels,
+/// 16×16, 3×3 stride 2 padding 1) against the per-element reference
+/// loops.
+fn im2col_probes(reps: usize) -> Vec<PerfProbe> {
+    let (c, hw) = (16, 16);
+    let spec = Conv2dSpec::new(3, 2, 1).expect("valid spec");
+    let out_hw = spec.output_size(hw).expect("kernel fits");
+    let (rows, cols) = (c * 9, out_hw * out_hw);
+    let mut rng = TensorRng::from_seed(86);
+    let input = rng.uniform(&[c, hw, hw], -1.0, 1.0);
+    let grad = rng.uniform(&[rows, cols], -1.0, 1.0);
+    let mut unrolled = vec![0.0f32; rows * cols];
+    let im2col_fast = time_ns(reps, || {
+        conv::im2col_slice(input.data(), c, hw, hw, spec, &mut unrolled).expect("sized");
+        std::hint::black_box(&unrolled);
+    });
+    let im2col_naive = time_ns(reps, || {
+        conv::reference::im2col(input.data(), c, hw, hw, spec, &mut unrolled).expect("fits");
+        std::hint::black_box(&unrolled);
+    });
+    let col2im_fast = time_ns(reps, || {
+        std::hint::black_box(grad.col2im(c, hw, hw, spec).expect("sized"));
+    });
+    let col2im_naive = time_ns(reps, || {
+        let mut folded = vec![0.0f32; c * hw * hw];
+        conv::reference::col2im(grad.data(), c, hw, hw, spec, &mut folded).expect("fits");
+        std::hint::black_box(folded);
+    });
+    vec![
+        PerfProbe {
+            name: "im2col_16x16x16_k3s2p1".to_string(),
+            ns_per_op: im2col_fast,
+            naive_ns_per_op: Some(im2col_naive),
+        },
+        PerfProbe {
+            name: "col2im_16x16x16_k3s2p1".to_string(),
+            ns_per_op: col2im_fast,
+            naive_ns_per_op: Some(col2im_naive),
+        },
+    ]
 }
 
 /// Quantized-GEMM probe: `qgemm_nn` on `lut` against its naive
@@ -422,12 +478,18 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
     let mut probes = vec![
         // The two GEMM shapes the small CapsNet actually runs, plus a
         // square shape for context.
-        gemm_probe("matmul_24x49x100_stem", 24, 49, 100, reps),
-        gemm_probe("matmul_32x600x9_primary", 32, 600, 9, reps),
-        gemm_probe("matmul_128x128x128", 128, 128, 128, reps),
+        gemm_probe("matmul_24x49x100_stem", NN, 24, 49, 100, reps),
+        gemm_probe("matmul_32x600x9_primary", NN, 32, 600, 9, reps),
+        gemm_probe("matmul_128x128x128", NN, 128, 128, 128, reps),
         // DeepCaps paper geometry: the last capsule cell's 3x3 conv
         // lowered to GEMM (C = 32 types x 8 dims, 4x4 spatial).
-        gemm_probe("matmul_256x2304x16_deepcaps_cell4", 256, 2304, 16, reps),
+        gemm_probe("matmul_256x2304x16_deepcaps_cell4", NN, 256, 2304, 16, reps),
+        // The narrow shapes small-config DeepCaps training runs: cell 3's
+        // forward and input gradient (2x2 spatial), and the last cell's
+        // weight gradient (1x1 spatial, a rank-1 update).
+        gemm_probe("gemm_nn_32x288x4_deepcaps_cell3", NN, 32, 288, 4, reps),
+        gemm_probe("gemm_tn_288x32x4_deepcaps_dx", TN_OVER, 288, 32, 4, reps),
+        gemm_probe("gemm_nt_32x1x288_deepcaps_dw", NT_OVER, 32, 1, 288, reps),
         // Integer twins of the stem and DeepCaps shapes: what one
         // approximate-datapath sweep step costs per layer.
         qgemm_probe("qgemm_24x49x100_stem", 24, 49, 100, &exact, reps),
@@ -452,6 +514,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(400)),
         conv_probe(reps),
     ];
+    probes.extend(im2col_probes(reps));
     probes.extend(routing_probes(reps));
     probes.extend(qdp_deepcaps_probes(reps));
     probes.push(tabulate_library_probe(reps));
@@ -547,6 +610,11 @@ mod tests {
             "qgemm_256x2304x16_deepcaps_cell4_gather",
             "qgemm_hooks_off_24x49x100",
             "matmul_256x2304x16_deepcaps_cell4",
+            "gemm_nn_32x288x4_deepcaps_cell3",
+            "gemm_tn_288x32x4_deepcaps_dx",
+            "gemm_nt_32x1x288_deepcaps_dw",
+            "im2col_16x16x16_k3s2p1",
+            "col2im_16x16x16_k3s2p1",
             "qdp_lower_deepcaps_small",
             "qdp_fwd_deepcaps_small",
             "qdp_fwd_batch_deepcaps_small",

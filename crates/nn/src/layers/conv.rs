@@ -184,10 +184,11 @@ impl Layer for Conv2d {
             self.c_out * n,
             "grad_out shape must match forward output"
         );
-        let dy = grad_out.data(); // flat [C_out, H_out·W_out]
-                                  // dW = dY · colsᵀ, built in a (recycled) temp and then summed
-                                  // into the accumulator so the gradient order matches per-sample
-                                  // accumulation exactly.
+        // Flat [C_out, H_out·W_out].
+        let dy = grad_out.data();
+        // dW = dY · colsᵀ, built in a (recycled) temp and then summed into
+        // the accumulator so the gradient order matches per-sample
+        // accumulation exactly.
         let mut dw = std::mem::take(&mut self.dw_pool);
         dw.resize(self.c_out * k2, 0.0);
         gemm::gemm_nt_over(dy, cache.cols.data(), &mut dw, self.c_out, n, k2);

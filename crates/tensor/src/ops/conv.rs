@@ -112,6 +112,25 @@ pub fn im2col_slice(
     Ok([rows, cols])
 }
 
+/// For each kernel tap `t` along one axis, the output positions
+/// `o ∈ [lo, hi)` whose input coordinate `o·stride + t − padding` lands
+/// inside `0..size` — the positions that read real pixels rather than
+/// padding. Computed once per call, so the pixel loops run with no
+/// per-element bounds test.
+fn tap_ranges(size: usize, out: usize, spec: Conv2dSpec) -> Vec<(usize, usize)> {
+    let (stride, pad) = (spec.stride, spec.padding);
+    (0..spec.kernel)
+        .map(|tap| {
+            let hi = if size + pad > tap {
+                ((size + pad - tap - 1) / stride + 1).min(out)
+            } else {
+                0
+            };
+            (pad.saturating_sub(tap).div_ceil(stride).min(hi), hi)
+        })
+        .collect()
+}
+
 /// Raw im2col fill: writes **every** slot of `out` (padded positions get
 /// an explicit zero), so callers can recycle stale scratch buffers.
 #[allow(clippy::too_many_arguments)]
@@ -136,42 +155,63 @@ fn im2col_fill(
             (c * k * k * cols * std::mem::size_of::<f32>()) as u64,
         );
     }
-    let pad = spec.padding as isize;
-    let stride = spec.stride;
-    let fill_row = |row: usize, out_row: &mut [f32]| {
-        let kx = row % k;
-        let ky = (row / k) % k;
-        let ci = row / (k * k);
-        for oy in 0..h_out {
-            let iy = (oy * stride) as isize + ky as isize - pad;
-            let dst = &mut out_row[oy * w_out..(oy + 1) * w_out];
-            if iy < 0 || iy >= h as isize {
-                dst.fill(0.0); // fully padded output row
-                continue;
+    let (stride, pad) = (spec.stride, spec.padding);
+    let y_taps = tap_ranges(h, h_out, spec);
+    let x_taps = tap_ranges(w, w_out, spec);
+    // Row (ci, ky, kx): the input plane `ci` shifted by the tap, with
+    // the positions that fall on padding zeroed.
+    let fill_row = move |ci: usize, ky: usize, kx: usize, out_row: &mut [f32]| {
+        let (y_lo, y_hi) = y_taps[ky];
+        let (x_lo, x_hi) = x_taps[kx];
+        if y_lo > 0 || y_hi < h_out || x_lo > 0 || x_hi < w_out {
+            out_row.fill(0.0);
+        }
+        if y_lo == y_hi || x_lo == x_hi {
+            return;
+        }
+        let plane = &src[ci * h * w..(ci + 1) * h * w];
+        let ix0 = x_lo * stride + kx - pad;
+        let span = x_hi - x_lo;
+        if stride == 1 && w_out == w {
+            // Same row pitch on both sides: the valid block is one
+            // contiguous copy, after which the few border slots it
+            // wrapped into get their zeros back.
+            let d0 = y_lo * w_out + x_lo;
+            let d1 = (y_hi - 1) * w_out + x_hi;
+            let s0 = (y_lo + ky - pad) * w + ix0;
+            out_row[d0..d1].copy_from_slice(&plane[s0..s0 + (d1 - d0)]);
+            if span < w_out {
+                for oy in y_lo..y_hi - 1 {
+                    out_row[oy * w_out + x_hi..(oy + 1) * w_out + x_lo].fill(0.0);
+                }
             }
-            let src_base = ci * h * w + iy as usize * w;
-            // The stride-1 unpadded interior is a contiguous copy.
-            if stride == 1 && pad == 0 {
-                let s0 = src_base + kx;
-                dst.copy_from_slice(&src[s0..s0 + w_out]);
-                continue;
-            }
-            for (ox, slot) in dst.iter_mut().enumerate() {
-                let ix = (ox * stride) as isize + kx as isize - pad;
-                *slot = if ix < 0 || ix >= w as isize {
-                    0.0
-                } else {
-                    src[src_base + ix as usize]
-                };
+            return;
+        }
+        for oy in y_lo..y_hi {
+            let dst = &mut out_row[oy * w_out + x_lo..oy * w_out + x_hi];
+            let s0 = (oy * stride + ky - pad) * w + ix0;
+            if stride == 1 {
+                dst.copy_from_slice(&plane[s0..s0 + span]);
+            } else {
+                let srow = &plane[s0..s0 + (span - 1) * stride + 1];
+                for (j, d) in dst.iter_mut().enumerate() {
+                    *d = srow[j * stride];
+                }
             }
         }
     };
-    let rows = c * k * k;
-    if rows * cols >= PAR_MIN_ELEMENTS {
-        par::for_each_chunk_mut(out, cols, fill_row);
+    if c * k * k * cols >= PAR_MIN_ELEMENTS {
+        par::for_each_chunk_mut(out, cols, |row, out_row| {
+            fill_row(row / (k * k), (row / k) % k, row % k, out_row);
+        });
     } else {
-        for (row, out_row) in out.chunks_mut(cols).enumerate() {
-            fill_row(row, out_row);
+        let mut out_rows = out.chunks_exact_mut(cols);
+        for ci in 0..c {
+            for ky in 0..k {
+                for (kx, out_row) in (0..k).zip(&mut out_rows) {
+                    fill_row(ci, ky, kx, out_row);
+                }
+            }
         }
     }
 }
@@ -265,39 +305,35 @@ impl Tensor {
         let src = self.data();
         let mut out = Tensor::zeros(&[c, h, w]);
         let dst = out.data_mut();
-        let pad = spec.padding as isize;
-        let stride = spec.stride;
+        let (stride, pad) = (spec.stride, spec.padding);
         // Each worker owns one input channel: the (ky, kx, oy, ox)
         // accumulation order within a channel is the serial order, and
         // channels write disjoint `h*w` chunks, so results are bitwise
-        // identical at every thread count.
-        let fold_channel = |ci: usize, dst_ch: &mut [f32]| {
-            for ky in 0..k {
-                for kx in 0..k {
+        // identical at every thread count. Skipping the padded taps
+        // leaves every destination's add sequence unchanged.
+        let y_taps = tap_ranges(h, h_out, spec);
+        let x_taps = tap_ranges(w, w_out, spec);
+        let fold_channel = move |ci: usize, dst_ch: &mut [f32]| {
+            for (ky, &(y_lo, y_hi)) in y_taps.iter().enumerate() {
+                for (kx, &(x_lo, x_hi)) in x_taps.iter().enumerate() {
+                    if x_lo == x_hi {
+                        continue;
+                    }
+                    let ix0 = x_lo * stride + kx - pad;
                     let row = (ci * k + ky) * k + kx;
                     let src_row = &src[row * cols..(row + 1) * cols];
-                    for oy in 0..h_out {
-                        let iy = (oy * stride) as isize + ky as isize - pad;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let dst_base = iy as usize * w;
-                        // The stride-1 unpadded interior is a contiguous
-                        // vector add.
-                        if stride == 1 && pad == 0 {
-                            let dst = &mut dst_ch[dst_base + kx..dst_base + kx + w_out];
-                            let srow = &src_row[oy * w_out..(oy + 1) * w_out];
-                            for (d, &s) in dst.iter_mut().zip(srow) {
-                                *d += s;
+                    for oy in y_lo..y_hi {
+                        let iy = oy * stride + ky - pad;
+                        let drow = &mut dst_ch[iy * w + ix0..(iy + 1) * w];
+                        let srow = &src_row[oy * w_out + x_lo..oy * w_out + x_hi];
+                        if stride == 1 {
+                            for (d, &v) in drow.iter_mut().zip(srow) {
+                                *d += v;
                             }
-                            continue;
-                        }
-                        for ox in 0..w_out {
-                            let ix = (ox * stride) as isize + kx as isize - pad;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+                        } else {
+                            for (d, &v) in drow.iter_mut().step_by(stride).zip(srow) {
+                                *d += v;
                             }
-                            dst_ch[dst_base + ix as usize] += src_row[oy * w_out + ox];
                         }
                     }
                 }
@@ -389,6 +425,90 @@ impl Tensor {
             }
         }
         Tensor::from_vec(out, &[c_out, h_out, w_out])
+    }
+}
+
+/// Per-element im2col/col2im loops with a bounds test on every tap: the
+/// bit-for-bit oracle the branch-free versions are tested against (the
+/// twin of [`gemm::reference`](crate::ops::gemm::reference)). Never used
+/// on a hot path.
+pub mod reference {
+    use super::Conv2dSpec;
+    use crate::Result;
+
+    /// Unrolls a `[C, H, W]` buffer into the `[C·k·k, H_out·W_out]`
+    /// column matrix `out`, writing every slot (padded taps get `0.0`).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the kernel does not fit the padded input.
+    pub fn im2col(
+        src: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        spec: Conv2dSpec,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let (h_out, w_out) = (spec.output_size(h)?, spec.output_size(w)?);
+        let (k, stride, pad) = (spec.kernel, spec.stride, spec.padding as isize);
+        for ci in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ci * k + ky) * k + kx;
+                    for oy in 0..h_out {
+                        for ox in 0..w_out {
+                            let iy = (oy * stride + ky) as isize - pad;
+                            let ix = (ox * stride + kx) as isize - pad;
+                            let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
+                            out[(row * h_out + oy) * w_out + ox] = if inside {
+                                src[(ci * h + iy as usize) * w + ix as usize]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds a `[C·k·k, H_out·W_out]` column matrix back into the
+    /// `[C, H, W]` buffer `out`, **accumulating** each contribution in
+    /// `(ky, kx, oy, ox)` order per channel.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the kernel does not fit the padded input.
+    pub fn col2im(
+        cols: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        spec: Conv2dSpec,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let (h_out, w_out) = (spec.output_size(h)?, spec.output_size(w)?);
+        let (k, stride, pad) = (spec.kernel, spec.stride, spec.padding as isize);
+        for ci in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ci * k + ky) * k + kx;
+                    for oy in 0..h_out {
+                        for ox in 0..w_out {
+                            let iy = (oy * stride + ky) as isize - pad;
+                            let ix = (ox * stride + kx) as isize - pad;
+                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                out[(ci * h + iy as usize) * w + ix as usize] +=
+                                    cols[(row * h_out + oy) * w_out + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -9,13 +9,44 @@
 //!
 //! # Design
 //!
-//! The kernels block over `k` (`KC`) and pack the left operand into an
-//! `MR`-row micro-panel laid out `[p][row]`, so the inner tile reads it
-//! contiguously regardless of the logical transpose. The micro-kernel
-//! fuses `MR = 4` output rows × `KU = 4` k-steps per pass over the output
-//! block: 16 multiply-adds per column against 8 loads and 4 stores, an
-//! axpy form with no floating-point reduction that the compiler
-//! vectorizes under strict FP semantics.
+//! Two tiles share the work, each blocked to the operand shapes it
+//! serves (Goto & van de Geijn, "Anatomy of High-Performance Matrix
+//! Multiplication", ACM TOMS 2008):
+//!
+//! - **Wide outputs** (`micro_kernel`). The kernels block over `k`
+//!   (`KC`) and pack the left operand into an `MR`-row micro-panel laid
+//!   out `[p][row]`, so the inner tile reads it contiguously regardless
+//!   of the logical transpose. The micro-kernel fuses `MR = 4` output
+//!   rows × `KU = 4` k-steps per pass over the output block: 16
+//!   multiply-adds per column against 8 loads and 4 stores, an axpy form
+//!   with no floating-point reduction that the compiler vectorizes under
+//!   strict FP semantics.
+//! - **Narrow outputs** (`narrow_tile`). With few output columns the
+//!   axpy pass is too short to amortize its loads and stores, so this
+//!   tile turns the problem around: `RB = 16` output **rows** sit in the
+//!   vector lanes and up to `NB = 4` output columns are const-generic
+//!   register accumulators, loaded once and stored once per `k` block.
+//!   Each k-step multiplies one `[p][row]` panel row by a broadcast
+//!   `B[p][j]` per column. `gemm_tn`'s `A` (`k×m` storage) already is
+//!   that panel and is read in place; `gemm_nn`/`gemm_nt` transpose-pack
+//!   one `RB`-row block of `A` per `KC` step.
+//!
+//! Dispatch, checked in this order (first match wins):
+//!
+//! | shape | `gemm_nn` | `gemm_tn` | `gemm_nt` |
+//! |---|---|---|---|
+//! | `m == 0`, `n == 0` or `k == 0` | no-op / zero fill | same | same |
+//! | `m == 1` | — | row axpys over `k` | — |
+//! | `n == 1` | sequential dots | — | sequential dots |
+//! | `k == 1` | `rank1` row axpys | `rank1` | `rank1` |
+//! | `n ≤ 32` and `m ≥ 8` | narrow tile, packed `A` | narrow tile, `A` in place | narrow tile, packed `A`, `B` transposed |
+//! | otherwise | `micro_kernel` | `micro_kernel` | `micro_kernel`, `B` transposed per `KC` block |
+//!
+//! The narrow bounds were measured on the conv shapes of DeepCaps and
+//! CapsNet training: the tile wins at every `n ≤ 32` once half its lanes
+//! hold real rows, ties the wide tile around `n = 64` and loses beyond
+//! it (every `B` row is re-read once per column block), and loses for
+//! `m < 8`, where most lanes would be padding.
 //!
 //! # Bitwise reproducibility
 //!
@@ -91,26 +122,15 @@ fn gemm_nn_impl<const OVER: bool>(
     // is sequential dots, a rank-1 update is row axpys. Both apply the
     // k contributions in the same ascending order as the full kernel.
     if n == 1 {
-        for (i, o) in c.iter_mut().enumerate() {
-            let arow = &a[i * k..(i + 1) * k];
-            let mut acc = if OVER { 0.0 } else { *o };
-            for (&av, &bv) in arow.iter().zip(b) {
-                acc += av * bv;
-            }
-            *o = acc;
-        }
+        row_dots::<OVER>(a, b, c, k);
         return;
     }
     if k == 1 {
-        for (i, crow) in c.chunks_exact_mut(n).enumerate() {
-            let av = a[i];
-            for (o, &bv) in crow.iter_mut().zip(b) {
-                // `0.0 + x` (not bare `x`): keeps the -0.0 products'
-                // signs identical to accumulating into a zeroed buffer.
-                let acc = if OVER { 0.0 } else { *o };
-                *o = acc + av * bv;
-            }
-        }
+        rank1::<OVER>(a, b, c, n);
+        return;
+    }
+    if narrow(m, n) {
+        narrow_packed::<OVER>(a, b, c, m, k, n);
         return;
     }
     let mut panel = [0.0f32; KC * MR];
@@ -173,27 +193,19 @@ fn gemm_tn_impl<const OVER: bool>(
         return;
     }
     // Degenerate shapes skip packing: `m == 1` is a vectorᵀ·matrix
-    // (row axpys over ascending k), `n == 1` a strided column dot.
+    // (row axpys over ascending k), `k == 1` a rank-1 update.
     if m == 1 {
-        if OVER {
-            c.fill(0.0);
-        }
-        for (p, &av) in a.iter().enumerate() {
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in c.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
+        for (p, (brow, &av)) in b.chunks_exact(n).zip(a).enumerate() {
+            axpy(c, brow, av, OVER && p == 0);
         }
         return;
     }
-    if n == 1 {
-        for (i, o) in c.iter_mut().enumerate() {
-            let mut acc = if OVER { 0.0 } else { *o };
-            for (p, &bv) in b.iter().enumerate() {
-                acc += a[p * m + i] * bv;
-            }
-            *o = acc;
-        }
+    if k == 1 {
+        rank1::<OVER>(a, b, c, n);
+        return;
+    }
+    if narrow(m, n) {
+        narrow_in_place::<OVER>(a, b, c, m, k, n);
         return;
     }
     let mut panel = [0.0f32; KC * MR];
@@ -256,20 +268,26 @@ fn gemm_nt_impl<const OVER: bool>(
         }
         return;
     }
-    // Degenerate shapes skip the transpose-pack: both operands' rows
-    // are contiguous over k, so these are plain sequential dots.
-    if n == 1 || k == 1 {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for (j, o) in c[i * n..(i + 1) * n].iter_mut().enumerate() {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = if OVER { 0.0 } else { *o };
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                *o = acc;
+    // A matrix–vector product skips the transpose-pack: both operands'
+    // rows are contiguous over k, so it is plain sequential dots.
+    if n == 1 {
+        row_dots::<OVER>(a, b, c, k);
+        return;
+    }
+    if k == 1 {
+        rank1::<OVER>(a, b, c, n);
+        return;
+    }
+    if narrow(m, n) {
+        // A narrow B (n×k) transposes whole into the row-major k×n
+        // operand the tile reads: n·k moves against m·n·k MACs.
+        let mut bt = vec![0.0f32; k * n];
+        for (j, brow) in b.chunks_exact(k).enumerate() {
+            for (btrow, &v) in bt.chunks_exact_mut(n).zip(brow) {
+                btrow[j] = v;
             }
         }
+        narrow_packed::<OVER>(a, &bt, c, m, k, n);
         return;
     }
     let mut panel = [0.0f32; KC * MR];
@@ -304,6 +322,210 @@ fn gemm_nt_impl<const OVER: bool>(
     }
 }
 
+/// Matrix–vector product `C = (OVER ? 0 : C) + A·b` — the `n == 1`
+/// case of [`gemm_nn`] and [`gemm_nt`], whose `B` is the same length-`k`
+/// vector either way. `DOTS` rows advance side by side, each still one
+/// sequential ascending-`k` sum, so their add chains overlap instead of
+/// each waiting on its own latency.
+fn row_dots<const OVER: bool>(a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
+    const DOTS: usize = 8;
+    let b = &b[..k];
+    let mut blocks = a.chunks_exact(DOTS * k);
+    let mut outs = c.chunks_exact_mut(DOTS);
+    for (block, out) in (&mut blocks).zip(&mut outs) {
+        let rows: [&[f32]; DOTS] = std::array::from_fn(|r| &block[r * k..][..k]);
+        let mut acc: [f32; DOTS] = std::array::from_fn(|r| if OVER { 0.0 } else { out[r] });
+        for (p, &bv) in b.iter().enumerate() {
+            for (sum, row) in acc.iter_mut().zip(&rows) {
+                *sum += row[p] * bv;
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+    let rest = blocks.remainder().chunks_exact(k);
+    for (o, row) in outs.into_remainder().iter_mut().zip(rest) {
+        let mut acc = if OVER { 0.0 } else { *o };
+        for (&av, &bv) in row.iter().zip(b) {
+            acc += av * bv;
+        }
+        *o = acc;
+    }
+}
+
+/// Rank-1 update `C = (OVER ? 0 : C) + a·bᵀ` — every variant's `k == 1`
+/// case: with one k-step, `A` is a length-`m` vector and `B` a
+/// length-`n` vector whatever their logical transposes, so all three
+/// kernels share these row axpys.
+fn rank1<const OVER: bool>(a: &[f32], b: &[f32], c: &mut [f32], n: usize) {
+    for (crow, &av) in c.chunks_exact_mut(n).zip(a) {
+        axpy(crow, b, av, OVER);
+    }
+}
+
+/// `y = (fresh ? 0.0 : y) + alpha·x`. Starting from `0.0 +` rather than
+/// a bare product keeps `-0.0` products' signs identical to
+/// accumulating into a zeroed buffer.
+#[inline(always)]
+fn axpy(y: &mut [f32], x: &[f32], alpha: f32, fresh: bool) {
+    let step = |yq: &mut [f32], xq: &[f32]| {
+        for (o, &v) in yq.iter_mut().zip(xq) {
+            let acc = if fresh { 0.0 } else { *o };
+            *o = acc + alpha * v;
+        }
+    };
+    if y.len() >= 8 {
+        step(y, x);
+        return;
+    }
+    // Rows shorter than the vectorized loop's 8-lane body (a CapsNet
+    // capsule's 4 dims) would run scalar; a fixed 4-lane chunk is one
+    // vector op.
+    let mut y4 = y.chunks_exact_mut(4);
+    let mut x4 = x.chunks_exact(4);
+    for (yq, xq) in (&mut y4).zip(&mut x4) {
+        step(yq, xq);
+    }
+    step(y4.into_remainder(), x4.remainder());
+}
+
+/// Narrow-tile height: output rows held in the vector lanes.
+const RB: usize = 16;
+/// Narrow-tile width: output columns kept as accumulators per tile.
+const NB: usize = 4;
+/// Widest output the narrow tile takes; past it the blocked
+/// [`micro_kernel`] streams contiguous `B` rows faster.
+const NARROW_MAX_N: usize = 32;
+
+/// Whether an `m×n` output goes to the row-broadcast narrow tile: `n`
+/// small enough that the axpy tile's per-row overhead dominates, and
+/// enough rows to fill at least half the tile's lanes.
+fn narrow(m: usize, n: usize) -> bool {
+    n <= NARROW_MAX_N && m >= RB / 2
+}
+
+/// Narrow GEMM with a row-major `m×k` `A` ([`gemm_nn`], and [`gemm_nt`]
+/// once its `B` is transposed): each `KC` step transpose-packs one
+/// `RB`-row block of `A` into the `[p][row]` panel the tile reads.
+/// `b` is row-major `k×n`.
+fn narrow_packed<const OVER: bool>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut panel = vec![0.0f32; KC.min(k) * RB];
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        let b = &b[p0 * n..(p0 + kc) * n];
+        for i0 in (0..m).step_by(RB) {
+            let rows = RB.min(m - i0);
+            for (r, arow) in a[i0 * k..].chunks_exact(k).take(rows).enumerate() {
+                for (prow, &v) in panel.chunks_exact_mut(RB).zip(&arow[p0..p0 + kc]) {
+                    prow[r] = v;
+                }
+            }
+            narrow_rows(&panel, RB, b, &mut c[i0 * n..], n, rows, OVER && p0 == 0);
+        }
+    }
+}
+
+/// Narrow GEMM for [`gemm_tn`]: row `p` of `A`'s `k×m` storage already
+/// is the `[p][row]` panel, so full row blocks are read in place and
+/// only a ragged last block is copied into a zero-padded panel.
+fn narrow_in_place<const OVER: bool>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let full = m - m % RB;
+    for i0 in (0..full).step_by(RB) {
+        narrow_rows(&a[i0..], m, b, &mut c[i0 * n..], n, RB, OVER);
+    }
+    if full < m {
+        let rows = m - full;
+        let mut panel = vec![0.0f32; k * RB];
+        for (prow, arow) in panel.chunks_exact_mut(RB).zip(a.chunks_exact(m)) {
+            prow[..rows].copy_from_slice(&arow[full..]);
+        }
+        narrow_rows(&panel, RB, b, &mut c[full * n..], n, rows, OVER);
+    }
+}
+
+/// One row block of a narrow-output GEMM: `C[0..rows][0..n] (+)=
+/// Σ_p A[p][row]·B[p][j]` over the `b.len() / n` k-steps of the
+/// row-major `B`, where the `[p][row]` panel `a` holds `RB`-wide rows
+/// `lda` apart (lanes past `rows` are computed but never stored).
+/// Columns go in blocks of at most `NB` const-generic accumulators.
+fn narrow_rows(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    c: &mut [f32],
+    n: usize,
+    rows: usize,
+    fresh: bool,
+) {
+    for j0 in (0..n).step_by(NB) {
+        let c = &mut c[j0..];
+        match n - j0 {
+            1 => narrow_tile::<1>(a, lda, b, j0, c, n, rows, fresh),
+            2 => narrow_tile::<2>(a, lda, b, j0, c, n, rows, fresh),
+            3 => narrow_tile::<3>(a, lda, b, j0, c, n, rows, fresh),
+            _ => narrow_tile::<NB>(a, lda, b, j0, c, n, rows, fresh),
+        }
+    }
+}
+
+/// The row-broadcast tile: `RB` output rows in the vector lanes × `N`
+/// columns `j0..j0 + N`. Step `p` adds `a[p][row] * b[p][j]` to every
+/// accumulator, so each output element still receives its k
+/// contributions one at a time in ascending order, starting from `C`
+/// (or from `0.0` when `fresh`).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn narrow_tile<const N: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    j0: usize,
+    c: &mut [f32],
+    ldc: usize,
+    rows: usize,
+    fresh: bool,
+) {
+    let mut acc = [[0.0f32; RB]; N];
+    if !fresh {
+        for (r, crow) in c.chunks(ldc).take(rows).enumerate() {
+            for (accj, &v) in acc.iter_mut().zip(crow) {
+                accj[r] = v;
+            }
+        }
+    }
+    for (ap, bp) in a.chunks(lda).zip(b.chunks_exact(ldc)) {
+        // Gather the step's operands first so the multiply-adds below
+        // form one branch-free block the compiler packs into vectors.
+        let ap = &ap[..RB];
+        let ap: [f32; RB] = std::array::from_fn(|r| ap[r]);
+        let bp = &bp[j0..j0 + N];
+        let bq: [f32; N] = std::array::from_fn(|j| bp[j]);
+        for (accj, &bj) in acc.iter_mut().zip(&bq) {
+            for (o, &av) in accj.iter_mut().zip(&ap) {
+                *o += av * bj;
+            }
+        }
+    }
+    for (r, crow) in c.chunks_mut(ldc).take(rows).enumerate() {
+        for (o, accj) in crow.iter_mut().zip(&acc) {
+            *o = accj[r];
+        }
+    }
+}
+
 /// The shared inner tile: `mr (≤ MR)` output rows × `kc` packed k-steps
 /// over `n` columns. `panel` is `[p][row]`-packed; `b` holds `kc`
 /// row-major rows of length `n`; `c` holds at least `mr` rows of `n`.
@@ -321,12 +543,6 @@ fn micro_kernel(
     n: usize,
     overwrite: bool,
 ) {
-    // Narrow outputs amortize per-pass overhead poorly; fuse twice as
-    // many k-steps per pass there (same ascending-k order per element).
-    if n <= 16 {
-        micro_kernel_narrow(panel, b, c, mr, kc, n, overwrite);
-        return;
-    }
     let mut p = 0;
     let mut fresh = overwrite;
     while p + KU <= kc {
@@ -364,60 +580,6 @@ fn micro_kernel(
         }
         fresh = false;
         p += KU;
-    }
-    while p < kc {
-        let brow = &b[p * n..(p + 1) * n];
-        for r in 0..mr {
-            let av = panel[p * MR + r];
-            let crow = &mut c[r * n..r * n + n];
-            if fresh {
-                for (o, &bv) in crow.iter_mut().zip(brow) {
-                    *o = 0.0 + av * bv;
-                }
-            } else {
-                for (o, &bv) in crow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-        fresh = false;
-        p += 1;
-    }
-}
-
-/// [`micro_kernel`] twin for narrow `n`: 8 fused k-steps per pass.
-fn micro_kernel_narrow(
-    panel: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    mr: usize,
-    kc: usize,
-    n: usize,
-    overwrite: bool,
-) {
-    const KW: usize = 8;
-    let mut p = 0;
-    let mut fresh = overwrite;
-    while p + KW <= kc {
-        let bq: [&[f32]; KW] = std::array::from_fn(|q| &b[(p + q) * n..(p + q + 1) * n]);
-        for r in 0..mr {
-            let aq: [f32; KW] = std::array::from_fn(|q| panel[(p + q) * MR + r]);
-            let crow = &mut c[r * n..r * n + n];
-            for (j, o) in crow.iter_mut().enumerate() {
-                let mut acc = if fresh { 0.0 } else { *o };
-                acc += aq[0] * bq[0][j];
-                acc += aq[1] * bq[1][j];
-                acc += aq[2] * bq[2][j];
-                acc += aq[3] * bq[3][j];
-                acc += aq[4] * bq[4][j];
-                acc += aq[5] * bq[5][j];
-                acc += aq[6] * bq[6][j];
-                acc += aq[7] * bq[7][j];
-                *o = acc;
-            }
-        }
-        fresh = false;
-        p += KW;
     }
     while p < kc {
         let brow = &b[p * n..(p + 1) * n];
@@ -530,6 +692,12 @@ mod tests {
             (24, 49, 100),
             (13, 513, 17),
             (6, 600, 9),
+            // DeepCaps training shapes: cell-3 forward and dX, and the
+            // last cell's dW (1×1 output, k = 1) and Caps3D dX (n = 1).
+            (32, 288, 4),
+            (288, 32, 4),
+            (32, 1, 288),
+            (288, 32, 1),
         ] {
             let a = random(&mut rng, m * k);
             let b = random(&mut rng, k * n);

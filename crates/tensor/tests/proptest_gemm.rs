@@ -1,10 +1,11 @@
 //! Property-based tests pinning the blocked GEMM micro-kernels and the
 //! (optionally parallel) convolution lowering to their naive reference
-//! twins — including the degenerate `m/k/n = 1` shapes and sizes that
-//! don't divide the register tile.
+//! twins — including the degenerate `m/k/n = 1` shapes, sizes that
+//! don't divide the register tiles, and shapes either side of every
+//! dispatch bound.
 
 use proptest::prelude::*;
-use redcane_tensor::ops::{gemm, Conv2dSpec};
+use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{par, Tensor, TensorRng};
 
 /// Serializes the tests that mutate the process-wide thread-count
@@ -25,6 +26,99 @@ fn dim() -> impl Strategy<Value = usize> {
 
 fn filled(rng: &mut TensorRng, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.next_uniform(-2.0, 2.0)).collect()
+}
+
+/// Output rows either side of the narrow tile's bounds (`m == 1`, fewer
+/// than 8 rows, the 16-row block) and of the `MR = 4` wide tile.
+fn dispatch_m() -> impl Strategy<Value = usize> {
+    const M: [usize; 13] = [1, 2, 5, 7, 8, 9, 15, 16, 17, 24, 31, 33, 40];
+    (0..M.len()).prop_map(|i| M[i])
+}
+
+/// Reduction lengths: `k == 1` (rank-1), short, and either side of the
+/// `KC = 256` block, up to a multi-block 600.
+fn dispatch_k() -> impl Strategy<Value = usize> {
+    const K: [usize; 9] = [1, 2, 3, 9, 32, 255, 256, 257, 600];
+    (0..K.len()).prop_map(|i| K[i])
+}
+
+/// Output columns: `n == 1`, every column-block remainder of the narrow
+/// tile, and either side of its `n ≤ 32` bound.
+fn dispatch_n() -> impl Strategy<Value = usize> {
+    const N: [usize; 12] = [1, 2, 3, 4, 5, 8, 9, 16, 31, 32, 33, 48];
+    (0..N.len()).prop_map(|i| N[i])
+}
+
+/// Random operand with every fifth entry an exact zero, so some products
+/// are `-0.0` and the accumulators' starting sign matters.
+fn with_zeros(rng: &mut TensorRng, len: usize) -> Vec<f32> {
+    let mut v = filled(rng, len);
+    for x in v.iter_mut().step_by(5) {
+        *x = 0.0;
+    }
+    v
+}
+
+/// A stale output buffer: random values laced with NaN and infinities,
+/// which would poison any result that read them.
+fn garbage(rng: &mut TensorRng, len: usize) -> Vec<f32> {
+    let mut v = filled(rng, len);
+    for (i, x) in v.iter_mut().enumerate() {
+        match i % 3 {
+            0 => *x = f32::NAN,
+            1 => *x = f32::INFINITY,
+            _ => {}
+        }
+    }
+    v
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// im2col/col2im oracle geometry: kernel 1–5, stride 1–3, padding 0–2,
+/// independent (odd, non-square) height and width, optionally shrunk so
+/// the kernel covers the whole padded input, and optionally grown past
+/// the parallel threshold (`PAR_MIN_ELEMENTS`, 32 768 output elements).
+#[derive(Debug, Clone, Copy)]
+struct ConvCase {
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+}
+
+impl ConvCase {
+    /// Builds a valid case from independently drawn parameters: `cover`
+    /// shrinks the input until the kernel spans the whole padded plane,
+    /// `big` grows it past the parallel threshold.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        c: usize,
+        h: usize,
+        w: usize,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+        cover: bool,
+        big: bool,
+    ) -> Self {
+        let fit = kernel.saturating_sub(2 * padding).max(1);
+        let (c, h, w) = if big {
+            (16, 44 + h, 45 + w)
+        } else if cover {
+            (c, fit, fit)
+        } else {
+            (c, h.max(fit), w.max(fit))
+        };
+        ConvCase {
+            c,
+            h,
+            w,
+            spec: Conv2dSpec::new(kernel, stride, padding).unwrap(),
+        }
+    }
 }
 
 /// Direct quadruple-loop convolution, the oracle conv2d is held to.
@@ -143,5 +237,87 @@ proptest! {
         let threaded = input.im2col(spec).unwrap();
         par::set_threads(0);
         prop_assert_eq!(serial, threaded);
+    }
+
+    /// Every dispatch branch, in overwrite mode on a garbage-filled `C`,
+    /// equals accumulate mode on a zeroed `C` — bit for bit, `-0.0`
+    /// products included — and accumulate mode on a random `C` equals
+    /// the reference loops.
+    #[test]
+    fn dispatch_shapes_match_reference_and_zeroed_accumulate(
+        m in dispatch_m(),
+        k in dispatch_k(),
+        n in dispatch_n(),
+        seed in 0u64..1000,
+    ) {
+        type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        let kernels: [(&str, Kernel, Kernel, Kernel); 3] = [
+            ("nn", gemm::gemm_nn, gemm::gemm_nn_over, gemm::reference::gemm_nn),
+            ("tn", gemm::gemm_tn, gemm::gemm_tn_over, gemm::reference::gemm_tn),
+            ("nt", gemm::gemm_nt, gemm::gemm_nt_over, gemm::reference::gemm_nt),
+        ];
+        let mut rng = TensorRng::from_seed(seed);
+        for (name, acc, over, reference) in kernels {
+            let a = with_zeros(&mut rng, m * k);
+            let b = with_zeros(&mut rng, k * n);
+
+            let mut zeroed = vec![0.0f32; m * n];
+            acc(&a, &b, &mut zeroed, m, k, n);
+            let mut stale = garbage(&mut rng, m * n);
+            over(&a, &b, &mut stale, m, k, n);
+            prop_assert_eq!(bits(&stale), bits(&zeroed), "{} over {}x{}x{}", name, m, k, n);
+
+            let mut fast = filled(&mut rng, m * n);
+            let mut naive = fast.clone();
+            acc(&a, &b, &mut fast, m, k, n);
+            reference(&a, &b, &mut naive, m, k, n);
+            prop_assert_eq!(bits(&fast), bits(&naive), "{} {}x{}x{}", name, m, k, n);
+        }
+    }
+
+    /// The branch-free im2col/col2im equal the per-element reference
+    /// loops bit for bit, at one and at four worker threads.
+    #[test]
+    fn im2col_col2im_match_reference(
+        c in 1usize..4,
+        h in 1usize..14,
+        w in 1usize..14,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        padding in 0usize..3,
+        shape_pick in 0usize..8,
+        seed in 0u64..1000,
+    ) {
+        let case = ConvCase::new(c, h, w, kernel, stride, padding, shape_pick == 1, shape_pick == 0);
+        let ConvCase { c, h, w, spec } = case;
+        let _guard = THREADS_LOCK.lock().unwrap();
+        let mut rng = TensorRng::from_seed(seed);
+        let input = rng.uniform(&[c, h, w], -1.0, 1.0);
+        let (h_out, w_out) = (spec.output_size(h).unwrap(), spec.output_size(w).unwrap());
+        let (rows, cols) = (c * spec.kernel * spec.kernel, h_out * w_out);
+
+        let mut want = vec![0.0f32; rows * cols];
+        conv::reference::im2col(input.data(), c, h, w, spec, &mut want).unwrap();
+        let grad = rng.uniform(&[rows, cols], -1.0, 1.0);
+        let mut folded = vec![0.0f32; c * h * w];
+        conv::reference::col2im(grad.data(), c, h, w, spec, &mut folded).unwrap();
+
+        for threads in [1, 4] {
+            par::set_threads(threads);
+            // A stale buffer: every slot must be overwritten.
+            let mut got = garbage(&mut rng, rows * cols);
+            let shape = conv::im2col_slice(input.data(), c, h, w, spec, &mut got);
+            let unrolled = grad.col2im(c, h, w, spec);
+            par::set_threads(0);
+            prop_assert_eq!(shape.unwrap(), [rows, cols]);
+            prop_assert_eq!(bits(&got), bits(&want), "im2col {:?} @{}", case, threads);
+            prop_assert_eq!(
+                bits(unrolled.unwrap().data()),
+                bits(&folded),
+                "col2im {:?} @{}",
+                case,
+                threads
+            );
+        }
     }
 }
