@@ -37,16 +37,18 @@
 //! |---|---|---|---|
 //! | `m == 0`, `n == 0` or `k == 0` | no-op / zero fill | same | same |
 //! | `m == 1` | — | row axpys over `k` | — |
-//! | `n == 1` | sequential dots | — | sequential dots |
+//! | `n == 1` | `row_dots`, 8 rows at a time | — | `row_dots` |
 //! | `k == 1` | `rank1` row axpys | `rank1` | `rank1` |
 //! | `n ≤ 32` and `m ≥ 8` | narrow tile, packed `A` | narrow tile, `A` in place | narrow tile, packed `A`, `B` transposed |
 //! | otherwise | `micro_kernel` | `micro_kernel` | `micro_kernel`, `B` transposed per `KC` block |
 //!
 //! The narrow bounds were measured on the conv shapes of DeepCaps and
-//! CapsNet training: the tile wins at every `n ≤ 32` once half its lanes
-//! hold real rows, ties the wide tile around `n = 64` and loses beyond
-//! it (every `B` row is re-read once per column block), and loses for
-//! `m < 8`, where most lanes would be padding.
+//! CapsNet training (single thread, SSE2 baseline): the tile wins at
+//! every `n ≤ 32` once half its lanes hold real rows (1.3–7×, most at
+//! `n = 4`). Past that its edge thins as each further column block
+//! re-reads the whole `A` panel — 1.1–1.3× at `n = 48–64` with every
+//! lane used, a loss on CapsNet's 24-row `n = 49` weight gradient, a tie
+//! at `n = 96` — and with `m < 8` most lanes would be padding.
 //!
 //! # Bitwise reproducibility
 //!
@@ -421,9 +423,13 @@ fn narrow_packed<const OVER: bool>(
         let b = &b[p0 * n..(p0 + kc) * n];
         for i0 in (0..m).step_by(RB) {
             let rows = RB.min(m - i0);
-            for (r, arow) in a[i0 * k..].chunks_exact(k).take(rows).enumerate() {
-                for (prow, &v) in panel.chunks_exact_mut(RB).zip(&arow[p0..p0 + kc]) {
-                    prow[r] = v;
+            // Lanes past a ragged block's last row repeat that row: they
+            // are computed but never stored.
+            let src: [&[f32]; RB] =
+                std::array::from_fn(|r| &a[(i0 + r.min(rows - 1)) * k + p0..][..kc]);
+            for (p, prow) in panel.chunks_exact_mut(RB).take(kc).enumerate() {
+                for (slot, row) in prow.iter_mut().zip(&src) {
+                    *slot = row[p];
                 }
             }
             narrow_rows(&panel, RB, b, &mut c[i0 * n..], n, rows, OVER && p0 == 0);
