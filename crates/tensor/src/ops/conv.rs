@@ -331,8 +331,8 @@ impl Tensor {
                                 *d += v;
                             }
                         } else {
-                            for (d, &v) in drow.iter_mut().step_by(stride).zip(srow) {
-                                *d += v;
+                            for (j, &v) in srow.iter().enumerate() {
+                                drow[j * stride] += v;
                             }
                         }
                     }
