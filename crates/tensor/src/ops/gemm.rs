@@ -394,8 +394,8 @@ fn axpy(y: &mut [f32], x: &[f32], alpha: f32, fresh: bool) {
 const RB: usize = 16;
 /// Narrow-tile width: output columns kept as accumulators per tile.
 const NB: usize = 4;
-/// Widest output the narrow tile takes; past it the blocked
-/// [`micro_kernel`] streams contiguous `B` rows faster.
+/// Widest output the narrow tile takes; the module docs give the
+/// measurements behind it.
 const NARROW_MAX_N: usize = 32;
 
 /// Whether an `m×n` output goes to the row-broadcast narrow tile: `n`
