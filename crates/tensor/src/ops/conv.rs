@@ -172,21 +172,6 @@ fn im2col_fill(
         let plane = &src[ci * h * w..(ci + 1) * h * w];
         let ix0 = x_lo * stride + kx - pad;
         let span = x_hi - x_lo;
-        if stride == 1 && w_out == w {
-            // Same row pitch on both sides: the valid block is one
-            // contiguous copy, after which the few border slots it
-            // wrapped into get their zeros back.
-            let d0 = y_lo * w_out + x_lo;
-            let d1 = (y_hi - 1) * w_out + x_hi;
-            let s0 = (y_lo + ky - pad) * w + ix0;
-            out_row[d0..d1].copy_from_slice(&plane[s0..s0 + (d1 - d0)]);
-            if span < w_out {
-                for oy in y_lo..y_hi - 1 {
-                    out_row[oy * w_out + x_hi..(oy + 1) * w_out + x_lo].fill(0.0);
-                }
-            }
-            return;
-        }
         for oy in y_lo..y_hi {
             let dst = &mut out_row[oy * w_out + x_lo..oy * w_out + x_hi];
             let s0 = (oy * stride + ky - pad) * w + ix0;
