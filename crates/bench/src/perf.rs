@@ -21,7 +21,10 @@ use redcane_capsnet::{
     train, CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig, NoInjection, TrainConfig,
 };
 use redcane_datasets::{generate, Benchmark, GenerateConfig};
-use redcane_qdp::{kernels as qkernels, CalibrationObserver, MulLut, QModel};
+use redcane_fxp::QuantParams;
+use redcane_nn::layers::Conv2d;
+use redcane_qdp::qtensor::quantize_codes;
+use redcane_qdp::{kernels as qkernels, CalibrationObserver, MacView, MulLut, QConv2d, QModel};
 use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{Tensor, TensorRng};
 
@@ -261,6 +264,79 @@ fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -
         name: name.to_string(),
         ns_per_op: hooked,
         naive_ns_per_op: Some(raw),
+    }
+}
+
+/// Quantized-convolution probe: `QConv2d::forward_batch` on a DeepCaps
+/// cell (16 → 16 channels, 8×8, 3×3 padding 1) at batch 16, against the
+/// float front end it replaced — float im2col of every sample copied
+/// into one fused matrix, then every unrolled slot quantized — followed
+/// by the same integer GEMM, dequantization and bias split.
+fn qconv_probe(reps: usize) -> PerfProbe {
+    const BATCH: usize = 16;
+    let (c, hw) = (16, 8);
+    let mut rng = TensorRng::from_seed(87);
+    let conv = Conv2d::new(c, c, 3, 1, 1, &mut rng);
+    let in_params = QuantParams::from_range(-1.0, 1.0, 8).expect("valid range");
+    let q = QConv2d::from_conv(&conv, in_params).expect("finite weights");
+    let inputs: Vec<Vec<f32>> = (0..BATCH)
+        .map(|_| {
+            (0..c * hw * hw)
+                .map(|_| rng.next_uniform(-1.2, 1.2))
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
+    let lut = MulLut::exact();
+    let view = MacView {
+        lut: &lut,
+        acc: None,
+    };
+    let fast = time_ns(reps, || {
+        std::hint::black_box(q.forward_batch(&refs, hw, hw, view));
+    });
+    let spec = conv.spec();
+    let (k2, n) = (c * 9, hw * hw);
+    let wide = BATCH * n;
+    let wparams = QuantParams::calibrate(conv.weight(), 8).expect("finite weights");
+    let wrowsums = qkernels::row_sums(q.weight_codes(), c, k2);
+    let naive = time_ns(reps, || {
+        let mut cols = vec![0.0f32; k2 * n];
+        let mut fused = vec![0.0f32; k2 * wide];
+        for (bi, data) in refs.iter().enumerate() {
+            conv::im2col_slice(data, c, hw, hw, spec, &mut cols).expect("sized");
+            for r in 0..k2 {
+                fused[r * wide + bi * n..r * wide + (bi + 1) * n]
+                    .copy_from_slice(&cols[r * n..(r + 1) * n]);
+            }
+        }
+        let qcols = quantize_codes(&fused, in_params);
+        let mut acc = vec![0u32; c * wide];
+        qkernels::qgemm_nn(q.weight_codes(), &qcols, &mut acc, c, k2, wide, &lut);
+        let cs = qkernels::col_sums(&qcols, k2, wide);
+        let mut out = vec![0.0f32; c * wide];
+        qkernels::affine_dequant(&acc, &wrowsums, &cs, k2, wparams, in_params, &mut out);
+        let split: Vec<Tensor> = (0..BATCH)
+            .map(|bi| {
+                let mut o = vec![0.0f32; c * n];
+                for (co, dst) in o.chunks_exact_mut(n).enumerate() {
+                    dst.copy_from_slice(&out[co * wide + bi * n..co * wide + (bi + 1) * n]);
+                    let b = conv.bias().data()[co];
+                    if b != 0.0 {
+                        for v in dst {
+                            *v += b;
+                        }
+                    }
+                }
+                Tensor::from_vec(o, &[c, hw, hw]).expect("shape")
+            })
+            .collect();
+        std::hint::black_box(split);
+    });
+    PerfProbe {
+        name: "qconv_fwd_batch16_16x8x8_k3p1_deepcaps_cell".to_string(),
+        ns_per_op: fast,
+        naive_ns_per_op: Some(naive),
     }
 }
 
@@ -513,6 +589,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         // keep the paired-median estimate tight for the 5% tripwire.
         qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(400)),
         conv_probe(reps),
+        qconv_probe(reps),
     ];
     probes.extend(im2col_probes(reps));
     probes.extend(routing_probes(reps));
@@ -615,6 +692,7 @@ mod tests {
             "gemm_nt_32x1x288_deepcaps_dw",
             "im2col_16x16x16_k3s2p1",
             "col2im_16x16x16_k3s2p1",
+            "qconv_fwd_batch16_16x8x8_k3p1_deepcaps_cell",
             "qdp_lower_deepcaps_small",
             "qdp_fwd_deepcaps_small",
             "qdp_fwd_batch_deepcaps_small",

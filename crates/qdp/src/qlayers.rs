@@ -21,7 +21,7 @@ use redcane_capsnet::routing::softmax_over_j;
 use redcane_capsnet::squash::{squash_caps, squash_slices};
 use redcane_fxp::{FxpError, QuantParams};
 use redcane_nn::layers::Conv2d;
-use redcane_tensor::ops::conv::im2col_slice;
+use redcane_tensor::ops::conv::im2col_pitched;
 use redcane_tensor::ops::Conv2dSpec;
 use redcane_tensor::Tensor;
 
@@ -92,15 +92,17 @@ impl QConv2d {
         next
     }
 
-    /// Forward over a batch of raw `[C_in, H, W]` slices: im2col each
-    /// sample (the float machinery — padding zeros land on the affine
-    /// zero point), fuse every sample's columns into **one** wide
-    /// quantized GEMM (`[C_out, K²] × [K², B·H'·W']`) whose multiplies
-    /// come from `view.lut`, dequantize with the zero-point correction,
-    /// add the bias and split the output back into per-sample tensors.
-    /// Quantization is elementwise and each output column's integer
-    /// reduction is independent, so a batch of `B` equals `B`
-    /// one-sample batches bit for bit.
+    /// Forward over a batch of raw `[C_in, H, W]` slices: quantize each
+    /// sample's input once, unroll its codes (im2col, padding taking the
+    /// code of `0.0`) straight into its column block of **one** wide
+    /// code matrix, run one quantized GEMM (`[C_out, K²] × [K², B·H'·W']`)
+    /// whose multiplies come from `view.lut`, dequantize with the
+    /// zero-point correction, add the bias and split the output back into
+    /// per-sample tensors. Quantization is elementwise, so unrolling codes
+    /// equals quantizing the unrolled floats slot for slot (a pad code
+    /// outside the range saturates exactly as the float zero would), and
+    /// each output column's integer reduction is independent, so a batch
+    /// of `B` equals `B` one-sample batches bit for bit.
     ///
     /// The accumulator fault (`view.acc`) indexes each output element
     /// by its **sample-local** position (`c_out`-major), not its
@@ -129,18 +131,18 @@ impl QConv2d {
         let k2 = self.c_in * self.spec.kernel * self.spec.kernel;
         let n = h_out * w_out;
         let wide = bsz * n;
-        let mut cols = vec![0.0f32; k2 * n];
-        let mut fused = vec![0.0f32; k2 * wide];
+        let pad = self.in_params.quantize(0.0) as u8;
+        // Row r of the fused matrix holds sample bi's columns at
+        // `r·wide + bi·n`; every slot is written by exactly one sample.
+        let mut qcols = vec![0u8; k2 * wide];
         for (bi, data) in inputs.iter().enumerate() {
             assert_eq!(data.len(), self.c_in * h * w, "QConv2d batch input size");
-            // lint: allow(panic) — input dims were validated against the spec just above
-            im2col_slice(data, self.c_in, h, w, self.spec, &mut cols).expect("valid conv input");
-            for r in 0..k2 {
-                fused[r * wide + bi * n..r * wide + bi * n + n]
-                    .copy_from_slice(&cols[r * n..(r + 1) * n]);
-            }
+            let codes = quantize_codes(data, self.in_params);
+            let block = &mut qcols[bi * n..];
+            im2col_pitched(&codes, self.c_in, h, w, self.spec, pad, block, wide)
+                // lint: allow(panic) — input dims were validated against the spec just above
+                .expect("valid conv input");
         }
-        let qcols = quantize_codes(&fused, self.in_params);
         let mut acc = vec![0u32; self.c_out * wide];
         qgemm_nn(
             &self.qweight,

@@ -646,9 +646,11 @@ impl QModel {
 
     /// Batched quantized inference: one program execution for the whole
     /// batch, with every convolution / vote step fusing its per-sample
-    /// im2col columns into a single wide quantized GEMM (mirroring the
-    /// float trainer's batch fusion). Bit-identical to per-sample
-    /// [`QModel::forward`]; returns one length tensor per input.
+    /// columns into a single wide quantized GEMM (mirroring the float
+    /// trainer's batch fusion); convolutions quantize each input once
+    /// and unroll the 8-bit codes straight into the fused matrix.
+    /// Bit-identical to per-sample [`QModel::forward`]; returns one
+    /// length tensor per input.
     ///
     /// # Errors / Panics
     ///

@@ -108,7 +108,56 @@ pub fn im2col_slice(
             len: out.len(),
         });
     }
-    im2col_fill(src, c, h, w, spec, h_out, w_out, out);
+    im2col_fill(src, c, h, w, spec, h_out, w_out, 0.0, out, cols);
+    Ok([rows, cols])
+}
+
+/// Generic im2col over a `[C, H, W]` buffer of any element type (`f32`
+/// values or `u8` quantization codes) into a column matrix whose rows
+/// sit `pitch` slots apart in `out`: row `r` occupies
+/// `out[r·pitch .. r·pitch + cols]`. Padded positions get `pad`; the
+/// slots between rows (and after the last row) are left untouched, so
+/// several inputs can unroll side by side into the column blocks of one
+/// wide matrix (the quantized layers' batch fusion). Returns
+/// `[rows, cols]`.
+///
+/// # Errors
+///
+/// Returns an error unless the geometry fits, `src` matches it,
+/// `pitch ≥ cols` and `out` holds all `rows` strided rows.
+#[allow(clippy::too_many_arguments)]
+pub fn im2col_pitched<T: Copy + Send + Sync>(
+    src: &[T],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+    pad: T,
+    out: &mut [T],
+    pitch: usize,
+) -> Result<[usize; 2]> {
+    if src.len() != c * h * w {
+        return Err(TensorError::LengthMismatch {
+            shape: vec![c, h, w],
+            len: src.len(),
+        });
+    }
+    let h_out = spec.output_size(h)?;
+    let w_out = spec.output_size(w)?;
+    let rows = c * spec.kernel * spec.kernel;
+    let cols = h_out * w_out;
+    if pitch < cols {
+        return Err(TensorError::InvalidArgument {
+            reason: format!("row pitch {pitch} is shorter than the {cols} columns"),
+        });
+    }
+    if rows > 0 && out.len() < (rows - 1) * pitch + cols {
+        return Err(TensorError::LengthMismatch {
+            shape: vec![rows, pitch],
+            len: out.len(),
+        });
+    }
+    im2col_fill(src, c, h, w, spec, h_out, w_out, pad, out, pitch);
     Ok([rows, cols])
 }
 
@@ -131,50 +180,62 @@ fn tap_ranges(size: usize, out: usize, spec: Conv2dSpec) -> Vec<(usize, usize)> 
         .collect()
 }
 
-/// Raw im2col fill: writes **every** slot of `out` (padded positions get
-/// an explicit zero), so callers can recycle stale scratch buffers.
+/// Raw im2col fill: writes **every** slot of the `rows` strided rows
+/// (`pitch` apart, see [`im2col_pitched`]) with padded positions set to
+/// `pad`, so callers can recycle stale scratch buffers. The float
+/// callers pass `pad = 0.0` and `pitch = cols`.
 #[allow(clippy::too_many_arguments)]
-fn im2col_fill(
-    src: &[f32],
+fn im2col_fill<T: Copy + Send + Sync>(
+    src: &[T],
     c: usize,
     h: usize,
     w: usize,
     spec: Conv2dSpec,
     h_out: usize,
     w_out: usize,
-    out: &mut [f32],
+    pad: T,
+    out: &mut [T],
+    pitch: usize,
 ) {
     let k = spec.kernel;
     let cols = h_out * w_out;
-    // Every im2col entry point (the `Tensor` methods and the
-    // buffer-reusing `im2col_slice`) funnels through this fill, so one
-    // hook counts all column-matrix traffic: `rows · cols` f32 slots.
+    let rows = c * k * k;
+    // Every im2col entry point (the `Tensor` methods, `im2col_slice` and
+    // `im2col_pitched`) funnels through this fill, so one hook counts
+    // all column-matrix traffic: `rows · cols` slots of `T`.
     if trace::enabled() {
         trace::add(
             trace::Counter::Im2colBytes,
-            (c * k * k * cols * std::mem::size_of::<f32>()) as u64,
+            (rows * cols * std::mem::size_of::<T>()) as u64,
         );
     }
-    let (stride, pad) = (spec.stride, spec.padding);
+    if rows == 0 {
+        return;
+    }
+    // Cut the tail after the last row, so the row split below sees
+    // exactly `rows` chunks of `pitch` slots (the last one `cols` long).
+    let out = &mut out[..(rows - 1) * pitch + cols];
+    let (stride, pad_px) = (spec.stride, spec.padding);
     let y_taps = tap_ranges(h, h_out, spec);
     let x_taps = tap_ranges(w, w_out, spec);
     // Row (ci, ky, kx): the input plane `ci` shifted by the tap, with
-    // the positions that fall on padding zeroed.
-    let fill_row = move |ci: usize, ky: usize, kx: usize, out_row: &mut [f32]| {
+    // the positions that fall on padding set to `pad`.
+    let fill_row = move |ci: usize, ky: usize, kx: usize, out_row: &mut [T]| {
+        let out_row = &mut out_row[..cols];
         let (y_lo, y_hi) = y_taps[ky];
         let (x_lo, x_hi) = x_taps[kx];
         if y_lo > 0 || y_hi < h_out || x_lo > 0 || x_hi < w_out {
-            out_row.fill(0.0);
+            out_row.fill(pad);
         }
         if y_lo == y_hi || x_lo == x_hi {
             return;
         }
         let plane = &src[ci * h * w..(ci + 1) * h * w];
-        let ix0 = x_lo * stride + kx - pad;
+        let ix0 = x_lo * stride + kx - pad_px;
         let span = x_hi - x_lo;
         for oy in y_lo..y_hi {
             let dst = &mut out_row[oy * w_out + x_lo..oy * w_out + x_hi];
-            let s0 = (oy * stride + ky - pad) * w + ix0;
+            let s0 = (oy * stride + ky - pad_px) * w + ix0;
             if stride == 1 {
                 dst.copy_from_slice(&plane[s0..s0 + span]);
             } else {
@@ -185,12 +246,12 @@ fn im2col_fill(
             }
         }
     };
-    if c * k * k * cols >= PAR_MIN_ELEMENTS {
-        par::for_each_chunk_mut(out, cols, |row, out_row| {
+    if rows * cols >= PAR_MIN_ELEMENTS {
+        par::for_each_chunk_mut(out, pitch, |row, out_row| {
             fill_row(row / (k * k), (row / k) % k, row % k, out_row);
         });
     } else {
-        let mut out_rows = out.chunks_exact_mut(cols);
+        let mut out_rows = out.chunks_mut(pitch);
         for ci in 0..c {
             for ky in 0..k {
                 for (kx, out_row) in (0..k).zip(&mut out_rows) {
@@ -224,7 +285,8 @@ impl Tensor {
         let rows = c * k * k;
         let cols = h_out * w_out;
         let mut out = vec![0.0f32; rows * cols];
-        im2col_fill(self.data(), c, h, w, spec, h_out, w_out, &mut out);
+        let src = self.data();
+        im2col_fill(src, c, h, w, spec, h_out, w_out, 0.0, &mut out, cols);
         Tensor::from_vec(out, &[rows, cols])
     }
 
@@ -255,7 +317,7 @@ impl Tensor {
                 len: out.len(),
             });
         }
-        im2col_fill(self.data(), c, h, w, spec, h_out, w_out, out);
+        im2col_fill(self.data(), c, h, w, spec, h_out, w_out, 0.0, out, cols);
         Ok([rows, cols])
     }
 

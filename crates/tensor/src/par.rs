@@ -137,9 +137,9 @@ pub fn spans(len: usize, workers: usize) -> Vec<(usize, usize)> {
 /// when enough workers and chunks are available.
 ///
 /// Chunks are disjoint, so each output element has exactly one writer.
-pub fn for_each_chunk_mut<F>(data: &mut [f32], chunk_len: usize, f: F)
+pub fn for_each_chunk_mut<T: Send, F>(data: &mut [T], chunk_len: usize, f: F)
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be non-zero");
     let chunks = data.len().div_ceil(chunk_len);

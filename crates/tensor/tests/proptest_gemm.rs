@@ -319,5 +319,53 @@ proptest! {
                 threads
             );
         }
+
+        // The `u8` instantiation of the same fill, unrolling codes into
+        // rows `pitch` slots apart with a nonzero pad code. Codes are
+        // drawn from 1..=255, so the float reference's exact zeros mark
+        // the padded slots and every other slot is the code itself.
+        let codes: Vec<u8> = (0..c * h * w)
+            .map(|_| rng.next_uniform(1.0, 256.0).clamp(1.0, 255.0) as u8)
+            .collect();
+        let as_float: Vec<f32> = codes.iter().map(|&v| f32::from(v)).collect();
+        let mut reference = vec![0.0f32; rows * cols];
+        conv::reference::im2col(&as_float, c, h, w, spec, &mut reference).unwrap();
+        let pad = 1 + (seed % 255) as u8;
+        let pitch = cols + 1 + (seed % 7) as usize;
+        const SENTINEL: u8 = 0xA5;
+        let mut want = vec![SENTINEL; rows * pitch];
+        for (row, ref_row) in reference.chunks_exact(cols).enumerate() {
+            for (slot, &v) in want[row * pitch..].iter_mut().zip(ref_row) {
+                *slot = if v == 0.0 { pad } else { v as u8 };
+            }
+        }
+        for threads in [1, 4] {
+            par::set_threads(threads);
+            let mut got = vec![SENTINEL; rows * pitch];
+            let shape = conv::im2col_pitched(&codes, c, h, w, spec, pad, &mut got, pitch);
+            par::set_threads(0);
+            prop_assert_eq!(shape.unwrap(), [rows, cols]);
+            prop_assert_eq!(&got, &want, "u8 im2col {:?} pitch {} @{}", case, pitch, threads);
+        }
+    }
+
+    /// The pitched fill rejects a pitch shorter than a row and an output
+    /// too short for its last row, and accepts one exactly long enough.
+    #[test]
+    fn im2col_pitched_validates_pitch_and_length(
+        c in 1usize..4,
+        hw in 3usize..9,
+        extra in 0usize..5,
+    ) {
+        let spec = Conv2dSpec::new(3, 1, 1).unwrap();
+        let (rows, cols) = (c * 9, hw * hw);
+        let src = vec![3u8; c * hw * hw];
+        let pitch = cols + extra;
+        let exact = (rows - 1) * pitch + cols;
+        let mut out = vec![0u8; exact];
+        prop_assert!(conv::im2col_pitched(&src, c, hw, hw, spec, 0, &mut out, cols - 1).is_err());
+        prop_assert!(conv::im2col_pitched(&src, c, hw, hw, spec, 0, &mut out[..exact - 1], pitch).is_err());
+        prop_assert!(conv::im2col_pitched(&src[1..], c, hw, hw, spec, 0, &mut out, pitch).is_err());
+        prop_assert_eq!(conv::im2col_pitched(&src, c, hw, hw, spec, 0, &mut out, pitch).unwrap(), [rows, cols]);
     }
 }

@@ -3,7 +3,7 @@
 //! im2col column-matrix bytes. These are *logical* totals — blocking
 //! factors, worker counts and chunk sizes must never show through.
 
-use redcane_tensor::ops::{gemm, Conv2dSpec};
+use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{par, Tensor};
 use redcane_trace as trace;
 
@@ -114,6 +114,30 @@ fn im2col_counts_full_column_matrix_bytes() {
         assert_eq!(cols.shape(), &[49, 100]);
     });
     assert_eq!(snap.run(trace::Counter::Im2colBytes), 49 * 100 * 4);
+}
+
+#[test]
+fn im2col_counts_element_bytes_one_per_code_four_per_float() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    // [2, 5, 6] through a 3×3 stride-1 padding-1 kernel: 5×6 output
+    // positions, 2·3·3 = 18 rows → 18 · 30 = 540 slots, each unrolled
+    // into a pitched row of a wider matrix.
+    let spec = Conv2dSpec::new(3, 1, 1).unwrap();
+    let (rows, cols, pitch) = (18, 30, 47);
+    let codes = vec![7u8; 2 * 5 * 6];
+    let floats = vec![0.5f32; 2 * 5 * 6];
+    let mut code_out = vec![0u8; rows * pitch];
+    let mut float_out = vec![0.0f32; rows * pitch];
+    let code_snap = traced(|| {
+        let shape = conv::im2col_pitched(&codes, 2, 5, 6, spec, 128, &mut code_out, pitch);
+        assert_eq!(shape.unwrap(), [rows, cols]);
+    });
+    let float_snap = traced(|| {
+        let shape = conv::im2col_pitched(&floats, 2, 5, 6, spec, 0.0, &mut float_out, pitch);
+        assert_eq!(shape.unwrap(), [rows, cols]);
+    });
+    assert_eq!(code_snap.run(trace::Counter::Im2colBytes), 540);
+    assert_eq!(float_snap.run(trace::Counter::Im2colBytes), 540 * 4);
 }
 
 #[test]

@@ -88,7 +88,8 @@ pub enum Counter {
     LutCacheHits,
     /// `LutCache` lookups that missed.
     LutCacheMisses,
-    /// Bytes materialized by im2col lowering (`rows · cols · 4`).
+    /// Bytes materialized by im2col lowering: `rows · cols` slots times
+    /// the element size (4 for float columns, 1 for 8-bit code columns).
     Im2colBytes,
     /// `par` parallel-for invocations (not worker spawns).
     ParCalls,
