@@ -4,8 +4,8 @@
 //! `ΔP = P'(a,b) − P(a,b)` of a component over a representative input set
 //! `I` (Eq. 2), optionally accumulated over a MAC chain (1, 9 or 81
 //! multiply-accumulates, matching 1×1, 3×3 and 9×9 convolution kernels),
-//! then summarize the distribution and express it as the paper's noise
-//! parameters:
+//! then summarize the distribution (mean, spread, extremes) and express it
+//! as the paper's noise parameters:
 //!
 //! ```text
 //! NM(Δ) = stdev(Δ) / R(X)      NA(Δ) = mean(Δ) / R(X)
@@ -90,47 +90,21 @@ pub struct ErrorProfile {
     pub max: f64,
     /// Range `R(X)` of the *accurate* outputs over the same inputs.
     pub output_range: f64,
-    /// Error histogram (bin counts over `[hist_lo, hist_hi]`).
-    pub hist_counts: Vec<u64>,
-    /// Lower edge of the histogram domain.
-    pub hist_lo: f64,
-    /// Upper edge of the histogram domain.
-    pub hist_hi: f64,
 }
 
 impl ErrorProfile {
-    fn from_errors(errors: &[f64], output_range: f64, bins: usize) -> Self {
+    fn from_errors(errors: &[f64], output_range: f64) -> Self {
         assert!(!errors.is_empty(), "cannot profile zero samples");
         let n = errors.len() as f64;
         let mean = errors.iter().sum::<f64>() / n;
         let var = errors.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / n;
-        let std = var.sqrt();
-        let min = errors.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = errors.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        // Histogram domain: symmetric around the mean, ±4σ (or the observed
-        // extremes if wider), with a small floor so exact components get a
-        // well-formed single-spike histogram.
-        let half = (4.0 * std)
-            .max((max - mean).abs())
-            .max((mean - min).abs())
-            .max(0.5);
-        let (hist_lo, hist_hi) = (mean - half, mean + half);
-        let mut hist_counts = vec![0u64; bins];
-        let width = (hist_hi - hist_lo) / bins as f64;
-        for &e in errors {
-            let idx = (((e - hist_lo) / width) as isize).clamp(0, bins as isize - 1) as usize;
-            hist_counts[idx] += 1;
-        }
         ErrorProfile {
             samples: errors.len(),
             mean,
-            std,
-            min,
-            max,
+            std: var.sqrt(),
+            min: errors.iter().copied().fold(f64::INFINITY, f64::min),
+            max: errors.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             output_range,
-            hist_counts,
-            hist_lo,
-            hist_hi,
         }
     }
 
@@ -144,83 +118,7 @@ impl ErrorProfile {
             nm: self.std / self.output_range,
         }
     }
-
-    /// Observed error frequencies per histogram bin.
-    pub fn frequencies(&self) -> Vec<f64> {
-        let n = self.samples.max(1) as f64;
-        self.hist_counts.iter().map(|&c| c as f64 / n).collect()
-    }
-
-    /// The center of histogram bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.hist_counts.len());
-        let width = (self.hist_hi - self.hist_lo) / self.hist_counts.len() as f64;
-        self.hist_lo + width * (i as f64 + 0.5)
-    }
-
-    /// Probability mass a Gaussian `N(mean, std)` fitted to this profile
-    /// assigns to each histogram bin.
-    pub fn gaussian_fit_frequencies(&self) -> Vec<f64> {
-        let bins = self.hist_counts.len();
-        let width = (self.hist_hi - self.hist_lo) / bins as f64;
-        (0..bins)
-            .map(|i| {
-                let lo = self.hist_lo + width * i as f64;
-                let hi = lo + width;
-                gaussian_cdf(hi, self.mean, self.std) - gaussian_cdf(lo, self.mean, self.std)
-            })
-            .collect()
-    }
-
-    /// Goodness-of-fit of the Gaussian interpolation: total variation
-    /// distance between observed and fitted bin masses, in `[0, 1]`
-    /// (0 = perfect fit).
-    pub fn gaussian_fit_distance(&self) -> f64 {
-        let obs = self.frequencies();
-        let fit = self.gaussian_fit_frequencies();
-        0.5 * obs
-            .iter()
-            .zip(&fit)
-            .map(|(o, f)| (o - f).abs())
-            .sum::<f64>()
-    }
-
-    /// The paper's "Gaussian-like" judgement (31 of 35 components qualify):
-    /// the fitted Gaussian explains the histogram to within the given total
-    /// variation distance.
-    pub fn is_gaussian_like(&self, tolerance: f64) -> bool {
-        self.gaussian_fit_distance() <= tolerance
-    }
 }
-
-/// Standard normal CDF via the Abramowitz–Stegun erf approximation.
-fn gaussian_cdf(x: f64, mean: f64, std: f64) -> f64 {
-    if std <= 0.0 {
-        return if x >= mean { 1.0 } else { 0.0 };
-    }
-    let z = (x - mean) / (std * std::f64::consts::SQRT_2);
-    0.5 * (1.0 + erf(z))
-}
-
-/// Abramowitz–Stegun 7.1.26 polynomial erf approximation (|err| < 1.5e-7).
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
-/// Number of histogram bins used by the profiling functions.
-const PROFILE_BINS: usize = 101;
 
 /// Profiles a single multiplication: `Δ = P'(a,b) − P(a,b)` over `samples`
 /// input pairs drawn from `dist` (Eq. 2 with a 1-element MAC chain).
@@ -266,15 +164,13 @@ pub fn profile_mac_chain(
         out_max = out_max.max(acc_accurate as f64);
     }
     let output_range = (out_max - out_min).max(0.0);
-    ErrorProfile::from_errors(&errors, output_range, PROFILE_BINS)
+    ErrorProfile::from_errors(&errors, output_range)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mult::{
-        ExactMultiplier, MitchellLogMultiplier, PerforatedMultiplier, TruncatedMultiplier,
-    };
+    use crate::mult::{ExactMultiplier, PerforatedMultiplier, TruncatedMultiplier};
 
     #[test]
     fn exact_multiplier_has_zero_error() {
@@ -342,29 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulated_error_becomes_gaussian_like() {
-        // Central limit theorem: the 81-MAC error of a mildly approximate
-        // component fits a Gaussian well (the paper's Fig. 6 observation).
-        let m = TruncatedMultiplier::new(6);
-        let p81 = profile_mac_chain(&m, 81, &InputDistribution::Uniform, 30_000, 6);
-        assert!(
-            p81.is_gaussian_like(0.08),
-            "fit distance {}",
-            p81.gaussian_fit_distance()
-        );
-    }
-
-    #[test]
-    fn single_mult_error_of_structured_design_is_less_gaussian() {
-        // A single Mitchell multiplication has a skewed, clearly
-        // non-Gaussian error; accumulation regularizes it.
-        let m = MitchellLogMultiplier::new();
-        let p1 = profile_mac_chain(&m, 1, &InputDistribution::Uniform, 30_000, 7);
-        let p81 = profile_mac_chain(&m, 81, &InputDistribution::Uniform, 30_000, 7);
-        assert!(p81.gaussian_fit_distance() < p1.gaussian_fit_distance());
-    }
-
-    #[test]
     fn empirical_distribution_changes_noise_params() {
         // Small-valued operands (like normalized activations) shrink the
         // absolute error of truncation-family designs.
@@ -384,43 +257,6 @@ mod tests {
         let a = profile_multiplier(&m, &InputDistribution::Uniform, 5000, 42);
         let b = profile_multiplier(&m, &InputDistribution::Uniform, 5000, 42);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn histogram_accounts_for_all_samples() {
-        let m = TruncatedMultiplier::new(5);
-        let p = profile_multiplier(&m, &InputDistribution::Uniform, 7777, 9);
-        assert_eq!(p.hist_counts.iter().sum::<u64>(), 7777);
-        assert_eq!(p.samples, 7777);
-    }
-
-    #[test]
-    fn bin_centers_span_domain() {
-        let m = TruncatedMultiplier::new(5);
-        let p = profile_multiplier(&m, &InputDistribution::Uniform, 1000, 10);
-        assert!(p.bin_center(0) > p.hist_lo);
-        let last = p.hist_counts.len() - 1;
-        assert!(p.bin_center(last) < p.hist_hi);
-        assert!(p.bin_center(0) < p.bin_center(last));
-    }
-
-    #[test]
-    fn erf_reference_values() {
-        assert!((erf(0.0)).abs() < 1e-7);
-        assert!((erf(1.0) - 0.842_700_79).abs() < 1e-5);
-        assert!((erf(-1.0) + 0.842_700_79).abs() < 1e-5);
-        assert!((erf(3.0) - 0.999_977_91).abs() < 1e-5);
-    }
-
-    #[test]
-    fn gaussian_cdf_monotone() {
-        let mut prev = -1.0;
-        for i in -40..=40 {
-            let v = gaussian_cdf(i as f64 / 10.0, 0.0, 1.0);
-            assert!(v >= prev);
-            prev = v;
-        }
-        assert!((gaussian_cdf(0.0, 0.0, 1.0) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!   checked [`FactorTerm`] factorization when it has a short one, and
 //!   [`LutCache`] — one shared table per distinct component of a
 //!   heterogeneous datapath assignment;
-//! - [`error_stats`]: error profiling (mean/std/histogram), MAC-chain
-//!   accumulation (1, 9, 81 multiply-accumulates, as in Fig. 6), Gaussian
-//!   fits, and the paper's `NM`/`NA` noise parameters (Sec. III-B);
+//! - [`error_stats`]: error profiling (mean/std/extremes), MAC-chain
+//!   accumulation (1, 9, 81 multiply-accumulates, as in Fig. 6), and the
+//!   paper's `NM`/`NA` noise parameters (Sec. III-B);
 //! - [`power`]: a structural power/area estimator used for the parametric
 //!   components and for sanity-checking monotonicity.
 //!

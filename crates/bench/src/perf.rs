@@ -24,7 +24,9 @@ use redcane_datasets::{generate, Benchmark, GenerateConfig};
 use redcane_fxp::QuantParams;
 use redcane_nn::layers::Conv2d;
 use redcane_qdp::qtensor::quantize_codes;
-use redcane_qdp::{kernels as qkernels, CalibrationObserver, MacView, MulLut, QConv2d, QModel};
+use redcane_qdp::{
+    kernels as qkernels, CalibrationObserver, MacView, MulLut, PreparedModel, QConv2d, QModel,
+};
 use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{Tensor, TensorRng};
 
@@ -412,7 +414,8 @@ fn routing_probes(reps: usize) -> Vec<PerfProbe> {
 
 /// Quantized-DeepCaps probes: what lowering the 17-layer DeepCaps
 /// through the architecture-generic pipeline costs, what one
-/// end-to-end quantized inference (exact uniform assignment) costs,
+/// end-to-end quantized inference on a [`PreparedModel`] (exact
+/// uniform assignment, resolved once) costs,
 /// and what the batch-fused executor saves over per-sample forwards —
 /// the tripwires for the quantized DeepCaps path staying usable for
 /// library sweeps.
@@ -432,21 +435,24 @@ fn qdp_deepcaps_probes(reps: usize) -> Vec<PerfProbe> {
         std::hint::black_box(QModel::lower(&model, &ranges).expect("calibrated"));
     });
     let q = QModel::lower(&model, &ranges).expect("calibrated");
-    let assignment = DatapathAssignment::uniform("exact");
     let mut luts = LutCache::new();
     luts.insert("exact", MulLut::exact());
+    // Resolved once, outside the timed loops: the probes time inference,
+    // not assignment resolution.
+    let prepared =
+        PreparedModel::new(q, &DatapathAssignment::uniform("exact"), &luts).expect("covered");
     let fwd_ns = time_ns(reps, || {
-        std::hint::black_box(q.forward(&images[0], &assignment, &luts).expect("covered"));
+        std::hint::black_box(prepared.forward_batch(&[&images[0]]));
     });
     // Batch fusion vs its per-sample twin over the same images: the
     // naive path is BATCH single-sample forwards.
     let refs: Vec<&Tensor> = images.iter().collect();
     let batch_ns = time_ns(reps, || {
-        std::hint::black_box(q.forward_batch(&refs, &assignment, &luts).expect("covered"));
+        std::hint::black_box(prepared.forward_batch(&refs));
     });
     let per_sample_ns = time_ns(reps, || {
         for image in &images {
-            std::hint::black_box(q.forward(image, &assignment, &luts).expect("covered"));
+            std::hint::black_box(prepared.forward_batch(&[image]));
         }
     });
     vec![

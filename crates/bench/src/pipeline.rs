@@ -89,7 +89,7 @@ pub struct PipelineOutcome {
 /// # Panics
 ///
 /// Panics unless `spec` names exactly one architecture, and on the
-/// empty settings [`Session`] rejects.
+/// empty settings the shared bench [`session`](crate::session) rejects.
 pub fn run_pipeline(spec: &BenchSpec) -> PipelineOutcome {
     assert_eq!(spec.archs.len(), 1, "pipeline runs one architecture");
     let _pipeline = trace::span("pipeline");

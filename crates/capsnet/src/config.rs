@@ -1,6 +1,6 @@
-//! Model configurations, each with a `paper()` full-size variant (used for
-//! op-census/energy studies) and a `small()` CPU-trainable variant (used
-//! for every accuracy experiment).
+//! Model configurations, each with a `paper()` full-size variant (the
+//! paper's architecture, its geometry pinned by the tests below) and a
+//! `small()` CPU-trainable variant (used for every accuracy experiment).
 
 use serde::{Deserialize, Serialize};
 
@@ -145,19 +145,6 @@ impl DeepCapsConfig {
         }
     }
 
-    /// Spatial sizes entering each cell (the stem preserves resolution;
-    /// each cell's lead conv divides it by that cell's stride).
-    pub fn cell_input_hw(&self) -> [usize; 4] {
-        let mut hw = self.input_hw;
-        let mut out = [0usize; 4];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = hw;
-            // kernel-3, padding-1 conv: ceil(hw / stride)
-            hw = hw.div_ceil(self.cell_strides[i]);
-        }
-        out
-    }
-
     /// Spatial size of the final cell's output.
     pub fn final_hw(&self) -> usize {
         self.cell_strides
@@ -189,14 +176,16 @@ mod tests {
     #[test]
     fn deepcaps_small_spatial_chain() {
         let c = DeepCapsConfig::small(3, 20);
-        assert_eq!(c.cell_input_hw(), [20, 10, 5, 3]);
+        // 20 → 10 → 5 → 3 → 2: every cell halves (rounding up).
+        assert_eq!(c.cell_strides, [2, 2, 2, 2]);
         assert_eq!(c.final_hw(), 2);
     }
 
     #[test]
     fn deepcaps_paper_spatial_chain() {
         let c = DeepCapsConfig::paper();
-        assert_eq!(c.cell_input_hw(), [32, 32, 16, 8]);
+        // 32 → 32 → 16 → 8 → 4: the first cell keeps full resolution.
+        assert_eq!(c.cell_strides, [1, 2, 2, 2]);
         assert_eq!(c.final_hw(), 4);
     }
 }

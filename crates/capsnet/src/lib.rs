@@ -29,7 +29,6 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod census;
 pub mod config;
 pub mod inject;
 pub mod io;

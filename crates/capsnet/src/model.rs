@@ -5,7 +5,6 @@ use redcane_nn::layers::{Conv2d, Relu};
 use redcane_nn::{Layer, Param};
 use redcane_tensor::{Tensor, TensorRng};
 
-use crate::census::{conv_ops, fc_votes_ops, routing_ops, squash_ops, LayerCensus, OpCount};
 use crate::config::{CapsNetConfig, DeepCapsConfig};
 use crate::inject::{Injector, NoInjection, OpKind, OpSite};
 use crate::layers::{ClassCaps, ConvCaps2d, ConvCaps3d};
@@ -82,13 +81,6 @@ pub trait CapsModel {
 
     /// All trainable parameters, in a stable order.
     fn params_mut(&mut self) -> Vec<&mut Param>;
-
-    /// Layer names in network order (the granularity of the paper's
-    /// layer-wise analysis, Fig. 10).
-    fn layer_names(&self) -> Vec<String>;
-
-    /// Per-layer operation counts for one inference (Table I input).
-    fn op_census(&self) -> Vec<LayerCensus>;
 
     /// Zeroes every parameter gradient.
     fn zero_grad(&mut self) {
@@ -352,51 +344,6 @@ impl CapsModel for CapsNet {
         let mut out = self.conv1.params_mut();
         out.extend(self.primary.params_mut());
         out.extend(self.class_caps.params_mut());
-        out
-    }
-
-    fn layer_names(&self) -> Vec<String> {
-        vec![
-            "Conv1".to_string(),
-            "PrimaryCaps".to_string(),
-            "ClassCaps".to_string(),
-        ]
-    }
-
-    fn op_census(&self) -> Vec<LayerCensus> {
-        let cfg = &self.cfg;
-        let h1 = cfg.conv1_out_hw();
-        let hp = cfg.primary_out_hw();
-        let mut out = Vec::new();
-        out.push(LayerCensus {
-            name: "Conv1".into(),
-            ops: conv_ops(
-                cfg.input_channels,
-                cfg.conv1_filters,
-                cfg.conv1_kernel,
-                h1,
-                h1,
-            ),
-        });
-        let primary_conv = conv_ops(
-            cfg.conv1_filters,
-            cfg.primary_ctypes * cfg.primary_dim,
-            cfg.primary_kernel,
-            hp,
-            hp,
-        );
-        let primary_squash = squash_ops(cfg.primary_ctypes, cfg.primary_dim, hp * hp);
-        out.push(LayerCensus {
-            name: "PrimaryCaps".into(),
-            ops: primary_conv + primary_squash,
-        });
-        let i = cfg.primary_caps_total();
-        let votes = fc_votes_ops(i, cfg.class_caps, cfg.class_dim, cfg.primary_dim);
-        let routing = routing_ops(i, cfg.class_caps, cfg.class_dim, 1, cfg.routing_iters);
-        out.push(LayerCensus {
-            name: "ClassCaps".into(),
-            ops: votes + routing,
-        });
         out
     }
 }
@@ -783,94 +730,6 @@ impl CapsModel for DeepCaps {
         out.extend(self.class_caps.params_mut());
         out
     }
-
-    fn layer_names(&self) -> Vec<String> {
-        let mut names = vec!["Conv2D".to_string()];
-        for i in 1..=15 {
-            names.push(format!("Caps2D{i}"));
-        }
-        names.push("Caps3D".to_string());
-        names.push("ClassCaps".to_string());
-        names
-    }
-
-    fn op_census(&self) -> Vec<LayerCensus> {
-        let cfg = &self.cfg;
-        let mut out = Vec::new();
-        let (sc, sd) = cfg.stem;
-        let hw0 = cfg.input_hw;
-        out.push(LayerCensus {
-            name: "Conv2D".into(),
-            ops: conv_ops(cfg.input_channels, sc * sd, 3, hw0, hw0) + squash_ops(sc, sd, hw0 * hw0),
-        });
-        let cell_hw = cfg.cell_input_hw();
-        let mut in_ch = sc * sd;
-        // The index addresses three parallel per-cell arrays
-        // (`cells`, `cell_strides`, `cell_hw`), so a range loop is
-        // clearer than zipping them.
-        #[allow(clippy::needless_range_loop)]
-        for cell_idx in 0..3 {
-            let (c, d) = cfg.cells[cell_idx];
-            let ch = c * d;
-            let hw_out = cell_hw[cell_idx].div_ceil(cfg.cell_strides[cell_idx]);
-            let base = 1 + cell_idx * 4;
-            // lead (stride 2, squash)
-            out.push(LayerCensus {
-                name: format!("Caps2D{base}"),
-                ops: conv_ops(in_ch, ch, 3, hw_out, hw_out) + squash_ops(c, d, hw_out * hw_out),
-            });
-            // mid (squash)
-            out.push(LayerCensus {
-                name: format!("Caps2D{}", base + 1),
-                ops: conv_ops(ch, ch, 3, hw_out, hw_out) + squash_ops(c, d, hw_out * hw_out),
-            });
-            // tail (pre-activation; squash happens at the join, counted here)
-            out.push(LayerCensus {
-                name: format!("Caps2D{}", base + 2),
-                ops: conv_ops(ch, ch, 3, hw_out, hw_out)
-                    + squash_ops(c, d, hw_out * hw_out)
-                    + OpCount {
-                        add: (ch * hw_out * hw_out) as u64, // residual join
-                        ..Default::default()
-                    },
-            });
-            // skip
-            out.push(LayerCensus {
-                name: format!("Caps2D{}", base + 3),
-                ops: conv_ops(ch, ch, 3, hw_out, hw_out),
-            });
-            in_ch = ch;
-        }
-        let (c4, d4) = cfg.cells[3];
-        let ch4 = c4 * d4;
-        let hw4 = cfg.final_hw();
-        out.push(LayerCensus {
-            name: "Caps2D13".into(),
-            ops: conv_ops(in_ch, ch4, 3, hw4, hw4) + squash_ops(c4, d4, hw4 * hw4),
-        });
-        out.push(LayerCensus {
-            name: "Caps2D14".into(),
-            ops: conv_ops(ch4, ch4, 3, hw4, hw4) + squash_ops(c4, d4, hw4 * hw4),
-        });
-        out.push(LayerCensus {
-            name: "Caps2D15".into(),
-            ops: conv_ops(ch4, ch4, 3, hw4, hw4) + squash_ops(c4, d4, hw4 * hw4),
-        });
-        // Caps3D: per-type vote convs + routing over [I=c4, J=c4, D=d4, P].
-        let p4 = hw4 * hw4;
-        let caps3d_votes: OpCount = (0..c4).map(|_| conv_ops(d4, c4 * d4, 3, hw4, hw4)).sum();
-        out.push(LayerCensus {
-            name: "Caps3D".into(),
-            ops: caps3d_votes + routing_ops(c4, c4, d4, p4, cfg.routing_iters),
-        });
-        let i_units = 2 * c4 * p4;
-        out.push(LayerCensus {
-            name: "ClassCaps".into(),
-            ops: fc_votes_ops(i_units, cfg.class_caps, cfg.class_dim, d4)
-                + routing_ops(i_units, cfg.class_caps, cfg.class_dim, 1, cfg.routing_iters),
-        });
-        out
-    }
 }
 
 #[cfg(test)]
@@ -906,7 +765,7 @@ mod tests {
         ] {
             assert!(sites.iter().any(|s| s.kind == kind), "missing {kind}");
         }
-        for name in model.layer_names() {
+        for name in ["Conv1", "PrimaryCaps", "ClassCaps"] {
             assert!(
                 sites.iter().any(|s| s.layer_name == name),
                 "no sites for layer {name}"
@@ -998,8 +857,10 @@ mod tests {
         let lengths = model.forward(&x, &mut rec);
         assert_eq!(lengths.shape(), &[10]);
         let sites = rec.distinct_sites();
-        // 18 layer names, all visited.
-        let names = model.layer_names();
+        // 18 layers (stem, 15 conv-caps, Caps3D, ClassCaps), all visited.
+        let mut names = vec!["Conv2D".to_string()];
+        names.extend((1..=15).map(|i| format!("Caps2D{i}")));
+        names.extend(["Caps3D".to_string(), "ClassCaps".to_string()]);
         assert_eq!(names.len(), 18);
         for name in &names {
             assert!(
@@ -1036,31 +897,6 @@ mod tests {
             nonzero == total,
             "{nonzero}/{total} params received gradient"
         );
-    }
-
-    #[test]
-    fn deepcaps_census_is_mul_dominated_and_conv_heavy() {
-        let mut rng = TensorRng::from_seed(165);
-        let model = DeepCaps::new(&DeepCapsConfig::paper(), &mut rng);
-        let census = model.op_census();
-        assert_eq!(census.len(), 18);
-        let total: OpCount = census.iter().map(|l| l.ops).sum();
-        // Table I shape: ~10^9 muls/adds, 10^6-ish divs, muls >> others.
-        assert!(total.mul > 1_000_000_000, "mul {}", total.mul);
-        assert!(total.mul >= total.add / 2);
-        assert!(total.div < total.mul / 100);
-        assert!(total.exp < total.mul / 100);
-        assert!(total.sqrt < total.mul / 100);
-    }
-
-    #[test]
-    fn capsnet_paper_census_magnitudes() {
-        let mut rng = TensorRng::from_seed(166);
-        let model = CapsNet::new(&CapsNetConfig::paper(), &mut rng);
-        let total: OpCount = model.op_census().iter().map(|l| l.ops).sum();
-        // Sabour CapsNet is ~100M-1G MACs.
-        assert!(total.mul > 50_000_000);
-        assert!(total.div > 0 && total.sqrt > 0 && total.exp > 0);
     }
 
     #[test]

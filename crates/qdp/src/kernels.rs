@@ -25,7 +25,7 @@
 //! are ≤ 65 025, so `k` can reach ~66 000 before overflow — far beyond
 //! any layer in the workspace; debug builds assert the bound).
 //!
-//! The naive triple loop survives as [`reference`], the correctness
+//! The naive triple loop survives as [`reference`](mod@reference), the correctness
 //! oracle every path is tested against for every library component
 //! (bit-identical output, across the `TALL_K` and `FACTORED_MIN_K`
 //! splits).

@@ -29,14 +29,17 @@
 //!    [`Multiplier8`](redcane_axmul::Multiplier8)'s full truth table —
 //!    says: a lookup, or plain integer products when the table carries
 //!    an exact factorization.
-//! 3. **Run** — [`QModel`] executes end-to-end inference (per sample,
-//!    or batch-fused into wide GEMMs via [`QModel::forward_batch`])
-//!    under a [`DatapathAssignment`]: a *heterogeneous* map from site
-//!    keys to multiplier components, resolved against a [`LutCache`]
-//!    holding one shared table per distinct component. Both of the
-//!    paper's architectures (CapsNet and the 17-layer DeepCaps, Caps3D
-//!    routing included) run the same executor, from the uniform exact
-//!    baseline to the methodology's full Step-6 per-layer design.
+//! 3. **Run** — [`PreparedModel::new`] resolves a lowered [`QModel`]
+//!    once against a [`DatapathAssignment`] — a *heterogeneous* map
+//!    from site keys to multiplier components — and a [`LutCache`]
+//!    holding one shared table per distinct component; its
+//!    [`forward_batch`](PreparedModel::forward_batch) /
+//!    [`predict_batch`](PreparedModel::predict_batch) then run
+//!    end-to-end inference batch-fused into wide GEMMs, and
+//!    [`evaluate_quantized`] scores a whole dataset the same way. Both
+//!    of the paper's architectures (CapsNet and the 17-layer DeepCaps,
+//!    Caps3D routing included) run the same executor, from the uniform
+//!    exact baseline to the methodology's full Step-6 per-layer design.
 //!
 //! [`QuantMeasured`] packages all of that behind `redcane`'s
 //! [`AccuracyBackend`](redcane::datapath::AccuracyBackend) trait, so

@@ -10,11 +10,13 @@
 //! [`LowerToQuant`](crate::LowerToQuant) with the calibrated
 //! [`QuantRanges`], and emits steps that remember their **site** — the
 //! same `(layer, op kind, in-routing)` keys the ranges are stored
-//! under. Execution then resolves, per site, which multiplier serves
-//! its MACs from a [`DatapathAssignment`] and a [`LutCache`] (one
-//! shared 64 KiB table per distinct component), so a single lowered
-//! model runs anything from the uniform exact baseline to the
-//! methodology's full heterogeneous Step-6 design.
+//! under. Execution first resolves, once per assignment, which
+//! multiplier serves each site's MACs from a [`DatapathAssignment`] and
+//! a [`LutCache`] (one shared 64 KiB table per distinct component) —
+//! [`PreparedModel`] holds that resolution, [`evaluate_quantized`]
+//! scores a dataset with it — so a single lowered model runs anything
+//! from the uniform exact baseline to the methodology's full
+//! heterogeneous Step-6 design.
 //!
 //! Both of the paper's architectures lower onto the same step set:
 //! CapsNet is 4 steps, the 17-layer DeepCaps (Caps3D routing included)
@@ -444,22 +446,6 @@ impl QModel {
         out
     }
 
-    /// Verifies that `assignment` covers every multiplier site of the
-    /// program and that `luts` tabulates every named component.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::UnassignedSite`] naming the first uncovered
-    /// site, or [`BackendError::UnknownComponent`] for a component
-    /// without a table.
-    pub fn check_assignment(
-        &self,
-        assignment: &DatapathAssignment,
-        luts: &LutCache,
-    ) -> Result<(), BackendError> {
-        self.resolve(assignment, luts).map(|_| ())
-    }
-
     /// Resolves each step's multiplier tables from the assignment
     /// (fault-free path).
     fn resolve(
@@ -600,73 +586,8 @@ impl QModel {
         all.into_iter().step_by(stride).collect()
     }
 
-    /// Full quantized inference: returns the class-capsule lengths
-    /// (`[num_classes]`), every MAC multiply served by the multiplier
-    /// `assignment` resolves for its site.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when a multiplier site is unassigned or names a
-    /// component absent from `luts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an input shape mismatch.
-    pub fn forward(
-        &self,
-        x: &Tensor,
-        assignment: &DatapathAssignment,
-        luts: &LutCache,
-    ) -> Result<Tensor, BackendError> {
-        let resolved = self.resolve(assignment, luts)?;
-        Ok(self
-            .forward_batch_resolved(&[x], &resolved.execs)
-            .pop()
-            // lint: allow(panic) — batch API contract: the executor returns one output per input sample
-            .expect("one sample in, one out"))
-    }
-
-    /// Argmax class prediction under `assignment`.
-    ///
-    /// # Errors / Panics
-    ///
-    /// As [`QModel::forward`].
-    pub fn predict(
-        &self,
-        x: &Tensor,
-        assignment: &DatapathAssignment,
-        luts: &LutCache,
-    ) -> Result<usize, BackendError> {
-        Ok(self
-            .forward(x, assignment, luts)?
-            .argmax()
-            // lint: allow(panic) — capsule count is structurally nonzero, so lengths are non-empty
-            .expect("non-empty lengths"))
-    }
-
-    /// Batched quantized inference: one program execution for the whole
-    /// batch, with every convolution / vote step fusing its per-sample
-    /// columns into a single wide quantized GEMM (mirroring the float
-    /// trainer's batch fusion); convolutions quantize each input once
-    /// and unroll the 8-bit codes straight into the fused matrix.
-    /// Bit-identical to per-sample [`QModel::forward`]; returns one
-    /// length tensor per input.
-    ///
-    /// # Errors / Panics
-    ///
-    /// As [`QModel::forward`].
-    pub fn forward_batch(
-        &self,
-        xs: &[&Tensor],
-        assignment: &DatapathAssignment,
-        luts: &LutCache,
-    ) -> Result<Vec<Tensor>, BackendError> {
-        let resolved = self.resolve(assignment, luts)?;
-        Ok(self.forward_batch_resolved(xs, &resolved.execs))
-    }
-
-    /// The executor behind [`QModel::forward`] /
-    /// [`QModel::forward_batch`]: values are per-sample columns of the
+    /// The executor behind [`PreparedModel`], [`evaluate_quantized`]
+    /// and the measured backends: values are per-sample columns of the
     /// dataflow program; MAC steps run fused across the batch, float
     /// glue runs per sample.
     pub(crate) fn forward_batch_resolved(
@@ -768,11 +689,11 @@ impl QModel {
     }
 }
 
-/// A [`QModel`] pre-resolved against one [`DatapathAssignment`]: the
-/// per-step multiplier tables are looked up **once** at construction,
-/// so every subsequent forward pays zero assignment-resolution cost —
-/// the handle a serving worker owns per (architecture × assignment)
-/// pair.
+/// A [`QModel`] pre-resolved against one [`DatapathAssignment`] — the
+/// way to run a lowered program on inputs. The per-step multiplier
+/// tables are looked up **once** at construction, so every subsequent
+/// forward pays zero assignment-resolution cost; it is also the handle
+/// a serving worker owns per (architecture × assignment) pair.
 ///
 /// `Clone` duplicates the lowered program (worker-owned weights) while
 /// the resolved `MulLut` tables stay `Arc`-shared, so cloning one
@@ -791,8 +712,10 @@ impl PreparedModel {
     ///
     /// # Errors
     ///
-    /// [`BackendError::UnassignedSite`] / [`BackendError::UnknownComponent`]
-    /// exactly as [`QModel::forward`] would report them.
+    /// [`BackendError::UnassignedSite`] naming the first site (in
+    /// program order) the assignment leaves uncovered, or
+    /// [`BackendError::UnknownComponent`] for a component without a
+    /// table in `luts`.
     pub fn new(
         model: QModel,
         assignment: &DatapathAssignment,
@@ -815,10 +738,14 @@ impl PreparedModel {
         self.model.arch()
     }
 
-    /// Batched inference with the captured resolution — bit-identical
-    /// to [`QModel::forward_batch`] under the same assignment, which is
-    /// itself bit-identical to per-sample [`QModel::forward`] for any
-    /// partition of the inputs into batches.
+    /// Batched quantized inference with the captured resolution: one
+    /// program execution for the whole batch, every convolution / vote
+    /// step fusing its per-sample columns into a single wide quantized
+    /// GEMM (mirroring the float trainer's batch fusion); convolutions
+    /// quantize each input once and unroll the 8-bit codes straight
+    /// into the fused matrix. Returns one class-capsule length tensor
+    /// (`[num_classes]`) per input, bit-identical for any partition of
+    /// the inputs into batches.
     ///
     /// # Panics
     ///
@@ -844,7 +771,7 @@ impl PreparedModel {
 
 /// Classification accuracy of the quantized datapath over a dataset
 /// under a heterogeneous multiplier assignment. Deterministic; samples
-/// run through the batched executor in [`EVAL_BATCH`]-wide fused GEMMs,
+/// run through the batched executor in `EVAL_BATCH`-wide (16) fused GEMMs,
 /// one chunk per [`par::map_with`] item (inline when called from a
 /// parallel worker). The hit count is an integer sum, so the result
 /// does not depend on the thread count.
@@ -905,6 +832,19 @@ mod tests {
         (DatapathAssignment::uniform("exact"), luts)
     }
 
+    /// One sample through a one-sample batch.
+    fn forward_one(prepared: &PreparedModel, x: &Tensor) -> Tensor {
+        prepared.forward_batch(&[x]).pop().unwrap()
+    }
+
+    /// The error `PreparedModel::new` rejects `assignment` with.
+    fn rejection(q: &QModel, assignment: &DatapathAssignment, luts: &LutCache) -> BackendError {
+        match PreparedModel::new(q.clone(), assignment, luts) {
+            Ok(_) => panic!("assignment unexpectedly resolved"),
+            Err(err) => err,
+        }
+    }
+
     #[test]
     fn qmodel_capsnet_with_exact_assignment_tracks_float_lengths() {
         let mut rng = TensorRng::from_seed(504);
@@ -918,10 +858,10 @@ mod tests {
         assert_eq!(q.steps().len(), 4);
         assert!(q.arch().starts_with("CapsNet"));
         let (assignment, luts) = exact_setup();
-        q.check_assignment(&assignment, &luts).unwrap();
+        let prepared = PreparedModel::new(q, &assignment, &luts).unwrap();
         for image in &images {
             let want = model.forward(image, &mut NoInjection);
-            let got = q.forward(image, &assignment, &luts).unwrap();
+            let got = forward_one(&prepared, image);
             assert_eq!(got.shape(), want.shape());
             for (a, b) in want.data().iter().zip(got.data()) {
                 assert!((a - b).abs() < 0.15, "length {a} vs quantized {b}");
@@ -944,9 +884,10 @@ mod tests {
         // + class caps = 24 steps covering all 17 quantized layers.
         assert_eq!(q.steps().len(), 24);
         let (assignment, luts) = exact_setup();
+        let prepared = PreparedModel::new(q, &assignment, &luts).unwrap();
         for image in &images {
             let want = model.forward(image, &mut NoInjection);
-            let got = q.forward(image, &assignment, &luts).unwrap();
+            let got = forward_one(&prepared, image);
             assert_eq!(got.shape(), want.shape());
             for (a, b) in want.data().iter().zip(got.data()) {
                 assert!((a - b).abs() < 0.2, "length {a} vs quantized {b}");
@@ -963,15 +904,13 @@ mod tests {
             .collect();
         let q = QModel::calibrated(&mut model, images.iter()).unwrap();
         let (assignment, luts) = exact_setup();
-        let single: Vec<Tensor> = images
-            .iter()
-            .map(|x| q.forward(x, &assignment, &luts).unwrap())
-            .collect();
+        let prepared = PreparedModel::new(q, &assignment, &luts).unwrap();
+        let single: Vec<Tensor> = images.iter().map(|x| forward_one(&prepared, x)).collect();
         let refs: Vec<&Tensor> = images.iter().collect();
-        let batched = q.forward_batch(&refs, &assignment, &luts).unwrap();
+        let batched = prepared.forward_batch(&refs);
         assert_eq!(single, batched, "batch fusion must be bit-identical");
         assert_eq!(
-            q.forward(&images[0], &assignment, &luts).unwrap(),
+            forward_one(&prepared, &images[0]),
             single[0].clone(),
             "re-running reproduces the output exactly"
         );
@@ -991,17 +930,19 @@ mod tests {
         let (assignment, luts) = exact_setup();
         let prepared = PreparedModel::new(q.clone(), &assignment, &luts).unwrap();
         let refs: Vec<&Tensor> = images.iter().collect();
-        // The captured resolution reproduces forward_batch bit for bit,
-        // and a worker-owned clone reproduces the template bit for bit.
+        // The captured resolution reproduces a fresh resolution bit for
+        // bit, and a worker-owned clone reproduces the template bit for
+        // bit.
+        let fresh = q.resolve(&assignment, &luts).unwrap();
         assert_eq!(
             prepared.forward_batch(&refs),
-            q.forward_batch(&refs, &assignment, &luts).unwrap()
+            q.forward_batch_resolved(&refs, &fresh.execs)
         );
         let clone = prepared.clone();
         assert_eq!(clone.forward_batch(&refs), prepared.forward_batch(&refs));
         let preds = prepared.predict_batch(&refs);
         for (x, pred) in images.iter().zip(preds) {
-            assert_eq!(pred, q.predict(x, &assignment, &luts).unwrap());
+            assert_eq!(Some(pred), forward_one(&prepared, x).argmax());
         }
         // Construction fails loudly on an uncovered assignment.
         assert!(PreparedModel::new(q, &DatapathAssignment::uniform("mul8u_ghost"), &luts).is_err());
@@ -1026,7 +967,7 @@ mod tests {
         for (layer, kind, in_routing) in &sites[..sites.len() - 1] {
             partial.assign(layer.clone(), *kind, *in_routing, "exact");
         }
-        let err = q.check_assignment(&partial, &luts).unwrap_err();
+        let err = rejection(&q, &partial, &luts);
         assert_eq!(
             err,
             BackendError::UnassignedSite {
@@ -1038,11 +979,19 @@ mod tests {
         // An assignment naming an untabulated component also fails.
         let ghost = DatapathAssignment::uniform("mul8u_ghost");
         assert!(matches!(
-            q.check_assignment(&ghost, &luts).unwrap_err(),
+            rejection(&q, &ghost, &luts),
             BackendError::UnknownComponent { ref component } if component == "mul8u_ghost"
         ));
-        // And forward surfaces the same error.
-        assert!(q.forward(&image, &partial, &luts).is_err());
+        // And evaluation surfaces the same error before running anything.
+        let data = Dataset {
+            name: "one".to_string(),
+            channels: 1,
+            height: 16,
+            width: 16,
+            num_classes: 10,
+            samples: vec![Sample { image, label: 0 }],
+        };
+        assert_eq!(evaluate_quantized(&q, &data, &partial, &luts), Err(err));
     }
 
     /// `evaluate_quantized` fans its `EVAL_BATCH` chunks out over
@@ -1064,15 +1013,15 @@ mod tests {
             .find(|lut| lut.factors().is_empty())
             .expect("the library has a gather-only table");
         luts.insert("approx", approx);
+        let exact =
+            PreparedModel::new(q.clone(), &DatapathAssignment::uniform("exact"), &luts).unwrap();
         // Labels alternate between the exact prediction and its
         // neighbour, so the score is neither 0 nor 1.
         let samples: Vec<Sample> = images
             .into_iter()
             .enumerate()
             .map(|(i, image)| {
-                let pred = q
-                    .predict(&image, &DatapathAssignment::uniform("exact"), &luts)
-                    .unwrap();
+                let pred = exact.predict_batch(&[&image])[0];
                 let label = if i % 2 == 0 { pred } else { (pred + 1) % 10 };
                 Sample { image, label }
             })
@@ -1087,13 +1036,11 @@ mod tests {
         };
         for component in ["exact", "approx"] {
             let assignment = DatapathAssignment::uniform(component);
+            let prepared = PreparedModel::new(q.clone(), &assignment, &luts).unwrap();
             let hits = data
                 .samples
                 .iter()
-                .filter(|s| {
-                    let lengths = q.forward_batch(&[&s.image], &assignment, &luts).unwrap();
-                    lengths[0].argmax() == Some(s.label)
-                })
+                .filter(|s| forward_one(&prepared, &s.image).argmax() == Some(s.label))
                 .count();
             let want = hits as f64 / data.len() as f64;
             for threads in [1, 4] {

@@ -10,7 +10,9 @@ use redcane_artifacts::{fingerprint, ArtifactKey, ArtifactPayload, ArtifactStore
 use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::{evaluate_clean, train, CapsModel, CapsNet, CapsNetConfig, TrainConfig};
 use redcane_datasets::{generate, Benchmark, GenerateConfig};
-use redcane_qdp::{calibrate_ranges, DatapathAssignment, QModel, QuantMeasured, QuantRanges};
+use redcane_qdp::{
+    calibrate_ranges, DatapathAssignment, PreparedModel, QModel, QuantMeasured, QuantRanges,
+};
 use redcane_tensor::TensorRng;
 
 #[test]
@@ -83,12 +85,11 @@ fn quantized_exact_inference_matches_float_within_tolerance() {
     // On this seeded run the 8-bit exact datapath reproduces the float
     // predictions bit for bit: same label on every sample, so the same
     // accuracy.
+    let prepared = PreparedModel::new(backend.qmodel().clone(), &exact, backend.luts())
+        .expect("the exact component is tabulated");
     for sample in &eval.samples {
         assert_eq!(
-            backend
-                .qmodel()
-                .predict(&sample.image, &exact, backend.luts())
-                .unwrap(),
+            prepared.predict_batch(&[&sample.image])[0],
             model.predict(&sample.image),
             "quantized-exact prediction diverges from float"
         );

@@ -1,6 +1,6 @@
 //! Property tests for the heterogeneous-datapath evaluation API:
 //!
-//! 1. `QuantMeasured` under the **exact** uniform assignment equals the
+//! 1. A `PreparedModel` under the **exact** uniform assignment equals the
 //!    plain float predictions — on both architectures, for any seed:
 //!    every prediction matches unless the float network itself was
 //!    nearly tied between the two classes (quantization can only flip
@@ -9,7 +9,7 @@
 //!    datapath: its outputs differ from *either* uniform run.
 //! 3. `DatapathAssignment::from_design` covers every multiplier site a
 //!    lowered program executes, and removing a layer's assignment makes
-//!    evaluation fail loudly with the missing site.
+//!    resolution fail loudly with the missing site.
 
 use proptest::prelude::*;
 use redcane::datapath::{BackendError, DatapathAssignment};
@@ -17,7 +17,7 @@ use redcane::{extract_groups, ApproxDesign, Assignment, Group};
 use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::inject::OpKind;
 use redcane_capsnet::{CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig, NoInjection};
-use redcane_qdp::{calibrate_ranges, QModel, QuantMeasured};
+use redcane_qdp::{calibrate_ranges, PreparedModel, QModel};
 use redcane_tensor::{Tensor, TensorRng};
 
 /// The components these tests exercise, tabulated once across every
@@ -46,6 +46,22 @@ fn images(rng: &mut TensorRng, count: usize) -> Vec<Tensor> {
         .collect()
 }
 
+/// Resolves `assignment` over `q`, panicking on a gap.
+fn prepared(q: &QModel, assignment: &DatapathAssignment) -> PreparedModel {
+    match PreparedModel::new(q.clone(), assignment, shared_luts()) {
+        Ok(p) => p,
+        Err(err) => panic!("assignment does not resolve: {err}"),
+    }
+}
+
+/// The error `PreparedModel::new` rejects `assignment` with.
+fn rejection(q: &QModel, assignment: &DatapathAssignment) -> BackendError {
+    match PreparedModel::new(q.clone(), assignment, shared_luts()) {
+        Ok(_) => panic!("assignment unexpectedly resolved"),
+        Err(err) => err,
+    }
+}
+
 /// The two float lengths competing at an argmax disagreement.
 fn float_margin(lengths: &Tensor, a: usize, b: usize) -> f32 {
     (lengths.data()[a] - lengths.data()[b]).abs()
@@ -64,15 +80,11 @@ proptest! {
         let imgs = images(&mut rng, 2);
         let models: [&mut dyn CapsModel; 2] = [&mut capsnet, &mut deepcaps];
         for model in models {
-            let q = lowered(model, &imgs);
-            let backend = QuantMeasured::new(q, shared_luts().clone());
+            let q = prepared(&lowered(model, &imgs), &exact);
             for image in &imgs {
                 let float_lengths = model.forward(image, &mut NoInjection);
                 let f = float_lengths.argmax().unwrap();
-                let m = backend
-                    .qmodel()
-                    .predict(image, &exact, backend.luts())
-                    .unwrap();
+                let m = q.predict_batch(&[image])[0];
                 prop_assert!(
                     m == f || float_margin(&float_lengths, f, m) < 0.1,
                     "{}: quantized-exact flipped a decisive float prediction \
@@ -92,7 +104,6 @@ proptest! {
         let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
         let imgs = images(&mut rng, 2);
         let q = lowered(&mut model, &imgs);
-        let luts = shared_luts();
 
         // Mixed: every site exact except the stem convolution, which
         // runs the crudest DRUM component.
@@ -101,15 +112,16 @@ proptest! {
             let component = if layer == "Conv1" { "mul8u_QKX" } else { "mul8u_1JFF" };
             mixed.assign(layer, kind, in_routing, component);
         }
-        let uniform_exact = DatapathAssignment::uniform("mul8u_1JFF");
-        let uniform_qkx = DatapathAssignment::uniform("mul8u_QKX");
+        let mixed = prepared(&q, &mixed);
+        let uniform_exact = prepared(&q, &DatapathAssignment::uniform("mul8u_1JFF"));
+        let uniform_qkx = prepared(&q, &DatapathAssignment::uniform("mul8u_QKX"));
 
         let mut diff_exact = false;
         let mut diff_qkx = false;
         for image in &imgs {
-            let m = q.forward(image, &mixed, luts).unwrap();
-            diff_exact |= m != q.forward(image, &uniform_exact, luts).unwrap();
-            diff_qkx |= m != q.forward(image, &uniform_qkx, luts).unwrap();
+            let m = mixed.forward_batch(&[image]);
+            diff_exact |= m != uniform_exact.forward_batch(&[image]);
+            diff_qkx |= m != uniform_qkx.forward_batch(&[image]);
         }
         prop_assert!(diff_exact, "mixed run reproduced the uniform-exact datapath");
         prop_assert!(diff_qkx, "mixed run reproduced the uniform-QKX datapath");
@@ -125,7 +137,6 @@ fn from_design_covers_every_multiply_site_and_errors_on_gaps() {
     let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
     let imgs = images(&mut rng, 2);
     let q = lowered(&mut model, &imgs);
-    let luts = shared_luts();
 
     // A design shaped like Step 6's output: one assignment per
     // (layer, group) pair of the real inventory.
@@ -156,8 +167,8 @@ fn from_design_covers_every_multiply_site_and_errors_on_gaps() {
         measured_accuracy: None,
     };
     let full = DatapathAssignment::from_design(&design);
-    q.check_assignment(&full, luts)
-        .expect("a full design covers every multiply site");
+    // A full design covers every multiply site.
+    prepared(&q, &full);
     // Every program site resolves to the design's component.
     for (layer, kind, in_routing) in q.multiply_sites() {
         assert_eq!(
@@ -174,7 +185,7 @@ fn from_design_covers_every_multiply_site_and_errors_on_gaps() {
         .assignments
         .retain(|a| !(a.layer == "PrimaryCaps" && a.group == Group::MacOutputs));
     let gap = DatapathAssignment::from_design(&partial);
-    let err = q.check_assignment(&gap, luts).unwrap_err();
+    let err = rejection(&q, &gap);
     assert_eq!(
         err,
         BackendError::UnassignedSite {

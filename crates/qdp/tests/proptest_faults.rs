@@ -14,7 +14,9 @@ use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::inject::OpKind;
 use redcane_capsnet::{CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig};
 use redcane_datasets::{generate, Benchmark, Dataset, GenerateConfig};
-use redcane_qdp::{calibrate_ranges, AccuracyBackend, FaultMeasured, QModel, QuantMeasured};
+use redcane_qdp::{
+    calibrate_ranges, AccuracyBackend, FaultMeasured, PreparedModel, QModel, QuantMeasured,
+};
 use redcane_tensor::{Tensor, TensorRng};
 
 fn shared_luts() -> &'static LutCache {
@@ -87,15 +89,15 @@ proptest! {
         let models: [&mut dyn CapsModel; 2] = [&mut capsnet, &mut deepcaps];
         for model in models {
             let q = lowered(model, &imgs);
+            let Ok(clean_model) = PreparedModel::new(q.clone(), &assignment, shared_luts()) else {
+                panic!("mul8u_1JFF is tabulated");
+            };
             let backend = QuantMeasured::new(q, shared_luts().clone());
             for plan in [FaultPlan::identity(seed), noisy_identity_plan(seed)] {
                 prop_assert!(plan.is_identity());
                 let faulty = FaultMeasured::over(&backend, plan, false);
                 for image in &imgs {
-                    let clean = backend
-                        .qmodel()
-                        .forward(image, &assignment, backend.luts())
-                        .unwrap();
+                    let clean = clean_model.forward_batch(&[image]).pop().unwrap();
                     let faulted = faulty.forward(image, &assignment).unwrap();
                     prop_assert_eq!(
                         clean.data(),

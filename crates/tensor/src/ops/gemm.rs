@@ -56,7 +56,7 @@
 //! time in strictly ascending order, starting from the existing value of
 //! `C` — exactly the order of the textbook triple loop. The blocked
 //! kernels therefore produce **bit-identical** results to the
-//! [`reference`] kernels (this is asserted by the crate's proptests), so
+//! [`reference`](mod@reference) kernels (this is asserted by the crate's proptests), so
 //! swapping them into a seeded training run does not perturb a single
 //! ULP. Keep it that way: do not introduce partial sums, horizontal
 //! reductions, or k-reordering here.

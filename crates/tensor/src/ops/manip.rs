@@ -1,4 +1,4 @@
-//! Shape-manipulating operations: pad, slice, concat, transpose, permute.
+//! Shape-manipulating operations: slice, concat, permute.
 
 use crate::error::TensorError;
 use crate::shape::strides_for;
@@ -6,30 +6,6 @@ use crate::tensor::Tensor;
 use crate::Result;
 
 impl Tensor {
-    /// Transposes a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless the tensor is rank 2.
-    pub fn transpose2d(&self) -> Result<Tensor> {
-        if self.ndim() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                got: self.ndim(),
-                op: "transpose2d",
-            });
-        }
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let src = self.data();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = src[i * n + j];
-            }
-        }
-        Tensor::from_vec(out, &[n, m])
-    }
-
     /// Reorders axes according to `perm` (a permutation of `0..ndim`).
     ///
     /// # Errors
@@ -176,64 +152,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, &new_shape)
     }
-
-    /// Zero-pads a `[C, H, W]` tensor spatially by `pad` on all four sides.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless the tensor is rank 3.
-    pub fn pad_spatial(&self, pad: usize) -> Result<Tensor> {
-        if self.ndim() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                got: self.ndim(),
-                op: "pad_spatial",
-            });
-        }
-        if pad == 0 {
-            return Ok(self.clone());
-        }
-        let (c, h, w) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let (nh, nw) = (h + 2 * pad, w + 2 * pad);
-        let mut out = Tensor::zeros(&[c, nh, nw]);
-        let src = self.data();
-        let dst = out.data_mut();
-        for ci in 0..c {
-            for y in 0..h {
-                let src_row = ci * h * w + y * w;
-                let dst_row = ci * nh * nw + (y + pad) * nw + pad;
-                dst[dst_row..dst_row + w].copy_from_slice(&src[src_row..src_row + w]);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Removes `pad` border pixels from each side of a `[C, H, W]` tensor
-    /// (the inverse of [`Tensor::pad_spatial`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless the tensor is rank 3 and large enough.
-    pub fn unpad_spatial(&self, pad: usize) -> Result<Tensor> {
-        if self.ndim() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                got: self.ndim(),
-                op: "unpad_spatial",
-            });
-        }
-        if pad == 0 {
-            return Ok(self.clone());
-        }
-        let (h, w) = (self.shape()[1], self.shape()[2]);
-        if h < 2 * pad || w < 2 * pad {
-            return Err(TensorError::InvalidArgument {
-                reason: format!("unpad_spatial: pad {pad} too large for {h}x{w}"),
-            });
-        }
-        self.slice_axis(1, pad, h - pad)?
-            .slice_axis(2, pad, w - pad)
-    }
 }
 
 #[cfg(test)]
@@ -243,14 +161,14 @@ mod tests {
     #[test]
     fn transpose_round_trip() {
         let t = Tensor::from_fn(&[3, 5], |i| i as f32);
-        let tt = t.transpose2d().unwrap().transpose2d().unwrap();
+        let tt = t.permute(&[1, 0]).unwrap().permute(&[1, 0]).unwrap();
         assert_eq!(t, tt);
     }
 
     #[test]
     fn transpose_values() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let tt = t.transpose2d().unwrap();
+        let tt = t.permute(&[1, 0]).unwrap();
         assert_eq!(tt.shape(), &[3, 2]);
         assert_eq!(tt.get(&[2, 1]).unwrap(), 6.0);
         assert_eq!(tt.get(&[0, 1]).unwrap(), 4.0);
@@ -259,7 +177,8 @@ mod tests {
     #[test]
     fn permute_matches_transpose_for_rank2() {
         let t = Tensor::from_fn(&[4, 6], |i| (i as f32).sin());
-        assert_eq!(t.permute(&[1, 0]).unwrap(), t.transpose2d().unwrap());
+        let transposed = Tensor::from_fn(&[6, 4], |i| t.at((i % 4) * 6 + i / 4));
+        assert_eq!(t.permute(&[1, 0]).unwrap(), transposed);
     }
 
     #[test]
@@ -319,21 +238,5 @@ mod tests {
         let b = Tensor::zeros(&[3, 3]);
         assert!(Tensor::concat(&[&a, &b], 0).is_err());
         assert!(Tensor::concat(&[], 0).is_err());
-    }
-
-    #[test]
-    fn pad_unpad_round_trip() {
-        let t = Tensor::from_fn(&[2, 3, 4], |i| i as f32 + 1.0);
-        let padded = t.pad_spatial(2).unwrap();
-        assert_eq!(padded.shape(), &[2, 7, 8]);
-        assert_eq!(padded.get(&[0, 0, 0]).unwrap(), 0.0);
-        assert_eq!(padded.get(&[0, 2, 2]).unwrap(), 1.0);
-        assert_eq!(padded.unpad_spatial(2).unwrap(), t);
-    }
-
-    #[test]
-    fn pad_zero_is_identity() {
-        let t = Tensor::from_fn(&[1, 2, 2], |i| i as f32);
-        assert_eq!(t.pad_spatial(0).unwrap(), t);
     }
 }

@@ -2,124 +2,9 @@
 //!
 //! The ReD-CaNe noise model scales its Gaussian noise by the **range**
 //! `R(X) = max(X) - min(X)` of the tensor under attack (Eq. 3 of the
-//! paper), so range/min/max/std live here as first-class operations, along
-//! with the histogram used to reproduce the paper's distribution figures
-//! (Figs. 6 and 11).
-
-use serde::{Deserialize, Serialize};
+//! paper), so range/min/max live here as first-class operations.
 
 use crate::tensor::Tensor;
-
-/// Summary statistics of a tensor's values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Smallest element.
-    pub min: f32,
-    /// Largest element.
-    pub max: f32,
-    /// Arithmetic mean.
-    pub mean: f32,
-    /// Population standard deviation.
-    pub std: f32,
-}
-
-impl Summary {
-    /// The value range `max - min` — the paper's `R(X)`.
-    pub fn range(&self) -> f32 {
-        self.max - self.min
-    }
-}
-
-/// A fixed-bin histogram over a closed interval.
-///
-/// # Example
-///
-/// ```
-/// use redcane_tensor::{stats::Histogram, Tensor};
-///
-/// let t = Tensor::from_slice(&[0.1, 0.2, 0.8]);
-/// let h = Histogram::of(&t, 2, 0.0, 1.0);
-/// assert_eq!(h.counts(), &[2, 1]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f32,
-    hi: f32,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Builds a histogram of `tensor`'s values over `[lo, hi]` with `bins`
-    /// equal-width bins. Values outside the interval are clamped to the
-    /// first/last bin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn of(tensor: &Tensor, bins: usize, lo: f32, hi: f32) -> Self {
-        Self::of_values(tensor.data(), bins, lo, hi)
-    }
-
-    /// Builds a histogram directly over a slice of values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn of_values(values: &[f32], bins: usize, lo: f32, hi: f32) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram needs hi > lo");
-        let mut counts = vec![0u64; bins];
-        let width = (hi - lo) / bins as f32;
-        for &v in values {
-            let idx = (((v - lo) / width) as isize).clamp(0, bins as isize - 1) as usize;
-            counts[idx] += 1;
-        }
-        Histogram {
-            lo,
-            hi,
-            counts,
-            total: values.len() as u64,
-        }
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Number of samples accumulated.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bin frequencies as fractions of the total (empty histogram -> zeros).
-    pub fn frequencies(&self) -> Vec<f64> {
-        let denom = self.total.max(1) as f64;
-        self.counts.iter().map(|&c| c as f64 / denom).collect()
-    }
-
-    /// The center value of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f32 {
-        assert!(i < self.counts.len());
-        let width = (self.hi - self.lo) / self.counts.len() as f32;
-        self.lo + width * (i as f32 + 0.5)
-    }
-
-    /// Lower edge of the histogram domain.
-    pub fn lo(&self) -> f32 {
-        self.lo
-    }
-
-    /// Upper edge of the histogram domain.
-    pub fn hi(&self) -> f32 {
-        self.hi
-    }
-}
 
 impl Tensor {
     /// Smallest element; `+inf` for an empty tensor.
@@ -151,32 +36,11 @@ impl Tensor {
         }
         self.max_value() - self.min_value()
     }
-
-    /// Population standard deviation of all elements.
-    pub fn std(&self) -> f32 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self.data().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / self.len() as f32;
-        var.sqrt()
-    }
-
-    /// Computes min/max/mean/std in one pass.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            min: self.min_value(),
-            max: self.max_value(),
-            mean: self.mean(),
-            std: self.std(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::TensorRng;
 
     #[test]
     fn min_max_range() {
@@ -195,69 +59,6 @@ mod tests {
     fn empty_tensor_stats_are_safe() {
         let t = Tensor::default();
         assert_eq!(t.range(), 0.0);
-        assert_eq!(t.std(), 0.0);
-        assert_eq!(t.mean(), 0.0);
-    }
-
-    #[test]
-    fn std_of_known_sequence() {
-        let t = Tensor::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((t.std() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn summary_consistency() {
-        let mut rng = TensorRng::from_seed(40);
-        let t = rng.normal(&[5000], 1.0, 3.0);
-        let s = t.summary();
-        assert!((s.mean - 1.0).abs() < 0.2);
-        assert!((s.std - 3.0).abs() < 0.2);
-        assert!(s.range() > 0.0);
-        assert!(s.min < s.max);
-    }
-
-    #[test]
-    fn histogram_counts_and_frequencies() {
-        let t = Tensor::from_slice(&[0.05, 0.15, 0.15, 0.95]);
-        let h = Histogram::of(&t, 10, 0.0, 1.0);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 1);
-        let f = h.frequencies();
-        assert!((f[1] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_clamps_outliers() {
-        let t = Tensor::from_slice(&[-100.0, 100.0]);
-        let h = Histogram::of(&t, 4, 0.0, 1.0);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[3], 1);
-    }
-
-    #[test]
-    fn histogram_bin_centers() {
-        let t = Tensor::from_slice(&[0.0]);
-        let h = Histogram::of(&t, 4, 0.0, 1.0);
-        assert!((h.bin_center(0) - 0.125).abs() < 1e-6);
-        assert!((h.bin_center(3) - 0.875).abs() < 1e-6);
-        assert_eq!(h.lo(), 0.0);
-        assert_eq!(h.hi(), 1.0);
-    }
-
-    #[test]
-    fn gaussian_histogram_is_bell_shaped() {
-        let mut rng = TensorRng::from_seed(41);
-        let t = rng.normal(&[20000], 0.0, 1.0);
-        let h = Histogram::of(&t, 9, -4.5, 4.5);
-        let c = h.counts();
-        // Center bin dominates, tails are small.
-        let mid = c[4];
-        assert!(mid > c[0] * 10);
-        assert!(mid > c[8] * 10);
-        // Symmetry within tolerance.
-        let asym = (c[3] as f64 - c[5] as f64).abs() / mid as f64;
-        assert!(asym < 0.15, "asymmetry {asym}");
+        assert_eq!(t.sum(), 0.0);
     }
 }

@@ -310,23 +310,9 @@ impl Tensor {
         self.map(|v| v * scalar)
     }
 
-    /// Returns a copy with `scalar` added to every element.
-    pub fn add_scalar(&self, scalar: f32) -> Self {
-        self.map(|v| v + scalar)
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Arithmetic mean of all elements; `0.0` for an empty tensor.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
     }
 
     /// Sum of squared elements (squared L2 norm of the flattened tensor).
@@ -498,7 +484,6 @@ mod tests {
     fn reductions() {
         let t = Tensor::from_slice(&[1.0, -2.0, 3.0]);
         assert_eq!(t.sum(), 2.0);
-        assert!((t.mean() - 2.0 / 3.0).abs() < 1e-6);
         assert_eq!(t.sq_norm(), 14.0);
         assert_eq!(t.argmax(), Some(2));
     }
