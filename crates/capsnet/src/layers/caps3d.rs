@@ -8,13 +8,11 @@
 //! types at every spatial position.
 
 use redcane_nn::layers::Conv2d;
-use redcane_nn::{Layer, Param};
+use redcane_nn::Param;
 use redcane_tensor::{Tensor, TensorRng};
 
 use crate::inject::{Injector, OpKind, OpSite};
-use crate::routing::{
-    dynamic_routing_backward_scratched, dynamic_routing_scratched, RoutingCache, RoutingScratch,
-};
+use crate::routing::{dynamic_routing, dynamic_routing_backward, RoutingCache};
 
 /// Routing conv-caps layer mapping `[C_in, D_in, H, W]` to
 /// `[C_out, D_out, H', W']`.
@@ -30,7 +28,6 @@ pub struct ConvCaps3d {
     layer_index: usize,
     name: String,
     cache: Option<Caps3dCache>,
-    scratch: RoutingScratch,
 }
 
 #[derive(Debug, Clone)]
@@ -77,7 +74,6 @@ impl ConvCaps3d {
             layer_index,
             name: name.into(),
             cache: None,
-            scratch: RoutingScratch::new(),
         }
     }
 
@@ -150,8 +146,7 @@ impl ConvCaps3d {
             &OpSite::new(self.layer_index, self.name.clone(), OpKind::MacOutput),
             &mut votes,
         );
-        let routing = dynamic_routing_scratched(
-            &mut self.scratch,
+        let routing = dynamic_routing(
             votes,
             self.iterations,
             self.layer_index,
@@ -189,7 +184,7 @@ impl ConvCaps3d {
             .reshape(&[self.c_out, self.d_out, p])
             // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
             .expect("gradient capsule fold");
-        let dvotes = dynamic_routing_backward_scratched(&mut self.scratch, &cache.routing, &dv);
+        let dvotes = dynamic_routing_backward(&cache.routing, &dv);
         // Scatter per-type vote gradients through each conv.
         let mut dx = Tensor::zeros(&[self.c_in, self.d_in, h, w]);
         let stride_i = self.c_out * self.d_out * p;
@@ -204,7 +199,6 @@ impl ConvCaps3d {
             let dst_base = i * self.d_in * h * w;
             dx.data_mut()[dst_base..dst_base + dxi.len()].copy_from_slice(dxi.data());
         }
-        let _ = self.scratch.recycle(cache.routing);
         dx
     }
 
@@ -291,6 +285,32 @@ mod tests {
         let n2 = dx.sq_norm().sqrt();
         let cosine = dot / (n1 * n2).max(1e-9);
         assert!(cosine > 0.85, "gradient direction cosine {cosine}");
+    }
+
+    /// Inference runs forward without backward and leaves a cache behind;
+    /// the next forward must replace it (here at a different spatial
+    /// size), so forward/backward on `B` after a forward on `A` is
+    /// bit-identical to a fresh layer on `B` alone.
+    #[test]
+    fn forward_overwrites_a_stale_cache() {
+        let mut rng = TensorRng::from_seed(155);
+        let fresh_layer = ConvCaps3d::new(0, "C3", 2, 3, 2, 4, 3, 1, 1, 3, &mut rng);
+        let a = rng.uniform(&[2, 3, 5, 5], -1.0, 1.0);
+        let b = rng.uniform(&[2, 3, 4, 4], -1.0, 1.0);
+        let g = rng.uniform(&[2, 4, 4, 4], -1.0, 1.0);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |layer: &mut ConvCaps3d| {
+            let y = layer.forward(&b, &mut NoInjection);
+            let dx = layer.backward(&g);
+            let mut out = vec![bits(&y), bits(&dx)];
+            out.extend(layer.params_mut().iter().map(|p| bits(&p.grad)));
+            out
+        };
+        let mut fresh = fresh_layer.clone();
+        let expected = run(&mut fresh);
+        let mut reused = fresh_layer;
+        let _ = reused.forward(&a, &mut NoInjection);
+        assert_eq!(run(&mut reused), expected);
     }
 
     #[test]

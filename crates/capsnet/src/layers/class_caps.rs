@@ -6,9 +6,7 @@ use redcane_tensor::ops::gemm;
 use redcane_tensor::{Tensor, TensorRng};
 
 use crate::inject::{Injector, OpKind, OpSite};
-use crate::routing::{
-    dynamic_routing_backward_scratched, dynamic_routing_scratched, RoutingCache, RoutingScratch,
-};
+use crate::routing::{dynamic_routing, dynamic_routing_backward, RoutingCache};
 
 /// Maps `I` input capsules of dimension `D_in` to `J` class capsules of
 /// dimension `D_out` through per-pair transformation matrices and
@@ -27,10 +25,6 @@ pub struct ClassCaps {
     layer_index: usize,
     name: String,
     cache: Option<(Tensor, RoutingCache)>,
-    scratch: RoutingScratch,
-    /// Recycled vote buffer (reclaimed from the routing cache each
-    /// backward); contents are stale between uses.
-    votes_pool: Vec<f32>,
 }
 
 impl ClassCaps {
@@ -58,8 +52,6 @@ impl ClassCaps {
             layer_index,
             name: name.into(),
             cache: None,
-            scratch: RoutingScratch::new(),
-            votes_pool: Vec::new(),
         }
     }
 
@@ -98,17 +90,9 @@ impl ClassCaps {
                 &mut copy,
             );
         }
-        // Inference-only callers never run backward; reclaim the
-        // previous forward's vote and history buffers before the cache
-        // drops them.
-        if let Some((_, old)) = self.cache.take() {
-            self.votes_pool = self.scratch.recycle(old);
-        }
         // Votes û_{j|i} = W_ij u_i  ->  [I, J, D_out, P=1]: a batched
-        // GEMM of I independent (J·D_out × D_in) · (D_in × 1) products,
-        // overwriting the recycled (stale) vote buffer.
-        let mut votes = std::mem::take(&mut self.votes_pool);
-        votes.resize(self.i_caps * self.j_caps * self.d_out, 0.0);
+        // GEMM of I independent (J·D_out × D_in) · (D_in × 1) products.
+        let mut votes = vec![0.0f32; self.i_caps * self.j_caps * self.d_out];
         gemm::gemm_nn_batched_over(
             self.weight.value.data(),
             u.data(),
@@ -125,8 +109,7 @@ impl ClassCaps {
             &OpSite::new(self.layer_index, self.name.clone(), OpKind::MacOutput),
             &mut votes,
         );
-        let cache = dynamic_routing_scratched(
-            &mut self.scratch,
+        let cache = dynamic_routing(
             votes,
             self.iterations,
             self.layer_index,
@@ -158,7 +141,7 @@ impl ClassCaps {
             .reshape(&[self.j_caps, self.d_out, 1])
             // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
             .expect("restore P=1");
-        let dvotes = dynamic_routing_backward_scratched(&mut self.scratch, &cache, &dv3);
+        let dvotes = dynamic_routing_backward(&cache, &dv3);
         let dvd = dvotes.data();
         let wd = self.weight.value.data();
         let ud = u.data();
@@ -190,7 +173,6 @@ impl ClassCaps {
                 self.d_in,
             );
         }
-        self.votes_pool = self.scratch.recycle(cache);
         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
         Tensor::from_vec(du, &[self.i_caps, self.d_in]).expect("sized")
     }
@@ -312,6 +294,29 @@ mod tests {
                 "dW[{idx}]: {num} vs {ana}"
             );
         }
+    }
+
+    /// Inference runs forward without backward and leaves a cache behind;
+    /// the next forward must replace it, so forward/backward on `B` after
+    /// a forward on `A` is bit-identical to a fresh layer on `B` alone.
+    #[test]
+    fn forward_overwrites_a_stale_cache() {
+        let mut rng = TensorRng::from_seed(145);
+        let fresh_layer = ClassCaps::new(0, "CC", 6, 4, 3, 4, 3, &mut rng);
+        let a = rng.uniform(&[6, 3], -1.0, 1.0);
+        let b = rng.uniform(&[6, 3], -1.0, 1.0);
+        let g = rng.uniform(&[4, 4], -1.0, 1.0);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |layer: &mut ClassCaps| {
+            let y = layer.forward(&b, &mut NoInjection);
+            let du = layer.backward(&g);
+            [bits(&y), bits(&du), bits(&layer.params_mut()[0].grad)]
+        };
+        let mut fresh = fresh_layer.clone();
+        let expected = run(&mut fresh);
+        let mut reused = fresh_layer;
+        let _ = reused.forward(&a, &mut NoInjection);
+        assert_eq!(run(&mut reused), expected);
     }
 
     #[test]

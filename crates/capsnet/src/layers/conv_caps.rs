@@ -8,7 +8,7 @@
 //! applied here, the squashed capsules (**activations**).
 
 use redcane_nn::layers::Conv2d;
-use redcane_nn::{Layer, Param};
+use redcane_nn::Param;
 use redcane_tensor::{Tensor, TensorRng};
 
 use crate::inject::{Injector, OpKind, OpSite};

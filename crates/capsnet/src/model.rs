@@ -2,7 +2,7 @@
 //! (Rajasegaran et al.), behind the common [`CapsModel`] interface.
 
 use redcane_nn::layers::{Conv2d, Relu};
-use redcane_nn::{Layer, Param};
+use redcane_nn::Param;
 use redcane_tensor::{Tensor, TensorRng};
 
 use crate::config::{CapsNetConfig, DeepCapsConfig};

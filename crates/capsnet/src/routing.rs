@@ -21,10 +21,11 @@
 //! once per `(i, j)` pair and the innermost dimension runs over
 //! contiguous slices (an axpy over `D` when `P == 1`, an elementwise
 //! product over `P` otherwise), so the compiler vectorizes them without
-//! per-element index arithmetic or bounds checks. Temporaries live in a
-//! [`RoutingScratch`] arena that the owning layer reuses across
-//! iterations and samples. Accumulation order is everywhere identical to
-//! the original nested loops, keeping seeded runs bit-for-bit stable.
+//! per-element index arithmetic or bounds checks. Each call allocates
+//! its own logits and gradient temporaries; the per-iteration `k`/`s`/`v`
+//! buffers become the [`RoutingCache`] history the backward pass reads.
+//! Accumulation order is everywhere identical to the original nested
+//! loops, keeping seeded runs bit-for-bit stable.
 
 use redcane_tensor::Tensor;
 
@@ -52,69 +53,6 @@ pub struct RoutingCache {
     pub history: Vec<RoutingIterState>,
     /// Final output capsules `[J, D, P]`.
     pub v: Tensor,
-}
-
-impl RoutingCache {
-    /// Final coupling coefficients `[I, J, P]`.
-    pub fn k_last(&self) -> &Tensor {
-        // lint: allow(panic) — RoutingConfig guarantees at least one iteration, so history is non-empty
-        &self.history.last().expect("iterations >= 1").k
-    }
-}
-
-/// Reusable buffers for the routing loops. Owning one per layer gives
-/// the hot path zero per-iteration allocation: the logits tensor and all
-/// backward temporaries are grown once to the layer's geometry and then
-/// recycled for every sample.
-#[derive(Debug, Clone, Default)]
-pub struct RoutingScratch {
-    /// Routing logits `b` (`[I, J, P]`), reused across samples.
-    b: Tensor,
-    /// Gradient reaching the current iteration's `v` (`J*D*P`).
-    dv_r: Vec<f32>,
-    /// Gradient through the squash (`J*D*P`).
-    ds: Vec<f32>,
-    /// Gradient on the coupling coefficients (`I*J*P`).
-    dk: Vec<f32>,
-    /// Softmax-backward output and its carry (ping-pong, `I*J*P`).
-    db: Vec<f32>,
-    db_next: Vec<f32>,
-    /// Recycled history buffers (one pool per role), refilled by
-    /// [`RoutingScratch::recycle`] when a cache is released.
-    pool_k: Vec<Vec<f32>>,
-    pool_s: Vec<Vec<f32>>,
-    pool_v: Vec<Vec<f32>>,
-}
-
-impl RoutingScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Releases a routing cache back into the scratch: the per-iteration
-    /// history buffers join the pools for the next forward pass, and the
-    /// vote buffer is returned so the owning layer can recycle it too.
-    pub fn recycle(&mut self, cache: RoutingCache) -> Vec<f32> {
-        for it in cache.history {
-            self.pool_k.push(it.k.into_vec());
-            self.pool_s.push(it.s.into_vec());
-            self.pool_v.push(it.v.into_vec());
-        }
-        cache.votes.into_vec()
-    }
-}
-
-fn resize(buf: &mut Vec<f32>, len: usize) {
-    buf.clear();
-    buf.resize(len, 0.0);
-}
-
-/// Pops a pooled buffer resized to `len` (contents unspecified).
-fn take_buf(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
-    let mut buf = pool.pop().unwrap_or_default();
-    buf.resize(len, 0.0);
-    buf
 }
 
 /// Softmax over `J` of a `[I, J, P]` slice, written into `out` —
@@ -146,38 +84,11 @@ pub fn softmax_over_j(src: &[f32], out: &mut [f32], i_caps: usize, j_caps: usize
 
 /// Runs `iterations` rounds of routing-by-agreement over `votes`
 /// (`[I, J, D, P]`), calling `injector` at every tagged operation.
-/// Convenience wrapper over [`dynamic_routing_scratched`] with a
-/// throwaway scratch.
 ///
 /// # Panics
 ///
 /// Panics unless `votes` is rank 4 and `iterations >= 1`.
 pub fn dynamic_routing(
-    votes: Tensor,
-    iterations: usize,
-    layer_index: usize,
-    layer_name: &str,
-    injector: &mut dyn Injector,
-) -> RoutingCache {
-    let mut scratch = RoutingScratch::new();
-    dynamic_routing_scratched(
-        &mut scratch,
-        votes,
-        iterations,
-        layer_index,
-        layer_name,
-        injector,
-    )
-}
-
-/// [`dynamic_routing`] against a caller-owned [`RoutingScratch`], the
-/// form the layers use so buffers persist across samples.
-///
-/// # Panics
-///
-/// Panics unless `votes` is rank 4 and `iterations >= 1`.
-pub fn dynamic_routing_scratched(
-    scratch: &mut RoutingScratch,
     votes: Tensor,
     iterations: usize,
     layer_index: usize,
@@ -192,25 +103,17 @@ pub fn dynamic_routing_scratched(
         votes.shape()[2],
         votes.shape()[3],
     );
-    if scratch.b.shape() != [i_caps, j_caps, p] {
-        scratch.b = Tensor::zeros(&[i_caps, j_caps, p]);
-    } else {
-        scratch.b.data_mut().fill(0.0);
-    }
-    let b = &mut scratch.b;
+    let mut b = Tensor::zeros(&[i_caps, j_caps, p]);
     let mut history: Vec<RoutingIterState> = Vec::with_capacity(iterations);
     let vd = votes.data();
     for r in 0..iterations {
         let iter = r as u8;
-        // 1. Coupling coefficients, into a recycled buffer. Iteration 0
-        // always sees b == 0, for which the softmax is exactly uniform:
-        // exp(0 − 0) = 1.0 and the denominator is the exact integer J,
-        // so filling 1/J reproduces the computed softmax bit for bit
-        // without J·I·P exp calls.
-        let mut kbuf = take_buf(&mut scratch.pool_k, i_caps * j_caps * p);
-        if r == 0 {
-            kbuf.fill(1.0 / j_caps as f32);
-        } else {
+        // 1. Coupling coefficients. Iteration 0 always sees b == 0, for
+        // which the softmax is exactly uniform: exp(0 − 0) = 1.0 and the
+        // denominator is the exact integer J, so filling 1/J reproduces
+        // the computed softmax bit for bit without J·I·P exp calls.
+        let mut kbuf = vec![1.0 / j_caps as f32; i_caps * j_caps * p];
+        if r > 0 {
             softmax_over_j(b.data(), &mut kbuf, i_caps, j_caps, p);
         }
         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
@@ -220,8 +123,7 @@ pub fn dynamic_routing_scratched(
             &mut k,
         );
         // 2. Weighted vote sum s_j = sum_i k_ij * votes_ij.
-        let mut sbuf = take_buf(&mut scratch.pool_s, j_caps * d * p);
-        sbuf.fill(0.0);
+        let mut sbuf = vec![0.0f32; j_caps * d * p];
         weighted_vote_sum(vd, k.data(), &mut sbuf, i_caps, j_caps, d, p);
         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
         let mut s = Tensor::from_vec(sbuf, &[j_caps, d, p]).expect("sized");
@@ -229,8 +131,8 @@ pub fn dynamic_routing_scratched(
             &OpSite::routing(layer_index, layer_name, OpKind::MacOutput, iter),
             &mut s,
         );
-        // 3. Squash, into a recycled buffer.
-        let mut vbuf = take_buf(&mut scratch.pool_v, j_caps * d * p);
+        // 3. Squash.
+        let mut vbuf = vec![0.0f32; j_caps * d * p];
         squash_slices(s.data(), &mut vbuf, j_caps, d, p);
         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
         let mut v = Tensor::from_vec(vbuf, &[j_caps, d, p]).expect("sized");
@@ -243,7 +145,7 @@ pub fn dynamic_routing_scratched(
             agreement_update(vd, v.data(), b.data_mut(), i_caps, j_caps, d, p);
             injector.inject(
                 &OpSite::routing(layer_index, layer_name, OpKind::LogitsUpdate, iter),
-                b,
+                &mut b,
             );
         }
         history.push(RoutingIterState { k, s, v });
@@ -339,17 +241,6 @@ fn agreement_update(
 
 /// Exact backward pass through the whole routing procedure: given `dv`
 /// on the routing output, returns `d_votes` (`[I, J, D, P]`).
-/// Convenience wrapper over [`dynamic_routing_backward_scratched`].
-///
-/// # Panics
-///
-/// Panics if `dv`'s shape differs from the cached output.
-pub fn dynamic_routing_backward(cache: &RoutingCache, dv: &Tensor) -> Tensor {
-    let mut scratch = RoutingScratch::new();
-    dynamic_routing_backward_scratched(&mut scratch, cache, dv)
-}
-
-/// [`dynamic_routing_backward`] against a caller-owned scratch.
 ///
 /// Walks the recorded iterations in reverse, propagating through each
 /// squash, weighted sum, coupling softmax and agreement update, so the
@@ -359,11 +250,7 @@ pub fn dynamic_routing_backward(cache: &RoutingCache, dv: &Tensor) -> Tensor {
 /// # Panics
 ///
 /// Panics if `dv`'s shape differs from the cached output.
-pub fn dynamic_routing_backward_scratched(
-    scratch: &mut RoutingScratch,
-    cache: &RoutingCache,
-    dv: &Tensor,
-) -> Tensor {
+pub fn dynamic_routing_backward(cache: &RoutingCache, dv: &Tensor) -> Tensor {
     assert_eq!(dv.shape(), cache.v.shape(), "dv must match routing output");
     let (i_caps, j_caps, d, p) = (
         cache.votes.shape()[0],
@@ -374,11 +261,11 @@ pub fn dynamic_routing_backward_scratched(
     let vd = cache.votes.data();
     let iters = cache.history.len();
     let mut dvotes = vec![0.0f32; i_caps * j_caps * d * p];
-    resize(&mut scratch.dv_r, j_caps * d * p);
-    resize(&mut scratch.ds, j_caps * d * p);
-    resize(&mut scratch.dk, i_caps * j_caps * p);
-    resize(&mut scratch.db, i_caps * j_caps * p);
-    resize(&mut scratch.db_next, i_caps * j_caps * p);
+    let mut dv_r = vec![0.0f32; j_caps * d * p];
+    let mut ds = vec![0.0f32; j_caps * d * p];
+    let mut dk = vec![0.0f32; i_caps * j_caps * p];
+    let mut db = vec![0.0f32; i_caps * j_caps * p];
+    let mut db_next = vec![0.0f32; i_caps * j_caps * p];
     // Whether `db_next` currently carries the gradient w.r.t. b_{r+1}.
     let mut have_db = false;
     for r in (0..iters).rev() {
@@ -386,7 +273,6 @@ pub fn dynamic_routing_backward_scratched(
         // Gradient reaching v_r: the caller's dv on the last iteration;
         // for earlier iterations, v_r only feeds the agreement update
         // b_{r+1}[i,j,p] += Σ_d votes[i,j,d,p] · v_r[j,d,p].
-        let dv_r = &mut scratch.dv_r;
         if r + 1 == iters {
             dv_r.copy_from_slice(dv.data());
         } else {
@@ -396,8 +282,8 @@ pub fn dynamic_routing_backward_scratched(
             agreement_backward(
                 vd,
                 it.v.data(),
-                &scratch.db_next,
-                dv_r,
+                &db_next,
+                &mut dv_r,
                 &mut dvotes,
                 i_caps,
                 j_caps,
@@ -406,7 +292,7 @@ pub fn dynamic_routing_backward_scratched(
             );
         }
         // Through the squash: ds_r.
-        squash_backward_slices(it.s.data(), dv_r, &mut scratch.ds, j_caps, d, p);
+        squash_backward_slices(it.s.data(), &dv_r, &mut ds, j_caps, d, p);
         // Through the weighted sum s_r = Σ_i k_r · votes: contributions to
         // both the votes and the coupling coefficients.
         // b_0 is the zero constant, so the softmax/logits gradient of the
@@ -415,9 +301,9 @@ pub fn dynamic_routing_backward_scratched(
         weighted_sum_backward(
             vd,
             it.k.data(),
-            &scratch.ds,
+            &ds,
             &mut dvotes,
-            if need_db { Some(&mut scratch.dk) } else { None },
+            if need_db { Some(&mut dk) } else { None },
             i_caps,
             j_caps,
             d,
@@ -428,14 +314,14 @@ pub fn dynamic_routing_backward_scratched(
         }
         // Through the coupling softmax over J:
         // db[i,j,p] = k[i,j,p] · (dk[i,j,p] − Σ_j' k[i,j',p] · dk[i,j',p]).
-        softmax_backward(it.k.data(), &scratch.dk, &mut scratch.db, i_caps, j_caps, p);
+        softmax_backward(it.k.data(), &dk, &mut db, i_caps, j_caps, p);
         // Identity path of the additive update b_{r+1} = b_r + agreement.
         if have_db {
-            for (o, &g) in scratch.db.iter_mut().zip(&scratch.db_next) {
+            for (o, &g) in db.iter_mut().zip(&db_next) {
                 *o += g;
             }
         }
-        std::mem::swap(&mut scratch.db, &mut scratch.db_next);
+        std::mem::swap(&mut db, &mut db_next);
         have_db = true;
     }
     // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
@@ -821,7 +707,7 @@ mod tests {
         let mut rng = TensorRng::from_seed(121);
         let votes = rng.uniform(&[5, 4, 3, 2], -1.0, 1.0);
         let cache = dynamic_routing(votes, 3, 0, "TestCaps", &mut NoInjection);
-        let sums = cache.k_last().sum_axis(1).unwrap();
+        let sums = cache.history.last().unwrap().k.sum_axis(1).unwrap();
         for &s in sums.data() {
             assert!((s - 1.0).abs() < 1e-4, "k must sum to 1 over J: {s}");
         }
@@ -832,27 +718,8 @@ mod tests {
         let mut rng = TensorRng::from_seed(122);
         let votes = rng.uniform(&[4, 2, 3, 1], -1.0, 1.0);
         let cache = dynamic_routing(votes, 1, 0, "TestCaps", &mut NoInjection);
-        for &k in cache.k_last().data() {
+        for &k in cache.history.last().unwrap().k.data() {
             assert!((k - 0.5).abs() < 1e-5, "uniform over 2 types: {k}");
-        }
-    }
-
-    /// A scratch reused across samples of different geometry must behave
-    /// exactly like a fresh one.
-    #[test]
-    fn scratch_reuse_matches_fresh_scratch() {
-        let mut rng = TensorRng::from_seed(126);
-        let mut scratch = RoutingScratch::new();
-        for &(i, j, d, p) in &[(6, 3, 4, 2), (4, 2, 3, 1), (6, 3, 4, 2), (5, 4, 3, 2)] {
-            let votes = rng.uniform(&[i, j, d, p], -1.0, 1.0);
-            let coeffs = rng.uniform(&[j, d, p], -1.0, 1.0);
-            let reused =
-                dynamic_routing_scratched(&mut scratch, votes.clone(), 3, 0, "T", &mut NoInjection);
-            let fresh = dynamic_routing(votes, 3, 0, "T", &mut NoInjection);
-            assert_eq!(reused.v, fresh.v);
-            let dr = dynamic_routing_backward_scratched(&mut scratch, &reused, &coeffs);
-            let df = dynamic_routing_backward(&fresh, &coeffs);
-            assert_eq!(dr, df);
         }
     }
 
@@ -879,7 +746,7 @@ mod tests {
         }
         let cache = dynamic_routing(votes, 3, 0, "TestCaps", &mut NoInjection);
         // Flat-slice read of k[i, 0, 0] over the [I, J, P] layout.
-        let kd = cache.k_last().data();
+        let kd = cache.history.last().unwrap().k.data();
         let k_to_0: f32 = (0..i_caps).map(|i| kd[i * j_caps * p]).sum::<f32>() / i_caps as f32;
         assert!(
             k_to_0 > 0.55,

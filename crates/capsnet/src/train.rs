@@ -7,10 +7,9 @@
 //! owns a clone of the model, and per-sample results are reduced **in
 //! sample order** on the calling thread. A sample's forward/backward
 //! depends only on the weights — never on gradient state — so every
-//! per-sample gradient is identical to what the serial loop computes,
-//! and the ordered reduction reproduces the serial accumulation bit for
-//! bit at any `REDCANE_THREADS` setting (the pipeline determinism test
-//! asserts this end to end).
+//! per-sample gradient is the same on any worker, and the ordered
+//! reduction gives the same bits at any `REDCANE_THREADS` setting (the
+//! pipeline determinism test asserts this end to end).
 //!
 //! Injector-driven (noisy) evaluation stays serial: a stateful injector
 //! draws its noise stream in visit order, so parallelizing across
@@ -90,9 +89,9 @@ fn sample_gradient<M: CapsModel>(
 }
 
 /// Processes one minibatch, accumulating gradients into `model` and
-/// per-sample losses into `total_loss` exactly as the serial per-sample
-/// loop would (the running loss sum spans batches, so it is threaded
-/// through rather than subtotaled — subtotaling would reorder the adds).
+/// per-sample losses into `total_loss` in sample order (the running loss
+/// sum spans batches, so it is threaded through rather than subtotaled —
+/// subtotaling would reorder the adds).
 fn run_batch<M: CapsModel + Clone + Send + Sync>(
     model: &mut M,
     data: &Dataset,
@@ -100,20 +99,8 @@ fn run_batch<M: CapsModel + Clone + Send + Sync>(
     loss_cfg: MarginLossConfig,
     total_loss: &mut f32,
 ) {
-    let workers = par::num_threads().min(chunk.len());
-    if workers <= 1 {
-        // Serial fast path: accumulate straight into the model.
-        for &idx in chunk {
-            let sample = &data.samples[idx];
-            let lengths = model.forward(&sample.image, &mut NoInjection);
-            let (loss, dl) = margin_loss(&lengths, sample.label, loss_cfg);
-            *total_loss += loss;
-            model.backward_from_lengths(&dl);
-        }
-        return;
-    }
-    // Parallel path: per-sample gradients on worker clones, reduced in
-    // sample order so the sum matches the serial accumulation bitwise.
+    // Per-sample gradients on worker clones, reduced in sample order so
+    // the sum is the same at every thread count.
     let model_ref = &*model;
     let per_sample: Vec<SampleGrad> = par::map_with(
         chunk.len(),

@@ -5,9 +5,8 @@
 //! **cheapest** multiplier from the component library whose measured noise
 //! magnitude fits within that operation's tolerable `NM` (derived from the
 //! sweeps of Steps 2 and 4). The output is an *approximate CapsNet
-//! design*, validated end-to-end through the
-//! [`AccuracyBackend`](crate::datapath::AccuracyBackend) trait: always
-//! on the noise-predicted backend (every operation simulated with its
+//! design*, validated end-to-end through the [`AccuracyBackend`] trait:
+//! always on the noise-predicted backend (every operation simulated with its
 //! component's `(NA, NM)`), and — when a measured backend is supplied —
 //! re-scored on the real quantized datapath, so the heterogeneous
 //! design's forecast and its ground truth come from interchangeable

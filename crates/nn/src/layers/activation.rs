@@ -2,8 +2,6 @@
 
 use redcane_tensor::Tensor;
 
-use crate::layer::Layer;
-
 /// ReLU activation (`max(x, 0)`), caching the input sign mask.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
@@ -15,15 +13,19 @@ impl Relu {
     pub fn new() -> Self {
         Relu::default()
     }
-}
 
-impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    /// `max(x, 0)`; caches the sign mask for [`Relu::backward`].
+    pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
         x.relu()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Passes `grad_out` through where the cached input was positive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a forward pass.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         // lint: allow(panic) — API contract: backward() consumes the cache that forward() stores
         let mask = self.mask.take().expect("Relu::backward before forward");
         assert_eq!(mask.len(), grad_out.len(), "Relu grad size");
@@ -71,11 +73,5 @@ mod tests {
     fn backward_requires_forward() {
         let mut relu = Relu::new();
         let _ = relu.backward(&Tensor::zeros(&[1]));
-    }
-
-    #[test]
-    fn has_no_params() {
-        let mut relu = Relu::new();
-        assert_eq!(relu.param_count(), 0);
     }
 }

@@ -9,7 +9,6 @@ use redcane_tensor::ops::{gemm, Conv2dSpec};
 use redcane_tensor::{Tensor, TensorRng};
 
 use crate::init::{conv_fans, he_normal};
-use crate::layer::Layer;
 use crate::param::Param;
 
 /// A 2-D convolution layer over `[C_in, H, W]` samples.
@@ -23,13 +22,6 @@ pub struct Conv2d {
     c_in: usize,
     c_out: usize,
     cache: Option<Cache>,
-    /// Recycled im2col buffer (handed to the cache each forward and
-    /// reclaimed in backward); contents are stale between uses.
-    cols_pool: Vec<f32>,
-    /// Recycled dW scratch (overwrite-mode GEMM output).
-    dw_pool: Vec<f32>,
-    /// Recycled dcols scratch (overwrite-mode GEMM output).
-    dcols_pool: Vec<f32>,
 }
 
 #[derive(Debug, Clone)]
@@ -64,9 +56,6 @@ impl Conv2d {
             c_in,
             c_out,
             cache: None,
-            cols_pool: Vec::new(),
-            dw_pool: Vec::new(),
-            dcols_pool: Vec::new(),
         }
     }
 
@@ -106,11 +95,21 @@ impl Conv2d {
         self.weight.value = weight;
         self.bias.value = bias;
     }
-}
 
-impl Conv2d {
+    /// Forward pass over one `[C_in, H, W]` sample; caches the im2col
+    /// matrix for [`Conv2d::backward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` is `[C_in, H, W]` with valid geometry.
+    pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        assert_eq!(x.ndim(), 3, "Conv2d expects [C,H,W]");
+        assert_eq!(x.shape()[0], self.c_in, "Conv2d input channels");
+        self.forward_chw(x.data(), x.shape()[1], x.shape()[2])
+    }
+
     /// Forward pass over a raw `[C_in, H, W]` slice — the shape-free twin
-    /// of [`Layer::forward`] used by capsule layers whose tensors carry a
+    /// of [`Conv2d::forward`] used by capsule layers whose tensors carry a
     /// `[C, D, H, W]` shape (channel folding becomes free instead of a
     /// reshape copy).
     ///
@@ -125,14 +124,7 @@ impl Conv2d {
         let w_out = self.spec.output_size(w).expect("valid geometry");
         let k2 = self.c_in * self.spec.kernel * self.spec.kernel;
         let n = h_out * w_out;
-        // Inference-only callers never run backward, so reclaim the
-        // previous forward's im2col buffer before it is dropped.
-        if let Some(old) = self.cache.take() {
-            self.cols_pool = old.cols.into_vec();
-        }
-        // Unroll into the recycled buffer (im2col writes every slot).
-        let mut cols_buf = std::mem::take(&mut self.cols_pool);
-        cols_buf.resize(k2 * n, 0.0);
+        let mut cols_buf = vec![0.0f32; k2 * n];
         redcane_tensor::ops::conv::im2col_slice(data, self.c_in, h, w, self.spec, &mut cols_buf)
             // lint: allow(panic) — input dims were validated against the spec just above
             .expect("valid conv input");
@@ -164,16 +156,15 @@ impl Conv2d {
         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
         Tensor::from_vec(out, &[self.c_out, h_out, w_out]).expect("conv output shape")
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        assert_eq!(x.ndim(), 3, "Conv2d expects [C,H,W]");
-        assert_eq!(x.shape()[0], self.c_in, "Conv2d input channels");
-        self.forward_chw(x.data(), x.shape()[1], x.shape()[2])
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Propagates `grad_out` back through the cached forward pass,
+    /// accumulating the weight and bias gradients; returns the input
+    /// gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a forward pass.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         // lint: allow(panic) — API contract: backward() consumes the cache that forward() stores
         let cache = self.cache.take().expect("Conv2d::backward before forward");
         let [h_out, w_out] = cache.out_hw;
@@ -186,36 +177,30 @@ impl Layer for Conv2d {
         );
         // Flat [C_out, H_out·W_out].
         let dy = grad_out.data();
-        // dW = dY · colsᵀ, built in a (recycled) temp and then summed into
-        // the accumulator so the gradient order matches per-sample
+        // dW = dY · colsᵀ, built in a temp and then summed into the
+        // accumulator so the gradient order matches per-sample
         // accumulation exactly.
-        let mut dw = std::mem::take(&mut self.dw_pool);
-        dw.resize(self.c_out * k2, 0.0);
+        let mut dw = vec![0.0f32; self.c_out * k2];
         gemm::gemm_nt_over(dy, cache.cols.data(), &mut dw, self.c_out, n, k2);
         for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(&dw) {
             *g += d;
         }
-        self.dw_pool = dw;
         // db = row sums of dY
         for (g, row) in self.bias.grad.data_mut().iter_mut().zip(dy.chunks_exact(n)) {
             *g += row.iter().sum::<f32>();
         }
         // dX = col2im(Wᵀ · dY)
-        let mut dcols = std::mem::take(&mut self.dcols_pool);
-        dcols.resize(k2 * n, 0.0);
+        let mut dcols = vec![0.0f32; k2 * n];
         gemm::gemm_tn_over(self.weight.value.data(), dy, &mut dcols, k2, self.c_out, n);
         let [c, h, w] = cache.input_shape;
         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
         let dcols = Tensor::from_vec(dcols, &[k2, n]).expect("dcols shape");
         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
-        let dx = dcols.col2im(c, h, w, self.spec).expect("col2im");
-        // Reclaim the scratch buffers for the next sample.
-        self.dcols_pool = dcols.into_vec();
-        self.cols_pool = cache.cols.into_vec();
-        dx
+        dcols.col2im(c, h, w, self.spec).expect("col2im")
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    /// The trainable parameters: `[weight, bias]`.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
 }
@@ -223,6 +208,16 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn zero_grad(layer: &mut Conv2d) {
+        for p in layer.params_mut() {
+            p.zero_grad();
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
 
     /// Central-difference gradient check of the full layer.
     #[test]
@@ -237,7 +232,7 @@ mod tests {
         };
 
         // Analytic gradients.
-        layer.zero_grad();
+        zero_grad(&mut layer);
         let _ = layer.forward(&x);
         let dx = layer.backward(&coeffs);
 
@@ -256,7 +251,7 @@ mod tests {
             );
         }
         // Weight gradient.
-        layer.zero_grad();
+        zero_grad(&mut layer);
         let _ = layer.forward(&x);
         let _ = layer.backward(&coeffs);
         let wgrad = layer.params_mut()[0].grad.clone();
@@ -275,7 +270,7 @@ mod tests {
             );
         }
         // Bias gradient.
-        layer.zero_grad();
+        zero_grad(&mut layer);
         let _ = layer.forward(&x);
         let _ = layer.backward(&coeffs);
         let bgrad = layer.params_mut()[1].grad.clone();
@@ -309,7 +304,7 @@ mod tests {
         let mut layer = Conv2d::new(1, 1, 3, 1, 0, &mut rng);
         let x = rng.uniform(&[1, 4, 4], -1.0, 1.0);
         let g = Tensor::ones(&[1, 2, 2]);
-        layer.zero_grad();
+        zero_grad(&mut layer);
         let _ = layer.forward(&x);
         let _ = layer.backward(&g);
         let once = layer.params_mut()[0].grad.clone();
@@ -344,6 +339,33 @@ mod tests {
     fn param_count_is_correct() {
         let mut rng = TensorRng::from_seed(55);
         let mut layer = Conv2d::new(4, 8, 3, 1, 1, &mut rng);
-        assert_eq!(layer.param_count(), 8 * 4 * 9 + 8);
+        let count: usize = layer.params_mut().iter().map(|p| p.len()).sum();
+        assert_eq!(count, 8 * 4 * 9 + 8);
+    }
+
+    /// A forward pass that is never followed by backward (inference)
+    /// leaves a cache behind; the next forward must replace it, so a
+    /// forward/backward on `B` after a forward on `A` is bit-identical to
+    /// a fresh layer running forward/backward on `B` alone.
+    #[test]
+    fn forward_overwrites_a_stale_cache() {
+        let mut rng = TensorRng::from_seed(56);
+        let fresh_layer = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let a = rng.uniform(&[2, 6, 6], -1.0, 1.0);
+        let b = rng.uniform(&[2, 5, 5], -1.0, 1.0);
+        let g = rng.uniform(&[3, 5, 5], -1.0, 1.0);
+        // Output, input gradient and parameter gradients, as raw bits.
+        let run = |layer: &mut Conv2d| {
+            let y = layer.forward(&b);
+            let dx = layer.backward(&g);
+            let mut out = vec![bits(&y), bits(&dx)];
+            out.extend(layer.params_mut().iter().map(|p| bits(&p.grad)));
+            out
+        };
+        let mut fresh = fresh_layer.clone();
+        let expected = run(&mut fresh);
+        let mut reused = fresh_layer;
+        let _ = reused.forward(&a);
+        assert_eq!(run(&mut reused), expected);
     }
 }

@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use redcane_nn::{layers::Conv2d, Layer};
+//! use redcane_nn::layers::Conv2d;
 //! use redcane_tensor::TensorRng;
 //!
 //! let mut rng = TensorRng::from_seed(0);
@@ -33,13 +33,11 @@
 #![forbid(unsafe_code)]
 
 pub mod init;
-pub mod layer;
 pub mod layers;
 pub mod loss;
 pub mod optim;
 pub mod param;
 
-pub use layer::Layer;
 pub use loss::{margin_loss, MarginLossConfig};
 pub use optim::Adam;
 pub use param::Param;

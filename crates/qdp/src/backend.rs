@@ -196,6 +196,7 @@ impl AccuracyBackend for FaultMeasured {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::calibrate_ranges;
     use redcane_axmul::MultiplierLibrary;
     use redcane_capsnet::{evaluate_clean, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig};
     use redcane_datasets::{generate, Benchmark, GenerateConfig};
@@ -207,7 +208,8 @@ mod tests {
         images: impl IntoIterator<Item = &'a Tensor>,
         library: &MultiplierLibrary,
     ) -> QuantMeasured {
-        let qmodel = QModel::calibrated(model, images).unwrap();
+        let ranges = calibrate_ranges(model, images).unwrap();
+        let qmodel = QModel::lower(&*model, &ranges).unwrap();
         QuantMeasured::new(qmodel, LutCache::tabulate_all(library))
     }
 

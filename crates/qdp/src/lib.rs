@@ -42,11 +42,10 @@
 //!    exact baseline to the methodology's full Step-6 per-layer design.
 //!
 //! [`QuantMeasured`] packages all of that behind `redcane`'s
-//! [`AccuracyBackend`](redcane::datapath::AccuracyBackend) trait, so
-//! the *measured* accuracy of any assignment is interchangeable with
-//! the noise-*predicted* accuracy of the same assignment — the paper's
-//! validation loop, closed over both networks and over heterogeneous
-//! designs.
+//! [`AccuracyBackend`] trait, so the *measured* accuracy of any
+//! assignment is interchangeable with the noise-*predicted* accuracy of
+//! the same assignment — the paper's validation loop, closed over both
+//! networks and over heterogeneous designs.
 #![forbid(unsafe_code)]
 
 pub mod backend;

@@ -4,8 +4,7 @@
 //!
 //! [`QuantRanges`] replaces per-architecture range structs: it is a map
 //! from `(layer name, operation kind, in-routing?)` — the same key the
-//! [`CalibrationObserver`](crate::CalibrationObserver) tracks — to the
-//! [`QuantParams`] fixed at calibration time. Any model driven through
+//! [`CalibrationObserver`] tracks — to the [`QuantParams`] fixed at calibration time. Any model driven through
 //! the injection tap points produces one, so lowering a new
 //! architecture needs **no** new calibration code.
 //!

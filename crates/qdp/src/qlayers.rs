@@ -841,7 +841,6 @@ mod tests {
     use redcane_axmul::MulLut;
     use redcane_capsnet::routing::dynamic_routing;
     use redcane_capsnet::{NoInjection, OpKind};
-    use redcane_nn::Layer;
     use redcane_tensor::TensorRng;
 
     fn p(min: f32, max: f32) -> QuantParams {

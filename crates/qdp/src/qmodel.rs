@@ -7,8 +7,7 @@
 //! computes exactly (ReLU, residual join + squash, capsule→unit
 //! reordering, concatenation, capsule lengths). Lowering walks a
 //! trained float model's layer graph, lowers every layer through
-//! [`LowerToQuant`](crate::LowerToQuant) with the calibrated
-//! [`QuantRanges`], and emits steps that remember their **site** — the
+//! [`LowerToQuant`] with the calibrated [`QuantRanges`], and emits steps that remember their **site** — the
 //! same `(layer, op kind, in-routing)` keys the ranges are stored
 //! under. Execution first resolves, once per assignment, which
 //! multiplier serves each site's MACs from a [`DatapathAssignment`] and
@@ -36,7 +35,7 @@ use redcane_tensor::{par, Tensor};
 use redcane_trace as trace;
 
 use crate::faults::{faulted_site_lut, AccFault, MacView};
-use crate::lower::{calibrate_ranges, LowerError, LowerToQuant, QuantRanges};
+use crate::lower::{LowerError, LowerToQuant, QuantRanges};
 use crate::qlayers::{QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d};
 
 /// Samples fused per wide GEMM when evaluating a dataset
@@ -302,20 +301,6 @@ impl QModel {
                 model: model.name(),
             })
         }
-    }
-
-    /// Calibrates on `images` and lowers the model in one step.
-    ///
-    /// # Errors
-    ///
-    /// As [`QModel::lower`], plus [`LowerError::EmptyCalibration`]
-    /// when `images` is empty.
-    pub fn calibrated<'a>(
-        model: &mut dyn CapsModel,
-        images: impl IntoIterator<Item = &'a Tensor>,
-    ) -> Result<Self, LowerError> {
-        let ranges = calibrate_ranges(model, images)?;
-        Self::lower(&*model, &ranges)
     }
 
     fn lower_capsnet(model: &CapsNet, ranges: &QuantRanges) -> Result<Self, LowerError> {
@@ -821,6 +806,7 @@ pub(crate) fn evaluate_resolved(model: &QModel, data: &Dataset, resolved: &[Step
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::calibrate_ranges;
     use redcane_capsnet::{CapsNetConfig, DeepCapsConfig, NoInjection};
     use redcane_datasets::Sample;
     use redcane_tensor::TensorRng;
@@ -853,7 +839,8 @@ mod tests {
         let images: Vec<Tensor> = (0..4)
             .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
             .collect();
-        let q = QModel::calibrated(&mut model, images.iter()).unwrap();
+        let ranges = calibrate_ranges(&mut model, images.iter()).unwrap();
+        let q = QModel::lower(&model, &ranges).unwrap();
         assert_eq!(q.num_classes(), 10);
         assert_eq!(q.steps().len(), 4);
         assert!(q.arch().starts_with("CapsNet"));
@@ -877,7 +864,8 @@ mod tests {
         let images: Vec<Tensor> = (0..4)
             .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
             .collect();
-        let q = QModel::calibrated(&mut model, images.iter()).unwrap();
+        let ranges = calibrate_ranges(&mut model, images.iter()).unwrap();
+        let q = QModel::lower(&model, &ranges).unwrap();
         assert_eq!(q.num_classes(), 10);
         assert!(q.arch().starts_with("DeepCaps"));
         // Stem + 3 cells × 5 + lead/mid/caps3d/skip + 2 units + concat
@@ -902,7 +890,8 @@ mod tests {
         let images: Vec<Tensor> = (0..3)
             .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
             .collect();
-        let q = QModel::calibrated(&mut model, images.iter()).unwrap();
+        let ranges = calibrate_ranges(&mut model, images.iter()).unwrap();
+        let q = QModel::lower(&model, &ranges).unwrap();
         let (assignment, luts) = exact_setup();
         let prepared = PreparedModel::new(q, &assignment, &luts).unwrap();
         let single: Vec<Tensor> = images.iter().map(|x| forward_one(&prepared, x)).collect();
@@ -926,7 +915,8 @@ mod tests {
         let images: Vec<Tensor> = (0..3)
             .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
             .collect();
-        let q = QModel::calibrated(&mut model, images.iter()).unwrap();
+        let ranges = calibrate_ranges(&mut model, images.iter()).unwrap();
+        let q = QModel::lower(&model, &ranges).unwrap();
         let (assignment, luts) = exact_setup();
         let prepared = PreparedModel::new(q.clone(), &assignment, &luts).unwrap();
         let refs: Vec<&Tensor> = images.iter().collect();
@@ -953,7 +943,8 @@ mod tests {
         let mut rng = TensorRng::from_seed(516);
         let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
         let image = rng.uniform(&[1, 16, 16], 0.0, 1.0);
-        let q = QModel::calibrated(&mut model, [&image]).unwrap();
+        let ranges = calibrate_ranges(&mut model, [&image]).unwrap();
+        let q = QModel::lower(&model, &ranges).unwrap();
         let sites = q.multiply_sites();
         // Conv1 + PrimaryCaps GEMMs, ClassCaps votes + 2 routing sites.
         assert_eq!(sites.len(), 5);
@@ -1005,7 +996,8 @@ mod tests {
         let images: Vec<Tensor> = (0..2 * EVAL_BATCH + 5)
             .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
             .collect();
-        let q = QModel::calibrated(&mut model, images.iter().take(4)).unwrap();
+        let ranges = calibrate_ranges(&mut model, images.iter().take(4)).unwrap();
+        let q = QModel::lower(&model, &ranges).unwrap();
         let (_, mut luts) = exact_setup();
         let approx = redcane_axmul::library::MultiplierLibrary::evo_approx_like()
             .iter()
@@ -1056,7 +1048,7 @@ mod tests {
     fn calibration_needs_at_least_one_image() {
         let mut rng = TensorRng::from_seed(506);
         let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
-        let err = QModel::calibrated(&mut model, std::iter::empty()).unwrap_err();
+        let err = calibrate_ranges(&mut model, std::iter::empty()).unwrap_err();
         assert_eq!(err, LowerError::EmptyCalibration);
     }
 
@@ -1083,7 +1075,8 @@ mod tests {
         let mut rng = TensorRng::from_seed(514);
         let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
         let image = rng.uniform(&[1, 16, 16], 0.0, 1.0);
-        let q = QModel::calibrated(&mut model, [&image]).unwrap();
+        let ranges = calibrate_ranges(&mut model, [&image]).unwrap();
+        let q = QModel::lower(&model, &ranges).unwrap();
         let full = q.weight_code_sample(usize::MAX);
         assert!(!full.is_empty());
         let sample = q.weight_code_sample(100);

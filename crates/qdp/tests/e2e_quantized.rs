@@ -98,11 +98,12 @@ fn quantized_exact_inference_matches_float_within_tolerance() {
 
     // Seeded determinism: recalibrating live must reproduce the stored
     // ranges' backend exactly — whether this run trained or restored.
-    let live = QModel::calibrated(
+    let live_ranges = calibrate_ranges(
         &mut model,
         pair.train.samples.iter().take(32).map(|s| &s.image),
     )
     .expect("calibration is deterministic");
+    let live = QModel::lower(&model, &live_ranges).expect("lowering");
     let backend2 = QuantMeasured::new(live, luts);
     assert_eq!(quant_acc, backend2.evaluate(&model, &eval, &exact).unwrap());
 }

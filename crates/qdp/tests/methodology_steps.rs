@@ -19,7 +19,7 @@ use redcane_capsnet::{
     train, CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig, TrainConfig,
 };
 use redcane_datasets::{generate, Benchmark, Dataset, GenerateConfig};
-use redcane_qdp::{QModel, QuantMeasured};
+use redcane_qdp::{calibrate_ranges, QModel, QuantMeasured};
 use redcane_tensor::{par, TensorRng};
 
 fn config(threads: usize) -> MethodologyConfig {
@@ -111,11 +111,12 @@ fn assert_methodology_matches_steps<M: CapsModel + Clone + Send + Sync>(mut mode
         },
     );
     let library = MultiplierLibrary::evo_approx_like();
-    let qmodel = QModel::calibrated(
+    let ranges = calibrate_ranges(
         &mut model,
         pair.train.samples.iter().take(8).map(|s| &s.image),
     )
     .unwrap();
+    let qmodel = QModel::lower(&model, &ranges).unwrap();
     let measured = QuantMeasured::new(qmodel, LutCache::tabulate_all(&library));
     let mut reports = Vec::new();
     for threads in [1, 4] {

@@ -267,7 +267,7 @@ mod tests {
     use super::*;
     use redcane_axmul::mult::TruncatedMultiplier;
     use redcane_capsnet::{CapsNet, CapsNetConfig};
-    use redcane_qdp::MulLut;
+    use redcane_qdp::{calibrate_ranges, MulLut};
     use redcane_tensor::TensorRng;
 
     /// A tiny calibrated `CapsNet` plus an exact/degraded two-entry
@@ -279,7 +279,8 @@ mod tests {
         let images: Vec<Tensor> = (0..3)
             .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
             .collect();
-        let q = QModel::calibrated(&mut model, images.iter()).unwrap();
+        let ranges = calibrate_ranges(&mut model, images.iter()).unwrap();
+        let q = QModel::lower(&model, &ranges).unwrap();
         let mut luts = LutCache::new();
         luts.insert("exact", MulLut::exact());
         luts.insert("trunc4", MulLut::tabulate(&TruncatedMultiplier::new(4)));

@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::{CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig};
-use redcane_qdp::{DatapathAssignment, PreparedModel, QModel};
+use redcane_qdp::{calibrate_ranges, DatapathAssignment, PreparedModel, QModel};
 use redcane_serve::{Engine, ServeConfig};
 use redcane_tensor::{Tensor, TensorRng};
 
@@ -43,8 +43,11 @@ fn lowered_models() -> &'static [QModel; 2] {
             .collect();
         let mut capsnet = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
         let mut deepcaps = DeepCaps::new(&DeepCapsConfig::small(1, 16), &mut rng);
-        let caps = QModel::calibrated(&mut capsnet, images.iter()).expect("lower CapsNet");
-        let deep = QModel::calibrated(&mut deepcaps, images.iter()).expect("lower DeepCaps");
+        let caps_ranges = calibrate_ranges(&mut capsnet, images.iter()).expect("calibrate CapsNet");
+        let caps = QModel::lower(&capsnet, &caps_ranges).expect("lower CapsNet");
+        let deep_ranges =
+            calibrate_ranges(&mut deepcaps, images.iter()).expect("calibrate DeepCaps");
+        let deep = QModel::lower(&deepcaps, &deep_ranges).expect("lower DeepCaps");
         [caps, deep]
     })
 }

@@ -9,7 +9,7 @@ use std::sync::mpsc::channel;
 
 use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::{CapsNet, CapsNetConfig};
-use redcane_qdp::{DatapathAssignment, QModel};
+use redcane_qdp::{calibrate_ranges, DatapathAssignment, QModel};
 use redcane_serve::{Engine, ServeConfig};
 use redcane_tensor::{Tensor, TensorRng};
 use redcane_trace as trace;
@@ -35,7 +35,8 @@ fn fill_only_serving_is_counter_deterministic_across_worker_counts() {
     let calib: Vec<Tensor> = (0..3)
         .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
         .collect();
-    let q = QModel::calibrated(&mut model, calib.iter()).unwrap();
+    let ranges = calibrate_ranges(&mut model, calib.iter()).unwrap();
+    let q = QModel::lower(&model, &ranges).unwrap();
     let luts = LutCache::for_components(
         &MultiplierLibrary::evo_approx_like(),
         ["mul8u_1JFF", "mul8u_QKX"],
