@@ -36,17 +36,21 @@ pub struct FactorTerm {
     f: [u8; 256],
     g: [u8; 256],
     f_is_identity: bool,
+    g_is_identity: bool,
 }
 
 impl FactorTerm {
     /// Tabulates the term `coeff · f(a) · g(b)` over all 8-bit codes.
     pub fn new(coeff: u32, f: impl Fn(u8) -> u8, g: impl Fn(u8) -> u8) -> Self {
+        let is_identity = |map: &[u8; 256]| map.iter().enumerate().all(|(v, &mv)| mv as usize == v);
         let f: [u8; 256] = std::array::from_fn(|v| f(v as u8));
+        let g: [u8; 256] = std::array::from_fn(|v| g(v as u8));
         FactorTerm {
             coeff,
-            f_is_identity: f.iter().enumerate().all(|(v, &fv)| fv as usize == v),
+            f_is_identity: is_identity(&f),
+            g_is_identity: is_identity(&g),
             f,
-            g: std::array::from_fn(|v| g(v as u8)),
+            g,
         }
     }
 
@@ -68,6 +72,11 @@ impl FactorTerm {
     /// `true` when `f` is the identity, so left codes need no mapping.
     pub fn f_is_identity(&self) -> bool {
         self.f_is_identity
+    }
+
+    /// `true` when `g` is the identity, so right codes need no mapping.
+    pub fn g_is_identity(&self) -> bool {
+        self.g_is_identity
     }
 }
 
@@ -934,6 +943,30 @@ mod tests {
             }
         }
         assert!(inner.description().contains("Mitchell"));
+    }
+
+    #[test]
+    fn factor_terms_flag_exactly_the_identity_maps() {
+        let flags = |terms: Vec<FactorTerm>| -> Vec<(bool, bool)> {
+            terms
+                .iter()
+                .map(|t| (t.f_is_identity(), t.g_is_identity()))
+                .collect()
+        };
+        assert_eq!(flags(ExactMultiplier.factors()), [(true, true)]);
+        assert_eq!(
+            flags(PerforatedMultiplier::new(2, 3).factors()),
+            [(true, false)]
+        );
+        assert_eq!(
+            flags(PerforatedMultiplier::new(0, 0).factors()),
+            [(true, true)]
+        );
+        assert_eq!(flags(DrumMultiplier::new(4).factors()), [(false, false)]);
+        assert_eq!(
+            flags(KulkarniMultiplier::new(4).factors()),
+            [(true, true), (false, false)]
+        );
     }
 
     #[test]

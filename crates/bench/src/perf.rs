@@ -575,6 +575,19 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         // Integer twins of the stem and DeepCaps shapes: what one
         // approximate-datapath sweep step costs per layer.
         qgemm_probe("qgemm_24x49x100_stem", 24, 49, 100, &exact, reps),
+        // The dominant call of a DeepCaps quantized sweep (a capsule
+        // cell's conv at batch 16) on the factored path's register
+        // tiles, and serve's batch-1 deep-cell shape, narrower than one
+        // tile, on its contiguous dots.
+        qgemm_probe(
+            "qgemm_16x144x1024_deepcaps_cell",
+            16,
+            144,
+            1024,
+            &exact,
+            reps,
+        ),
+        qgemm_probe("qgemm_32x288x4_narrow", 32, 288, 4, &exact, reps),
         qgemm_probe(
             "qgemm_256x2304x16_deepcaps_cell4",
             256,
@@ -689,6 +702,8 @@ mod tests {
         // The quantized and DeepCaps-shaped probes are on the tripwire.
         for name in [
             "qgemm_24x49x100_stem",
+            "qgemm_16x144x1024_deepcaps_cell",
+            "qgemm_32x288x4_narrow",
             "qgemm_256x2304x16_deepcaps_cell4",
             "qgemm_256x2304x16_deepcaps_cell4_gather",
             "qgemm_hooks_off_24x49x100",

@@ -6,10 +6,16 @@
 //!   `T(a, b) = Σ_r c_r·f_r(a)·g_r(b)` (see [`MulLut::factors`]; the
 //!   exact multiplier, DRUM, perforation, Kulkarni and one-column
 //!   truncation have one), each term is one plain integer GEMM over the
-//!   mapped codes: `B` is mapped and transposed once, and every output
-//!   is a contiguous dot product whose `u8 × u8` products vectorize with
-//!   no table access. Deep enough reductions take this path (at least
-//!   `FACTORED_MIN_K` per term); below that the gather is cheaper.
+//!   mapped codes, whose `u8 × u8` products vectorize with no table
+//!   access. `B` is read row-major as given and never transposed (a
+//!   term with a non-identity `g` maps it once into a copy of the same
+//!   layout). Every whole `NR`-column block runs in `MR×NR` register
+//!   tiles over `MR`-row panels of `f(A)`: each `k` step broadcasts one
+//!   left code per row against an `NR`-wide `B` row segment. The fewer
+//!   than `NR` trailing columns — all of them when `n < NR`, as in
+//!   batch-1 deep layers — are copied once into contiguous `k`-long
+//!   columns, one vectorized dot product per output. Deep enough
+//!   reductions take this path (at least `FACTORED_MIN_K` per term).
 //! - **Gather.** Every product is a 64 KiB table lookup, in one of two
 //!   loop orders by reduction depth. Deep reductions (`k ≥ TALL_K`)
 //!   compute the output in `MR×NR` **register tiles**: `u32`
@@ -57,11 +63,13 @@ pub const NR: usize = 8;
 const TALL_K: usize = 192;
 
 /// Reduction depth, per factor term, from which a factored table runs
-/// as integer dot products instead of the gather. Measured per call on
-/// the workspace's layer shapes against the gather on the same table
-/// (2-core x86-64 VM): one term is 1.5–4× faster from `k = 8` up, bar
-/// the `k = 9`, `n = 256` DeepCaps stem (0.9×); two terms are 0.9–2×
-/// from `k = 16` up but drop to 0.4× below it.
+/// as integer GEMMs instead of the gather. Measured per call on the
+/// workspace's layer shapes against the gather on the same table
+/// (2-core x86-64 VM, both forced onto every shape): one term is
+/// 2.7–6.9× faster at every shape from `k = 4` up, the `k = 9` DeepCaps
+/// stem included (3.4–3.8×); two terms are 1.2–2.8× from `k = 8` up and
+/// 1.3× at `k = 4`. The bound is conservative; it stays put so the
+/// dispatch, and with it the `lut_row_fetches` count, does not move.
 const FACTORED_MIN_K: usize = 8;
 
 /// `true` when [`qgemm_nn`] runs `lut` through its factorization.
@@ -165,32 +173,93 @@ fn qgemm_tall_k(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize,
 }
 
 /// Integer path for a factored table `T(a, b) = Σ_r c_r·f_r(a)·g_r(b)`:
-/// per term, map `A` through `f_r` (the identity costs nothing) and `B`
-/// through `g_r` into its transpose, so each output is one contiguous
-/// `k`-long [`dot`] of codes, added into `C` times `c_r` in wrapping
-/// `u32` arithmetic. The true total is a sum of table entries, so it is
-/// exact modulo 2³² — the same bits the gather produces.
+/// per term, `C += c_r·f_r(A)·g_r(B)` in wrapping `u32` arithmetic.
+/// `B` is read row-major as given and never transposed; a term whose
+/// `g_r` is not the identity maps it once into a copy of the same
+/// layout. Whole `NR`-column blocks run through [`factored_tiles`]; the
+/// fewer than `NR` trailing columns are copied once into contiguous
+/// `k`-long columns and reduced by [`dot`]. The true total is a sum of
+/// table entries, so it is exact modulo 2³² — the same bits the gather
+/// produces.
 #[inline(never)]
 fn qgemm_factored(a: &[u8], b: &[u8], c: &mut [u32], k: usize, n: usize, terms: &[FactorTerm]) {
-    let mut fa_buf = Vec::new();
-    let mut gbt = vec![0u8; n * k];
+    let wide = n - n % NR;
+    let (mut panels, mut gb_buf, mut fa_buf, mut cols) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for term in terms {
-        let fa = if term.f_is_identity() {
-            a
-        } else {
-            fa_buf.clear();
-            fa_buf.extend(a.iter().map(|&v| term.f()[v as usize]));
-            &fa_buf[..]
-        };
-        let g = term.g();
-        for (p, brow) in b.chunks_exact(n).enumerate() {
-            for (j, &v) in brow.iter().enumerate() {
-                gbt[j * k + p] = g[v as usize];
+        if wide > 0 {
+            pack_panels(a, term.f(), k, &mut panels);
+            let gb = mapped(b, term.g(), term.g_is_identity(), &mut gb_buf);
+            factored_tiles(&panels, gb, c, k, n, term.coeff());
+        }
+        if wide < n {
+            let fa = mapped(a, term.f(), term.f_is_identity(), &mut fa_buf);
+            cols.resize((n - wide) * k, 0);
+            for (p, brow) in b.chunks_exact(n).enumerate() {
+                for (t, &v) in brow[wide..].iter().enumerate() {
+                    cols[t * k + p] = term.g()[v as usize];
+                }
+            }
+            for (arow, crow) in fa.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+                for (o, col) in crow[wide..].iter_mut().zip(cols.chunks_exact(k)) {
+                    *o = o.wrapping_add(term.coeff().wrapping_mul(dot(arow, col)));
+                }
             }
         }
-        for (arow, crow) in fa.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
-            for (o, bcol) in crow.iter_mut().zip(gbt.chunks_exact(k)) {
-                *o = o.wrapping_add(term.coeff().wrapping_mul(dot(arow, bcol)));
+    }
+}
+
+/// `codes` mapped through `map` into `buf`, or `codes` itself when
+/// `map` is the identity.
+fn mapped<'a>(codes: &'a [u8], map: &[u8; 256], identity: bool, buf: &'a mut Vec<u8>) -> &'a [u8] {
+    if identity {
+        return codes;
+    }
+    buf.clear();
+    buf.extend(codes.iter().map(|&v| map[v as usize]));
+    buf
+}
+
+/// Packs `f(A)` into `MR`-row panels, `k`-major: panel `q` holds, for
+/// each `p`, the `MR` codes `f(A[q·MR + r][p])`, zero past the last row,
+/// so a tile reads its left operand as one sequential stream.
+fn pack_panels(a: &[u8], f: &[u8; 256], k: usize, panels: &mut Vec<u8>) {
+    let m = a.len() / k;
+    panels.clear();
+    panels.resize(m.div_ceil(MR) * MR * k, 0);
+    for (i, arow) in a.chunks_exact(k).enumerate() {
+        let panel = &mut panels[(i / MR) * MR * k..][..MR * k];
+        for (slot, &v) in panel[i % MR..].iter_mut().step_by(MR).zip(arow) {
+            *slot = f[v as usize];
+        }
+    }
+}
+
+/// `C[.., ..n - n % NR] += coeff · (A·B)` over `MR × NR` register
+/// tiles of packed left `panels` and row-major right codes `gb`: the
+/// tile's `u32` accumulators live across the whole `k` loop, and each
+/// step broadcasts one left code per row against an `NR`-wide `B` row
+/// segment. A `u8 × u8` product fits a `u16`, so the step vectorizes
+/// as 16-bit multiplies widened into the `u32` lanes.
+#[inline(never)]
+fn factored_tiles(panels: &[u8], gb: &[u8], c: &mut [u32], k: usize, n: usize, coeff: u32) {
+    let m = c.len() / n;
+    for j0 in (0..n - n % NR).step_by(NR) {
+        for (i0, panel) in (0..m).step_by(MR).zip(panels.chunks_exact(MR * k)) {
+            let mut acc = [[0u32; NR]; MR];
+            for (ap, brow) in panel.chunks_exact(MR).zip(gb.chunks_exact(n)) {
+                let bseg = &brow[j0..j0 + NR];
+                for (accr, &av) in acc.iter_mut().zip(ap) {
+                    for (o, &bv) in accr.iter_mut().zip(bseg) {
+                        *o += (av as u16 * bv as u16) as u32;
+                    }
+                }
+            }
+            for (r, accr) in acc.iter().enumerate().take(m - i0) {
+                let crow = &mut c[(i0 + r) * n + j0..][..NR];
+                for (o, &v) in crow.iter_mut().zip(accr) {
+                    *o = o.wrapping_add(coeff.wrapping_mul(v));
+                }
             }
         }
     }
@@ -334,6 +403,9 @@ mod tests {
             (2, 16, 5),
             (3, 300, 9),
             (13, 513, 17),
+            (4, 8, 8),
+            (5, 9, 7),
+            (8, 144, 17),
         ];
         let mut factored = 0;
         for entry in MultiplierLibrary::evo_approx_like().iter() {
@@ -369,19 +441,24 @@ mod tests {
     /// the fully approximate Kulkarni table: the integer path's first
     /// term alone sums to within 2³² − 1020 and its −2 term wraps the
     /// accumulator, yet the result must equal the gather's exact sum.
+    /// `1×k×1` reaches the narrow-column dots, `4×k×8` exactly one
+    /// register tile and `4×k×9` both.
     #[test]
     fn kulkarni_wrapping_term_is_exact_at_max_acc_k() {
         let lut = MulLut::tabulate(&KulkarniMultiplier::new(4));
         assert_eq!(lut.factors().len(), 2);
         let k = MAX_ACC_K;
-        let (a, b) = (vec![255u8; k], vec![255u8; k]);
         let want = k as u32 * lut.mul(255, 255) as u32;
+        for (m, n) in [(1, 1), (4, 8), (4, 9)] {
+            let (a, b) = (vec![255u8; m * k], vec![255u8; k * n]);
+            let mut fast = vec![0u32; m * n];
+            qgemm_nn(&a, &b, &mut fast, m, k, n, &lut);
+            assert_eq!(fast, vec![want; m * n], "{m}x{k}x{n}");
+        }
+        let (a, b) = (vec![255u8; k], vec![255u8; k]);
         let mut naive = [0u32];
         reference::qgemm_nn(&a, &b, &mut naive, 1, k, 1, &lut);
         assert_eq!(naive, [want]);
-        let mut fast = [0u32];
-        qgemm_nn(&a, &b, &mut fast, 1, k, 1, &lut);
-        assert_eq!(fast, [want]);
     }
 
     #[test]

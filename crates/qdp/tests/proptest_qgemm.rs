@@ -4,7 +4,7 @@
 //! models, exactly as PR 2 pinned the float kernels.
 
 use proptest::prelude::*;
-use redcane_axmul::mult::{DrumMultiplier, MitchellLogMultiplier};
+use redcane_axmul::mult::{DrumMultiplier, KulkarniMultiplier, MitchellLogMultiplier};
 use redcane_qdp::kernels::{self, qgemm_nn};
 use redcane_qdp::MulLut;
 
@@ -34,14 +34,16 @@ fn codes(seed: u64, len: usize) -> Vec<u8> {
 
 proptest! {
     /// The blocked kernel must equal the triple loop bit for bit, for
-    /// the exact multiplier and for approximate models whose product
-    /// table is wildly nonlinear.
+    /// the exact multiplier, for approximate models whose product table
+    /// is wildly nonlinear, and for Kulkarni's two-term factorization
+    /// with its negative coefficient.
     #[test]
     fn blocked_qgemm_matches_reference(m in dim(), k in dim(), n in dim(), seed in 0u64..500) {
         let luts = [
             MulLut::exact(),
             MulLut::tabulate(&MitchellLogMultiplier::new()),
             MulLut::tabulate(&DrumMultiplier::new(3)),
+            MulLut::tabulate(&KulkarniMultiplier::new(4)),
         ];
         let a = codes(seed, m * k);
         let b = codes(seed ^ 0xabcd, k * n);
