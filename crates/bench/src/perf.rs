@@ -25,7 +25,8 @@ use redcane_fxp::QuantParams;
 use redcane_nn::layers::Conv2d;
 use redcane_qdp::qtensor::quantize_codes;
 use redcane_qdp::{
-    kernels as qkernels, CalibrationObserver, MacView, MulLut, PreparedModel, QConv2d, QModel,
+    kernels as qkernels, qlayers, quantized_routing, CalibrationObserver, MacView, MulLut,
+    PreparedModel, QConv2d, QModel,
 };
 use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{Tensor, TensorRng};
@@ -412,6 +413,46 @@ fn routing_probes(reps: usize) -> Vec<PerfProbe> {
     ]
 }
 
+/// Quantized-routing probe: `quantized_routing` at the small CapsNet's
+/// `ClassCaps` geometry (`[72, 10, 8]` votes, 3 iterations) with both
+/// MAC sites on `lut`, against its textbook loop nest
+/// `qlayers::reference::quantized_routing`.
+fn qrouting_probe(name: &str, lut: &MulLut, reps: usize) -> PerfProbe {
+    let mut rng = TensorRng::from_seed(88);
+    let votes = rng.uniform(&[72, 10, 8], -1.0, 1.0);
+    let vote_params = QuantParams::calibrate(&votes, 8).expect("finite votes");
+    let coupling_params = QuantParams::from_range(0.0, 1.0, 8).expect("valid range");
+    let act_params = QuantParams::from_range(-1.0, 1.0, 8).expect("valid range");
+    let view = MacView { lut, acc: None };
+    let fast = time_ns(reps, || {
+        std::hint::black_box(quantized_routing(
+            &votes,
+            3,
+            vote_params,
+            coupling_params,
+            act_params,
+            view,
+            view,
+        ));
+    });
+    let naive = time_ns(reps, || {
+        std::hint::black_box(qlayers::reference::quantized_routing(
+            &votes,
+            3,
+            vote_params,
+            coupling_params,
+            act_params,
+            view,
+            view,
+        ));
+    });
+    PerfProbe {
+        name: name.to_string(),
+        ns_per_op: fast,
+        naive_ns_per_op: Some(naive),
+    }
+}
+
 /// Quantized-DeepCaps probes: what lowering the 17-layer DeepCaps
 /// through the architecture-generic pipeline costs, what one
 /// end-to-end quantized inference on a [`PreparedModel`] (exact
@@ -609,6 +650,10 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(400)),
         conv_probe(reps),
         qconv_probe(reps),
+        // The routing MAC sites on the factored exact table and on its
+        // identity faulted view, which keeps the lookups.
+        qrouting_probe("qrouting_72x10x8_capsnet_classcaps", &exact, reps),
+        qrouting_probe("qrouting_72x10x8_capsnet_classcaps_gather", &gather, reps),
     ];
     probes.extend(im2col_probes(reps));
     probes.extend(routing_probes(reps));
@@ -714,6 +759,8 @@ mod tests {
             "im2col_16x16x16_k3s2p1",
             "col2im_16x16x16_k3s2p1",
             "qconv_fwd_batch16_16x8x8_k3p1_deepcaps_cell",
+            "qrouting_72x10x8_capsnet_classcaps",
+            "qrouting_72x10x8_capsnet_classcaps_gather",
             "qdp_lower_deepcaps_small",
             "qdp_fwd_deepcaps_small",
             "qdp_fwd_batch_deepcaps_small",

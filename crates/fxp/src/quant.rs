@@ -109,10 +109,39 @@ impl QuantParams {
     }
 
     /// Quantizes a value to its nearest code, saturating at the range edges
-    /// (Eq. 1).
+    /// (Eq. 1). Ties round half away from zero and NaN maps to code 0:
+    /// the result is `scaled.round().clamp(0.0, top) as u16` for
+    /// `scaled = (x − min) / (max − min) · top`, bit for bit.
+    ///
+    /// Computed without `round`, which is a libm call per element on the
+    /// x86-64 baseline (SSE2 has no rounding instruction), and without a
+    /// saturating float-to-int cast, which SSE2 runs one lane at a time:
+    /// `scaled` is clamped to `[0, top]` first (rounding and clamping
+    /// commute at integer bounds; NaN fails both compares and lands on
+    /// 0), then adding 2²³ rounds it to the nearest integer, ties to
+    /// even, whose code is the sum's low mantissa bits. A tie that went
+    /// down to even is the one case where half-away-from-zero differs,
+    /// and it is exactly `y − nearest = ½`, a subtraction exact for
+    /// `0 ≤ y ≤ top < 2²³`. Every step is a select, add or compare, so
+    /// a loop over a slice vectorizes.
+    #[inline]
     pub fn quantize(&self, x: f32) -> u16 {
-        let scaled = (x - self.min) / (self.max - self.min) * self.max_code() as f32;
-        scaled.round().clamp(0.0, self.max_code() as f32) as u16
+        const TWO_POW_23: f32 = 8_388_608.0;
+        let top = self.max_code() as f32;
+        let scaled = (x - self.min) / (self.max - self.min) * top;
+        let y = if scaled >= 0.0 {
+            if scaled < top {
+                scaled
+            } else {
+                top
+            }
+        } else {
+            0.0
+        };
+        let biased = y + TWO_POW_23;
+        let nearest = biased - TWO_POW_23;
+        let code = biased.to_bits() - TWO_POW_23.to_bits();
+        (code + u32::from(y - nearest == 0.5)) as u16
     }
 
     /// Reconstructs the value at the center of `code`'s quantization cell.

@@ -15,8 +15,20 @@
 //! [`QModel`](crate::QModel) program composes them into end-to-end
 //! quantized inference for any architecture.
 //!
+//! The convolutions and the vote transform run on the integer GEMMs of
+//! [`kernels`](crate::kernels). The routing MAC sites run in
+//! [`quantized_routing`]: one per-position kernel over contiguous
+//! `[I, J, D]` vote codes, integer products for factored tables and
+//! hoisted table rows otherwise, bit-identical to its textbook loop
+//! nest, kept as [`reference::quantized_routing`] — the oracle it is
+//! property-tested against. With tracing on, `QClassCaps` records its
+//! `votes` and `routing` spans and `QConvCaps3d` its `routing` span.
+//!
 //! [`MulLut`]: redcane_axmul::MulLut
 
+use std::borrow::Cow;
+
+use redcane_axmul::{FactorTerm, MulLut};
 use redcane_capsnet::routing::softmax_over_j;
 use redcane_capsnet::squash::{squash_caps, squash_slices};
 use redcane_fxp::{FxpError, QuantParams};
@@ -24,12 +36,13 @@ use redcane_nn::layers::Conv2d;
 use redcane_tensor::ops::conv::im2col_pitched;
 use redcane_tensor::ops::Conv2dSpec;
 use redcane_tensor::Tensor;
+use redcane_trace as trace;
 
 use redcane_capsnet::layers::{ClassCaps, ConvCaps2d, ConvCaps3d};
 
 use redcane::faults::FaultModel;
 
-use crate::faults::MacView;
+use crate::faults::{AccFault, MacView};
 use crate::kernels::{affine_dequant, col_sums, qgemm_nn, row_sums};
 use crate::qtensor::{fault_codes, quantize_codes};
 
@@ -357,6 +370,19 @@ impl QVotes {
 /// so a stuck lane corrupts every iteration the way real hardware
 /// would.
 ///
+/// The votes are quantized once; every position then routes on its
+/// own contiguous `[I, J, D]` codes (gathered once when `P > 1`, its
+/// `[J, D]` capsules scattered back), since the softmax runs over `J`
+/// and the squash over `D` at each position separately. The weighted
+/// sum runs one `D`-long row per `(i, j)`, the agreement one `D`-long
+/// dot per `(i, j)`; a factored table runs them as plain `u8 × u8`
+/// products per term over vote codes mapped once per call, any other
+/// table (faulted views included) as lookups with the coupling code's
+/// table row hoisted. Every reduction is an exact integer sum and
+/// every float expression keeps the operation order of the textbook
+/// loop nest, so the output equals [`reference::quantized_routing`]
+/// bit for bit.
+///
 /// # Panics
 ///
 /// Panics unless `votes` is rank 3 or 4 and `iterations >= 1`.
@@ -369,24 +395,7 @@ pub fn quantized_routing(
     sum: MacView<'_>,
     agree: MacView<'_>,
 ) -> Tensor {
-    let (i_caps, j_caps, d, p, spatial) = match votes.ndim() {
-        3 => (
-            votes.shape()[0],
-            votes.shape()[1],
-            votes.shape()[2],
-            1,
-            false,
-        ),
-        4 => (
-            votes.shape()[0],
-            votes.shape()[1],
-            votes.shape()[2],
-            votes.shape()[3],
-            true,
-        ),
-        // lint: allow(panic) — documented API contract: votes must be rank 3 or 4
-        _ => panic!("quantized_routing expects [I, J, D] or [I, J, D, P]"),
-    };
+    let (i_caps, j_caps, d, p, spatial) = routing_dims(votes);
     assert!(iterations >= 1, "routing needs at least one iteration");
     // Same u32-accumulator contract as the qgemm kernels: the
     // weighted sum reduces over I, the agreement dot over D.
@@ -394,107 +403,34 @@ pub fn quantized_routing(
         i_caps <= crate::kernels::MAX_ACC_K && d <= crate::kernels::MAX_ACC_K,
         "routing reduction ({i_caps} capsules, {d} dims) can overflow the u32 accumulator"
     );
+    let router = Router {
+        i_caps,
+        j_caps,
+        d,
+        p,
+        iterations,
+        vote_params,
+        coupling_params,
+        act_params,
+        sum,
+        agree,
+    };
     let qu = quantize_codes(votes.data(), vote_params);
-    // Iteration-independent code sums for the corrections.
-    // Σ_d qu[i,j,d,p] per (i, j, p) — the agreement dot's left-operand sum.
-    let mut qu_ijp = vec![0u32; i_caps * j_caps * p];
-    // Σ_i qu[i,j,d,p] per (j, d, p) — the weighted sum's vote-operand sum.
-    let mut qu_jdp = vec![0u32; j_caps * d * p];
-    for ij in 0..i_caps * j_caps {
-        let j = ij % j_caps;
-        for di in 0..d {
-            for pi in 0..p {
-                let code = qu[(ij * d + di) * p + pi] as u32;
-                qu_ijp[ij * p + pi] += code;
-                qu_jdp[(j * d + di) * p + pi] += code;
-            }
-        }
-    }
-    let (lu, min_u) = (vote_params.lsb(), vote_params.min());
-    let (lk, min_k) = (coupling_params.lsb(), coupling_params.min());
-    let (lv, min_v) = (act_params.lsb(), act_params.min());
-
-    let mut b = vec![0.0f32; i_caps * j_caps * p];
-    let mut k = vec![0.0f32; i_caps * j_caps * p];
-    let mut s = vec![0.0f32; j_caps * d * p];
     let mut v = vec![0.0f32; j_caps * d * p];
-    let mut qk_jp = vec![0u32; j_caps * p];
-    for iter in 0..iterations {
-        // Coupling coefficients: softmax over J (float SFU). Iteration 0
-        // sees b == 0, for which the softmax is exactly uniform.
-        if iter == 0 {
-            k.fill(1.0 / j_caps as f32);
-        } else {
-            softmax_over_j(&b, &mut k, i_caps, j_caps, p);
-        }
-        let qk = quantize_codes(&k, coupling_params);
-        // Σ_i qk[i,j,p] per (j, p).
-        qk_jp.fill(0);
-        for i in 0..i_caps {
-            for (slot, &kv) in qk_jp
-                .iter_mut()
-                .zip(&qk[i * j_caps * p..(i + 1) * j_caps * p])
-            {
-                *slot += kv as u32;
+    if v.is_empty() {
+        // No capsule to route (a zero dimension); nothing to compute.
+    } else if p == 1 {
+        router.route(&qu, 0, &mut v);
+    } else {
+        let mut codes = vec![0u8; i_caps * j_caps * d];
+        let mut caps = vec![0.0f32; j_caps * d];
+        for pi in 0..p {
+            for (c, &q) in codes.iter_mut().zip(qu.iter().skip(pi).step_by(p)) {
+                *c = q;
             }
-        }
-        // Weighted sum s[j,d,p] = Σ_i k[i,j,p]·u[i,j,d,p] on codes,
-        // then squash (float SFU).
-        for j in 0..j_caps {
-            for di in 0..d {
-                for pi in 0..p {
-                    let mut acc = 0u32;
-                    for i in 0..i_caps {
-                        acc += sum.lut.mul(
-                            qk[(i * j_caps + j) * p + pi],
-                            qu[((i * j_caps + j) * d + di) * p + pi],
-                        ) as u32;
-                    }
-                    if let Some(f) = sum.acc {
-                        // The physical accumulator slot of element
-                        // (j, d, p), reused every routing iteration.
-                        acc = f.apply(acc, ((j * d + di) * p + pi) as u64);
-                    }
-                    s[(j * d + di) * p + pi] = lk * lu * acc as f32
-                        + lk * min_u * qk_jp[j * p + pi] as f32
-                        + lu * min_k * qu_jdp[(j * d + di) * p + pi] as f32
-                        + i_caps as f32 * min_k * min_u;
-                }
-            }
-        }
-        squash_slices(&s, &mut v, j_caps, d, p);
-        if iter + 1 == iterations {
-            break;
-        }
-        // Agreement b[i,j,p] += Σ_d û[i,j,d,p]·v[j,d,p] on codes.
-        let qv = quantize_codes(&v, act_params);
-        // Σ_d qv[j,d,p] per (j, p).
-        let mut qv_jp = vec![0u32; j_caps * p];
-        for j in 0..j_caps {
-            for di in 0..d {
-                for pi in 0..p {
-                    qv_jp[j * p + pi] += qv[(j * d + di) * p + pi] as u32;
-                }
-            }
-        }
-        for i in 0..i_caps {
-            for j in 0..j_caps {
-                for pi in 0..p {
-                    let mut acc = 0u32;
-                    for di in 0..d {
-                        acc += agree.lut.mul(
-                            qu[((i * j_caps + j) * d + di) * p + pi],
-                            qv[(j * d + di) * p + pi],
-                        ) as u32;
-                    }
-                    if let Some(f) = agree.acc {
-                        acc = f.apply(acc, ((i * j_caps + j) * p + pi) as u64);
-                    }
-                    b[(i * j_caps + j) * p + pi] += lu * lv * acc as f32
-                        + lu * min_v * qu_ijp[(i * j_caps + j) * p + pi] as f32
-                        + lv * min_u * qv_jp[j * p + pi] as f32
-                        + d as f32 * min_u * min_v;
-                }
+            router.route(&codes, pi, &mut caps);
+            for (o, &x) in v[pi..].iter_mut().step_by(p).zip(&caps) {
+                *o = x;
             }
         }
     }
@@ -505,6 +441,247 @@ pub fn quantized_routing(
     };
     // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
     Tensor::from_vec(v, shape).expect("routed capsules")
+}
+
+/// `(I, J, D, P, spatial)` of a rank-3 or rank-4 vote tensor.
+fn routing_dims(votes: &Tensor) -> (usize, usize, usize, usize, bool) {
+    let s = votes.shape();
+    match votes.ndim() {
+        3 => (s[0], s[1], s[2], 1, false),
+        4 => (s[0], s[1], s[2], s[3], true),
+        // lint: allow(panic) — documented API contract: votes must be rank 3 or 4
+        _ => panic!("quantized_routing expects [I, J, D] or [I, J, D, P]"),
+    }
+}
+
+/// One [`quantized_routing`] call's geometry, ranges and MAC views.
+struct Router<'a> {
+    i_caps: usize,
+    j_caps: usize,
+    d: usize,
+    /// Spatial positions: the stride of the accumulator-fault slots.
+    p: usize,
+    iterations: usize,
+    vote_params: QuantParams,
+    coupling_params: QuantParams,
+    act_params: QuantParams,
+    sum: MacView<'a>,
+    agree: MacView<'a>,
+}
+
+impl Router<'_> {
+    /// Routes position `pi` over its contiguous `[I, J, D]` vote codes
+    /// `qu`, writing the squashed `[J, D]` capsules into `v`.
+    fn route(&self, qu: &[u8], pi: usize, v: &mut [f32]) {
+        let (i_caps, j_caps, d, p) = (self.i_caps, self.j_caps, self.d, self.p);
+        let jd = j_caps * d;
+        let (lu, min_u) = (self.vote_params.lsb(), self.vote_params.min());
+        let (lk, min_k) = (self.coupling_params.lsb(), self.coupling_params.min());
+        let (lv, min_v) = (self.act_params.lsb(), self.act_params.min());
+        // Iteration-independent code sums for the corrections.
+        // Σ_d qu[i,j,d] per (i, j) — the agreement dot's left-operand sum.
+        let qu_ij: Vec<u32> = qu.chunks_exact(d).map(code_sum).collect();
+        // Σ_i qu[i,j,d] per (j, d) — the weighted sum's vote-operand sum.
+        let qu_jd = col_sums(qu, i_caps, jd);
+        // The vote codes as each factor term sees them: the right
+        // operand of the weighted sum, the left one of the agreement.
+        let sum_votes = map_per_term(qu, self.sum.lut, |t| (t.g(), t.g_is_identity()));
+        let agree_votes = map_per_term(qu, self.agree.lut, |t| (t.f(), t.f_is_identity()));
+
+        let mut b = vec![0.0f32; i_caps * j_caps];
+        let mut k = vec![0.0f32; i_caps * j_caps];
+        let mut s = vec![0.0f32; jd];
+        let mut acc_s = vec![0u32; jd];
+        let mut acc_b = vec![0u32; i_caps * j_caps];
+        for iter in 0..self.iterations {
+            // Coupling coefficients: softmax over J (float SFU). Iteration 0
+            // sees b == 0, for which the softmax is exactly uniform.
+            if iter == 0 {
+                k.fill(1.0 / j_caps as f32);
+            } else {
+                softmax_over_j(&b, &mut k, i_caps, j_caps, 1);
+            }
+            let qk = quantize_codes(&k, self.coupling_params);
+            // Σ_i qk[i,j] per j.
+            let qk_j = col_sums(&qk, i_caps, j_caps);
+            // Weighted sum s[j,d] = Σ_i k[i,j]·u[i,j,d] on codes, then
+            // squash (float SFU).
+            weighted_sum(self.sum.lut, qu, &sum_votes, &qk, d, &mut acc_s);
+            // The physical accumulator slot of element (j, d, p), reused
+            // every routing iteration.
+            fault_slots(&mut acc_s, self.sum.acc, p, pi);
+            for (((srow, arow), qrow), &qk_sum) in s
+                .chunks_exact_mut(d)
+                .zip(acc_s.chunks_exact(d))
+                .zip(qu_jd.chunks_exact(d))
+                .zip(&qk_j)
+            {
+                for ((sv, &acc), &qu_sum) in srow.iter_mut().zip(arow).zip(qrow) {
+                    *sv = lk * lu * acc as f32
+                        + lk * min_u * qk_sum as f32
+                        + lu * min_k * qu_sum as f32
+                        + i_caps as f32 * min_k * min_u;
+                }
+            }
+            squash_slices(&s, v, j_caps, d, 1);
+            if iter + 1 == self.iterations {
+                break;
+            }
+            // Agreement b[i,j] += Σ_d û[i,j,d]·v[j,d] on codes.
+            let qv = quantize_codes(v, self.act_params);
+            // Σ_d qv[j,d] per j.
+            let qv_j: Vec<u32> = qv.chunks_exact(d).map(code_sum).collect();
+            agreement(self.agree.lut, qu, &agree_votes, &qv, d, &mut acc_b);
+            // The physical accumulator slot of element (i, j, p).
+            fault_slots(&mut acc_b, self.agree.acc, p, pi);
+            for ((brow, arow), qrow) in b
+                .chunks_exact_mut(j_caps)
+                .zip(acc_b.chunks_exact(j_caps))
+                .zip(qu_ij.chunks_exact(j_caps))
+            {
+                for (((bv, &acc), &qu_sum), &qv_sum) in
+                    brow.iter_mut().zip(arow).zip(qrow).zip(&qv_j)
+                {
+                    *bv += lu * lv * acc as f32
+                        + lu * min_v * qu_sum as f32
+                        + lv * min_u * qv_sum as f32
+                        + d as f32 * min_u * min_v;
+                }
+            }
+        }
+    }
+}
+
+/// Applies `fault` to each accumulator `acc[x]` at its physical slot
+/// `x·P + pi`: element `x` of position `pi` in a `P`-position layout.
+fn fault_slots(acc: &mut [u32], fault: Option<&AccFault>, p: usize, pi: usize) {
+    if let Some(f) = fault {
+        for (x, a) in acc.iter_mut().enumerate() {
+            *a = f.apply(*a, (x * p + pi) as u64);
+        }
+    }
+}
+
+/// `Σ` of a code slice.
+fn code_sum(codes: &[u8]) -> u32 {
+    codes.iter().map(|&c| c as u32).sum()
+}
+
+/// `codes` through the operand map `map_of` picks from each of `lut`'s
+/// factor terms (borrowed when that map is the identity); empty when
+/// the table has no factorization.
+fn map_per_term<'a>(
+    codes: &'a [u8],
+    lut: &MulLut,
+    map_of: impl Fn(&FactorTerm) -> (&[u8; 256], bool),
+) -> Vec<Cow<'a, [u8]>> {
+    lut.factors()
+        .iter()
+        .map(|term| match map_of(term) {
+            (_, true) => Cow::Borrowed(codes),
+            (map, false) => Cow::Owned(codes.iter().map(|&c| map[c as usize]).collect()),
+        })
+        .collect()
+}
+
+/// `acc[j·D + d] = Σ_i T(qk[i,j], qu[i,j,d])`: one `D`-long row
+/// update per `(i, j)` over the `[I, J]` coupling codes `qk` and the
+/// `[I, J, D]` vote codes `qu`. A factored table sums each term over
+/// `mapped`, the vote codes through that term's right-operand map;
+/// any other table looks every product up in the coupling code's row.
+fn weighted_sum(
+    lut: &MulLut,
+    qu: &[u8],
+    mapped: &[Cow<'_, [u8]>],
+    qk: &[u8],
+    d: usize,
+    acc: &mut [u32],
+) {
+    let j_caps = acc.len() / d;
+    acc.fill(0);
+    if lut.factors().is_empty() {
+        for (krow, urow) in qk.chunks_exact(j_caps).zip(qu.chunks_exact(acc.len())) {
+            for ((&kc, u), a) in krow
+                .iter()
+                .zip(urow.chunks_exact(d))
+                .zip(acc.chunks_exact_mut(d))
+            {
+                let row = lut.row(kc);
+                for (o, &c) in a.iter_mut().zip(u) {
+                    *o += row[c as usize] as u32;
+                }
+            }
+        }
+        return;
+    }
+    let mut term_acc = vec![0u32; acc.len()];
+    for (term, gu) in lut.factors().iter().zip(mapped) {
+        term_acc.fill(0);
+        let f = term.f();
+        for (krow, urow) in qk.chunks_exact(j_caps).zip(gu.chunks_exact(acc.len())) {
+            for ((&kc, u), a) in krow
+                .iter()
+                .zip(urow.chunks_exact(d))
+                .zip(term_acc.chunks_exact_mut(d))
+            {
+                let fk = f[kc as usize] as u16;
+                for (o, &c) in a.iter_mut().zip(u) {
+                    *o += (fk * c as u16) as u32;
+                }
+            }
+        }
+        for (o, &t) in acc.iter_mut().zip(&term_acc) {
+            *o = o.wrapping_add(term.coeff().wrapping_mul(t));
+        }
+    }
+}
+
+/// `acc[i·J + j] = Σ_d T(qu[i,j,d], qv[j,d])`: one `D`-long dot per
+/// `(i, j)` over the `[I, J, D]` vote codes `qu` and the `[J, D]`
+/// capsule codes `qv`. A factored table takes, per term and input
+/// capsule `i`, the `J·D` products of `mapped` (the vote codes through
+/// the term's left-operand map) and the capsule codes through its
+/// right-operand map in one contiguous pass, then sums each `D`-long
+/// chunk; any other table looks every product up.
+fn agreement(
+    lut: &MulLut,
+    qu: &[u8],
+    mapped: &[Cow<'_, [u8]>],
+    qv: &[u8],
+    d: usize,
+    acc: &mut [u32],
+) {
+    let (jd, j_caps) = (qv.len(), qv.len() / d);
+    if lut.factors().is_empty() {
+        for (arow, urow) in acc.chunks_exact_mut(j_caps).zip(qu.chunks_exact(jd)) {
+            for ((o, u), vrow) in arow
+                .iter_mut()
+                .zip(urow.chunks_exact(d))
+                .zip(qv.chunks_exact(d))
+            {
+                *o = u
+                    .iter()
+                    .zip(vrow)
+                    .map(|(&a, &b)| lut.mul(a, b) as u32)
+                    .sum();
+            }
+        }
+        return;
+    }
+    acc.fill(0);
+    let mut prod = vec![0u16; jd];
+    for (term, fu) in lut.factors().iter().zip(mapped) {
+        let gv: Vec<u8> = qv.iter().map(|&c| term.g()[c as usize]).collect();
+        for (arow, urow) in acc.chunks_exact_mut(j_caps).zip(fu.chunks_exact(jd)) {
+            for ((pr, &a), &b) in prod.iter_mut().zip(urow).zip(&gv) {
+                *pr = a as u16 * b as u16;
+            }
+            for (o, chunk) in arow.iter_mut().zip(prod.chunks_exact(d)) {
+                let dot: u32 = chunk.iter().map(|&x| x as u32).sum();
+                *o = o.wrapping_add(term.coeff().wrapping_mul(dot));
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------- QConvCaps2d
@@ -727,6 +904,7 @@ impl QConvCaps3d {
         }
         let (h_out, w_out) = out_hw;
         let p = h_out * w_out;
+        let _routing = trace::span("routing");
         flats
             .into_iter()
             .map(|flat| {
@@ -815,8 +993,12 @@ impl QClassCaps {
         sum: MacView<'_>,
         agree: MacView<'_>,
     ) -> Vec<Tensor> {
-        self.votes
-            .forward_batch(us, vote)
+        let votes = {
+            let _votes = trace::span("votes");
+            self.votes.forward_batch(us, vote)
+        };
+        let _routing = trace::span("routing");
+        votes
             .iter()
             .map(|votes| {
                 quantized_routing(
@@ -830,6 +1012,158 @@ impl QClassCaps {
                 )
             })
             .collect()
+    }
+}
+
+// ---------------------------------------------------------- reference
+
+/// Textbook loop-nest twin of [`quantized_routing`]: the correctness
+/// oracle the per-position kernel is property-tested against. Never
+/// used on a hot path.
+pub mod reference {
+    use redcane_capsnet::routing::softmax_over_j;
+    use redcane_capsnet::squash::squash_slices;
+    use redcane_fxp::QuantParams;
+    use redcane_tensor::Tensor;
+
+    use crate::faults::MacView;
+    use crate::qtensor::quantize_codes;
+
+    /// [`quantized_routing`](super::quantized_routing) over all
+    /// positions at once, every product a table lookup at its
+    /// `P`-strided `[I, J, D, P]` index.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `votes` is rank 3 or 4 and `iterations >= 1`.
+    pub fn quantized_routing(
+        votes: &Tensor,
+        iterations: usize,
+        vote_params: QuantParams,
+        coupling_params: QuantParams,
+        act_params: QuantParams,
+        sum: MacView<'_>,
+        agree: MacView<'_>,
+    ) -> Tensor {
+        let (i_caps, j_caps, d, p, spatial) = super::routing_dims(votes);
+        assert!(iterations >= 1, "routing needs at least one iteration");
+        // Same u32-accumulator contract as the qgemm kernels: the
+        // weighted sum reduces over I, the agreement dot over D.
+        debug_assert!(
+            i_caps <= crate::kernels::MAX_ACC_K && d <= crate::kernels::MAX_ACC_K,
+            "routing reduction ({i_caps} capsules, {d} dims) can overflow the u32 accumulator"
+        );
+        let qu = quantize_codes(votes.data(), vote_params);
+        // Iteration-independent code sums for the corrections.
+        // Σ_d qu[i,j,d,p] per (i, j, p) — the agreement dot's left-operand sum.
+        let mut qu_ijp = vec![0u32; i_caps * j_caps * p];
+        // Σ_i qu[i,j,d,p] per (j, d, p) — the weighted sum's vote-operand sum.
+        let mut qu_jdp = vec![0u32; j_caps * d * p];
+        for ij in 0..i_caps * j_caps {
+            let j = ij % j_caps;
+            for di in 0..d {
+                for pi in 0..p {
+                    let code = qu[(ij * d + di) * p + pi] as u32;
+                    qu_ijp[ij * p + pi] += code;
+                    qu_jdp[(j * d + di) * p + pi] += code;
+                }
+            }
+        }
+        let (lu, min_u) = (vote_params.lsb(), vote_params.min());
+        let (lk, min_k) = (coupling_params.lsb(), coupling_params.min());
+        let (lv, min_v) = (act_params.lsb(), act_params.min());
+
+        let mut b = vec![0.0f32; i_caps * j_caps * p];
+        let mut k = vec![0.0f32; i_caps * j_caps * p];
+        let mut s = vec![0.0f32; j_caps * d * p];
+        let mut v = vec![0.0f32; j_caps * d * p];
+        let mut qk_jp = vec![0u32; j_caps * p];
+        for iter in 0..iterations {
+            // Coupling coefficients: softmax over J (float SFU). Iteration 0
+            // sees b == 0, for which the softmax is exactly uniform.
+            if iter == 0 {
+                k.fill(1.0 / j_caps as f32);
+            } else {
+                softmax_over_j(&b, &mut k, i_caps, j_caps, p);
+            }
+            let qk = quantize_codes(&k, coupling_params);
+            // Σ_i qk[i,j,p] per (j, p).
+            qk_jp.fill(0);
+            for i in 0..i_caps {
+                for (slot, &kv) in qk_jp
+                    .iter_mut()
+                    .zip(&qk[i * j_caps * p..(i + 1) * j_caps * p])
+                {
+                    *slot += kv as u32;
+                }
+            }
+            // Weighted sum s[j,d,p] = Σ_i k[i,j,p]·u[i,j,d,p] on codes,
+            // then squash (float SFU).
+            for j in 0..j_caps {
+                for di in 0..d {
+                    for pi in 0..p {
+                        let mut acc = 0u32;
+                        for i in 0..i_caps {
+                            acc += sum.lut.mul(
+                                qk[(i * j_caps + j) * p + pi],
+                                qu[((i * j_caps + j) * d + di) * p + pi],
+                            ) as u32;
+                        }
+                        if let Some(f) = sum.acc {
+                            // The physical accumulator slot of element
+                            // (j, d, p), reused every routing iteration.
+                            acc = f.apply(acc, ((j * d + di) * p + pi) as u64);
+                        }
+                        s[(j * d + di) * p + pi] = lk * lu * acc as f32
+                            + lk * min_u * qk_jp[j * p + pi] as f32
+                            + lu * min_k * qu_jdp[(j * d + di) * p + pi] as f32
+                            + i_caps as f32 * min_k * min_u;
+                    }
+                }
+            }
+            squash_slices(&s, &mut v, j_caps, d, p);
+            if iter + 1 == iterations {
+                break;
+            }
+            // Agreement b[i,j,p] += Σ_d û[i,j,d,p]·v[j,d,p] on codes.
+            let qv = quantize_codes(&v, act_params);
+            // Σ_d qv[j,d,p] per (j, p).
+            let mut qv_jp = vec![0u32; j_caps * p];
+            for j in 0..j_caps {
+                for di in 0..d {
+                    for pi in 0..p {
+                        qv_jp[j * p + pi] += qv[(j * d + di) * p + pi] as u32;
+                    }
+                }
+            }
+            for i in 0..i_caps {
+                for j in 0..j_caps {
+                    for pi in 0..p {
+                        let mut acc = 0u32;
+                        for di in 0..d {
+                            acc += agree.lut.mul(
+                                qu[((i * j_caps + j) * d + di) * p + pi],
+                                qv[(j * d + di) * p + pi],
+                            ) as u32;
+                        }
+                        if let Some(f) = agree.acc {
+                            acc = f.apply(acc, ((i * j_caps + j) * p + pi) as u64);
+                        }
+                        b[(i * j_caps + j) * p + pi] += lu * lv * acc as f32
+                            + lu * min_v * qu_ijp[(i * j_caps + j) * p + pi] as f32
+                            + lv * min_u * qv_jp[j * p + pi] as f32
+                            + d as f32 * min_u * min_v;
+                    }
+                }
+            }
+        }
+        let shape: &[usize] = if spatial {
+            &[j_caps, d, p]
+        } else {
+            &[j_caps, d]
+        };
+        // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+        Tensor::from_vec(v, shape).expect("routed capsules")
     }
 }
 
