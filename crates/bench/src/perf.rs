@@ -270,39 +270,123 @@ fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -
     }
 }
 
+/// A `QConv2d` probe fixture: a random `c → c` convolution on `hw×hw`
+/// planes, lowered at input range `[-1, 1]`, and `batch` random inputs.
+struct QConvCase {
+    conv: Conv2d,
+    q: QConv2d,
+    in_params: QuantParams,
+    wparams: QuantParams,
+    wrowsums: Vec<u32>,
+    inputs: Vec<Vec<f32>>,
+    c: usize,
+    hw: usize,
+}
+
+impl QConvCase {
+    fn new(
+        c: usize,
+        hw: usize,
+        (kernel, stride, padding): (usize, usize, usize),
+        batch: usize,
+    ) -> Self {
+        let mut rng = TensorRng::from_seed(87);
+        let conv = Conv2d::new(c, c, kernel, stride, padding, &mut rng);
+        let in_params = QuantParams::from_range(-1.0, 1.0, 8).expect("valid range");
+        let q = QConv2d::from_conv(&conv, in_params).expect("finite weights");
+        let wparams = QuantParams::calibrate(conv.weight(), 8).expect("finite weights");
+        let k2 = c * kernel * kernel;
+        let wrowsums = qkernels::row_sums(q.weight_codes(), c, k2);
+        let inputs = (0..batch)
+            .map(|_| {
+                (0..c * hw * hw)
+                    .map(|_| rng.next_uniform(-1.2, 1.2))
+                    .collect()
+            })
+            .collect();
+        QConvCase {
+            conv,
+            q,
+            in_params,
+            wparams,
+            wrowsums,
+            inputs,
+            c,
+            hw,
+        }
+    }
+
+    fn refs(&self) -> Vec<&[f32]> {
+        self.inputs.iter().map(Vec::as_slice).collect()
+    }
+
+    /// `(K², H'·W')` of one sample's column matrix.
+    fn dims(&self) -> (usize, usize) {
+        let spec = self.conv.spec();
+        let out = spec.output_size(self.hw).expect("kernel fits");
+        (self.c * spec.kernel * spec.kernel, out * out)
+    }
+
+    /// The twins' sample-major back end: one GEMM over a fused code
+    /// matrix whose sample `bi` owns columns `bi·n .. (bi+1)·n`, then
+    /// dequantization and the bias split.
+    fn sample_major_back_end(&self, qcols: &[u8], lut: &MulLut) -> Vec<Tensor> {
+        let (c, (k2, n)) = (self.c, self.dims());
+        let (batch, out_hw) = (
+            self.inputs.len(),
+            self.conv.spec().output_size(self.hw).expect("fits"),
+        );
+        let wide = batch * n;
+        let mut acc = vec![0u32; c * wide];
+        qkernels::qgemm_nn(self.q.weight_codes(), qcols, &mut acc, c, k2, wide, lut);
+        let cs = qkernels::col_sums(qcols, k2, wide);
+        let mut out = vec![0.0f32; c * wide];
+        qkernels::affine_dequant(
+            &acc,
+            &self.wrowsums,
+            &cs,
+            k2,
+            self.wparams,
+            self.in_params,
+            &mut out,
+        );
+        (0..batch)
+            .map(|bi| {
+                let mut o = vec![0.0f32; c * n];
+                for (co, dst) in o.chunks_exact_mut(n).enumerate() {
+                    dst.copy_from_slice(&out[co * wide + bi * n..co * wide + (bi + 1) * n]);
+                    let b = self.conv.bias().data()[co];
+                    if b != 0.0 {
+                        for v in dst {
+                            *v += b;
+                        }
+                    }
+                }
+                Tensor::from_vec(o, &[c, out_hw, out_hw]).expect("shape")
+            })
+            .collect()
+    }
+}
+
 /// Quantized-convolution probe: `QConv2d::forward_batch` on a DeepCaps
 /// cell (16 → 16 channels, 8×8, 3×3 padding 1) at batch 16, against the
 /// float front end it replaced — float im2col of every sample copied
 /// into one fused matrix, then every unrolled slot quantized — followed
 /// by the same integer GEMM, dequantization and bias split.
 fn qconv_probe(reps: usize) -> PerfProbe {
-    const BATCH: usize = 16;
-    let (c, hw) = (16, 8);
-    let mut rng = TensorRng::from_seed(87);
-    let conv = Conv2d::new(c, c, 3, 1, 1, &mut rng);
-    let in_params = QuantParams::from_range(-1.0, 1.0, 8).expect("valid range");
-    let q = QConv2d::from_conv(&conv, in_params).expect("finite weights");
-    let inputs: Vec<Vec<f32>> = (0..BATCH)
-        .map(|_| {
-            (0..c * hw * hw)
-                .map(|_| rng.next_uniform(-1.2, 1.2))
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
+    let case = QConvCase::new(16, 8, (3, 1, 1), 16);
+    let refs = case.refs();
     let lut = MulLut::exact();
     let view = MacView {
         lut: &lut,
         acc: None,
     };
     let fast = time_ns(reps, || {
-        std::hint::black_box(q.forward_batch(&refs, hw, hw, view));
+        std::hint::black_box(case.q.forward_batch(&refs, case.hw, case.hw, view));
     });
-    let spec = conv.spec();
-    let (k2, n) = (c * 9, hw * hw);
-    let wide = BATCH * n;
-    let wparams = QuantParams::calibrate(conv.weight(), 8).expect("finite weights");
-    let wrowsums = qkernels::row_sums(q.weight_codes(), c, k2);
+    let (c, hw, spec) = (case.c, case.hw, case.conv.spec());
+    let (k2, n) = case.dims();
+    let wide = refs.len() * n;
     let naive = time_ns(reps, || {
         let mut cols = vec![0.0f32; k2 * n];
         let mut fused = vec![0.0f32; k2 * wide];
@@ -313,31 +397,64 @@ fn qconv_probe(reps: usize) -> PerfProbe {
                     .copy_from_slice(&cols[r * n..(r + 1) * n]);
             }
         }
-        let qcols = quantize_codes(&fused, in_params);
-        let mut acc = vec![0u32; c * wide];
-        qkernels::qgemm_nn(q.weight_codes(), &qcols, &mut acc, c, k2, wide, &lut);
-        let cs = qkernels::col_sums(&qcols, k2, wide);
-        let mut out = vec![0.0f32; c * wide];
-        qkernels::affine_dequant(&acc, &wrowsums, &cs, k2, wparams, in_params, &mut out);
-        let split: Vec<Tensor> = (0..BATCH)
-            .map(|bi| {
-                let mut o = vec![0.0f32; c * n];
-                for (co, dst) in o.chunks_exact_mut(n).enumerate() {
-                    dst.copy_from_slice(&out[co * wide + bi * n..co * wide + (bi + 1) * n]);
-                    let b = conv.bias().data()[co];
-                    if b != 0.0 {
-                        for v in dst {
-                            *v += b;
-                        }
-                    }
-                }
-                Tensor::from_vec(o, &[c, hw, hw]).expect("shape")
-            })
-            .collect();
-        std::hint::black_box(split);
+        let qcols = quantize_codes(&fused, case.in_params);
+        std::hint::black_box(case.sample_major_back_end(&qcols, &lut));
     });
     PerfProbe {
         name: "qconv_fwd_batch16_16x8x8_k3p1_deepcaps_cell".to_string(),
+        ns_per_op: fast,
+        naive_ns_per_op: Some(naive),
+    }
+}
+
+/// `QConv2d::forward_batch` (codes interleaved batch-innermost, one
+/// grouped unroll) against a per-sample code unroll: each sample's codes
+/// unrolled on their own and copied row by row into its column block of
+/// the sample-major fused matrix (a one-sample batch unrolls straight
+/// into it), then the same GEMM, dequantization and split. Timed in
+/// alternating pairs, so the ratio survives machine noise.
+fn qconv_unroll_probe(
+    name: &str,
+    c: usize,
+    hw: usize,
+    geometry: (usize, usize, usize),
+    batch: usize,
+    reps: usize,
+) -> PerfProbe {
+    let case = QConvCase::new(c, hw, geometry, batch);
+    let refs = case.refs();
+    let lut = MulLut::exact();
+    let view = MacView {
+        lut: &lut,
+        acc: None,
+    };
+    let spec = case.conv.spec();
+    let (k2, n) = case.dims();
+    let wide = batch * n;
+    let pad = case.in_params.quantize(0.0) as u8;
+    let (fast, naive) = time_pair_ns(
+        reps,
+        || {
+            std::hint::black_box(case.q.forward_batch(&refs, hw, hw, view));
+        },
+        || {
+            let mut qcols = vec![0u8; k2 * wide];
+            let mut cols = vec![0u8; if batch == 1 { 0 } else { k2 * n }];
+            for (bi, data) in refs.iter().enumerate() {
+                let codes = quantize_codes(data, case.in_params);
+                let dst = if batch == 1 { &mut qcols } else { &mut cols };
+                conv::im2col_grouped(&codes, c, hw, hw, 1, spec, pad, dst).expect("sized");
+                if batch > 1 {
+                    for (row, src) in qcols.chunks_exact_mut(wide).zip(cols.chunks_exact(n)) {
+                        row[bi * n..(bi + 1) * n].copy_from_slice(src);
+                    }
+                }
+            }
+            std::hint::black_box(case.sample_major_back_end(&qcols, &lut));
+        },
+    );
+    PerfProbe {
+        name: name.to_string(),
         ns_per_op: fast,
         naive_ns_per_op: Some(naive),
     }
@@ -656,6 +773,28 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         qrouting_probe("qrouting_72x10x8_capsnet_classcaps_gather", &gather, reps),
     ];
     probes.extend(im2col_probes(reps));
+    // DeepCaps' small-plane cells, its stride-2 downsampling cell (the
+    // widest interleave) and serve's one-sample batch, each against the
+    // per-sample code unroll.
+    probes.extend([
+        qconv_unroll_probe(
+            "qconv_fwd_batch16_32x2x2_k3p1_deepcaps_cell3",
+            32,
+            2,
+            (3, 1, 1),
+            16,
+            reps,
+        ),
+        qconv_unroll_probe(
+            "qconv_fwd_batch16_16x16x16_k3s2p1_deepcaps_cell1",
+            16,
+            16,
+            (3, 2, 1),
+            16,
+            reps,
+        ),
+        qconv_unroll_probe("qconv_fwd_batch1_16x8x8_k3p1", 16, 8, (3, 1, 1), 1, reps),
+    ]);
     probes.extend(routing_probes(reps));
     probes.extend(qdp_deepcaps_probes(reps));
     probes.push(tabulate_library_probe(reps));
@@ -759,6 +898,9 @@ mod tests {
             "im2col_16x16x16_k3s2p1",
             "col2im_16x16x16_k3s2p1",
             "qconv_fwd_batch16_16x8x8_k3p1_deepcaps_cell",
+            "qconv_fwd_batch16_32x2x2_k3p1_deepcaps_cell3",
+            "qconv_fwd_batch16_16x16x16_k3s2p1_deepcaps_cell1",
+            "qconv_fwd_batch1_16x8x8_k3p1",
             "qrouting_72x10x8_capsnet_classcaps",
             "qrouting_72x10x8_capsnet_classcaps_gather",
             "qdp_lower_deepcaps_small",

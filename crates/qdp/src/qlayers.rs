@@ -33,7 +33,7 @@ use redcane_capsnet::routing::softmax_over_j;
 use redcane_capsnet::squash::{squash_caps, squash_slices};
 use redcane_fxp::{FxpError, QuantParams};
 use redcane_nn::layers::Conv2d;
-use redcane_tensor::ops::conv::im2col_pitched;
+use redcane_tensor::ops::conv::im2col_grouped;
 use redcane_tensor::ops::Conv2dSpec;
 use redcane_tensor::Tensor;
 use redcane_trace as trace;
@@ -106,21 +106,25 @@ impl QConv2d {
     }
 
     /// Forward over a batch of raw `[C_in, H, W]` slices: quantize each
-    /// sample's input once, unroll its codes (im2col, padding taking the
-    /// code of `0.0`) straight into its column block of **one** wide
-    /// code matrix, run one quantized GEMM (`[C_out, K²] × [K², B·H'·W']`)
-    /// whose multiplies come from `view.lut`, dequantize with the
-    /// zero-point correction, add the bias and split the output back into
-    /// per-sample tensors. Quantization is elementwise, so unrolling codes
+    /// sample's input once, interleave the codes batch-innermost into
+    /// `[C_in, H, W, B]`, unroll that buffer (im2col, padding taking the
+    /// code of `0.0`) into **one** wide code matrix, run one quantized
+    /// GEMM (`[C_out, K²] × [K², H'·W'·B]`) whose multiplies come from
+    /// `view.lut`, dequantize with the zero-point correction, and split
+    /// the output back into per-sample tensors with the bias added.
+    /// Fused column `pi·B + bi` is sample `bi`'s output position `pi`,
+    /// so each tap-row copy carries the whole batch; at `B = 1` it is the
+    /// per-sample layout. Quantization is elementwise, so unrolling codes
     /// equals quantizing the unrolled floats slot for slot (a pad code
     /// outside the range saturates exactly as the float zero would), and
     /// each output column's integer reduction is independent, so a batch
     /// of `B` equals `B` one-sample batches bit for bit.
     ///
     /// The accumulator fault (`view.acc`) indexes each output element
-    /// by its **sample-local** position (`c_out`-major), not its
-    /// position in the fused batch buffer, so every sample sees the
-    /// same faulty accumulator lanes whatever the batch shape.
+    /// by its **sample-local** position `co·H'·W' + pi` (fused column
+    /// `col` is position `col / B`), not its position in the fused batch
+    /// buffer, so every sample sees the same faulty accumulator lanes
+    /// whatever the batch shape.
     ///
     /// # Panics
     ///
@@ -145,17 +149,22 @@ impl QConv2d {
         let n = h_out * w_out;
         let wide = bsz * n;
         let pad = self.in_params.quantize(0.0) as u8;
-        // Row r of the fused matrix holds sample bi's columns at
-        // `r·wide + bi·n`; every slot is written by exactly one sample.
+        let mut codes: Vec<Vec<u8>> = inputs
+            .iter()
+            .map(|data| {
+                assert_eq!(data.len(), self.c_in * h * w, "QConv2d batch input size");
+                quantize_codes(data, self.in_params)
+            })
+            .collect();
+        let grouped = if bsz == 1 {
+            std::mem::take(&mut codes[0])
+        } else {
+            interleave_codes(&codes)
+        };
         let mut qcols = vec![0u8; k2 * wide];
-        for (bi, data) in inputs.iter().enumerate() {
-            assert_eq!(data.len(), self.c_in * h * w, "QConv2d batch input size");
-            let codes = quantize_codes(data, self.in_params);
-            let block = &mut qcols[bi * n..];
-            im2col_pitched(&codes, self.c_in, h, w, self.spec, pad, block, wide)
-                // lint: allow(panic) — input dims were validated against the spec just above
-                .expect("valid conv input");
-        }
+        im2col_grouped(&grouped, self.c_in, h, w, bsz, self.spec, pad, &mut qcols)
+            // lint: allow(panic) — input dims were validated against the spec just above
+            .expect("valid conv input");
         let mut acc = vec![0u32; self.c_out * wide];
         qgemm_nn(
             &self.qweight,
@@ -167,11 +176,10 @@ impl QConv2d {
             view.lut,
         );
         if let Some(f) = view.acc {
-            // Fused element (co, bi·n + pi) is sample element (co, pi).
-            for co in 0..self.c_out {
-                let row = &mut acc[co * wide..(co + 1) * wide];
-                for bi in 0..bsz {
-                    for (pi, slot) in row[bi * n..bi * n + n].iter_mut().enumerate() {
+            // Fused element (co, pi·B + bi) is sample element (co, pi).
+            for (co, row) in acc.chunks_exact_mut(wide).enumerate() {
+                for (pi, lanes) in row.chunks_exact_mut(bsz).enumerate() {
+                    for slot in lanes {
                         *slot = f.apply(*slot, (co * n + pi) as u64);
                     }
                 }
@@ -188,13 +196,18 @@ impl QConv2d {
             self.in_params,
             &mut out,
         );
-        (0..bsz)
-            .map(|bi| {
-                let mut o = vec![0.0f32; self.c_out * n];
-                for co in 0..self.c_out {
-                    let dst = &mut o[co * n..(co + 1) * n];
-                    dst.copy_from_slice(&out[co * wide + bi * n..co * wide + bi * n + n]);
-                    let b = self.bias[co];
+        // `out` is `[C_out, H'·W', B]`: sample `bi` takes every `B`-th value.
+        let samples = if bsz == 1 {
+            vec![out]
+        } else {
+            (0..bsz)
+                .map(|bi| out.chunks_exact(bsz).map(|lanes| lanes[bi]).collect())
+                .collect()
+        };
+        samples
+            .into_iter()
+            .map(|mut o: Vec<f32>| {
+                for (dst, &b) in o.chunks_exact_mut(n).zip(&self.bias) {
                     if b != 0.0 {
                         for v in dst {
                             *v += b;
@@ -205,6 +218,59 @@ impl QConv2d {
                 Tensor::from_vec(o, &[self.c_out, h_out, w_out]).expect("conv output shape")
             })
             .collect()
+    }
+}
+
+/// Interleaves `B` equally long code buffers batch-innermost:
+/// `out[p·B + bi] = samples[bi][p]`. Each full group of 8 samples moves
+/// as 8×8 byte blocks transposed on `u64` words (8 positions of 8
+/// samples per block); the last `B mod 8` samples and the last
+/// `len mod 8` positions are copied one code at a time.
+fn interleave_codes(samples: &[Vec<u8>]) -> Vec<u8> {
+    let bsz = samples.len();
+    let len = samples.first().map_or(0, Vec::len);
+    let mut out = vec![0u8; bsz * len];
+    let body = len - len % 8;
+    let full = bsz - bsz % 8;
+    for (g, group) in samples[..full].chunks_exact(8).enumerate() {
+        for p0 in (0..body).step_by(8) {
+            let mut r = [0u64; 8];
+            for (word, sample) in r.iter_mut().zip(group) {
+                let mut bytes = [0u8; 8];
+                bytes.copy_from_slice(&sample[p0..p0 + 8]);
+                *word = u64::from_le_bytes(bytes);
+            }
+            transpose_8x8(&mut r);
+            for (j, word) in r.iter().enumerate() {
+                let at = (p0 + j) * bsz + g * 8;
+                out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            }
+        }
+    }
+    for (bi, sample) in samples.iter().enumerate() {
+        let from = if bi < full { body } else { 0 };
+        for (p, &code) in sample.iter().enumerate().skip(from) {
+            out[p * bsz + bi] = code;
+        }
+    }
+    out
+}
+
+/// Transposes the 8×8 byte matrix whose row `i` is the little-endian
+/// word `r[i]`, by swapping 4×4, then 2×2, then 1×1 blocks.
+fn transpose_8x8(r: &mut [u64; 8]) {
+    // (row distance, bit shift, mask of the kept bytes, first rows).
+    const STAGES: [(usize, u32, u64, [usize; 4]); 3] = [
+        (4, 32, 0x0000_0000_FFFF_FFFF, [0, 1, 2, 3]),
+        (2, 16, 0x0000_FFFF_0000_FFFF, [0, 1, 4, 5]),
+        (1, 8, 0x00FF_00FF_00FF_00FF, [0, 2, 4, 6]),
+    ];
+    for (half, shift, mask, tops) in STAGES {
+        for i in tops {
+            let (a, b) = (r[i], r[i + half]);
+            r[i] = (a & mask) | ((b & mask) << shift);
+            r[i + half] = ((a >> shift) & mask) | (b & !mask);
+        }
     }
 }
 
@@ -1428,15 +1494,45 @@ mod tests {
         }
     }
 
-    /// The fused conv GEMM: a batch equals its samples run one by one.
+    /// The fused conv GEMM: a batch equals its samples run one by one —
+    /// on a stride-1 plane, a stride-2 plane and a 1×1 plane, with batches
+    /// below, across and above the 8-sample interleave block.
     #[test]
     fn conv_batch_is_bit_identical_to_per_sample() {
         let mut rng = TensorRng::from_seed(520);
-        let conv = Conv2d::new(3, 5, 3, 1, 1, &mut rng);
-        let q = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
-        let xs: Vec<Tensor> = (0..5).map(|_| rng.uniform(&[3, 6, 6], -1.0, 1.0)).collect();
-        let inputs: Vec<&[f32]> = xs.iter().map(|x| x.data()).collect();
-        assert_batch_invariant(&inputs, |xs, view| q.forward_batch(xs, 6, 6, view));
+        // (c_in, c_out, kernel, stride, padding, plane side, batch)
+        for (c_in, c_out, k, stride, pad, hw, batch) in [
+            (3, 5, 3, 1, 1, 6, 5),
+            (3, 4, 3, 2, 1, 7, 10),
+            (4, 3, 3, 1, 1, 1, 9),
+        ] {
+            let conv = Conv2d::new(c_in, c_out, k, stride, pad, &mut rng);
+            let q = QConv2d::from_conv(&conv, p(-1.0, 1.0)).unwrap();
+            let xs: Vec<Tensor> = (0..batch)
+                .map(|_| rng.uniform(&[c_in, hw, hw], -1.0, 1.0))
+                .collect();
+            let inputs: Vec<&[f32]> = xs.iter().map(|x| x.data()).collect();
+            assert_batch_invariant(&inputs, |xs, view| q.forward_batch(xs, hw, hw, view));
+        }
+    }
+
+    /// The blocked interleave equals the one-code-at-a-time layout
+    /// `out[p·B + bi] = samples[bi][p]` for batches below, at and above
+    /// the 8-sample block and lengths with and without a tail.
+    #[test]
+    fn interleave_codes_matches_naive_layout() {
+        for bsz in 1..=17 {
+            for len in [0, 1, 7, 8, 9, 24, 31] {
+                let samples: Vec<Vec<u8>> = (0..bsz)
+                    .map(|bi| (0..len).map(|p| (bi * 37 + p * 11 + 1) as u8).collect())
+                    .collect();
+                let got = interleave_codes(&samples);
+                let want: Vec<u8> = (0..len)
+                    .flat_map(|p| samples.iter().map(move |s| s[p]))
+                    .collect();
+                assert_eq!(got, want, "B {bsz} len {len}");
+            }
+        }
     }
 
     /// The fused vote GEMM: a batch equals its samples run one by one.

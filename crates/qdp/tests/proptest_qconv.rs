@@ -111,7 +111,7 @@ proptest! {
         padding in 0usize..3,
         h in 1usize..10,
         w in 1usize..10,
-        batch in 1usize..6,
+        batch in 1usize..18,
         zero_at in 0usize..3,
         seed in 0u64..1000,
     ) {

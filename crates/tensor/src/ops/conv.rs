@@ -2,6 +2,14 @@
 //!
 //! Convolutions are the MAC-dominated workhorse of CapsNets — the operations
 //! whose outputs form **group #1 (MAC outputs)** of the ReD-CaNe taxonomy.
+//!
+//! Every unroll runs through one fill, generic over the element type
+//! (`f32` values or `u8` quantization codes) and a group width `G`:
+//! [`im2col_grouped`] unrolls `G` inputs interleaved innermost
+//! (`[C, H, W, G]`), which is how the quantized layers fuse a batch of
+//! `G` samples, so each tap-row copy carries the whole batch. The float
+//! entry points ([`im2col_slice`], [`Tensor::im2col`],
+//! [`Tensor::im2col_into`]) are the `G = 1` case.
 
 use redcane_trace as trace;
 use serde::{Deserialize, Serialize};
@@ -108,57 +116,58 @@ pub fn im2col_slice(
             len: out.len(),
         });
     }
-    im2col_fill(src, c, h, w, spec, h_out, w_out, 0.0, out, cols);
+    im2col_fill(src, c, h, w, spec, h_out, w_out, 1, 0.0, out);
     Ok([rows, cols])
 }
 
-/// Generic im2col over a `[C, H, W]` buffer of any element type (`f32`
-/// values or `u8` quantization codes) into a column matrix whose rows
-/// sit `pitch` slots apart in `out`: row `r` occupies
-/// `out[r·pitch .. r·pitch + cols]`. Padded positions get `pad`; the
-/// slots between rows (and after the last row) are left untouched, so
-/// several inputs can unroll side by side into the column blocks of one
-/// wide matrix (the quantized layers' batch fusion). Returns
-/// `[rows, cols]`.
+/// Grouped im2col over a `[C, H, W, G]` buffer of any element type
+/// (`f32` values or `u8` quantization codes): `G` inputs of the same
+/// `[C, H, W]` geometry, interleaved innermost. Unrolls them into one
+/// `[C·k·k, H_out·W_out·G]` column matrix whose column `p·G + g` is
+/// input `g`'s output position `p`, so every tap-row copy carries the
+/// whole group (the quantized layers' batch fusion). Padded positions
+/// get `pad`; every slot of `out` is written, so stale scratch buffers
+/// are fine. At `G = 1` this is [`im2col_slice`]'s layout. Returns
+/// `[rows, cols·G]`.
 ///
 /// # Errors
 ///
-/// Returns an error unless the geometry fits, `src` matches it,
-/// `pitch ≥ cols` and `out` holds all `rows` strided rows.
+/// Returns an error unless `group > 0`, the geometry fits and both
+/// slice lengths match it.
 #[allow(clippy::too_many_arguments)]
-pub fn im2col_pitched<T: Copy + Send + Sync>(
+pub fn im2col_grouped<T: Copy + Send + Sync>(
     src: &[T],
     c: usize,
     h: usize,
     w: usize,
+    group: usize,
     spec: Conv2dSpec,
     pad: T,
     out: &mut [T],
-    pitch: usize,
 ) -> Result<[usize; 2]> {
-    if src.len() != c * h * w {
+    if group == 0 {
+        return Err(TensorError::InvalidArgument {
+            reason: "im2col group width must be non-zero".to_string(),
+        });
+    }
+    if src.len() != c * h * w * group {
         return Err(TensorError::LengthMismatch {
-            shape: vec![c, h, w],
+            shape: vec![c, h, w, group],
             len: src.len(),
         });
     }
     let h_out = spec.output_size(h)?;
     let w_out = spec.output_size(w)?;
     let rows = c * spec.kernel * spec.kernel;
-    let cols = h_out * w_out;
-    if pitch < cols {
-        return Err(TensorError::InvalidArgument {
-            reason: format!("row pitch {pitch} is shorter than the {cols} columns"),
-        });
-    }
-    if rows > 0 && out.len() < (rows - 1) * pitch + cols {
+    let wide = h_out * w_out * group;
+    if out.len() != rows * wide {
         return Err(TensorError::LengthMismatch {
-            shape: vec![rows, pitch],
+            shape: vec![rows, wide],
             len: out.len(),
         });
     }
-    im2col_fill(src, c, h, w, spec, h_out, w_out, pad, out, pitch);
-    Ok([rows, cols])
+    im2col_fill(src, c, h, w, spec, h_out, w_out, group, pad, out);
+    Ok([rows, wide])
 }
 
 /// For each kernel tap `t` along one axis, the output positions
@@ -180,10 +189,36 @@ fn tap_ranges(size: usize, out: usize, spec: Conv2dSpec) -> Vec<(usize, usize)> 
         .collect()
 }
 
-/// Raw im2col fill: writes **every** slot of the `rows` strided rows
-/// (`pitch` apart, see [`im2col_pitched`]) with padded positions set to
-/// `pad`, so callers can recycle stale scratch buffers. The float
-/// callers pass `pad = 0.0` and `pitch = cols`.
+/// The `g`-wide position copies of a strided grouped tap row: position
+/// `j` of `dst` is position `j·stride` of `srow`. Common widths run with
+/// a constant width, so each copy is an inline move rather than a
+/// `memcpy` call of a run-time length, which would cost more than the
+/// bytes it moves. Kept out of line, so the float (`g = 1`) fill's row
+/// loop stays as small as it was without grouping.
+#[inline(never)]
+fn copy_strided_groups<T: Copy>(dst: &mut [T], srow: &[T], stride: usize, g: usize) {
+    fn fixed<T: Copy, const G: usize>(dst: &mut [T], srow: &[T], stride: usize) {
+        for (d, s) in dst.chunks_exact_mut(G).zip(srow.chunks(stride * G)) {
+            d.copy_from_slice(&s[..G]);
+        }
+    }
+    match g {
+        2 => fixed::<T, 2>(dst, srow, stride),
+        4 => fixed::<T, 4>(dst, srow, stride),
+        8 => fixed::<T, 8>(dst, srow, stride),
+        16 => fixed::<T, 16>(dst, srow, stride),
+        _ => {
+            for (d, s) in dst.chunks_exact_mut(g).zip(srow.chunks(stride * g)) {
+                d.copy_from_slice(&s[..g]);
+            }
+        }
+    }
+}
+
+/// Raw im2col fill of a `[C, H, W, G]` buffer into the `[rows, cols·G]`
+/// matrix `out` (see [`im2col_grouped`]): writes **every** slot, padded
+/// positions set to `pad`, so callers can recycle stale scratch
+/// buffers. The float callers pass `group = 1` and `pad = 0.0`.
 #[allow(clippy::too_many_arguments)]
 fn im2col_fill<T: Copy + Send + Sync>(
     src: &[T],
@@ -193,35 +228,36 @@ fn im2col_fill<T: Copy + Send + Sync>(
     spec: Conv2dSpec,
     h_out: usize,
     w_out: usize,
+    group: usize,
     pad: T,
     out: &mut [T],
-    pitch: usize,
 ) {
     let k = spec.kernel;
     let cols = h_out * w_out;
     let rows = c * k * k;
     // Every im2col entry point (the `Tensor` methods, `im2col_slice` and
-    // `im2col_pitched`) funnels through this fill, so one hook counts
-    // all column-matrix traffic: `rows · cols` slots of `T`.
+    // `im2col_grouped`) funnels through this fill, so one hook counts
+    // all column-matrix traffic: `rows · cols` slots of `T` per input.
     if trace::enabled() {
         trace::add(
             trace::Counter::Im2colBytes,
-            (rows * cols * std::mem::size_of::<T>()) as u64,
+            (group * rows * cols * std::mem::size_of::<T>()) as u64,
         );
     }
     if rows == 0 {
         return;
     }
-    // Cut the tail after the last row, so the row split below sees
-    // exactly `rows` chunks of `pitch` slots (the last one `cols` long).
-    let out = &mut out[..(rows - 1) * pitch + cols];
+    let g = group;
     let (stride, pad_px) = (spec.stride, spec.padding);
+    let (plane_len, row_len) = (h * w * g, cols * g);
     let y_taps = tap_ranges(h, h_out, spec);
     let x_taps = tap_ranges(w, w_out, spec);
     // Row (ci, ky, kx): the input plane `ci` shifted by the tap, with
-    // the positions that fall on padding set to `pad`.
+    // the positions that fall on padding set to `pad`. Position `p`
+    // occupies the `g` slots from `p·g`, in source and row alike, so a
+    // stride-1 tap row is one `span·g` copy per output row and a strided
+    // one a `g`-wide copy per position.
     let fill_row = move |ci: usize, ky: usize, kx: usize, out_row: &mut [T]| {
-        let out_row = &mut out_row[..cols];
         let (y_lo, y_hi) = y_taps[ky];
         let (x_lo, x_hi) = x_taps[kx];
         if y_lo > 0 || y_hi < h_out || x_lo > 0 || x_hi < w_out {
@@ -230,28 +266,34 @@ fn im2col_fill<T: Copy + Send + Sync>(
         if y_lo == y_hi || x_lo == x_hi {
             return;
         }
-        let plane = &src[ci * h * w..(ci + 1) * h * w];
+        let plane = &src[ci * plane_len..(ci + 1) * plane_len];
         let ix0 = x_lo * stride + kx - pad_px;
         let span = x_hi - x_lo;
         for oy in y_lo..y_hi {
-            let dst = &mut out_row[oy * w_out + x_lo..oy * w_out + x_hi];
-            let s0 = (oy * stride + ky - pad_px) * w + ix0;
+            let dst = &mut out_row[(oy * w_out + x_lo) * g..(oy * w_out + x_hi) * g];
+            let s0 = ((oy * stride + ky - pad_px) * w + ix0) * g;
             if stride == 1 {
-                dst.copy_from_slice(&plane[s0..s0 + span]);
-            } else {
+                dst.copy_from_slice(&plane[s0..s0 + span * g]);
+            } else if g == 1 {
                 let srow = &plane[s0..s0 + (span - 1) * stride + 1];
                 for (j, d) in dst.iter_mut().enumerate() {
                     *d = srow[j * stride];
                 }
+            } else {
+                let srow = &plane[s0..s0 + ((span - 1) * stride + 1) * g];
+                copy_strided_groups(dst, srow, stride, g);
             }
         }
     };
+    // The split threshold counts one input's slots: a group's fill
+    // splits exactly when a single input's would, so neither the split
+    // nor the `par` counters depend on the group width.
     if rows * cols >= PAR_MIN_ELEMENTS {
-        par::for_each_chunk_mut(out, pitch, |row, out_row| {
+        par::for_each_chunk_mut(out, row_len, |row, out_row| {
             fill_row(row / (k * k), (row / k) % k, row % k, out_row);
         });
     } else {
-        let mut out_rows = out.chunks_mut(pitch);
+        let mut out_rows = out.chunks_mut(row_len);
         for ci in 0..c {
             for ky in 0..k {
                 for (kx, out_row) in (0..k).zip(&mut out_rows) {
@@ -286,7 +328,7 @@ impl Tensor {
         let cols = h_out * w_out;
         let mut out = vec![0.0f32; rows * cols];
         let src = self.data();
-        im2col_fill(src, c, h, w, spec, h_out, w_out, 0.0, &mut out, cols);
+        im2col_fill(src, c, h, w, spec, h_out, w_out, 1, 0.0, &mut out);
         Tensor::from_vec(out, &[rows, cols])
     }
 
@@ -317,7 +359,7 @@ impl Tensor {
                 len: out.len(),
             });
         }
-        im2col_fill(self.data(), c, h, w, spec, h_out, w_out, 0.0, out, cols);
+        im2col_fill(self.data(), c, h, w, spec, h_out, w_out, 1, 0.0, out);
         Ok([rows, cols])
     }
 

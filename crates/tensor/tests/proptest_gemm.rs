@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
-use redcane_tensor::{par, Tensor, TensorRng};
+use redcane_tensor::{par, Tensor, TensorError, TensorRng};
 
 /// Serializes the tests that mutate the process-wide thread-count
 /// override, so one test's reset cannot land mid-way through another's
@@ -119,6 +119,40 @@ impl ConvCase {
             spec: Conv2dSpec::new(kernel, stride, padding).unwrap(),
         }
     }
+}
+
+/// Interleaves equally long samples batch-innermost: `[C, H, W, B]`.
+fn interleave<T: Copy>(samples: &[Vec<T>]) -> Vec<T> {
+    let len = samples[0].len();
+    (0..len)
+        .flat_map(|p| samples.iter().map(move |s| s[p]))
+        .collect()
+}
+
+/// `B` nonzero samples unrolled one at a time through the float
+/// `im2col_slice`, re-laid batch-innermost (column `pi·B + bi`); the
+/// zeros mark the padded slots, which become `pad`.
+fn grouped_reference<T: Copy>(
+    samples: &[Vec<f32>],
+    case: &ConvCase,
+    pad: T,
+    from_f32: impl Fn(f32) -> T,
+) -> Vec<T> {
+    let ConvCase { c, h, w, spec } = *case;
+    let rows = c * spec.kernel * spec.kernel;
+    let n = spec.output_size(h).unwrap() * spec.output_size(w).unwrap();
+    let bsz = samples.len();
+    let mut cols = vec![0.0f32; rows * n];
+    let mut want = vec![pad; rows * n * bsz];
+    for (bi, sample) in samples.iter().enumerate() {
+        conv::im2col_slice(sample, c, h, w, spec, &mut cols).unwrap();
+        for (slot, &v) in cols.iter().enumerate() {
+            if v != 0.0 {
+                want[slot * bsz + bi] = from_f32(v);
+            }
+        }
+    }
+    want
 }
 
 /// Direct quadruple-loop convolution, the oracle conv2d is held to.
@@ -319,53 +353,97 @@ proptest! {
                 threads
             );
         }
+    }
 
-        // The `u8` instantiation of the same fill, unrolling codes into
-        // rows `pitch` slots apart with a nonzero pad code. Codes are
-        // drawn from 1..=255, so the float reference's exact zeros mark
-        // the padded slots and every other slot is the code itself.
-        let codes: Vec<u8> = (0..c * h * w)
-            .map(|_| rng.next_uniform(1.0, 256.0).clamp(1.0, 255.0) as u8)
+    /// The grouped unroll of `B` inputs interleaved into `[C, H, W, B]`
+    /// equals `B` per-sample `im2col_slice` results re-laid so column
+    /// `pi·B + bi` is sample `bi`'s output position `pi`, for `f32`
+    /// values and `u8` codes, at one and at four worker threads. No input
+    /// holds the pad value, and the output starts out stale, so a padded
+    /// slot left unwritten or filled from the input shows up.
+    #[test]
+    fn im2col_grouped_matches_per_sample_slices(
+        c in 1usize..4,
+        h in 1usize..10,
+        w in 1usize..10,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        padding in 0usize..3,
+        shape_pick in 0usize..8,
+        batch in 1usize..18,
+        seed in 0u64..1000,
+    ) {
+        let case = ConvCase::new(c, h, w, kernel, stride, padding, shape_pick == 1, shape_pick == 0);
+        // The grown case crosses the parallel threshold on its own.
+        let batch = if shape_pick == 0 { batch.min(3) } else { batch };
+        let _guard = THREADS_LOCK.lock().unwrap();
+        let mut rng = TensorRng::from_seed(seed);
+        let plane = case.c * case.h * case.w;
+        let floats: Vec<Vec<f32>> = (0..batch)
+            .map(|_| (0..plane).map(|_| rng.next_uniform(0.5, 2.0)).collect())
             .collect();
-        let as_float: Vec<f32> = codes.iter().map(|&v| f32::from(v)).collect();
-        let mut reference = vec![0.0f32; rows * cols];
-        conv::reference::im2col(&as_float, c, h, w, spec, &mut reference).unwrap();
-        let pad = 1 + (seed % 255) as u8;
-        let pitch = cols + 1 + (seed % 7) as usize;
-        const SENTINEL: u8 = 0xA5;
-        let mut want = vec![SENTINEL; rows * pitch];
-        for (row, ref_row) in reference.chunks_exact(cols).enumerate() {
-            for (slot, &v) in want[row * pitch..].iter_mut().zip(ref_row) {
-                *slot = if v == 0.0 { pad } else { v as u8 };
-            }
-        }
+        let codes: Vec<Vec<u8>> = (0..batch)
+            .map(|_| (0..plane).map(|_| rng.next_uniform(1.0, 255.0).clamp(1.0, 254.0) as u8).collect())
+            .collect();
+        let code_floats: Vec<Vec<f32>> = codes
+            .iter()
+            .map(|s| s.iter().map(|&v| f32::from(v)).collect())
+            .collect();
+        let (pad_f, pad_u) = (-1.5f32, 255u8);
+        let want_f = grouped_reference(&floats, &case, pad_f, |v| v);
+        let want_u = grouped_reference(&code_floats, &case, pad_u, |v| v as u8);
+        let (src_f, src_u) = (interleave(&floats), interleave(&codes));
+        let ConvCase { c, h, w, spec } = case;
+        let rows = c * spec.kernel * spec.kernel;
+        let wide = want_u.len() / rows;
         for threads in [1, 4] {
             par::set_threads(threads);
-            let mut got = vec![SENTINEL; rows * pitch];
-            let shape = conv::im2col_pitched(&codes, c, h, w, spec, pad, &mut got, pitch);
+            let mut got_f = garbage(&mut rng, want_f.len());
+            let mut got_u = vec![0u8; want_u.len()];
+            let shape_f = conv::im2col_grouped(&src_f, c, h, w, batch, spec, pad_f, &mut got_f);
+            let shape_u = conv::im2col_grouped(&src_u, c, h, w, batch, spec, pad_u, &mut got_u);
             par::set_threads(0);
-            prop_assert_eq!(shape.unwrap(), [rows, cols]);
-            prop_assert_eq!(&got, &want, "u8 im2col {:?} pitch {} @{}", case, pitch, threads);
+            prop_assert_eq!(shape_f.unwrap(), [rows, wide]);
+            prop_assert_eq!(shape_u.unwrap(), [rows, wide]);
+            prop_assert_eq!(bits(&got_f), bits(&want_f), "f32 {:?} B {} @{}", case, batch, threads);
+            prop_assert_eq!(&got_u, &want_u, "u8 {:?} B {} @{}", case, batch, threads);
         }
     }
 
-    /// The pitched fill rejects a pitch shorter than a row and an output
-    /// too short for its last row, and accepts one exactly long enough.
+    /// The grouped unroll rejects a zero group width, a source or an
+    /// output of the wrong length and a kernel wider than the padded
+    /// input with a typed error, never a panic, and accepts the exact
+    /// lengths.
     #[test]
-    fn im2col_pitched_validates_pitch_and_length(
+    fn im2col_grouped_validates_group_and_lengths(
         c in 1usize..4,
         hw in 3usize..9,
-        extra in 0usize..5,
+        group in 1usize..18,
     ) {
         let spec = Conv2dSpec::new(3, 1, 1).unwrap();
-        let (rows, cols) = (c * 9, hw * hw);
-        let src = vec![3u8; c * hw * hw];
-        let pitch = cols + extra;
-        let exact = (rows - 1) * pitch + cols;
-        let mut out = vec![0u8; exact];
-        prop_assert!(conv::im2col_pitched(&src, c, hw, hw, spec, 0, &mut out, cols - 1).is_err());
-        prop_assert!(conv::im2col_pitched(&src, c, hw, hw, spec, 0, &mut out[..exact - 1], pitch).is_err());
-        prop_assert!(conv::im2col_pitched(&src[1..], c, hw, hw, spec, 0, &mut out, pitch).is_err());
-        prop_assert_eq!(conv::im2col_pitched(&src, c, hw, hw, spec, 0, &mut out, pitch).unwrap(), [rows, cols]);
+        let (rows, wide) = (c * 9, hw * hw * group);
+        let src = vec![3u8; c * hw * hw * group];
+        let mut out = vec![0u8; rows * wide + 1];
+        let length = |r: redcane_tensor::Result<[usize; 2]>| {
+            matches!(r, Err(TensorError::LengthMismatch { .. }))
+        };
+        let exact = rows * wide;
+        prop_assert!(matches!(
+            conv::im2col_grouped(&src, c, hw, hw, 0, spec, 0, &mut out[..exact]),
+            Err(TensorError::InvalidArgument { .. })
+        ));
+        prop_assert!(length(conv::im2col_grouped(&src[1..], c, hw, hw, group, spec, 0, &mut out[..exact])));
+        prop_assert!(length(conv::im2col_grouped(&src, c, hw, hw, group + 1, spec, 0, &mut out[..exact])));
+        prop_assert!(length(conv::im2col_grouped(&src, c, hw, hw, group, spec, 0, &mut out[..exact - 1])));
+        prop_assert!(length(conv::im2col_grouped(&src, c, hw, hw, group, spec, 0, &mut out)));
+        let too_wide = Conv2dSpec::new(hw + 3, 1, 1).unwrap();
+        prop_assert!(matches!(
+            conv::im2col_grouped(&src, c, hw, hw, group, too_wide, 0, &mut out[..exact]),
+            Err(TensorError::InvalidConvGeometry { .. })
+        ));
+        prop_assert_eq!(
+            conv::im2col_grouped(&src, c, hw, hw, group, spec, 0, &mut out[..exact]).unwrap(),
+            [rows, wide]
+        );
     }
 }

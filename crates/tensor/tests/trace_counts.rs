@@ -119,25 +119,26 @@ fn im2col_counts_full_column_matrix_bytes() {
 #[test]
 fn im2col_counts_element_bytes_one_per_code_four_per_float() {
     let _guard = TRACE_LOCK.lock().unwrap();
-    // [2, 5, 6] through a 3×3 stride-1 padding-1 kernel: 5×6 output
-    // positions, 2·3·3 = 18 rows → 18 · 30 = 540 slots, each unrolled
-    // into a pitched row of a wider matrix.
+    // Three [2, 5, 6] inputs interleaved into [2, 5, 6, 3], through a
+    // 3×3 stride-1 padding-1 kernel: 5×6 output positions and 2·3·3 =
+    // 18 rows per input → 3 · 18 · 30 = 1620 slots.
     let spec = Conv2dSpec::new(3, 1, 1).unwrap();
-    let (rows, cols, pitch) = (18, 30, 47);
-    let codes = vec![7u8; 2 * 5 * 6];
-    let floats = vec![0.5f32; 2 * 5 * 6];
-    let mut code_out = vec![0u8; rows * pitch];
-    let mut float_out = vec![0.0f32; rows * pitch];
+    let (rows, cols, group) = (18, 30, 3);
+    let codes = vec![7u8; 2 * 5 * 6 * group];
+    let floats = vec![0.5f32; 2 * 5 * 6 * group];
+    let mut code_out = vec![0u8; rows * cols * group];
+    let mut float_out = vec![0.0f32; rows * cols * group];
     let code_snap = traced(|| {
-        let shape = conv::im2col_pitched(&codes, 2, 5, 6, spec, 128, &mut code_out, pitch);
-        assert_eq!(shape.unwrap(), [rows, cols]);
+        let shape = conv::im2col_grouped(&codes, 2, 5, 6, group, spec, 128, &mut code_out);
+        assert_eq!(shape.unwrap(), [rows, cols * group]);
     });
     let float_snap = traced(|| {
-        let shape = conv::im2col_pitched(&floats, 2, 5, 6, spec, 0.0, &mut float_out, pitch);
-        assert_eq!(shape.unwrap(), [rows, cols]);
+        let shape = conv::im2col_grouped(&floats, 2, 5, 6, group, spec, 0.0, &mut float_out);
+        assert_eq!(shape.unwrap(), [rows, cols * group]);
     });
-    assert_eq!(code_snap.run(trace::Counter::Im2colBytes), 540);
-    assert_eq!(float_snap.run(trace::Counter::Im2colBytes), 540 * 4);
+    let slots = (group * rows * cols) as u64;
+    assert_eq!(code_snap.run(trace::Counter::Im2colBytes), slots);
+    assert_eq!(float_snap.run(trace::Counter::Im2colBytes), slots * 4);
 }
 
 #[test]
