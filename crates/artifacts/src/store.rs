@@ -127,21 +127,6 @@ impl ArtifactStore {
         fs::rename(&tmp, &path)?;
         Ok(path)
     }
-
-    /// See the free function [`load_or_train`]; this is the same with
-    /// the store always present.
-    pub fn load_or_train<M, F>(
-        &self,
-        key: &ArtifactKey,
-        model: &mut M,
-        produce: F,
-    ) -> (ArtifactPayload, Provenance)
-    where
-        M: CapsModel,
-        F: FnOnce(&mut M) -> ArtifactPayload,
-    {
-        load_or_train(Some(self), key, model, produce)
-    }
 }
 
 /// The single entry point consumers use: restore the artifact for

@@ -293,13 +293,6 @@ impl MultiplierLibrary {
             .expect("library always contains the exact component")
     }
 
-    /// Components sorted by ascending power.
-    pub fn sorted_by_power(&self) -> Vec<&ComponentEntry> {
-        let mut v: Vec<&ComponentEntry> = self.entries.iter().collect();
-        v.sort_by(|a, b| a.cost().power_uw.total_cmp(&b.cost().power_uw));
-        v
-    }
-
     /// Characterizes every component over `dist`, returning
     /// `(entry, noise-params)` pairs (the raw material for Table IV and the
     /// Step-6 component selection).
@@ -431,15 +424,6 @@ mod tests {
             (ngr_saving - 0.294).abs() < 0.01,
             "NGR ~ -29%: {ngr_saving}"
         );
-    }
-
-    #[test]
-    fn sorted_by_power_is_ascending() {
-        let lib = MultiplierLibrary::evo_approx_like();
-        let sorted = lib.sorted_by_power();
-        for pair in sorted.windows(2) {
-            assert!(pair[0].cost().power_uw <= pair[1].cost().power_uw);
-        }
     }
 
     #[test]

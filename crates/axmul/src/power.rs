@@ -28,11 +28,6 @@ impl CostEstimate {
     pub fn power_saving(&self) -> f64 {
         1.0 - self.power_uw / EXACT_BASELINE.power_uw
     }
-
-    /// Area reduction relative to the exact baseline, as a fraction.
-    pub fn area_saving(&self) -> f64 {
-        1.0 - self.area_um2 / EXACT_BASELINE.area_um2
-    }
 }
 
 /// Table IV baseline: the accurate `mul8u_1JFF` at 45 nm.
@@ -131,7 +126,7 @@ mod tests {
         };
         let c = half.cost();
         assert!((c.power_saving() - 0.5).abs() < 1e-9);
-        assert!((c.area_saving() - 0.5).abs() < 1e-9);
+        assert!((c.area_um2 / EXACT_BASELINE.area_um2 - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Hot-path kernel benchmark and perf-regression tripwire.
 //!
-//! Times the blocked GEMM, conv and routing kernels against their naive
-//! reference twins, an artifact-store restore against one training
-//! epoch, and one full seeded pipeline run, then writes the results to
+//! Times the blocked GEMM, conv and routing kernels against their twins
+//! (mostly the naive references) in alternating pairs, an
+//! artifact-store restore against one training epoch, and one full
+//! seeded pipeline run, then writes the results to
 //! `BENCH_perf.json` (and echoes the JSON line to stdout). Usage:
 //!
 //! ```text

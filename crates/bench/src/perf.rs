@@ -1,11 +1,13 @@
 //! Kernel and end-to-end timing harness behind the `perf` binary.
 //!
-//! Each probe times one hot-path kernel against its naive reference
-//! twin (the correctness oracle the blocked kernels are tested against)
-//! and reports ns/op plus the speedup. The end-to-end probes time an
-//! artifact-store restore against one training epoch (its naive twin)
-//! and the full seeded pipeline, which is the number the CI regression
-//! tripwire watches.
+//! Each probe times one hot-path kernel, mostly against a twin — its
+//! naive reference (the correctness oracle the blocked kernels are
+//! tested against), its uninstrumented body, or one-sample calls of a
+//! batch-fused path — and reports the median ns/op plus the speedup,
+//! the median ratio of the two timed in alternating pairs. The
+//! end-to-end probes time an artifact-store restore against one
+//! training epoch and the full seeded pipeline, which is the number the
+//! CI regression tripwire watches.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -23,7 +25,6 @@ use redcane_capsnet::{
 use redcane_datasets::{generate, Benchmark, GenerateConfig};
 use redcane_fxp::QuantParams;
 use redcane_nn::layers::Conv2d;
-use redcane_qdp::qtensor::quantize_codes;
 use redcane_qdp::{
     kernels as qkernels, qlayers, quantized_routing, CalibrationObserver, MacView, MulLut,
     PreparedModel, QConv2d, QModel,
@@ -33,28 +34,15 @@ use redcane_tensor::{Tensor, TensorRng};
 
 use crate::pipeline::{run_pipeline, spec};
 
-/// One timed probe: the optimized path, and optionally its naive twin.
+/// One timed probe: the optimized path, and optionally its twin.
 #[derive(Debug, Clone)]
 pub struct PerfProbe {
     /// Stable probe name (also the JSON key).
     pub name: String,
-    /// Nanoseconds per operation of the optimized path.
+    /// Median nanoseconds per operation of the optimized path.
     pub ns_per_op: f64,
-    /// Nanoseconds per operation of the naive reference, if it exists.
+    /// Nanoseconds per operation of the twin, if one was timed.
     pub naive_ns_per_op: Option<f64>,
-}
-
-impl PerfProbe {
-    /// `naive / fast`, when a reference twin was timed.
-    pub fn speedup_vs_naive(&self) -> Option<f64> {
-        self.naive_ns_per_op.map(|naive| {
-            if self.ns_per_op > 0.0 {
-                naive / self.ns_per_op
-            } else {
-                0.0
-            }
-        })
-    }
 }
 
 /// The full perf report: kernel probes plus end-to-end numbers.
@@ -70,58 +58,74 @@ pub struct PerfReport {
     pub threads: usize,
 }
 
-/// Times `f` by running it `reps` times after one warmup call and
-/// returns the **minimum** ns per call (least-noise estimator).
-fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        let ns = t.elapsed().as_nanos() as f64;
-        if ns < best {
-            best = ns;
+impl PerfProbe {
+    /// `naive / fast`, when a twin was timed.
+    pub fn speedup_vs_naive(&self) -> Option<f64> {
+        self.naive_ns_per_op.map(|naive| {
+            if self.ns_per_op > 0.0 {
+                naive / self.ns_per_op
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// Times `fast` and, when given, its naive `twin`, over `reps` reps
+    /// after one warm-up call of each. `ns_per_op` is the median ns per
+    /// call of `fast`. A twin is timed in alternating pairs: each rep
+    /// times `fast` and `twin` back to back, so a burst of machine load
+    /// or a clock-speed change lands on both halves of a pair and
+    /// cancels in its ratio, and the median discards the reps a burst
+    /// split. The order flips every rep to cancel any warm-cache
+    /// advantage of going second. `naive_ns_per_op` is `ns_per_op`
+    /// scaled by the median paired ratio `twin / fast`. (A min-of-N per
+    /// side is not paired: each side's minimum can come from a different
+    /// fast moment.)
+    fn time(
+        name: &str,
+        reps: usize,
+        fast: &mut dyn FnMut(),
+        mut twin: Option<&mut dyn FnMut()>,
+    ) -> PerfProbe {
+        let time = |h: &mut dyn FnMut()| {
+            let t = Instant::now();
+            h();
+            t.elapsed().as_nanos() as f64
+        };
+        fast();
+        if let Some(g) = twin.as_mut() {
+            g();
+        }
+        let mut fs = Vec::with_capacity(reps);
+        let mut ratios = Vec::with_capacity(reps);
+        for rep in 0..reps {
+            let nf = match twin.as_mut() {
+                None => time(fast),
+                Some(g) if rep % 2 == 0 => {
+                    let nf = time(fast);
+                    ratios.push(time(*g) / nf.max(1.0));
+                    nf
+                }
+                Some(g) => {
+                    let ng = time(*g);
+                    let nf = time(fast);
+                    ratios.push(ng / nf.max(1.0));
+                    nf
+                }
+            };
+            fs.push(nf);
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v.get(v.len() / 2).copied().unwrap_or(0.0)
+        };
+        let ns_per_op = median(&mut fs);
+        PerfProbe {
+            name: name.to_string(),
+            ns_per_op,
+            naive_ns_per_op: twin.map(|_| ns_per_op * median(&mut ratios)),
         }
     }
-    best
-}
-
-/// Times two closures in alternation and returns `(f_ns, g_ns)`:
-/// `f_ns` is the median ns per call of `f`, and `g_ns` is `f_ns`
-/// scaled by the median over reps of the per-rep ratio `g / f`. Each
-/// rep times `f` and `g` back to back, so a burst of machine load or a
-/// clock-speed change lands on both halves of a pair and cancels in
-/// its ratio; the median then discards the reps a burst split. The
-/// order flips every rep to cancel any warm-cache advantage of going
-/// second. (A min-of-N per side is not paired: each side's minimum can
-/// come from a different fast moment, and their ratio swings ±10%.)
-fn time_pair_ns<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (f64, f64) {
-    f();
-    g();
-    let time = |h: &mut dyn FnMut()| {
-        let t = Instant::now();
-        h();
-        t.elapsed().as_nanos() as f64
-    };
-    let mut fs = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let (nf, ng) = if rep % 2 == 0 {
-            let nf = time(&mut f);
-            (nf, time(&mut g))
-        } else {
-            let ng = time(&mut g);
-            (time(&mut f), ng)
-        };
-        fs.push(nf);
-        ratios.push(ng / nf.max(1.0));
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v.get(v.len() / 2).copied().unwrap_or(0.0)
-    };
-    let f_ns = median(&mut fs);
-    (f_ns, f_ns * median(&mut ratios))
 }
 
 /// A GEMM entry point and its reference twin. Every variant's `A` holds
@@ -144,21 +148,21 @@ fn gemm_probe(
     let mut rng = TensorRng::from_seed(77);
     let a: Vec<f32> = (0..m * k).map(|_| rng.next_uniform(-1.0, 1.0)).collect();
     let b: Vec<f32> = (0..k * n).map(|_| rng.next_uniform(-1.0, 1.0)).collect();
-    let mut c = vec![0.0f32; m * n];
-    let mut time = |kernel: GemmFn| {
-        time_ns(reps, || {
-            c.fill(0.0);
-            kernel(&a, &b, &mut c, m, k, n);
-            std::hint::black_box(&c);
-        })
-    };
-    let fast = time(fast);
-    let naive = time(naive);
-    PerfProbe {
-        name: name.to_string(),
-        ns_per_op: fast,
-        naive_ns_per_op: Some(naive),
-    }
+    let (mut c_fast, mut c_naive) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+    PerfProbe::time(
+        name,
+        reps,
+        &mut || {
+            c_fast.fill(0.0);
+            fast(&a, &b, &mut c_fast, m, k, n);
+            std::hint::black_box(&c_fast);
+        },
+        Some(&mut || {
+            c_naive.fill(0.0);
+            naive(&a, &b, &mut c_naive, m, k, n);
+            std::hint::black_box(&c_naive);
+        }),
+    )
 }
 
 /// im2col and col2im of a DeepCaps downsampling cell (16 channels,
@@ -172,41 +176,51 @@ fn im2col_probes(reps: usize) -> Vec<PerfProbe> {
     let mut rng = TensorRng::from_seed(86);
     let input = rng.uniform(&[c, hw, hw], -1.0, 1.0);
     let grad = rng.uniform(&[rows, cols], -1.0, 1.0);
-    let mut unrolled = vec![0.0f32; rows * cols];
-    let im2col_fast = time_ns(reps, || {
-        conv::im2col_slice(input.data(), c, hw, hw, spec, &mut unrolled).expect("sized");
-        std::hint::black_box(&unrolled);
-    });
-    let im2col_naive = time_ns(reps, || {
-        conv::reference::im2col(input.data(), c, hw, hw, spec, &mut unrolled).expect("fits");
-        std::hint::black_box(&unrolled);
-    });
-    let col2im_fast = time_ns(reps, || {
-        std::hint::black_box(grad.col2im(c, hw, hw, spec).expect("sized"));
-    });
-    let col2im_naive = time_ns(reps, || {
-        let mut folded = vec![0.0f32; c * hw * hw];
-        conv::reference::col2im(grad.data(), c, hw, hw, spec, &mut folded).expect("fits");
-        std::hint::black_box(folded);
-    });
-    vec![
-        PerfProbe {
-            name: "im2col_16x16x16_k3s2p1".to_string(),
-            ns_per_op: im2col_fast,
-            naive_ns_per_op: Some(im2col_naive),
+    let (mut fast, mut naive) = (vec![0.0f32; rows * cols], vec![0.0f32; rows * cols]);
+    let im2col = PerfProbe::time(
+        "im2col_16x16x16_k3s2p1",
+        reps,
+        &mut || {
+            conv::im2col_grouped(input.data(), c, hw, hw, 1, spec, 0.0, &mut fast).expect("sized");
+            std::hint::black_box(&fast);
         },
-        PerfProbe {
-            name: "col2im_16x16x16_k3s2p1".to_string(),
-            ns_per_op: col2im_fast,
-            naive_ns_per_op: Some(col2im_naive),
+        Some(&mut || {
+            conv::reference::im2col(input.data(), c, hw, hw, spec, &mut naive).expect("fits");
+            std::hint::black_box(&naive);
+        }),
+    );
+    let col2im = PerfProbe::time(
+        "col2im_16x16x16_k3s2p1",
+        reps,
+        &mut || {
+            std::hint::black_box(grad.col2im(c, hw, hw, spec).expect("sized"));
         },
-    ]
+        Some(&mut || {
+            let mut folded = vec![0.0f32; c * hw * hw];
+            conv::reference::col2im(grad.data(), c, hw, hw, spec, &mut folded).expect("fits");
+            std::hint::black_box(folded);
+        }),
+    );
+    vec![im2col, col2im]
 }
 
-/// Quantized-GEMM probe: `qgemm_nn` on `lut` against its naive
-/// reference twin, same shapes as the float probes so the int-vs-float
-/// cost is directly comparable.
-fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, lut: &MulLut, reps: usize) -> PerfProbe {
+/// A quantized-GEMM entry point: `qgemm_nn`, its uninstrumented body or
+/// its naive reference.
+type QgemmFn = fn(&[u8], &[u8], &mut [u32], usize, usize, usize, &MulLut);
+
+/// Quantized-GEMM probe: `qgemm_nn` on `lut` against `twin`, same shapes
+/// as the float probes so the int-vs-float cost is directly comparable.
+/// With the naive reference as the twin, `speedup_vs_naive` is the
+/// kernel's speedup; with `qgemm_nn_raw` (the uninstrumented body, trace
+/// hooks in their default disabled state) it is `raw / hooked`, ~1.0,
+/// and the tripwire bar is that disabled hooks cost < 5% on a real shape.
+fn qgemm_probe(
+    name: &str,
+    (m, k, n): (usize, usize, usize),
+    lut: &MulLut,
+    twin: QgemmFn,
+    reps: usize,
+) -> PerfProbe {
     let mut rng = TensorRng::from_seed(81);
     let a: Vec<u8> = (0..m * k)
         .map(|_| rng.next_uniform(0.0, 256.0) as u8)
@@ -214,282 +228,100 @@ fn qgemm_probe(name: &str, m: usize, k: usize, n: usize, lut: &MulLut, reps: usi
     let b: Vec<u8> = (0..k * n)
         .map(|_| rng.next_uniform(0.0, 256.0) as u8)
         .collect();
-    let mut c = vec![0u32; m * n];
-    let fast = time_ns(reps, || {
-        c.fill(0);
-        qkernels::qgemm_nn(&a, &b, &mut c, m, k, n, lut);
-        std::hint::black_box(&c);
-    });
-    let naive = time_ns(reps, || {
-        c.fill(0);
-        qkernels::reference::qgemm_nn(&a, &b, &mut c, m, k, n, lut);
-        std::hint::black_box(&c);
-    });
-    PerfProbe {
-        name: name.to_string(),
-        ns_per_op: fast,
-        naive_ns_per_op: Some(naive),
-    }
-}
-
-/// Instrumentation-overhead probe: the public (hooked) `qgemm_nn`
-/// entry against its uninstrumented body `qgemm_nn_raw`, with tracing
-/// in its default disabled state — so the "naive" twin here is the
-/// pre-hook kernel and `speedup_vs_naive` is `raw / hooked` (~1.0).
-/// Both times come from [`time_pair_ns`]: `ns_per_op` is the median
-/// hooked time and their ratio is the median paired ratio.
-/// The tripwire bar: disabled hooks must cost < 5% on a real shape.
-fn qgemm_overhead_probe(name: &str, m: usize, k: usize, n: usize, reps: usize) -> PerfProbe {
-    let mut rng = TensorRng::from_seed(85);
-    let a: Vec<u8> = (0..m * k)
-        .map(|_| rng.next_uniform(0.0, 256.0) as u8)
-        .collect();
-    let b: Vec<u8> = (0..k * n)
-        .map(|_| rng.next_uniform(0.0, 256.0) as u8)
-        .collect();
-    let lut = MulLut::exact();
-    let mut c_hooked = vec![0u32; m * n];
-    let mut c_raw = vec![0u32; m * n];
-    let (hooked, raw) = time_pair_ns(
+    let (mut c_fast, mut c_twin) = (vec![0u32; m * n], vec![0u32; m * n]);
+    PerfProbe::time(
+        name,
         reps,
-        || {
-            c_hooked.fill(0);
-            qkernels::qgemm_nn(&a, &b, &mut c_hooked, m, k, n, &lut);
-            std::hint::black_box(&c_hooked);
+        &mut || {
+            c_fast.fill(0);
+            qkernels::qgemm_nn(&a, &b, &mut c_fast, m, k, n, lut);
+            std::hint::black_box(&c_fast);
         },
-        || {
-            c_raw.fill(0);
-            qkernels::qgemm_nn_raw(&a, &b, &mut c_raw, m, k, n, &lut);
-            std::hint::black_box(&c_raw);
-        },
-    );
-    PerfProbe {
-        name: name.to_string(),
-        ns_per_op: hooked,
-        naive_ns_per_op: Some(raw),
-    }
+        Some(&mut || {
+            c_twin.fill(0);
+            twin(&a, &b, &mut c_twin, m, k, n, lut);
+            std::hint::black_box(&c_twin);
+        }),
+    )
 }
 
-/// A `QConv2d` probe fixture: a random `c → c` convolution on `hw×hw`
-/// planes, lowered at input range `[-1, 1]`, and `batch` random inputs.
-struct QConvCase {
-    conv: Conv2d,
-    q: QConv2d,
-    in_params: QuantParams,
-    wparams: QuantParams,
-    wrowsums: Vec<u32>,
-    inputs: Vec<Vec<f32>>,
-    c: usize,
-    hw: usize,
-}
-
-impl QConvCase {
-    fn new(
-        c: usize,
-        hw: usize,
-        (kernel, stride, padding): (usize, usize, usize),
-        batch: usize,
-    ) -> Self {
-        let mut rng = TensorRng::from_seed(87);
-        let conv = Conv2d::new(c, c, kernel, stride, padding, &mut rng);
-        let in_params = QuantParams::from_range(-1.0, 1.0, 8).expect("valid range");
-        let q = QConv2d::from_conv(&conv, in_params).expect("finite weights");
-        let wparams = QuantParams::calibrate(conv.weight(), 8).expect("finite weights");
-        let k2 = c * kernel * kernel;
-        let wrowsums = qkernels::row_sums(q.weight_codes(), c, k2);
-        let inputs = (0..batch)
-            .map(|_| {
-                (0..c * hw * hw)
-                    .map(|_| rng.next_uniform(-1.2, 1.2))
-                    .collect()
-            })
-            .collect();
-        QConvCase {
-            conv,
-            q,
-            in_params,
-            wparams,
-            wrowsums,
-            inputs,
-            c,
-            hw,
-        }
-    }
-
-    fn refs(&self) -> Vec<&[f32]> {
-        self.inputs.iter().map(Vec::as_slice).collect()
-    }
-
-    /// `(K², H'·W')` of one sample's column matrix.
-    fn dims(&self) -> (usize, usize) {
-        let spec = self.conv.spec();
-        let out = spec.output_size(self.hw).expect("kernel fits");
-        (self.c * spec.kernel * spec.kernel, out * out)
-    }
-
-    /// The twins' sample-major back end: one GEMM over a fused code
-    /// matrix whose sample `bi` owns columns `bi·n .. (bi+1)·n`, then
-    /// dequantization and the bias split.
-    fn sample_major_back_end(&self, qcols: &[u8], lut: &MulLut) -> Vec<Tensor> {
-        let (c, (k2, n)) = (self.c, self.dims());
-        let (batch, out_hw) = (
-            self.inputs.len(),
-            self.conv.spec().output_size(self.hw).expect("fits"),
-        );
-        let wide = batch * n;
-        let mut acc = vec![0u32; c * wide];
-        qkernels::qgemm_nn(self.q.weight_codes(), qcols, &mut acc, c, k2, wide, lut);
-        let cs = qkernels::col_sums(qcols, k2, wide);
-        let mut out = vec![0.0f32; c * wide];
-        qkernels::affine_dequant(
-            &acc,
-            &self.wrowsums,
-            &cs,
-            k2,
-            self.wparams,
-            self.in_params,
-            &mut out,
-        );
-        (0..batch)
-            .map(|bi| {
-                let mut o = vec![0.0f32; c * n];
-                for (co, dst) in o.chunks_exact_mut(n).enumerate() {
-                    dst.copy_from_slice(&out[co * wide + bi * n..co * wide + (bi + 1) * n]);
-                    let b = self.conv.bias().data()[co];
-                    if b != 0.0 {
-                        for v in dst {
-                            *v += b;
-                        }
-                    }
-                }
-                Tensor::from_vec(o, &[c, out_hw, out_hw]).expect("shape")
-            })
-            .collect()
-    }
-}
-
-/// Quantized-convolution probe: `QConv2d::forward_batch` on a DeepCaps
-/// cell (16 → 16 channels, 8×8, 3×3 padding 1) at batch 16, against the
-/// float front end it replaced — float im2col of every sample copied
-/// into one fused matrix, then every unrolled slot quantized — followed
-/// by the same integer GEMM, dequantization and bias split.
-fn qconv_probe(reps: usize) -> PerfProbe {
-    let case = QConvCase::new(16, 8, (3, 1, 1), 16);
-    let refs = case.refs();
-    let lut = MulLut::exact();
-    let view = MacView {
-        lut: &lut,
-        acc: None,
-    };
-    let fast = time_ns(reps, || {
-        std::hint::black_box(case.q.forward_batch(&refs, case.hw, case.hw, view));
-    });
-    let (c, hw, spec) = (case.c, case.hw, case.conv.spec());
-    let (k2, n) = case.dims();
-    let wide = refs.len() * n;
-    let naive = time_ns(reps, || {
-        let mut cols = vec![0.0f32; k2 * n];
-        let mut fused = vec![0.0f32; k2 * wide];
-        for (bi, data) in refs.iter().enumerate() {
-            conv::im2col_slice(data, c, hw, hw, spec, &mut cols).expect("sized");
-            for r in 0..k2 {
-                fused[r * wide + bi * n..r * wide + (bi + 1) * n]
-                    .copy_from_slice(&cols[r * n..(r + 1) * n]);
-            }
-        }
-        let qcols = quantize_codes(&fused, case.in_params);
-        std::hint::black_box(case.sample_major_back_end(&qcols, &lut));
-    });
-    PerfProbe {
-        name: "qconv_fwd_batch16_16x8x8_k3p1_deepcaps_cell".to_string(),
-        ns_per_op: fast,
-        naive_ns_per_op: Some(naive),
-    }
-}
-
-/// `QConv2d::forward_batch` (codes interleaved batch-innermost, one
-/// grouped unroll) against a per-sample code unroll: each sample's codes
-/// unrolled on their own and copied row by row into its column block of
-/// the sample-major fused matrix (a one-sample batch unrolls straight
-/// into it), then the same GEMM, dequantization and split. Timed in
-/// alternating pairs, so the ratio survives machine noise.
-fn qconv_unroll_probe(
+/// Quantized-convolution probe: `QConv2d::forward_batch` over a random
+/// `c → c` convolution on `hw×hw` planes (lowered at input range
+/// `[-1, 1]`, exact table) at `batch` samples, against `batch`
+/// one-sample `forward_batch` calls on the same inputs — the saving of
+/// fusing the batch into one unroll and one GEMM. A one-sample batch
+/// has no twin.
+fn qconv_probe(
     name: &str,
-    c: usize,
-    hw: usize,
-    geometry: (usize, usize, usize),
+    (c, hw): (usize, usize),
+    (kernel, stride, padding): (usize, usize, usize),
     batch: usize,
     reps: usize,
 ) -> PerfProbe {
-    let case = QConvCase::new(c, hw, geometry, batch);
-    let refs = case.refs();
+    let mut rng = TensorRng::from_seed(87);
+    let conv = Conv2d::new(c, c, kernel, stride, padding, &mut rng);
+    let in_params = QuantParams::from_range(-1.0, 1.0, 8).expect("valid range");
+    let q = QConv2d::from_conv(&conv, in_params).expect("finite weights");
+    let inputs: Vec<Vec<f32>> = (0..batch)
+        .map(|_| {
+            (0..c * hw * hw)
+                .map(|_| rng.next_uniform(-1.2, 1.2))
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
     let lut = MulLut::exact();
     let view = MacView {
         lut: &lut,
         acc: None,
     };
-    let spec = case.conv.spec();
-    let (k2, n) = case.dims();
-    let wide = batch * n;
-    let pad = case.in_params.quantize(0.0) as u8;
-    let (fast, naive) = time_pair_ns(
-        reps,
-        || {
-            std::hint::black_box(case.q.forward_batch(&refs, hw, hw, view));
-        },
-        || {
-            let mut qcols = vec![0u8; k2 * wide];
-            let mut cols = vec![0u8; if batch == 1 { 0 } else { k2 * n }];
-            for (bi, data) in refs.iter().enumerate() {
-                let codes = quantize_codes(data, case.in_params);
-                let dst = if batch == 1 { &mut qcols } else { &mut cols };
-                conv::im2col_grouped(&codes, c, hw, hw, 1, spec, pad, dst).expect("sized");
-                if batch > 1 {
-                    for (row, src) in qcols.chunks_exact_mut(wide).zip(cols.chunks_exact(n)) {
-                        row[bi * n..(bi + 1) * n].copy_from_slice(src);
-                    }
-                }
-            }
-            std::hint::black_box(case.sample_major_back_end(&qcols, &lut));
-        },
-    );
-    PerfProbe {
-        name: name.to_string(),
-        ns_per_op: fast,
-        naive_ns_per_op: Some(naive),
-    }
+    let mut fused = || {
+        std::hint::black_box(q.forward_batch(&refs, hw, hw, view));
+    };
+    let mut per_sample = || {
+        for &input in &refs {
+            std::hint::black_box(q.forward_batch(&[input], hw, hw, view));
+        }
+    };
+    let twin: Option<&mut dyn FnMut()> = if batch > 1 {
+        Some(&mut per_sample)
+    } else {
+        None
+    };
+    PerfProbe::time(name, reps, &mut fused, twin)
 }
 
+/// The float convolution layer's forward on the small-config stem
+/// geometry (1×16×16 input, 24 7×7 filters) against the same lowering
+/// on the naive loops: the reference im2col, the reference GEMM and the
+/// bias add.
 fn conv_probe(reps: usize) -> PerfProbe {
-    // The small-config stem geometry: 1×16×16 input, 24 7×7 filters.
     let mut rng = TensorRng::from_seed(78);
     let input = rng.uniform(&[1, 16, 16], 0.0, 1.0);
-    let weight = rng.uniform(&[24, 1, 7, 7], -0.2, 0.2);
-    let bias = rng.uniform(&[24], -0.1, 0.1);
-    let spec = Conv2dSpec::new(7, 1, 0).expect("valid spec");
-    let fast = time_ns(reps, || {
-        std::hint::black_box(input.conv2d(&weight, &bias, spec).expect("conv"));
-    });
-    // Naive twin: same im2col lowering, naive GEMM.
-    let k2 = 49;
-    let n = 10 * 10;
-    let naive = time_ns(reps, || {
-        let cols = input.im2col(spec).expect("im2col");
-        let mut out = vec![0.0f32; 24 * n];
-        gemm::reference::gemm_nn(weight.data(), cols.data(), &mut out, 24, k2, n);
-        for (co, orow) in out.chunks_exact_mut(n).enumerate() {
-            let b = bias.data()[co];
-            for v in orow {
-                *v += b;
+    let mut layer = Conv2d::new(1, 24, 7, 1, 0, &mut rng);
+    // A nonzero bias: the layer skips the add for zero channels.
+    layer.set_weights(layer.weight().clone(), rng.uniform(&[24], -0.1, 0.1));
+    let (spec, weight, bias) = (layer.spec(), layer.weight().clone(), layer.bias().clone());
+    let (k2, n) = (49, 10 * 10);
+    PerfProbe::time(
+        "conv2d_fwd_1x16x16_k7x24",
+        reps,
+        &mut || {
+            std::hint::black_box(layer.forward(&input));
+        },
+        Some(&mut || {
+            let mut cols = vec![0.0f32; k2 * n];
+            conv::reference::im2col(input.data(), 1, 16, 16, spec, &mut cols).expect("fits");
+            let mut out = vec![0.0f32; 24 * n];
+            gemm::reference::gemm_nn(weight.data(), &cols, &mut out, 24, k2, n);
+            for (orow, &b) in out.chunks_exact_mut(n).zip(bias.data()) {
+                for v in orow {
+                    *v += b;
+                }
             }
-        }
-        std::hint::black_box(Tensor::from_vec(out, &[24, 10, 10]).expect("shape"));
-    });
-    PerfProbe {
-        name: "conv2d_fwd_1x16x16_k7x24".to_string(),
-        ns_per_op: fast,
-        naive_ns_per_op: Some(naive),
-    }
+            std::hint::black_box(Tensor::from_vec(out, &[24, 10, 10]).expect("shape"));
+        }),
+    )
 }
 
 fn routing_probes(reps: usize) -> Vec<PerfProbe> {
@@ -497,37 +329,34 @@ fn routing_probes(reps: usize) -> Vec<PerfProbe> {
     let mut rng = TensorRng::from_seed(79);
     let votes = rng.uniform(&[72, 10, 8, 1], -1.0, 1.0);
     let coeffs = rng.uniform(&[10, 8, 1], -1.0, 1.0);
-    let fwd_fast = time_ns(reps, || {
-        std::hint::black_box(dynamic_routing(votes.clone(), 3, 0, "P", &mut NoInjection));
-    });
-    let fwd_naive = time_ns(reps, || {
-        std::hint::black_box(routing_reference::dynamic_routing(
-            votes.clone(),
-            3,
-            0,
-            "P",
-            &mut NoInjection,
-        ));
-    });
+    let fwd = PerfProbe::time(
+        "routing_fwd_72x10x8x1",
+        reps,
+        &mut || {
+            std::hint::black_box(dynamic_routing(votes.clone(), 3, 0, "P", &mut NoInjection));
+        },
+        Some(&mut || {
+            std::hint::black_box(routing_reference::dynamic_routing(
+                votes.clone(),
+                3,
+                0,
+                "P",
+                &mut NoInjection,
+            ));
+        }),
+    );
     let cache = dynamic_routing(votes.clone(), 3, 0, "P", &mut NoInjection);
-    let bwd_fast = time_ns(reps, || {
-        std::hint::black_box(dynamic_routing_backward(&cache, &coeffs));
-    });
-    let bwd_naive = time_ns(reps, || {
-        std::hint::black_box(routing_reference::dynamic_routing_backward(&cache, &coeffs));
-    });
-    vec![
-        PerfProbe {
-            name: "routing_fwd_72x10x8x1".to_string(),
-            ns_per_op: fwd_fast,
-            naive_ns_per_op: Some(fwd_naive),
+    let bwd = PerfProbe::time(
+        "routing_bwd_72x10x8x1",
+        reps,
+        &mut || {
+            std::hint::black_box(dynamic_routing_backward(&cache, &coeffs));
         },
-        PerfProbe {
-            name: "routing_bwd_72x10x8x1".to_string(),
-            ns_per_op: bwd_fast,
-            naive_ns_per_op: Some(bwd_naive),
-        },
-    ]
+        Some(&mut || {
+            std::hint::black_box(routing_reference::dynamic_routing_backward(&cache, &coeffs));
+        }),
+    );
+    vec![fwd, bwd]
 }
 
 /// Quantized-routing probe: `quantized_routing` at the small CapsNet's
@@ -541,33 +370,32 @@ fn qrouting_probe(name: &str, lut: &MulLut, reps: usize) -> PerfProbe {
     let coupling_params = QuantParams::from_range(0.0, 1.0, 8).expect("valid range");
     let act_params = QuantParams::from_range(-1.0, 1.0, 8).expect("valid range");
     let view = MacView { lut, acc: None };
-    let fast = time_ns(reps, || {
-        std::hint::black_box(quantized_routing(
-            &votes,
-            3,
-            vote_params,
-            coupling_params,
-            act_params,
-            view,
-            view,
-        ));
-    });
-    let naive = time_ns(reps, || {
-        std::hint::black_box(qlayers::reference::quantized_routing(
-            &votes,
-            3,
-            vote_params,
-            coupling_params,
-            act_params,
-            view,
-            view,
-        ));
-    });
-    PerfProbe {
-        name: name.to_string(),
-        ns_per_op: fast,
-        naive_ns_per_op: Some(naive),
-    }
+    PerfProbe::time(
+        name,
+        reps,
+        &mut || {
+            std::hint::black_box(quantized_routing(
+                &votes,
+                3,
+                vote_params,
+                coupling_params,
+                act_params,
+                view,
+                view,
+            ));
+        },
+        Some(&mut || {
+            std::hint::black_box(qlayers::reference::quantized_routing(
+                &votes,
+                3,
+                vote_params,
+                coupling_params,
+                act_params,
+                view,
+                view,
+            ));
+        }),
+    )
 }
 
 /// Quantized-DeepCaps probes: what lowering the 17-layer DeepCaps
@@ -589,9 +417,14 @@ fn qdp_deepcaps_probes(reps: usize) -> Vec<PerfProbe> {
         let _ = model.forward(image, &mut obs);
     }
     let ranges = obs.ranges(8).expect("finite activations");
-    let lower_ns = time_ns(reps, || {
-        std::hint::black_box(QModel::lower(&model, &ranges).expect("calibrated"));
-    });
+    let lower = PerfProbe::time(
+        "qdp_lower_deepcaps_small",
+        reps,
+        &mut || {
+            std::hint::black_box(QModel::lower(&model, &ranges).expect("calibrated"));
+        },
+        None,
+    );
     let q = QModel::lower(&model, &ranges).expect("calibrated");
     let mut luts = LutCache::new();
     luts.insert("exact", MulLut::exact());
@@ -599,37 +432,30 @@ fn qdp_deepcaps_probes(reps: usize) -> Vec<PerfProbe> {
     // not assignment resolution.
     let prepared =
         PreparedModel::new(q, &DatapathAssignment::uniform("exact"), &luts).expect("covered");
-    let fwd_ns = time_ns(reps, || {
-        std::hint::black_box(prepared.forward_batch(&[&images[0]]));
-    });
+    let fwd = PerfProbe::time(
+        "qdp_fwd_deepcaps_small",
+        reps,
+        &mut || {
+            std::hint::black_box(prepared.forward_batch(&[&images[0]]));
+        },
+        None,
+    );
     // Batch fusion vs its per-sample twin over the same images: the
     // naive path is BATCH single-sample forwards.
     let refs: Vec<&Tensor> = images.iter().collect();
-    let batch_ns = time_ns(reps, || {
-        std::hint::black_box(prepared.forward_batch(&refs));
-    });
-    let per_sample_ns = time_ns(reps, || {
-        for image in &images {
-            std::hint::black_box(prepared.forward_batch(&[image]));
-        }
-    });
-    vec![
-        PerfProbe {
-            name: "qdp_lower_deepcaps_small".to_string(),
-            ns_per_op: lower_ns,
-            naive_ns_per_op: None,
+    let batch = PerfProbe::time(
+        "qdp_fwd_batch_deepcaps_small",
+        reps,
+        &mut || {
+            std::hint::black_box(prepared.forward_batch(&refs));
         },
-        PerfProbe {
-            name: "qdp_fwd_deepcaps_small".to_string(),
-            ns_per_op: fwd_ns,
-            naive_ns_per_op: None,
-        },
-        PerfProbe {
-            name: "qdp_fwd_batch_deepcaps_small".to_string(),
-            ns_per_op: batch_ns,
-            naive_ns_per_op: Some(per_sample_ns),
-        },
-    ]
+        Some(&mut || {
+            for image in &images {
+                std::hint::black_box(prepared.forward_batch(&[image]));
+            }
+        }),
+    );
+    vec![lower, fwd, batch]
 }
 
 /// Library tabulation probe: all 35 components of the standard library
@@ -637,19 +463,22 @@ fn qdp_deepcaps_probes(reps: usize) -> Vec<PerfProbe> {
 /// and `serve` process pays before its first inference.
 fn tabulate_library_probe(reps: usize) -> PerfProbe {
     let library = MultiplierLibrary::evo_approx_like();
-    PerfProbe {
-        name: "tabulate_library_35".to_string(),
-        ns_per_op: time_ns(reps, || {
+    PerfProbe::time(
+        "tabulate_library_35",
+        reps,
+        &mut || {
             std::hint::black_box(LutCache::tabulate_all(&library));
-        }),
-        naive_ns_per_op: None,
-    }
+        },
+        None,
+    )
 }
 
 /// Trained-artifact store probe: what restoring a trained model costs
 /// versus training it (the naive twin), on a scratch store under the
 /// temp dir. The load-vs-retrain win the CI tripwire watches: restore
-/// should be orders of magnitude (≥10×) faster than even one epoch.
+/// should be orders of magnitude (≥10×) faster than even one epoch. The
+/// twin is one timed training epoch, not a paired median: an epoch
+/// dwarfs any noise a pairing would cancel.
 fn artifact_load_probe<M: CapsModel + Clone + Send + Sync>(
     name: &str,
     arch: &str,
@@ -694,14 +523,18 @@ fn artifact_load_probe<M: CapsModel + Clone + Send + Sync>(
     store
         .save(&key, &mut model, &ArtifactPayload::default())
         .expect("scratch store is writable");
-    let load_ns = time_ns(reps, || {
-        std::hint::black_box(store.load(&key, &mut model).expect("entry just saved"));
-    });
+    let load = PerfProbe::time(
+        name,
+        reps,
+        &mut || {
+            std::hint::black_box(store.load(&key, &mut model).expect("entry just saved"));
+        },
+        None,
+    );
     let _ = std::fs::remove_dir_all(&dir);
     PerfProbe {
-        name: name.to_string(),
-        ns_per_op: load_ns,
         naive_ns_per_op: Some(train_ns),
+        ..load
     }
 }
 
@@ -714,6 +547,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
     // faulted view has the same products but no factorization, so it
     // keeps the gather kernel on the report.
     let exact = MulLut::exact();
+    let naive_qgemm: QgemmFn = qkernels::reference::qgemm_nn;
     let gather = exact.faulted_view("gather", |a| a, |b| b, |_, v| v);
     let mut probes = vec![
         // The two GEMM shapes the small CapsNet actually runs, plus a
@@ -732,68 +566,88 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         gemm_probe("gemm_nt_32x1x288_deepcaps_dw", NT_OVER, 32, 1, 288, reps),
         // Integer twins of the stem and DeepCaps shapes: what one
         // approximate-datapath sweep step costs per layer.
-        qgemm_probe("qgemm_24x49x100_stem", 24, 49, 100, &exact, reps),
+        qgemm_probe(
+            "qgemm_24x49x100_stem",
+            (24, 49, 100),
+            &exact,
+            naive_qgemm,
+            reps,
+        ),
         // The dominant call of a DeepCaps quantized sweep (a capsule
         // cell's conv at batch 16) on the factored path's register
         // tiles, and serve's batch-1 deep-cell shape, narrower than one
         // tile, on its contiguous dots.
         qgemm_probe(
             "qgemm_16x144x1024_deepcaps_cell",
-            16,
-            144,
-            1024,
+            (16, 144, 1024),
             &exact,
+            naive_qgemm,
             reps,
         ),
-        qgemm_probe("qgemm_32x288x4_narrow", 32, 288, 4, &exact, reps),
+        qgemm_probe(
+            "qgemm_32x288x4_narrow",
+            (32, 288, 4),
+            &exact,
+            naive_qgemm,
+            reps,
+        ),
         qgemm_probe(
             "qgemm_256x2304x16_deepcaps_cell4",
-            256,
-            2304,
-            16,
+            (256, 2304, 16),
             &exact,
+            naive_qgemm,
             reps,
         ),
         qgemm_probe(
             "qgemm_256x2304x16_deepcaps_cell4_gather",
-            256,
-            2304,
-            16,
+            (256, 2304, 16),
             &gather,
+            naive_qgemm,
             reps,
         ),
         // Trace-hook overhead on the disabled fast path; extra reps
         // keep the paired-median estimate tight for the 5% tripwire.
-        qgemm_overhead_probe("qgemm_hooks_off_24x49x100", 24, 49, 100, reps.max(400)),
+        qgemm_probe(
+            "qgemm_hooks_off_24x49x100",
+            (24, 49, 100),
+            &exact,
+            qkernels::qgemm_nn_raw,
+            reps.max(400),
+        ),
         conv_probe(reps),
-        qconv_probe(reps),
+        // A DeepCaps cell at batch 16 against 16 one-sample forwards.
+        qconv_probe(
+            "qconv_fwd_batch16_16x8x8_k3p1_deepcaps_cell",
+            (16, 8),
+            (3, 1, 1),
+            16,
+            reps,
+        ),
         // The routing MAC sites on the factored exact table and on its
         // identity faulted view, which keeps the lookups.
         qrouting_probe("qrouting_72x10x8_capsnet_classcaps", &exact, reps),
         qrouting_probe("qrouting_72x10x8_capsnet_classcaps_gather", &gather, reps),
     ];
     probes.extend(im2col_probes(reps));
-    // DeepCaps' small-plane cells, its stride-2 downsampling cell (the
-    // widest interleave) and serve's one-sample batch, each against the
-    // per-sample code unroll.
+    // DeepCaps' small-plane cells and its stride-2 downsampling cell
+    // (the widest interleave), each against one-sample forwards, and
+    // serve's one-sample batch.
     probes.extend([
-        qconv_unroll_probe(
+        qconv_probe(
             "qconv_fwd_batch16_32x2x2_k3p1_deepcaps_cell3",
-            32,
-            2,
+            (32, 2),
             (3, 1, 1),
             16,
             reps,
         ),
-        qconv_unroll_probe(
+        qconv_probe(
             "qconv_fwd_batch16_16x16x16_k3s2p1_deepcaps_cell1",
-            16,
-            16,
+            (16, 16),
             (3, 2, 1),
             16,
             reps,
         ),
-        qconv_unroll_probe("qconv_fwd_batch1_16x8x8_k3p1", 16, 8, (3, 1, 1), 1, reps),
+        qconv_probe("qconv_fwd_batch1_16x8x8_k3p1", (16, 8), (3, 1, 1), 1, reps),
     ]);
     probes.extend(routing_probes(reps));
     probes.extend(qdp_deepcaps_probes(reps));
@@ -850,7 +704,7 @@ pub fn perf_to_json(report: &PerfReport) -> Value {
         .collect();
     Value::Obj(vec![
         ("bench".into(), Value::from("perf")),
-        ("schema_version".into(), Value::from(1usize)),
+        ("schema_version".into(), Value::from(2usize)),
         ("threads".into(), Value::from(report.threads)),
         ("kernels".into(), Value::Arr(probes)),
         (
@@ -878,6 +732,8 @@ mod tests {
         assert!(!line.contains('\n'));
         let parsed = json::parse(&line).unwrap();
         assert_eq!(parsed.get("bench").unwrap().as_str().unwrap(), "perf");
+        // v2: `ns_per_op` is a median and every speedup a paired median.
+        assert_eq!(parsed.get("schema_version").unwrap().as_f64(), Some(2.0));
         let kernels = parsed.get("kernels").unwrap().as_arr().unwrap();
         assert!(kernels.len() >= 9);
         for k in kernels {

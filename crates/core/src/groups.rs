@@ -113,11 +113,6 @@ impl GroupInventory {
         }
         out
     }
-
-    /// Total distinct sites across all groups.
-    pub fn total_sites(&self) -> usize {
-        self.sites.iter().map(|(_, s)| s.len()).sum()
-    }
 }
 
 /// Runs one recorded inference of `model` on `sample` and partitions the
@@ -188,7 +183,8 @@ mod tests {
             inv.group_layers(Group::MacOutputs),
             vec!["Conv1", "PrimaryCaps", "ClassCaps"]
         );
-        assert!(inv.total_sites() > 6);
+        let total: usize = Group::all().iter().map(|&g| inv.group_sites(g).len()).sum();
+        assert!(total > 6);
     }
 
     #[test]

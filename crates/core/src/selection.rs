@@ -176,11 +176,6 @@ impl ApproxDesign {
         self.measured_accuracy
             .map(|acc| (self.baseline_accuracy - acc) * 100.0)
     }
-
-    /// The design's executable per-site multiplier assignment.
-    pub fn datapath_assignment(&self) -> DatapathAssignment {
-        DatapathAssignment::from_design(self)
-    }
 }
 
 /// Per-`(layer, group)` tolerable-NM table assembled from Steps 2–5.
@@ -508,7 +503,7 @@ mod tests {
         );
         // The design round-trips into an executable assignment covering
         // its layers' site keys.
-        let dpa = design.datapath_assignment();
+        let dpa = DatapathAssignment::from_design(&design);
         assert_eq!(
             dpa.component_for("Conv1", OpKind::MacOutput, false),
             Some(design.assignments[0].component.as_str())

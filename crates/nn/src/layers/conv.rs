@@ -5,7 +5,7 @@
 //! flat weight storage straight into the blocked [`gemm`] kernels —
 //! no reshape copies on the hot path.
 
-use redcane_tensor::ops::{gemm, Conv2dSpec};
+use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{Tensor, TensorRng};
 
 use crate::init::{conv_fans, he_normal};
@@ -125,7 +125,7 @@ impl Conv2d {
         let k2 = self.c_in * self.spec.kernel * self.spec.kernel;
         let n = h_out * w_out;
         let mut cols_buf = vec![0.0f32; k2 * n];
-        redcane_tensor::ops::conv::im2col_slice(data, self.c_in, h, w, self.spec, &mut cols_buf)
+        conv::im2col_grouped(data, self.c_in, h, w, 1, self.spec, 0.0, &mut cols_buf)
             // lint: allow(panic) — input dims were validated against the spec just above
             .expect("valid conv input");
         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here

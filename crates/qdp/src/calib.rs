@@ -115,11 +115,6 @@ impl CalibrationObserver {
         self.trackers.get(&(layer.to_string(), kind, true))
     }
 
-    /// Number of distinct sites observed.
-    pub fn site_count(&self) -> usize {
-        self.trackers.len()
-    }
-
     /// Quantization parameters covering a non-routing site's observed
     /// range.
     ///
@@ -129,26 +124,7 @@ impl CalibrationObserver {
     /// (reported with an empty range), or any error from
     /// [`RangeTracker::to_params`].
     pub fn params(&self, layer: &str, kind: OpKind, bits: u8) -> Result<QuantParams, FxpError> {
-        Self::tracker_params(self.tracker(layer, kind), bits)
-    }
-
-    /// Quantization parameters covering an in-routing site's observed
-    /// range (merged across routing iterations).
-    ///
-    /// # Errors
-    ///
-    /// As [`CalibrationObserver::params`].
-    pub fn routing_params(
-        &self,
-        layer: &str,
-        kind: OpKind,
-        bits: u8,
-    ) -> Result<QuantParams, FxpError> {
-        Self::tracker_params(self.routing_tracker(layer, kind), bits)
-    }
-
-    fn tracker_params(tracker: Option<&RangeTracker>, bits: u8) -> Result<QuantParams, FxpError> {
-        match tracker {
+        match self.tracker(layer, kind) {
             Some(t) => t.to_params(bits),
             None => Err(FxpError::InvalidRange {
                 min: f32::INFINITY,
@@ -271,7 +247,7 @@ mod tests {
             &OpSite::new(1, "ClassCaps", OpKind::Softmax),
             &mut Tensor::from_slice(&[0.25]),
         );
-        assert_eq!(obs.site_count(), 2);
+        assert_eq!(obs.ranges(8).unwrap().len(), 2);
         assert!(obs.tracker("Conv1", OpKind::Softmax).is_none());
     }
 
@@ -292,9 +268,8 @@ mod tests {
         assert_eq!((votes.min(), votes.max()), (-1.0, 1.0));
         let s = obs.routing_tracker("ClassCaps", OpKind::MacOutput).unwrap();
         assert_eq!((s.min(), s.max()), (-40.0, 40.0));
-        assert!(obs
-            .routing_params("ClassCaps", OpKind::MacOutput, 8)
-            .is_ok());
+        let ranges = obs.ranges(8).unwrap();
+        assert!(ranges.get_routing("ClassCaps", OpKind::MacOutput).is_some());
     }
 
     #[test]

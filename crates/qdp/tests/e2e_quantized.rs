@@ -6,7 +6,7 @@
 //! different model.
 
 use redcane::datapath::AccuracyBackend;
-use redcane_artifacts::{fingerprint, ArtifactKey, ArtifactPayload, ArtifactStore};
+use redcane_artifacts::{fingerprint, load_or_train, ArtifactKey, ArtifactPayload, ArtifactStore};
 use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::{evaluate_clean, train, CapsModel, CapsNet, CapsNetConfig, TrainConfig};
 use redcane_datasets::{generate, Benchmark, GenerateConfig};
@@ -42,7 +42,7 @@ fn quantized_exact_inference_matches_float_within_tolerance() {
             "e2e_quantized-v1;train=200;test=60;rng=4500;batch=16;lr=2e-3;tseed=9;calib=32",
         ),
     );
-    let (payload, _prov) = store.load_or_train(&key, &mut model, |m| {
+    let (payload, _prov) = load_or_train(Some(&store), &key, &mut model, |m| {
         let report = train(
             m,
             &pair.train,

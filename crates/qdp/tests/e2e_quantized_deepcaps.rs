@@ -7,7 +7,7 @@
 //! execution of the same network rather than a different model.
 
 use redcane::datapath::AccuracyBackend;
-use redcane_artifacts::{fingerprint, ArtifactKey, ArtifactPayload, ArtifactStore};
+use redcane_artifacts::{fingerprint, load_or_train, ArtifactKey, ArtifactPayload, ArtifactStore};
 use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::{evaluate_clean, train, CapsModel, DeepCaps, DeepCapsConfig, TrainConfig};
 use redcane_datasets::{generate, Benchmark, GenerateConfig};
@@ -42,7 +42,7 @@ fn quantized_deepcaps_matches_float_within_tolerance() {
             "e2e_quantized_deepcaps-v1;train=300;test=50;rng=4300;batch=16;lr=2e-3;tseed=9;calib=24",
         ),
     );
-    let (payload, _prov) = store.load_or_train(&key, &mut model, |m| {
+    let (payload, _prov) = load_or_train(Some(&store), &key, &mut model, |m| {
         let report = train(
             m,
             &pair.train,

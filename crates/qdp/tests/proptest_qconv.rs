@@ -1,9 +1,10 @@
 //! Property-based bit oracle for the quantized convolution front end:
 //! `QConv2d::forward_batch` (quantize each input once, unroll the codes
 //! into the fused batch matrix) must equal, bit for bit, the float front
-//! end it replaces — float im2col of every sample into one fused matrix,
-//! then quantize every unrolled slot — followed by the naive reference
-//! GEMM and the same dequantization, bias add and per-sample split.
+//! end it replaces — float im2col of every sample (the per-element
+//! reference loops) into one fused matrix, then quantize every unrolled
+//! slot — followed by the naive reference GEMM and the same
+//! dequantization, bias add and per-sample split.
 
 use proptest::prelude::*;
 use redcane::faults::FaultModel;
@@ -13,7 +14,7 @@ use redcane_nn::layers::Conv2d;
 use redcane_qdp::kernels::{self, affine_dequant, col_sums, row_sums};
 use redcane_qdp::qtensor::quantize_codes;
 use redcane_qdp::{AccFault, MacView, MulLut, QConv2d};
-use redcane_tensor::ops::conv::im2col_slice;
+use redcane_tensor::ops::conv::reference::im2col;
 use redcane_tensor::TensorRng;
 
 /// The float-front-end forward path: one `[C_out, H', W']` output
@@ -38,7 +39,7 @@ fn float_front_end(
     let mut cols = vec![0.0f32; k2 * n];
     let mut fused = vec![0.0f32; k2 * wide];
     for (bi, data) in inputs.iter().enumerate() {
-        im2col_slice(data, c_in, h, w, spec, &mut cols).unwrap();
+        im2col(data, c_in, h, w, spec, &mut cols).unwrap();
         for r in 0..k2 {
             fused[r * wide + bi * n..r * wide + (bi + 1) * n]
                 .copy_from_slice(&cols[r * n..(r + 1) * n]);

@@ -47,13 +47,6 @@ pub enum TensorError {
         /// Name of the operation that failed.
         op: &'static str,
     },
-    /// Inner dimensions of a matrix product do not agree.
-    MatmulMismatch {
-        /// Shape of the left matrix.
-        left: Vec<usize>,
-        /// Shape of the right matrix.
-        right: Vec<usize>,
-    },
     /// Convolution geometry is impossible (kernel larger than padded input,
     /// zero stride, or empty output).
     InvalidConvGeometry {
@@ -102,9 +95,6 @@ impl fmt::Display for TensorError {
             ),
             TensorError::RankMismatch { expected, got, op } => {
                 write!(f, "`{op}` expects rank {expected}, got rank {got}")
-            }
-            TensorError::MatmulMismatch { left, right } => {
-                write!(f, "matmul inner dimensions disagree: {left:?} x {right:?}")
             }
             TensorError::InvalidConvGeometry { reason } => {
                 write!(f, "invalid convolution geometry: {reason}")

@@ -3,19 +3,20 @@
 //! Convolutions are the MAC-dominated workhorse of CapsNets — the operations
 //! whose outputs form **group #1 (MAC outputs)** of the ReD-CaNe taxonomy.
 //!
-//! Every unroll runs through one fill, generic over the element type
-//! (`f32` values or `u8` quantization codes) and a group width `G`:
-//! [`im2col_grouped`] unrolls `G` inputs interleaved innermost
+//! [`im2col_grouped`] is the one unroll entry point, generic over the
+//! element type (`f32` values or `u8` quantization codes) and a group
+//! width `G`: it unrolls `G` inputs interleaved innermost
 //! (`[C, H, W, G]`), which is how the quantized layers fuse a batch of
 //! `G` samples, so each tap-row copy carries the whole batch. The float
-//! entry points ([`im2col_slice`], [`Tensor::im2col`],
-//! [`Tensor::im2col_into`]) are the `G = 1` case.
+//! convolution layer unrolls one sample at `G = 1` with zero padding,
+//! then runs the blocked [`gemm`](crate::ops::gemm) kernels on the
+//! column matrix; [`Tensor::col2im`] is the adjoint its backward pass
+//! folds gradients through.
 
 use redcane_trace as trace;
 use serde::{Deserialize, Serialize};
 
 use crate::error::TensorError;
-use crate::ops::matmul::matmul_into;
 use crate::par;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -83,43 +84,6 @@ impl Conv2dSpec {
     }
 }
 
-/// Raw-slice im2col over a `[C, H, W]` buffer (see
-/// [`Tensor::im2col_into`]); lets layer code unroll without first
-/// wrapping (and copying) its data into a tensor. Writes every slot of
-/// `out`, so stale scratch buffers are fine. Returns `[rows, cols]`.
-///
-/// # Errors
-///
-/// Returns an error unless the geometry fits and both slice lengths
-/// match it.
-pub fn im2col_slice(
-    src: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: Conv2dSpec,
-    out: &mut [f32],
-) -> Result<[usize; 2]> {
-    if src.len() != c * h * w {
-        return Err(TensorError::LengthMismatch {
-            shape: vec![c, h, w],
-            len: src.len(),
-        });
-    }
-    let h_out = spec.output_size(h)?;
-    let w_out = spec.output_size(w)?;
-    let rows = c * spec.kernel * spec.kernel;
-    let cols = h_out * w_out;
-    if out.len() != rows * cols {
-        return Err(TensorError::LengthMismatch {
-            shape: vec![rows, cols],
-            len: out.len(),
-        });
-    }
-    im2col_fill(src, c, h, w, spec, h_out, w_out, 1, 0.0, out);
-    Ok([rows, cols])
-}
-
 /// Grouped im2col over a `[C, H, W, G]` buffer of any element type
 /// (`f32` values or `u8` quantization codes): `G` inputs of the same
 /// `[C, H, W]` geometry, interleaved innermost. Unrolls them into one
@@ -127,8 +91,9 @@ pub fn im2col_slice(
 /// input `g`'s output position `p`, so every tap-row copy carries the
 /// whole group (the quantized layers' batch fusion). Padded positions
 /// get `pad`; every slot of `out` is written, so stale scratch buffers
-/// are fine. At `G = 1` this is [`im2col_slice`]'s layout. Returns
-/// `[rows, cols·G]`.
+/// are fine. At `G = 1` column `p` is output position `p`'s receptive
+/// field, the layout a float convolution multiplies its
+/// `[C_out, C·k·k]` weights against. Returns `[rows, cols·G]`.
 ///
 /// # Errors
 ///
@@ -218,7 +183,7 @@ fn copy_strided_groups<T: Copy>(dst: &mut [T], srow: &[T], stride: usize, g: usi
 /// Raw im2col fill of a `[C, H, W, G]` buffer into the `[rows, cols·G]`
 /// matrix `out` (see [`im2col_grouped`]): writes **every** slot, padded
 /// positions set to `pad`, so callers can recycle stale scratch
-/// buffers. The float callers pass `group = 1` and `pad = 0.0`.
+/// buffers.
 #[allow(clippy::too_many_arguments)]
 fn im2col_fill<T: Copy + Send + Sync>(
     src: &[T],
@@ -235,9 +200,8 @@ fn im2col_fill<T: Copy + Send + Sync>(
     let k = spec.kernel;
     let cols = h_out * w_out;
     let rows = c * k * k;
-    // Every im2col entry point (the `Tensor` methods, `im2col_slice` and
-    // `im2col_grouped`) funnels through this fill, so one hook counts
-    // all column-matrix traffic: `rows · cols` slots of `T` per input.
+    // One hook counts all column-matrix traffic: `rows · cols` slots of
+    // `T` per input.
     if trace::enabled() {
         trace::add(
             trace::Counter::Im2colBytes,
@@ -305,67 +269,10 @@ fn im2col_fill<T: Copy + Send + Sync>(
 }
 
 impl Tensor {
-    /// Unrolls a `[C, H, W]` tensor into the im2col matrix
-    /// `[C*k*k, H_out*W_out]`: column `p` holds the receptive field of
-    /// output pixel `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless the tensor is rank 3 and the geometry fits.
-    pub fn im2col(&self, spec: Conv2dSpec) -> Result<Tensor> {
-        if self.ndim() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                got: self.ndim(),
-                op: "im2col",
-            });
-        }
-        let (c, h, w) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let h_out = spec.output_size(h)?;
-        let w_out = spec.output_size(w)?;
-        let k = spec.kernel;
-        let rows = c * k * k;
-        let cols = h_out * w_out;
-        let mut out = vec![0.0f32; rows * cols];
-        let src = self.data();
-        im2col_fill(src, c, h, w, spec, h_out, w_out, 1, 0.0, &mut out);
-        Tensor::from_vec(out, &[rows, cols])
-    }
-
-    /// Unrolls into a caller-provided buffer (see [`Tensor::im2col`]).
-    /// `out` may hold stale data: every position is written, including
-    /// the zeros of padded positions. Returns `[rows, cols]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless the tensor is rank 3, the geometry fits
-    /// and `out.len() == rows * cols`.
-    pub fn im2col_into(&self, spec: Conv2dSpec, out: &mut [f32]) -> Result<[usize; 2]> {
-        if self.ndim() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                got: self.ndim(),
-                op: "im2col_into",
-            });
-        }
-        let (c, h, w) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let h_out = spec.output_size(h)?;
-        let w_out = spec.output_size(w)?;
-        let rows = c * spec.kernel * spec.kernel;
-        let cols = h_out * w_out;
-        if out.len() != rows * cols {
-            return Err(TensorError::LengthMismatch {
-                shape: vec![rows, cols],
-                len: out.len(),
-            });
-        }
-        im2col_fill(self.data(), c, h, w, spec, h_out, w_out, 1, 0.0, out);
-        Ok([rows, cols])
-    }
-
-    /// The adjoint of [`Tensor::im2col`]: folds a `[C*k*k, H_out*W_out]`
-    /// matrix back into a `[C, H, W]` tensor, **accumulating** overlapping
-    /// contributions. Used to propagate gradients through a convolution.
+    /// The adjoint of the `G = 1` [`im2col_grouped`] unroll: folds a
+    /// `[C*k*k, H_out*W_out]` matrix back into a `[C, H, W]` tensor,
+    /// **accumulating** overlapping contributions. Used to propagate
+    /// gradients through a convolution.
     ///
     /// # Errors
     ///
@@ -436,84 +343,6 @@ impl Tensor {
             }
         }
         Ok(out)
-    }
-
-    /// 2-D convolution of a `[C_in, H, W]` input with `[C_out, C_in, k, k]`
-    /// weights and a `[C_out]` bias, producing `[C_out, H_out, W_out]`.
-    ///
-    /// Implemented as `weights_matrix · im2col(input)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on rank/shape mismatches or impossible geometry.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use redcane_tensor::{ops::Conv2dSpec, Tensor};
-    /// # fn main() -> Result<(), redcane_tensor::TensorError> {
-    /// let input = Tensor::ones(&[1, 4, 4]);
-    /// let weight = Tensor::ones(&[2, 1, 3, 3]);
-    /// let bias = Tensor::zeros(&[2]);
-    /// let spec = Conv2dSpec::new(3, 1, 0)?;
-    /// let out = input.conv2d(&weight, &bias, spec)?;
-    /// assert_eq!(out.shape(), &[2, 2, 2]);
-    /// assert_eq!(out.get(&[0, 0, 0])?, 9.0); // 3x3 window of ones
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn conv2d(&self, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
-        if self.ndim() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                got: self.ndim(),
-                op: "conv2d(input)",
-            });
-        }
-        if weight.ndim() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                got: weight.ndim(),
-                op: "conv2d(weight)",
-            });
-        }
-        let (c_in, h, w) = (self.shape()[0], self.shape()[1], self.shape()[2]);
-        let (c_out, wc_in, kh, kw) = (
-            weight.shape()[0],
-            weight.shape()[1],
-            weight.shape()[2],
-            weight.shape()[3],
-        );
-        if wc_in != c_in || kh != spec.kernel || kw != spec.kernel {
-            return Err(TensorError::ShapeMismatch {
-                left: weight.shape().to_vec(),
-                right: vec![c_out, c_in, spec.kernel, spec.kernel],
-                op: "conv2d",
-            });
-        }
-        if bias.shape() != [c_out] {
-            return Err(TensorError::ShapeMismatch {
-                left: bias.shape().to_vec(),
-                right: vec![c_out],
-                op: "conv2d(bias)",
-            });
-        }
-        let h_out = spec.output_size(h)?;
-        let w_out = spec.output_size(w)?;
-        let cols = self.im2col(spec)?;
-        let k2 = c_in * spec.kernel * spec.kernel;
-        let n = h_out * w_out;
-        let mut out = vec![0.0f32; c_out * n];
-        matmul_into(weight.data(), cols.data(), &mut out, c_out, k2, n);
-        for co in 0..c_out {
-            let b = bias.data()[co];
-            if b != 0.0 {
-                for v in &mut out[co * n..(co + 1) * n] {
-                    *v += b;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[c_out, h_out, w_out])
     }
 }
 
@@ -604,6 +433,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::gemm;
     use crate::rng::TensorRng;
 
     /// Direct (quadruple-loop) convolution used as the test oracle.
@@ -636,6 +466,38 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The float convolution layer's forward: a `G = 1` unroll, the
+    /// blocked GEMM against the `[C_out, C_in·k·k]` weights, then the
+    /// per-channel bias.
+    fn conv_via_im2col(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) -> Tensor {
+        let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        let (h_out, w_out) = (spec.output_size(h).unwrap(), spec.output_size(w).unwrap());
+        let (c_out, k2, n) = (
+            weight.shape()[0],
+            c * spec.kernel * spec.kernel,
+            h_out * w_out,
+        );
+        let mut cols = vec![0.0f32; k2 * n];
+        im2col_grouped(input.data(), c, h, w, 1, spec, 0.0, &mut cols).unwrap();
+        let mut out = vec![0.0f32; c_out * n];
+        gemm::gemm_nn(weight.data(), &cols, &mut out, c_out, k2, n);
+        for (row, &b) in out.chunks_exact_mut(n).zip(bias.data()) {
+            row.iter_mut().for_each(|v| *v += b);
+        }
+        Tensor::from_vec(out, &[c_out, h_out, w_out]).unwrap()
+    }
+
+    /// `x`'s `G = 1` column matrix as a `[rows, cols]` tensor.
+    fn unroll(x: &Tensor, spec: Conv2dSpec) -> Tensor {
+        let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let rows = c * spec.kernel * spec.kernel;
+        let cols = spec.output_size(h).unwrap() * spec.output_size(w).unwrap();
+        let mut out = vec![0.0f32; rows * cols];
+        let shape = im2col_grouped(x.data(), c, h, w, 1, spec, 0.0, &mut out).unwrap();
+        assert_eq!(shape, [rows, cols]);
+        Tensor::from_vec(out, &shape).unwrap()
     }
 
     fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
@@ -679,7 +541,7 @@ mod tests {
         let bias = rng.uniform(&[4], -0.1, 0.1);
         let spec = Conv2dSpec::new(3, 1, 0).unwrap();
         assert_close(
-            &input.conv2d(&weight, &bias, spec).unwrap(),
+            &conv_via_im2col(&input, &weight, &bias, spec),
             &naive_conv2d(&input, &weight, &bias, spec),
             1e-4,
         );
@@ -693,7 +555,7 @@ mod tests {
         let bias = rng.uniform(&[5], -0.1, 0.1);
         let spec = Conv2dSpec::new(3, 2, 1).unwrap();
         assert_close(
-            &input.conv2d(&weight, &bias, spec).unwrap(),
+            &conv_via_im2col(&input, &weight, &bias, spec),
             &naive_conv2d(&input, &weight, &bias, spec),
             1e-4,
         );
@@ -706,31 +568,16 @@ mod tests {
         let weight = rng.uniform(&[6, 1, 9, 9], -0.2, 0.2);
         let bias = Tensor::zeros(&[6]);
         let spec = Conv2dSpec::new(9, 1, 0).unwrap();
-        let out = input.conv2d(&weight, &bias, spec).unwrap();
+        let out = conv_via_im2col(&input, &weight, &bias, spec);
         assert_eq!(out.shape(), &[6, 8, 8]);
         assert_close(&out, &naive_conv2d(&input, &weight, &bias, spec), 1e-4);
-    }
-
-    #[test]
-    fn conv_rejects_shape_mismatches() {
-        let input = Tensor::zeros(&[3, 8, 8]);
-        let spec = Conv2dSpec::new(3, 1, 0).unwrap();
-        // wrong in-channels
-        let weight = Tensor::zeros(&[4, 2, 3, 3]);
-        assert!(input.conv2d(&weight, &Tensor::zeros(&[4]), spec).is_err());
-        // wrong kernel
-        let weight = Tensor::zeros(&[4, 3, 5, 5]);
-        assert!(input.conv2d(&weight, &Tensor::zeros(&[4]), spec).is_err());
-        // wrong bias
-        let weight = Tensor::zeros(&[4, 3, 3, 3]);
-        assert!(input.conv2d(&weight, &Tensor::zeros(&[5]), spec).is_err());
     }
 
     #[test]
     fn im2col_shape_and_content() {
         let input = Tensor::from_fn(&[1, 3, 3], |i| i as f32);
         let spec = Conv2dSpec::new(2, 1, 0).unwrap();
-        let cols = input.im2col(spec).unwrap();
+        let cols = unroll(&input, spec);
         assert_eq!(cols.shape(), &[4, 4]);
         // First column = top-left 2x2 window [0,1,3,4]
         assert_eq!(cols.get(&[0, 0]).unwrap(), 0.0);
@@ -746,7 +593,7 @@ mod tests {
         let mut rng = TensorRng::from_seed(33);
         let spec = Conv2dSpec::new(3, 2, 1).unwrap();
         let x = rng.uniform(&[2, 6, 5], -1.0, 1.0);
-        let cols = x.im2col(spec).unwrap();
+        let cols = unroll(&x, spec);
         let y = rng.uniform(cols.shape(), -1.0, 1.0);
         let lhs: f32 = cols.data().iter().zip(y.data()).map(|(&a, &b)| a * b).sum();
         let folded = y.col2im(2, 6, 5, spec).unwrap();

@@ -142,11 +142,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at a multi-dimensional index.
     ///
     /// # Errors

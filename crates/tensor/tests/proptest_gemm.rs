@@ -129,8 +129,8 @@ fn interleave<T: Copy>(samples: &[Vec<T>]) -> Vec<T> {
         .collect()
 }
 
-/// `B` nonzero samples unrolled one at a time through the float
-/// `im2col_slice`, re-laid batch-innermost (column `pi·B + bi`); the
+/// `B` nonzero samples unrolled one at a time through the per-element
+/// reference loops, re-laid batch-innermost (column `pi·B + bi`); the
 /// zeros mark the padded slots, which become `pad`.
 fn grouped_reference<T: Copy>(
     samples: &[Vec<f32>],
@@ -145,7 +145,7 @@ fn grouped_reference<T: Copy>(
     let mut cols = vec![0.0f32; rows * n];
     let mut want = vec![pad; rows * n * bsz];
     for (bi, sample) in samples.iter().enumerate() {
-        conv::im2col_slice(sample, c, h, w, spec, &mut cols).unwrap();
+        conv::reference::im2col(sample, c, h, w, spec, &mut cols).unwrap();
         for (slot, &v) in cols.iter().enumerate() {
             if v != 0.0 {
                 want[slot * bsz + bi] = from_f32(v);
@@ -155,7 +155,28 @@ fn grouped_reference<T: Copy>(
     want
 }
 
-/// Direct quadruple-loop convolution, the oracle conv2d is held to.
+/// The float convolution layer's forward: the `G = 1` unroll, the blocked
+/// GEMM against the `[C_out, C_in·k·k]` weights, then the bias.
+fn conv_via_im2col(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) -> Tensor {
+    let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+    let (h_out, w_out) = (spec.output_size(h).unwrap(), spec.output_size(w).unwrap());
+    let (c_out, k2, n) = (
+        weight.shape()[0],
+        c * spec.kernel * spec.kernel,
+        h_out * w_out,
+    );
+    let mut cols = vec![0.0f32; k2 * n];
+    conv::im2col_grouped(input.data(), c, h, w, 1, spec, 0.0, &mut cols).unwrap();
+    let mut out = vec![0.0f32; c_out * n];
+    gemm::gemm_nn(weight.data(), &cols, &mut out, c_out, k2, n);
+    for (row, &b) in out.chunks_exact_mut(n).zip(bias.data()) {
+        row.iter_mut().for_each(|v| *v += b);
+    }
+    Tensor::from_vec(out, &[c_out, h_out, w_out]).unwrap()
+}
+
+/// Direct quadruple-loop convolution, the oracle the im2col lowering is
+/// held to.
 fn naive_conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) -> Tensor {
     let (c_in, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let c_out = weight.shape()[0];
@@ -216,8 +237,8 @@ proptest! {
         prop_assert_eq!(&fast, &naive);
     }
 
-    /// conv2d (im2col + blocked GEMM, parallel im2col above the size
-    /// threshold) matches the direct convolution within 1e-5, at one and
+    /// The im2col lowering (the `G = 1` unroll, parallel above the size
+    /// threshold, then the blocked GEMM and the bias) matches the direct convolution within 1e-5, at one and
     /// at four worker threads — and the two worker counts agree bitwise.
     #[test]
     fn conv2d_matches_naive_at_any_thread_count(
@@ -238,9 +259,9 @@ proptest! {
         let spec = Conv2dSpec::new(kernel, stride, padding).unwrap();
 
         par::set_threads(1);
-        let serial = input.conv2d(&weight, &bias, spec).unwrap();
+        let serial = conv_via_im2col(&input, &weight, &bias, spec);
         par::set_threads(4);
-        let threaded = input.conv2d(&weight, &bias, spec).unwrap();
+        let threaded = conv_via_im2col(&input, &weight, &bias, spec);
         par::set_threads(0);
         prop_assert_eq!(&serial, &threaded);
 
@@ -265,12 +286,15 @@ proptest! {
         let mut rng = TensorRng::from_seed(seed);
         let input = rng.uniform(&[c, hw, hw], -1.0, 1.0);
         let spec = Conv2dSpec::new(kernel, 1, 1).unwrap();
+        let out_hw = spec.output_size(hw).unwrap();
+        let len = c * kernel * kernel * out_hw * out_hw;
+        let (mut serial, mut threaded) = (vec![0.0f32; len], vec![0.0f32; len]);
         par::set_threads(1);
-        let serial = input.im2col(spec).unwrap();
+        conv::im2col_grouped(input.data(), c, hw, hw, 1, spec, 0.0, &mut serial).unwrap();
         par::set_threads(4);
-        let threaded = input.im2col(spec).unwrap();
+        conv::im2col_grouped(input.data(), c, hw, hw, 1, spec, 0.0, &mut threaded).unwrap();
         par::set_threads(0);
-        prop_assert_eq!(serial, threaded);
+        prop_assert_eq!(bits(&serial), bits(&threaded));
     }
 
     /// Every dispatch branch, in overwrite mode on a garbage-filled `C`,
@@ -340,7 +364,7 @@ proptest! {
             par::set_threads(threads);
             // A stale buffer: every slot must be overwritten.
             let mut got = garbage(&mut rng, rows * cols);
-            let shape = conv::im2col_slice(input.data(), c, h, w, spec, &mut got);
+            let shape = conv::im2col_grouped(input.data(), c, h, w, 1, spec, 0.0, &mut got);
             let unrolled = grad.col2im(c, h, w, spec);
             par::set_threads(0);
             prop_assert_eq!(shape.unwrap(), [rows, cols]);
@@ -356,7 +380,7 @@ proptest! {
     }
 
     /// The grouped unroll of `B` inputs interleaved into `[C, H, W, B]`
-    /// equals `B` per-sample `im2col_slice` results re-laid so column
+    /// equals `B` per-sample reference unrolls re-laid so column
     /// `pi·B + bi` is sample `bi`'s output position `pi`, for `f32`
     /// values and `u8` codes, at one and at four worker threads. No input
     /// holds the pad value, and the output starts out stale, so a padded

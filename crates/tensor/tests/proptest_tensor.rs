@@ -1,7 +1,8 @@
 //! Property-based tests for the tensor substrate's core invariants.
 
 use proptest::prelude::*;
-use redcane_tensor::{ops::Conv2dSpec, Tensor, TensorRng};
+use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
+use redcane_tensor::{Tensor, TensorRng};
 
 fn small_shape() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..5, 1..4)
@@ -15,6 +16,25 @@ fn tensor_with_shape(shape: Vec<usize>) -> impl Strategy<Value = Tensor> {
 
 fn small_tensor() -> impl Strategy<Value = Tensor> {
     small_shape().prop_flat_map(tensor_with_shape)
+}
+
+/// `a (m×k) · b (k×n)` through the blocked GEMM.
+fn product(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+    let mut out = vec![0.0f32; m * n];
+    gemm::gemm_nn(a.data(), b.data(), &mut out, m, k, n);
+    Tensor::from_vec(out, &[m, n]).unwrap()
+}
+
+/// A bias-free convolution as the float layer runs it: the `G = 1`
+/// unroll, then the blocked GEMM against the `[C_out, C_in·k·k]` weights.
+fn conv_no_bias(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Tensor {
+    let (c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let (h_out, w_out) = (spec.output_size(h).unwrap(), spec.output_size(wd).unwrap());
+    let mut cols = vec![0.0f32; c * spec.kernel * spec.kernel * h_out * w_out];
+    let shape = conv::im2col_grouped(x.data(), c, h, wd, 1, spec, 0.0, &mut cols).unwrap();
+    let out = product(w, &Tensor::from_vec(cols, &shape).unwrap());
+    out.into_reshaped(&[w.shape()[0], h_out, w_out]).unwrap()
 }
 
 proptest! {
@@ -92,8 +112,8 @@ proptest! {
         let a = rng.uniform(&[3, 4], -1.0, 1.0);
         let b = rng.uniform(&[4, 2], -1.0, 1.0);
         let c = rng.uniform(&[4, 2], -1.0, 1.0);
-        let lhs = a.matmul(&b.add(&c).unwrap()).unwrap();
-        let rhs = a.matmul(&b).unwrap().add(&a.matmul(&c).unwrap()).unwrap();
+        let lhs = product(&a, &b.add(&c).unwrap());
+        let rhs = product(&a, &b).add(&product(&a, &c)).unwrap();
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-4);
         }
@@ -103,15 +123,12 @@ proptest! {
     fn conv_is_linear_in_input(seed in 0u64..200) {
         let mut rng = TensorRng::from_seed(seed);
         let spec = Conv2dSpec::new(3, 1, 1).unwrap();
-        let w = rng.uniform(&[2, 1, 3, 3], -1.0, 1.0);
-        let zero_bias = Tensor::zeros(&[2]);
+        let w = rng.uniform(&[2, 9], -1.0, 1.0);
         let x1 = rng.uniform(&[1, 5, 5], -1.0, 1.0);
         let x2 = rng.uniform(&[1, 5, 5], -1.0, 1.0);
-        let lhs = x1.add(&x2).unwrap().conv2d(&w, &zero_bias, spec).unwrap();
-        let rhs = x1
-            .conv2d(&w, &zero_bias, spec)
-            .unwrap()
-            .add(&x2.conv2d(&w, &zero_bias, spec).unwrap())
+        let lhs = conv_no_bias(&x1.add(&x2).unwrap(), &w, spec);
+        let rhs = conv_no_bias(&x1, &w, spec)
+            .add(&conv_no_bias(&x2, &w, spec))
             .unwrap();
         for (a, b) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((a - b).abs() < 1e-4);

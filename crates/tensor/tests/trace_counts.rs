@@ -4,7 +4,7 @@
 //! factors, worker counts and chunk sizes must never show through.
 
 use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
-use redcane_tensor::{par, Tensor};
+use redcane_tensor::par;
 use redcane_trace as trace;
 
 /// The trace planes are process-global; tests in this binary take this
@@ -107,11 +107,12 @@ fn im2col_counts_full_column_matrix_bytes() {
     let _guard = TRACE_LOCK.lock().unwrap();
     // [1, 16, 16] through a 7×7 stride-1 unpadded kernel: 10×10 output
     // positions, 1·7·7 = 49 rows → 49 · 100 slots · 4 bytes = 19600.
-    let t = Tensor::from_vec(vec![1.0f32; 16 * 16], &[1, 16, 16]).unwrap();
+    let input = vec![1.0f32; 16 * 16];
     let spec = Conv2dSpec::new(7, 1, 0).unwrap();
+    let mut cols = vec![0.0f32; 49 * 100];
     let snap = traced(|| {
-        let cols = t.im2col(spec).unwrap();
-        assert_eq!(cols.shape(), &[49, 100]);
+        let shape = conv::im2col_grouped(&input, 1, 16, 16, 1, spec, 0.0, &mut cols).unwrap();
+        assert_eq!(shape, [49, 100]);
     });
     assert_eq!(snap.run(trace::Counter::Im2colBytes), 49 * 100 * 4);
 }
