@@ -120,7 +120,8 @@ impl MulLut {
     /// then remaps each tabulated product, keyed by the table-entry
     /// index `(a << 8) | b` so output faults can be realized
     /// per-entry. Identity closures reproduce the base table
-    /// byte-for-byte.
+    /// byte-for-byte. The operand maps must be pure: each is called
+    /// once per code (256 times), `map_out` once per entry.
     ///
     /// The fault semantics themselves (bit flips, stuck lanes, …) live
     /// upstream — this crate only composes the remaps into a table the
@@ -133,13 +134,13 @@ impl MulLut {
         map_b: impl Fn(u8) -> u8,
         map_out: impl Fn(u32, u16) -> u16,
     ) -> MulLut {
+        let fa: [u8; 256] = std::array::from_fn(|v| map_a(v as u8));
+        let fb: [u8; 256] = std::array::from_fn(|v| map_b(v as u8));
         let mut table = vec![0u16; 65536].into_boxed_slice();
-        for a in 0..=255u16 {
-            let fa = map_a(a as u8);
-            for b in 0..=255u16 {
-                let idx = ((a as usize) << 8) | b as usize;
-                let base = self.mul(fa, map_b(b as u8));
-                table[idx] = map_out(idx as u32, base);
+        for (a, row) in table.chunks_exact_mut(256).enumerate() {
+            let base = self.row(fa[a]);
+            for (b, slot) in row.iter_mut().enumerate() {
+                *slot = map_out(((a << 8) | b) as u32, base[fb[b] as usize]);
             }
         }
         MulLut {
@@ -416,6 +417,26 @@ mod tests {
         let view = base.faulted_view("identity", |a| a, |b| b, |_, v| v);
         assert!(view.same_table(&base));
         assert!(view.factors().is_empty());
+    }
+
+    #[test]
+    fn faulted_view_calls_each_operand_map_once_per_code() {
+        let base = MulLut::exact();
+        let (calls_a, calls_b) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        let view = base.faulted_view(
+            "counted",
+            |a| {
+                calls_a.set(calls_a.get() + 1);
+                a ^ 1
+            },
+            |b| {
+                calls_b.set(calls_b.get() + 1);
+                b.rotate_left(3)
+            },
+            |_, v| v,
+        );
+        assert_eq!((calls_a.get(), calls_b.get()), (256, 256));
+        assert_eq!(view.mul(6, 0x21), 7 * 0x09);
     }
 
     #[test]

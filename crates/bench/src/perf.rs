@@ -598,9 +598,19 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
             naive_qgemm,
             reps,
         ),
+        // The two hottest gather shapes of a quantized sweep over the
+        // non-factored components: the DeepCaps cell conv at batch 16
+        // and CapsNet's primary-capsule conv (a deep reduction).
         qgemm_probe(
-            "qgemm_256x2304x16_deepcaps_cell4_gather",
-            (256, 2304, 16),
+            "qgemm_16x144x1024_deepcaps_cell_gather",
+            (16, 144, 1024),
+            &gather,
+            naive_qgemm,
+            reps,
+        ),
+        qgemm_probe(
+            "qgemm_32x600x144_capsnet_primary_gather",
+            (32, 600, 144),
             &gather,
             naive_qgemm,
             reps,
@@ -745,7 +755,8 @@ mod tests {
             "qgemm_16x144x1024_deepcaps_cell",
             "qgemm_32x288x4_narrow",
             "qgemm_256x2304x16_deepcaps_cell4",
-            "qgemm_256x2304x16_deepcaps_cell4_gather",
+            "qgemm_16x144x1024_deepcaps_cell_gather",
+            "qgemm_32x600x144_capsnet_primary_gather",
             "qgemm_hooks_off_24x49x100",
             "matmul_256x2304x16_deepcaps_cell4",
             "gemm_nn_32x288x4_deepcaps_cell3",

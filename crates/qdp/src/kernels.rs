@@ -15,16 +15,17 @@
 //!   than `NR` trailing columns — all of them when `n < NR`, as in
 //!   batch-1 deep layers — are copied once into contiguous `k`-long
 //!   columns, one vectorized dot product per output. Deep enough
-//!   reductions take this path (at least `FACTORED_MIN_K` per term).
-//! - **Gather.** Every product is a 64 KiB table lookup, in one of two
-//!   loop orders by reduction depth. Deep reductions (`k ≥ TALL_K`)
-//!   compute the output in `MR×NR` **register tiles**: `u32`
-//!   accumulators for the whole tile live in a local array across the
-//!   entire `k` loop, so `C` is read and written exactly once per tile
-//!   instead of once per `k` step. Short reductions **stream** each `B`
-//!   row across all `MR` output rows at full width, amortizing loop
-//!   overhead over `n`. Both hoist the left operand's 256-entry LUT
-//!   row, leaving the table the only irregular access.
+//!   reductions take this path (`k ≥ 4` for one term, `k ≥ 16` for
+//!   two; see `FACTORED_MIN_K`).
+//! - **Gather.** Every other product is a 64 KiB table lookup, in one
+//!   kernel for every shape. Each call packs `A` into `k`-major row
+//!   pairs and `B` into `GC`-column, `k`-major strips; each `GR×GC`
+//!   output tile keeps its eight `u32` accumulators in registers across
+//!   the whole `k` loop, so `C` is read and written once per tile. Each
+//!   `k` step hoists the two left operands' 256-entry LUT rows and
+//!   serves `GC` lookups from each, leaving the table the only
+//!   irregular access. An odd last row and a short last strip run
+//!   through the same tile, padded.
 //!
 //! Every path sums integers, which is exact modulo 2³², so the dispatch
 //! never changes an output bit. The accumulator is `u32` (8×8 products
@@ -33,8 +34,8 @@
 //!
 //! The naive triple loop survives as [`reference`](mod@reference), the correctness
 //! oracle every path is tested against for every library component
-//! (bit-identical output, across the `TALL_K` and `FACTORED_MIN_K`
-//! splits).
+//! (bit-identical output, across the `FACTORED_MIN_K` split and every
+//! tile edge).
 //!
 //! [`affine_dequant`] folds an integer accumulator matrix back to
 //! float: with `value(q) = min + lsb·q` on both operands,
@@ -52,30 +53,34 @@ use redcane_fxp::QuantParams;
 use redcane_axmul::{FactorTerm, MulLut};
 use redcane_trace as trace;
 
-/// Rows per register tile, matching the float GEMM.
+/// Rows per factored register tile, matching the float GEMM.
 pub const MR: usize = 4;
-/// Columns per register tile: `MR × NR` u32 accumulators live in
-/// registers across the whole `k` reduction.
+/// Columns per factored register tile: `MR × NR` u32 accumulators live
+/// in registers across the whole `k` reduction.
 pub const NR: usize = 8;
-/// Reductions at least this deep take the register-tile path: beyond
-/// it the row-streaming kernel's per-`k`-step reload of the `C` rows
-/// costs more than the tile's narrower `B` segments.
-const TALL_K: usize = 192;
+/// Rows per gather tile.
+const GR: usize = 2;
+/// Columns per gather tile: the width of one packed `B` strip.
+const GC: usize = 4;
 
-/// Reduction depth, per factor term, from which a factored table runs
-/// as integer GEMMs instead of the gather. Measured per call on the
-/// workspace's layer shapes against the gather on the same table
-/// (2-core x86-64 VM, both forced onto every shape): one term is
-/// 2.7–6.9× faster at every shape from `k = 4` up, the `k = 9` DeepCaps
-/// stem included (3.4–3.8×); two terms are 1.2–2.8× from `k = 8` up and
-/// 1.3× at `k = 4`. The bound is conservative; it stays put so the
-/// dispatch, and with it the `lut_row_fetches` count, does not move.
-const FACTORED_MIN_K: usize = 8;
+/// Reduction depth from which a factored table runs as integer GEMMs
+/// instead of the gather, indexed by its term count (no terms: never).
+/// Measured per call against the gather on the same table (2-core
+/// x86-64 VM, both forced onto every shape, medians of 21 alternating
+/// pairs). One term (exact, DRUM, perforation) at `k = 4`: 1.9–2.6×
+/// faster on the 80×4×16 vote transform, 1.7–2.0× at batch 8 and
+/// 1.5–1.9× at batch 1, but 0.75–0.86× at batch 3 (three dot-product
+/// columns); 1.8–3.3× at `k = 8` and 2.0–2.4× on 32×72×16. Two terms
+/// (Kulkarni, one-column truncation) at `k = 8`: 1.08–1.45× on
+/// 80×8×16 but 0.87–0.99× at batch 8, and 0.35–1.35× at `k = 4`, so
+/// they keep the old bound of 16.
+const FACTORED_MIN_K: [usize; 3] = [usize::MAX, 4, 16];
 
 /// `true` when [`qgemm_nn`] runs `lut` through its factorization.
 fn takes_factored_path(lut: &MulLut, k: usize) -> bool {
-    let terms = lut.factors().len();
-    terms > 0 && k >= FACTORED_MIN_K * terms
+    FACTORED_MIN_K
+        .get(lut.factors().len())
+        .is_some_and(|&min| k >= min)
 }
 
 /// Largest `k` the `u32` accumulator provably cannot overflow at.
@@ -92,16 +97,11 @@ pub fn qgemm_nn(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize,
         trace::add(trace::Counter::QgemmCalls, 1);
         trace::add(trace::Counter::QgemmMacs, (m * k * n) as u64);
         // Analytic twin of each path's `lut.row()` call count: the
-        // factored path fetches none, the tall-k tile path one row per
-        // (tile, k-step, tile-row), the streaming path one per
-        // (output-row, k-step). Kept in lock-step with the dispatch in
-        // `qgemm_nn_raw` by the trace count tests.
+        // factored path fetches none, the gather two rows per (tile,
+        // k-step), an odd last row paired with itself. Kept in lock-step
+        // with the dispatch in `qgemm_nn_raw` by the trace count tests.
         let fetches = if m > 0 && n > 0 && k > 0 && !takes_factored_path(lut, k) {
-            if k >= TALL_K {
-                (n.div_ceil(NR) * m * k) as u64
-            } else {
-                (m * k) as u64
-            }
+            (n.div_ceil(GC) * m.div_ceil(GR) * GR * k) as u64
         } else {
             0
         };
@@ -125,50 +125,14 @@ pub fn qgemm_nn_raw(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: us
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // A factored table runs as plain integer GEMMs; otherwise both
-    // gather paths reduce each output element in ascending-k order with
-    // u32 adds. Integer sums are exact modulo 2³², so no choice changes
+    // A factored table runs as plain integer GEMMs; otherwise the
+    // gather reduces each output element in ascending-k order with u32
+    // adds. Integer sums are exact modulo 2³², so no choice changes
     // a single output bit — only which work and memory traffic is paid.
     if takes_factored_path(lut, k) {
         qgemm_factored(a, b, c, k, n, lut.factors());
-    } else if k >= TALL_K {
-        qgemm_tall_k(a, b, c, m, k, n, lut);
     } else {
-        qgemm_stream(a, b, c, m, k, n, lut);
-    }
-}
-
-/// Register-tile path for deep reductions: `MR × NR` u32 accumulators
-/// live in a local array across the **whole** `k` loop, so `C` is read
-/// and written exactly once per tile instead of once per `k` step (the
-/// traffic that capped the tall-`k` DeepCaps shapes at ~1.1× over
-/// naive).
-#[inline(never)]
-fn qgemm_tall_k(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize, lut: &MulLut) {
-    for i0 in (0..m).step_by(MR) {
-        let mr = MR.min(m - i0);
-        for j0 in (0..n).step_by(NR) {
-            let nr = NR.min(n - j0);
-            let mut acc = [[0u32; NR]; MR];
-            for p in 0..k {
-                let brow = &b[p * n + j0..p * n + j0 + nr];
-                for r in 0..mr {
-                    // Hoist the left operand's 256-entry LUT row: the
-                    // inner loop then indexes by the streamed right
-                    // code alone (`u8` into `[u16; 256]` — checkless).
-                    let row = lut.row(a[(i0 + r) * k + p]);
-                    for (o, &bv) in acc[r][..nr].iter_mut().zip(brow) {
-                        *o += row[bv as usize] as u32;
-                    }
-                }
-            }
-            for (r, arow) in acc.iter().enumerate().take(mr) {
-                let crow = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr];
-                for (o, &v) in crow.iter_mut().zip(&arow[..nr]) {
-                    *o += v;
-                }
-            }
-        }
+        qgemm_gather(a, b, c, k, n, lut);
     }
 }
 
@@ -275,25 +239,81 @@ fn dot(x: &[u8], y: &[u8]) -> u32 {
         .fold(0u32, |s, (&x, &y)| s.wrapping_add(x as u32 * y as u32))
 }
 
-/// Row-streaming path for short reductions: each `B` row is streamed
-/// across all `MR` output rows at full width, amortizing loop overhead
-/// over `n` instead of `NR`; re-reading the `C` rows per `k` step is
-/// cheap when `k` is small.
+/// Gather path: every product is a lookup in a hoisted 256-entry LUT
+/// row. `A` is packed once into `k`-major pairs of row codes (an odd
+/// last row paired with itself), and `B` one `GC`-column strip at a
+/// time into `k`-major `[u8; GC]` codes (a short last strip repeats its
+/// last column, so the padding lookups hit lines the real ones load
+/// anyway). [`gather_strip`] then runs every row pair over the strip.
 #[inline(never)]
-fn qgemm_stream(a: &[u8], b: &[u8], c: &mut [u32], m: usize, k: usize, n: usize, lut: &MulLut) {
-    for i0 in (0..m).step_by(MR) {
-        let mr = MR.min(m - i0);
-        for p in 0..k {
-            let brow = &b[p * n..(p + 1) * n];
-            for r in 0..mr {
-                let row = lut.row(a[(i0 + r) * k + p]);
-                let crow = &mut c[(i0 + r) * n..(i0 + r) * n + n];
-                for (o, &bv) in crow.iter_mut().zip(brow) {
-                    *o += row[bv as usize] as u32;
-                }
+fn qgemm_gather(a: &[u8], b: &[u8], c: &mut [u32], k: usize, n: usize, lut: &MulLut) {
+    let mut pairs = vec![[0u8; GR]; (a.len() / k).div_ceil(GR) * k];
+    for (panel, rows) in pairs.chunks_exact_mut(k).zip(a.chunks(GR * k)) {
+        let (a0, a1) = rows.split_at(k);
+        let a1 = if a1.is_empty() { a0 } else { a1 };
+        for ((slot, &x0), &x1) in panel.iter_mut().zip(a0).zip(a1) {
+            *slot = [x0, x1];
+        }
+    }
+    let mut strip = vec![[0u8; GC]; k];
+    for j0 in (0..n).step_by(GC) {
+        let cols = GC.min(n - j0);
+        for (s, brow) in strip.iter_mut().zip(b.chunks_exact(n)) {
+            let seg = &brow[j0..j0 + cols];
+            *s = std::array::from_fn(|t| seg[t.min(cols - 1)]);
+        }
+        gather_strip(&pairs, &strip, c, n, j0, lut);
+    }
+}
+
+/// `C[.., j0..j0 + GC] += A·B` for one packed `strip` of `B` columns,
+/// one [`gather_tile`] per row pair of `pairs`; `C` is read and written
+/// once per tile. Kept out of line: inlined into the packing loops of
+/// [`qgemm_gather`], two accumulators and the loop pointers spilled to
+/// the stack on every `k` step and the kernel ran ~1.3× slower.
+#[inline(never)]
+fn gather_strip(
+    pairs: &[[u8; GR]],
+    strip: &[[u8; GC]],
+    c: &mut [u32],
+    n: usize,
+    j0: usize,
+    lut: &MulLut,
+) {
+    let (m, cols) = (c.len() / n, GC.min(n - j0));
+    for (i0, panel) in (0..m).step_by(GR).zip(pairs.chunks_exact(strip.len())) {
+        let acc = gather_tile(panel, strip, lut);
+        for (r, accr) in acc.chunks_exact(GC).take(m - i0).enumerate() {
+            let crow = &mut c[(i0 + r) * n + j0..][..cols];
+            for (o, &v) in crow.iter_mut().zip(accr) {
+                *o = o.wrapping_add(v);
             }
         }
     }
+}
+
+/// One `GR × GC` gather tile over the whole reduction: a packed panel
+/// of `A` row pairs against a packed `strip` of `B`. The eight `u32`
+/// accumulators are named locals that stay in registers across the
+/// whole `k` loop, and each `k` step fetches two LUT rows, each serving
+/// `GC` lookups.
+#[inline(always)]
+fn gather_tile(panel: &[[u8; GR]], strip: &[[u8; GC]], lut: &MulLut) -> [u32; GR * GC] {
+    let (mut c00, mut c01, mut c02, mut c03) = (0u32, 0u32, 0u32, 0u32);
+    let (mut c10, mut c11, mut c12, mut c13) = (0u32, 0u32, 0u32, 0u32);
+    for (&[x0, x1], codes) in panel.iter().zip(strip) {
+        let (r0, r1) = (lut.row(x0), lut.row(x1));
+        let [b0, b1, b2, b3] = codes.map(usize::from);
+        c00 = c00.wrapping_add(r0[b0] as u32);
+        c01 = c01.wrapping_add(r0[b1] as u32);
+        c02 = c02.wrapping_add(r0[b2] as u32);
+        c03 = c03.wrapping_add(r0[b3] as u32);
+        c10 = c10.wrapping_add(r1[b0] as u32);
+        c11 = c11.wrapping_add(r1[b1] as u32);
+        c12 = c12.wrapping_add(r1[b2] as u32);
+        c13 = c13.wrapping_add(r1[b3] as u32);
+    }
+    [c00, c01, c02, c03, c10, c11, c12, c13]
 }
 
 /// Row sums `Σₖ A[i][k]` of a code matrix (the `Σ qₐ` correction term).
@@ -392,15 +412,23 @@ mod tests {
     /// faulted view (which drops the factorization), and — for the
     /// factored tables — the integer path called directly, so shapes
     /// below `FACTORED_MIN_K` are covered too. Shapes straddle both
-    /// `FACTORED_MIN_K` splits and `TALL_K`.
+    /// `FACTORED_MIN_K` splits, the gather's `GR×GC` tile (odd `m`,
+    /// `n < GC`, every `n % GC`, `k = 1`) and the factored `MR×NR` tile.
     #[test]
     fn blocked_matches_reference_across_shapes_and_multipliers() {
         let shapes = [
             (1, 1, 1),
+            (2, 1, 6),
+            (7, 1, 2),
+            (3, 3, 5),
             (4, 4, 4),
             (5, 7, 3),
+            (6, 15, 9),
+            (2, 16, 3),
             (3, 8, 9),
             (2, 16, 5),
+            (9, 24, 10),
+            (1, 600, 4),
             (3, 300, 9),
             (13, 513, 17),
             (4, 8, 8),
@@ -450,6 +478,28 @@ mod tests {
         let k = MAX_ACC_K;
         let want = k as u32 * lut.mul(255, 255) as u32;
         for (m, n) in [(1, 1), (4, 8), (4, 9)] {
+            let (a, b) = (vec![255u8; m * k], vec![255u8; k * n]);
+            let mut fast = vec![0u32; m * n];
+            qgemm_nn(&a, &b, &mut fast, m, k, n, &lut);
+            assert_eq!(fast, vec![want; m * n], "{m}x{k}x{n}");
+        }
+        let (a, b) = (vec![255u8; k], vec![255u8; k]);
+        let mut naive = [0u32];
+        reference::qgemm_nn(&a, &b, &mut naive, 1, k, 1, &lut);
+        assert_eq!(naive, [want]);
+    }
+
+    /// The gather's twin of the Kulkarni test: every code 255 at the
+    /// deepest reduction, on a table with no factorization. `1×k×1`
+    /// is one padded tile, `2×k×4` exactly one tile and `3×k×5` adds
+    /// the odd row and a trailing column.
+    #[test]
+    fn gather_is_exact_at_max_acc_k() {
+        let lut = MulLut::tabulate(&TruncatedMultiplier::new(5));
+        assert!(lut.factors().is_empty());
+        let k = MAX_ACC_K;
+        let want = k as u32 * lut.mul(255, 255) as u32;
+        for (m, n) in [(1, 1), (2, 4), (3, 5)] {
             let (a, b) = (vec![255u8; m * k], vec![255u8; k * n]);
             let mut fast = vec![0u32; m * n];
             qgemm_nn(&a, &b, &mut fast, m, k, n, &lut);

@@ -8,13 +8,17 @@ use redcane_axmul::mult::{DrumMultiplier, KulkarniMultiplier, MitchellLogMultipl
 use redcane_qdp::kernels::{self, qgemm_nn};
 use redcane_qdp::MulLut;
 
-/// Dimensions straddling the register tile (`MR = 4`, `NR = 8`) and
-/// the tall-`k` dispatch threshold, degenerate 1s included.
+/// Dimensions straddling the factored register tile (`MR = 4`,
+/// `NR = 8`) and the gather tile (2 rows × 4 columns: odd sizes, sizes
+/// below 4 and every remainder mod 4), degenerate 1s and deep
+/// reductions included.
 fn dim() -> impl Strategy<Value = usize> {
     (0usize..64).prop_map(|v| match v {
-        0 => 1,
-        1 => 33,
-        2 => 300,
+        0 | 1 => 1,
+        2 => 2,
+        3 => 3,
+        4 => 33,
+        5 => 300,
         other => 2 + (other % 16),
     })
 }
@@ -57,17 +61,19 @@ proptest! {
     }
 
     /// Accumulation into pre-filled output behaves identically in both
-    /// kernels (the blocked path must not clobber prior contents).
+    /// kernels, on the factored and the gather path (neither may
+    /// clobber prior contents).
     #[test]
     fn blocked_qgemm_accumulates_like_reference(m in dim(), k in dim(), n in dim(), seed in 0u64..200) {
-        let lut = MulLut::exact();
         let a = codes(seed, m * k);
         let b = codes(seed ^ 0x77, k * n);
         let prior: Vec<u32> = codes(seed ^ 0x1234, m * n).into_iter().map(u32::from).collect();
-        let mut fast = prior.clone();
-        let mut naive = prior;
-        qgemm_nn(&a, &b, &mut fast, m, k, n, &lut);
-        kernels::reference::qgemm_nn(&a, &b, &mut naive, m, k, n, &lut);
-        prop_assert_eq!(&fast, &naive);
+        for lut in [MulLut::exact(), MulLut::tabulate(&MitchellLogMultiplier::new())] {
+            let mut fast = prior.clone();
+            let mut naive = prior.clone();
+            qgemm_nn(&a, &b, &mut fast, m, k, n, &lut);
+            kernels::reference::qgemm_nn(&a, &b, &mut naive, m, k, n, &lut);
+            prop_assert_eq!(&fast, &naive, "{}x{}x{} [{}]", m, k, n, lut.description());
+        }
     }
 }
