@@ -7,9 +7,9 @@
 //! model family (`redcane::faults`): transient bit flips, permanently
 //! stuck bit lanes and dead multiplier arrays, injected one site at a
 //! time into an otherwise **exact** quantized datapath. Every trial
-//! builds a single-site [`FaultPlan`], layers a [`FaultMeasured`]
-//! backend over the shared lowered program and measures what the
-//! faulted hardware actually scores:
+//! builds a single-site [`FaultPlan`], layers it over the shared
+//! measured backend ([`QuantMeasured::over`]) and measures what the
+//! faulted hardware actually scores, resolving the trial once:
 //!
 //! - **weight-code stuck-at-1 per bit index** — the classic
 //!   critical-bit analysis: which stored-weight bit, when stuck,
@@ -51,7 +51,7 @@ use redcane::faults::{mix64, FaultModel, FaultPlan, FaultTarget, SiteFault};
 use redcane::report::json::Value;
 use redcane_artifacts::{FaultChar, Provenance};
 use redcane_capsnet::{CapsModel, OpKind};
-use redcane_qdp::FaultMeasured;
+use redcane_qdp::QuantMeasured;
 use redcane_tensor::par;
 
 use crate::cli::{next_parsed, Args, SessionConfig};
@@ -579,14 +579,9 @@ fn score<M: CapsModel + Clone + Send + Sync>(
     fail_soft: bool,
 ) -> (Option<f64>, Vec<SiteKey>, Option<String>) {
     let assignment = DatapathAssignment::uniform(EXACT_COMPONENT);
-    let backend = FaultMeasured::over(&t.measured, plan, fail_soft);
-    match backend.evaluate(&t.model, &t.eval, &assignment) {
-        Ok(acc) => {
-            let downgraded = backend
-                .downgraded_sites(&assignment)
-                .expect("evaluation already resolved this assignment");
-            (Some(acc), downgraded, None)
-        }
+    let backend = QuantMeasured::over(&t.measured, plan, fail_soft);
+    match backend.evaluate_with_downgrades(&t.model, &t.eval, &assignment) {
+        Ok((acc, downgraded)) => (Some(acc), downgraded, None),
         Err(e) => (None, Vec::new(), Some(e.to_string())),
     }
 }

@@ -27,7 +27,7 @@ use redcane_fxp::QuantParams;
 use redcane_nn::layers::Conv2d;
 use redcane_qdp::{
     kernels as qkernels, qlayers, quantized_routing, CalibrationObserver, MacView, MulLut,
-    PreparedModel, QConv2d, QModel,
+    PreparedModel, QConv2d, QModel, QRouting,
 };
 use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{Tensor, TensorRng};
@@ -366,33 +366,22 @@ fn routing_probes(reps: usize) -> Vec<PerfProbe> {
 fn qrouting_probe(name: &str, lut: &MulLut, reps: usize) -> PerfProbe {
     let mut rng = TensorRng::from_seed(88);
     let votes = rng.uniform(&[72, 10, 8], -1.0, 1.0);
-    let vote_params = QuantParams::calibrate(&votes, 8).expect("finite votes");
-    let coupling_params = QuantParams::from_range(0.0, 1.0, 8).expect("valid range");
-    let act_params = QuantParams::from_range(-1.0, 1.0, 8).expect("valid range");
+    let routing = QRouting {
+        iterations: 3,
+        votes: QuantParams::calibrate(&votes, 8).expect("finite votes"),
+        coupling: QuantParams::from_range(0.0, 1.0, 8).expect("valid range"),
+        activations: QuantParams::from_range(-1.0, 1.0, 8).expect("valid range"),
+    };
     let view = MacView { lut, acc: None };
     PerfProbe::time(
         name,
         reps,
         &mut || {
-            std::hint::black_box(quantized_routing(
-                &votes,
-                3,
-                vote_params,
-                coupling_params,
-                act_params,
-                view,
-                view,
-            ));
+            std::hint::black_box(quantized_routing(&votes, &routing, view, view));
         },
         Some(&mut || {
             std::hint::black_box(qlayers::reference::quantized_routing(
-                &votes,
-                3,
-                vote_params,
-                coupling_params,
-                act_params,
-                view,
-                view,
+                &votes, &routing, view, view,
             ));
         }),
     )

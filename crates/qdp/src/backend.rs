@@ -12,6 +12,14 @@
 //! sweeping many assignments (uniform per-component rows, the Step-6
 //! heterogeneous design) over one trained model shares all of the
 //! lowering.
+//!
+//! The same backend measures the discrete error-model family:
+//! [`QuantMeasured::over`] layers a [`FaultPlan`] — bit flips, stuck-at
+//! lanes and dead outputs at the assignment's own site keys — over the
+//! shared program, and every evaluation runs the faulted hardware.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use redcane::datapath::{AccuracyBackend, BackendError, DatapathAssignment, SiteKey};
 use redcane::faults::FaultPlan;
@@ -20,23 +28,56 @@ use redcane_capsnet::CapsModel;
 use redcane_datasets::Dataset;
 use redcane_tensor::Tensor;
 
-use crate::qmodel::{evaluate_quantized, evaluate_resolved, QModel};
+use crate::qmodel::{evaluate_resolved, QModel, Resolution};
 
 /// Ground-truth accuracy backend: lower once, then run any
-/// [`DatapathAssignment`] on the quantized integer datapath.
+/// [`DatapathAssignment`] on the quantized integer datapath, optionally
+/// under a [`FaultPlan`].
+///
+/// The lowered program and the tables sit behind [`Arc`]s, so clones
+/// and [`QuantMeasured::over`] share them. Every fault target is
+/// realized when an evaluation runs: tables and accumulator faults at
+/// resolution, weight-code faults on a copy of the program
+/// ([`QModel::with_fault_plan`]) made only when the plan has one. With
+/// `fail_soft`, sites the plan leaves dead fall back to the exact
+/// multiplier (and [`QuantMeasured::evaluate_with_downgrades`] reports
+/// which); otherwise evaluation refuses with [`BackendError::DeadSite`].
 #[derive(Debug, Clone)]
 pub struct QuantMeasured {
-    qmodel: QModel,
-    luts: LutCache,
+    qmodel: Arc<QModel>,
+    luts: Arc<LutCache>,
+    plan: Option<FaultPlan>,
+    fail_soft: bool,
 }
 
+/// The fault-plan form of [`QuantMeasured`]; the name stays only because
+/// the repository benchmark (`perfbench`) still uses it.
+pub type FaultMeasured = QuantMeasured;
+
 impl QuantMeasured {
-    /// Wraps an already-lowered program and a LUT cache.
+    /// Wraps an already-lowered program and a LUT cache (no fault plan).
     pub fn new(qmodel: QModel, luts: LutCache) -> Self {
-        QuantMeasured { qmodel, luts }
+        QuantMeasured {
+            qmodel: Arc::new(qmodel),
+            luts: Arc::new(luts),
+            plan: None,
+            fail_soft: false,
+        }
     }
 
-    /// The lowered quantized program.
+    /// `base`'s program and tables under `plan`, which replaces any plan
+    /// `base` had (plans never stack). Copies neither program nor
+    /// tables.
+    pub fn over(base: &QuantMeasured, plan: FaultPlan, fail_soft: bool) -> Self {
+        QuantMeasured {
+            qmodel: Arc::clone(&base.qmodel),
+            luts: Arc::clone(&base.luts),
+            plan: Some(plan),
+            fail_soft,
+        }
+    }
+
+    /// The lowered, fault-free quantized program.
     pub fn qmodel(&self) -> &QModel {
         &self.qmodel
     }
@@ -45,19 +86,22 @@ impl QuantMeasured {
     pub fn luts(&self) -> &LutCache {
         &self.luts
     }
-}
 
-impl AccuracyBackend for QuantMeasured {
-    fn name(&self) -> &'static str {
-        "quant-measured"
-    }
-
-    fn evaluate<M: CapsModel + Clone + Send + Sync>(
+    /// Accuracy of `model` over `data` under `assignment` (and the fault
+    /// plan), plus the sites fail-soft downgraded to the exact
+    /// multiplier — both from one resolution of the assignment.
+    ///
+    /// # Errors
+    ///
+    /// As [`AccuracyBackend::evaluate`]: a model other than the one the
+    /// program was lowered from, unassigned sites, unknown components,
+    /// or — without `fail_soft` — a dead site.
+    pub fn evaluate_with_downgrades<M: CapsModel>(
         &self,
         model: &M,
         data: &Dataset,
         assignment: &DatapathAssignment,
-    ) -> Result<f64, BackendError> {
+    ) -> Result<(f64, Vec<SiteKey>), BackendError> {
         // The program was lowered from a specific trained model; the
         // trait hands the model back in, so guard against scoring a
         // different network with another network's weights. The guard
@@ -72,63 +116,19 @@ impl AccuracyBackend for QuantMeasured {
                 got,
             });
         }
-        evaluate_quantized(&self.qmodel, data, assignment, &self.luts)
-    }
-}
-
-/// Accuracy backend for the discrete error-model family: runs the
-/// quantized datapath **under a [`FaultPlan`]** — bit flips, stuck-at
-/// lanes and dead outputs injected at the assignment's own site keys —
-/// and measures what the faulted hardware actually scores.
-///
-/// Construction pre-applies the plan's weight-code faults to a copy of
-/// the lowered program ([`QModel::with_fault_plan`]); all other fault
-/// targets are realized when an assignment is resolved. With
-/// `fail_soft`, sites the plan leaves dead fall back to the exact
-/// multiplier (and [`FaultMeasured::downgraded_sites`] reports which);
-/// otherwise evaluation refuses with [`BackendError::DeadSite`].
-#[derive(Debug, Clone)]
-pub struct FaultMeasured {
-    qmodel: QModel,
-    luts: LutCache,
-    plan: FaultPlan,
-    fail_soft: bool,
-}
-
-impl FaultMeasured {
-    /// Layers `plan` over an already-lowered program and LUT cache.
-    pub fn new(qmodel: &QModel, luts: LutCache, plan: FaultPlan, fail_soft: bool) -> Self {
-        FaultMeasured {
-            qmodel: qmodel.with_fault_plan(&plan),
-            luts,
-            plan,
-            fail_soft,
-        }
+        let resolved = self.resolve(assignment)?;
+        let accuracy = evaluate_resolved(&self.program(), data, &resolved.execs);
+        Ok((accuracy, resolved.downgraded))
     }
 
-    /// Layers `plan` over an existing measured backend (shares nothing;
-    /// the program copy carries the plan's weight faults).
-    pub fn over(backend: &QuantMeasured, plan: FaultPlan, fail_soft: bool) -> Self {
-        Self::new(backend.qmodel(), backend.luts().clone(), plan, fail_soft)
-    }
-
-    /// The active fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Whether dead sites downgrade instead of erroring.
-    pub fn fail_soft(&self) -> bool {
-        self.fail_soft
-    }
-
-    /// Full quantized inference under the fault plan: the
-    /// class-capsule lengths for one input, every site running its
-    /// faulted execution state.
+    /// Full quantized inference under the fault plan: the class-capsule
+    /// lengths for one input, every site running its (possibly
+    /// faulted) execution state.
     ///
     /// # Errors
     ///
-    /// As [`FaultMeasured::evaluate`].
+    /// As [`QuantMeasured::evaluate_with_downgrades`], bar the model
+    /// check.
     ///
     /// # Panics
     ///
@@ -138,39 +138,33 @@ impl FaultMeasured {
         x: &Tensor,
         assignment: &DatapathAssignment,
     ) -> Result<Tensor, BackendError> {
-        let resolved =
-            self.qmodel
-                .resolve_with(assignment, &self.luts, Some(&self.plan), self.fail_soft)?;
+        let resolved = self.resolve(assignment)?;
         Ok(self
-            .qmodel
+            .program()
             .forward_batch_resolved(&[x], &resolved.execs)
             .pop()
             // lint: allow(panic) — batch API contract: the executor returns one output per input sample
             .expect("one sample in, one out"))
     }
 
-    /// The sites `assignment` would downgrade to the exact multiplier
-    /// under this plan (empty unless `fail_soft` and the plan kills a
-    /// site). Resolves without running any inference.
-    ///
-    /// # Errors
-    ///
-    /// As [`FaultMeasured::evaluate`]: unassigned sites, unknown
-    /// components, or — without `fail_soft` — a dead site.
-    pub fn downgraded_sites(
-        &self,
-        assignment: &DatapathAssignment,
-    ) -> Result<Vec<SiteKey>, BackendError> {
-        Ok(self
-            .qmodel
-            .resolve_with(assignment, &self.luts, Some(&self.plan), self.fail_soft)?
-            .downgraded)
+    fn resolve(&self, assignment: &DatapathAssignment) -> Result<Resolution, BackendError> {
+        self.qmodel
+            .resolve(assignment, &self.luts, self.plan.as_ref(), self.fail_soft)
+    }
+
+    /// The program evaluations run: the shared one, or a copy carrying
+    /// the plan's weight-code faults when it has any.
+    fn program(&self) -> Cow<'_, QModel> {
+        match &self.plan {
+            Some(plan) => self.qmodel.with_fault_plan(plan),
+            None => Cow::Borrowed(&self.qmodel),
+        }
     }
 }
 
-impl AccuracyBackend for FaultMeasured {
+impl AccuracyBackend for QuantMeasured {
     fn name(&self) -> &'static str {
-        "fault-measured"
+        "quant-measured"
     }
 
     fn evaluate<M: CapsModel + Clone + Send + Sync>(
@@ -179,17 +173,7 @@ impl AccuracyBackend for FaultMeasured {
         data: &Dataset,
         assignment: &DatapathAssignment,
     ) -> Result<f64, BackendError> {
-        let got = model.name();
-        if got != self.qmodel.arch() {
-            return Err(BackendError::ModelMismatch {
-                expected: self.qmodel.arch().to_string(),
-                got,
-            });
-        }
-        let resolved =
-            self.qmodel
-                .resolve_with(assignment, &self.luts, Some(&self.plan), self.fail_soft)?;
-        Ok(evaluate_resolved(&self.qmodel, data, &resolved.execs))
+        Ok(self.evaluate_with_downgrades(model, data, assignment)?.0)
     }
 }
 
@@ -197,7 +181,9 @@ impl AccuracyBackend for FaultMeasured {
 mod tests {
     use super::*;
     use crate::lower::calibrate_ranges;
+    use redcane::faults::{FaultModel, FaultTarget, SiteFault};
     use redcane_axmul::MultiplierLibrary;
+    use redcane_capsnet::inject::OpKind;
     use redcane_capsnet::{evaluate_clean, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig};
     use redcane_datasets::{generate, Benchmark, GenerateConfig};
     use redcane_tensor::TensorRng;
@@ -253,8 +239,6 @@ mod tests {
 
     #[test]
     fn fault_backend_identity_plan_matches_the_clean_measurement() {
-        use redcane_capsnet::inject::OpKind;
-
         let pair = generate(
             Benchmark::MnistLike,
             &GenerateConfig {
@@ -274,45 +258,43 @@ mod tests {
         let assignment = DatapathAssignment::uniform("mul8u_1JFF");
         let clean = backend.evaluate(&model, &pair.test, &assignment).unwrap();
 
-        let faulty = FaultMeasured::over(&backend, FaultPlan::identity(9), false);
-        assert_eq!(faulty.name(), "fault-measured");
+        let faulty = QuantMeasured::over(&backend, FaultPlan::identity(9), false);
+        assert_eq!(faulty.name(), "quant-measured");
         assert_eq!(
-            faulty.evaluate(&model, &pair.test, &assignment).unwrap(),
-            clean,
+            faulty
+                .evaluate_with_downgrades(&model, &pair.test, &assignment)
+                .unwrap(),
+            (clean, Vec::new()),
             "identity plan must reproduce the fault-free accuracy exactly"
         );
-        assert!(faulty.downgraded_sites(&assignment).unwrap().is_empty());
 
         // A dead ClassCaps vote site: strict mode refuses, fail-soft
         // substitutes the exact multiplier and names the site.
-        use redcane::faults::{FaultModel, FaultTarget, SiteFault};
         let dead = FaultPlan::identity(9).with(
             "ClassCaps",
             OpKind::MacOutput,
             false,
             SiteFault::new(FaultTarget::Multiplier, FaultModel::DeadOutput),
         );
-        let strict = FaultMeasured::over(&backend, dead.clone(), false);
+        let strict = QuantMeasured::over(&backend, dead.clone(), false);
         let err = strict
             .evaluate(&model, &pair.test, &assignment)
             .unwrap_err();
         assert!(matches!(err, BackendError::DeadSite { ref layer, .. } if layer == "ClassCaps"));
-        let soft = FaultMeasured::over(&backend, dead, true);
-        assert!(soft.fail_soft());
-        let down = soft.downgraded_sites(&assignment).unwrap();
+        let soft = QuantMeasured::over(&backend, dead, true);
+        let (acc, down) = soft
+            .evaluate_with_downgrades(&model, &pair.test, &assignment)
+            .unwrap();
         assert_eq!(
             down,
             vec![("ClassCaps".to_string(), OpKind::MacOutput, false)]
         );
-        let acc = soft.evaluate(&model, &pair.test, &assignment).unwrap();
         assert!((0.0..=1.0).contains(&acc));
+        assert_eq!(acc, soft.evaluate(&model, &pair.test, &assignment).unwrap());
     }
 
     #[test]
     fn fault_backend_faults_actually_change_predictions() {
-        use redcane::faults::{FaultModel, FaultTarget, SiteFault};
-        use redcane_capsnet::inject::OpKind;
-
         let pair = generate(
             Benchmark::MnistLike,
             &GenerateConfig {
@@ -344,8 +326,10 @@ mod tests {
                 },
             ),
         );
-        let faulty = FaultMeasured::over(&backend, plan, false);
-        let hurt = faulty.evaluate(&model, &pair.test, &assignment).unwrap();
+        let faulty = QuantMeasured::over(&backend, plan, false);
+        let (hurt, down) = faulty
+            .evaluate_with_downgrades(&model, &pair.test, &assignment)
+            .unwrap();
         assert!((0.0..=1.0).contains(&hurt));
         // Deterministic on repeat.
         assert_eq!(
@@ -355,7 +339,110 @@ mod tests {
         // The faulted accuracy is a *different measurement* unless the
         // network is uncommonly robust; either way the backend ran the
         // faulted tables (checked via downgrade-free resolution).
-        assert!(faulty.downgraded_sites(&assignment).unwrap().is_empty());
+        assert!(down.is_empty());
         let _ = clean;
+    }
+
+    /// The most significant bit stuck high.
+    const STUCK_MSB: FaultModel = FaultModel::StuckAt {
+        lanes: 0x80,
+        value: true,
+    };
+
+    /// Conv1's stored weight codes with their MSB stuck high.
+    fn stuck_weight_msb(seed: u64) -> FaultPlan {
+        FaultPlan::identity(seed).with(
+            "Conv1",
+            OpKind::MacOutput,
+            false,
+            SiteFault::new(FaultTarget::WeightCodes, STUCK_MSB),
+        )
+    }
+
+    #[test]
+    fn weight_fault_plan_over_a_backend_leaves_the_base_unchanged() {
+        let pair = generate(
+            Benchmark::MnistLike,
+            &GenerateConfig {
+                train: 8,
+                test: 12,
+                seed: 37,
+            },
+        );
+        let mut rng = TensorRng::from_seed(914);
+        let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
+        let library = MultiplierLibrary::evo_approx_like();
+        let base = calibrated(
+            &mut model,
+            pair.train.samples.iter().map(|s| &s.image),
+            &library,
+        );
+        let assignment = DatapathAssignment::uniform("mul8u_1JFF");
+        let codes = base.qmodel().weight_code_sample(usize::MAX);
+        let clean = base.evaluate(&model, &pair.test, &assignment).unwrap();
+
+        let plan = stuck_weight_msb(5);
+        // The plan is live: it rewrites stored weight codes, and the
+        // evaluation runs the rewritten codes.
+        assert_ne!(
+            base.qmodel()
+                .with_fault_plan(&plan)
+                .weight_code_sample(usize::MAX),
+            codes
+        );
+        let faulty = QuantMeasured::over(&base, plan, false);
+        let image = &pair.test.samples[0].image;
+        assert_ne!(
+            faulty.forward(image, &assignment).unwrap(),
+            base.forward(image, &assignment).unwrap(),
+            "the faulted program runs"
+        );
+        faulty.evaluate(&model, &pair.test, &assignment).unwrap();
+
+        assert_eq!(base.qmodel().weight_code_sample(usize::MAX), codes);
+        assert_eq!(faulty.qmodel().weight_code_sample(usize::MAX), codes);
+        assert_eq!(
+            base.evaluate(&model, &pair.test, &assignment).unwrap(),
+            clean
+        );
+    }
+
+    #[test]
+    fn a_plan_layered_over_a_faulted_backend_replaces_its_plan() {
+        let pair = generate(
+            Benchmark::MnistLike,
+            &GenerateConfig {
+                train: 8,
+                test: 12,
+                seed: 39,
+            },
+        );
+        let mut rng = TensorRng::from_seed(915);
+        let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
+        let library = MultiplierLibrary::evo_approx_like();
+        let base = calibrated(
+            &mut model,
+            pair.train.samples.iter().map(|s| &s.image),
+            &library,
+        );
+        let assignment = DatapathAssignment::uniform("mul8u_1JFF");
+        // Faulted stored codes and a faulted vote table.
+        let plan = stuck_weight_msb(6).with(
+            "ClassCaps",
+            OpKind::MacOutput,
+            false,
+            SiteFault::new(FaultTarget::Multiplier, STUCK_MSB),
+        );
+        let faulted = QuantMeasured::over(&base, plan, false);
+        let image = &pair.test.samples[0].image;
+        let clean_out = base.forward(image, &assignment).unwrap();
+        assert_ne!(faulted.forward(image, &assignment).unwrap(), clean_out);
+
+        let identity = QuantMeasured::over(&faulted, FaultPlan::identity(6), false);
+        assert_eq!(identity.forward(image, &assignment).unwrap(), clean_out);
+        assert_eq!(
+            identity.evaluate(&model, &pair.test, &assignment).unwrap(),
+            base.evaluate(&model, &pair.test, &assignment).unwrap()
+        );
     }
 }

@@ -7,14 +7,15 @@
 //! [`Injector`] that rides the existing tap points — the same hooks
 //! the noise models use — and feeds every tensor it sees into a
 //! [`RangeTracker`] keyed by `(layer, operation kind)`. After a sweep
-//! over clean calibration inputs, [`CalibrationObserver::params`]
-//! turns a site's observed range into fixed [`QuantParams`] for the
-//! quantized datapath.
+//! over clean calibration inputs, [`CalibrationObserver::ranges`]
+//! turns every site's observed range into fixed
+//! [`QuantParams`](redcane_fxp::QuantParams) for the quantized
+//! datapath.
 
 use std::collections::BTreeMap;
 
 use redcane_capsnet::inject::{Injector, OpKind, OpSite};
-use redcane_fxp::{FxpError, QuantParams, RangeTracker};
+use redcane_fxp::RangeTracker;
 use redcane_tensor::Tensor;
 
 use crate::lower::{LowerError, QuantRanges};
@@ -104,38 +105,10 @@ impl CalibrationObserver {
         }
     }
 
-    /// The tracker for a non-routing site, if it was visited.
-    pub fn tracker(&self, layer: &str, kind: OpKind) -> Option<&RangeTracker> {
-        self.trackers.get(&(layer.to_string(), kind, false))
-    }
-
-    /// The tracker for a site inside dynamic routing (merged across
-    /// iterations), if it was visited.
-    pub fn routing_tracker(&self, layer: &str, kind: OpKind) -> Option<&RangeTracker> {
-        self.trackers.get(&(layer.to_string(), kind, true))
-    }
-
-    /// Quantization parameters covering a non-routing site's observed
-    /// range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FxpError::InvalidRange`] if the site was never visited
-    /// (reported with an empty range), or any error from
-    /// [`RangeTracker::to_params`].
-    pub fn params(&self, layer: &str, kind: OpKind, bits: u8) -> Result<QuantParams, FxpError> {
-        match self.tracker(layer, kind) {
-            Some(t) => t.to_params(bits),
-            None => Err(FxpError::InvalidRange {
-                min: f32::INFINITY,
-                max: f32::NEG_INFINITY,
-            }),
-        }
-    }
-
-    /// Converts every observed site's range into fixed [`QuantParams`],
-    /// producing the architecture-generic [`QuantRanges`] map the
-    /// lowering pipeline consumes.
+    /// Converts every observed site's range into fixed
+    /// [`QuantParams`](redcane_fxp::QuantParams), producing the
+    /// architecture-generic [`QuantRanges`] map the lowering pipeline
+    /// consumes.
     ///
     /// # Errors
     ///
@@ -221,6 +194,7 @@ impl Injector for CalibrationObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redcane_fxp::QuantParams;
 
     #[test]
     fn tracks_ranges_per_site_and_merges_visits() {
@@ -228,10 +202,12 @@ mod tests {
         let site = OpSite::new(0, "Conv1", OpKind::MacOutput);
         obs.inject(&site, &mut Tensor::from_slice(&[0.0, 2.0]));
         obs.inject(&site, &mut Tensor::from_slice(&[-1.0, 1.0]));
-        let t = obs.tracker("Conv1", OpKind::MacOutput).unwrap();
-        assert_eq!(t.min(), -1.0);
-        assert_eq!(t.max(), 2.0);
-        let p = obs.params("Conv1", OpKind::MacOutput, 8).unwrap();
+        let p = obs
+            .ranges(8)
+            .unwrap()
+            .get("Conv1", OpKind::MacOutput)
+            .unwrap();
+        assert_eq!((p.min(), p.max()), (-1.0, 2.0));
         assert_eq!(p.quantize(-1.0), 0);
         assert_eq!(p.quantize(2.0), 255);
     }
@@ -247,8 +223,13 @@ mod tests {
             &OpSite::new(1, "ClassCaps", OpKind::Softmax),
             &mut Tensor::from_slice(&[0.25]),
         );
-        assert_eq!(obs.ranges(8).unwrap().len(), 2);
-        assert!(obs.tracker("Conv1", OpKind::Softmax).is_none());
+        let ranges = obs.ranges(8).unwrap();
+        assert_eq!(ranges.len(), 2);
+        // Each site's range covers only its own observations.
+        let conv = ranges.get("Conv1", OpKind::MacOutput).unwrap();
+        let softmax = ranges.get("ClassCaps", OpKind::Softmax).unwrap();
+        assert!(conv.min() > 0.25 && softmax.max() < 5.0);
+        assert!(ranges.get("Conv1", OpKind::Softmax).is_none());
     }
 
     #[test]
@@ -264,18 +245,23 @@ mod tests {
             &OpSite::routing(2, "ClassCaps", OpKind::MacOutput, 0),
             &mut Tensor::from_slice(&[-40.0, 40.0]),
         );
-        let votes = obs.tracker("ClassCaps", OpKind::MacOutput).unwrap();
-        assert_eq!((votes.min(), votes.max()), (-1.0, 1.0));
-        let s = obs.routing_tracker("ClassCaps", OpKind::MacOutput).unwrap();
-        assert_eq!((s.min(), s.max()), (-40.0, 40.0));
         let ranges = obs.ranges(8).unwrap();
-        assert!(ranges.get_routing("ClassCaps", OpKind::MacOutput).is_some());
+        let votes = ranges.get("ClassCaps", OpKind::MacOutput).unwrap();
+        assert_eq!((votes.min(), votes.max()), (-1.0, 1.0));
+        let s = ranges.get_routing("ClassCaps", OpKind::MacOutput).unwrap();
+        assert_eq!((s.min(), s.max()), (-40.0, 40.0));
     }
 
     #[test]
     fn unvisited_site_errors() {
-        let obs = CalibrationObserver::new();
-        assert!(obs.params("Nope", OpKind::MacOutput, 8).is_err());
+        let mut obs = CalibrationObserver::new();
+        obs.inject(
+            &OpSite::new(0, "Conv1", OpKind::MacOutput),
+            &mut Tensor::from_slice(&[5.0]),
+        );
+        let ranges = obs.ranges(8).unwrap();
+        assert!(ranges.get("Nope", OpKind::MacOutput).is_none());
+        assert!(ranges.require("Nope", OpKind::MacOutput).is_err());
     }
 
     #[test]

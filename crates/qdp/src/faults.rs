@@ -8,7 +8,10 @@
 //! - **Weight codes** — corrupted in storage by
 //!   [`QModel::with_fault_plan`](crate::QModel::with_fault_plan), with
 //!   the zero-point-correction row sums recomputed from the faulted
-//!   codes (the correction adders read the same weight memory).
+//!   codes (the correction adders read the same weight memory). Like
+//!   every other target this happens when an evaluation runs: the
+//!   measured backend copies the program only for a plan that faults
+//!   weight codes.
 //! - **Activation codes** — a broken operand latch between the
 //!   activation buffer and the multiplier array: realized as a
 //!   right-operand remap fused into the site's LUT

@@ -15,11 +15,13 @@
 //!    [`CalibrationObserver`] riding the existing injection tap
 //!    points; [`QuantRanges`] maps every observed `(layer, op kind)`
 //!    site to its fixed requantization range ([`calibrate_ranges`]).
-//! 2. **Lower** — every float layer lowers itself to its quantized
-//!    counterpart through [`LowerToQuant`] (`Conv2d`→`QConv2d`,
-//!    `ConvCaps2d`→`QConvCaps2d`, `ConvCaps3d`→`QConvCaps3d`,
-//!    `ClassCaps`→`QClassCaps`), each with one batched execution entry
-//!    point taking a [`MacView`] per MAC site;
+//! 2. **Lower** — every float layer lowers to its quantized
+//!    counterpart in one step: [`QConvCaps2d::lower`],
+//!    [`QConvCaps3d::lower`] and [`QClassCaps::lower`] read their
+//!    ranges under the layer's own name (the routing ones as one
+//!    [`QRouting`]), and `Conv2d` becomes a [`QConv2d`] with an
+//!    explicit input range ([`QConv2d::from_conv`]). Each has one
+//!    batched execution entry point taking a [`MacView`] per MAC site;
 //!    [`QModel::lower`] assembles them into a dataflow program for the
 //!    whole network whose steps remember their **site** keys. Weights
 //!    and activations become 8-bit codes
@@ -45,7 +47,9 @@
 //! [`AccuracyBackend`] trait, so the *measured* accuracy of any
 //! assignment is interchangeable with the noise-*predicted* accuracy of
 //! the same assignment — the paper's validation loop, closed over both
-//! networks and over heterogeneous designs.
+//! networks and over heterogeneous designs. The same backend, layered
+//! over a `redcane::faults::FaultPlan` with [`QuantMeasured::over`],
+//! measures discrete hardware faults.
 #![forbid(unsafe_code)]
 
 pub mod backend;
@@ -60,8 +64,10 @@ pub mod qtensor;
 pub use backend::{FaultMeasured, QuantMeasured};
 pub use calib::CalibrationObserver;
 pub use faults::{faulted_site_lut, AccFault, MacView};
-pub use lower::{calibrate_ranges, LowerError, LowerToQuant, QuantRanges};
-pub use qlayers::{quantized_routing, QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d, QVotes};
+pub use lower::{calibrate_ranges, LowerError, QuantRanges};
+pub use qlayers::{
+    quantized_routing, QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d, QRouting, QVotes,
+};
 pub use qmodel::{evaluate_quantized, PreparedModel, QModel, QStep};
 pub use qtensor::fault_codes;
 // The LUT machinery lives beside the multiplier models in

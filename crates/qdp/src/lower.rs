@@ -1,6 +1,5 @@
 //! The architecture-generic lowering pipeline: calibrated quantization
-//! ranges keyed by site, and a trait each float layer implements to
-//! lower itself onto the quantized datapath.
+//! ranges keyed by site, and the error every lowering step reports.
 //!
 //! [`QuantRanges`] replaces per-architecture range structs: it is a map
 //! from `(layer name, operation kind, in-routing?)` — the same key the
@@ -8,23 +7,24 @@
 //! the injection tap points produces one, so lowering a new
 //! architecture needs **no** new calibration code.
 //!
-//! [`LowerToQuant`] is the per-layer half: `Conv2d`, `ConvCaps2d`,
-//! `ConvCaps3d` and `ClassCaps` each lower themselves to
-//! their `Q*` counterpart, pulling the ranges they need from the map
-//! and failing with a clear [`LowerError::MissingRange`] when a site
-//! was never calibrated.
+//! The per-layer half lives with the quantized layers: each capsule
+//! layer lowers in one step, [`QConvCaps2d::lower`],
+//! [`QConvCaps3d::lower`] and [`QClassCaps::lower`], pulling the ranges
+//! it needs from the map under its own name and failing with a clear
+//! [`LowerError::MissingRange`] when a site was never calibrated.
+//!
+//! [`QConvCaps2d::lower`]: crate::QConvCaps2d::lower
+//! [`QConvCaps3d::lower`]: crate::QConvCaps3d::lower
+//! [`QClassCaps::lower`]: crate::QClassCaps::lower
 
 use std::collections::BTreeMap;
 
 use redcane_capsnet::inject::OpKind;
-use redcane_capsnet::layers::{ClassCaps, ConvCaps2d, ConvCaps3d};
 use redcane_capsnet::CapsModel;
 use redcane_fxp::{FxpError, QuantParams};
-use redcane_nn::layers::Conv2d;
 use redcane_tensor::Tensor;
 
 use crate::calib::CalibrationObserver;
-use crate::qlayers::{QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d};
 
 /// Why lowering a model (or a layer) onto the quantized datapath
 /// failed.
@@ -233,103 +233,20 @@ pub fn calibrate_ranges<'a>(
     obs.ranges(8)
 }
 
-/// A float layer that can lower itself onto the quantized datapath.
-///
-/// `layer` is the site name the model's injector taps use for this
-/// layer (self-naming layers pass their own `name()`); implementations
-/// pull every range they need from `ranges` and fail with a
-/// [`LowerError::MissingRange`] naming the first absent site.
-pub trait LowerToQuant {
-    /// The quantized counterpart this layer lowers to.
-    type Quantized;
-
-    /// Lowers the trained float layer onto the quantized datapath.
-    ///
-    /// # Errors
-    ///
-    /// [`LowerError::MissingRange`] when a needed site was never
-    /// calibrated; [`LowerError::Quantization`] when the weights
-    /// contain non-finite values.
-    fn lower_to_quant(
-        &self,
-        layer: &str,
-        ranges: &QuantRanges,
-    ) -> Result<Self::Quantized, LowerError>;
-}
-
-fn quant_err(layer: &str) -> impl FnOnce(FxpError) -> LowerError + '_ {
+/// Maps a weight-quantization error to [`LowerError::Quantization`]
+/// for `layer`.
+pub(crate) fn quant_err(layer: &str) -> impl FnOnce(FxpError) -> LowerError + '_ {
     move |source| LowerError::Quantization {
         layer: layer.to_string(),
         source,
     }
 }
 
-impl LowerToQuant for Conv2d {
-    type Quantized = QConv2d;
-
-    fn lower_to_quant(
-        &self,
-        layer: &str,
-        ranges: &QuantRanges,
-    ) -> Result<Self::Quantized, LowerError> {
-        let in_params = ranges.require(layer, OpKind::MacInput)?;
-        QConv2d::from_conv(self, in_params).map_err(quant_err(layer))
-    }
-}
-
-impl LowerToQuant for ConvCaps2d {
-    type Quantized = QConvCaps2d;
-
-    fn lower_to_quant(
-        &self,
-        layer: &str,
-        ranges: &QuantRanges,
-    ) -> Result<Self::Quantized, LowerError> {
-        let in_params = ranges.require(layer, OpKind::MacInput)?;
-        QConvCaps2d::from_conv_caps(self, in_params).map_err(quant_err(layer))
-    }
-}
-
-impl LowerToQuant for ConvCaps3d {
-    type Quantized = QConvCaps3d;
-
-    fn lower_to_quant(
-        &self,
-        layer: &str,
-        ranges: &QuantRanges,
-    ) -> Result<Self::Quantized, LowerError> {
-        let in_params = ranges.require(layer, OpKind::MacInput)?;
-        // The non-routing MacOutput tap is the vote tensor itself; the
-        // in-routing MacOutput taps (the weighted sums, up to I× wider)
-        // must not dilate the vote codes.
-        let vote_params = ranges.require(layer, OpKind::MacOutput)?;
-        let coupling_params = ranges.require_routing(layer, OpKind::Softmax)?;
-        let act_params = ranges.require_routing(layer, OpKind::Activation)?;
-        QConvCaps3d::from_conv_caps(self, in_params, vote_params, coupling_params, act_params)
-            .map_err(quant_err(layer))
-    }
-}
-
-impl LowerToQuant for ClassCaps {
-    type Quantized = QClassCaps;
-
-    fn lower_to_quant(
-        &self,
-        layer: &str,
-        ranges: &QuantRanges,
-    ) -> Result<Self::Quantized, LowerError> {
-        let in_params = ranges.require(layer, OpKind::MacInput)?;
-        let vote_params = ranges.require(layer, OpKind::MacOutput)?;
-        let coupling_params = ranges.require_routing(layer, OpKind::Softmax)?;
-        let act_params = ranges.require_routing(layer, OpKind::Activation)?;
-        QClassCaps::from_class_caps(self, in_params, vote_params, coupling_params, act_params)
-            .map_err(quant_err(layer))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{QClassCaps, QConvCaps2d};
+    use redcane_capsnet::layers::{ClassCaps, ConvCaps2d};
     use redcane_tensor::TensorRng;
 
     fn p(min: f32, max: f32) -> QuantParams {
@@ -369,23 +286,30 @@ mod tests {
         assert!(err.to_string().contains("in routing"));
     }
 
+    /// A conv-caps layer named `Primary`, the site its ranges live under.
+    fn conv_caps(seed: u64) -> ConvCaps2d {
+        let mut rng = TensorRng::from_seed(seed);
+        ConvCaps2d::new(0, "Primary", 1, 2, 3, 4, 3, 1, 1, true, &mut rng)
+    }
+
     #[test]
     fn conv_lowering_fails_without_calibration() {
-        let mut rng = TensorRng::from_seed(600);
-        let conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
-        let err = conv
-            .lower_to_quant("Conv1", &QuantRanges::new())
-            .unwrap_err();
-        assert!(matches!(err, LowerError::MissingRange { ref layer, .. } if layer == "Conv1"));
+        let err = QConvCaps2d::lower(&conv_caps(600), &QuantRanges::new()).unwrap_err();
+        assert_eq!(
+            err,
+            LowerError::MissingRange {
+                layer: "Primary".into(),
+                kind: OpKind::MacInput,
+                in_routing: false,
+            }
+        );
     }
 
     #[test]
     fn conv_lowering_succeeds_with_its_site() {
-        let mut rng = TensorRng::from_seed(601);
-        let conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let mut r = QuantRanges::new();
-        r.insert("Conv1", OpKind::MacInput, false, p(-1.0, 1.0));
-        assert!(conv.lower_to_quant("Conv1", &r).is_ok());
+        r.insert("Primary", OpKind::MacInput, false, p(-1.0, 1.0));
+        assert!(QConvCaps2d::lower(&conv_caps(601), &r).is_ok());
     }
 
     #[test]
@@ -395,7 +319,7 @@ mod tests {
         let mut r = QuantRanges::new();
         r.insert("CC", OpKind::MacInput, false, p(-1.0, 1.0));
         r.insert("CC", OpKind::MacOutput, false, p(-1.0, 1.0));
-        let err = layer.lower_to_quant("CC", &r).unwrap_err();
+        let err = QClassCaps::lower(&layer, &r).unwrap_err();
         assert_eq!(
             err,
             LowerError::MissingRange {

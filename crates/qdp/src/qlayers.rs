@@ -9,8 +9,10 @@
 //! requantized between layers with ranges fixed at calibration time,
 //! so the datapath is input-independent like the hardware it models.
 //!
-//! Each `Q*` type is the lowering target of its float counterpart via
-//! [`LowerToQuant`](crate::LowerToQuant) and has one execution entry
+//! Each capsule layer type lowers in one step, `lower(layer, ranges)`,
+//! reading its calibrated ranges under the layer's own name; the GEMM
+//! primitives [`QConv2d`] and [`QVotes`] take their input range
+//! explicitly. Each type has one execution entry
 //! point, `forward_batch`, taking one [`MacView`] per MAC site; the
 //! [`QModel`](crate::QModel) program composes them into end-to-end
 //! quantized inference for any architecture.
@@ -38,12 +40,14 @@ use redcane_tensor::ops::Conv2dSpec;
 use redcane_tensor::Tensor;
 use redcane_trace as trace;
 
+use redcane_capsnet::inject::OpKind;
 use redcane_capsnet::layers::{ClassCaps, ConvCaps2d, ConvCaps3d};
 
 use redcane::faults::FaultModel;
 
 use crate::faults::{AccFault, MacView};
 use crate::kernels::{affine_dequant, col_sums, qgemm_nn, row_sums};
+use crate::lower::{quant_err, LowerError, QuantRanges};
 use crate::qtensor::{fault_codes, quantize_codes};
 
 // ------------------------------------------------------------ QConv2d
@@ -413,6 +417,40 @@ impl QVotes {
 
 // -------------------------------------------------- quantized routing
 
+/// The routing half of a lowered capsule layer: its iteration count and
+/// the calibrated requantization ranges of the three routing arrays.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QRouting {
+    /// Routing-by-agreement iterations (at least 1).
+    pub iterations: usize,
+    /// Range of the vote codes `û`.
+    pub votes: QuantParams,
+    /// Range of the coupling coefficients `k`.
+    pub coupling: QuantParams,
+    /// Range of the squashed capsules `v`.
+    pub activations: QuantParams,
+}
+
+impl QRouting {
+    /// Reads layer `name`'s routing ranges: the votes from its
+    /// non-routing MAC-output site (the vote tensor itself; the
+    /// in-routing MAC-output taps are the weighted sums, up to `I×`
+    /// wider, and must not dilate the vote codes), the coupling and the
+    /// capsules from its in-routing softmax and activation sites.
+    fn from_ranges(
+        name: &str,
+        iterations: usize,
+        ranges: &QuantRanges,
+    ) -> Result<Self, LowerError> {
+        Ok(QRouting {
+            iterations,
+            votes: ranges.require(name, OpKind::MacOutput)?,
+            coupling: ranges.require_routing(name, OpKind::Softmax)?,
+            activations: ranges.require_routing(name, OpKind::Activation)?,
+        })
+    }
+}
+
 /// Dynamic routing-by-agreement with its two MAC sites — the weighted
 /// sum `s_j = Σᵢ k_ij·û_{j|i}` and the agreement (logits-update) dot
 /// `û·v` — running on quantized codes. The softmax and squash (the
@@ -422,9 +460,9 @@ impl QVotes {
 /// `votes` is `[I, J, D]` (fully-connected capsules) or `[I, J, D, P]`
 /// (convolutional capsules routing at every spatial position, as in
 /// DeepCaps' `Caps3D`); returns the routed capsules `[J, D]` or
-/// `[J, D, P]` respectively. `vote_params` / `coupling_params` /
-/// `act_params` are the calibrated requantization ranges for the
-/// votes, the coupling coefficients and the squashed capsules.
+/// `[J, D, P]` respectively. `routing` carries the iteration count
+/// and the calibrated requantization ranges of the votes, the coupling
+/// coefficients and the squashed capsules.
 ///
 /// The two MAC sites are independent multiplier sites of a
 /// heterogeneous datapath, each with its own view (table plus optional
@@ -451,18 +489,18 @@ impl QVotes {
 ///
 /// # Panics
 ///
-/// Panics unless `votes` is rank 3 or 4 and `iterations >= 1`.
+/// Panics unless `votes` is rank 3 or 4 and `routing.iterations >= 1`.
 pub fn quantized_routing(
     votes: &Tensor,
-    iterations: usize,
-    vote_params: QuantParams,
-    coupling_params: QuantParams,
-    act_params: QuantParams,
+    routing: &QRouting,
     sum: MacView<'_>,
     agree: MacView<'_>,
 ) -> Tensor {
     let (i_caps, j_caps, d, p, spatial) = routing_dims(votes);
-    assert!(iterations >= 1, "routing needs at least one iteration");
+    assert!(
+        routing.iterations >= 1,
+        "routing needs at least one iteration"
+    );
     // Same u32-accumulator contract as the qgemm kernels: the
     // weighted sum reduces over I, the agreement dot over D.
     debug_assert!(
@@ -474,14 +512,11 @@ pub fn quantized_routing(
         j_caps,
         d,
         p,
-        iterations,
-        vote_params,
-        coupling_params,
-        act_params,
+        routing: *routing,
         sum,
         agree,
     };
-    let qu = quantize_codes(votes.data(), vote_params);
+    let qu = quantize_codes(votes.data(), routing.votes);
     let mut v = vec![0.0f32; j_caps * d * p];
     if v.is_empty() {
         // No capsule to route (a zero dimension); nothing to compute.
@@ -527,10 +562,9 @@ struct Router<'a> {
     d: usize,
     /// Spatial positions: the stride of the accumulator-fault slots.
     p: usize,
-    iterations: usize,
-    vote_params: QuantParams,
-    coupling_params: QuantParams,
-    act_params: QuantParams,
+    /// A copy, not a borrow: reading the ranges through a reference
+    /// changed the code LLVM emits for `route`.
+    routing: QRouting,
     sum: MacView<'a>,
     agree: MacView<'a>,
 }
@@ -541,9 +575,10 @@ impl Router<'_> {
     fn route(&self, qu: &[u8], pi: usize, v: &mut [f32]) {
         let (i_caps, j_caps, d, p) = (self.i_caps, self.j_caps, self.d, self.p);
         let jd = j_caps * d;
-        let (lu, min_u) = (self.vote_params.lsb(), self.vote_params.min());
-        let (lk, min_k) = (self.coupling_params.lsb(), self.coupling_params.min());
-        let (lv, min_v) = (self.act_params.lsb(), self.act_params.min());
+        let r = &self.routing;
+        let (lu, min_u) = (r.votes.lsb(), r.votes.min());
+        let (lk, min_k) = (r.coupling.lsb(), r.coupling.min());
+        let (lv, min_v) = (r.activations.lsb(), r.activations.min());
         // Iteration-independent code sums for the corrections.
         // Σ_d qu[i,j,d] per (i, j) — the agreement dot's left-operand sum.
         let qu_ij: Vec<u32> = qu.chunks_exact(d).map(code_sum).collect();
@@ -559,7 +594,7 @@ impl Router<'_> {
         let mut s = vec![0.0f32; jd];
         let mut acc_s = vec![0u32; jd];
         let mut acc_b = vec![0u32; i_caps * j_caps];
-        for iter in 0..self.iterations {
+        for iter in 0..r.iterations {
             // Coupling coefficients: softmax over J (float SFU). Iteration 0
             // sees b == 0, for which the softmax is exactly uniform.
             if iter == 0 {
@@ -567,7 +602,7 @@ impl Router<'_> {
             } else {
                 softmax_over_j(&b, &mut k, i_caps, j_caps, 1);
             }
-            let qk = quantize_codes(&k, self.coupling_params);
+            let qk = quantize_codes(&k, r.coupling);
             // Σ_i qk[i,j] per j.
             let qk_j = col_sums(&qk, i_caps, j_caps);
             // Weighted sum s[j,d] = Σ_i k[i,j]·u[i,j,d] on codes, then
@@ -590,11 +625,11 @@ impl Router<'_> {
                 }
             }
             squash_slices(&s, v, j_caps, d, 1);
-            if iter + 1 == self.iterations {
+            if iter + 1 == r.iterations {
                 break;
             }
             // Agreement b[i,j] += Σ_d û[i,j,d]·v[j,d] on codes.
-            let qv = quantize_codes(v, self.act_params);
+            let qv = quantize_codes(v, r.activations);
             // Σ_d qv[j,d] per j.
             let qv_j: Vec<u32> = qv.chunks_exact(d).map(code_sum).collect();
             agreement(self.agree.lut, qu, &agree_votes, &qv, d, &mut acc_b);
@@ -766,17 +801,21 @@ pub struct QConvCaps2d {
 }
 
 impl QConvCaps2d {
-    /// Lowers a trained conv-caps layer with its input quantization
-    /// fixed to `in_params`.
+    /// Lowers a trained conv-caps layer, its input quantization fixed
+    /// to the layer's calibrated MAC-input range.
     ///
     /// # Errors
     ///
-    /// Returns an error if the weights contain non-finite values.
-    pub fn from_conv_caps(layer: &ConvCaps2d, in_params: QuantParams) -> Result<Self, FxpError> {
+    /// [`LowerError::MissingRange`] when that site was never
+    /// calibrated; [`LowerError::Quantization`] when the weights
+    /// contain non-finite values.
+    pub fn lower(layer: &ConvCaps2d, ranges: &QuantRanges) -> Result<Self, LowerError> {
+        let name = layer.name();
+        let in_params = ranges.require(name, OpKind::MacInput)?;
         let (c_in, d_in) = layer.in_caps();
         let (c_out, d_out) = layer.out_caps();
         Ok(QConvCaps2d {
-            conv: QConv2d::from_conv(layer.conv(), in_params)?,
+            conv: QConv2d::from_conv(layer.conv(), in_params).map_err(quant_err(name))?,
             c_in,
             d_in,
             c_out,
@@ -863,46 +902,39 @@ pub struct QConvCaps3d {
     d_in: usize,
     c_out: usize,
     d_out: usize,
-    iterations: usize,
-    vote_params: QuantParams,
-    coupling_params: QuantParams,
-    act_params: QuantParams,
+    routing: QRouting,
 }
 
 impl QConvCaps3d {
-    /// Lowers a trained routing conv-caps layer. `in_params` fixes the
-    /// vote convolutions' input quantization; `vote_params` /
-    /// `coupling_params` / `act_params` are the routing requantization
-    /// ranges.
+    /// Lowers a trained routing conv-caps layer: the vote convolutions'
+    /// input quantization and the [`QRouting`] ranges come from the
+    /// layer's calibrated sites, read in the order MAC input, MAC
+    /// output, routing softmax, routing activation.
     ///
     /// # Errors
     ///
-    /// Returns an error if any vote convolution's weights contain
-    /// non-finite values.
-    pub fn from_conv_caps(
-        layer: &ConvCaps3d,
-        in_params: QuantParams,
-        vote_params: QuantParams,
-        coupling_params: QuantParams,
-        act_params: QuantParams,
-    ) -> Result<Self, FxpError> {
+    /// [`LowerError::MissingRange`] naming the first site never
+    /// calibrated; [`LowerError::Quantization`] when any vote
+    /// convolution's weights contain non-finite values.
+    pub fn lower(layer: &ConvCaps3d, ranges: &QuantRanges) -> Result<Self, LowerError> {
+        let name = layer.name();
+        let in_params = ranges.require(name, OpKind::MacInput)?;
+        let routing = QRouting::from_ranges(name, layer.iterations(), ranges)?;
         let (c_in, d_in) = layer.in_caps();
         let (c_out, d_out) = layer.out_caps();
         let convs = layer
             .convs()
             .iter()
             .map(|c| QConv2d::from_conv(c, in_params))
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(quant_err(name))?;
         Ok(QConvCaps3d {
             convs,
             c_in,
             d_in,
             c_out,
             d_out,
-            iterations: layer.iterations(),
-            vote_params,
-            coupling_params,
-            act_params,
+            routing,
         })
     }
 
@@ -977,15 +1009,7 @@ impl QConvCaps3d {
                 let votes = Tensor::from_vec(flat, &[self.c_in, self.c_out, self.d_out, p])
                     // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
                     .expect("vote assembly");
-                let v = quantized_routing(
-                    &votes,
-                    self.iterations,
-                    self.vote_params,
-                    self.coupling_params,
-                    self.act_params,
-                    sum,
-                    agree,
-                );
+                let v = quantized_routing(&votes, &self.routing, sum, agree);
                 v.into_reshaped(&[self.c_out, self.d_out, h_out, w_out])
                     // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
                     .expect("spatial unfold")
@@ -1001,33 +1025,27 @@ impl QConvCaps3d {
 #[derive(Debug, Clone)]
 pub struct QClassCaps {
     votes: QVotes,
-    iterations: usize,
-    vote_params: QuantParams,
-    coupling_params: QuantParams,
-    act_params: QuantParams,
+    routing: QRouting,
 }
 
 impl QClassCaps {
-    /// Lowers a trained class-capsule layer. `in_params` fixes the unit
-    /// input quantization; `vote_params` / `coupling_params` /
-    /// `act_params` are the routing requantization ranges.
+    /// Lowers a trained class-capsule layer: the unit input
+    /// quantization and the [`QRouting`] ranges come from the layer's
+    /// calibrated sites, read in the order MAC input, MAC output,
+    /// routing softmax, routing activation.
     ///
     /// # Errors
     ///
-    /// Returns an error if the weights contain non-finite values.
-    pub fn from_class_caps(
-        layer: &ClassCaps,
-        in_params: QuantParams,
-        vote_params: QuantParams,
-        coupling_params: QuantParams,
-        act_params: QuantParams,
-    ) -> Result<Self, FxpError> {
+    /// [`LowerError::MissingRange`] naming the first site never
+    /// calibrated; [`LowerError::Quantization`] when the weights
+    /// contain non-finite values.
+    pub fn lower(layer: &ClassCaps, ranges: &QuantRanges) -> Result<Self, LowerError> {
+        let name = layer.name();
+        let in_params = ranges.require(name, OpKind::MacInput)?;
+        let routing = QRouting::from_ranges(name, layer.iterations(), ranges)?;
         Ok(QClassCaps {
-            votes: QVotes::from_class_caps(layer, in_params)?,
-            iterations: layer.iterations(),
-            vote_params,
-            coupling_params,
-            act_params,
+            votes: QVotes::from_class_caps(layer, in_params).map_err(quant_err(name))?,
+            routing,
         })
     }
 
@@ -1066,17 +1084,7 @@ impl QClassCaps {
         let _routing = trace::span("routing");
         votes
             .iter()
-            .map(|votes| {
-                quantized_routing(
-                    votes,
-                    self.iterations,
-                    self.vote_params,
-                    self.coupling_params,
-                    self.act_params,
-                    sum,
-                    agree,
-                )
-            })
+            .map(|votes| quantized_routing(votes, &self.routing, sum, agree))
             .collect()
     }
 }
@@ -1089,9 +1097,9 @@ impl QClassCaps {
 pub mod reference {
     use redcane_capsnet::routing::softmax_over_j;
     use redcane_capsnet::squash::squash_slices;
-    use redcane_fxp::QuantParams;
     use redcane_tensor::Tensor;
 
+    use super::QRouting;
     use crate::faults::MacView;
     use crate::qtensor::quantize_codes;
 
@@ -1101,16 +1109,19 @@ pub mod reference {
     ///
     /// # Panics
     ///
-    /// Panics unless `votes` is rank 3 or 4 and `iterations >= 1`.
+    /// Panics unless `votes` is rank 3 or 4 and `routing.iterations >= 1`.
     pub fn quantized_routing(
         votes: &Tensor,
-        iterations: usize,
-        vote_params: QuantParams,
-        coupling_params: QuantParams,
-        act_params: QuantParams,
+        routing: &QRouting,
         sum: MacView<'_>,
         agree: MacView<'_>,
     ) -> Tensor {
+        let QRouting {
+            iterations,
+            votes: vote_params,
+            coupling: coupling_params,
+            activations: act_params,
+        } = *routing;
         let (i_caps, j_caps, d, p, spatial) = super::routing_dims(votes);
         assert!(iterations >= 1, "routing needs at least one iteration");
         // Same u32-accumulator contract as the qgemm kernels: the
@@ -1240,7 +1251,7 @@ mod tests {
     use redcane_axmul::mult::TruncatedMultiplier;
     use redcane_axmul::MulLut;
     use redcane_capsnet::routing::dynamic_routing;
-    use redcane_capsnet::{NoInjection, OpKind};
+    use redcane_capsnet::NoInjection;
     use redcane_tensor::TensorRng;
 
     fn p(min: f32, max: f32) -> QuantParams {
@@ -1313,15 +1324,13 @@ mod tests {
         let cache = dynamic_routing(votes4, 3, 0, "X", &mut NoInjection);
         let want = cache.v.reshape(&[j_caps, d]).unwrap();
         let exact = MulLut::exact();
-        let got = quantized_routing(
-            &votes3,
-            3,
-            QuantParams::calibrate(&votes3, 8).unwrap(),
-            p(0.0, 1.0),
-            p(-1.0, 1.0),
-            clean(&exact),
-            clean(&exact),
-        );
+        let routing = QRouting {
+            iterations: 3,
+            votes: QuantParams::calibrate(&votes3, 8).unwrap(),
+            coupling: p(0.0, 1.0),
+            activations: p(-1.0, 1.0),
+        };
+        let got = quantized_routing(&votes3, &routing, clean(&exact), clean(&exact));
         assert_eq!(got.shape(), &[j_caps, d]);
         for (a, b) in want.data().iter().zip(got.data()) {
             assert!((a - b).abs() < 0.05, "float {a} vs quantized {b}");
@@ -1337,15 +1346,13 @@ mod tests {
         let votes = rng.uniform(&[i_caps, j_caps, d, p_dim], -1.0, 1.0);
         let cache = dynamic_routing(votes.clone(), 3, 0, "X", &mut NoInjection);
         let exact = MulLut::exact();
-        let got = quantized_routing(
-            &votes,
-            3,
-            QuantParams::calibrate(&votes, 8).unwrap(),
-            p(0.0, 1.0),
-            p(-1.0, 1.0),
-            clean(&exact),
-            clean(&exact),
-        );
+        let routing = QRouting {
+            iterations: 3,
+            votes: QuantParams::calibrate(&votes, 8).unwrap(),
+            coupling: p(0.0, 1.0),
+            activations: p(-1.0, 1.0),
+        };
+        let got = quantized_routing(&votes, &routing, clean(&exact), clean(&exact));
         assert_eq!(got.shape(), &[j_caps, d, p_dim]);
         for (a, b) in cache.v.data().iter().zip(got.data()) {
             assert!((a - b).abs() < 0.05, "float {a} vs quantized {b}");
@@ -1356,11 +1363,13 @@ mod tests {
     fn qconv_caps2d_with_exact_lut_tracks_float_layer() {
         let mut rng = TensorRng::from_seed(508);
         let exact = MulLut::exact();
+        let mut ranges = QuantRanges::new();
+        ranges.insert("C2", OpKind::MacInput, false, p(-1.0, 1.0));
         for apply_squash in [true, false] {
             let mut layer = ConvCaps2d::new(0, "C2", 2, 4, 3, 4, 3, 2, 1, apply_squash, &mut rng);
             let x = rng.uniform(&[2, 4, 8, 8], -1.0, 1.0);
             let want = layer.forward(&x, &mut NoInjection);
-            let q = QConvCaps2d::from_conv_caps(&layer, p(-1.0, 1.0)).unwrap();
+            let q = QConvCaps2d::lower(&layer, &ranges).unwrap();
             let got = one(&x, |xs| q.forward_batch(xs, clean(&exact)));
             assert_eq!(got.shape(), want.shape());
             let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
@@ -1373,43 +1382,26 @@ mod tests {
         }
     }
 
-    /// Calibrates layer `name`'s `(MacInput, MacOutput, routing
-    /// Softmax, routing Activation)` ranges — the parameters the routing
-    /// capsule layers lower with — from the float pass `forward` runs.
-    fn routing_ranges(
-        name: &str,
-        forward: impl FnOnce(&mut crate::CalibrationObserver),
-    ) -> [QuantParams; 4] {
-        let mut obs = crate::CalibrationObserver::new();
-        forward(&mut obs);
-        let ranges = obs.ranges(8).unwrap();
-        [
-            ranges.get(name, OpKind::MacInput).unwrap(),
-            ranges.get(name, OpKind::MacOutput).unwrap(),
-            ranges.get_routing(name, OpKind::Softmax).unwrap(),
-            ranges.get_routing(name, OpKind::Activation).unwrap(),
-        ]
-    }
-
+    /// A routing conv-caps layer lowered with the ranges one float pass
+    /// over its input calibrates.
     fn caps3d_fixture(seed: u64) -> (ConvCaps3d, QConvCaps3d, Tensor) {
         let mut rng = TensorRng::from_seed(seed);
         let layer = ConvCaps3d::new(0, "C3", 3, 4, 2, 4, 3, 1, 1, 3, &mut rng);
         let x = rng.uniform(&[3, 4, 4, 4], -1.0, 1.0);
-        let [i, v, c, a] = routing_ranges("C3", |obs| {
-            let _ = layer.clone().forward(&x, obs);
-        });
-        let q = QConvCaps3d::from_conv_caps(&layer, i, v, c, a).unwrap();
+        let mut obs = crate::CalibrationObserver::new();
+        let _ = layer.clone().forward(&x, &mut obs);
+        let q = QConvCaps3d::lower(&layer, &obs.ranges(8).unwrap()).unwrap();
         (layer, q, x)
     }
 
+    /// A class-capsule layer lowered like [`caps3d_fixture`].
     fn class_caps_fixture(seed: u64) -> (ClassCaps, QClassCaps, Tensor) {
         let mut rng = TensorRng::from_seed(seed);
         let layer = ClassCaps::new(0, "CC", 12, 10, 4, 8, 3, &mut rng);
         let u = rng.uniform(&[12, 4], -1.0, 1.0);
-        let [i, v, c, a] = routing_ranges("CC", |obs| {
-            let _ = layer.clone().forward(&u, obs);
-        });
-        let q = QClassCaps::from_class_caps(&layer, i, v, c, a).unwrap();
+        let mut obs = crate::CalibrationObserver::new();
+        let _ = layer.clone().forward(&u, &mut obs);
+        let q = QClassCaps::lower(&layer, &obs.ranges(8).unwrap()).unwrap();
         (layer, q, u)
     }
 

@@ -6,10 +6,12 @@
 //! primitives of [`crate::qlayers`] plus the float glue an accelerator
 //! computes exactly (ReLU, residual join + squash, capsule→unit
 //! reordering, concatenation, capsule lengths). Lowering walks a
-//! trained float model's layer graph, lowers every layer through
-//! [`LowerToQuant`] with the calibrated [`QuantRanges`], and emits steps that remember their **site** — the
-//! same `(layer, op kind, in-routing)` keys the ranges are stored
-//! under. Execution first resolves, once per assignment, which
+//! trained float model's layer graph, lowers every layer in one step
+//! with the calibrated [`QuantRanges`] ([`QConvCaps2d::lower`] and its
+//! siblings; `Conv1` through [`QConv2d::from_conv`]), and emits steps
+//! that remember their **site** — the same `(layer, op kind,
+//! in-routing)` keys the ranges are stored under. Execution first
+//! resolves, once per assignment (and optional fault plan), which
 //! multiplier serves each site's MACs from a [`DatapathAssignment`] and
 //! a [`LutCache`] (one shared 64 KiB table per distinct component) —
 //! [`PreparedModel`] holds that resolution, [`evaluate_quantized`]
@@ -21,6 +23,7 @@
 //! CapsNet is 4 steps, the 17-layer DeepCaps (Caps3D routing included)
 //! is 24 — no per-architecture execution code.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use redcane::datapath::{BackendError, DatapathAssignment, SiteKey};
@@ -35,7 +38,7 @@ use redcane_tensor::{par, Tensor};
 use redcane_trace as trace;
 
 use crate::faults::{faulted_site_lut, AccFault, MacView};
-use crate::lower::{LowerError, LowerToQuant, QuantRanges};
+use crate::lower::{quant_err, LowerError, QuantRanges};
 use crate::qlayers::{QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d};
 
 /// Samples fused per wide GEMM when evaluating a dataset
@@ -109,6 +112,17 @@ pub enum QStep {
 }
 
 impl QStep {
+    /// The site (layer) name of the step's MACs; `None` for float glue.
+    fn site(&self) -> Option<&str> {
+        match self {
+            QStep::Conv { site, .. }
+            | QStep::CapsConv { site, .. }
+            | QStep::Caps3d { site, .. }
+            | QStep::ClassCaps { site, .. } => Some(site),
+            QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => None,
+        }
+    }
+
     /// Span label for the profiler: the MAC site name where the step
     /// has one, the glue-step kind otherwise.
     fn span_name(&self) -> &str {
@@ -199,9 +213,9 @@ impl Resolver<'_> {
             .ok_or_else(|| BackendError::UnknownComponent {
                 component: component.to_string(),
             })?;
-        let Some(fault) = self
+        let Some((plan, fault)) = self
             .plan
-            .and_then(|p| p.active_fault_for(site, kind, in_routing))
+            .and_then(|p| Some((p, p.active_fault_for(site, kind, in_routing)?)))
         else {
             return Ok(MacExec {
                 lut: base,
@@ -211,13 +225,9 @@ impl Resolver<'_> {
         if trace::enabled() {
             trace::add(trace::Counter::FaultSitesApplied, 1);
         }
-        let seed = self
-            .plan
-            // lint: allow(panic) — guarded: a fault backend is only built with an installed plan
-            .expect("fault implies plan")
-            .site_seed(site, kind, in_routing);
+        let seed = plan.site_seed(site, kind, in_routing);
         // Weight-code and (non-dead) accumulator faults don't touch the
-        // table: the former is pre-applied to the stored codes by
+        // table: the former is applied to the stored codes by
         // [`QModel::with_fault_plan`], the latter rides along as an
         // [`AccFault`].
         if !matches!(fault.model, FaultModel::DeadOutput) {
@@ -308,23 +318,20 @@ impl QModel {
         let steps = vec![
             QStep::Conv {
                 site: "Conv1".to_string(),
-                conv: model.conv1().lower_to_quant("Conv1", ranges)?,
+                conv: QConv2d::from_conv(model.conv1(), ranges.require("Conv1", OpKind::MacInput)?)
+                    .map_err(quant_err("Conv1"))?,
                 relu: true,
                 src: 0,
             },
             QStep::CapsConv {
                 site: model.primary().name().to_string(),
-                layer: model
-                    .primary()
-                    .lower_to_quant(model.primary().name(), ranges)?,
+                layer: QConvCaps2d::lower(model.primary(), ranges)?,
                 src: 1,
             },
             QStep::ToUnits { src: 2 },
             QStep::ClassCaps {
                 site: model.class_caps().name().to_string(),
-                layer: model
-                    .class_caps()
-                    .lower_to_quant(model.class_caps().name(), ranges)?,
+                layer: QClassCaps::lower(model.class_caps(), ranges)?,
                 src: 3,
             },
         ];
@@ -349,7 +356,7 @@ impl QModel {
          -> Result<QStep, LowerError> {
             Ok(QStep::CapsConv {
                 site: layer.name().to_string(),
-                layer: layer.lower_to_quant(layer.name(), ranges)?,
+                layer: QConvCaps2d::lower(layer, ranges)?,
                 src,
             })
         };
@@ -367,9 +374,7 @@ impl QModel {
             &mut steps,
             QStep::Caps3d {
                 site: model.caps3d().name().to_string(),
-                layer: model
-                    .caps3d()
-                    .lower_to_quant(model.caps3d().name(), ranges)?,
+                layer: QConvCaps3d::lower(model.caps3d(), ranges)?,
                 src: b,
             },
         );
@@ -381,9 +386,7 @@ impl QModel {
             &mut steps,
             QStep::ClassCaps {
                 site: model.class_caps().name().to_string(),
-                layer: model
-                    .class_caps()
-                    .lower_to_quant(model.class_caps().name(), ranges)?,
+                layer: QClassCaps::lower(model.class_caps(), ranges)?,
                 src: u,
             },
         );
@@ -431,23 +434,14 @@ impl QModel {
         out
     }
 
-    /// Resolves each step's multiplier tables from the assignment
-    /// (fault-free path).
-    fn resolve(
-        &self,
-        assignment: &DatapathAssignment,
-        luts: &LutCache,
-    ) -> Result<Resolution, BackendError> {
-        self.resolve_with(assignment, luts, None, false)
-    }
-
     /// Resolves each step's execution state from the assignment, with
     /// an optional fault plan layered over it. With `fail_soft`, sites
     /// the plan leaves dead (see [`MulLut::is_dead`]) fall back to the
     /// exact multiplier and are reported in
     /// [`Resolution::downgraded`]; otherwise they fail with
-    /// [`BackendError::DeadSite`].
-    pub(crate) fn resolve_with(
+    /// [`BackendError::DeadSite`]. The plan's weight-code faults are
+    /// not realized here but in [`QModel::with_fault_plan`].
+    pub(crate) fn resolve(
         &self,
         assignment: &DatapathAssignment,
         luts: &LutCache,
@@ -486,56 +480,50 @@ impl QModel {
         })
     }
 
-    /// A copy of the model with `plan`'s **weight-code** faults burned
-    /// into the stored 8-bit codes (zero-point-correction row sums
-    /// recomputed — the correction adders read the same weight
-    /// memory). All other fault targets are realized at resolution
-    /// time; weight faults live in storage, so they need their own
-    /// pre-faulted model. With no active weight fault this is a plain
-    /// clone.
-    pub fn with_fault_plan(&self, plan: &FaultPlan) -> QModel {
+    /// The model with `plan`'s **weight-code** faults burned into the
+    /// stored 8-bit codes (zero-point-correction row sums recomputed —
+    /// the correction adders read the same weight memory). All other
+    /// fault targets are realized at resolution time; weight faults
+    /// live in storage, so they need their own faulted copy. With no
+    /// active weight fault this borrows `self` and copies nothing.
+    pub fn with_fault_plan(&self, plan: &FaultPlan) -> Cow<'_, QModel> {
+        // Weight memory backs the (non-routing) MAC-output site;
+        // routing sites hold no stored codes.
+        let weight_fault = |step: &QStep| {
+            let site = step.site()?;
+            plan.active_fault_for(site, OpKind::MacOutput, false)
+                .filter(|f| {
+                    f.target == FaultTarget::WeightCodes
+                        && !matches!(f.model, FaultModel::DeadOutput)
+                })
+                .map(|f| (f.model, plan.site_seed(site, OpKind::MacOutput, false)))
+        };
+        if !self.steps.iter().any(|step| weight_fault(step).is_some()) {
+            return Cow::Borrowed(self);
+        }
         let mut faulted = self.clone();
         for step in &mut faulted.steps {
-            let site = match &*step {
-                QStep::Conv { site, .. }
-                | QStep::CapsConv { site, .. }
-                | QStep::Caps3d { site, .. }
-                | QStep::ClassCaps { site, .. } => site.clone(),
-                QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {
-                    continue;
-                }
-            };
-            // Weight memory backs the (non-routing) MAC-output site;
-            // routing sites hold no stored codes.
-            let Some(fault) = plan.active_fault_for(&site, OpKind::MacOutput, false) else {
+            let Some((model, seed)) = weight_fault(step) else {
                 continue;
             };
-            if fault.target != FaultTarget::WeightCodes
-                || matches!(fault.model, FaultModel::DeadOutput)
-            {
-                continue;
-            }
-            let seed = plan.site_seed(&site, OpKind::MacOutput, false);
             match step {
                 QStep::Conv { conv, .. } => {
-                    conv.fault_weight_codes(&fault.model, seed, 0);
+                    conv.fault_weight_codes(&model, seed, 0);
                 }
                 QStep::CapsConv { layer, .. } => {
-                    layer.fault_weight_codes(&fault.model, seed, 0);
+                    layer.fault_weight_codes(&model, seed, 0);
                 }
                 QStep::Caps3d { layer, .. } => {
-                    layer.fault_weight_codes(&fault.model, seed, 0);
+                    layer.fault_weight_codes(&model, seed, 0);
                 }
                 QStep::ClassCaps { layer, .. } => {
-                    layer.fault_weight_codes(&fault.model, seed, 0);
+                    layer.fault_weight_codes(&model, seed, 0);
                 }
-                QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {
-                    // lint: allow(panic) — unreachable: the match above consumes every glue step
-                    unreachable!("glue steps were skipped above")
-                }
+                // Glue steps have no site, so no weight fault.
+                QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {}
             }
         }
-        faulted
+        Cow::Owned(faulted)
     }
 
     /// A deterministic sample of at most `max_len` quantized weight
@@ -706,7 +694,7 @@ impl PreparedModel {
         assignment: &DatapathAssignment,
         luts: &LutCache,
     ) -> Result<Self, BackendError> {
-        let resolution = model.resolve(assignment, luts)?;
+        let resolution = model.resolve(assignment, luts, None, false)?;
         Ok(PreparedModel {
             model,
             execs: resolution.execs,
@@ -772,12 +760,12 @@ pub fn evaluate_quantized(
     assignment: &DatapathAssignment,
     luts: &LutCache,
 ) -> Result<f64, BackendError> {
-    let resolved = model.resolve(assignment, luts)?;
+    let resolved = model.resolve(assignment, luts, None, false)?;
     Ok(evaluate_resolved(model, data, &resolved.execs))
 }
 
 /// Accuracy over `data` for an already-resolved program — the shared
-/// evaluation loop behind [`evaluate_quantized`] and the fault-measured
+/// evaluation loop behind [`evaluate_quantized`] and the measured
 /// backend.
 pub(crate) fn evaluate_resolved(model: &QModel, data: &Dataset, resolved: &[StepExec]) -> f64 {
     if data.is_empty() {
@@ -923,7 +911,7 @@ mod tests {
         // The captured resolution reproduces a fresh resolution bit for
         // bit, and a worker-owned clone reproduces the template bit for
         // bit.
-        let fresh = q.resolve(&assignment, &luts).unwrap();
+        let fresh = q.resolve(&assignment, &luts, None, false).unwrap();
         assert_eq!(
             prepared.forward_batch(&refs),
             q.forward_batch_resolved(&refs, &fresh.execs)

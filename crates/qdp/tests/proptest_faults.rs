@@ -14,9 +14,7 @@ use redcane_axmul::{LutCache, MultiplierLibrary};
 use redcane_capsnet::inject::OpKind;
 use redcane_capsnet::{CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig};
 use redcane_datasets::{generate, Benchmark, Dataset, GenerateConfig};
-use redcane_qdp::{
-    calibrate_ranges, AccuracyBackend, FaultMeasured, PreparedModel, QModel, QuantMeasured,
-};
+use redcane_qdp::{calibrate_ranges, AccuracyBackend, PreparedModel, QModel, QuantMeasured};
 use redcane_tensor::{Tensor, TensorRng};
 
 fn shared_luts() -> &'static LutCache {
@@ -95,7 +93,7 @@ proptest! {
             let backend = QuantMeasured::new(q, shared_luts().clone());
             for plan in [FaultPlan::identity(seed), noisy_identity_plan(seed)] {
                 prop_assert!(plan.is_identity());
-                let faulty = FaultMeasured::over(&backend, plan, false);
+                let faulty = QuantMeasured::over(&backend, plan, false);
                 for image in &imgs {
                     let clean = clean_model.forward_batch(&[image]).pop().unwrap();
                     let faulted = faulty.forward(image, &assignment).unwrap();
@@ -129,16 +127,16 @@ proptest! {
             false,
             SiteFault::new(FaultTarget::WeightCodes, FaultModel::BitFlip { ber: 0.02 }),
         );
-        let a = FaultMeasured::over(&backend, plan.clone(), false)
+        let a = QuantMeasured::over(&backend, plan.clone(), false)
             .evaluate(&model, &data, &assignment)
             .unwrap();
-        let b = FaultMeasured::over(&backend, plan, false)
+        let b = QuantMeasured::over(&backend, plan, false)
             .evaluate(&model, &data, &assignment)
             .unwrap();
         prop_assert_eq!(a, b, "same plan, same measurement");
 
         let clean = backend.evaluate(&model, &data, &assignment).unwrap();
-        let identity = FaultMeasured::over(&backend, FaultPlan::identity(seed), false)
+        let identity = QuantMeasured::over(&backend, FaultPlan::identity(seed), false)
             .evaluate(&model, &data, &assignment)
             .unwrap();
         prop_assert_eq!(identity, clean, "identity plan accuracy drifted");

@@ -12,7 +12,7 @@ use redcane::faults::{FaultModel, FaultTarget, SiteFault};
 use redcane_axmul::mult::{DrumMultiplier, KulkarniMultiplier, MitchellLogMultiplier};
 use redcane_fxp::QuantParams;
 use redcane_qdp::qlayers::reference;
-use redcane_qdp::{faulted_site_lut, quantized_routing, AccFault, MacView, MulLut};
+use redcane_qdp::{faulted_site_lut, quantized_routing, AccFault, MacView, MulLut, QRouting};
 use redcane_tensor::{Tensor, TensorRng};
 
 /// The exact table and DRUM (one factor term), Kulkarni (two terms,
@@ -45,6 +45,16 @@ fn p(min: f32, max: f32) -> QuantParams {
     QuantParams::from_range(min, max, 8).unwrap()
 }
 
+/// Fixed vote, coupling and capsule ranges with `iterations` rounds.
+fn ranges(iterations: usize) -> QRouting {
+    QRouting {
+        iterations,
+        votes: p(-1.0, 1.0),
+        coupling: p(0.0, 1.0),
+        activations: p(-0.9, 0.9),
+    }
+}
+
 proptest! {
     /// The kernel equals the loop nest bit for bit, clean and with an
     /// accumulator fault on each site, with the two sites on different
@@ -72,28 +82,17 @@ proptest! {
         for (s, v) in specials.into_iter().enumerate() {
             votes.data_mut()[(seed as usize * 13 + s * 7) % len] = v;
         }
-        let (vp, cp, ap) = (p(-1.0, 1.0), p(0.0, 1.0), p(-0.9, 0.9));
+        let routing = ranges(iterations);
         let fault = AccFault::new(FaultModel::BitFlip { ber: 0.5 }, seed ^ 0xacc);
         let luts = luts();
         for (t, sum_lut) in luts.iter().enumerate() {
             let agree_lut = &luts[(t + seed as usize) % luts.len()];
-            let run = |kernel: fn(
-                &Tensor,
-                usize,
-                QuantParams,
-                QuantParams,
-                QuantParams,
-                MacView<'_>,
-                MacView<'_>,
-            ) -> Tensor,
+            let run = |kernel: fn(&Tensor, &QRouting, MacView<'_>, MacView<'_>) -> Tensor,
                        sum_acc: Option<&AccFault>,
                        agree_acc: Option<&AccFault>| {
                 kernel(
                     &votes,
-                    iterations,
-                    vp,
-                    cp,
-                    ap,
+                    &routing,
                     MacView { lut: sum_lut, acc: sum_acc },
                     MacView { lut: agree_lut, acc: agree_acc },
                 )
@@ -135,7 +134,7 @@ fn zero_dimensions_match_reference() {
         lut: &exact,
         acc: None,
     };
-    let (vp, cp, ap) = (p(-1.0, 1.0), p(0.0, 1.0), p(-0.9, 0.9));
+    let routing = ranges(2);
     for shape in [
         &[0, 3, 4][..],
         &[2, 0, 4],
@@ -144,8 +143,8 @@ fn zero_dimensions_match_reference() {
         &[2, 3, 4, 0],
     ] {
         let votes = Tensor::zeros(shape);
-        let got = quantized_routing(&votes, 2, vp, cp, ap, view, view);
-        let want = reference::quantized_routing(&votes, 2, vp, cp, ap, view, view);
+        let got = quantized_routing(&votes, &routing, view, view);
+        let want = reference::quantized_routing(&votes, &routing, view, view);
         assert_eq!(got.shape(), want.shape(), "{shape:?}");
         assert_eq!(bits(&got), bits(&want), "{shape:?}");
     }

@@ -79,10 +79,10 @@ pub enum Counter {
     QgemmCalls,
     /// Quantized multiply-accumulates: `m·k·n` per qgemm call.
     QgemmMacs,
-    /// 256-entry `MulLut` rows fetched by qgemm (counted analytically
-    /// per call, matching the kernel's dispatch: the factored integer
-    /// path fetches none, and the gather's tall-`k` register-tile path
-    /// re-fetches each row once per column tile).
+    /// 256-entry `MulLut` row addresses the qgemm gather kernel hoists,
+    /// counted analytically per call: two per 2×4 register tile per `k`
+    /// step (each row then serves four lookups); the factored integer
+    /// path hoists none. An address count, not table traffic.
     LutRowFetches,
     /// `LutCache` lookups that found a tabulated component.
     LutCacheHits,
