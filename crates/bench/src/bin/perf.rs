@@ -90,7 +90,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("{line}");
-    if let Err(msg) = profile.write("perf", Vec::new(), true) {
+    if let Err(msg) = profile.write("perf", Vec::new()) {
         eprintln!("perf: {msg}");
         return ExitCode::FAILURE;
     }

@@ -1,19 +1,23 @@
-//! Flag parsing shared by the bench binaries, so their flags parse and
-//! fail identically.
+//! The session benches' one entry point, and the flag parsing every bench
+//! binary shares, so their flags parse and fail identically.
 //!
 //! The value helpers ([`next_value`], [`next_parsed`], [`next_benchmark`],
-//! [`require_nonzero`]) serve every binary. [`parse_session`] is the
-//! whole command line of `qdp`, `faults` and `serve`: the flags they
-//! share are matched once here, and each bench adds its own through
-//! [`SessionConfig`]. (`pipeline` keeps its own, older command line.)
+//! [`require_nonzero`]) serve every binary. [`main`] is the whole
+//! `main` of `pipeline`, `qdp`, `faults` and `serve`: the flags they
+//! share are matched once in [`parse_session`], each bench adds its own
+//! and its run, lines and summary through [`Bench`], and the stable
+//! lines `--out` writes are the lines without the bench's
+//! [`Bench::VOLATILE_KEYS`] ([`stable_lines`]).
 
 use std::fmt::Display;
+use std::process::ExitCode;
 use std::str::FromStr;
 
-use redcane_artifacts::ArtifactStore;
+use redcane::report::json::Value;
+use redcane_artifacts::{ArtifactStore, Provenance};
 use redcane_datasets::Benchmark;
 
-use crate::profile::ProfileArgs;
+use crate::profile::{provenance_meta, ProfileArgs};
 use crate::session::{Arch, BenchSpec};
 
 /// The argument stream the session parser hands to per-bench flags.
@@ -75,9 +79,24 @@ pub fn next_benchmark(args: &mut impl Iterator<Item = String>) -> Result<Benchma
     }
 }
 
-/// A session bench's config: the shared [`BenchSpec`] plus the bench's
-/// own fields and flags.
-pub trait SessionConfig: Sized {
+/// A session bench: its config, its command line, its run and its JSON
+/// lines. [`main`] drives every implementor the same way.
+pub trait Bench: Sized {
+    /// What one run produces.
+    type Outcome;
+
+    /// The binary's name: the error prefix, the stderr tag and the
+    /// profile's `bench` field.
+    const NAME: &'static str;
+
+    /// The `--help` text.
+    const USAGE: &'static str;
+
+    /// Line keys that legitimately differ between otherwise-identical
+    /// runs (wall clocks, latencies, batch composition). The stable
+    /// lines `--out` writes are the lines without them.
+    const VOLATILE_KEYS: &'static [&'static str] = &[];
+
     /// The shared spec the common flags write to.
     fn spec_mut(&mut self) -> &mut BenchSpec;
 
@@ -89,15 +108,35 @@ pub trait SessionConfig: Sized {
 
     /// Consumes `flag` (and its value) if it is one of this bench's own
     /// flags; `None` means "not mine".
-    fn match_flag(&mut self, flag: &str, args: &mut Args) -> Option<Result<(), String>>;
+    fn match_flag(&mut self, _flag: &str, _args: &mut Args) -> Option<Result<(), String>> {
+        None
+    }
+
+    /// Runs the bench, deterministically from the config.
+    fn run(&self) -> Self::Outcome;
+
+    /// The outcome as JSON lines, in output order.
+    fn lines(outcome: &Self::Outcome) -> Vec<Value>;
+
+    /// Each architecture's artifact-store provenance, in spec order.
+    fn provenance(outcome: &Self::Outcome) -> Vec<(Arch, Provenance)>;
+
+    /// The human summary lines [`main`] logs to stderr after the run.
+    fn summary(outcome: &Self::Outcome) -> Vec<String>;
+
+    /// A post-run check that fails the run (after every output is
+    /// written); passes by default.
+    fn check(&self, _outcome: &Self::Outcome) -> Result<(), String> {
+        Ok(())
+    }
 }
 
 /// A parsed session-bench command line.
 #[derive(Debug)]
-pub struct SessionArgs<C> {
+pub struct SessionArgs<B> {
     /// The config, with the artifact store resolved.
-    pub config: C,
-    /// `--out PATH`: also write the JSON lines there.
+    pub config: B,
+    /// `--out PATH`: also write the stable lines there.
     pub out: Option<String>,
     /// The `--profile*` outputs.
     pub profile: ProfileArgs,
@@ -106,19 +145,17 @@ pub struct SessionArgs<C> {
 /// Parses a session bench's command line onto `config`: `--quick`,
 /// `--benchmark`, `--seed`, `--arch`, `--out`, `--artifacts`,
 /// `--no-cache`, `--threads` and the `--profile*` flags, then the
-/// bench's own flags ([`SessionConfig::match_flag`]), then `extra` (flags
-/// that only the binary acts on). `--threads` takes effect as it is
-/// parsed; the artifact store is resolved last. `Ok(None)` means
-/// `--help` was given.
+/// bench's own flags ([`Bench::match_flag`]). `--threads` takes effect
+/// as it is parsed; the artifact store is resolved last. `Ok(None)`
+/// means `--help` was given.
 ///
 /// # Errors
 ///
 /// Returns a user-facing message naming the offending flag.
-pub fn parse_session<C: SessionConfig>(
+pub fn parse_session<B: Bench>(
     argv: Vec<String>,
-    mut config: C,
-    mut extra: impl FnMut(&str, &mut Args) -> Option<Result<(), String>>,
-) -> Result<Option<SessionArgs<C>>, String> {
+    mut config: B,
+) -> Result<Option<SessionArgs<B>>, String> {
     let mut out = None;
     let mut artifacts = None;
     let mut no_cache = false;
@@ -144,7 +181,6 @@ pub fn parse_session<C: SessionConfig>(
             "--help" | "-h" => return Ok(None),
             other => config
                 .match_flag(other, &mut args)
-                .or_else(|| extra(other, &mut args))
                 .or_else(|| profile.match_flag(other, &mut args))
                 .unwrap_or_else(|| Err(format!("unknown flag '{other}'")))?,
         }
@@ -157,21 +193,70 @@ pub fn parse_session<C: SessionConfig>(
     }))
 }
 
+/// The stable lines of `lines`: each without `B`'s
+/// [`Bench::VOLATILE_KEYS`], dumped. What `--out` writes, and what CI
+/// byte-compares across thread counts and store states.
+pub fn stable_lines<B: Bench>(lines: &[Value]) -> Vec<String> {
+    lines
+        .iter()
+        .map(|line| line.without_keys(B::VOLATILE_KEYS).dump())
+        .collect()
+}
+
+/// A session bench's whole `main`: parses the command line onto
+/// `default`, arms the profiler, runs the bench, prints every line to
+/// stdout and the summary to stderr, writes the stable lines to
+/// `--out` and the profile outputs, then runs the bench's check.
+pub fn main<B: Bench>(default: B) -> ExitCode {
+    match run_main(default) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{}: {msg}", B::NAME);
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run_main<B: Bench>(default: B) -> Result<(), String> {
+    let Some(args) = parse_session(std::env::args().skip(1).collect(), default)? else {
+        eprintln!("{}", B::USAGE);
+        return Ok(());
+    };
+    args.profile.enable_if_requested();
+    let outcome = args.config.run();
+    let lines = B::lines(&outcome);
+    for line in &lines {
+        println!("{}", line.dump());
+    }
+    for line in B::summary(&outcome) {
+        eprintln!("[{}] {line}", B::NAME);
+    }
+    if let Some(path) = &args.out {
+        write_lines(path, &stable_lines::<B>(&lines))?;
+    }
+    let meta = provenance_meta(B::provenance(&outcome));
+    args.profile.write(B::NAME, meta)?;
+    args.config.check(&outcome)
+}
+
 /// Writes `lines` to `path`, one per line.
 ///
 /// # Errors
 ///
 /// Returns a user-facing message naming the file.
-pub fn write_lines(path: &str, lines: &[String]) -> Result<(), String> {
+fn write_lines(path: &str, lines: &[String]) -> Result<(), String> {
     std::fs::write(path, lines.join("\n") + "\n").map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::faults::FaultsConfig;
+    use crate::pipeline::spec;
     use crate::qdp::QdpConfig;
     use crate::serve::ServeBenchConfig;
+    use crate::session;
+    use redcane_tensor::par;
 
     fn args(items: &[&str]) -> impl Iterator<Item = String> {
         items
@@ -196,18 +281,18 @@ mod tests {
 
     #[test]
     fn require_nonzero_gates_zero() {
-        assert_eq!(require_nonzero(3, "--train"), Ok(3));
+        assert_eq!(require_nonzero(3, "--requests"), Ok(3));
         assert_eq!(
-            require_nonzero(0, "--train"),
-            Err("--train must be at least 1".to_string())
+            require_nonzero(0, "--requests"),
+            Err("--requests must be at least 1".to_string())
         );
     }
 
     /// Parses `items` (plus `--no-cache`, so the store never depends on
     /// the environment) onto `config`.
-    fn parse<C: SessionConfig>(items: &[&str], config: C) -> Result<C, String> {
+    fn parse<B: Bench>(items: &[&str], config: B) -> Result<B, String> {
         let argv = args(items).chain(["--no-cache".to_string()]).collect();
-        parse_session(argv, config, |_, _| None).map(|parsed| parsed.expect("no --help").config)
+        parse_session(argv, config).map(|parsed| parsed.expect("no --help").config)
     }
 
     /// The quick spec with `--seed 5 --arch deepcaps` kept.
@@ -229,12 +314,35 @@ mod tests {
             parse(&flags, ServeBenchConfig::smoke()).unwrap().spec,
             expect
         );
+        assert_eq!(parse(&flags, spec()).unwrap(), expect);
         // Flags after --quick apply on top of it.
         let after = parse(
             &["--quick", "--seed", "5", "--arch", "deepcaps"],
             QdpConfig::smoke(),
         );
         assert_eq!(after.unwrap().spec, expect);
+    }
+
+    /// `pipeline --quick` is every bench's `--quick`: the quick sizes on
+    /// the pipeline's own architectures, so it trains (or restores)
+    /// under exactly the artifact key `qdp --quick` uses.
+    #[test]
+    fn pipeline_quick_shares_the_quick_sizes_and_artifact_key() {
+        let pipeline = parse(&["--quick"], spec()).unwrap();
+        let qdp = parse(&["--quick"], QdpConfig::smoke()).unwrap().spec;
+        assert_eq!(
+            (pipeline.train, pipeline.test, pipeline.epochs),
+            (200, 60, 3)
+        );
+        assert_eq!(pipeline.archs, spec().archs);
+        assert_eq!(
+            BenchSpec {
+                archs: pipeline.archs.clone(),
+                ..qdp.clone()
+            },
+            pipeline
+        );
+        assert_eq!(pipeline.key(Arch::CapsNet), qdp.key(Arch::CapsNet));
     }
 
     #[test]
@@ -282,12 +390,13 @@ mod tests {
     #[test]
     fn serve_quick_resets_the_load_flags_and_counts_must_be_nonzero() {
         let reset = parse(
-            &["--requests", "9", "--step6", "--quick"],
+            &["--requests", "9", "--step6", "--budget-s", "30", "--quick"],
             ServeBenchConfig::smoke(),
         );
         let reset = reset.unwrap();
         assert_eq!(reset.requests, ServeBenchConfig::quick().requests);
         assert!(!reset.step6);
+        assert_eq!(reset.budget_s, Some(30.0), "the tripwire is kept");
         let after = parse(
             &["--quick", "--requests", "9", "--max-wait-us", "50"],
             ServeBenchConfig::smoke(),
@@ -298,6 +407,17 @@ mod tests {
             parse(&["--clients", "0"], ServeBenchConfig::smoke()).unwrap_err(),
             "--clients must be at least 1"
         );
+        // A zero, negative or non-finite rate would stretch the
+        // open-loop arrival gaps without bound.
+        for rate in ["0", "-5", "NaN", "inf"] {
+            assert_eq!(
+                parse(&["--rate", rate], ServeBenchConfig::smoke()).unwrap_err(),
+                "--rate must be a positive, finite rate",
+                "--rate {rate}"
+            );
+        }
+        let rate = parse(&["--rate", "250.5"], ServeBenchConfig::smoke());
+        assert_eq!(rate.unwrap().arrival_rate_rps, 250.5);
     }
 
     #[test]
@@ -310,27 +430,30 @@ mod tests {
         assert_eq!(err(&["--arch", "bogus"]), "--arch: unknown arch 'bogus'");
         // The value-less flag swallows the appended `--no-cache` as its
         // value, so test it with the raw parser.
-        let missing = parse_session(args(&["--seed"]).collect(), QdpConfig::smoke(), |_, _| None);
+        let missing = parse_session(args(&["--seed"]).collect(), QdpConfig::smoke());
         assert_eq!(missing.unwrap_err(), "--seed requires a value");
         assert!(err(&["--seed", "x"]).starts_with("--seed:"));
         assert_eq!(err(&["--bogus"]), "unknown flag '--bogus'");
         // A bench's own flag is unknown to the others.
         assert!(parse(&["--fail-soft"], QdpConfig::smoke()).is_err());
+        assert!(parse(&["--budget-s", "1"], spec()).is_err());
+        // The pipeline's retired flags are gone.
+        for retired in ["--train", "--no-timings"] {
+            assert!(parse(&[retired, "1"], spec()).is_err(), "{retired}");
+        }
     }
 
+    /// `--help` stops parsing; the flags only the binary acts on
+    /// (`--out`, the `--profile*` outputs, serve's `--budget-s`) reach
+    /// it through the parsed command line.
     #[test]
     fn help_stops_parsing_and_extra_flags_reach_the_binary() {
-        let help = parse_session(
-            args(&["--help", "--bogus"]).collect(),
-            QdpConfig::smoke(),
-            |_, _| None,
-        );
+        let help = parse_session(args(&["--help", "--bogus"]).collect(), spec());
         assert!(help.unwrap().is_none());
-        let mut stable = None;
         let parsed = parse_session(
             args(&[
-                "--stable-out",
-                "s.json",
+                "--budget-s",
+                "2.5",
                 "--out",
                 "o.json",
                 "--profile",
@@ -338,13 +461,10 @@ mod tests {
             ])
             .collect(),
             ServeBenchConfig::smoke(),
-            |flag, args| {
-                (flag == "--stable-out").then(|| next_value(args, flag).map(|v| stable = Some(v)))
-            },
         )
         .unwrap()
         .unwrap();
-        assert_eq!(stable.as_deref(), Some("s.json"));
+        assert_eq!(parsed.config.budget_s, Some(2.5));
         assert_eq!(parsed.out.as_deref(), Some("o.json"));
         assert!(parsed.profile.requested());
     }
@@ -363,5 +483,106 @@ mod tests {
             next_benchmark(&mut args(&[])),
             Err("--benchmark requires a value".to_string())
         );
+    }
+
+    /// Serialises the tests that move the process-wide thread count.
+    static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// One run of `bench`: each architecture's provenance and the
+    /// stable lines `--out` would write.
+    fn run_stable<B: Bench>(bench: &B) -> (Vec<Provenance>, Vec<String>) {
+        let outcome = bench.run();
+        let provenance = B::provenance(&outcome).into_iter().map(|(_, p)| p);
+        (provenance.collect(), stable_lines::<B>(&B::lines(&outcome)))
+    }
+
+    /// `bench`'s stable lines, asserted equal at 1 and 3 threads (which
+    /// also moves serve's default worker count) and free of every
+    /// volatile key.
+    pub(crate) fn thread_invariant_lines<B: Bench>(bench: &B) -> Vec<String> {
+        let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let at = |threads: usize| {
+            par::set_threads(threads);
+            let (_, lines) = run_stable(bench);
+            par::set_threads(0);
+            lines
+        };
+        let serial = at(1);
+        assert!(!serial.is_empty(), "{} wrote no lines", B::NAME);
+        assert_eq!(serial, at(3), "{}: thread count leaked", B::NAME);
+        for key in B::VOLATILE_KEYS {
+            let quoted = format!("\"{key}\":");
+            assert!(
+                serial.iter().all(|line| !line.contains(&quoted)),
+                "{}: {key} not stripped",
+                B::NAME
+            );
+        }
+        serial
+    }
+
+    /// Runs `bench` against the store in `dir`: it must train only when
+    /// `trains`, restore otherwise, and write exactly `storeless`.
+    fn assert_store_invariant<B: Bench>(
+        mut bench: B,
+        dir: &std::path::Path,
+        trains: bool,
+        storeless: &[String],
+    ) {
+        bench.spec_mut().artifacts = Some(dir.to_path_buf());
+        let (provenance, lines) = run_stable(&bench);
+        let expect = if trains {
+            Provenance::Trained
+        } else {
+            Provenance::Restored
+        };
+        assert_eq!(provenance, vec![expect], "{}", B::NAME);
+        assert_eq!(lines, storeless, "{}: the store changed a line", B::NAME);
+    }
+
+    /// A fresh store under the temp dir, unique to this process and `tag`.
+    pub(crate) fn fresh_store(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("redcane-bench-{tag}-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The artifact-store acceptance bar for one bench: against a fresh
+    /// store a cold run trains and a warm run restores, and both write
+    /// the stable lines of a storeless run.
+    pub(crate) fn assert_cold_and_warm_match_storeless<B: Bench + Clone>(mut bench: B) {
+        bench.spec_mut().artifacts = None;
+        let (provenance, storeless) = run_stable(&bench);
+        assert_eq!(provenance, vec![Provenance::Trained], "{}", B::NAME);
+        let dir = fresh_store(B::NAME);
+        assert_store_invariant(bench.clone(), &dir, true, &storeless);
+        assert_store_invariant(bench, &dir, false, &storeless);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One store, one spec: after the first bench trains, every run of
+    /// every bench restores the same artifact, and restoring changes no
+    /// byte of its stable lines against a storeless run.
+    pub(crate) fn assert_one_artifact_serves_every_bench(
+        qdp: QdpConfig,
+        faults: FaultsConfig,
+        serve: ServeBenchConfig,
+        pipeline: session::BenchSpec,
+    ) {
+        let storeless = (
+            run_stable(&qdp).1,
+            run_stable(&faults).1,
+            run_stable(&serve).1,
+            run_stable(&pipeline).1,
+        );
+        let dir = fresh_store("session");
+        for round in 0..2 {
+            assert_store_invariant(qdp.clone(), &dir, round == 0, &storeless.0);
+            assert_store_invariant(faults.clone(), &dir, false, &storeless.1);
+            assert_store_invariant(serve.clone(), &dir, false, &storeless.2);
+            assert_store_invariant(pipeline.clone(), &dir, false, &storeless.3);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -54,7 +54,7 @@ use redcane_capsnet::{CapsModel, OpKind};
 use redcane_qdp::QuantMeasured;
 use redcane_tensor::par;
 
-use crate::cli::{next_parsed, Args, SessionConfig};
+use crate::cli::{next_parsed, Args, Bench};
 use crate::session::{Arch, BenchSpec, PerArch, Session, Trained, WEIGHT_POOL_CODES};
 
 /// The exact multiplier every non-faulted site runs: fault trials
@@ -119,9 +119,37 @@ impl FaultsConfig {
             ..FaultsConfig::smoke()
         }
     }
+
+    /// The unit-test sweep: a thin grid over the first two sites of the
+    /// tiny session spec, fail-soft.
+    #[cfg(test)]
+    pub(crate) fn tiny(archs: Vec<Arch>) -> Self {
+        FaultsConfig {
+            spec: crate::session::tiny(archs),
+            stuck_bits: vec![3, 7],
+            bers: vec![5e-2],
+            acc_bits: vec![30],
+            act_bers: vec![],
+            dead: true,
+            max_sites: Some(2),
+            fail_soft: true,
+        }
+    }
 }
 
-impl SessionConfig for FaultsConfig {
+impl Bench for FaultsConfig {
+    type Outcome = FaultsOutcome;
+
+    const NAME: &'static str = "faults";
+
+    const USAGE: &'static str = "faults: per-site bit-flip / stuck-at / dead-output resilience \
+analysis across the quantized datapath
+flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
+--arch capsnet|deepcaps|both, --fail-soft, --max-sites N, \
+--out PATH, --threads N, --artifacts DIR, --no-cache, \
+--profile PATH, --profile-counters PATH, \
+--profile-folded PATH";
+
     fn spec_mut(&mut self) -> &mut BenchSpec {
         &mut self.spec
     }
@@ -146,6 +174,38 @@ impl SessionConfig for FaultsConfig {
             "--max-sites" => Some(next_parsed(args, flag).map(|v: usize| self.max_sites = Some(v))),
             _ => None,
         }
+    }
+
+    fn run(&self) -> FaultsOutcome {
+        run_faults(self)
+    }
+
+    fn lines(outcome: &FaultsOutcome) -> Vec<Value> {
+        faults_to_json_lines(outcome)
+    }
+
+    fn provenance(outcome: &FaultsOutcome) -> Vec<(Arch, Provenance)> {
+        outcome
+            .archs
+            .iter()
+            .map(|a| (a.arch, a.provenance))
+            .collect()
+    }
+
+    fn summary(outcome: &FaultsOutcome) -> Vec<String> {
+        let archs = outcome.archs.iter().map(|arch| {
+            format!(
+                "{}: {} ({} trial(s) over {} site(s), baseline {:.3})",
+                arch.arch.label(),
+                arch.provenance.label(),
+                arch.trials.len(),
+                arch.sites.len(),
+                arch.baseline_accuracy
+            )
+        });
+        archs
+            .chain([format!("total {:.2}s", outcome.total_s)])
+            .collect()
     }
 }
 
@@ -807,24 +867,7 @@ pub fn faults_to_json_lines(outcome: &FaultsOutcome) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session;
     use redcane::report::json;
-
-    /// Serializes tests that mutate the process-wide thread override.
-    static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn tiny(archs: Vec<Arch>) -> FaultsConfig {
-        FaultsConfig {
-            spec: session::tiny(archs),
-            stuck_bits: vec![3, 7],
-            bers: vec![5e-2],
-            acc_bits: vec![30],
-            act_bers: vec![],
-            dead: true,
-            max_sites: Some(2),
-            fail_soft: true,
-        }
-    }
 
     #[test]
     fn characterization_orders_fault_severity_sensibly() {
@@ -889,7 +932,7 @@ mod tests {
 
     #[test]
     fn faults_emits_trial_and_site_rows_with_failsoft_downgrades() {
-        let outcome = run_faults(&tiny(vec![Arch::CapsNet]));
+        let outcome = run_faults(&FaultsConfig::tiny(vec![Arch::CapsNet]));
         let arch = &outcome.archs[0];
         assert_eq!(arch.sites.len(), 2, "max_sites caps the sweep");
         assert!(arch.skipped_sites > 0, "CapsNet has more than two sites");
@@ -963,7 +1006,7 @@ mod tests {
     fn strict_mode_reports_dead_sites_as_errors() {
         let cfg = FaultsConfig {
             fail_soft: false,
-            ..tiny(vec![Arch::CapsNet])
+            ..FaultsConfig::tiny(vec![Arch::CapsNet])
         };
         let outcome = run_faults(&cfg);
         let arch = &outcome.archs[0];
@@ -1006,8 +1049,8 @@ mod tests {
     /// both-arch run at the same seed.
     #[test]
     fn single_arch_run_reproduces_the_both_arch_rows() {
-        let both = run_faults(&tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
-        let solo = run_faults(&tiny(vec![Arch::DeepCaps]));
+        let both = run_faults(&FaultsConfig::tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
+        let solo = run_faults(&FaultsConfig::tiny(vec![Arch::DeepCaps]));
         assert_eq!(
             solo.archs[0].baseline_accuracy,
             both.archs[1].baseline_accuracy
@@ -1018,52 +1061,19 @@ mod tests {
     }
 
     /// The artifact-store acceptance bar: a cold (train) run and a warm
-    /// (restore) run emit byte-identical JSON lines, and both match a
-    /// storeless run — fault-characterization caching included.
+    /// (restore) run write the storeless run's stable lines —
+    /// fault-characterization caching included.
     #[test]
     fn cold_and_warm_runs_give_identical_json() {
-        let dir =
-            std::env::temp_dir().join(format!("redcane-bench-faults-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = tiny(vec![Arch::CapsNet]);
-        cfg.spec.artifacts = Some(dir.clone());
-        let dump = |cfg: &FaultsConfig| {
-            let outcome = run_faults(cfg);
-            let lines: Vec<String> = faults_to_json_lines(&outcome)
-                .iter()
-                .map(|v| v.dump())
-                .collect();
-            (outcome.archs[0].provenance, lines.join("\n"))
-        };
-        let (cold_prov, cold) = dump(&cfg);
-        assert_eq!(cold_prov, Provenance::Trained);
-        let (warm_prov, warm) = dump(&cfg);
-        assert_eq!(warm_prov, Provenance::Restored);
-        cfg.spec.artifacts = None;
-        let (uncached_prov, uncached) = dump(&cfg);
-        assert_eq!(uncached_prov, Provenance::Trained);
-        assert_eq!(cold, warm, "restore changed the output");
-        assert_eq!(cold, uncached, "the store changed the output");
-        let _ = std::fs::remove_dir_all(&dir);
+        crate::cli::tests::assert_cold_and_warm_match_storeless(FaultsConfig::tiny(vec![
+            Arch::CapsNet,
+        ]));
     }
 
     /// The parallel trial sweep must not change a single byte of the
     /// output: equal seeds give equal JSON at every thread count.
     #[test]
     fn json_is_byte_identical_across_thread_counts() {
-        let _guard = THREADS_LOCK.lock().unwrap();
-        let cfg = tiny(vec![Arch::CapsNet]);
-        let dump = |threads: usize| {
-            par::set_threads(threads);
-            let lines: Vec<String> = faults_to_json_lines(&run_faults(&cfg))
-                .iter()
-                .map(|v| v.dump())
-                .collect();
-            par::set_threads(0);
-            lines.join("\n")
-        };
-        let serial = dump(1);
-        let parallel = dump(3);
-        assert_eq!(serial, parallel, "thread count leaked into the rows");
+        crate::cli::tests::thread_invariant_lines(&FaultsConfig::tiny(vec![Arch::CapsNet]));
     }
 }

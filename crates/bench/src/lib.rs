@@ -6,7 +6,8 @@
 //!   methodology end to end (dataset generation → tiny CapsNet training
 //!   → group extraction → noise sweep → component selection →
 //!   heterogeneous-design re-score on the measured quantized datapath)
-//!   from a fixed seed and emits one machine-readable JSON line;
+//!   from a fixed seed and emits one machine-readable JSON line per
+//!   architecture;
 //! - **`qdp`**, **`faults`** and **`serve`** ([`qdp`], [`faults`],
 //!   [`serve`]) — measured vs noise-predicted accuracy per multiplier,
 //!   per-site fault criticality, and serving the Step-6 design;
@@ -15,9 +16,11 @@
 //!
 //! Every bench that runs a trained model opens one shared
 //! [`session`], so they train, restore, calibrate and lower their
-//! models through the same code. The library exposes each bench's run
-//! function so integration tests drive the exact code path of the
-//! binary and parse the exact same JSON.
+//! models through the same code, and its binary is one call to
+//! [`cli::main`], so they parse, print and write their stable lines
+//! the same way. The library exposes each bench's run function so
+//! integration tests drive the exact code path of the binary and parse
+//! the exact same JSON.
 #![forbid(unsafe_code)]
 
 pub mod cli;
@@ -32,17 +35,9 @@ pub mod session;
 /// The `pipeline` bench's tests.
 #[cfg(test)]
 mod tests {
-    use crate::pipeline::{
-        outcome_to_json, outcome_to_json_stable, run_pipeline, spec, PipelineOutcome,
-    };
-    use crate::session::{Arch, BenchSpec, NM_GRID};
+    use crate::pipeline::{outcome_to_json, run_pipeline, spec};
+    use crate::session::{Arch, NM_GRID};
     use redcane::report::json;
-    use redcane_artifacts::Provenance;
-    use redcane_tensor::par;
-
-    fn tiny() -> BenchSpec {
-        crate::session::tiny(vec![Arch::CapsNet])
-    }
 
     #[test]
     fn smoke_config_is_fast_shaped() {
@@ -57,8 +52,9 @@ mod tests {
     fn pipeline_json_schema_is_stable() {
         // A tiny but real run; keeps the schema test honest without
         // needing minutes of training.
-        let outcome = run_pipeline(&tiny());
-        let line = outcome_to_json(&outcome).dump();
+        let outcomes = run_pipeline(&crate::session::tiny(vec![Arch::CapsNet]));
+        assert_eq!(outcomes.len(), 1, "one line per architecture");
+        let line = outcome_to_json(&outcomes[0]).dump();
         assert!(!line.contains('\n'), "must be a single line");
         let parsed = json::parse(&line).unwrap();
         for key in [
@@ -99,47 +95,18 @@ mod tests {
             .is_empty());
     }
 
+    /// Equal seeds give equal stable JSON, whatever the thread count.
     #[test]
     fn equal_seeds_give_equal_json() {
-        static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = THREADS_LOCK.lock().unwrap();
-        let dump = |threads: usize| {
-            par::set_threads(threads);
-            let json = outcome_to_json_stable(&run_pipeline(&tiny()));
-            par::set_threads(0);
-            json
-        };
-        // Timings differ run to run; the stable form strips them. And
-        // determinism must not depend on parallelism.
-        assert_eq!(dump(2), dump(1));
+        crate::cli::tests::thread_invariant_lines(&crate::session::tiny(vec![Arch::CapsNet]));
     }
 
     /// The artifact-store acceptance bar: a cold (train) run and a warm
-    /// (restore) run emit byte-identical stable JSON, and both match a
-    /// storeless run. The warm run must not train at all.
+    /// (restore) run write the storeless run's stable JSON.
     #[test]
     fn cold_and_warm_runs_give_identical_json() {
-        let dir = std::env::temp_dir().join(format!(
-            "redcane-bench-pipeline-store-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = BenchSpec {
-            artifacts: Some(dir.clone()),
-            ..tiny()
-        };
-        let cold = run_pipeline(&spec);
-        assert_eq!(cold.provenance, Provenance::Trained);
-        let warm = run_pipeline(&spec);
-        assert_eq!(warm.provenance, Provenance::Restored);
-        let uncached = run_pipeline(&BenchSpec {
-            artifacts: None,
-            ..spec.clone()
-        });
-        assert_eq!(uncached.provenance, Provenance::Trained);
-        let dump = |o: &PipelineOutcome| outcome_to_json_stable(o).dump();
-        assert_eq!(dump(&cold), dump(&warm));
-        assert_eq!(dump(&cold), dump(&uncached));
-        let _ = std::fs::remove_dir_all(&dir);
+        crate::cli::tests::assert_cold_and_warm_match_storeless(crate::session::tiny(vec![
+            Arch::CapsNet,
+        ]));
     }
 }

@@ -672,7 +672,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
         cfg.characterization_samples = 500;
         cfg.eval_samples = 10;
     }
-    let outcome = run_pipeline(&cfg);
+    let outcome = &run_pipeline(&cfg)[0];
     PerfReport {
         probes,
         pipeline_total_s: outcome.timings.total_s(),

@@ -2,7 +2,7 @@
 //! (dataset generation → CapsNet training → group extraction → noise
 //! sweep → component selection → heterogeneous-design re-score on the
 //! measured quantized datapath) from a fixed seed, as one
-//! machine-readable JSON line.
+//! machine-readable JSON line per architecture (CapsNet by default).
 //!
 //! The model comes from the shared [`crate::session`], so the pipeline
 //! restores an artifact `qdp`, `faults` or `serve` trained whenever
@@ -21,6 +21,7 @@ use redcane_artifacts::Provenance;
 use redcane_capsnet::{evaluate_clean, CapsModel};
 use redcane_trace as trace;
 
+use crate::cli::Bench;
 use crate::session::{Arch, BenchSpec, PerArch, Session, Trained, NM_GRID};
 
 /// The pipeline's default spec: the smoke sizes on CapsNet, with ranges
@@ -82,16 +83,15 @@ pub struct PipelineOutcome {
 }
 
 /// Runs the shared session (dataset generation → training or restore
-/// → lowering) and then the six-step ReD-CaNe methodology,
-/// deterministically from `spec.seed` (and independent of the
-/// worker-thread count).
+/// → lowering) and then the six-step ReD-CaNe methodology on every
+/// architecture of `spec`, in spec order, deterministically from
+/// `spec.seed` (and independent of the worker-thread count).
 ///
 /// # Panics
 ///
-/// Panics unless `spec` names exactly one architecture, and on the
-/// empty settings the shared bench [`session`](crate::session) rejects.
-pub fn run_pipeline(spec: &BenchSpec) -> PipelineOutcome {
-    assert_eq!(spec.archs.len(), 1, "pipeline runs one architecture");
+/// Panics on the empty settings the shared bench
+/// [`session`](crate::session) rejects.
+pub fn run_pipeline(spec: &BenchSpec) -> Vec<PipelineOutcome> {
     let _pipeline = trace::span("pipeline");
     let clock = Instant::now();
     let session = {
@@ -99,8 +99,81 @@ pub fn run_pipeline(spec: &BenchSpec) -> PipelineOutcome {
         Session::open(spec, "pipeline")
     };
     let generate_s = clock.elapsed().as_secs_f64();
-    let mut outcomes = session.run(&Methodology { generate_s });
-    outcomes.pop().expect("one architecture ran")
+    session.run(&Methodology { generate_s })
+}
+
+/// The `pipeline` bench. `--quick` here is every bench's: the quick
+/// sizes, keeping the benchmark, seed and architectures given before
+/// it (so `pipeline --quick` trains under `qdp --quick`'s artifact
+/// key).
+impl Bench for BenchSpec {
+    type Outcome = Vec<PipelineOutcome>;
+
+    const NAME: &'static str = "pipeline";
+
+    const USAGE: &'static str = "pipeline: seeded end-to-end ReD-CaNe methodology run
+flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
+--arch capsnet|deepcaps|both, --out PATH, --threads N, \
+--artifacts DIR, --no-cache, --profile PATH, \
+--profile-counters PATH, --profile-folded PATH";
+
+    /// The wall-clock stage timings.
+    const VOLATILE_KEYS: &'static [&'static str] = &["timings_s"];
+
+    fn spec_mut(&mut self) -> &mut BenchSpec {
+        self
+    }
+
+    fn quick_keeping(self) -> Self {
+        BenchSpec {
+            benchmark: self.benchmark,
+            seed: self.seed,
+            archs: self.archs,
+            ..BenchSpec::quick()
+        }
+    }
+
+    fn run(&self) -> Vec<PipelineOutcome> {
+        run_pipeline(self)
+    }
+
+    fn lines(outcomes: &Vec<PipelineOutcome>) -> Vec<Value> {
+        outcomes.iter().map(outcome_to_json).collect()
+    }
+
+    fn provenance(outcomes: &Vec<PipelineOutcome>) -> Vec<(Arch, Provenance)> {
+        outcomes.iter().map(|o| (o.arch, o.provenance)).collect()
+    }
+
+    fn summary(outcomes: &Vec<PipelineOutcome>) -> Vec<String> {
+        outcomes
+            .iter()
+            .map(|o| {
+                let design = &o.report.design;
+                format!(
+                    "{}: {} (benchmark={} seed={} train={} test={} epochs={}), \
+                     baseline {:.3}, design predicted {:.3} (drop {:.2} pp), \
+                     measured {:.3} (drop {:.2} pp) in {:.2}s \
+                     (train {:.2}s, methodology {:.2}s)",
+                    o.arch.label(),
+                    o.provenance.label(),
+                    o.spec.benchmark,
+                    o.spec.seed,
+                    o.spec.train,
+                    o.spec.test,
+                    o.spec.epochs,
+                    o.report.group_sweep.baseline_accuracy,
+                    design.predicted_accuracy,
+                    design.predicted_drop_pp(),
+                    design.measured_accuracy.unwrap_or(f64::NAN),
+                    design.measured_drop_pp().unwrap_or(f64::NAN),
+                    o.timings.total_s(),
+                    o.timings.train_s,
+                    o.timings.methodology_s,
+                )
+            })
+            .collect()
+    }
 }
 
 /// The pipeline's per-architecture work.
@@ -159,8 +232,9 @@ impl PerArch for Methodology {
 }
 
 /// Serializes an outcome as the pipeline's one-line JSON schema:
-/// run metadata, stage timings, the accuracy drop per group (critical
-/// NM + full sweep curve) and the selected components.
+/// run metadata, stage timings (`timings_s`, the one volatile field),
+/// the accuracy drop per group (critical NM + full sweep curve) and the
+/// selected components.
 pub fn outcome_to_json(outcome: &PipelineOutcome) -> Value {
     let report = &outcome.report;
     let groups: Vec<Value> = report
@@ -273,12 +347,4 @@ pub fn outcome_to_json(outcome: &PipelineOutcome) -> Value {
             },
         ),
     ])
-}
-
-/// [`outcome_to_json`] without the wall-clock `timings_s` field: the
-/// byte-stable subset, identical between a cold (train) run and a warm
-/// (artifact-restore) run, at any thread count. CI's determinism checks
-/// `cmp` this form.
-pub fn outcome_to_json_stable(outcome: &PipelineOutcome) -> Value {
-    outcome_to_json(outcome).without_keys(&["timings_s"])
 }

@@ -18,7 +18,7 @@
 //!   (only non-zero on cold runs);
 //! - `timings` — the hierarchical wall-clock span table. Never
 //!   deterministic; stripped through the same [`Value::without_keys`]
-//!   redaction the pipeline's `--no-timings` uses.
+//!   redaction the session benches' stable `--out` lines use.
 //!
 //! The `--profile-counters` file is exactly the profile with the
 //! volatile sections redacted, so CI can `cmp` it across thread counts
@@ -98,19 +98,12 @@ impl ProfileArgs {
 
     /// Snapshots the trace state and writes every requested output.
     /// `meta` carries bench-specific metadata (artifact provenance,
-    /// …) into the profile's `meta` section next to `num_threads`;
-    /// `include_timings=false` strips the wall-clock `timings` section
-    /// (the pipeline threads its `--no-timings` flag through here).
+    /// …) into the profile's `meta` section next to `num_threads`.
     ///
     /// # Errors
     ///
     /// A user-facing message naming the file that could not be written.
-    pub fn write(
-        &self,
-        bench: &str,
-        meta: Vec<(String, Value)>,
-        include_timings: bool,
-    ) -> Result<(), String> {
+    pub fn write(&self, bench: &str, meta: Vec<(String, Value)>) -> Result<(), String> {
         if !self.requested() {
             return Ok(());
         }
@@ -119,12 +112,7 @@ impl ProfileArgs {
             std::fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
         };
         if let Some(path) = &self.profile {
-            let doc = if include_timings {
-                full.clone()
-            } else {
-                full.without_keys(&["timings"])
-            };
-            write(path, format!("{}\n", doc.dump()))?;
+            write(path, format!("{}\n", full.dump()))?;
         }
         if let Some(path) = &self.counters {
             write(path, format!("{}\n", stable_counters(&full).dump()))?;
@@ -149,8 +137,9 @@ pub fn provenance_meta(
 }
 
 /// The byte-comparable subset of a profile document: everything except
-/// the [`VOLATILE_SECTIONS`]. Shares the pipeline's `--no-timings`
-/// redaction primitive, so there is exactly one stripping mechanism.
+/// the [`VOLATILE_SECTIONS`]. Shares the stable `--out` lines'
+/// redaction primitive ([`crate::cli::stable_lines`]), so there is
+/// exactly one stripping mechanism.
 pub fn stable_counters(profile: &Value) -> Value {
     profile.without_keys(&VOLATILE_SECTIONS)
 }

@@ -45,7 +45,7 @@ use redcane_capsnet::{evaluate_clean, CapsModel};
 use redcane_tensor::par;
 use redcane_trace as trace;
 
-use crate::cli::{next_value, Args, SessionConfig};
+use crate::cli::{next_value, Args, Bench};
 use crate::session::{Arch, BenchSpec, PerArch, Session, Trained};
 
 /// Configuration of a `qdp` comparison run: the shared [`BenchSpec`]
@@ -84,9 +84,32 @@ impl QdpConfig {
             ..QdpConfig::smoke()
         }
     }
+
+    /// The unit-test sweep: the exact and one approximate component on
+    /// the tiny session spec, without the design re-score.
+    #[cfg(test)]
+    pub(crate) fn tiny(archs: Vec<Arch>) -> Self {
+        QdpConfig {
+            spec: crate::session::tiny(archs),
+            components: Some(vec!["mul8u_1JFF".to_string(), "mul8u_QKX".to_string()]),
+            heterogeneous: false,
+        }
+    }
 }
 
-impl SessionConfig for QdpConfig {
+impl Bench for QdpConfig {
+    type Outcome = QdpOutcome;
+
+    const NAME: &'static str = "qdp";
+
+    const USAGE: &'static str = "qdp: measured vs noise-predicted accuracy drop per multiplier \
+and for the heterogeneous Step-6 design
+flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
+--arch capsnet|deepcaps|both, --components a,b,..., \
+--heterogeneous, --no-heterogeneous, --out PATH, --threads N, \
+--artifacts DIR, --no-cache, --profile PATH, \
+--profile-counters PATH, --profile-folded PATH";
+
     fn spec_mut(&mut self) -> &mut BenchSpec {
         &mut self.spec
     }
@@ -115,6 +138,37 @@ impl SessionConfig for QdpConfig {
             }
             _ => None,
         }
+    }
+
+    fn run(&self) -> QdpOutcome {
+        run_qdp(self)
+    }
+
+    fn lines(outcome: &QdpOutcome) -> Vec<Value> {
+        qdp_to_json_lines(outcome)
+    }
+
+    fn provenance(outcome: &QdpOutcome) -> Vec<(Arch, Provenance)> {
+        outcome
+            .archs
+            .iter()
+            .map(|a| (a.arch, a.provenance))
+            .collect()
+    }
+
+    fn summary(outcome: &QdpOutcome) -> Vec<String> {
+        let archs = outcome.archs.iter().map(|arch| {
+            format!(
+                "{}: {} ({} component(s), float baseline {:.3})",
+                arch.arch.label(),
+                arch.provenance.label(),
+                arch.rows.len(),
+                arch.float_accuracy
+            )
+        });
+        archs
+            .chain([format!("total {:.2}s", outcome.total_s)])
+            .collect()
     }
 }
 
@@ -450,23 +504,11 @@ pub fn qdp_to_json_lines(outcome: &QdpOutcome) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session;
     use redcane::report::json;
-
-    /// Serializes tests that mutate the process-wide thread override.
-    static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn tiny(archs: Vec<Arch>) -> QdpConfig {
-        QdpConfig {
-            spec: session::tiny(archs),
-            components: Some(vec!["mul8u_1JFF".to_string(), "mul8u_QKX".to_string()]),
-            heterogeneous: false,
-        }
-    }
 
     #[test]
     fn qdp_emits_one_self_contained_line_per_arch_and_component() {
-        let outcome = run_qdp(&tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
+        let outcome = run_qdp(&QdpConfig::tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
         assert_eq!(outcome.archs.len(), 2);
         let lines = qdp_to_json_lines(&outcome);
         assert_eq!(lines.len(), 4, "2 archs × 2 components");
@@ -507,7 +549,7 @@ mod tests {
 
     #[test]
     fn exact_component_predicts_zero_drop_and_small_measured_drop() {
-        let outcome = run_qdp(&tiny(vec![Arch::CapsNet]));
+        let outcome = run_qdp(&QdpConfig::tiny(vec![Arch::CapsNet]));
         let arch = &outcome.archs[0];
         let exact = &arch.rows[0];
         assert_eq!(exact.component, "mul8u_1JFF");
@@ -527,7 +569,7 @@ mod tests {
     fn heterogeneous_design_row_reports_both_drops() {
         let cfg = QdpConfig {
             heterogeneous: true,
-            ..tiny(vec![Arch::CapsNet])
+            ..QdpConfig::tiny(vec![Arch::CapsNet])
         };
         let outcome = run_qdp(&cfg);
         let arch = &outcome.archs[0];
@@ -569,43 +611,20 @@ mod tests {
     /// both-arch run at the same seed (debuggability of CI artifacts).
     #[test]
     fn single_arch_run_reproduces_the_both_arch_rows() {
-        let both = run_qdp(&tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
-        let solo = run_qdp(&tiny(vec![Arch::DeepCaps]));
+        let both = run_qdp(&QdpConfig::tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
+        let solo = run_qdp(&QdpConfig::tiny(vec![Arch::DeepCaps]));
         assert_eq!(solo.archs[0].float_accuracy, both.archs[1].float_accuracy);
         assert_eq!(solo.archs[0].rows, both.archs[1].rows);
     }
 
     /// The artifact-store acceptance bar: a cold (train) run and a warm
-    /// (restore) run emit byte-identical JSON lines, and both match a
-    /// storeless run — heterogeneous design row included.
+    /// (restore) run write the storeless run's stable lines.
     #[test]
     fn cold_and_warm_runs_give_identical_json() {
-        let dir =
-            std::env::temp_dir().join(format!("redcane-bench-qdp-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = QdpConfig {
+        crate::cli::tests::assert_cold_and_warm_match_storeless(QdpConfig {
             heterogeneous: true,
-            ..tiny(vec![Arch::CapsNet])
-        };
-        cfg.spec.artifacts = Some(dir.clone());
-        let dump = |cfg: &QdpConfig| {
-            let outcome = run_qdp(cfg);
-            let lines: Vec<String> = qdp_to_json_lines(&outcome)
-                .iter()
-                .map(|v| v.dump())
-                .collect();
-            (outcome.archs[0].provenance, lines.join("\n"))
-        };
-        let (cold_prov, cold) = dump(&cfg);
-        assert_eq!(cold_prov, Provenance::Trained);
-        let (warm_prov, warm) = dump(&cfg);
-        assert_eq!(warm_prov, Provenance::Restored);
-        cfg.spec.artifacts = None;
-        let (uncached_prov, uncached) = dump(&cfg);
-        assert_eq!(uncached_prov, Provenance::Trained);
-        assert_eq!(cold, warm, "restore changed the output");
-        assert_eq!(cold, uncached, "the store changed the output");
-        let _ = std::fs::remove_dir_all(&dir);
+            ..QdpConfig::tiny(vec![Arch::CapsNet])
+        });
     }
 
     /// The parallel component sweep must not change a single byte of
@@ -613,22 +632,9 @@ mod tests {
     /// heterogeneous design row included.
     #[test]
     fn json_is_byte_identical_across_thread_counts() {
-        let _guard = THREADS_LOCK.lock().unwrap();
-        let cfg = QdpConfig {
+        crate::cli::tests::thread_invariant_lines(&QdpConfig {
             heterogeneous: true,
-            ..tiny(vec![Arch::CapsNet])
-        };
-        let dump = |threads: usize| {
-            par::set_threads(threads);
-            let lines: Vec<String> = qdp_to_json_lines(&run_qdp(&cfg))
-                .iter()
-                .map(|v| v.dump())
-                .collect();
-            par::set_threads(0);
-            lines.join("\n")
-        };
-        let serial = dump(1);
-        let parallel = dump(3);
-        assert_eq!(serial, parallel, "thread count leaked into the rows");
+            ..QdpConfig::tiny(vec![Arch::CapsNet])
+        });
     }
 }

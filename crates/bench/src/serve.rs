@@ -27,8 +27,9 @@
 //! the per-assignment prediction checksum are byte-identical at every
 //! `REDCANE_THREADS` setting and batcher timing; latency, throughput,
 //! batch composition and queue depth are measurements of this
-//! particular run. [`serve_to_json_lines_stable`] strips the volatile
-//! fields ([`VOLATILE_ROW_KEYS`]) so CI can `cmp` the rest.
+//! particular run. The stable lines `--out` writes strip the volatile
+//! fields (the bench's [`Bench::VOLATILE_KEYS`]) so CI can `cmp` the
+//! rest.
 
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Mutex;
@@ -43,7 +44,7 @@ use redcane_serve::{Engine, Response, ServeConfig};
 use redcane_tensor::par;
 use redcane_trace as trace;
 
-use crate::cli::{next_parsed, require_nonzero, Args, SessionConfig};
+use crate::cli::{next_parsed, require_nonzero, Args, Bench};
 use crate::session::{Arch, BenchSpec, PerArch, Session, Trained};
 
 /// The exact multiplier: the baseline assignment, and what "cheapest"
@@ -77,6 +78,10 @@ pub struct ServeBenchConfig {
     /// Also serve the Step-6 heterogeneous design (runs the full
     /// methodology per architecture — the expensive assignment).
     pub step6: bool,
+    /// `--budget-s`: fail the run when the serving sessions (training
+    /// excluded) exceed this many seconds — the latency-regression
+    /// tripwire.
+    pub budget_s: Option<f64>,
 }
 
 impl ServeBenchConfig {
@@ -92,6 +97,7 @@ impl ServeBenchConfig {
             max_wait_us: None,
             arrival_rate_rps: 2000.0,
             step6: true,
+            budget_s: None,
         }
     }
 
@@ -108,17 +114,66 @@ impl ServeBenchConfig {
             ..ServeBenchConfig::smoke()
         }
     }
+
+    /// The unit-test load: a short burst of back-to-back requests (gaps
+    /// of 0–2 µs) on the tiny session spec, fill-only batching.
+    #[cfg(test)]
+    pub(crate) fn tiny(archs: Vec<Arch>) -> Self {
+        ServeBenchConfig {
+            spec: crate::session::tiny(archs),
+            requests: 14,
+            clients: 2,
+            workers: Some(2),
+            max_batch: 3,
+            max_wait_us: None,
+            arrival_rate_rps: 1e6,
+            step6: false,
+            budget_s: None,
+        }
+    }
 }
 
-impl SessionConfig for ServeBenchConfig {
+impl Bench for ServeBenchConfig {
+    type Outcome = ServeOutcome;
+
+    const NAME: &'static str = "serve";
+
+    const USAGE: &'static str = "serve: open-loop dynamic-batching serving benchmark over the \
+quantized datapath
+flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
+--arch capsnet|deepcaps|both, --requests N, --clients N, \
+--workers N, --max-batch N, --max-wait-us N, --rate RPS, \
+--step6, --no-step6, --out PATH, \
+--budget-s S, --threads N, --artifacts DIR, --no-cache, \
+--profile PATH, --profile-counters PATH, --profile-folded PATH";
+
+    /// Latency, throughput, batch composition, queue depth, worker
+    /// count and wall clock: the measurements of this particular run.
+    const VOLATILE_KEYS: &'static [&'static str] = &[
+        "workers",
+        "p50_ms",
+        "p99_ms",
+        "max_ms",
+        "mean_ms",
+        "throughput_rps",
+        "batches",
+        "mean_batch",
+        "max_batch_observed",
+        "queue_depth_mean",
+        "queue_depth_max",
+        "serve_s",
+    ];
+
     fn spec_mut(&mut self) -> &mut BenchSpec {
         &mut self.spec
     }
 
-    /// Keeps none of the load or batcher flags: `--quick` resets them.
+    /// Keeps `--budget-s` but none of the load or batcher flags:
+    /// `--quick` resets them.
     fn quick_keeping(self) -> Self {
         ServeBenchConfig {
             spec: self.spec.quick_keeping(),
+            budget_s: self.budget_s,
             ..ServeBenchConfig::quick()
         }
     }
@@ -132,7 +187,10 @@ impl SessionConfig for ServeBenchConfig {
             "--workers" => count(args).map(|v| self.workers = Some(v)),
             "--max-batch" => count(args).map(|v| self.max_batch = v),
             "--max-wait-us" => next_parsed(args, flag).map(|v: u64| self.max_wait_us = Some(v)),
-            "--rate" => next_parsed(args, flag).map(|v: f64| self.arrival_rate_rps = v),
+            "--rate" => next_parsed(args, flag)
+                .and_then(|v: f64| require_positive(v, flag))
+                .map(|v| self.arrival_rate_rps = v),
+            "--budget-s" => next_parsed(args, flag).map(|v: f64| self.budget_s = Some(v)),
             "--step6" => {
                 self.step6 = true;
                 Ok(())
@@ -143,6 +201,63 @@ impl SessionConfig for ServeBenchConfig {
             }
             _ => return None,
         })
+    }
+
+    fn run(&self) -> ServeOutcome {
+        run_serve(self)
+    }
+
+    fn lines(outcome: &ServeOutcome) -> Vec<Value> {
+        serve_to_json_lines(outcome)
+    }
+
+    fn provenance(outcome: &ServeOutcome) -> Vec<(Arch, Provenance)> {
+        outcome
+            .archs
+            .iter()
+            .map(|a| (a.arch, a.provenance))
+            .collect()
+    }
+
+    fn summary(outcome: &ServeOutcome) -> Vec<String> {
+        let archs = outcome.archs.iter().map(|arch| {
+            format!(
+                "{}: {} ({} assignment(s), {} request(s), {:.2}s serving)",
+                arch.arch.label(),
+                arch.provenance.label(),
+                arch.assignments.len(),
+                arch.assignments.iter().map(|a| a.requests).sum::<usize>(),
+                arch.serve_s
+            )
+        });
+        archs
+            .chain([format!(
+                "total {:.2}s ({:.2}s serving)",
+                outcome.total_s, outcome.serve_s
+            )])
+            .collect()
+    }
+
+    /// The `--budget-s` tripwire: serving time only, so cold (train)
+    /// and warm (restore) runs trip identically.
+    fn check(&self, outcome: &ServeOutcome) -> Result<(), String> {
+        match self.budget_s {
+            Some(budget) if outcome.serve_s > budget => Err(format!(
+                "serving sessions took {:.2}s, over the --budget-s {budget:.2}s tripwire",
+                outcome.serve_s
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Rejects an arrival rate that is not a positive, finite number of
+/// requests per second.
+fn require_positive(rate: f64, flag: &str) -> Result<f64, String> {
+    if rate.is_finite() && rate > 0.0 {
+        Ok(rate)
+    } else {
+        Err(format!("{flag} must be a positive, finite rate"))
     }
 }
 
@@ -276,7 +391,7 @@ fn request_stream(
     pool: usize,
 ) -> Vec<RequestSpec> {
     let seed = cfg.spec.seed;
-    let mean_gap_us = (1e6 / cfg.arrival_rate_rps.max(1e-3)) as u64;
+    let mean_gap_us = (1e6 / cfg.arrival_rate_rps) as u64;
     let mut arrival_us = 0u64;
     (0..cfg.requests as u64)
         .map(|r| {
@@ -313,9 +428,13 @@ fn fnv_fold(hash: u64, request: u64, prediction: u64) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics on empty train/test/eval/request/client/arch settings or a
-/// zero `max_batch`.
+/// Panics on empty train/test/eval/request/client/arch settings, a
+/// zero `max_batch` or an arrival rate that is not positive and finite.
 pub fn run_serve(cfg: &ServeBenchConfig) -> ServeOutcome {
+    assert!(
+        cfg.arrival_rate_rps.is_finite() && cfg.arrival_rate_rps > 0.0,
+        "serve needs a positive, finite arrival rate"
+    );
     assert!(cfg.requests > 0, "serve needs requests");
     assert!(cfg.clients > 0, "serve needs client threads");
     assert!(cfg.max_batch > 0, "serve needs a batch ceiling");
@@ -533,25 +652,6 @@ impl PerArch for ServeBenchConfig {
     }
 }
 
-/// Per-row fields that legitimately differ between otherwise-identical
-/// runs (latency, throughput, batch composition, queue depth, worker
-/// count, wall clock). [`serve_to_json_lines_stable`] strips exactly
-/// these.
-pub const VOLATILE_ROW_KEYS: [&str; 12] = [
-    "workers",
-    "p50_ms",
-    "p99_ms",
-    "max_ms",
-    "mean_ms",
-    "throughput_rps",
-    "batches",
-    "mean_batch",
-    "max_batch_observed",
-    "queue_depth_mean",
-    "queue_depth_max",
-    "serve_s",
-];
-
 /// Serializes one (architecture × assignment) as a self-contained JSON
 /// line.
 pub fn serve_row_to_json(
@@ -616,42 +716,14 @@ pub fn serve_to_json_lines(outcome: &ServeOutcome) -> Vec<Value> {
         .collect()
 }
 
-/// The byte-comparable subset: every row with the
-/// [`VOLATILE_ROW_KEYS`] stripped — identical at every
-/// `REDCANE_THREADS` setting, worker count and batcher timing.
-pub fn serve_to_json_lines_stable(outcome: &ServeOutcome) -> Vec<Value> {
-    serve_to_json_lines(outcome)
-        .iter()
-        .map(|line| line.without_keys(&VOLATILE_ROW_KEYS))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session;
     use redcane::report::json;
-
-    /// Serializes tests that mutate the process-wide thread override.
-    static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn tiny(archs: Vec<Arch>) -> ServeBenchConfig {
-        ServeBenchConfig {
-            spec: session::tiny(archs),
-            requests: 14,
-            clients: 2,
-            workers: Some(2),
-            max_batch: 3,
-            max_wait_us: None,
-            // Effectively back-to-back arrivals: gaps of 0–2 µs.
-            arrival_rate_rps: 1e6,
-            step6: false,
-        }
-    }
 
     #[test]
     fn serve_emits_one_row_per_arch_and_assignment() {
-        let outcome = run_serve(&tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
+        let outcome = run_serve(&ServeBenchConfig::tiny(vec![Arch::CapsNet, Arch::DeepCaps]));
         assert_eq!(outcome.archs.len(), 2);
         let lines = serve_to_json_lines(&outcome);
         assert_eq!(lines.len(), 4, "2 archs × (exact, cheapest)");
@@ -699,7 +771,7 @@ mod tests {
     fn step6_adds_the_heterogeneous_design_row() {
         let cfg = ServeBenchConfig {
             step6: true,
-            ..tiny(vec![Arch::CapsNet])
+            ..ServeBenchConfig::tiny(vec![Arch::CapsNet])
         };
         let outcome = run_serve(&cfg);
         let rows = &outcome.archs[0].assignments;
@@ -715,58 +787,18 @@ mod tests {
     /// default worker count) — only the volatile keys may move.
     #[test]
     fn stable_lines_are_byte_identical_across_thread_counts() {
-        let _guard = THREADS_LOCK.lock().unwrap();
-        let cfg = ServeBenchConfig {
+        crate::cli::tests::thread_invariant_lines(&ServeBenchConfig {
             workers: None,
-            ..tiny(vec![Arch::CapsNet])
-        };
-        let dump = |threads: usize| {
-            par::set_threads(threads);
-            let lines: Vec<String> = serve_to_json_lines_stable(&run_serve(&cfg))
-                .iter()
-                .map(|v| v.dump())
-                .collect();
-            par::set_threads(0);
-            lines.join("\n")
-        };
-        let serial = dump(1);
-        let parallel = dump(3);
-        assert_eq!(serial, parallel, "thread count leaked into stable fields");
-        for key in VOLATILE_ROW_KEYS {
-            assert!(
-                !serial.contains(&format!("\"{key}\"")),
-                "{key} not stripped"
-            );
-        }
+            ..ServeBenchConfig::tiny(vec![Arch::CapsNet])
+        });
     }
 
     /// The artifact-store acceptance bar: a cold (train) run and a
-    /// warm (restore) run emit byte-identical stable lines, and both
-    /// match a storeless run.
+    /// warm (restore) run write the storeless run's stable lines.
     #[test]
     fn cold_and_warm_runs_give_identical_stable_json() {
-        let dir =
-            std::env::temp_dir().join(format!("redcane-bench-serve-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = tiny(vec![Arch::CapsNet]);
-        cfg.spec.artifacts = Some(dir.clone());
-        let dump = |cfg: &ServeBenchConfig| {
-            let outcome = run_serve(cfg);
-            let lines: Vec<String> = serve_to_json_lines_stable(&outcome)
-                .iter()
-                .map(|v| v.dump())
-                .collect();
-            (outcome.archs[0].provenance, lines.join("\n"))
-        };
-        let (cold_prov, cold) = dump(&cfg);
-        assert_eq!(cold_prov, Provenance::Trained);
-        let (warm_prov, warm) = dump(&cfg);
-        assert_eq!(warm_prov, Provenance::Restored);
-        cfg.spec.artifacts = None;
-        let (uncached_prov, uncached) = dump(&cfg);
-        assert_eq!(uncached_prov, Provenance::Trained);
-        assert_eq!(cold, warm, "restore changed the stable output");
-        assert_eq!(cold, uncached, "the store changed the stable output");
-        let _ = std::fs::remove_dir_all(&dir);
+        crate::cli::tests::assert_cold_and_warm_match_storeless(ServeBenchConfig::tiny(vec![
+            Arch::CapsNet,
+        ]));
     }
 }

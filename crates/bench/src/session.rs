@@ -144,21 +144,10 @@ impl BenchSpec {
         }
     }
 
-    /// The quick sizes, keeping this spec's benchmark, seed and
-    /// architectures — what `--quick` does to the flags before it.
-    pub(crate) fn quick_keeping(&self) -> Self {
-        BenchSpec {
-            benchmark: self.benchmark,
-            seed: self.seed,
-            archs: self.archs.clone(),
-            ..BenchSpec::quick()
-        }
-    }
-
     /// The artifact key. The fingerprint pins every knob the trained
     /// content depends on; component subsets, fault grids, load shapes
     /// and the eval subset deliberately don't invalidate it.
-    fn key(&self, arch: Arch) -> ArtifactKey {
+    pub(crate) fn key(&self, arch: Arch) -> ArtifactKey {
         ArtifactKey::new(
             arch.label(),
             self.benchmark.name(),
@@ -478,80 +467,27 @@ pub(crate) fn tiny(archs: Vec<Arch>) -> BenchSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{faults_to_json_lines, run_faults, FaultsConfig};
-    use crate::pipeline::{outcome_to_json_stable, run_pipeline};
-    use crate::qdp::{run_qdp, QdpConfig};
-    use crate::serve::{run_serve, serve_to_json_lines_stable, ServeBenchConfig};
-    use redcane::report::json::Value;
-
-    fn dump(lines: &[Value]) -> String {
-        lines.iter().map(Value::dump).collect::<Vec<_>>().join("\n")
-    }
+    use crate::faults::FaultsConfig;
+    use crate::qdp::QdpConfig;
+    use crate::serve::ServeBenchConfig;
 
     /// One store, one spec: whichever bench trains first, the others
     /// (`faults`, `serve` and `pipeline`) restore the same artifact —
-    /// and restoring changes no byte of their output against a
+    /// and restoring changes no byte of their stable lines against a
     /// storeless run.
     #[test]
     fn one_trained_artifact_serves_all_three_benches() {
-        let dir = std::env::temp_dir().join(format!(
-            "redcane-bench-session-store-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let stored = BenchSpec {
-            artifacts: Some(dir.clone()),
-            ..tiny(vec![Arch::CapsNet])
-        };
-        let storeless = BenchSpec {
-            artifacts: None,
-            ..stored.clone()
-        };
-
-        let qdp = run_qdp(&QdpConfig {
-            spec: stored.clone(),
-            components: Some(vec!["mul8u_1JFF".to_string()]),
-            heterogeneous: false,
-        });
-        assert_eq!(qdp.archs[0].provenance, Provenance::Trained);
-
-        let faults = |spec: &BenchSpec| {
-            run_faults(&FaultsConfig {
-                spec: spec.clone(),
-                max_sites: Some(2),
-                fail_soft: true,
-                ..FaultsConfig::quick()
-            })
-        };
-        let (warm, cold) = (faults(&stored), faults(&storeless));
-        assert_eq!(warm.archs[0].provenance, Provenance::Restored);
-        assert_eq!(
-            dump(&faults_to_json_lines(&warm)),
-            dump(&faults_to_json_lines(&cold))
+        crate::cli::tests::assert_one_artifact_serves_every_bench(
+            QdpConfig {
+                heterogeneous: true,
+                ..QdpConfig::tiny(vec![Arch::CapsNet])
+            },
+            FaultsConfig::tiny(vec![Arch::CapsNet]),
+            ServeBenchConfig {
+                workers: None,
+                ..ServeBenchConfig::tiny(vec![Arch::CapsNet])
+            },
+            tiny(vec![Arch::CapsNet]),
         );
-
-        let serve = |spec: &BenchSpec| {
-            run_serve(&ServeBenchConfig {
-                spec: spec.clone(),
-                requests: 12,
-                workers: Some(2),
-                arrival_rate_rps: 1e6,
-                ..ServeBenchConfig::quick()
-            })
-        };
-        let (warm, cold) = (serve(&stored), serve(&storeless));
-        assert_eq!(warm.archs[0].provenance, Provenance::Restored);
-        assert_eq!(
-            dump(&serve_to_json_lines_stable(&warm)),
-            dump(&serve_to_json_lines_stable(&cold))
-        );
-
-        let (warm, cold) = (run_pipeline(&stored), run_pipeline(&storeless));
-        assert_eq!(warm.provenance, Provenance::Restored);
-        assert_eq!(
-            outcome_to_json_stable(&warm).dump(),
-            outcome_to_json_stable(&cold).dump()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,8 +3,8 @@
 //! worker-thread counts, for both of the paper's architectures. The
 //! volatile sections (`meta`, `store`, `train_counters`, `timings`) are
 //! redacted through the same `Value::without_keys` mechanism the
-//! pipeline's `--no-timings` uses; everything that remains must not
-//! move by a single byte when the thread count changes.
+//! session benches' stable `--out` lines use; everything that remains
+//! must not move by a single byte when the thread count changes.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

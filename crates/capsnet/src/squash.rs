@@ -15,18 +15,34 @@ const EPS: f32 = 1e-8;
 
 /// Forward squash along axis 1 of a `[C, D, P]` tensor.
 ///
+/// # Example
+///
+/// ```
+/// use redcane_capsnet::squash::{caps_lengths, squash_caps};
+/// use redcane_tensor::Tensor;
+/// # fn main() -> Result<(), redcane_tensor::TensorError> {
+/// let s = Tensor::from_vec(vec![3.0, 4.0], &[1, 2, 1])?; // |s| = 5
+/// let length = caps_lengths(&squash_caps(&s)).data()[0];
+/// assert!((length - 25.0 / 26.0).abs() < 1e-5);
+/// # Ok(())
+/// # }
+/// ```
+///
 /// # Panics
 ///
 /// Panics unless the tensor is rank 3.
 pub fn squash_caps(s: &Tensor) -> Tensor {
     assert_eq!(s.ndim(), 3, "squash_caps expects [C, D, P]");
-    // lint: allow(panic) — rank was checked by the caller/construction path
-    s.squash_axis(1).expect("rank checked")
+    let (c_types, d, p) = (s.shape()[0], s.shape()[1], s.shape()[2]);
+    let mut out = vec![0.0f32; s.len()];
+    squash_slices(s.data(), &mut out, c_types, d, p);
+    // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+    Tensor::from_vec(out, s.shape()).expect("sized")
 }
 
-/// Allocation-free squash over raw `[C, D, P]` slices into a scratch
-/// output buffer; arithmetic is identical to `Tensor::squash_axis(1)`
-/// (the routing hot path relies on that for bitwise stability).
+/// Allocation-free form of [`squash_caps`] over raw `[C, D, P]` slices
+/// into a scratch output buffer: the one squash implementation, so the
+/// routing hot path and the tensor form agree bit for bit.
 ///
 /// Public because the quantized datapath's special-function unit must
 /// compute exactly the float network's squash.
@@ -115,8 +131,22 @@ pub(crate) fn squash_backward_slices(
 /// Panics unless the tensor is rank 3.
 pub fn caps_lengths(v: &Tensor) -> Tensor {
     assert_eq!(v.ndim(), 3, "caps_lengths expects [C, D, P]");
-    // lint: allow(panic) — rank was checked by the caller/construction path
-    v.norm_axis(1).expect("rank checked")
+    let (c_types, d, p) = (v.shape()[0], v.shape()[1], v.shape()[2]);
+    let vd = v.data();
+    let mut out = vec![0.0f32; c_types * p];
+    for ci in 0..c_types {
+        for pi in 0..p {
+            // Sum of squares in ascending D, then sqrt; no epsilon.
+            let mut n2 = 0.0f32;
+            for di in 0..d {
+                let x = vd[(ci * d + di) * p + pi];
+                n2 += x * x;
+            }
+            out[ci * p + pi] = n2.sqrt();
+        }
+    }
+    // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
+    Tensor::from_vec(out, &[c_types, p]).expect("sized")
 }
 
 /// Backward of [`caps_lengths`]: given `v` and `d_lengths` (`[C, P]`),
@@ -218,10 +248,98 @@ mod tests {
     }
 
     #[test]
+    fn squash_preserves_direction() {
+        let s = Tensor::from_vec(vec![3.0, 4.0], &[1, 2, 1]).unwrap();
+        let v = squash_caps(&s);
+        let ratio0 = v.data()[0] / s.data()[0];
+        let ratio1 = v.data()[1] / s.data()[1];
+        assert!((ratio0 - ratio1).abs() < 1e-6);
+    }
+
+    #[test]
+    fn squash_small_vectors_shrink_quadratically() {
+        let s = Tensor::from_vec(vec![0.1, 0.0], &[1, 2, 1]).unwrap();
+        // |v| = |s|^2/(1+|s|^2) ~= 0.00990
+        let n = caps_lengths(&squash_caps(&s)).data()[0];
+        assert!((n - 0.01 / 1.01).abs() < 1e-4, "norm {n}");
+    }
+
+    #[test]
+    fn squash_zero_vector_is_zero() {
+        let v = squash_caps(&Tensor::zeros(&[1, 4, 1]));
+        assert!(v.data().iter().all(|&x| x == 0.0));
+        assert!(v.all_finite());
+    }
+
+    #[test]
+    fn squash_monotone_in_input_norm() {
+        // Longer input vectors produce longer output vectors.
+        let mut prev = 0.0f32;
+        for scale in [0.1f32, 0.5, 1.0, 2.0, 10.0] {
+            let s = Tensor::full(&[1, 2, 1], scale);
+            let n = caps_lengths(&squash_caps(&s)).data()[0];
+            assert!(n > prev, "norm should grow: {n} after {prev}");
+            prev = n;
+        }
+    }
+
+    #[test]
     fn squash_then_lengths_bounded() {
         let mut rng = TensorRng::from_seed(112);
         let s = rng.uniform(&[4, 8, 5], -10.0, 10.0);
         let l = caps_lengths(&squash_caps(&s));
         assert!(l.data().iter().all(|&x| (0.0..1.0).contains(&x)));
+    }
+
+    #[test]
+    fn squash_norm_bounded_below_one() {
+        let mut rng = TensorRng::from_seed(20);
+        let s = rng.uniform(&[8, 16, 1], -10.0, 10.0);
+        for &n in caps_lengths(&squash_caps(&s)).data() {
+            assert!((0.0..1.0).contains(&n), "norm {n}");
+        }
+    }
+
+    #[test]
+    fn squash_middle_axis() {
+        let mut rng = TensorRng::from_seed(21);
+        let s = rng.uniform(&[2, 4, 3], -1.0, 1.0);
+        let v = squash_caps(&s);
+        assert_eq!(v.shape(), s.shape());
+        for &n in caps_lengths(&v).data() {
+            assert!(n < 1.0);
+        }
+    }
+
+    #[test]
+    fn caps_lengths_values() {
+        let v = Tensor::from_vec(vec![3.0, 4.0, 0.0, 5.0], &[2, 2, 1]).unwrap();
+        let l = caps_lengths(&v);
+        assert_eq!(l.shape(), &[2, 1]);
+        assert!((l.data()[0] - 5.0).abs() < 1e-6);
+        assert!((l.data()[1] - 5.0).abs() < 1e-6);
+    }
+
+    /// Over seeded random `[C, D, P]` shapes and magnitudes, every
+    /// squashed capsule is strictly shorter than one.
+    #[test]
+    fn squash_norm_strictly_below_one() {
+        let mut rng = TensorRng::from_seed(112);
+        for _ in 0..64 {
+            let shape = [
+                1 + rng.next_index(4),
+                1 + rng.next_index(8),
+                1 + rng.next_index(5),
+            ];
+            let scale = rng.next_uniform(0.0, 100.0);
+            let s = rng.uniform(&shape, -scale, scale);
+            let v = squash_caps(&s);
+            assert_eq!(v.shape(), s.shape());
+            let l = caps_lengths(&v);
+            assert!(
+                l.data().iter().all(|&n| (0.0..1.0).contains(&n)),
+                "{shape:?} at scale {scale}"
+            );
+        }
     }
 }

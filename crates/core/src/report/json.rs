@@ -69,7 +69,7 @@ impl Value {
 
     /// A copy of this object without the named top-level keys; other
     /// variants are returned unchanged. This is the single redaction
-    /// primitive behind `--no-timings`-style stable outputs: strip the
+    /// primitive behind the benches' stable outputs: strip the
     /// volatile sections, keep field order for everything else, so two
     /// redacted documents from identical work are byte-identical.
     pub fn without_keys(&self, keys: &[&str]) -> Value {

@@ -3,8 +3,8 @@
 //!
 //! [`RedCaNeReport`] collects everything Steps 1–6 produce; this module
 //! renders it as a one-paragraph summary ([`RedCaNeReport::summary`])
-//! and round-trips the Step-3 group marking through JSON
-//! ([`marking_to_json`] / [`marking_from_json`]). The benchmark's JSON
+//! and serializes the Step-3 group marking to JSON
+//! ([`marking_to_json`]). The benchmark's JSON
 //! record of a whole run is the `pipeline` bench's schema.
 
 pub mod json;
@@ -89,23 +89,6 @@ pub fn group_slug(group: Group) -> &'static str {
     }
 }
 
-/// Inverse of [`group_slug`].
-pub fn group_from_slug(slug: &str) -> Option<Group> {
-    Group::all().into_iter().find(|g| group_slug(*g) == slug)
-}
-
-/// A malformed serialized marking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MarkingDecodeError(pub String);
-
-impl std::fmt::Display for MarkingDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed group marking: {}", self.0)
-    }
-}
-
-impl std::error::Error for MarkingDecodeError {}
-
 /// Serializes a Step-3 group marking to JSON.
 pub fn marking_to_json(marking: &GroupMarking) -> Value {
     Value::Arr(
@@ -121,37 +104,6 @@ pub fn marking_to_json(marking: &GroupMarking) -> Value {
             })
             .collect(),
     )
-}
-
-/// Reconstructs a Step-3 group marking from [`marking_to_json`] output.
-///
-/// # Errors
-///
-/// Returns [`MarkingDecodeError`] when the value is not an array of
-/// `{group, critical_nm, resilient}` objects with known group slugs.
-pub fn marking_from_json(value: &Value) -> Result<GroupMarking, MarkingDecodeError> {
-    let items = value
-        .as_arr()
-        .ok_or_else(|| MarkingDecodeError("expected an array".into()))?;
-    let mut entries = Vec::with_capacity(items.len());
-    for item in items {
-        let slug = item
-            .get("group")
-            .and_then(Value::as_str)
-            .ok_or_else(|| MarkingDecodeError("entry missing string 'group'".into()))?;
-        let group = group_from_slug(slug)
-            .ok_or_else(|| MarkingDecodeError(format!("unknown group slug '{slug}'")))?;
-        let critical_nm = item
-            .get("critical_nm")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| MarkingDecodeError("entry missing number 'critical_nm'".into()))?;
-        let resilient = item
-            .get("resilient")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| MarkingDecodeError("entry missing bool 'resilient'".into()))?;
-        entries.push((group, critical_nm, resilient));
-    }
-    Ok(GroupMarking { entries })
 }
 
 #[cfg(test)]
@@ -260,32 +212,30 @@ mod tests {
     fn marking_round_trips_through_json() {
         let report = sample_report();
         let encoded = marking_to_json(&report.group_marking);
-        let decoded = marking_from_json(&encoded).unwrap();
-        assert_eq!(decoded, report.group_marking);
-        // And through actual text, not just the value tree.
-        let reparsed = json::parse(&encoded.dump()).unwrap();
-        assert_eq!(marking_from_json(&reparsed).unwrap(), report.group_marking);
-    }
-
-    #[test]
-    fn marking_decode_rejects_malformed_input() {
-        assert!(marking_from_json(&Value::Null).is_err());
-        let missing = Value::Arr(vec![Value::Obj(vec![(
-            "group".into(),
-            Value::from("mac_outputs"),
-        )])]);
-        assert!(marking_from_json(&missing).is_err());
-        let unknown =
-            json::parse("[{\"group\":\"warp_cores\",\"critical_nm\":0.1,\"resilient\":true}]")
-                .unwrap();
-        assert!(marking_from_json(&unknown).is_err());
+        // Through actual text, not just the value tree.
+        assert_eq!(json::parse(&encoded.dump()).unwrap(), encoded);
+        let items = encoded.as_arr().unwrap();
+        assert_eq!(items.len(), report.group_marking.entries.len());
+        for (item, (group, critical_nm, resilient)) in
+            items.iter().zip(&report.group_marking.entries)
+        {
+            assert_eq!(
+                item.get("group").unwrap().as_str(),
+                Some(group_slug(*group))
+            );
+            assert_eq!(
+                item.get("critical_nm").unwrap().as_f64(),
+                Some(*critical_nm)
+            );
+            assert_eq!(item.get("resilient").unwrap().as_bool(), Some(*resilient));
+        }
     }
 
     #[test]
     fn group_slugs_are_a_bijection() {
-        for g in Group::all() {
-            assert_eq!(group_from_slug(group_slug(g)), Some(g));
+        let slugs: Vec<&str> = Group::all().into_iter().map(group_slug).collect();
+        for (i, slug) in slugs.iter().enumerate() {
+            assert!(!slugs[..i].contains(slug), "duplicate slug {slug}");
         }
-        assert_eq!(group_from_slug("nope"), None);
     }
 }

@@ -1,74 +1,10 @@
-//! Shape-manipulating operations: slice, concat, permute.
+//! Shape-manipulating operations: slice, concat.
 
 use crate::error::TensorError;
-use crate::shape::strides_for;
 use crate::tensor::Tensor;
 use crate::Result;
 
 impl Tensor {
-    /// Reorders axes according to `perm` (a permutation of `0..ndim`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `perm` is not a permutation of the axes.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use redcane_tensor::Tensor;
-    /// # fn main() -> Result<(), redcane_tensor::TensorError> {
-    /// let t = Tensor::from_fn(&[2, 3, 4], |i| i as f32);
-    /// let p = t.permute(&[2, 0, 1])?;
-    /// assert_eq!(p.shape(), &[4, 2, 3]);
-    /// assert_eq!(p.get(&[1, 0, 2])?, t.get(&[0, 2, 1])?);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn permute(&self, perm: &[usize]) -> Result<Tensor> {
-        let nd = self.ndim();
-        if perm.len() != nd {
-            return Err(TensorError::RankMismatch {
-                expected: nd,
-                got: perm.len(),
-                op: "permute",
-            });
-        }
-        let mut seen = vec![false; nd];
-        for &p in perm {
-            if p >= nd || seen[p] {
-                return Err(TensorError::InvalidArgument {
-                    reason: format!("permute: {perm:?} is not a permutation of 0..{nd}"),
-                });
-            }
-            seen[p] = true;
-        }
-        let old_shape = self.shape();
-        let new_shape: Vec<usize> = perm.iter().map(|&p| old_shape[p]).collect();
-        let old_strides = strides_for(old_shape);
-        let new_strides_in_old: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
-        let src = self.data();
-        let n = src.len();
-        let mut out = vec![0.0f32; n];
-        // Walk the output in row-major order, computing the source offset.
-        let mut index = vec![0usize; nd];
-        for slot in out.iter_mut() {
-            let mut src_off = 0usize;
-            for (i, &idx) in index.iter().enumerate() {
-                src_off += idx * new_strides_in_old[i];
-            }
-            *slot = src[src_off];
-            // Increment the multi-index (row-major odometer).
-            for axis in (0..nd).rev() {
-                index[axis] += 1;
-                if index[axis] < new_shape[axis] {
-                    break;
-                }
-                index[axis] = 0;
-            }
-        }
-        Tensor::from_vec(out, &new_shape)
-    }
-
     /// Extracts `start..end` along `axis`, copying.
     ///
     /// # Errors
@@ -157,43 +93,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transpose_round_trip() {
-        let t = Tensor::from_fn(&[3, 5], |i| i as f32);
-        let tt = t.permute(&[1, 0]).unwrap().permute(&[1, 0]).unwrap();
-        assert_eq!(t, tt);
-    }
-
-    #[test]
-    fn transpose_values() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let tt = t.permute(&[1, 0]).unwrap();
-        assert_eq!(tt.shape(), &[3, 2]);
-        assert_eq!(tt.get(&[2, 1]).unwrap(), 6.0);
-        assert_eq!(tt.get(&[0, 1]).unwrap(), 4.0);
-    }
-
-    #[test]
-    fn permute_matches_transpose_for_rank2() {
-        let t = Tensor::from_fn(&[4, 6], |i| (i as f32).sin());
-        let transposed = Tensor::from_fn(&[6, 4], |i| t.at((i % 4) * 6 + i / 4));
-        assert_eq!(t.permute(&[1, 0]).unwrap(), transposed);
-    }
-
-    #[test]
-    fn permute_identity() {
-        let t = Tensor::from_fn(&[2, 3, 4], |i| i as f32);
-        assert_eq!(t.permute(&[0, 1, 2]).unwrap(), t);
-    }
-
-    #[test]
-    fn permute_rejects_non_permutation() {
-        let t = Tensor::zeros(&[2, 3]);
-        assert!(t.permute(&[0, 0]).is_err());
-        assert!(t.permute(&[0, 2]).is_err());
-        assert!(t.permute(&[0]).is_err());
-    }
 
     #[test]
     fn slice_axis_middle() {

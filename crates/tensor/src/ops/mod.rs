@@ -9,8 +9,8 @@
 //! - [`conv`] — convolution geometry, the im2col unroll and its col2im
 //!   adjoint (the lowering of the MAC workhorse of CapsNets onto GEMM)
 //! - [`reduce`] — axis sum and axis softmax
-//! - [`activation`] — ReLU and the capsule `squash` nonlinearity
-//! - [`manip`] — pad, slice, concat, transpose/permute
+//! - [`activation`] — ReLU
+//! - [`manip`] — slice, concat
 
 pub mod activation;
 pub mod conv;

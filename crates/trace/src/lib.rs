@@ -24,7 +24,7 @@
 //! folded-stack lines for flamegraph tooling. Span timings are wall
 //! clock and therefore *never* deterministic; consumers keep them in a
 //! separate timings section and redact them wherever outputs are
-//! byte-compared (the same rule as pipeline `--no-timings`).
+//! byte-compared (the same rule as the benches' stable `--out` lines).
 //!
 //! **Plane 1½ — structured events.** [`emit`] records discrete
 //! occurrences (artifact-store heals, save failures) so they appear in
