@@ -11,9 +11,9 @@
 //!
 //! Sections appear in a fixed order: trained weights (the raw
 //! `capsnet::io` codec bytes), training metadata, quantization ranges,
-//! the `(NA, NM)` component table, the empirical activation-code
-//! pool, and the fault-characterization table. Every decode failure is
-//! a named [`ArtifactError`]; nothing is ever guessed past.
+//! the `(NA, NM)` component table, and the empirical activation-code
+//! pool. Every decode failure is a named [`ArtifactError`]; nothing is
+//! ever guessed past.
 
 use std::io;
 
@@ -25,10 +25,10 @@ use redcane_fxp::QuantParams;
 /// it caches. Bump on any change to this codec *or* to training /
 /// calibration numerics — restored artifacts must always reproduce
 /// what retraining would produce, bit for bit.
-pub const STORE_SCHEMA_VERSION: u32 = 2;
+pub const STORE_SCHEMA_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 4] = b"RCAS";
-const SECTION_TAGS: [&[u8; 4]; 6] = [b"WGHT", b"TMET", b"RNGS", b"NANM", b"APOL", b"FCHR"];
+const SECTION_TAGS: [&[u8; 4]; 5] = [b"WGHT", b"TMET", b"RNGS", b"NANM", b"APOL"];
 
 /// Addresses one artifact: the seed-determined identity of a training
 /// run plus a fingerprint of every remaining configuration knob.
@@ -125,22 +125,6 @@ pub struct ComponentNoise {
     pub nm: f64,
 }
 
-/// One fault specification's characterized product-error statistics
-/// over the empirical operand distribution of the run that produced
-/// the artifact — the discrete-fault analogue of [`ComponentNoise`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultChar {
-    /// Compact fault spec (`target:model`, e.g.
-    /// `multiplier:stuck1(0x08)`), as `SiteFault::spec` prints it.
-    pub spec: String,
-    /// Characterization sample count the statistics were measured with.
-    pub samples: u64,
-    /// Mean product error, normalized by the full 16-bit product range.
-    pub mean_err: f64,
-    /// RMS product error, normalized the same way.
-    pub rms_err: f64,
-}
-
 /// Everything an artifact persists besides the weights themselves
 /// (which are applied straight into the model on load).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -158,9 +142,6 @@ pub struct ArtifactPayload {
     /// Empirical activation-code pool for operand characterization
     /// (empty when the consumer does not sample operands).
     pub activation_codes: Vec<u8>,
-    /// Characterized error statistics per fault specification (empty
-    /// when the consumer does not run fault characterization).
-    pub fault_table: Vec<FaultChar>,
 }
 
 /// Why loading (or saving) an artifact failed. Every variant names
@@ -339,40 +320,6 @@ fn encode_noise(entries: &[ComponentNoise]) -> BytesMut {
     buf
 }
 
-fn encode_faults(entries: &[FaultChar]) -> BytesMut {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(entries.len() as u32);
-    for e in entries {
-        put_str(&mut buf, &e.spec);
-        buf.put_u64_le(e.samples);
-        buf.put_f64_le(e.mean_err);
-        buf.put_f64_le(e.rms_err);
-    }
-    buf
-}
-
-fn decode_faults(mut buf: &[u8]) -> Result<Vec<FaultChar>, ArtifactError> {
-    const S: &str = "FCHR";
-    if buf.remaining() < 4 {
-        return Err(ArtifactError::Truncated { section: S });
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let spec = take_str(&mut buf, S)?;
-        if buf.remaining() < 24 {
-            return Err(ArtifactError::Truncated { section: S });
-        }
-        out.push(FaultChar {
-            spec,
-            samples: buf.get_u64_le(),
-            mean_err: buf.get_f64_le(),
-            rms_err: buf.get_f64_le(),
-        });
-    }
-    Ok(out)
-}
-
 fn decode_meta(mut buf: &[u8]) -> Result<(Vec<f32>, f64), ArtifactError> {
     const S: &str = "TMET";
     if buf.remaining() < 4 {
@@ -446,7 +393,7 @@ fn decode_noise(mut buf: &[u8]) -> Result<Vec<ComponentNoise>, ArtifactError> {
     Ok(out)
 }
 
-/// Serializes a complete artifact file: header + the six checksummed
+/// Serializes a complete artifact file: header + the five checksummed
 /// sections. `weights` is the raw `capsnet::io` weight-codec buffer.
 pub(crate) fn encode_artifact(
     key: &ArtifactKey,
@@ -462,13 +409,12 @@ pub(crate) fn encode_artifact(
     put_str(&mut buf, &key.arch);
     put_str(&mut buf, &key.dataset);
     buf.put_u32_le(SECTION_TAGS.len() as u32);
-    let sections: [&[u8]; 6] = [
+    let sections: [&[u8]; 5] = [
         weights,
         &encode_meta(payload),
         &encode_ranges(&payload.ranges),
         &encode_noise(&payload.noise_table),
         &payload.activation_codes,
-        &encode_faults(&payload.fault_table),
     ];
     for (tag, body) in SECTION_TAGS.iter().zip(sections) {
         buf.put_slice(*tag);
@@ -577,17 +523,15 @@ pub(crate) fn decode_artifact(
         bodies.push(body);
     }
     // lint: allow(panic) — section count was validated against the header immediately above
-    let fault_table = decode_faults(&bodies.pop().expect("six sections"))?;
+    let activation_codes = bodies.pop().expect("five sections");
     // lint: allow(panic) — section count was validated against the header immediately above
-    let activation_codes = bodies.pop().expect("six sections");
+    let noise_table = decode_noise(&bodies.pop().expect("five sections"))?;
     // lint: allow(panic) — section count was validated against the header immediately above
-    let noise_table = decode_noise(&bodies.pop().expect("six sections"))?;
+    let ranges = decode_ranges(&bodies.pop().expect("five sections"))?;
     // lint: allow(panic) — section count was validated against the header immediately above
-    let ranges = decode_ranges(&bodies.pop().expect("six sections"))?;
+    let (epoch_losses, train_accuracy) = decode_meta(&bodies.pop().expect("five sections"))?;
     // lint: allow(panic) — section count was validated against the header immediately above
-    let (epoch_losses, train_accuracy) = decode_meta(&bodies.pop().expect("six sections"))?;
-    // lint: allow(panic) — section count was validated against the header immediately above
-    let weights = bodies.pop().expect("six sections");
+    let weights = bodies.pop().expect("five sections");
     Ok((
         weights,
         ArtifactPayload {
@@ -596,7 +540,6 @@ pub(crate) fn decode_artifact(
             ranges,
             noise_table,
             activation_codes,
-            fault_table,
         },
     ))
 }
@@ -634,20 +577,6 @@ mod tests {
                 nm: 3.5e-3,
             }],
             activation_codes: vec![0, 7, 255, 128],
-            fault_table: vec![
-                FaultChar {
-                    spec: "multiplier:stuck1(0x08)".into(),
-                    samples: 2000,
-                    mean_err: 2.4e-3,
-                    rms_err: 7.1e-3,
-                },
-                FaultChar {
-                    spec: "weight_codes:bitflip(0.001)".into(),
-                    samples: 2000,
-                    mean_err: -4.0e-5,
-                    rms_err: 1.9e-3,
-                },
-            ],
         }
     }
 
@@ -697,42 +626,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fault_section_round_trips_and_rejects_corruption() {
-        let key = sample_key();
-        let payload = sample_payload();
-        let file = encode_artifact(&key, b"weights", &payload);
-        let (_, p) = decode_artifact(&key, &file).unwrap();
-        assert_eq!(p.fault_table, payload.fault_table);
-        assert_eq!(p.fault_table.len(), 2);
-        assert_eq!(p.fault_table[0].spec, "multiplier:stuck1(0x08)");
-
-        // The FCHR body is the last section; flipping a bit inside it
-        // must fail its checksum, and truncating mid-section must be
-        // named as FCHR.
-        let mut bad = file.clone();
-        let last = bad.len() - 12; // inside the FCHR payload, before its checksum
-        bad[last] ^= 0x01;
-        assert!(matches!(
-            decode_artifact(&key, &bad).unwrap_err(),
-            ArtifactError::ChecksumMismatch { .. } | ArtifactError::Corrupt { .. }
-        ));
-        let err = decode_artifact(&key, &file[..file.len() - 4]).unwrap_err();
-        assert!(
-            matches!(err, ArtifactError::Truncated { section: "FCHR" }),
-            "{err}"
-        );
-
-        // An empty fault table still round-trips (older consumers).
-        let bare = ArtifactPayload {
-            fault_table: Vec::new(),
-            ..payload
-        };
-        let file = encode_artifact(&key, b"weights", &bare);
-        let (_, p) = decode_artifact(&key, &file).unwrap();
-        assert!(p.fault_table.is_empty());
     }
 
     /// A hostile section length must be reported as truncation, not

@@ -17,6 +17,21 @@
 //! ([`STORE_SCHEMA_VERSION`]) is part of both the file name and the
 //! header, so a format change can never be silently misread.
 //!
+//! ## Sections
+//!
+//! A schema-v3 entry holds five checksummed sections, in this order:
+//!
+//! | tag    | content                                                |
+//! |--------|--------------------------------------------------------|
+//! | `WGHT` | trained weights (the `capsnet::io` codec bytes)        |
+//! | `TMET` | training metadata: per-epoch losses, train accuracy    |
+//! | `RNGS` | calibrated quantization ranges, one per site           |
+//! | `NANM` | characterized `(NA, NM)` per library component         |
+//! | `APOL` | the empirical activation-code pool from calibration    |
+//!
+//! Fault models are cheap to characterize, so their table is computed
+//! live by its consumer and not stored (v2 had a sixth, `FCHR`).
+//!
 //! ## Integrity
 //!
 //! Every section of the on-disk format carries a length prefix and an
@@ -42,7 +57,7 @@ mod format;
 mod store;
 
 pub use format::{
-    fingerprint, ArtifactError, ArtifactKey, ArtifactPayload, ComponentNoise, FaultChar,
-    RangeEntry, STORE_SCHEMA_VERSION,
+    fingerprint, ArtifactError, ArtifactKey, ArtifactPayload, ComponentNoise, RangeEntry,
+    STORE_SCHEMA_VERSION,
 };
 pub use store::{load_or_train, ArtifactStore, Provenance, DEFAULT_STORE_DIR, STORE_ENV_VAR};

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use redcane_artifacts::{
     fingerprint, load_or_train, ArtifactError, ArtifactKey, ArtifactPayload, ArtifactStore,
-    ComponentNoise, FaultChar, Provenance, RangeEntry, STORE_SCHEMA_VERSION,
+    ComponentNoise, Provenance, RangeEntry, STORE_SCHEMA_VERSION,
 };
 use redcane_capsnet::{
     CapsModel, CapsNet, CapsNetConfig, DeepCaps, DeepCapsConfig, NoInjection, OpKind,
@@ -59,12 +59,6 @@ fn sample_payload() -> ArtifactPayload {
             },
         ],
         activation_codes: (0..=255).collect(),
-        fault_table: vec![FaultChar {
-            spec: "multiplier:dead".into(),
-            samples: 1000,
-            mean_err: -0.12,
-            rms_err: 0.2,
-        }],
     }
 }
 

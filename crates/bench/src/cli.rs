@@ -434,6 +434,11 @@ pub(crate) mod tests {
         assert_eq!(missing.unwrap_err(), "--seed requires a value");
         assert!(err(&["--seed", "x"]).starts_with("--seed:"));
         assert_eq!(err(&["--bogus"]), "unknown flag '--bogus'");
+        // Unknown component names fail at parse time, not mid-run.
+        assert_eq!(
+            err(&["--components", "mul8u_1JFF,bogus"]),
+            "--components: unknown component 'bogus'"
+        );
         // A bench's own flag is unknown to the others.
         assert!(parse(&["--fail-soft"], QdpConfig::smoke()).is_err());
         assert!(parse(&["--budget-s", "1"], spec()).is_err());

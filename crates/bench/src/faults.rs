@@ -26,9 +26,8 @@
 //! Each fault model is additionally *characterized* — mean and RMS
 //! product error over the run's empirical operand pools, normalized by
 //! the full-scale product — mirroring the `(NA, NM)` characterization
-//! of approximate components; the table is cached in the trained
-//! artifact the shared [`crate::session`] stores for all three
-//! session benches.
+//! of approximate components. It is computed live on every run: a few
+//! thousand single-MAC draws per distinct fault spec.
 //!
 //! Beyond the single-site trials, each architecture runs one
 //! **correlated multi-site plan**: a single [`FaultPlan`] carrying a
@@ -49,7 +48,7 @@ use std::time::Instant;
 use redcane::datapath::{AccuracyBackend, DatapathAssignment, SiteKey};
 use redcane::faults::{mix64, FaultModel, FaultPlan, FaultTarget, SiteFault};
 use redcane::report::json::Value;
-use redcane_artifacts::{FaultChar, Provenance};
+use redcane_artifacts::{fingerprint, Provenance};
 use redcane_capsnet::{CapsModel, OpKind};
 use redcane_qdp::QuantMeasured;
 use redcane_tensor::par;
@@ -209,14 +208,6 @@ flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
     }
 }
 
-/// The canonical fault-model set the trained-artifact store caches a
-/// characterization for: the smoke grid. Runs whose grids subset it
-/// (like `quick()`) restore every row; anything else is characterized
-/// live — same numbers, just not cached.
-pub(crate) fn canonical_faults() -> Vec<SiteFault> {
-    trial_faults(&FaultsConfig::smoke(), true)
-}
-
 /// The per-site trial list: one [`SiteFault`] per grid point.
 /// `weight_memory` gates the weight-code trials — routing MACs stream
 /// both operands, so there is no stored code for a stuck cell to
@@ -273,14 +264,30 @@ fn draw(pool: &[u8], word: u64) -> u32 {
     }
 }
 
+/// One fault specification's characterized product-error statistics
+/// over the run's empirical operand pools — the discrete-fault
+/// analogue of a component's `(NA, NM)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultChar {
+    /// Compact fault spec (`target:model`, e.g.
+    /// `multiplier:stuck1(0x08)`), as [`SiteFault::spec`] prints it.
+    pub spec: String,
+    /// Characterization sample count the statistics were measured with.
+    pub samples: u64,
+    /// Mean product error, normalized by the full 16-bit product range.
+    pub mean_err: f64,
+    /// RMS product error, normalized the same way.
+    pub rms_err: f64,
+}
+
 /// Characterizes one fault model over the empirical operand pools:
 /// mean and RMS error of the faulted single-MAC product against the
 /// exact product, normalized by the full-scale product — the discrete
 /// family's analogue of an approximate component's `(NA, NM)`.
 ///
 /// The realization seed derives from the fault's spec string, never
-/// from a site: the characterization is a property of the fault model,
-/// cacheable under its spec alone.
+/// from a site: the characterization is a property of the fault model
+/// alone.
 pub fn characterize_fault(
     fault: &SiteFault,
     activations: &[u8],
@@ -289,12 +296,7 @@ pub fn characterize_fault(
     seed: u64,
 ) -> FaultChar {
     let spec = fault.spec();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in spec.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    let rseed = mix64(seed, h, 0);
+    let rseed = mix64(seed, fingerprint(&spec), 0);
     let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
     for i in 0..samples {
         let i = i as u64;
@@ -318,21 +320,6 @@ pub fn characterize_fault(
         mean_err: sum / n,
         rms_err: (sum_sq / n).sqrt(),
     }
-}
-
-/// Characterizes the whole canonical fault set — the table the shared
-/// session's trained artifact stores next to the `(NA, NM)` noise
-/// table.
-pub(crate) fn characterize_canonical(
-    activations: &[u8],
-    weights: &[u8],
-    samples: usize,
-    seed: u64,
-) -> Vec<FaultChar> {
-    canonical_faults()
-        .iter()
-        .map(|f| characterize_fault(f, activations, weights, samples, seed))
-        .collect()
 }
 
 /// One fault trial: a single-site plan, its characterization, and what
@@ -494,23 +481,17 @@ impl PerArch for FaultsConfig {
             })
             .collect();
 
-        // Characterize each distinct fault spec once, preferring the
-        // cached table (stored at the same characterization sample count).
+        // Characterize each distinct fault spec once.
         let mut chars: BTreeMap<String, FaultChar> = BTreeMap::new();
         for fault in trial_lists.iter().flatten() {
-            chars.entry(fault.spec()).or_insert_with_key(|spec| {
-                (t.payload.fault_table.iter())
-                    .find(|c| c.spec == *spec && c.samples == char_samples as u64)
-                    .cloned()
-                    .unwrap_or_else(|| {
-                        characterize_fault(
-                            fault,
-                            &t.payload.activation_codes,
-                            &weights_pool,
-                            char_samples,
-                            seed ^ 0xfa17,
-                        )
-                    })
+            chars.entry(fault.spec()).or_insert_with(|| {
+                characterize_fault(
+                    fault,
+                    &t.payload.activation_codes,
+                    &weights_pool,
+                    char_samples,
+                    seed ^ 0xfa17,
+                )
             });
         }
 
@@ -915,19 +896,6 @@ mod tests {
                 FaultModel::BitFlip { ber: 0.01 }
             )),
         );
-    }
-
-    #[test]
-    fn canonical_set_covers_the_quick_grid() {
-        let canonical: Vec<String> = canonical_faults().iter().map(SiteFault::spec).collect();
-        let quick = FaultsConfig::quick();
-        for fault in trial_faults(&quick, true) {
-            assert!(
-                canonical.contains(&fault.spec()),
-                "quick trial {} not cached by the canonical table",
-                fault.spec()
-            );
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use redcane::report::json::Value;
 use redcane::ApproxDesign;
 use redcane_artifacts::Provenance;
 use redcane_axmul::library::ComponentEntry;
-use redcane_axmul::NoiseParams;
+use redcane_axmul::{MultiplierLibrary, NoiseParams};
 use redcane_capsnet::{evaluate_clean, CapsModel};
 use redcane_tensor::par;
 use redcane_trace as trace;
@@ -125,8 +125,14 @@ flags: --quick, --benchmark mnist|fashion|svhn|cifar, --seed N, \
 
     fn match_flag(&mut self, flag: &str, args: &mut Args) -> Option<Result<(), String>> {
         match flag {
-            "--components" => Some(next_value(args, flag).map(|v| {
-                self.components = Some(v.split(',').map(|s| s.trim().to_string()).collect());
+            "--components" => Some(next_value(args, flag).and_then(|v| {
+                let names: Vec<String> = v.split(',').map(|s| s.trim().to_string()).collect();
+                let library = MultiplierLibrary::evo_approx_like();
+                if let Some(bad) = names.iter().find(|n| library.find(n).is_none()) {
+                    return Err(format!("{flag}: unknown component '{bad}'"));
+                }
+                self.components = Some(names);
+                Ok(())
             })),
             "--heterogeneous" => {
                 self.heterogeneous = true;

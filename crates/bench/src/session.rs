@@ -105,8 +105,8 @@ pub struct BenchSpec {
     /// request pool).
     pub eval_samples: usize,
     /// Trained-artifact store directory: restore trained weights,
-    /// calibrated ranges, the characterization tables and the
-    /// calibration operand pool when a valid entry exists; train and
+    /// calibrated ranges, the `(NA, NM)` table and the calibration
+    /// operand pool when a valid entry exists; train and
     /// persist otherwise. `None` disables the store.
     pub artifacts: Option<PathBuf>,
 }
@@ -347,8 +347,8 @@ impl Session {
     /// What the store falls back to on a miss:
     /// train, calibrate, then characterize the WHOLE multiplier library
     /// (so later runs with any `--components` subset restore their
-    /// `(NA, NM)` rows from the same table) and the canonical
-    /// fault-model set over this run's empirical operand pools.
+    /// `(NA, NM)` rows from the same table) over this run's empirical
+    /// operand pools.
     fn produce<M: CapsModel + Clone + Send + Sync>(&self, m: &mut M) -> ArtifactPayload {
         let spec = &self.spec;
         let report = train(
@@ -388,20 +388,12 @@ impl Session {
                 }
             })
             .collect();
-        let weights = qmodel.weight_code_sample(WEIGHT_POOL_CODES);
-        let fault_table = crate::faults::characterize_canonical(
-            &activations,
-            &weights,
-            spec.characterization_samples,
-            spec.seed ^ 0xfa17,
-        );
         ArtifactPayload {
             epoch_losses: report.epoch_losses,
             train_accuracy: report.train_accuracy,
             ranges: ranges.to_entries(),
             noise_table,
             activation_codes: activations,
-            fault_table,
         }
     }
 }

@@ -8,8 +8,10 @@
 //! - **Weight codes** — corrupted in storage by
 //!   [`QModel::with_fault_plan`](crate::QModel::with_fault_plan), with
 //!   the zero-point-correction row sums recomputed from the faulted
-//!   codes (the correction adders read the same weight memory). Like
-//!   every other target this happens when an evaluation runs: the
+//!   codes (the correction adders read the same weight memory). A
+//!   site with several weight stores (Caps3D's per-type vote
+//!   convolutions) is one memory: one index space from 0, back to
+//!   back. Like every other target this happens when an evaluation runs: the
 //!   measured backend copies the program only for a plan that faults
 //!   weight codes.
 //! - **Activation codes** — a broken operand latch between the

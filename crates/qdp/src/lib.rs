@@ -23,7 +23,10 @@
 //!    explicit input range ([`QConv2d::from_conv`]). Each has one
 //!    batched execution entry point taking a [`MacView`] per MAC site;
 //!    [`QModel::lower`] assembles them into a dataflow program for the
-//!    whole network whose steps remember their **site** keys. Weights
+//!    whole network whose steps remember their **site** keys: each
+//!    step kind names its multiplier sites once
+//!    ([`QModel::multiply_sites`]) and owns its weight memory, one
+//!    store of codes, range and zero-point row sums per GEMM. Weights
 //!    and activations become 8-bit codes
 //!    ([`qtensor::quantize_codes`], Eq. 1 of the paper) and the MACs
 //!    integer kernels ([`kernels::qgemm_nn`]) whose every multiply is
@@ -32,7 +35,8 @@
 //!    says: a lookup, or plain integer products when the table carries
 //!    an exact factorization.
 //! 3. **Run** — [`PreparedModel::new`] resolves a lowered [`QModel`]
-//!    once against a [`DatapathAssignment`] — a *heterogeneous* map
+//!    once, one execution state per multiplier site, against a
+//!    [`DatapathAssignment`] — a *heterogeneous* map
 //!    from site keys to multiplier components — and a [`LutCache`]
 //!    holding one shared table per distinct component; its
 //!    [`forward_batch`](PreparedModel::forward_batch) /

@@ -18,7 +18,14 @@
 //! quantized inference for any architecture.
 //!
 //! The convolutions and the vote transform run on the integer GEMMs of
-//! [`kernels`](crate::kernels). The routing MAC sites run in
+//! [`kernels`](crate::kernels). Each GEMM's weight memory is one
+//! `QWeights` store: the codes, their range and the zero-point row
+//! sums, recomputed whenever a weight fault changes the codes. The
+//! store runs the one GEMM tail both callers share (integer GEMM →
+//! accumulator fault → column sums → affine dequantization); a
+//! convolution and the vote transform differ only in which weight rows
+//! they multiply, their accumulator-slot index and their output
+//! layout. The routing MAC sites run in
 //! [`quantized_routing`]: one per-position kernel over contiguous
 //! `[I, J, D]` vote codes, integer products for factored tables and
 //! hoisted table rows otherwise, bit-identical to its textbook loop
@@ -29,6 +36,7 @@
 //! [`MulLut`]: redcane_axmul::MulLut
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use redcane_axmul::{FactorTerm, MulLut};
 use redcane_capsnet::routing::softmax_over_j;
@@ -50,15 +58,102 @@ use crate::kernels::{affine_dequant, col_sums, qgemm_nn, row_sums};
 use crate::lower::{quant_err, LowerError, QuantRanges};
 use crate::qtensor::{fault_codes, quantize_codes};
 
+// ----------------------------------------------------------- QWeights
+
+/// One GEMM's weight memory: the 8-bit codes of a row-major
+/// `[rows, k]` weight matrix, their [`QuantParams`], and the per-row
+/// code sums the zero-point correction reads. The codes change only
+/// through [`QWeights::fault`], which recomputes the row sums, so the
+/// two always describe the same memory.
+#[derive(Debug, Clone)]
+pub(crate) struct QWeights {
+    codes: Vec<u8>,
+    params: QuantParams,
+    row_sums: Vec<u32>,
+    k: usize,
+}
+
+impl QWeights {
+    /// Quantizes `weight` (per-tensor range) as `k`-long rows.
+    fn quantize(weight: &Tensor, k: usize) -> Result<Self, FxpError> {
+        let params = QuantParams::calibrate(weight, 8)?;
+        let codes = quantize_codes(weight.data(), params);
+        let sums = row_sums(&codes, codes.len() / k, k);
+        Ok(QWeights {
+            codes,
+            params,
+            row_sums: sums,
+            k,
+        })
+    }
+
+    /// The stored codes.
+    pub(crate) fn codes(&self) -> &[u8] {
+        &self.codes
+    }
+
+    /// Applies a deterministic fault to the stored codes — corrupted
+    /// weight memory — and recomputes the row sums from the faulted
+    /// codes (the correction adders read the same memory). Code `i` is
+    /// faulted at index `base_index + i`; returns the next free index,
+    /// so the stores of one site chain one index space.
+    pub(crate) fn fault(&mut self, model: &FaultModel, seed: u64, base_index: u64) -> u64 {
+        let next = fault_codes(&mut self.codes, model, seed, base_index);
+        self.row_sums = row_sums(&self.codes, self.row_sums.len(), self.k);
+        next
+    }
+
+    /// The GEMM tail every weight store runs: weight `rows` times the
+    /// `[k, n]` code matrix `b` (input range `in_params`) on
+    /// `view.lut`, the accumulator fault at slot `slot(row, col)` (`row`
+    /// counted over the whole store), then the zero-point correction.
+    /// Writes the `[rows.len(), n]` dequantized block to `out`; `acc`
+    /// is scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
+        &self,
+        rows: Range<usize>,
+        b: &[u8],
+        n: usize,
+        in_params: QuantParams,
+        view: MacView<'_>,
+        slot: impl Fn(usize, usize) -> usize,
+        acc: &mut Vec<u32>,
+        out: &mut Vec<f32>,
+    ) {
+        let (m, k) = (rows.len(), self.k);
+        acc.clear();
+        acc.resize(m * n, 0);
+        out.resize(m * n, 0.0);
+        let a = &self.codes[rows.start * k..rows.end * k];
+        qgemm_nn(a, b, acc, m, k, n, view.lut);
+        if let Some(f) = view.acc {
+            for (r, arow) in acc.chunks_exact_mut(n).enumerate() {
+                for (col, v) in arow.iter_mut().enumerate() {
+                    *v = f.apply(*v, slot(rows.start + r, col) as u64);
+                }
+            }
+        }
+        let cs = col_sums(b, k, n);
+        affine_dequant(
+            acc,
+            &self.row_sums[rows],
+            &cs,
+            k,
+            self.params,
+            in_params,
+            out,
+        );
+    }
+}
+
 // ------------------------------------------------------------ QConv2d
 
 /// A [`Conv2d`] layer running its im2col GEMM through the quantized
 /// datapath.
 #[derive(Debug, Clone)]
 pub struct QConv2d {
-    qweight: Vec<u8>,
-    wparams: QuantParams,
-    wrowsums: Vec<u32>,
+    pub(crate) weights: QWeights,
     bias: Vec<f32>,
     spec: Conv2dSpec,
     c_in: usize,
@@ -74,39 +169,16 @@ impl QConv2d {
     ///
     /// Returns an error if the weights contain non-finite values.
     pub fn from_conv(conv: &Conv2d, in_params: QuantParams) -> Result<Self, FxpError> {
-        let wparams = QuantParams::calibrate(conv.weight(), 8)?;
-        let qweight = quantize_codes(conv.weight().data(), wparams);
         let spec = conv.spec();
         let k2 = conv.c_in() * spec.kernel * spec.kernel;
-        let wrowsums = row_sums(&qweight, conv.c_out(), k2);
         Ok(QConv2d {
-            qweight,
-            wparams,
-            wrowsums,
+            weights: QWeights::quantize(conv.weight(), k2)?,
             bias: conv.bias().data().to_vec(),
             spec,
             c_in: conv.c_in(),
             c_out: conv.c_out(),
             in_params,
         })
-    }
-
-    /// The quantized weight codes (empirical operand pools).
-    pub fn weight_codes(&self) -> &[u8] {
-        &self.qweight
-    }
-
-    /// Applies a deterministic fault to the stored weight codes —
-    /// modeling corrupted weight memory — and recomputes the
-    /// zero-point-correction row sums from the faulted codes (the
-    /// correction adders read the same memory). Element indices start
-    /// at `base_index`; returns the next free index so multi-conv
-    /// sites fault their concatenated storage consistently.
-    pub fn fault_weight_codes(&mut self, model: &FaultModel, seed: u64, base_index: u64) -> u64 {
-        let next = fault_codes(&mut self.qweight, model, seed, base_index);
-        let k2 = self.c_in * self.spec.kernel * self.spec.kernel;
-        self.wrowsums = row_sums(&self.qweight, self.c_out, k2);
-        next
     }
 
     /// Forward over a batch of raw `[C_in, H, W]` slices: quantize each
@@ -169,35 +241,16 @@ impl QConv2d {
         im2col_grouped(&grouped, self.c_in, h, w, bsz, self.spec, pad, &mut qcols)
             // lint: allow(panic) — input dims were validated against the spec just above
             .expect("valid conv input");
-        let mut acc = vec![0u32; self.c_out * wide];
-        qgemm_nn(
-            &self.qweight,
+        let mut out = Vec::new();
+        self.weights.gemm(
+            0..self.c_out,
             &qcols,
-            &mut acc,
-            self.c_out,
-            k2,
             wide,
-            view.lut,
-        );
-        if let Some(f) = view.acc {
-            // Fused element (co, pi·B + bi) is sample element (co, pi).
-            for (co, row) in acc.chunks_exact_mut(wide).enumerate() {
-                for (pi, lanes) in row.chunks_exact_mut(bsz).enumerate() {
-                    for slot in lanes {
-                        *slot = f.apply(*slot, (co * n + pi) as u64);
-                    }
-                }
-            }
-        }
-        let cs = col_sums(&qcols, k2, wide);
-        let mut out = vec![0.0f32; self.c_out * wide];
-        affine_dequant(
-            &acc,
-            &self.wrowsums,
-            &cs,
-            k2,
-            self.wparams,
             self.in_params,
+            view,
+            // Fused element (co, pi·B + bi) is sample element (co, pi).
+            |co, col| co * n + col / bsz,
+            &mut Vec::new(),
             &mut out,
         );
         // `out` is `[C_out, H'·W', B]`: sample `bi` takes every `B`-th value.
@@ -284,10 +337,9 @@ fn transpose_8x8(r: &mut [u64; 8]) {
 /// quantized datapath: `I` independent `(J·D_out × D_in)` GEMVs.
 #[derive(Debug, Clone)]
 pub struct QVotes {
-    qweight: Vec<u8>,
-    wparams: QuantParams,
-    /// Per-`i` row sums, `[I, J·D_out]`.
-    wrowsums: Vec<u32>,
+    /// `[I·J·D_out, D_in]`: input capsule `i` owns rows
+    /// `i·J·D_out..(i + 1)·J·D_out`.
+    pub(crate) weights: QWeights,
     i_caps: usize,
     j_caps: usize,
     d_in: usize,
@@ -304,36 +356,14 @@ impl QVotes {
     /// Returns an error if the weights contain non-finite values.
     pub fn from_class_caps(layer: &ClassCaps, in_params: QuantParams) -> Result<Self, FxpError> {
         let (i_caps, j_caps, d_in, d_out) = layer.dims();
-        let wparams = QuantParams::calibrate(layer.weight(), 8)?;
-        let qweight = quantize_codes(layer.weight().data(), wparams);
-        let wrowsums = row_sums(&qweight, i_caps * j_caps * d_out, d_in);
         Ok(QVotes {
-            qweight,
-            wparams,
-            wrowsums,
+            weights: QWeights::quantize(layer.weight(), d_in)?,
             i_caps,
             j_caps,
             d_in,
             d_out,
             in_params,
         })
-    }
-
-    /// The quantized weight codes (empirical operand pools).
-    pub fn weight_codes(&self) -> &[u8] {
-        &self.qweight
-    }
-
-    /// As [`QConv2d::fault_weight_codes`]: faults the stored
-    /// transformation-matrix codes and recomputes the per-`i` row sums.
-    pub fn fault_weight_codes(&mut self, model: &FaultModel, seed: u64, base_index: u64) -> u64 {
-        let next = fault_codes(&mut self.qweight, model, seed, base_index);
-        self.wrowsums = row_sums(
-            &self.qweight,
-            self.i_caps * self.j_caps * self.d_out,
-            self.d_in,
-        );
-        next
     }
 
     /// Computes the vote tensors `[I, J, D_out]` for a batch of units
@@ -353,7 +383,6 @@ impl QVotes {
         }
         let bsz = us.len();
         let rows = self.j_caps * self.d_out;
-        let wstride = rows * self.d_in;
         let qus: Vec<Vec<u8>> = us
             .iter()
             .map(|u| {
@@ -363,41 +392,23 @@ impl QVotes {
             .collect();
         let mut outs = vec![vec![0.0f32; self.i_caps * rows]; bsz];
         let mut bmat = vec![0u8; self.d_in * bsz];
-        let mut acc = vec![0u32; rows * bsz];
-        let mut dq = vec![0.0f32; rows * bsz];
+        let (mut acc, mut dq) = (Vec::new(), Vec::new());
         for i in 0..self.i_caps {
             for dk in 0..self.d_in {
                 for (bi, qu) in qus.iter().enumerate() {
                     bmat[dk * bsz + bi] = qu[i * self.d_in + dk];
                 }
             }
-            acc.fill(0);
-            qgemm_nn(
-                &self.qweight[i * wstride..(i + 1) * wstride],
+            self.weights.gemm(
+                i * rows..(i + 1) * rows,
                 &bmat,
-                &mut acc,
-                rows,
-                self.d_in,
                 bsz,
-                view.lut,
-            );
-            if let Some(f) = view.acc {
+                self.in_params,
+                view,
                 // Batched layout is [rows, bsz]; every sample shares
                 // the accumulator slot of its (i, row) element.
-                for (r, arow) in acc.chunks_exact_mut(bsz).enumerate() {
-                    for slot in arow.iter_mut() {
-                        *slot = f.apply(*slot, (i * rows + r) as u64);
-                    }
-                }
-            }
-            let cs = col_sums(&bmat, self.d_in, bsz);
-            affine_dequant(
-                &acc,
-                &self.wrowsums[i * rows..(i + 1) * rows],
-                &cs,
-                self.d_in,
-                self.wparams,
-                self.in_params,
+                |row, _| row,
+                &mut acc,
                 &mut dq,
             );
             for (r, dqrow) in dq.chunks_exact(bsz).enumerate() {
@@ -792,7 +803,7 @@ fn agreement(
 /// layer applies one) stays in float, as on the accelerator's SFU.
 #[derive(Debug, Clone)]
 pub struct QConvCaps2d {
-    conv: QConv2d,
+    pub(crate) conv: QConv2d,
     c_in: usize,
     d_in: usize,
     c_out: usize,
@@ -822,17 +833,6 @@ impl QConvCaps2d {
             d_out,
             apply_squash: layer.applies_squash(),
         })
-    }
-
-    /// The wrapped quantized convolution.
-    pub fn conv(&self) -> &QConv2d {
-        &self.conv
-    }
-
-    /// Faults the wrapped convolution's stored weight codes (see
-    /// [`QConv2d::fault_weight_codes`]). Returns the next free index.
-    pub fn fault_weight_codes(&mut self, model: &FaultModel, seed: u64, base_index: u64) -> u64 {
-        self.conv.fault_weight_codes(model, seed, base_index)
     }
 
     /// Forward over a batch of capsule tensors whose leading axes fold
@@ -897,7 +897,9 @@ impl QConvCaps2d {
 /// and squash stay in float.
 #[derive(Debug, Clone)]
 pub struct QConvCaps3d {
-    convs: Vec<QConv2d>,
+    /// One vote convolution per input capsule type; their weight
+    /// memories are the site's, back to back in this order.
+    pub(crate) convs: Vec<QConv2d>,
     c_in: usize,
     d_in: usize,
     c_out: usize,
@@ -936,22 +938,6 @@ impl QConvCaps3d {
             d_out,
             routing,
         })
-    }
-
-    /// The per-input-type quantized vote convolutions.
-    pub fn convs(&self) -> &[QConv2d] {
-        &self.convs
-    }
-
-    /// Faults every vote convolution's stored weight codes under one
-    /// shared index space (the site's weight memory holds all types
-    /// back to back). Returns the next free index.
-    pub fn fault_weight_codes(&mut self, model: &FaultModel, seed: u64, base_index: u64) -> u64 {
-        let mut index = base_index;
-        for conv in &mut self.convs {
-            index = conv.fault_weight_codes(model, seed, index);
-        }
-        index
     }
 
     /// Forward over a batch of `[C_in, D_in, H, W]` capsules; returns
@@ -1024,7 +1010,7 @@ impl QConvCaps3d {
 /// ([`QVotes`]) and both routing MAC sites run on 8-bit codes.
 #[derive(Debug, Clone)]
 pub struct QClassCaps {
-    votes: QVotes,
+    pub(crate) votes: QVotes,
     routing: QRouting,
 }
 
@@ -1047,17 +1033,6 @@ impl QClassCaps {
             votes: QVotes::from_class_caps(layer, in_params).map_err(quant_err(name))?,
             routing,
         })
-    }
-
-    /// The wrapped quantized vote transform.
-    pub fn votes(&self) -> &QVotes {
-        &self.votes
-    }
-
-    /// Faults the vote transform's stored weight codes (see
-    /// [`QVotes::fault_weight_codes`]). Returns the next free index.
-    pub fn fault_weight_codes(&mut self, model: &FaultModel, seed: u64, base_index: u64) -> u64 {
-        self.votes.fault_weight_codes(model, seed, base_index)
     }
 
     /// Forward over a batch of units `[I, D_in]`; returns the routed

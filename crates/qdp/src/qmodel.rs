@@ -10,14 +10,23 @@
 //! with the calibrated [`QuantRanges`] ([`QConvCaps2d::lower`] and its
 //! siblings; `Conv1` through [`QConv2d::from_conv`]), and emits steps
 //! that remember their **site** — the same `(layer, op kind,
-//! in-routing)` keys the ranges are stored under. Execution first
-//! resolves, once per assignment (and optional fault plan), which
-//! multiplier serves each site's MACs from a [`DatapathAssignment`] and
-//! a [`LutCache`] (one shared 64 KiB table per distinct component) —
-//! [`PreparedModel`] holds that resolution, [`evaluate_quantized`]
-//! scores a dataset with it — so a single lowered model runs anything
-//! from the uniform exact baseline to the methodology's full
-//! heterogeneous Step-6 design.
+//! in-routing)` keys the ranges are stored under. Each MAC step kind
+//! names its multiplier sites once (one for a convolution, three for a
+//! routing layer: vote GEMM, weighted sum, agreement dot); the site
+//! list [`QModel::multiply_sites`], the resolution and the executor all
+//! read that one table. Execution first resolves, once per assignment
+//! (and optional fault plan), which multiplier serves each site's MACs
+//! from a [`DatapathAssignment`] and a [`LutCache`] (one shared 64 KiB
+//! table per distinct component) — one execution state per site, in
+//! site-list order. [`PreparedModel`] holds that resolution and
+//! [`evaluate_quantized`] scores a dataset with it, so a single lowered
+//! model runs anything from the uniform exact baseline to the
+//! methodology's full heterogeneous Step-6 design.
+//!
+//! Each step also owns its weight memory: one weight store per GEMM
+//! (codes, their range and the zero-point row sums, kept in step), so
+//! [`QModel::with_fault_plan`] and [`QModel::weight_code_sample`] are
+//! loops over a step's stores.
 //!
 //! Both of the paper's architectures lower onto the same step set:
 //! CapsNet is 4 steps, the 17-layer DeepCaps (Caps3D routing included)
@@ -39,7 +48,7 @@ use redcane_trace as trace;
 
 use crate::faults::{faulted_site_lut, AccFault, MacView};
 use crate::lower::{quant_err, LowerError, QuantRanges};
-use crate::qlayers::{QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d};
+use crate::qlayers::{QClassCaps, QConv2d, QConvCaps2d, QConvCaps3d, QWeights};
 
 /// Samples fused per wide GEMM when evaluating a dataset
 /// ([`evaluate_quantized`]); bounds the fused-column scratch while
@@ -111,15 +120,57 @@ pub enum QStep {
     },
 }
 
+/// The multiplier site of a convolution step: its GEMM.
+const GEMM_SITES: &[(OpKind, bool)] = &[(OpKind::MacOutput, false)];
+
+/// The multiplier sites of a routing step, in the order its layer takes
+/// their views: the vote GEMM, the routing weighted sum and the
+/// agreement dot.
+const ROUTING_SITES: &[(OpKind, bool)] = &[
+    (OpKind::MacOutput, false),
+    (OpKind::MacOutput, true),
+    (OpKind::LogitsUpdate, true),
+];
+
 impl QStep {
-    /// The site (layer) name of the step's MACs; `None` for float glue.
-    fn site(&self) -> Option<&str> {
+    /// The site (layer) name of the step's MACs and its multiplier
+    /// sites `(op kind, in-routing)`; `None` for float glue. The one
+    /// list [`QModel::multiply_sites`], [`QModel::resolve`] and the
+    /// executor read.
+    fn mac_sites(&self) -> Option<(&str, &'static [(OpKind, bool)])> {
         match self {
-            QStep::Conv { site, .. }
-            | QStep::CapsConv { site, .. }
-            | QStep::Caps3d { site, .. }
-            | QStep::ClassCaps { site, .. } => Some(site),
+            QStep::Conv { site, .. } | QStep::CapsConv { site, .. } => Some((site, GEMM_SITES)),
+            QStep::Caps3d { site, .. } | QStep::ClassCaps { site, .. } => {
+                Some((site, ROUTING_SITES))
+            }
             QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => None,
+        }
+    }
+
+    /// The step's weight memory, one store per GEMM in the order its
+    /// weight faults index them; empty for float glue.
+    fn weights(&self) -> Vec<&QWeights> {
+        match self {
+            QStep::Conv { conv, .. } => vec![&conv.weights],
+            QStep::CapsConv { layer, .. } => vec![&layer.conv.weights],
+            QStep::Caps3d { layer, .. } => layer.convs.iter().map(|c| &c.weights).collect(),
+            QStep::ClassCaps { layer, .. } => vec![&layer.votes.weights],
+            QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {
+                Vec::new()
+            }
+        }
+    }
+
+    /// [`QStep::weights`], mutably.
+    fn weights_mut(&mut self) -> Vec<&mut QWeights> {
+        match self {
+            QStep::Conv { conv, .. } => vec![&mut conv.weights],
+            QStep::CapsConv { layer, .. } => vec![&mut layer.conv.weights],
+            QStep::Caps3d { layer, .. } => layer.convs.iter_mut().map(|c| &mut c.weights).collect(),
+            QStep::ClassCaps { layer, .. } => vec![&mut layer.votes.weights],
+            QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {
+                Vec::new()
+            }
         }
     }
 
@@ -157,28 +208,12 @@ impl MacExec {
     }
 }
 
-/// A step's multiplier sites, resolved from an assignment (and,
-/// optionally, a fault plan).
-#[derive(Clone)]
-pub(crate) enum StepExec {
-    /// No MACs in this step (pure float glue).
-    None,
-    /// One MAC site: the convolution / vote GEMM.
-    Mac(MacExec),
-    /// A routing step's three sites: vote GEMM, weighted sum,
-    /// agreement dot.
-    Routing {
-        mac: MacExec,
-        sum: MacExec,
-        agree: MacExec,
-    },
-}
-
-/// A fully resolved program: per-step execution state plus the sites
-/// the fail-soft policy downgraded to the exact multiplier because the
-/// fault plan left them dead.
+/// A fully resolved program: one execution state per multiplier site,
+/// in [`QModel::multiply_sites`] order, plus the sites the fail-soft
+/// policy downgraded to the exact multiplier because the fault plan
+/// left them dead.
 pub(crate) struct Resolution {
-    pub(crate) execs: Vec<StepExec>,
+    pub(crate) execs: Vec<MacExec>,
     pub(crate) downgraded: Vec<SiteKey>,
 }
 
@@ -417,25 +452,20 @@ impl QModel {
     /// `(layer, op kind, in-routing)` — the keys a
     /// [`DatapathAssignment`] must cover.
     pub fn multiply_sites(&self) -> Vec<(String, OpKind, bool)> {
-        let mut out = Vec::new();
-        for step in &self.steps {
-            match step {
-                QStep::Conv { site, .. } | QStep::CapsConv { site, .. } => {
-                    out.push((site.clone(), OpKind::MacOutput, false));
-                }
-                QStep::Caps3d { site, .. } | QStep::ClassCaps { site, .. } => {
-                    out.push((site.clone(), OpKind::MacOutput, false));
-                    out.push((site.clone(), OpKind::MacOutput, true));
-                    out.push((site.clone(), OpKind::LogitsUpdate, true));
-                }
-                QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {}
-            }
-        }
-        out
+        self.steps
+            .iter()
+            .filter_map(QStep::mac_sites)
+            .flat_map(|(site, kinds)| {
+                kinds
+                    .iter()
+                    .map(move |&(kind, in_routing)| (site.to_string(), kind, in_routing))
+            })
+            .collect()
     }
 
-    /// Resolves each step's execution state from the assignment, with
-    /// an optional fault plan layered over it. With `fail_soft`, sites
+    /// Resolves one execution state per multiplier site, in
+    /// [`QModel::multiply_sites`] order, from the assignment with an
+    /// optional fault plan layered over it. With `fail_soft`, sites
     /// the plan leaves dead (see [`MulLut::is_dead`]) fall back to the
     /// exact multiplier and are reported in
     /// [`Resolution::downgraded`]; otherwise they fail with
@@ -456,23 +486,9 @@ impl QModel {
             downgraded: Vec::new(),
         };
         let execs = self
-            .steps
-            .iter()
-            .map(|step| match step {
-                QStep::Conv { site, .. } | QStep::CapsConv { site, .. } => {
-                    Ok(StepExec::Mac(r.exec_for(site, OpKind::MacOutput, false)?))
-                }
-                QStep::Caps3d { site, .. } | QStep::ClassCaps { site, .. } => {
-                    Ok(StepExec::Routing {
-                        mac: r.exec_for(site, OpKind::MacOutput, false)?,
-                        sum: r.exec_for(site, OpKind::MacOutput, true)?,
-                        agree: r.exec_for(site, OpKind::LogitsUpdate, true)?,
-                    })
-                }
-                QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {
-                    Ok(StepExec::None)
-                }
-            })
+            .multiply_sites()
+            .into_iter()
+            .map(|(site, kind, in_routing)| r.exec_for(&site, kind, in_routing))
             .collect::<Result<Vec<_>, BackendError>>()?;
         Ok(Resolution {
             execs,
@@ -482,15 +498,17 @@ impl QModel {
 
     /// The model with `plan`'s **weight-code** faults burned into the
     /// stored 8-bit codes (zero-point-correction row sums recomputed —
-    /// the correction adders read the same weight memory). All other
-    /// fault targets are realized at resolution time; weight faults
+    /// the correction adders read the same weight memory). A site with
+    /// several weight stores (Caps3D's per-type vote convolutions)
+    /// faults them as one memory: one index space from 0, back to back.
+    /// All other fault targets are realized at resolution time; weight faults
     /// live in storage, so they need their own faulted copy. With no
     /// active weight fault this borrows `self` and copies nothing.
     pub fn with_fault_plan(&self, plan: &FaultPlan) -> Cow<'_, QModel> {
         // Weight memory backs the (non-routing) MAC-output site;
         // routing sites hold no stored codes.
         let weight_fault = |step: &QStep| {
-            let site = step.site()?;
+            let (site, _) = step.mac_sites()?;
             plan.active_fault_for(site, OpKind::MacOutput, false)
                 .filter(|f| {
                     f.target == FaultTarget::WeightCodes
@@ -506,21 +524,9 @@ impl QModel {
             let Some((model, seed)) = weight_fault(step) else {
                 continue;
             };
-            match step {
-                QStep::Conv { conv, .. } => {
-                    conv.fault_weight_codes(&model, seed, 0);
-                }
-                QStep::CapsConv { layer, .. } => {
-                    layer.fault_weight_codes(&model, seed, 0);
-                }
-                QStep::Caps3d { layer, .. } => {
-                    layer.fault_weight_codes(&model, seed, 0);
-                }
-                QStep::ClassCaps { layer, .. } => {
-                    layer.fault_weight_codes(&model, seed, 0);
-                }
-                // Glue steps have no site, so no weight fault.
-                QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {}
+            let mut index = 0;
+            for store in step.weights_mut() {
+                index = store.fault(&model, seed, index);
             }
         }
         Cow::Owned(faulted)
@@ -531,24 +537,10 @@ impl QModel {
     /// empirical **weight-operand pool** for component
     /// characterization.
     pub fn weight_code_sample(&self, max_len: usize) -> Vec<u8> {
-        let mut all: Vec<u8> = Vec::new();
-        for step in &self.steps {
-            match step {
-                QStep::Conv { conv, .. } => all.extend_from_slice(conv.weight_codes()),
-                QStep::CapsConv { layer, .. } => {
-                    all.extend_from_slice(layer.conv().weight_codes());
-                }
-                QStep::Caps3d { layer, .. } => {
-                    for conv in layer.convs() {
-                        all.extend_from_slice(conv.weight_codes());
-                    }
-                }
-                QStep::ClassCaps { layer, .. } => {
-                    all.extend_from_slice(layer.votes().weight_codes());
-                }
-                QStep::AddSquash { .. } | QStep::ToUnits { .. } | QStep::ConcatUnits { .. } => {}
-            }
-        }
+        let all: Vec<u8> = (self.steps.iter())
+            .flat_map(QStep::weights)
+            .flat_map(|store| store.codes().iter().copied())
+            .collect();
         if max_len == 0 {
             return Vec::new();
         }
@@ -562,11 +554,13 @@ impl QModel {
     /// The executor behind [`PreparedModel`], [`evaluate_quantized`]
     /// and the measured backends: values are per-sample columns of the
     /// dataflow program; MAC steps run fused across the batch, float
-    /// glue runs per sample.
+    /// glue runs per sample. `resolved` holds one execution state per
+    /// multiplier site, in [`QModel::multiply_sites`] order; each MAC
+    /// step takes the next ones, as many as it has sites.
     pub(crate) fn forward_batch_resolved(
         &self,
         xs: &[&Tensor],
-        resolved: &[StepExec],
+        mut resolved: &[MacExec],
     ) -> Vec<Tensor> {
         if xs.is_empty() {
             return Vec::new();
@@ -578,18 +572,18 @@ impl QModel {
         let mut vals: Vec<Vec<Tensor>> = Vec::with_capacity(self.steps.len() + 1);
         vals.push(xs.iter().map(|x| (*x).clone()).collect());
         let _fwd = trace::span("qforward");
-        for (step, exec) in self.steps.iter().zip(resolved) {
+        for step in &self.steps {
             let _step = trace::span(step.span_name());
-            let ys: Vec<Tensor> = match (step, exec) {
-                (
-                    QStep::Conv {
-                        conv, relu, src, ..
-                    },
-                    StepExec::Mac(m),
-                ) => {
+            let (mine, rest) = resolved.split_at(step.mac_sites().map_or(0, |(_, s)| s.len()));
+            resolved = rest;
+            let view = |i: usize| mine[i].view();
+            let ys: Vec<Tensor> = match step {
+                QStep::Conv {
+                    conv, relu, src, ..
+                } => {
                     let inputs: Vec<&[f32]> = vals[*src].iter().map(|v| v.data()).collect();
                     let (h, w) = (vals[*src][0].shape()[1], vals[*src][0].shape()[2]);
-                    conv.forward_batch(&inputs, h, w, m.view())
+                    conv.forward_batch(&inputs, h, w, view(0))
                         .into_iter()
                         .map(|mut y| {
                             if *relu {
@@ -601,19 +595,19 @@ impl QModel {
                         })
                         .collect()
                 }
-                (QStep::CapsConv { layer, src, .. }, StepExec::Mac(m)) => {
+                QStep::CapsConv { layer, src, .. } => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch(&inputs, m.view())
+                    layer.forward_batch(&inputs, view(0))
                 }
-                (QStep::Caps3d { layer, src, .. }, StepExec::Routing { mac, sum, agree }) => {
+                QStep::Caps3d { layer, src, .. } => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch(&inputs, mac.view(), sum.view(), agree.view())
+                    layer.forward_batch(&inputs, view(0), view(1), view(2))
                 }
-                (QStep::ClassCaps { layer, src, .. }, StepExec::Routing { mac, sum, agree }) => {
+                QStep::ClassCaps { layer, src, .. } => {
                     let inputs: Vec<&Tensor> = vals[*src].iter().collect();
-                    layer.forward_batch(&inputs, mac.view(), sum.view(), agree.view())
+                    layer.forward_batch(&inputs, view(0), view(1), view(2))
                 }
-                (QStep::AddSquash { a, b }, _) => (0..bsz)
+                QStep::AddSquash { a, b } => (0..bsz)
                     .map(|bi| {
                         let sum = vals[*a][bi]
                             .add(&vals[*b][bi])
@@ -633,15 +627,13 @@ impl QModel {
                             .expect("spatial unfold")
                     })
                     .collect(),
-                (QStep::ToUnits { src }, _) => vals[*src].iter().map(caps_to_units).collect(),
-                (QStep::ConcatUnits { a, b }, _) => (0..bsz)
+                QStep::ToUnits { src } => vals[*src].iter().map(caps_to_units).collect(),
+                QStep::ConcatUnits { a, b } => (0..bsz)
                     .map(|bi| {
                         // lint: allow(panic) — shape invariant: the buffer and dims are constructed to match right here
                         Tensor::concat(&[&vals[*a][bi], &vals[*b][bi]], 0).expect("unit concat")
                     })
                     .collect(),
-                // lint: allow(panic) — unreachable: resolve() pairs every MAC step with its luts
-                _ => unreachable!("resolve() pairs every MAC step with its luts"),
             };
             vals.push(ys);
         }
@@ -676,7 +668,7 @@ impl QModel {
 #[derive(Clone)]
 pub struct PreparedModel {
     model: QModel,
-    execs: Vec<StepExec>,
+    execs: Vec<MacExec>,
 }
 
 impl PreparedModel {
@@ -767,7 +759,7 @@ pub fn evaluate_quantized(
 /// Accuracy over `data` for an already-resolved program — the shared
 /// evaluation loop behind [`evaluate_quantized`] and the measured
 /// backend.
-pub(crate) fn evaluate_resolved(model: &QModel, data: &Dataset, resolved: &[StepExec]) -> f64 {
+pub(crate) fn evaluate_resolved(model: &QModel, data: &Dataset, resolved: &[MacExec]) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
