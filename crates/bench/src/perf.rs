@@ -13,6 +13,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use redcane::datapath::DatapathAssignment;
+use redcane::faults::{FaultModel, FaultTarget, SiteFault};
 use redcane::report::json::Value;
 use redcane_artifacts::{fingerprint, ArtifactKey, ArtifactPayload, ArtifactStore};
 use redcane_axmul::{LutCache, MultiplierLibrary};
@@ -26,8 +27,8 @@ use redcane_datasets::{generate, Benchmark, GenerateConfig};
 use redcane_fxp::QuantParams;
 use redcane_nn::layers::Conv2d;
 use redcane_qdp::{
-    kernels as qkernels, qlayers, quantized_routing, CalibrationObserver, MacView, MulLut,
-    PreparedModel, QConv2d, QModel, QRouting,
+    faulted_site_lut, kernels as qkernels, qlayers, quantized_routing, CalibrationObserver,
+    MacView, MulLut, PreparedModel, QConv2d, QModel, QRouting,
 };
 use redcane_tensor::ops::{conv, gemm, Conv2dSpec};
 use redcane_tensor::{Tensor, TensorRng};
@@ -462,6 +463,21 @@ fn tabulate_library_probe(reps: usize) -> PerfProbe {
     )
 }
 
+/// Faulted-table probe: the 65 536-entry multiplier bit-flip view of
+/// the exact table (one hash per bit per entry) that a fault trial at a
+/// multiplier site builds when it resolves.
+fn faulted_lut_probe(base: &MulLut, reps: usize) -> PerfProbe {
+    let fault = SiteFault::new(FaultTarget::Multiplier, FaultModel::BitFlip { ber: 1e-2 });
+    PerfProbe::time(
+        "faulted_lut_multiplier_bitflip",
+        reps,
+        &mut || {
+            std::hint::black_box(faulted_site_lut(base, &fault, 7));
+        },
+        None,
+    )
+}
+
 /// Trained-artifact store probe: what restoring a trained model costs
 /// versus training it (the naive twin), on a scratch store under the
 /// temp dir. The load-vs-retrain win the CI tripwire watches: restore
@@ -651,6 +667,7 @@ pub fn run_perf(quick: bool, artifacts: Option<PathBuf>) -> PerfReport {
     probes.extend(routing_probes(reps));
     probes.extend(qdp_deepcaps_probes(reps));
     probes.push(tabulate_library_probe(reps));
+    probes.push(faulted_lut_probe(&exact, reps));
     probes.push(artifact_load_probe(
         "artifact_load_capsnet",
         "capsnet",
@@ -763,6 +780,7 @@ mod tests {
             "qdp_fwd_deepcaps_small",
             "qdp_fwd_batch_deepcaps_small",
             "tabulate_library_35",
+            "faulted_lut_multiplier_bitflip",
             "artifact_load_capsnet",
             "artifact_load_deepcaps_small",
         ] {

@@ -51,6 +51,15 @@ pub fn unit_f64(word: u64) -> f64 {
     (word >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// Bit flips at rate `ber` as an integer bound: `unit_f64(w) < ber`
+/// exactly when `w >> 11` is below the result. `unit_f64(w)` is the
+/// integer `w >> 11` over 2^53, so the bound is the ceiling of
+/// `ber · 2^53`; the cast saturates, to 0 for NaN or `ber <= 0` and
+/// past 2^53 for `ber > 1`.
+fn flip_threshold(ber: f64) -> u64 {
+    (ber * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// What goes wrong: the three discrete fault behaviors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultModel {
@@ -103,13 +112,13 @@ impl FaultModel {
         };
         match self {
             FaultModel::BitFlip { ber } => {
-                let mut v = value;
+                let threshold = flip_threshold(*ber);
+                let mut flips = 0;
                 for bit in 0..width {
-                    if unit_f64(mix64(seed, index, u64::from(bit))) < *ber {
-                        v ^= 1 << bit;
-                    }
+                    let w = mix64(seed, index, u64::from(bit));
+                    flips |= u32::from((w >> 11) < threshold) << bit;
                 }
-                v & mask
+                (value ^ flips) & mask
             }
             FaultModel::StuckAt { lanes, value: hi } => {
                 let lanes = lanes & mask;
@@ -353,6 +362,65 @@ mod tests {
         // A certain flip inverts every bit.
         let all = FaultModel::BitFlip { ber: 1.1 };
         assert_eq!(all.apply(0, 8, 3, 3), 0xff);
+    }
+
+    /// The integer threshold flips exactly the bits the definition
+    /// `unit_f64(mix64(seed, index, bit)) < ber` flips, at the edges of
+    /// the rate's range and around a representable draw.
+    #[test]
+    fn bit_flip_threshold_matches_the_unit_draw_definition() {
+        // A rate that is exactly a draw: `unit_f64(at_k << 11) == k`.
+        let at_k = 0x000a_5a5a_5a5a_5a5a_u64;
+        let k = at_k as f64 / (1u64 << 53) as f64;
+        let bers = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::from_bits(1),
+            1.0 / (1u64 << 53) as f64,
+            k,
+            f64::from_bits(k.to_bits() - 1),
+            f64::from_bits(k.to_bits() + 1),
+            0.5,
+            1.0,
+            1.5,
+            f64::INFINITY,
+        ];
+        for ber in bers {
+            let model = FaultModel::BitFlip { ber };
+            for width in [8, 16, 32] {
+                for index in 0..64 {
+                    let seed = 0x5eed ^ index;
+                    let value = (index as u32).wrapping_mul(0x9e37_79b9);
+                    let mut want = value;
+                    for bit in 0..width {
+                        if unit_f64(mix64(seed, index, u64::from(bit))) < ber {
+                            want ^= 1 << bit;
+                        }
+                    }
+                    if width < 32 {
+                        want &= (1 << width) - 1;
+                    }
+                    assert_eq!(
+                        model.apply(value, width, seed, index),
+                        want,
+                        "{ber:e} w{width}"
+                    );
+                }
+            }
+        }
+        // Hashes rarely land on a rate's edge; check the bound itself
+        // there, and at the ends of the draw range.
+        for ber in bers {
+            for x in [0, 1, at_k - 1, at_k, at_k + 1, (1u64 << 53) - 1] {
+                assert_eq!(
+                    x < flip_threshold(ber),
+                    unit_f64(x << 11) < ber,
+                    "{ber:e} at {x}"
+                );
+            }
+        }
     }
 
     #[test]

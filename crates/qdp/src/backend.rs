@@ -17,18 +17,28 @@
 //! [`QuantMeasured::over`] layers a [`FaultPlan`] — bit flips, stuck-at
 //! lanes and dead outputs at the assignment's own site keys — over the
 //! shared program, and every evaluation runs the faulted hardware.
+//!
+//! A fault campaign scores many plans over one eval set under one
+//! assignment, and every step before a plan's first faulted site
+//! computes what the fault-free program computes. So the backend and
+//! all its [`QuantMeasured::over`] views share one memo: the fault-free
+//! program's step values from the last (eval samples, assignment) pair
+//! a plan was scored on. Each plan's evaluation runs only from its
+//! first faulted step, over those values; the result is bit-identical
+//! to a run from the input.
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use redcane::datapath::{AccuracyBackend, BackendError, DatapathAssignment, SiteKey};
 use redcane::faults::FaultPlan;
 use redcane_axmul::LutCache;
 use redcane_capsnet::CapsModel;
-use redcane_datasets::Dataset;
+use redcane_datasets::{Dataset, Sample};
 use redcane_tensor::Tensor;
 
-use crate::qmodel::{evaluate_resolved, QModel, Resolution};
+use crate::qmodel::{evaluate_resolved, step_values, QModel, Resolution, Resume, StepValues};
 
 /// Ground-truth accuracy backend: lower once, then run any
 /// [`DatapathAssignment`] on the quantized integer datapath, optionally
@@ -42,17 +52,45 @@ use crate::qmodel::{evaluate_resolved, QModel, Resolution};
 /// `fail_soft`, sites the plan leaves dead fall back to the exact
 /// multiplier (and [`QuantMeasured::evaluate_with_downgrades`] reports
 /// which); otherwise evaluation refuses with [`BackendError::DeadSite`].
+///
+/// Clones and views also share the fault-free run memo (see the
+/// module docs). It holds one entry, keyed by the eval samples
+/// (compared by content) and the assignment, built on the first
+/// evaluation under a plan whose first faulted step is not step 0;
+/// plan-free evaluations never build it. It holds every step's values
+/// for every sample: at most `data.len()` × the program's per-sample
+/// value size (about 13 KB for CapsNet and 47 KB for DeepCaps at the
+/// repository benchmark's size).
 #[derive(Debug, Clone)]
 pub struct QuantMeasured {
     qmodel: Arc<QModel>,
     luts: Arc<LutCache>,
     plan: Option<FaultPlan>,
     fail_soft: bool,
+    clean: Arc<CleanMemo>,
 }
 
 /// The fault-plan form of [`QuantMeasured`]; the name stays only because
 /// the repository benchmark (`perfbench`) still uses it.
 pub type FaultMeasured = QuantMeasured;
+
+/// The fault-free program's step values over one eval set under one
+/// assignment.
+struct CleanRun {
+    samples: Vec<Sample>,
+    assignment: DatapathAssignment,
+    values: Vec<StepValues>,
+}
+
+/// The one-entry memo of the last [`CleanRun`] a plan needed.
+#[derive(Default)]
+struct CleanMemo(Mutex<Option<Arc<CleanRun>>>);
+
+impl fmt::Debug for CleanMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("CleanMemo")
+    }
+}
 
 impl QuantMeasured {
     /// Wraps an already-lowered program and a LUT cache (no fault plan).
@@ -62,18 +100,20 @@ impl QuantMeasured {
             luts: Arc::new(luts),
             plan: None,
             fail_soft: false,
+            clean: Arc::default(),
         }
     }
 
     /// `base`'s program and tables under `plan`, which replaces any plan
     /// `base` had (plans never stack). Copies neither program nor
-    /// tables.
+    /// tables, and shares `base`'s fault-free run memo.
     pub fn over(base: &QuantMeasured, plan: FaultPlan, fail_soft: bool) -> Self {
         QuantMeasured {
             qmodel: Arc::clone(&base.qmodel),
             luts: Arc::clone(&base.luts),
             plan: Some(plan),
             fail_soft,
+            clean: Arc::clone(&base.clean),
         }
     }
 
@@ -89,7 +129,9 @@ impl QuantMeasured {
 
     /// Accuracy of `model` over `data` under `assignment` (and the fault
     /// plan), plus the sites fail-soft downgraded to the exact
-    /// multiplier — both from one resolution of the assignment.
+    /// multiplier — both from one resolution of the assignment. Under a
+    /// plan, the evaluation runs from the plan's first faulted step
+    /// over the memoized fault-free values.
     ///
     /// # Errors
     ///
@@ -117,13 +159,23 @@ impl QuantMeasured {
             });
         }
         let resolved = self.resolve(assignment)?;
-        let accuracy = evaluate_resolved(&self.program(), data, &resolved.execs);
+        let from = (self.plan.as_ref()).map_or(0, |plan| self.qmodel.first_faulted_step(plan));
+        let clean = match from {
+            0 => None,
+            _ => Some(self.clean_run(data, assignment)?),
+        };
+        let resume = clean.as_deref().map(|run| Resume {
+            from,
+            clean: &run.values,
+        });
+        let accuracy = evaluate_resolved(&self.program(), data, &resolved.execs, resume);
         Ok((accuracy, resolved.downgraded))
     }
 
     /// Full quantized inference under the fault plan: the class-capsule
     /// lengths for one input, every site running its (possibly
-    /// faulted) execution state.
+    /// faulted) execution state. Runs from the input; it neither reads
+    /// nor fills the memo.
     ///
     /// # Errors
     ///
@@ -150,6 +202,31 @@ impl QuantMeasured {
     fn resolve(&self, assignment: &DatapathAssignment) -> Result<Resolution, BackendError> {
         self.qmodel
             .resolve(assignment, &self.luts, self.plan.as_ref(), self.fail_soft)
+    }
+
+    /// The fault-free run over `data` under `assignment`: the memo's
+    /// entry when its key matches, otherwise a new run that replaces it.
+    /// Built under the lock, so concurrent views wait for one build
+    /// instead of each running its own.
+    fn clean_run(
+        &self,
+        data: &Dataset,
+        assignment: &DatapathAssignment,
+    ) -> Result<Arc<CleanRun>, BackendError> {
+        let mut memo = self.clean.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(run) = memo.as_ref() {
+            if run.samples == data.samples && run.assignment == *assignment {
+                return Ok(Arc::clone(run));
+            }
+        }
+        let resolved = self.qmodel.resolve(assignment, &self.luts, None, false)?;
+        let run = Arc::new(CleanRun {
+            samples: data.samples.clone(),
+            assignment: assignment.clone(),
+            values: step_values(&self.qmodel, data, &resolved.execs),
+        });
+        *memo = Some(Arc::clone(&run));
+        Ok(run)
     }
 
     /// The program evaluations run: the shared one, or a copy carrying
@@ -444,5 +521,102 @@ mod tests {
             identity.evaluate(&model, &pair.test, &assignment).unwrap(),
             base.evaluate(&model, &pair.test, &assignment).unwrap()
         );
+    }
+
+    /// Per-sample argmax predictions of `backend` under `assignment`.
+    fn predictions(
+        backend: &QuantMeasured,
+        samples: &[Sample],
+        assignment: &DatapathAssignment,
+    ) -> Vec<usize> {
+        samples
+            .iter()
+            .map(|s| {
+                backend
+                    .forward(&s.image, assignment)
+                    .unwrap()
+                    .argmax()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// `samples` as a dataset, each labelled with `labels`.
+    fn labelled(samples: &[Sample], labels: &[usize]) -> Dataset {
+        Dataset {
+            name: "labelled".to_string(),
+            channels: 1,
+            height: 16,
+            width: 16,
+            num_classes: 10,
+            samples: samples
+                .iter()
+                .zip(labels)
+                .map(|(s, &label)| Sample {
+                    image: s.image.clone(),
+                    label,
+                })
+                .collect(),
+        }
+    }
+
+    /// One plan scored through views of one backend on eval set D1,
+    /// then on D2, then on D2 under a second assignment: each pair gets
+    /// the accuracy its own per-sample forwards give, however the
+    /// views share work between evaluations.
+    #[test]
+    fn a_plan_rescored_on_new_data_or_a_new_assignment_gets_its_own_accuracy() {
+        let pair = generate(
+            Benchmark::MnistLike,
+            &GenerateConfig {
+                train: 8,
+                test: 24,
+                seed: 41,
+            },
+        );
+        let mut rng = TensorRng::from_seed(916);
+        let mut model = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
+        let library = MultiplierLibrary::evo_approx_like();
+        let base = calibrated(
+            &mut model,
+            pair.train.samples.iter().map(|s| &s.image),
+            &library,
+        );
+        // A fault past the first steps, on the routing weighted sum.
+        let plan = FaultPlan::identity(8).with(
+            "ClassCaps",
+            OpKind::MacOutput,
+            true,
+            SiteFault::new(FaultTarget::Multiplier, FaultModel::BitFlip { ber: 0.02 }),
+        );
+        let faulty = QuantMeasured::over(&base, plan.clone(), false);
+        let exact = DatapathAssignment::uniform("mul8u_1JFF");
+        let approx = DatapathAssignment::uniform("mul8u_QKX");
+        // Each set is labelled with the faulted exact datapath's own
+        // predictions, so the true score under `exact` is 1.
+        let (first, second) = pair.test.samples.split_at(12);
+        let (p1, p2) = (
+            predictions(&faulty, first, &exact),
+            predictions(&faulty, second, &exact),
+        );
+        assert_ne!(p1, p2, "the two sets must be told apart by prediction");
+        let (d1, d2) = (labelled(first, &p1), labelled(second, &p2));
+        let approx_hits = predictions(&faulty, second, &approx)
+            .iter()
+            .zip(&p2)
+            .filter(|(a, b)| a == b)
+            .count();
+        assert!(
+            approx_hits < 12,
+            "the second assignment must move a prediction"
+        );
+        for (data, assignment, want) in [
+            (&d1, &exact, 1.0),
+            (&d2, &exact, 1.0),
+            (&d2, &approx, approx_hits as f64 / 12.0),
+        ] {
+            let view = QuantMeasured::over(&base, plan.clone(), false);
+            assert_eq!(view.evaluate(&model, data, assignment).unwrap(), want);
+        }
     }
 }

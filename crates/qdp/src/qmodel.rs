@@ -33,7 +33,7 @@
 //! is 24 — no per-architecture execution code.
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use redcane::datapath::{BackendError, DatapathAssignment, SiteKey};
 use redcane::faults::{FaultModel, FaultPlan, FaultTarget};
@@ -42,7 +42,7 @@ use redcane_capsnet::inject::OpKind;
 use redcane_capsnet::model::caps_to_units;
 use redcane_capsnet::squash::{caps_lengths, squash_caps};
 use redcane_capsnet::{CapsModel, CapsNet, DeepCaps};
-use redcane_datasets::Dataset;
+use redcane_datasets::{Dataset, Sample};
 use redcane_tensor::{par, Tensor};
 use redcane_trace as trace;
 
@@ -282,7 +282,10 @@ impl Resolver<'_> {
                 FaultTarget::Multiplier | FaultTarget::ActivationCodes => {}
             }
         }
-        let faulted = faulted_site_lut(&base, fault, seed);
+        let faulted = {
+            let _view = trace::span("faulted_site_lut");
+            faulted_site_lut(&base, fault, seed)
+        };
         if !faulted.is_dead() {
             return Ok(MacExec {
                 lut: Arc::new(faulted),
@@ -295,7 +298,7 @@ impl Resolver<'_> {
         if self.fail_soft {
             self.downgraded.push((site.to_string(), kind, in_routing));
             Ok(MacExec {
-                lut: Arc::new(MulLut::exact()),
+                lut: exact_fallback(),
                 acc: None,
             })
         } else {
@@ -306,6 +309,13 @@ impl Resolver<'_> {
             })
         }
     }
+}
+
+/// The fail-soft fallback multiplier: one exact table per process,
+/// tabulated on first use and shared by every downgraded site.
+fn exact_fallback() -> Arc<MulLut> {
+    static EXACT: OnceLock<Arc<MulLut>> = OnceLock::new();
+    Arc::clone(EXACT.get_or_init(|| Arc::new(MulLut::exact())))
 }
 
 /// A trained capsule model lowered onto the quantized datapath: same
@@ -551,28 +561,88 @@ impl QModel {
         all.into_iter().step_by(stride).collect()
     }
 
+    /// The first step a fault plan can change: the first whose
+    /// multiplier sites carry an active fault of any target (weight
+    /// faults are keyed at the step's `(site, MacOutput, false)`), or
+    /// `steps.len()` when the plan changes none. Every step before it
+    /// resolves to the fault-free tables and reads unfaulted weight
+    /// memory, so it computes what the fault-free program computes.
+    pub(crate) fn first_faulted_step(&self, plan: &FaultPlan) -> usize {
+        self.steps
+            .iter()
+            .position(|step| {
+                step.mac_sites().is_some_and(|(site, kinds)| {
+                    (kinds.iter()).any(|&(kind, r)| plan.active_fault_for(site, kind, r).is_some())
+                })
+            })
+            .unwrap_or(self.steps.len())
+    }
+
     /// The executor behind [`PreparedModel`], [`evaluate_quantized`]
-    /// and the measured backends: values are per-sample columns of the
-    /// dataflow program; MAC steps run fused across the batch, float
-    /// glue runs per sample. `resolved` holds one execution state per
-    /// multiplier site, in [`QModel::multiply_sites`] order; each MAC
-    /// step takes the next ones, as many as it has sites.
+    /// and the measured backend, from the input: the program's values
+    /// seeded with `xs`, every step run ([`QModel::run_steps`]), then
+    /// the class-capsule lengths. `resolved` holds one execution state
+    /// per multiplier site, in [`QModel::multiply_sites`] order.
     pub(crate) fn forward_batch_resolved(
         &self,
         xs: &[&Tensor],
-        mut resolved: &[MacExec],
+        resolved: &[MacExec],
     ) -> Vec<Tensor> {
         if xs.is_empty() {
             return Vec::new();
         }
-        for x in xs {
+        let vals = self.seed(xs.iter().map(|x| (*x).clone()).collect());
+        self.class_lengths(&self.run_steps(vals, resolved))
+    }
+
+    /// The value table of a run from `input`: value 0 alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an input shape mismatch.
+    fn seed(&self, input: Vec<Tensor>) -> Vec<Cow<'static, [Tensor]>> {
+        for x in &input {
             assert_eq!(x.shape(), self.input_shape, "QModel input");
         }
-        let bsz = xs.len();
-        let mut vals: Vec<Vec<Tensor>> = Vec::with_capacity(self.steps.len() + 1);
-        vals.push(xs.iter().map(|x| (*x).clone()).collect());
+        vec![Cow::Owned(input)]
+    }
+
+    /// [`QModel::forward_batch_resolved`] resumed at step `from`: values
+    /// `0..=from` are borrowed from `clean` (the values of a run whose
+    /// steps before `from` computed what these would), and only steps
+    /// `from..` run. `resolved` is the whole resolution.
+    pub(crate) fn forward_resumed(
+        &self,
+        clean: &[Vec<Tensor>],
+        from: usize,
+        resolved: &[MacExec],
+    ) -> Vec<Tensor> {
+        let vals = clean[..=from]
+            .iter()
+            .map(|v| Cow::Borrowed(&v[..]))
+            .collect();
+        let skipped = (self.steps[..from].iter())
+            .filter_map(QStep::mac_sites)
+            .map(|(_, kinds)| kinds.len())
+            .sum();
+        self.class_lengths(&self.run_steps(vals, &resolved[skipped..]))
+    }
+
+    /// The step loop: runs `steps[vals.len() - 1..]` over the seeded
+    /// values and returns them all. Values are per-sample columns of
+    /// the dataflow program (value 0 is the input); MAC steps run fused
+    /// across the batch, float glue runs per sample. `resolved` holds
+    /// the execution states of the sites of the steps that run, in
+    /// [`QModel::multiply_sites`] order; each MAC step takes the next
+    /// ones, as many as it has sites.
+    pub(crate) fn run_steps<'a>(
+        &self,
+        mut vals: Vec<Cow<'a, [Tensor]>>,
+        mut resolved: &[MacExec],
+    ) -> Vec<Cow<'a, [Tensor]>> {
+        let bsz = vals[0].len();
         let _fwd = trace::span("qforward");
-        for step in &self.steps {
+        for step in &self.steps[vals.len() - 1..] {
             let _step = trace::span(step.span_name());
             let (mine, rest) = resolved.split_at(step.mac_sites().map_or(0, |(_, s)| s.len()));
             resolved = rest;
@@ -635,11 +705,15 @@ impl QModel {
                     })
                     .collect(),
             };
-            vals.push(ys);
+            vals.push(Cow::Owned(ys));
         }
-        // The last step produces the class capsules [J, D]; their
-        // lengths are the network output, computed exactly as the
-        // float models compute them.
+        vals
+    }
+
+    /// The network output: the last step produces the class capsules
+    /// `[J, D]`, and their lengths are computed exactly as the float
+    /// models compute them.
+    fn class_lengths(&self, vals: &[Cow<'_, [Tensor]>]) -> Vec<Tensor> {
         // lint: allow(panic) — resolve() rejects empty programs, so at least one step ran
         let last = vals.last().expect("at least one step");
         last.iter()
@@ -753,40 +827,81 @@ pub fn evaluate_quantized(
     luts: &LutCache,
 ) -> Result<f64, BackendError> {
     let resolved = model.resolve(assignment, luts, None, false)?;
-    Ok(evaluate_resolved(model, data, &resolved.execs))
+    Ok(evaluate_resolved(model, data, &resolved.execs, None))
+}
+
+/// The values of every step of one run, one per-sample column per
+/// value (value 0 is the input): what [`QModel::run_steps`] returns,
+/// owned.
+pub(crate) type StepValues = Vec<Vec<Tensor>>;
+
+/// Where an evaluation resumes: the first step to run and, per
+/// `EVAL_BATCH` chunk of the same dataset, the values of a run whose
+/// steps before it computed what this run's would ([`step_values`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Resume<'a> {
+    pub(crate) from: usize,
+    pub(crate) clean: &'a [StepValues],
+}
+
+/// Runs `f` over `data`'s `EVAL_BATCH`-wide chunks (chunk index and
+/// samples), one chunk per [`par::map_with`] item (inline when called
+/// from a parallel worker), in chunk order.
+fn map_chunks<T: Send>(data: &Dataset, f: impl Fn(usize, &[Sample]) -> T + Sync) -> Vec<T> {
+    let chunks: Vec<_> = data.samples.chunks(EVAL_BATCH).collect();
+    par::map_with(chunks.len(), || (), |(), c| f(c, chunks[c]))
 }
 
 /// Accuracy over `data` for an already-resolved program — the shared
 /// evaluation loop behind [`evaluate_quantized`] and the measured
-/// backend.
-pub(crate) fn evaluate_resolved(model: &QModel, data: &Dataset, resolved: &[MacExec]) -> f64 {
+/// backend. Without `resume` every chunk runs from its input; with it,
+/// each chunk runs only steps `resume.from..` over its clean values
+/// ([`QModel::forward_resumed`]).
+pub(crate) fn evaluate_resolved(
+    model: &QModel,
+    data: &Dataset,
+    resolved: &[MacExec],
+    resume: Option<Resume<'_>>,
+) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
-    let chunks: Vec<_> = data.samples.chunks(EVAL_BATCH).collect();
-    let correct: usize = par::map_with(
-        chunks.len(),
-        || (),
-        |(), c| {
-            let images: Vec<&Tensor> = chunks[c].iter().map(|s| &s.image).collect();
-            let lengths = model.forward_batch_resolved(&images, resolved);
-            chunks[c]
-                .iter()
-                .zip(&lengths)
-                // lint: allow(panic) — capsule count is structurally nonzero, so lengths are non-empty
-                .filter(|(sample, l)| l.argmax().expect("non-empty lengths") == sample.label)
-                .count()
-        },
-    )
+    let correct: usize = map_chunks(data, |c, chunk| {
+        let lengths = match resume {
+            Some(r) => model.forward_resumed(&r.clean[c], r.from, resolved),
+            None => {
+                let images: Vec<&Tensor> = chunk.iter().map(|s| &s.image).collect();
+                model.forward_batch_resolved(&images, resolved)
+            }
+        };
+        chunk
+            .iter()
+            .zip(&lengths)
+            // lint: allow(panic) — capsule count is structurally nonzero, so lengths are non-empty
+            .filter(|(sample, l)| l.argmax().expect("non-empty lengths") == sample.label)
+            .count()
+    })
     .into_iter()
     .sum();
     correct as f64 / data.len() as f64
+}
+
+/// Every step's values over `data`, per `EVAL_BATCH` chunk, for an
+/// already-resolved program: the seed a [`Resume`] reads.
+pub(crate) fn step_values(model: &QModel, data: &Dataset, resolved: &[MacExec]) -> Vec<StepValues> {
+    map_chunks(data, |_, chunk| {
+        let input = model.seed(chunk.iter().map(|s| s.image.clone()).collect());
+        (model.run_steps(input, resolved).into_iter())
+            .map(Cow::into_owned)
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lower::calibrate_ranges;
+    use redcane::faults::SiteFault;
     use redcane_capsnet::{CapsNetConfig, DeepCapsConfig, NoInjection};
     use redcane_datasets::Sample;
     use redcane_tensor::TensorRng;
@@ -1021,6 +1136,73 @@ mod tests {
                 par::set_threads(0);
                 assert_eq!(got, Ok(want), "{component}, {threads} threads");
             }
+        }
+    }
+
+    /// A faulted program resumed at its first faulted step over the
+    /// fault-free program's values gives the from-input class-capsule
+    /// lengths bit for bit, for every multiply site × fault kind on
+    /// both architectures.
+    #[test]
+    fn resumed_forward_matches_the_from_input_forward_at_every_site() {
+        let mut rng = TensorRng::from_seed(519);
+        let mut capsnet = CapsNet::new(&CapsNetConfig::small(1, 16), &mut rng);
+        let mut deepcaps = DeepCaps::new(&DeepCapsConfig::small(1, 16), &mut rng);
+        let images: Vec<Tensor> = (0..3)
+            .map(|_| rng.uniform(&[1, 16, 16], 0.0, 1.0))
+            .collect();
+        let refs: Vec<&Tensor> = images.iter().collect();
+        let (assignment, luts) = exact_setup();
+        let flip = FaultModel::BitFlip { ber: 0.05 };
+        let faults = [
+            SiteFault::new(
+                FaultTarget::WeightCodes,
+                FaultModel::StuckAt {
+                    lanes: 0x80,
+                    value: true,
+                },
+            ),
+            SiteFault::new(FaultTarget::ActivationCodes, flip),
+            SiteFault::new(FaultTarget::Multiplier, flip),
+            SiteFault::new(FaultTarget::Accumulator, flip),
+            SiteFault::new(FaultTarget::Multiplier, FaultModel::DeadOutput),
+        ];
+        let models: [&mut dyn CapsModel; 2] = [&mut capsnet, &mut deepcaps];
+        for model in models {
+            let ranges = calibrate_ranges(model, images.iter()).unwrap();
+            let q = QModel::lower(model, &ranges).unwrap();
+            let base = q.resolve(&assignment, &luts, None, false).unwrap().execs;
+            let clean_out = q.forward_batch_resolved(&refs, &base);
+            let clean: StepValues = (q.run_steps(q.seed(images.clone()), &base).into_iter())
+                .map(Cow::into_owned)
+                .collect();
+            let mut moved = 0;
+            let sites = q.multiply_sites();
+            for (layer, kind, in_routing) in &sites {
+                for fault in &faults {
+                    let plan =
+                        FaultPlan::identity(3).with(layer, *kind, *in_routing, fault.clone());
+                    let from = q.first_faulted_step(&plan);
+                    assert!(from < q.steps().len(), "{layer} is a step's site");
+                    let resolved = q.resolve(&assignment, &luts, Some(&plan), true).unwrap();
+                    let program = q.with_fault_plan(&plan);
+                    let want = program.forward_batch_resolved(&refs, &resolved.execs);
+                    assert_eq!(
+                        program.forward_resumed(&clean, from, &resolved.execs),
+                        want,
+                        "{layer} {kind:?} routing={in_routing} {}",
+                        fault.spec()
+                    );
+                    moved += usize::from(want != clean_out);
+                }
+            }
+            // Weight faults at routing keys and the fail-soft exact
+            // fallback leave the output clean; the rest move it.
+            assert!(
+                moved >= 3 * sites.len(),
+                "{moved} of {} moved",
+                5 * sites.len()
+            );
         }
     }
 
