@@ -18,8 +18,6 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use redcane_capsnet::inject::{NoInjection, OpSite, RecordingInjector};
 use redcane_capsnet::CapsModel;
@@ -374,8 +372,9 @@ impl<'a, M: CapsModel + Clone + Send + Sync> Sweeps<'a, M> {
             .collect()
     }
 
-    /// Runs every `(target, NM)` cell of `targets` over worker threads,
-    /// each resuming from the clean prefix, and returns accuracies in
+    /// Runs every `(target, NM)` cell of `targets` on a
+    /// [`par::map_pool`] of `cfg.threads` workers, each cell resuming
+    /// from the clean prefix, and returns accuracies in
     /// target-major order. Cells are handed out longest first — by
     /// resume stage, ascending, with unmatched targets (which only read
     /// the baseline) last, ties by index — so the pool does not end on
@@ -390,32 +389,27 @@ impl<'a, M: CapsModel + Clone + Send + Sync> Sweeps<'a, M> {
             .collect();
         let mut order: Vec<usize> = (0..tasks.len()).collect();
         order.sort_by_key(|&idx| (prefix.first_stage(tasks[idx].1).unwrap_or(usize::MAX), idx));
-        let results = Mutex::new(vec![0.0f64; tasks.len()]);
-        let next = AtomicUsize::new(0);
         let workers = cfg.threads.clamp(1, tasks.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    par::worker(|| {
-                        let mut local = self.model.clone();
-                        while let Some(&idx) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let (tag, target, nm) = tasks[idx];
-                            let acc = prefix.cell_accuracy(
-                                &mut local,
-                                data,
-                                target,
-                                NoiseModel::new(nm, cfg.na),
-                                task_seed(cfg.seed, tag, nm),
-                            );
-                            // lint: allow(panic) — lock poisoning means another thread already panicked mid-run; propagating the abort is the only recovery
-                            results.lock().expect("no poisoned lock")[idx] = acc;
-                        }
-                    })
-                });
-            }
-        });
-        // lint: allow(panic) — lock poisoning means another thread already panicked mid-run; propagating the abort is the only recovery
-        results.into_inner().expect("no poisoned lock")
+        let accs = par::map_pool(
+            workers,
+            order.len(),
+            || self.model.clone(),
+            |local, k| {
+                let (tag, target, nm) = tasks[order[k]];
+                prefix.cell_accuracy(
+                    local,
+                    data,
+                    target,
+                    NoiseModel::new(nm, cfg.na),
+                    task_seed(cfg.seed, tag, nm),
+                )
+            },
+        );
+        let mut results = vec![0.0f64; tasks.len()];
+        for (&idx, acc) in order.iter().zip(accs) {
+            results[idx] = acc;
+        }
+        results
     }
 }
 

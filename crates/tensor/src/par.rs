@@ -2,26 +2,30 @@
 //!
 //! The workspace never pulls a thread-pool crate: hot paths that want
 //! batch-level parallelism call [`for_each_chunk_mut`] (disjoint output
-//! chunks) or [`map_with`] (an indexed map with worker-local state —
-//! the trainer, the evaluator and the qdp component sweep), both built
-//! on [`spans`] + `std::thread::scope`, and [`join`] runs two
-//! independent closures side by side (Step 6's noise-predicted pass
-//! next to its clean and measured scores). Everything degrades to a
-//! plain serial loop when the configured worker count is 1 or the job
-//! is too small to amortize a thread spawn, so single-core machines pay
-//! nothing.
+//! chunks, split into fixed contiguous [`spans`]) or [`map_with`] (an
+//! indexed map with one state per worker — the trainer, the evaluator,
+//! the qdp component sweep and the fault trials — whose workers claim
+//! items one at a time, so items of very different cost still balance),
+//! and [`join`] runs two independent closures side by side (Step 6's
+//! noise-predicted pass next to its clean and measured scores), all on
+//! `std::thread::scope`. Everything degrades to a plain serial loop
+//! when the configured worker count is 1 or the job is too small to
+//! amortize a thread spawn, so single-core machines pay nothing.
 //!
-//! # Nesting
+//! # Workers
 //!
-//! Every thread these helpers spawn runs its body through [`worker`],
-//! which marks the thread. A [`map_with`], [`for_each_chunk_mut`] or
+//! Every thread these helpers start goes through one spawn helper,
+//! which marks it as a worker and seeds its trace span stack with the
+//! caller's open span path, so spans opened on it fold under the span
+//! that fanned the work out. A [`map_with`], [`for_each_chunk_mut`] or
 //! [`join`] called on a marked thread runs serially on it: the outer
 //! call already keeps every core busy, so a second layer of threads
 //! would only oversubscribe them (an `evaluate_quantized` inside a
-//! component pool, an im2col inside a training worker). Hand-rolled
-//! pools (the noise sweep's cell pool) wrap their workers in [`worker`]
-//! to get the same rule. Work counters still count each call at entry,
-//! so the counter plane does not depend on the nesting either.
+//! component pool, an im2col inside a training worker). A pool sized
+//! by its own configuration (the noise sweep's cell pool) runs on
+//! [`map_pool`], whose threads follow the same rules. Work counters
+//! still count each call at entry, so the counter plane does not depend
+//! on the nesting either.
 //!
 //! # Thread-count resolution
 //!
@@ -36,12 +40,14 @@
 //!
 //! Parallel callers in this workspace follow one rule: **each output
 //! element is written by exactly one worker, computed exactly as the
-//! serial loop would**. Chunking never changes what is computed, only
-//! who computes it, so results are bitwise identical for every thread
-//! count (asserted end-to-end by the pipeline determinism test).
+//! serial loop would**. Chunking and item handout never change what is
+//! computed, only who computes it, so results are bitwise identical for
+//! every thread count (asserted end-to-end by the pipeline determinism
+//! test).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::{Scope, ScopedJoinHandle};
 
 use redcane_trace as trace;
 
@@ -62,7 +68,7 @@ fn trace_par(items: usize) {
 }
 
 thread_local! {
-    /// Set while the thread runs a [`worker`] body.
+    /// Set on the worker threads [`spawn`] starts.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -72,17 +78,24 @@ fn nested() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
-/// Runs `f` as the body of a parallel worker thread: parallel helpers
-/// called inside it run serially on this thread, and its trace counters
-/// are flushed before it returns — the enclosing `std::thread::scope`
-/// unblocks when the closure returns, before TLS destructors would run,
-/// and a snapshot may follow immediately.
-pub fn worker<R>(f: impl FnOnce() -> R) -> R {
-    let outer = IN_WORKER.with(|w| w.replace(true));
-    let out = f();
-    IN_WORKER.with(|w| w.set(outer));
-    trace::flush();
-    out
+/// Spawns `f` on `scope` as a parallel worker: its span stack starts
+/// at the caller's open span path, parallel helpers called inside it
+/// run serially on it, and its trace counters are flushed before it
+/// returns — the enclosing `std::thread::scope` unblocks when the
+/// closure returns, before TLS destructors would run, and a snapshot
+/// may follow immediately.
+fn spawn<'scope, R, F>(scope: &'scope Scope<'scope, '_>, f: F) -> ScopedJoinHandle<'scope, R>
+where
+    R: Send + 'scope,
+    F: FnOnce() -> R + Send + 'scope,
+{
+    let path = trace::SpanPath::current();
+    scope.spawn(move || {
+        IN_WORKER.with(|w| w.set(true));
+        let out = path.run(f);
+        trace::flush();
+        out
+    })
 }
 
 /// Jobs with fewer work items than this run serially even when more
@@ -115,9 +128,10 @@ pub fn num_threads() -> usize {
 }
 
 /// Splits `0..len` into at most `workers` contiguous spans of
-/// near-equal size (the first `len % workers` spans get one extra item).
-/// Span boundaries depend only on `len` and `workers`, so callers that
-/// reduce span results in span order stay deterministic.
+/// near-equal size (the first `len % workers` spans get one extra item):
+/// the static split [`for_each_chunk_mut`] uses for its chunks, whose
+/// costs are uniform. Span boundaries depend only on `len` and
+/// `workers`.
 pub fn spans(len: usize, workers: usize) -> Vec<(usize, usize)> {
     let workers = workers.min(len).max(1);
     let base = len / workers;
@@ -161,27 +175,31 @@ where
             rest = tail;
             consumed = split;
             let f = &f;
-            scope.spawn(move || {
-                worker(|| {
-                    for (off, chunk) in head.chunks_mut(chunk_len).enumerate() {
-                        f(start + off, chunk);
-                    }
-                })
+            spawn(scope, move || {
+                for (off, chunk) in head.chunks_mut(chunk_len).enumerate() {
+                    f(start + off, chunk);
+                }
             });
         }
     });
 }
 
 /// Maps `0..len` through `f` with one worker-local `state` (built by
-/// `init`, e.g. a model clone) per contiguous span, collecting results
-/// **in index order**.
+/// `init`, e.g. a model clone) per worker, collecting results **in
+/// index order**.
 ///
-/// Each index is computed exactly as the serial loop would — worker
-/// state is an optimization, never an accumulator — so callers that
-/// reduce the returned vector sequentially stay bitwise deterministic
-/// at every thread count. Falls back to a single-state serial loop when
-/// one worker is available, when `len` is at most 1, or on a [`worker`]
-/// thread.
+/// Workers claim indices one at a time, in index order, from one shared
+/// counter until none are left, so a worker that drew cheap items takes
+/// more of them instead of idling while another finishes a fixed span of
+/// expensive ones; the longest single item still bounds the pass. Each
+/// index is computed exactly as the serial loop would — worker state is
+/// an optimization, never an accumulator — so callers that reduce the
+/// returned vector sequentially stay bitwise deterministic at every
+/// thread count, however the items landed. Falls back to a single-state
+/// serial loop when one worker is available, when `len` is at most 1,
+/// or on a worker thread. A panic in `f` or `init` resumes on the
+/// caller with its original payload once every worker has stopped.
+/// Runs on [`map_pool`].
 pub fn map_with<S, T, I, F>(len: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
@@ -194,39 +212,57 @@ where
         let mut state = init();
         return (0..len).map(|i| f(&mut state, i)).collect();
     }
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(len);
-    slots.resize_with(len, || None);
-    let spans = spans(len, workers);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [Option<T>] = &mut slots;
-        let mut consumed = 0;
-        for &(start, end) in &spans {
-            let (head, tail) = rest.split_at_mut(end - consumed);
-            rest = tail;
-            consumed = end;
-            let (init, f) = (&init, &f);
-            scope.spawn(move || {
-                worker(|| {
-                    let mut state = init();
-                    for (slot, i) in head.iter_mut().zip(start..end) {
-                        *slot = Some(f(&mut state, i));
-                    }
-                })
-            });
+    map_pool(workers, len, init, f)
+}
+
+/// The pool behind [`map_with`]: maps `0..len` through `f` on exactly
+/// `workers.max(1)` worker threads, each building one
+/// `init` state and claiming indices one at a time, in index order,
+/// from a shared counter; returns the results in index order. Unlike
+/// [`map_with`] it is not counted as a parallel call and always starts
+/// its threads, even one and even on a worker thread, so a pool sized
+/// by its own configuration (the noise sweep's cell pool) calls it
+/// directly. A panic in `f` or `init` resumes on the caller with its
+/// original payload once every worker has stopped.
+pub fn map_pool<S, T, I, F>(workers: usize, len: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                return done;
+            }
+            done.push((i, f(&mut state, i)));
         }
+    };
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1)).map(|_| spawn(scope, claim)).collect();
+        handles.into_iter().map(ScopedJoinHandle::join).collect()
     });
-    slots
-        .into_iter()
-        // lint: allow(panic) — the scoped workers fill every output slot before joining
-        .map(|s| s.expect("every index computed"))
-        .collect()
+    let mut pairs = Vec::with_capacity(len);
+    for done in joined {
+        match done {
+            Ok(done) => pairs.extend(done),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+    // Every index was claimed by exactly one worker.
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Runs `a` and `b` concurrently and returns both results: `a` on one
-/// scoped [`worker`] thread, `b` on the calling thread. With one worker
-/// configured, or on a worker thread, it runs `a` and then `b` inline.
-/// Counts as one parallel call over 2 items. A panic in `a` resumes on
-/// the caller once `b` has finished.
+/// scoped worker thread, `b` on the calling thread. With
+/// one worker configured, or on a worker thread, it runs `a` and then
+/// `b` inline. Counts as one parallel call over 2 items. A panic in `a`
+/// resumes on the caller once `b` has finished.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -239,7 +275,7 @@ where
         return (ra, b());
     }
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| worker(a));
+        let handle = spawn(scope, a);
         let rb = b();
         match handle.join() {
             Ok(ra) => (ra, rb),
@@ -295,13 +331,72 @@ mod tests {
     }
 
     #[test]
+    fn map_with_hands_out_items_one_at_a_time() {
+        let _guard = LOCK.lock().unwrap();
+        set_threads(2);
+        // Item 0 waits for item 1. Contiguous spans would put both on
+        // one worker and time out; dynamic handout gives item 1 to the
+        // other worker while item 0 waits.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let got = std::panic::catch_unwind(|| {
+            map_with(
+                4,
+                || (),
+                |(), i| {
+                    match i {
+                        0 => rx
+                            .lock()
+                            .unwrap()
+                            .recv_timeout(std::time::Duration::from_secs(10))
+                            .expect("item 1 ran while item 0 waited"),
+                        1 => tx.lock().unwrap().send(()).unwrap(),
+                        _ => {}
+                    }
+                    i
+                },
+            )
+        });
+        set_threads(0);
+        assert_eq!(got.expect("no item timed out"), [0, 1, 2, 3]);
+    }
+
+    #[test]
     fn map_with_matches_serial_at_any_thread_count() {
         let _guard = LOCK.lock().unwrap();
-        let expect: Vec<usize> = (0..103).map(|i| i * 3 + 1).collect();
-        for threads in [1usize, 4, 9] {
+        let len = 29;
+        // Each index computed exactly once, in index order, on at most
+        // one state per worker, even when a few items cost ~1000× the
+        // rest, clustered at the front like the fault trials of early
+        // sites.
+        let cost = |i: usize| if i.is_multiple_of(5) && i < 15 { 200_000 } else { 200 };
+        let work = |i: usize| {
+            (0..cost(i)).fold(i as u64, |acc, k| {
+                std::hint::black_box(acc.wrapping_mul(6_364_136_223_846_793_005) ^ k)
+            })
+        };
+        let expect: Vec<u64> = (0..len).map(work).collect();
+        for threads in [1usize, 2, 3, 4, 7, 9] {
             set_threads(threads);
-            let got = map_with(103, || 3usize, |m, i| i * *m + 1);
+            let calls: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            let inits = AtomicUsize::new(0);
+            let got = map_with(
+                len,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    work(i)
+                },
+            );
             assert_eq!(got, expect, "{threads} threads");
+            assert!(
+                calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "{threads} threads: an index ran twice or never"
+            );
+            assert!(
+                inits.load(Ordering::Relaxed) <= threads,
+                "{threads} threads"
+            );
         }
         set_threads(0);
     }
@@ -310,13 +405,42 @@ mod tests {
     fn map_with_builds_one_state_per_worker() {
         let _guard = LOCK.lock().unwrap();
         set_threads(4);
-        let inits = std::sync::atomic::AtomicUsize::new(0);
+        let inits = AtomicUsize::new(0);
         let _ = map_with(16, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i);
         set_threads(0);
         assert!(
             inits.load(Ordering::Relaxed) <= 4,
-            "state per span, not per item"
+            "state per worker, not per item"
         );
+    }
+
+    #[test]
+    fn a_panicking_item_resumes_its_own_payload_on_the_caller() {
+        #[derive(Debug, PartialEq)]
+        struct Boom(usize);
+        let _guard = LOCK.lock().unwrap();
+        for threads in [1usize, 3] {
+            set_threads(threads);
+            let caught = std::panic::catch_unwind(|| {
+                map_with(
+                    9,
+                    || (),
+                    |(), i| {
+                        if i == 5 {
+                            std::panic::panic_any(Boom(i));
+                        }
+                        i
+                    },
+                )
+            });
+            let payload = caught.expect_err("item 5 panics");
+            assert_eq!(
+                payload.downcast_ref::<Boom>(),
+                Some(&Boom(5)),
+                "{threads} threads"
+            );
+        }
+        set_threads(0);
     }
 
     #[test]

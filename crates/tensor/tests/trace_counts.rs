@@ -156,3 +156,27 @@ fn disabled_tracing_stays_silent_through_the_same_paths() {
         assert_eq!(snap.run(counter), 0, "{} leaked", counter.name());
     }
 }
+
+#[test]
+fn spans_opened_in_map_with_items_fold_under_the_callers_span() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    par::set_threads(2);
+    trace::reset();
+    trace::set_enabled(true);
+    {
+        let _outer = trace::span("outer");
+        par::map_with(
+            4,
+            || (),
+            |(), _| {
+                let _inner = trace::span("inner");
+            },
+        );
+    }
+    trace::set_enabled(false);
+    par::set_threads(0);
+    let stats = trace::span_stats();
+    let paths: Vec<&str> = stats.iter().map(|(path, _)| path.as_str()).collect();
+    assert_eq!(paths, ["outer", "outer;inner"]);
+    assert_eq!(stats[1].1.count, 4);
+}

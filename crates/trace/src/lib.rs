@@ -21,7 +21,9 @@
 //! scope on a thread-local stack; on drop, the elapsed nanoseconds are
 //! folded into a global path-keyed table (`train;epoch`,
 //! `qdp;score;Conv1`, …) that serializes as a span tree or as
-//! folded-stack lines for flamegraph tooling. Span timings are wall
+//! folded-stack lines for flamegraph tooling. A worker thread starts
+//! its stack at its spawner's path ([`SpanPath`]), so its spans fold
+//! under the span that fanned the work out. Span timings are wall
 //! clock and therefore *never* deterministic; consumers keep them in a
 //! separate timings section and redact them wherever outputs are
 //! byte-compared (the same rule as the benches' stable `--out` lines).
@@ -380,6 +382,11 @@ pub fn reset() {
 // ---------------------------------------------------------------------
 
 /// Aggregated wall-clock statistics of one span path.
+///
+/// A worker thread seeded with its caller's [`SpanPath`] folds its spans
+/// under the caller's open span, so once a parent's children ran on
+/// several workers at once their times can sum past the parent's wall
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanStat {
     /// Total nanoseconds spent inside the span (children included).
@@ -442,6 +449,38 @@ pub fn span(name: &str) -> Span {
     STACK.with(|stack| stack.borrow_mut().push(name.to_string()));
     Span {
         start: Some(Instant::now()),
+    }
+}
+
+/// A thread's open span path, captured on the thread that spawns a
+/// worker and entered on the worker ([`SpanPath::run`]), so the spans
+/// the worker opens fold under the caller's path (`capsnet;qforward`)
+/// instead of at the profile root.
+#[derive(Debug, Clone, Default)]
+pub struct SpanPath(Vec<String>);
+
+impl SpanPath {
+    /// The calling thread's open span path. While tracing is disabled
+    /// this is one relaxed load and allocates nothing (an empty path).
+    #[must_use]
+    pub fn current() -> SpanPath {
+        if !enabled() {
+            return SpanPath::default();
+        }
+        STACK.with(|stack| SpanPath(stack.borrow().clone()))
+    }
+
+    /// Runs `f` with the thread's span stack set to this path, and
+    /// restores the thread's own stack when `f` returns. An empty path
+    /// runs `f` directly.
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
+        if self.0.is_empty() {
+            return f();
+        }
+        let own = STACK.with(|stack| stack.replace(self.0));
+        let out = f();
+        STACK.with(|stack| stack.replace(own));
+        out
     }
 }
 
@@ -613,6 +652,27 @@ mod tests {
         let folded = folded();
         assert!(folded.lines().any(|l| l.starts_with("train;epoch ")));
         assert_eq!(folded.lines().count(), 2);
+    }
+
+    #[test]
+    fn a_worker_seeded_with_the_callers_path_folds_under_it() {
+        let _guard = isolated();
+        {
+            let _outer = span("outer");
+            let path = SpanPath::current();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    path.run(|| {
+                        let _inner = span("inner");
+                    });
+                    assert!(STACK.with(|stack| stack.borrow().is_empty()));
+                });
+            });
+        }
+        let paths: Vec<String> = span_stats().into_iter().map(|(p, _)| p).collect();
+        assert_eq!(paths, ["outer", "outer;inner"]);
+        set_enabled(false);
+        assert!(SpanPath::current().0.is_empty(), "no path while disabled");
     }
 
     #[test]
